@@ -1,7 +1,7 @@
 """Columnar seed ingest vs the object path -- dataset build + feature extraction.
 
-PRs 1-4 made every Table 2 "computation" query fused and columnar, but the
-*input* path still materialized one ``ScanObservation`` (plus a banner-dict
+Every Table 2 "computation" query runs on encoded columns, but the
+*input* path once materialized one ``ScanObservation`` (plus a banner-dict
 copy) per service and re-scanned every banner mapping per observation during
 feature extraction.  This benchmark times the retired object path against the
 columnar ingest that replaced it:
@@ -19,12 +19,13 @@ columnar ingest that replaced it:
 Results are printed and written to ``BENCH_dataset.json`` at the repository
 root.  Headline assertion: columnar dataset build + feature extraction is
 >= 1.5x the object path end to end (relaxed to 1.2x under ``BENCH_SMOKE=1``
-for shared-runner jitter).  A second test times the serial columnar model
-build with the stdlib per-row fold against the vectorized numpy kernels over
-the same column buffers (``column_backend="numpy"``); floor >= 2x.  The
-equivalence assertions -- columnar rows == object rows, decoded predictor
-runs == the object extraction's tuples, fused model off the columns == the
-oracle model, numpy model == stdlib model -- are never relaxed.
+for shared-runner jitter).  A second test times the engine's model build on
+the serial runtime (resident load + fold) with the stdlib per-row fold
+against the vectorized numpy kernels over the same column buffers
+(``column_backend="numpy"``); floor >= 2x.  The equivalence assertions --
+columnar rows == object rows, decoded predictor runs == the object
+extraction's tuples, engine model off the columns == the oracle model,
+numpy model == stdlib model -- are never relaxed.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
+from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import _observation_from_record, build_full_dataset
 from repro.engine.columns import numpy_available
+from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataset.json"
 
@@ -56,7 +59,7 @@ DATASET_FLOOR = 1.5
 SMOKE_FLOOR = 1.2
 
 #: The numpy fold kernels must beat the stdlib per-row fold >= 2x on the
-#: serial columnar model build (relaxed under smoke for runner jitter).
+#: serial engine model build (relaxed under smoke for runner jitter).
 MODEL_FOLD_FLOOR = 2.0 if os.environ.get("BENCH_SMOKE") != "1" else 1.5
 
 
@@ -76,6 +79,14 @@ def _merge_results(update: dict) -> None:
         results = json.loads(RESULT_PATH.read_text())
     results.update(update)
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+
+
+def _model_on_engine(columns, column_backend: str = "stdlib"):
+    """The engine's model build on the serial runtime: resident load + fold."""
+    with EngineRuntime(executor="serial") as runtime:
+        resident = ResidentHostGroups(runtime, columns, 16)
+        return build_model_with_engine(columns, resident,
+                                       column_backend=column_backend)
 
 
 def _object_path(universe, asn_db, config):
@@ -114,12 +125,12 @@ def run_dataset_benchmark(universe):
         assert decoded == host.ports, \
             "columnar predictor tuples diverged from the object extraction"
     reference = build_model(oracle)
-    fused = build_model_with_engine(columns)
-    assert fused.denominators == reference.denominators, \
-        "fused model off the columns diverged from the oracle"
-    assert {k: v for k, v in fused.cooccurrence.items() if v} == \
+    engine = _model_on_engine(columns)
+    assert engine.denominators == reference.denominators, \
+        "engine model off the columns diverged from the oracle"
+    assert {k: v for k, v in engine.cooccurrence.items() if v} == \
         {k: v for k, v in reference.cooccurrence.items() if v}, \
-        "fused co-occurrence off the columns diverged from the oracle"
+        "engine co-occurrence off the columns diverged from the oracle"
 
     object_seconds = _best_seconds(lambda: _object_path(universe, asn_db, config))
     columnar_seconds = _best_seconds(
@@ -132,7 +143,7 @@ def run_dataset_benchmark(universe):
         "predictor_refs": len(columns.value_ids),
         "distinct_predictors": len(columns.encoder),
         "equivalence": ("columnar rows == object rows; decoded predictor runs "
-                        "== object extraction; fused model off columns == "
+                        "== object extraction; engine model off columns == "
                         "oracle model"),
         "rows": [
             {"path": "object (rows + extract_host_features)",
@@ -176,30 +187,28 @@ def test_dataset_columnar_ingest_vs_object_path(run_once, universe):
 
 
 def run_model_fold_benchmark(universe):
-    """Time the serial columnar model build, stdlib fold vs numpy kernels.
+    """Time the serial engine model build, stdlib fold vs numpy kernels.
 
     Same encoded columns in, same model out; the only difference is the
-    fold: the stdlib backend streams the flattened feature relation row by
-    row through ``join_group_count``, the numpy backend folds the raw int64
-    buffers through ``fold_model_pairs_arrays`` (no table flatten, no
-    per-row loop).  Model equality is asserted before timing, never relaxed.
+    fold: the stdlib backend streams the shard's self-join row by row
+    through ``count_join_chunk``, the numpy backend folds the raw int64
+    buffers through ``fold_model_pairs_arrays`` (no per-row loop).  Model
+    equality is asserted before timing, never relaxed.
     """
     config = FeatureConfig()
     asn_db = universe.topology.asn_db
     dataset = build_full_dataset(universe)
     columns = extract_host_features_columns(dataset.columns(), asn_db, config)
 
-    stdlib_model = build_model_with_engine(columns, column_backend="stdlib")
-    numpy_model = build_model_with_engine(columns, column_backend="numpy")
+    stdlib_model = _model_on_engine(columns, "stdlib")
+    numpy_model = _model_on_engine(columns, "numpy")
     assert numpy_model.denominators == stdlib_model.denominators, \
         "numpy model denominators diverged from the stdlib fold"
     assert numpy_model.cooccurrence == stdlib_model.cooccurrence, \
         "numpy model co-occurrence diverged from the stdlib fold"
 
-    per_row_seconds = _best_seconds(
-        lambda: build_model_with_engine(columns, column_backend="stdlib"))
-    bulk_seconds = _best_seconds(
-        lambda: build_model_with_engine(columns, column_backend="numpy"))
+    per_row_seconds = _best_seconds(lambda: _model_on_engine(columns, "stdlib"))
+    bulk_seconds = _best_seconds(lambda: _model_on_engine(columns, "numpy"))
     return {
         "hosts": len(columns),
         "predictor_refs": len(columns.value_ids),
@@ -225,7 +234,7 @@ def test_model_fold_stdlib_vs_numpy(run_once, universe):
         [("stdlib (per-row fold)", f"{results['per_row_seconds']:.4f}", "1.00x"),
          ("numpy (bulk kernels)", f"{results['bulk_seconds']:.4f}",
           f"{speedup:.2f}x")],
-        title=(f"Serial columnar model build ({results['hosts']} hosts, "
+        title=(f"Serial engine model build ({results['hosts']} hosts, "
                f"{results['predictor_refs']} predictor refs)"),
     ))
     print(f"numpy fold kernels vs stdlib per-row: {speedup:.2f}x "

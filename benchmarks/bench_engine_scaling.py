@@ -1,12 +1,15 @@
-"""Engine scaling -- legacy (materialized self-join) vs fused streaming path.
+"""Engine model build vs the dictionary reference, plus the fold kernels.
 
 The paper's Table 2 claims the co-occurrence computation is fast because the
-self-join + group-by is embarrassingly parallel.  This benchmark makes the
-reproduction's side of that claim honest: it times model building at medium
-scale on the legacy engine path (materialize the quadratic join, then
-group-count it) against the fused streaming path (dictionary-encoded
-predictors folded straight into counters), over worker counts {1, 2, 4} on
-the thread and process backends.
+self-join + group-by is embarrassingly parallel.  This benchmark keeps the
+reproduction's side of that claim honest: at medium scale it times the
+single-core dictionary reference (:func:`repro.core.model.build_model`)
+against the engine's model build on the ``serial`` runtime executor with
+both column backends.  Each engine row pays what a GPS run pays for its
+model: loading the seed's encoded columns into the runtime
+(:class:`~repro.core.runtime_plans.ResidentHostGroups`) and folding the
+self-join.  The ratios are recorded without a floor: at this scale the
+stdlib fold is slower than the reference, and that is the number.
 
 Two further tests cover the machine-native column kernels:
 
@@ -21,10 +24,8 @@ Two further tests cover the machine-native column kernels:
   beating serial is physically impossible.
 
 Results are printed as tables and written to ``BENCH_engine.json`` at the
-repository root, seeding the repo's performance trajectory; the headline
-assertion is the fused serial path being >= 3x faster than the legacy serial
-path, with identical probabilities (checked against the ``build_model``
-oracle).  No equivalence assertion is ever relaxed.
+repository root.  Every timed engine model is first checked identical to the
+``build_model`` oracle; no equivalence assertion is ever relaxed.
 """
 
 from __future__ import annotations
@@ -41,23 +42,13 @@ from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
-from repro.core.runtime_plans import ResidentHostGroups
+from repro.core.runtime_plans import ResidentHostGroups, merge_counters
 from repro.datasets.builders import build_full_dataset
 from repro.datasets.split import split_seed_test
 from repro.engine.columns import numpy_available
-from repro.engine.parallel import ExecutorConfig, merge_counters
-from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
+from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-#: (backend, workers) sweep; workers=1 is the serial reference configuration.
-SWEEP = (
-    ("serial", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("process", 2),
-    ("process", 4),
-)
 
 REPEATS = 3
 
@@ -90,31 +81,38 @@ def _merge_results(update: dict) -> None:
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
+def _model_on_engine(columns, column_backend: str):
+    """One engine model build as a GPS run pays it: resident load + fold."""
+    with EngineRuntime(executor="serial") as runtime:
+        dataset = ResidentHostGroups(runtime, columns, step_size=16)
+        return build_model_with_engine(columns, dataset,
+                                       column_backend=column_backend)
+
+
 def run_engine_scaling(universe, dataset, seed_fraction: float):
-    """Time legacy vs fused model building across executor configurations."""
+    """Time the reference model build vs the engine on each column backend."""
     split = split_seed_test(dataset, seed_fraction, seed=0)
-    host_features = extract_host_features(split.seed_observations,
-                                          universe.topology.asn_db, FeatureConfig())
+    asn_db = universe.topology.asn_db
+    host_features = extract_host_features(split.seed_observations, asn_db,
+                                          FeatureConfig())
+    columns = extract_host_features_columns(split.seed_scan_result().batch,
+                                            asn_db, FeatureConfig())
     reference = build_model(host_features)
 
-    rows = []
-    for backend, workers in SWEEP:
-        executor = ExecutorConfig(backend=backend, workers=workers)
-        for mode in ("legacy", "fused"):
-            model = build_model_with_engine(host_features, executor, mode=mode)
-            assert model.denominators == reference.denominators, \
-                f"{mode}/{backend}x{workers} denominators diverged from the oracle"
-            assert {k: v for k, v in model.cooccurrence.items() if v} == \
-                {k: v for k, v in reference.cooccurrence.items() if v}, \
-                f"{mode}/{backend}x{workers} co-occurrence diverged from the oracle"
-            seconds = _best_seconds(
-                lambda: build_model_with_engine(host_features, executor, mode=mode))
-            rows.append({
-                "mode": mode,
-                "backend": backend,
-                "workers": workers,
-                "seconds": seconds,
-            })
+    rows = [{"path": "reference", "executor": None, "column_backend": None,
+             "seconds": _best_seconds(lambda: build_model(host_features))}]
+    backends = ("stdlib", "numpy") if numpy_available() else ("stdlib",)
+    for backend in backends:
+        model = _model_on_engine(columns, backend)
+        assert model.denominators == reference.denominators, \
+            f"engine/{backend} denominators diverged from the oracle"
+        assert {k: v for k, v in model.cooccurrence.items() if v} == \
+            {k: v for k, v in reference.cooccurrence.items() if v}, \
+            f"engine/{backend} co-occurrence diverged from the oracle"
+        rows.append({"path": "engine", "executor": "serial",
+                     "column_backend": backend,
+                     "seconds": _best_seconds(
+                         lambda: _model_on_engine(columns, backend))})
     return {
         "scale": MEDIUM_SCALE.name,
         "seed_hosts": len(host_features),
@@ -123,35 +121,32 @@ def run_engine_scaling(universe, dataset, seed_fraction: float):
     }
 
 
-def test_engine_scaling_fused_vs_legacy(run_once, universe, censys_dataset, scale):
+def test_model_build_engine_vs_reference(run_once, universe, censys_dataset, scale):
     results = run_once(run_engine_scaling, universe, censys_dataset,
                        scale.default_seed_fraction)
 
-    by_config = {(r["mode"], r["backend"], r["workers"]): r["seconds"]
-                 for r in results["rows"]}
-    speedup = by_config[("legacy", "serial", 1)] / by_config[("fused", "serial", 1)]
-    results["fused_serial_speedup"] = round(speedup, 2)
+    reference_seconds = results["rows"][0]["seconds"]
+    engine_rows = results["rows"][1:]
+    # Recorded, never asserted: at this scale the engine's load + fold sits
+    # near or below the reference, and the ratio tracks that honestly.
+    results["engine_vs_reference"] = {
+        row["column_backend"]: round(reference_seconds / row["seconds"], 2)
+        for row in engine_rows
+    }
     _merge_results(results)
 
     print()
     print(format_table(
-        ("backend", "workers", "legacy (s)", "fused (s)", "speedup"),
-        [
-            (backend, workers,
-             f"{by_config[('legacy', backend, workers)]:.4f}",
-             f"{by_config[('fused', backend, workers)]:.4f}",
-             f"{by_config[('legacy', backend, workers)] / by_config[('fused', backend, workers)]:.2f}x")
-            for backend, workers in SWEEP
-        ],
-        title="Engine scaling: legacy (materialized join) vs fused streaming",
+        ("path", "column backend", "seconds", "vs reference"),
+        [("reference (build_model)", "-", f"{reference_seconds:.4f}", "1.00x")]
+        + [(f"engine ({row['executor']})", row["column_backend"],
+            f"{row['seconds']:.4f}",
+            f"{reference_seconds / row['seconds']:.2f}x")
+           for row in engine_rows],
+        title="Model build: dictionary reference vs engine (resident load + fold)",
     ))
     print(f"Seed hosts: {results['seed_hosts']}; distinct predictors: "
-          f"{results['predictors']}; fused serial speedup: {speedup:.2f}x "
-          f"(written to {RESULT_PATH.name})")
-
-    # The headline acceptance: fusing the self-join kills enough intermediate
-    # materialization to be >= 3x faster single-core at medium scale.
-    assert speedup >= 3.0, f"fused serial speedup regressed to {speedup:.2f}x"
+          f"{results['predictors']} (written to {RESULT_PATH.name})")
 
 
 # -- machine-native fold kernels ----------------------------------------------------
@@ -216,8 +211,8 @@ def run_model_fold_kernel(universe):
 
 def test_model_fold_kernel_bulk_vs_per_row(run_once, universe):
     if not numpy_available():
-        pytest.skip("numpy backend unavailable; stdlib kernels still covered "
-                    "by the scaling sweep above")
+        pytest.skip("numpy backend unavailable; the stdlib fold is still "
+                    "covered by the reference comparison above")
     results = run_once(run_model_fold_kernel, universe)
     speedup = results["per_row_seconds"] / results["bulk_seconds"]
     results["speedup"] = round(speedup, 2)

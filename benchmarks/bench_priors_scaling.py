@@ -1,13 +1,13 @@
-"""Priors planning and prediction scanning -- legacy vs fused/batched paths.
+"""Priors planning and prediction scanning -- reference vs engine/batched paths.
 
-PR 1 moved model building onto the fused streaming engine; this benchmark
-covers the other two hot paths named in ROADMAP's scaling candidates:
+This benchmark covers the two hot paths after the model build:
 
-* **priors planning** (Section 5.3): the legacy planner's per-host dict loops
-  versus :func:`repro.core.priors.build_priors_plan_with_engine`, which
-  compiles the query onto dictionary-encoded columns
-  (:class:`repro.engine.fused.FusedPartnerPlan`) and folds coverage counts
-  inline, swept over the serial/thread/process backends;
+* **priors planning** (Section 5.3): the reference planner's per-host dict
+  loops versus :func:`repro.core.priors.build_priors_plan_with_engine`,
+  which folds coverage counts over dictionary-encoded columns resident in
+  an engine runtime, swept over the serial/thread/pool executors (the
+  seed's columns load once per runtime, as in a GPS run; the model's side
+  tables ship on every timed call);
 * **prediction scanning** (Section 5.4): pair-by-pair
   :meth:`~repro.scanner.pipeline.ScanPipeline.scan_pairs` versus the batched
   *columnar* per-(prefix, port) path (flat observation columns, per-hit
@@ -18,8 +18,8 @@ covers the other two hot paths named in ROADMAP's scaling candidates:
 Results are printed as tables and written to ``BENCH_priors.json`` at the
 repository root (``benchmarks/bench_scan_columnar.py`` adds its
 columnar-vs-per-object layer breakdown to the same file).  Headline
-assertions: the fused serial priors build is >= 2x faster than the legacy
-planner, the batched ZMap layer is >= 1.3x faster than per-pair probing, the
+assertions: the engine's serial priors build is >= 2x faster than the
+reference planner, the batched ZMap layer is >= 1.3x faster than per-pair probing, the
 columnar pipeline is >= 1.6x faster end to end than the per-object pairwise
 path, and all paths produce identical plans / observations / ledger charges.
 """
@@ -34,38 +34,38 @@ from pathlib import Path
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
-from repro.core.features import extract_host_features
-from repro.core.model import build_model
+from repro.core.features import extract_host_features, extract_host_features_columns
+from repro.core.model import CooccurrenceModel, build_model
 from repro.core.predictions import (
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
 )
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
+from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
-from repro.engine.parallel import ExecutorConfig
+from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import group_pairs
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_priors.json"
 
 #: Seed fraction for the priors workload.  Heavier than the default GPS run so
-#: the legacy planner takes ~100 ms -- enough work for stable timing and for
-#: the per-predictor amortization the fused path relies on to be visible (the
+#: the reference planner takes ~100 ms -- enough work for stable timing and
+#: for the per-predictor amortization the engine relies on to be visible (the
 #: paper's seeds are millions of hosts; bigger is more faithful, not less).
 PRIORS_SEED_FRACTION = 0.1
 
-#: (backend, workers) sweep; workers=1 is the serial reference configuration.
+#: (executor, workers) sweep over the runtime executors.
 SWEEP = (
     ("serial", 1),
     ("thread", 2),
     ("thread", 4),
-    ("process", 2),
-    ("process", 4),
+    ("pool", 2),
 )
 
 REPEATS = 3
 
-#: Speedup floors the benchmark asserts: (fused priors serial, batched zmap
+#: Speedup floors the benchmark asserts: (engine priors serial, batched zmap
 #: layer, columnar pipeline end-to-end).  On a quiet dev machine the measured
 #: ratios are ~2.4x, ~2x and ~2.2x.  ``BENCH_SMOKE=1`` (set by CI, whose
 #: shared runners time noisily) relaxes the floors to "regressed to roughly
@@ -91,29 +91,47 @@ def _observation_key(observations):
                   for obs in observations)
 
 
-def run_priors_scaling(universe, dataset):
-    """Time legacy vs fused priors planning across executor configurations."""
+def _seed_inputs(universe, dataset):
+    """The priors workload's seed: object host features, columns and model."""
     split = split_seed_test(dataset, PRIORS_SEED_FRACTION, seed=0)
-    host_features = extract_host_features(split.seed_observations,
-                                          universe.topology.asn_db, FeatureConfig())
-    model = build_model(host_features)
-    reference = build_priors_plan(host_features, model, 16, dataset.port_domain)
+    asn_db = universe.topology.asn_db
+    host_features = extract_host_features(split.seed_observations, asn_db,
+                                          FeatureConfig())
+    columns = extract_host_features_columns(split.seed_scan_result().batch,
+                                            asn_db, FeatureConfig())
+    return host_features, columns, build_model(host_features)
+
+
+def _fresh(model):
+    """A new model object over the same counts, so the resident dataset
+    re-broadcasts its side tables -- once per GPS run, once per timed call."""
+    return CooccurrenceModel(cooccurrence=model.cooccurrence,
+                             denominators=model.denominators)
+
+
+def run_priors_scaling(universe, dataset):
+    """Time reference vs engine priors planning across runtime executors."""
+    host_features, columns, model = _seed_inputs(universe, dataset)
+    port_domain = dataset.port_domain
+    reference = build_priors_plan(host_features, model, 16, port_domain)
 
     rows = []
-    legacy_seconds = _best_seconds(
-        lambda: build_priors_plan(host_features, model, 16, dataset.port_domain))
-    rows.append({"mode": "legacy", "backend": "serial", "workers": 1,
-                 "seconds": legacy_seconds})
-    for backend, workers in SWEEP:
-        executor = ExecutorConfig(backend=backend, workers=workers)
-        plan = build_priors_plan_with_engine(host_features, model, 16,
-                                             dataset.port_domain, executor)
-        assert plan == reference, \
-            f"fused/{backend}x{workers} priors plan diverged from the oracle"
-        seconds = _best_seconds(
-            lambda: build_priors_plan_with_engine(host_features, model, 16,
-                                                  dataset.port_domain, executor))
-        rows.append({"mode": "fused", "backend": backend, "workers": workers,
+    reference_seconds = _best_seconds(
+        lambda: build_priors_plan(host_features, model, 16, port_domain))
+    rows.append({"mode": "reference", "backend": "serial", "workers": 1,
+                 "seconds": reference_seconds})
+    for executor, workers in SWEEP:
+        with EngineRuntime(executor=executor, num_workers=workers) as runtime:
+            resident = ResidentHostGroups(runtime, columns, 16)
+            plan = build_priors_plan_with_engine(columns, model, 16, port_domain,
+                                                 dataset=resident)
+            assert plan == reference, \
+                f"engine/{executor}x{workers} priors plan diverged from the oracle"
+            seconds = _best_seconds(
+                lambda: build_priors_plan_with_engine(columns, _fresh(model), 16,
+                                                      port_domain,
+                                                      dataset=resident))
+        rows.append({"mode": "engine", "backend": executor, "workers": workers,
                      "seconds": seconds})
     return {
         "seed_hosts": len(host_features),
@@ -124,34 +142,36 @@ def run_priors_scaling(universe, dataset):
 
 
 def run_prediction_index(universe, dataset):
-    """Time the legacy vs fused Section 5.4 prediction-index build.
+    """Time the reference vs engine Section 5.4 prediction-index build.
 
     Equality is asserted entry for entry (bit-identical probabilities and
-    tie-breaks); the timing rows record the argmax engine's margin without a
-    speedup floor of their own -- the index build is an order of magnitude
-    cheaper than the scans it schedules.
+    tie-breaks); the timing rows record the engine's margin on the serial
+    executor without a speedup floor of their own -- the index build is an
+    order of magnitude cheaper than the scans it schedules.
     """
-    split = split_seed_test(dataset, PRIORS_SEED_FRACTION, seed=0)
-    host_features = extract_host_features(split.seed_observations,
-                                          universe.topology.asn_db, FeatureConfig())
-    model = build_model(host_features)
-    legacy = PredictiveFeatureIndex.from_seed(host_features, model,
-                                              port_domain=dataset.port_domain)
-    fused = build_prediction_index_with_engine(host_features, model,
-                                               port_domain=dataset.port_domain)
-    assert fused.entries() == legacy.entries(), \
-        "fused prediction index diverged from the from_seed oracle"
-    legacy_seconds = _best_seconds(
+    host_features, columns, model = _seed_inputs(universe, dataset)
+    port_domain = dataset.port_domain
+    reference = PredictiveFeatureIndex.from_seed(host_features, model,
+                                                 port_domain=port_domain)
+    with EngineRuntime(executor="serial") as runtime:
+        resident = ResidentHostGroups(runtime, columns, 16)
+        engine = build_prediction_index_with_engine(columns, model,
+                                                    port_domain=port_domain,
+                                                    dataset=resident)
+        assert engine.entries() == reference.entries(), \
+            "engine prediction index diverged from the from_seed oracle"
+        engine_seconds = _best_seconds(
+            lambda: build_prediction_index_with_engine(
+                columns, _fresh(model), port_domain=port_domain,
+                dataset=resident))
+    reference_seconds = _best_seconds(
         lambda: PredictiveFeatureIndex.from_seed(host_features, model,
-                                                 port_domain=dataset.port_domain))
-    fused_seconds = _best_seconds(
-        lambda: build_prediction_index_with_engine(host_features, model,
-                                                   port_domain=dataset.port_domain))
+                                                 port_domain=port_domain))
     return {
-        "index_entries": len(legacy),
-        "legacy_seconds": legacy_seconds,
-        "fused_seconds": fused_seconds,
-        "fused_speedup": round(legacy_seconds / fused_seconds, 2),
+        "index_entries": len(reference),
+        "reference_seconds": reference_seconds,
+        "engine_seconds": engine_seconds,
+        "engine_speedup": round(reference_seconds / engine_seconds, 2),
     }
 
 
@@ -221,8 +241,8 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
     priors = results["priors"]
     by_config = {(r["mode"], r["backend"], r["workers"]): r["seconds"]
                  for r in priors["rows"]}
-    legacy_seconds = by_config[("legacy", "serial", 1)]
-    speedup = legacy_seconds / by_config[("fused", "serial", 1)]
+    reference_seconds = by_config[("reference", "serial", 1)]
+    speedup = reference_seconds / by_config[("engine", "serial", 1)]
     results["priors_fused_serial_speedup"] = round(speedup, 2)
     # Read-merge-write: bench_scan_columnar.py keeps its section in the same
     # file, and running this benchmark alone must not delete it.
@@ -235,20 +255,20 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
 
     print()
     print(format_table(
-        ("backend", "workers", "seconds", "vs legacy serial"),
+        ("executor", "workers", "seconds", "vs reference"),
         [
             (backend, workers,
-             f"{by_config[('fused', backend, workers)]:.4f}",
-             f"{legacy_seconds / by_config[('fused', backend, workers)]:.2f}x")
+             f"{by_config[('engine', backend, workers)]:.4f}",
+             f"{reference_seconds / by_config[('engine', backend, workers)]:.2f}x")
             for backend, workers in SWEEP
         ],
-        title=(f"Priors planning: legacy serial {legacy_seconds:.4f}s vs fused "
+        title=(f"Priors planning: reference {reference_seconds:.4f}s vs engine "
                f"({priors['seed_hosts']} seed hosts, {priors['predictors']} predictors)"),
     ))
     index = results["prediction_index"]
     print(f"Prediction index ({index['index_entries']} entries): "
-          f"legacy {index['legacy_seconds']:.4f}s vs fused "
-          f"{index['fused_seconds']:.4f}s -- {index['fused_speedup']}x")
+          f"reference {index['reference_seconds']:.4f}s vs engine "
+          f"{index['engine_seconds']:.4f}s -- {index['engine_speedup']}x")
     scan = results["scan"]
     print(format_table(
         ("path", "pipeline (s)", "zmap layer (s)"),
@@ -263,18 +283,18 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
                f"end-to-end {scan['end_to_end_speedup']}x, "
                f"zmap layer {scan['zmap_layer_speedup']}x"),
     ))
-    print(f"Fused serial priors speedup: {speedup:.2f}x "
+    print(f"Engine serial priors speedup: {speedup:.2f}x "
           f"(written to {RESULT_PATH.name})")
 
-    # Headline acceptance: compiling the planner onto the fused layer must
-    # keep the priors build >= 2x faster than the legacy dict loops, the
+    # Headline acceptance: the engine's priors build must stay >= 2x faster
+    # than the reference dict loops, the
     # batched ZMap layer must keep a clear margin over per-pair probing, and
     # the columnar scan path must keep the full pipeline >= 1.6x over the
     # per-object pairwise path (floors relaxed under BENCH_SMOKE=1 for noisy
     # CI runners).
     priors_floor, zmap_floor, pipeline_floor = SPEEDUP_FLOORS
     assert speedup >= priors_floor, \
-        f"fused priors speedup regressed to {speedup:.2f}x (floor {priors_floor}x)"
+        f"engine priors speedup regressed to {speedup:.2f}x (floor {priors_floor}x)"
     assert scan["zmap_layer_speedup"] >= zmap_floor, \
         (f"batched zmap speedup regressed to {scan['zmap_layer_speedup']:.2f}x "
          f"(floor {zmap_floor}x)")

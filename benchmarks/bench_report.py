@@ -22,7 +22,9 @@ against the recorded value -- it was written under the same conditions
 (smoke or full) as the measurement.  Headline ratios without a recorded
 floor use the static registry below, which mirrors the assertion in the
 producing benchmark; ``BENCH_SMOKE=1`` (or ``--smoke``) selects the same
-relaxed floors CI smoke runs assert.  Metrics gated off by the producing
+relaxed floors CI smoke runs assert.  Ratios registered without a floor
+(``engine_vs_reference``, ``warm_vs_serial``) are recorded for the trend
+only and always report "not asserted".  Metrics gated off by the producing
 run (``thread_fold.floor_asserted`` false on single-core machines) are
 reported but never fail the check, and sections that are absent from a
 results file (numpy-gated benchmarks skip where no wheel exists) are
@@ -58,9 +60,11 @@ class Metric:
         label: human-readable row label.
         value_path: dotted path to the speedup inside the JSON document.
         floor: static floor (mirrors the producing benchmark's assertion);
-            ignored when ``floor_path`` resolves.
+            ignored when ``floor_path`` resolves.  ``None`` for a ratio the
+            producing benchmark records without a floor: it is reported as
+            "not asserted" and never gates.
         smoke_floor: the relaxed floor the producing benchmark asserts
-            under ``BENCH_SMOKE=1``.
+            under ``BENCH_SMOKE=1`` (``None`` alongside a ``None`` floor).
         floor_path: dotted path to a floor recorded by the producing run
             itself; preferred over the static floors when present.
         gate_path: dotted path to a boolean recorded by the producing run;
@@ -71,8 +75,8 @@ class Metric:
     file: str
     label: str
     value_path: str
-    floor: float = 0.0
-    smoke_floor: float = 0.0
+    floor: Optional[float] = 0.0
+    smoke_floor: Optional[float] = 0.0
     floor_path: Optional[str] = None
     gate_path: Optional[str] = None
 
@@ -81,8 +85,10 @@ class Metric:
 #: the two in sync when a floor moves.  Recorded-floor metrics carry their
 #: floor inside the JSON instead.
 METRICS: Tuple[Metric, ...] = (
-    Metric("BENCH_engine.json", "fused model build vs legacy (serial)",
-           "fused_serial_speedup", floor=3.0, smoke_floor=3.0),
+    Metric("BENCH_engine.json", "engine model build vs reference (serial, stdlib)",
+           "engine_vs_reference.stdlib", floor=None, smoke_floor=None),
+    Metric("BENCH_engine.json", "engine model build vs reference (serial, numpy)",
+           "engine_vs_reference.numpy", floor=None, smoke_floor=None),
     Metric("BENCH_engine.json", "numpy fold kernel vs per-row fold",
            "model_fold_kernel.speedup", floor_path="model_fold_kernel.floor"),
     Metric("BENCH_engine.json", "thread fold vs serial (model build)",
@@ -92,14 +98,14 @@ METRICS: Tuple[Metric, ...] = (
            "columnar_vs_object_speedup", floor=1.5, smoke_floor=1.2),
     Metric("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
            "model_fold.speedup", floor_path="model_fold.floor"),
-    Metric("BENCH_priors.json", "fused priors plan vs legacy (serial)",
+    Metric("BENCH_priors.json", "engine priors plan vs reference (serial)",
            "priors_fused_serial_speedup", floor=2.0, smoke_floor=1.3),
     Metric("BENCH_priors.json", "batched scan pipeline end to end",
            "scan.end_to_end_speedup", floor=1.6, smoke_floor=1.05),
     Metric("BENCH_priors.json", "columnar scan layers vs per-object",
            "scan_columnar.pipeline_speedup", floor=1.3, smoke_floor=1.05),
-    Metric("BENCH_runtime.json", "warm resident pool vs cold spawn",
-           "warm_vs_cold_speedup", floor=2.0, smoke_floor=2.0),
+    Metric("BENCH_runtime.json", "warm resident pool vs serial (model build)",
+           "warm_vs_serial", floor=None, smoke_floor=None),
     Metric("BENCH_runtime.json", "surgical heal vs full rebuild",
            "recovery.rebuild_vs_heal", floor=1.0, smoke_floor=0.7),
     Metric("BENCH_serving.json", "warm served lookup vs cold one-shot",
@@ -138,7 +144,7 @@ class Row:
     def status(self) -> str:
         if self.value is None:
             return "missing"
-        if not self.asserted:
+        if not self.asserted or self.floor is None:
             return "not asserted"
         return "REGRESSED" if self.regressed else "ok"
 

@@ -1,30 +1,25 @@
-"""Persistent runtime vs per-call spawn -- the warm-pool Table 2 story.
+"""Persistent runtime: the warm resident pool vs the serial executor.
 
-``BENCH_priors.json`` shows the per-call process backend spawn-dominated at
-medium scale: every engine operation pays worker start-up plus a full
-re-ship of its columns, so parallel speedups never materialize for
-interactive runs.  This benchmark makes the persistent runtime's answer
-honest.  It times the fused model build (the heaviest Table 2 "computation"
-query) three ways:
+This benchmark times the engine's model build (the heaviest Table 2
+"computation" query) against data already resident in an
+:class:`~repro.engine.runtime.EngineRuntime`, two ways:
 
-* **serial** -- the fused single-core reference;
-* **cold spawn** -- the per-call process backend
-  (:class:`~repro.engine.parallel.ProcessPoolExecutorBackend`): each call
-  spawns a fresh pool and ships the encoded columns;
-* **warm pool** -- a persistent :class:`~repro.engine.runtime.EngineRuntime`
-  whose workers were started once and hold the
+* **serial** -- the ``serial`` executor: every shard folds in the caller's
+  thread;
+* **warm pool** -- the ``pool`` executor, whose worker processes were
+  started once and hold the
   :class:`~repro.core.runtime_plans.ResidentHostGroups` shards resident:
   each call ships only the plan.
 
-It also times the one-off runtime start-up (pool spawn + data load) and the
-warm resident priors / prediction-index builds, and asserts that all three
-engine paths are bit-identical under ``executor="pool"`` vs serial.
+It also times the one-off pool start-up (spawn + data load) and the warm
+resident priors / prediction-index builds, and asserts that all three
+engine builds are bit-identical under ``executor="pool"`` vs ``serial``
+and to the dictionary reference.
 
 Results are printed as a table and written to ``BENCH_runtime.json`` at the
-repository root.  Headline assertion: the warm pool beats per-call spawn by
->= 2x.  The floor holds under ``BENCH_SMOKE=1`` too -- it measures the
-architecture (no spawn, no re-ship), not core count, so runner jitter does
-not threaten it; the equivalence assertions are never relaxed.
+repository root.  ``warm_vs_serial`` is recorded without a floor: on small
+machines the pool does not beat serial at this scale, and that is the
+number.  The equivalence assertions are never relaxed.
 """
 
 from __future__ import annotations
@@ -36,13 +31,12 @@ from pathlib import Path
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
-from repro.core.features import extract_host_features
+from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
 from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
-from repro.engine.parallel import ExecutorConfig
 from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
@@ -51,19 +45,10 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 #: hosts that a model build is real work, small enough to stay interactive.
 SEED_FRACTION = 0.1
 
-#: Pool size for both the cold-spawn baseline and the warm runtime, so the
-#: comparison isolates the lifecycle (spawn-per-call vs persistent) rather
-#: than the degree of parallelism.
+#: Pool size for the warm runtime.
 WORKERS = 2
 
 REPEATS = 3
-
-#: The headline floor: a warm resident execution must beat per-call spawn by
-#: at least this factor.  Measured locally the ratio is >10x (spawning two
-#: interpreters costs more than the entire fused build); 2x leaves room for
-#: very fast CI machines without ever letting the architecture regress to
-#: spawn-per-call.
-WARM_VS_COLD_FLOOR = 2.0
 
 
 def _best_seconds(func, repeats: int = REPEATS) -> float:
@@ -84,58 +69,61 @@ def _assert_model_equal(candidate, reference, label):
 
 
 def run_runtime_benchmark(universe, dataset):
-    """Time serial vs cold-spawn vs warm-pool execution of the fused plans."""
+    """Time serial vs warm-pool execution of the engine's builds."""
     split = split_seed_test(dataset, SEED_FRACTION, seed=0)
-    host_features = extract_host_features(split.seed_observations,
-                                          universe.topology.asn_db, FeatureConfig())
+    asn_db = universe.topology.asn_db
+    host_features = extract_host_features(split.seed_observations, asn_db,
+                                          FeatureConfig())
+    columns = extract_host_features_columns(split.seed_scan_result().batch,
+                                            asn_db, FeatureConfig())
     reference = build_model(host_features)
-    cold_config = ExecutorConfig(backend="process", workers=WORKERS)
+    port_domain = dataset.port_domain
 
-    # Equivalence first (the acceptance criterion): every engine path under
-    # executor="pool" must match its serial twin bit for bit.
-    serial_model = build_model_with_engine(host_features)
-    serial_priors = build_priors_plan_with_engine(host_features, serial_model, 16,
-                                                  dataset.port_domain)
-    serial_index = build_prediction_index_with_engine(host_features, serial_model,
-                                                      port_domain=dataset.port_domain)
-    _assert_model_equal(serial_model, reference, "fused serial")
+    serial_runtime = EngineRuntime(executor="serial")
+    serial_resident = ResidentHostGroups(serial_runtime, columns, 16)
+    serial_model = build_model_with_engine(columns, serial_resident)
+    serial_priors = build_priors_plan_with_engine(columns, serial_model, 16,
+                                                  port_domain,
+                                                  dataset=serial_resident)
+    serial_index = build_prediction_index_with_engine(columns, serial_model,
+                                                      port_domain=port_domain,
+                                                      dataset=serial_resident)
+    _assert_model_equal(serial_model, reference, "engine serial")
 
     start = time.perf_counter()
     runtime = EngineRuntime(executor="pool", num_workers=WORKERS)
-    resident = ResidentHostGroups(runtime, host_features, 16)
-    pool_model = build_model_with_engine(host_features, dataset=resident)
+    resident = ResidentHostGroups(runtime, columns, 16)
+    pool_model = build_model_with_engine(columns, resident)
     startup_seconds = time.perf_counter() - start
 
+    # Equivalence first (the acceptance criterion): every engine build under
+    # executor="pool" must match its serial twin bit for bit.
     _assert_model_equal(pool_model, serial_model, "pool resident")
-    pool_priors = build_priors_plan_with_engine(host_features, pool_model, 16,
-                                                dataset.port_domain,
-                                                dataset=resident)
+    pool_priors = build_priors_plan_with_engine(columns, pool_model, 16,
+                                                port_domain, dataset=resident)
     assert pool_priors == serial_priors, \
-        "pool priors plan diverged from the serial fused plan"
-    pool_index = build_prediction_index_with_engine(host_features, pool_model,
-                                                    port_domain=dataset.port_domain,
+        "pool priors plan diverged from the serial engine plan"
+    pool_index = build_prediction_index_with_engine(columns, pool_model,
+                                                    port_domain=port_domain,
                                                     dataset=resident)
     assert pool_index.entries() == serial_index.entries(), \
-        "pool prediction index diverged from the serial fused index"
+        "pool prediction index diverged from the serial engine index"
 
-    # Timings.  The warm rows execute against data already resident in the
-    # long-lived workers; the cold row pays spawn + ship on every call, which
-    # is exactly what every engine operation paid before the runtime existed.
-    serial_seconds = _best_seconds(lambda: build_model_with_engine(host_features))
-    cold_seconds = _best_seconds(
-        lambda: build_model_with_engine(host_features, cold_config))
-    warm_seconds = _best_seconds(
-        lambda: build_model_with_engine(host_features, dataset=resident))
+    # Timings: both executors fold data already resident in the runtime.
+    serial_seconds = _best_seconds(
+        lambda: build_model_with_engine(columns, serial_resident))
+    warm_seconds = _best_seconds(lambda: build_model_with_engine(columns, resident))
     warm_priors_seconds = _best_seconds(
-        lambda: build_priors_plan_with_engine(host_features, pool_model, 16,
-                                              dataset.port_domain,
-                                              dataset=resident))
+        lambda: build_priors_plan_with_engine(columns, pool_model, 16,
+                                              port_domain, dataset=resident))
     warm_index_seconds = _best_seconds(
-        lambda: build_prediction_index_with_engine(host_features, pool_model,
-                                                   port_domain=dataset.port_domain,
+        lambda: build_prediction_index_with_engine(columns, pool_model,
+                                                   port_domain=port_domain,
                                                    dataset=resident))
     resident.release()
     runtime.close()
+    serial_resident.release()
+    serial_runtime.close()
 
     return {
         "scale": MEDIUM_SCALE.name,
@@ -143,12 +131,11 @@ def run_runtime_benchmark(universe, dataset):
         "seed_hosts": len(host_features),
         "predictors": reference.predictor_count(),
         "workers": WORKERS,
-        "equivalence": "pool == serial for model, priors plan and prediction index",
+        "equivalence": ("pool == serial == reference for model, priors plan "
+                        "and prediction index"),
         "runtime_startup_seconds": startup_seconds,
         "rows": [
-            {"path": "model serial fused", "seconds": serial_seconds},
-            {"path": "model cold spawn (per-call process pool)",
-             "seconds": cold_seconds},
+            {"path": "model serial (resident shards)", "seconds": serial_seconds},
             {"path": "model warm pool (resident shards)", "seconds": warm_seconds},
             {"path": "priors warm pool (resident shards)",
              "seconds": warm_priors_seconds},
@@ -158,15 +145,12 @@ def run_runtime_benchmark(universe, dataset):
     }
 
 
-def test_runtime_warm_pool_vs_cold_spawn(run_once, universe, censys_dataset):
+def test_runtime_warm_pool_vs_serial(run_once, universe, censys_dataset):
     results = run_once(run_runtime_benchmark, universe, censys_dataset)
 
     seconds = {row["path"]: row["seconds"] for row in results["rows"]}
-    cold = seconds["model cold spawn (per-call process pool)"]
+    serial = seconds["model serial (resident shards)"]
     warm = seconds["model warm pool (resident shards)"]
-    serial = seconds["model serial fused"]
-    warm_vs_cold = cold / warm
-    results["warm_vs_cold_speedup"] = round(warm_vs_cold, 2)
     results["warm_vs_serial"] = round(serial / warm, 2)
     # Merge over the existing file: the "recovery" section is owned by
     # bench_runtime_recovery.py and must survive a rerun of this benchmark.
@@ -178,19 +162,13 @@ def test_runtime_warm_pool_vs_cold_spawn(run_once, universe, censys_dataset):
 
     print()
     print(format_table(
-        ("path", "seconds", "vs cold spawn"),
+        ("path", "seconds", "vs serial model"),
         [(row["path"], f"{row['seconds']:.4f}",
-          f"{cold / row['seconds']:.2f}x")
+          f"{serial / row['seconds']:.2f}x")
          for row in results["rows"]],
         title=(f"Persistent runtime ({results['seed_hosts']} seed hosts, "
                f"{results['predictors']} predictors, {WORKERS} workers; "
                f"one-off start-up {results['runtime_startup_seconds']:.3f}s)"),
     ))
-    print(f"Warm pool vs per-call spawn: {warm_vs_cold:.2f}x "
+    print(f"Warm pool vs serial (recorded, no floor): {serial / warm:.2f}x "
           f"(written to {RESULT_PATH.name})")
-
-    # Headline acceptance: holding the pool and the shards warm must beat
-    # spawning and re-shipping per call by a wide margin.
-    assert warm_vs_cold >= WARM_VS_COLD_FLOOR, \
-        (f"warm pool only {warm_vs_cold:.2f}x over cold spawn "
-         f"(floor {WARM_VS_COLD_FLOOR}x)")

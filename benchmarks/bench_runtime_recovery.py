@@ -5,7 +5,7 @@ The self-healing runtime's pitch is that supervision makes worker death an
 placement owned, re-dispatch only the still-outstanding tasks.  The
 alternative -- what a fail-fast pool forces -- is a full rebuild: tear the
 runtime down, spawn every worker again, re-ship every shard, rerun the whole
-execution.  This benchmark measures both against the same fused model build:
+execution.  This benchmark measures both against the same engine model build:
 
 * **warm** -- the steady-state build on a healthy resident pool (baseline);
 * **heal** -- the same build issued right after one worker is SIGKILLed:
@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.core.config import FeatureConfig
-from repro.core.features import extract_host_features
+from repro.core.features import extract_host_features_columns
 from repro.core.model import build_model_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
@@ -52,17 +52,17 @@ HEAL_VS_REBUILD_FLOOR = 1.0 if os.environ.get("BENCH_SMOKE") != "1" else 0.7
 def run_recovery_benchmark(universe, dataset):
     """Time warm vs heal-after-kill vs full-rebuild model builds."""
     split = split_seed_test(dataset, SEED_FRACTION, seed=0)
-    host_features = extract_host_features(split.seed_observations,
-                                          universe.topology.asn_db,
-                                          FeatureConfig())
+    host_features = extract_host_features_columns(
+        split.seed_scan_result().batch, universe.topology.asn_db,
+        FeatureConfig())
 
     runtime = EngineRuntime(executor="pool", num_workers=WORKERS,
                             shard_count=SHARDS)
     resident = ResidentHostGroups(runtime, host_features, 16)
-    reference = build_model_with_engine(host_features, dataset=resident)
+    reference = build_model_with_engine(host_features, resident)
 
     start = time.perf_counter()
-    warm_model = build_model_with_engine(host_features, dataset=resident)
+    warm_model = build_model_with_engine(host_features, resident)
     warm_seconds = time.perf_counter() - start
 
     backend = runtime._backend
@@ -74,7 +74,7 @@ def run_recovery_benchmark(universe, dataset):
     process.join()
 
     start = time.perf_counter()
-    healed_model = build_model_with_engine(host_features, dataset=resident)
+    healed_model = build_model_with_engine(host_features, resident)
     heal_seconds = time.perf_counter() - start
     stats = runtime.recovery_stats
     resident.release()
@@ -84,8 +84,7 @@ def run_recovery_benchmark(universe, dataset):
     fresh_runtime = EngineRuntime(executor="pool", num_workers=WORKERS,
                                   shard_count=SHARDS)
     fresh_resident = ResidentHostGroups(fresh_runtime, host_features, 16)
-    rebuilt_model = build_model_with_engine(host_features,
-                                            dataset=fresh_resident)
+    rebuilt_model = build_model_with_engine(host_features, fresh_resident)
     rebuild_seconds = time.perf_counter() - start
     fresh_resident.release()
     fresh_runtime.close()

@@ -8,7 +8,7 @@ wants the Table 2 artifacts back.  Three comparisons:
 * **warm restart vs full build** -- ``open_snapshot`` + materializing the
   model, priors plan and prediction index + a first lookup, against the full
   cold path (encode the seed observations, extract host features, run all
-  three fused builds, first lookup).  The snapshot pays one sequential crc32
+  three engine builds, first lookup).  The snapshot pays one sequential crc32
   pass plus dict reconstruction from mapped int64 columns; the rebuild pays
   the flatten and three folds.  Headline floor: >= 5x.
 * **mmap shard load vs queue-ship** -- making the host-group relation
@@ -72,7 +72,7 @@ REPEATS = 3
 #: rebuilding them from the raw seed observations by at least this factor.
 #: Measured locally the ratio is >30x -- the restart reads a few MB of
 #: mapped int64 columns while the rebuild re-runs the flatten and all three
-#: fused folds -- so 5x holds comfortably even on noisy CI runners and under
+#: engine folds -- so 5x holds comfortably even on noisy CI runners and under
 #: ``BENCH_SMOKE=1``.
 WARM_RESTART_FLOOR = 5.0
 
@@ -98,13 +98,15 @@ def run_snapshot_benchmark(universe, dataset):
         batch = ObservationBatch.from_observations(observations)
         host_features = extract_host_features_columns(batch, asn_db,
                                                       feature_config)
-        model = build_model_with_engine(host_features, mode="fused")
-        priors = build_priors_plan_with_engine(host_features, model,
-                                               STEP_SIZE, dataset.port_domain,
-                                               mode="fused")
-        index = build_prediction_index_with_engine(
-            host_features, model, port_domain=dataset.port_domain,
-            mode="fused")
+        with EngineRuntime(executor="serial") as runtime:
+            resident = ResidentHostGroups(runtime, host_features, STEP_SIZE)
+            model = build_model_with_engine(host_features, resident)
+            priors = build_priors_plan_with_engine(
+                host_features, model, STEP_SIZE, dataset.port_domain,
+                dataset=resident)
+            index = build_prediction_index_with_engine(
+                host_features, model, port_domain=dataset.port_domain,
+                dataset=resident)
         index.predict(probe, asn_db, feature_config)
         return batch, host_features, model, priors, index
 
@@ -149,8 +151,7 @@ def run_snapshot_benchmark(universe, dataset):
         try:
             snapshot = open_snapshot(snapshot_dir)
             resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            mmap_model = build_model_with_engine(host_features,
-                                                 dataset=resident)
+            mmap_model = build_model_with_engine(host_features, resident)
             assert mmap_model == model, \
                 "model from mmap-resident shards diverged from the oracle"
             resident.release()
@@ -185,8 +186,7 @@ def run_snapshot_benchmark(universe, dataset):
             assert runtime.recovery_stats.shard_bytes_queued == \
                 ledger_before, \
                 "resize after a snapshot load re-shipped shard bytes"
-            resized_model = build_model_with_engine(host_features,
-                                                    dataset=resident)
+            resized_model = build_model_with_engine(host_features, resident)
             assert resized_model == model, \
                 "model after resize diverged from the oracle"
             resident.release()

@@ -4,14 +4,14 @@ Paper: with a 1 % seed and /16 step size, GPS's bottleneck is bandwidth (the
 seed scan dominates 12.3 days of scanning); the prediction computation takes
 ~9 days on a single core but only 13 minutes on BigQuery; data transfer adds
 ~9 hours.  The reproduction measures the computation phases directly (single
-core versus the partitioned parallel engine) and models scan/transfer wall
+core versus the engine runtime's thread executor, resident load included)
+and models scan/transfer wall
 time with the same cost model (probes x packet size / line rate).
 """
 
 from __future__ import annotations
 
 from repro.analysis import format_table, run_performance_breakdown
-from repro.engine.parallel import ExecutorConfig
 
 
 def test_table2_performance_breakdown(run_once, universe, lzr_dataset):
@@ -21,7 +21,7 @@ def test_table2_performance_breakdown(run_once, universe, lzr_dataset):
     breakdown = run_once(
         run_performance_breakdown, universe, lzr_dataset,
         seed_fraction=0.01, step_size=16,
-        executor=ExecutorConfig(backend="thread", workers=4),
+        workers=4,
     )
 
     print()

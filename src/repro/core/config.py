@@ -11,19 +11,18 @@ GPS exposes exactly the knobs the paper describes as user parameters:
 * the **bandwidth budget** ``c1`` (Equation 3) that caps total probes;
 * the **probability cut-off** below which a pattern is considered random noise
   (Section 5.4 uses 1e-5, roughly the hit rate of random probing);
-* the **compute backend** used for model building and priors planning (single
-  core vs parallel engine, and the fused vs legacy engine path,
+* the **compute backend** used for the three Table 2 builds (the single-core
+  reference, or the engine runtime on a serial, thread or pool executor,
   Section 5.5 / Table 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.engine.columns import COLUMN_BACKENDS
 from repro.engine.faults import FaultPlan
-from repro.engine.parallel import ExecutorConfig
 from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.internet.banners import APP_FEATURE_KEYS
 
@@ -43,13 +42,6 @@ NETWORK_FEATURE_KINDS = (
 )
 
 DEFAULT_NETWORK_KINDS = ("asn", "subnet16")
-
-#: Engine execution paths for model building, priors planning and the
-#: prediction-index build (``GPSConfig.engine_mode`` /
-#: :func:`repro.core.model.build_model_with_engine` /
-#: :func:`repro.core.priors.build_priors_plan_with_engine` /
-#: :func:`repro.core.predictions.build_prediction_index_with_engine`).
-ENGINE_MODES = ("fused", "legacy")
 
 #: Application-layer feature keys (Table 1) excluding the protocol fingerprint,
 #: which is always available and handled explicitly.
@@ -135,39 +127,24 @@ class GPSConfig:
             probed or charged.
         use_engine: run model building (Section 5.2), priors planning
             (Section 5.3) and the prediction-index build (Section 5.4) on
-            the engine layer rather than the single-core dictionary
-            implementations.
-        engine_mode: which engine execution path to use when ``use_engine``
-            is set.  Valid values are ``"fused"`` (the default: streaming
-            operators over dictionary-encoded columns --
-            :func:`repro.engine.fused.join_group_count` for the model,
-            :func:`repro.engine.fused.partner_group_count` for the priors
-            plan and :func:`repro.engine.fused.argmax_partner_select` for
-            the most-predictive-feature index -- never materializing the
-            joined relation) and ``"legacy"`` (the original formulations:
-            materialized self-join for the model, per-host dict loops for
-            the priors plan and the feature index; kept as the benchmark
-            baseline and equivalence oracle).  All modes produce identical
-            models, priors plans and feature indices; the Table 2
-            "computation" benchmarks (``BENCH_engine.json``,
-            ``BENCH_priors.json``) quantify the difference.
-        executor: how engine queries execute.  Either an
-            :class:`~repro.engine.parallel.ExecutorConfig` (the per-call
-            scatter backends: a fresh pool is created for every engine
-            operation) or the name of a persistent-runtime executor --
-            ``"serial"``, ``"thread"`` or ``"pool"`` -- in which case the
-            :class:`GPS` orchestrator owns one
+            the engine runtime rather than the single-core dictionary
+            implementations (the reference oracle).  The engine ingests the
+            seed columnar, loads the encoded columns into the runtime's
+            workers once per run
+            (:class:`~repro.core.runtime_plans.ResidentHostGroups`) and
+            folds all three builds against the resident shards; every
+            result is bit-identical to the reference.
+        executor: the runtime executor the engine runs on -- ``"serial"``
+            (the default), ``"thread"`` or ``"pool"``.  The :class:`GPS`
+            orchestrator owns one
             :class:`~repro.engine.runtime.EngineRuntime` for its lifetime:
-            workers start once, the seed's encoded columns load into them
-            once per run, and the model, priors and prediction-index builds
-            all execute against the resident shards
-            (``BENCH_runtime.json`` quantifies the difference against
-            per-call spawn).
-        num_workers: worker count for the persistent runtime (``0`` selects
-            the machine default); ignored when ``executor`` is an
-            :class:`~repro.engine.parallel.ExecutorConfig`.
+            workers start once and every run reuses them.  Only consulted
+            when ``use_engine`` is set; naming a non-default executor
+            without it is an error.
+        num_workers: worker count for the runtime (``0`` selects the
+            machine default).
         shard_count: how many shards resident datasets are partitioned into
-            (``0`` means one per worker); ignored for per-call executors.
+            (``0`` means one per worker).
         max_task_retries: recovery rounds the persistent pool may spend
             respawning dead workers (and re-loading their shards) per
             dispatch before a crash surfaces as
@@ -188,9 +165,9 @@ class GPSConfig:
             default and the equivalence oracle) or ``"numpy"`` (vectorized
             bulk passes that release the GIL; requires numpy).  ``None``
             falls through to the ``REPRO_COLUMN_BACKEND`` environment
-            variable (see :mod:`repro.engine.columns`).  Only the fused
-            columnar folds are affected; the legacy oracle always runs
-            stdlib.  Requesting ``"numpy"`` without numpy installed raises
+            variable (see :mod:`repro.engine.columns`).  Only the engine's
+            folds are affected; the reference oracle always runs stdlib.
+            Requesting ``"numpy"`` without numpy installed raises
             at build time rather than silently degrading.
         telemetry_enabled: create a :class:`~repro.telemetry.Telemetry`
             instance for the run -- per-phase spans, engine/scan metrics.
@@ -211,8 +188,7 @@ class GPSConfig:
     seed_scan_seed: int = 0
     prediction_batch_size: int = 2000
     use_engine: bool = False
-    engine_mode: str = "fused"
-    executor: Union[str, ExecutorConfig] = field(default_factory=ExecutorConfig)
+    executor: str = "serial"
     num_workers: int = 0
     shard_count: int = 0
     max_task_retries: int = 2
@@ -236,27 +212,17 @@ class GPSConfig:
             raise ValueError("max_full_scans must be positive when set")
         if self.prediction_batch_size < 1:
             raise ValueError("prediction_batch_size must be >= 1")
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine_mode: {self.engine_mode!r}")
-        if isinstance(self.executor, str):
-            if self.executor not in RUNTIME_EXECUTORS:
-                raise ValueError(
-                    f"unknown executor: {self.executor!r} "
-                    f"(expected one of {RUNTIME_EXECUTORS} or an ExecutorConfig)")
-            # A runtime executor that cannot run is a misconfiguration, not a
-            # preference: fail loudly instead of silently measuring the
-            # single-core reference path.
-            if not self.use_engine:
-                raise ValueError(
-                    "a runtime executor name requires use_engine=True "
-                    "(without the engine there is nothing for the runtime to run)")
-            if self.engine_mode != "fused":
-                raise ValueError(
-                    "the execution runtime serves only engine_mode='fused'; "
-                    "use an ExecutorConfig for the legacy baseline")
-        elif not isinstance(self.executor, ExecutorConfig):
-            raise TypeError(
-                "executor must be a runtime executor name or an ExecutorConfig")
+        if self.executor not in RUNTIME_EXECUTORS:
+            raise ValueError(
+                f"unknown executor: {self.executor!r} "
+                f"(expected one of {RUNTIME_EXECUTORS})")
+        # A non-default executor that cannot run is a misconfiguration, not a
+        # preference: fail loudly instead of silently measuring the
+        # single-core reference path.
+        if self.executor != "serial" and not self.use_engine:
+            raise ValueError(
+                f"executor={self.executor!r} requires use_engine=True "
+                "(without the engine there is nothing for the runtime to run)")
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 selects the default)")
         if self.shard_count < 0:
@@ -280,7 +246,3 @@ class GPSConfig:
             for port in self.port_domain:
                 if not 1 <= port <= 65535:
                     raise ValueError(f"invalid port in port_domain: {port}")
-
-    def port_allowed(self, port: int) -> bool:
-        """Whether a port is inside the configured port domain."""
-        return self.port_domain is None or port in set(self.port_domain)

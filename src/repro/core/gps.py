@@ -113,14 +113,14 @@ class GPSRunResult:
 class GPS:
     """The GPS system bound to one scan pipeline and one configuration.
 
-    When the configuration names a persistent-runtime executor
-    (``GPSConfig.executor`` is ``"serial"``, ``"thread"`` or ``"pool"``), the
-    instance owns one :class:`~repro.engine.runtime.EngineRuntime` for its
-    whole life: the pool starts lazily on the first engine build, every run
-    reuses it, and :meth:`close` (or using the GPS as a context manager)
-    tears it down.  Within a run the seed's encoded columns load into the
-    workers once and the model, priors and prediction-index builds all fold
-    against the resident shards.
+    With ``GPSConfig.use_engine`` set, the instance owns one
+    :class:`~repro.engine.runtime.EngineRuntime` on ``GPSConfig.executor``
+    (``"serial"``, ``"thread"`` or ``"pool"``) for its whole life: the pool
+    starts lazily on the first engine build, every run reuses it, and
+    :meth:`close` (or using the GPS as a context manager) tears it down.
+    Within a run the seed's encoded columns load into the workers once and
+    the model, priors and prediction-index builds all fold against the
+    resident shards.
 
     With telemetry enabled (``config.telemetry_enabled``, or an explicit
     ``telemetry`` instance -- e.g. one shared with the scan pipeline so scan
@@ -149,12 +149,12 @@ class GPS:
     # -- public API -----------------------------------------------------------------
 
     def runtime(self) -> Optional[EngineRuntime]:
-        """This instance's persistent engine runtime (``None`` for per-call
-        executors).  Created lazily from ``config.executor`` /
+        """This instance's persistent engine runtime (``None`` without
+        ``use_engine``).  Created lazily from ``config.executor`` /
         ``config.num_workers`` / ``config.shard_count``; recreated if a
         previous one was closed or broken by a worker crash."""
         config = self.config
-        if not isinstance(config.executor, str):
+        if not config.use_engine:
             return None
         if self._runtime is None or self._runtime.closed or self._runtime.broken:
             if self._runtime is not None:
@@ -282,27 +282,7 @@ class GPS:
         result.predictions = predictions
         result.model_build_seconds += time.perf_counter() - build_start
 
-        with tel.span("prediction.scan") as span:
-            batches = 0
-            for start in range(0, len(predictions), config.prediction_batch_size):
-                if budget_probes is not None and ledger.total_probes() >= budget_probes:
-                    result.truncated_by_budget = True
-                    break
-                batch = predictions[start:start + config.prediction_batch_size]
-                # Probes within the slice are grouped by (subnetwork, port) so the
-                # pipeline's batched layers amortize lookups and ledger charges;
-                # the probability ordering still governs at slice granularity.
-                observations = self.pipeline.scan_pairs(
-                    (prediction.pair() for prediction in batch),
-                    category=ScanCategory.PREDICTION,
-                    batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
-                )
-                result.prediction_observations.extend(observations)
-                self._log_batch(result, "prediction", ledger.total_probes(),
-                                [obs.pair() for obs in observations], discovered)
-                batches += 1
-            span.set("batches", batches)
-            span.set("observations", len(result.prediction_observations))
+        self._prediction_scan(result, predictions, discovered)
         return result
 
     def predict_for_known_hosts(
@@ -362,42 +342,56 @@ class GPS:
         result.predictions = predictions
         result.model_build_seconds = time.perf_counter() - build_start
 
-        if not scan:
-            return result
-
-        budget_probes = self._budget_probes()
-        for start in range(0, len(predictions), config.prediction_batch_size):
-            if budget_probes is not None and ledger.total_probes() >= budget_probes:
-                result.truncated_by_budget = True
-                break
-            batch = predictions[start:start + config.prediction_batch_size]
-            observations = self.pipeline.scan_pairs(
-                (prediction.pair() for prediction in batch),
-                category=ScanCategory.PREDICTION,
-                batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
-            )
-            result.prediction_observations.extend(observations)
-            self._log_batch(result, "prediction", ledger.total_probes(),
-                            [obs.pair() for obs in observations], discovered)
+        if scan:
+            self._prediction_scan(result, predictions, discovered)
         return result
 
     # -- helpers ------------------------------------------------------------------------
 
+    def _prediction_scan(self, result: GPSRunResult,
+                         predictions: Sequence[PredictedService],
+                         discovered: Set[Pair]) -> None:
+        """Probe ``predictions`` in order until exhausted or out of budget.
+
+        Probes within each slice of ``prediction_batch_size`` predictions
+        are grouped by (subnetwork, port) so the pipeline's batched layers
+        amortize lookups and ledger charges; the probability ordering still
+        governs at slice granularity.
+        """
+        batch_size = self.config.prediction_batch_size
+        ledger = self.pipeline.ledger
+        budget_probes = self._budget_probes()
+        with self.telemetry.span("prediction.scan") as span:
+            batches = 0
+            for start in range(0, len(predictions), batch_size):
+                if budget_probes is not None and ledger.total_probes() >= budget_probes:
+                    result.truncated_by_budget = True
+                    break
+                batch = predictions[start:start + batch_size]
+                observations = self.pipeline.scan_pairs(
+                    (prediction.pair() for prediction in batch),
+                    category=ScanCategory.PREDICTION,
+                    batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
+                )
+                result.prediction_observations.extend(observations)
+                self._log_batch(result, "prediction", ledger.total_probes(),
+                                [obs.pair() for obs in observations], discovered)
+                batches += 1
+            span.set("batches", batches)
+            span.set("observations", len(result.prediction_observations))
+
     def _extract_features(self, seed: SeedScanResult):
         """Extract the seed's host features on the configured ingest path.
 
-        The fused engine paths (``use_engine`` with ``engine_mode="fused"``)
-        ingest **columnar**: the seed's observation columns (carried by the
-        seed when it came from a columnar dataset split, rebuilt from the
-        object rows otherwise) fold straight into encoded
-        :class:`~repro.core.features.HostFeatureColumns`, which every
-        downstream build -- per-call fused, runtime-resident -- consumes
-        without an object pre-pass.  The legacy mode and the non-engine
-        reference path keep the object extraction, which remains the
-        equivalence oracle.
+        The engine ingests **columnar**: the seed's observation columns
+        (carried by the seed when it came from a columnar dataset split,
+        rebuilt from the object rows otherwise) fold straight into encoded
+        :class:`~repro.core.features.HostFeatureColumns`, which the resident
+        dataset shards as-is.  The reference path keeps the object
+        extraction, which remains the equivalence oracle.
         """
         config = self.config
-        if config.use_engine and config.engine_mode == "fused":
+        if config.use_engine:
             batch = seed.batch
             if batch is None:
                 # Rebuild columns in the pipeline's status-id space instead
@@ -411,88 +405,53 @@ class GPS:
                                      config.feature_config)
 
     def _resident_dataset(self, host_features) -> Optional[ResidentHostGroups]:
-        """Load the seed's host groups into the runtime's workers, if configured.
+        """Load the seed's host groups into the runtime's workers.
 
-        Returns ``None`` unless the configuration routes the fused engine
-        through a persistent runtime; otherwise flattens and ships the
-        encoded columns once so all three builds of this run fold against
+        Returns ``None`` on the reference path; otherwise ships the encoded
+        columns once so all three builds of this run fold against
         worker-resident shards.  The caller releases the dataset when the
         builds are done.
         """
         config = self.config
-        if not (config.use_engine and config.engine_mode == "fused"):
+        if not config.use_engine:
             return None
-        runtime = self.runtime()
-        if runtime is None:
-            return None
-        return ResidentHostGroups(runtime, host_features, config.step_size)
-
-    def _per_call_executor(self):
-        """The ExecutorConfig for per-call engine dispatch (None if runtime-based)."""
-        executor = self.config.executor
-        return None if isinstance(executor, str) else executor
+        return ResidentHostGroups(self.runtime(), host_features, config.step_size)
 
     def _build_model(self, host_features, dataset) -> CooccurrenceModel:
         """Build the Section 5.2 model on the configured execution path.
 
-        ``config.column_backend`` rides along to the engine paths: with
-        ``"numpy"`` the fused columnar folds run the vectorized kernels
-        (:mod:`repro.engine.columns`); the non-engine reference path is the
-        oracle and always stays stdlib.
+        ``config.column_backend`` rides along to the engine: with
+        ``"numpy"`` its folds run the vectorized kernels
+        (:mod:`repro.engine.columns`); the reference path is the oracle and
+        always stays stdlib.
         """
         config = self.config
-        if dataset is not None:
-            return build_model_with_engine(host_features, mode=config.engine_mode,
-                                           dataset=dataset,
-                                           column_backend=config.column_backend)
         if config.use_engine:
-            return build_model_with_engine(host_features, self._per_call_executor(),
-                                           mode=config.engine_mode,
+            return build_model_with_engine(host_features, dataset,
                                            column_backend=config.column_backend)
         return build_model(host_features)
 
     def _build_priors_plan(self, host_features, model: CooccurrenceModel, dataset):
         """Build the Section 5.3 priors plan on the configured execution path."""
         config = self.config
-        if dataset is not None:
-            return build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                mode=config.engine_mode, dataset=dataset)
         if config.use_engine:
             return build_priors_plan_with_engine(
                 host_features, model, config.step_size, config.port_domain,
-                executor=self._per_call_executor(), mode=config.engine_mode)
+                dataset=dataset)
         return build_priors_plan(host_features, model, config.step_size,
                                  config.port_domain)
 
     def _build_feature_index(self, host_features, model: CooccurrenceModel,
-                             dataset=None) -> PredictiveFeatureIndex:
-        """Build the most-predictive-feature index on the configured path.
-
-        ``use_engine`` routes the Section 5.4 index build through the fused
-        argmax engine (``engine_mode`` selects fused/legacy, exactly like the
-        model and priors paths); a resident ``dataset`` folds it against the
-        runtime's worker-held shards; otherwise the single-core reference
-        implementation runs.  All paths produce identical indices.
-        """
+                             dataset) -> PredictiveFeatureIndex:
+        """Build the Section 5.4 most-predictive-feature index on the configured path."""
         config = self.config
-        if dataset is not None:
-            return build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                mode=config.engine_mode,
-                dataset=dataset,
-            )
         if config.use_engine:
             return build_prediction_index_with_engine(
                 host_features, model,
                 probability_cutoff=config.probability_cutoff,
                 port_domain=config.port_domain,
                 min_pattern_support=config.min_pattern_support,
-                executor=self._per_call_executor(),
-                mode=config.engine_mode,
+                dataset=dataset,
             )
         return PredictiveFeatureIndex.from_seed(
             host_features, model,

@@ -12,34 +12,18 @@ contributes at most one occurrence per tuple, so both counts are plain host
 counts.  The numerators for different predictors never interact, which is what
 makes the computation "parallelizable across all 65K ports" in the paper's
 terms; :func:`build_model_with_engine` expresses exactly the same computation
-as a self-join + group-by on the parallel engine, and the test suite asserts
-the two implementations produce identical probabilities.
+as a shard-local self-join + group-by on the engine runtime, and the test
+suite asserts the two implementations produce identical probabilities.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.config import ENGINE_MODES
 from repro.core.features import HostFeatureColumns, HostFeatures, PredictorTuple
-from repro.engine.columns import resolve_column_backend
-from repro.engine.encoding import DictionaryEncoder
-from repro.engine.fused import (
-    fold_model_pairs_arrays,
-    fold_value_counts_arrays,
-    join_group_count,
-)
-from repro.engine.ops import group_count, hash_join
-from repro.engine.parallel import (
-    ExecutorConfig,
-    partitioned_group_count,
-    partitioned_join_group_count,
-)
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
-from repro.engine.table import Table
+from repro.engine.columns import resolve_column_backend
 
 
 @dataclass
@@ -152,214 +136,31 @@ def build_model(host_features: Mapping[int, HostFeatures]) -> CooccurrenceModel:
 # -- engine-backed implementation --------------------------------------------------------
 
 
-def host_features_to_tables(host_features: Mapping[int, HostFeatures]) -> Tuple[Table, Table]:
-    """Flatten host features into the two relations the engine query joins.
-
-    Returns ``(features, ports)`` where ``features`` has one row per
-    (host, service, predictor tuple) and ``ports`` one row per (host, open
-    port) -- the shape the paper's BigQuery implementation materialises before
-    its self-join.
-    """
-    feature_ips: List[int] = []
-    feature_ports: List[int] = []
-    feature_predictors: List[PredictorTuple] = []
-    port_ips: List[int] = []
-    port_ports: List[int] = []
-    for host in host_features.values():
-        ip = host.ip
-        for port_b, predictors in host.ports.items():
-            port_ips.append(ip)
-            port_ports.append(port_b)
-            for predictor in predictors:
-                feature_ips.append(ip)
-                feature_ports.append(port_b)
-                feature_predictors.append(predictor)
-    features = Table(columns={"ip": feature_ips, "port": feature_ports,
-                              "predictor": feature_predictors})
-    ports = Table(columns={"ip": port_ips, "port": port_ports})
-    return features, ports
-
-
-def host_feature_columns_to_tables(columns: HostFeatureColumns) -> Tuple[Table, Table]:
-    """Flatten pre-encoded host-feature columns into the two join relations.
-
-    The columnar-ingest twin of :func:`host_features_to_tables`: the
-    ``predictor`` column already holds dense ids (the columns' own encoder
-    decodes them), so the fused query skips its per-tuple encode pass
-    entirely -- the expensive part of flattening from objects.
-    """
-    feature_ips: List[int] = []
-    feature_ports: List[int] = []
-    feature_pids: List[int] = []
-    port_ips: List[int] = []
-    port_ports: List[int] = []
-    member_starts, labels = columns.member_starts, columns.ports
-    value_starts, value_ids = columns.value_starts, columns.value_ids
-    for g, ip in enumerate(columns.ips):
-        for m in range(member_starts[g], member_starts[g + 1]):
-            port = labels[m]
-            port_ips.append(ip)
-            port_ports.append(port)
-            v_lo, v_hi = value_starts[m], value_starts[m + 1]
-            run = v_hi - v_lo
-            feature_ips.extend([ip] * run)
-            feature_ports.extend([port] * run)
-            feature_pids.extend(value_ids[v_lo:v_hi])
-    encoded = Table(columns={"ip": feature_ips, "port": feature_ports,
-                             "predictor": feature_pids})
-    ports = Table(columns={"ip": port_ips, "port": port_ports})
-    return encoded, ports
-
-
-def build_model_with_engine(host_features: Union[Mapping[int, HostFeatures],
-                                                 HostFeatureColumns],
-                            executor: Optional[ExecutorConfig] = None,
-                            mode: str = "fused",
-                            runtime: Optional[EngineRuntime] = None,
-                            dataset: Optional[ResidentHostGroups] = None,
+def build_model_with_engine(host_features: HostFeatureColumns,
+                            dataset: ResidentHostGroups,
                             column_backend: Optional[str] = None,
                             ) -> CooccurrenceModel:
     """Model building expressed as engine operations (the BigQuery analogue).
 
-    ``host_features`` is either the per-host object mapping or the columnar
-    ingest's pre-encoded :class:`~repro.core.features.HostFeatureColumns`
-    (fused mode only): the columnar form skips both the object flatten and
-    the per-tuple dictionary encode, reusing the ids the feature extractor
-    already assigned.  Either form produces the identical model.
-
     The computation is: JOIN the feature relation with the port relation on
     the host address, drop self-pairs, GROUP BY (predictor, target port) to
     obtain the co-occurrence counts, and GROUP BY predictor over the feature
-    relation to obtain the denominators.
+    relation to obtain the denominators.  ``dataset`` holds
+    ``host_features``' encoded columns resident in an engine runtime's
+    workers; each worker folds the join over its shard of hosts (hosts never
+    span shards, so the join is shard-local) and the driver merges the
+    per-shard counters and decodes the predictor ids once.
 
-    Two execution paths implement that query:
-
-    * ``mode="fused"`` (default) dictionary-encodes predictor tuples to dense
-      integer ids, then streams the feature relation through the
-      port-relation hash index and folds directly into the co-occurrence
-      counters (:func:`repro.engine.fused.join_group_count`); the quadratic
-      joined relation is never materialized, every group key is a pair of
-      small ints, and with a parallel ``executor`` contiguous chunks of the
-      stream scatter across workers.  Predictor ids are decoded when the
-      counters are reassembled into the model.
-    * ``mode="legacy"`` materializes the full join as a table and group-counts
-      it afterwards -- the original formulation, kept as a comparison
-      baseline for the engine-scaling benchmark.
-
-    The fused query can also run on the persistent execution runtime instead
-    of per-call executors: ``runtime`` dispatches the streamed chunks to the
-    runtime's long-lived workers, and ``dataset`` (a
-    :class:`~repro.core.runtime_plans.ResidentHostGroups` already loaded
-    into a runtime) folds the query against worker-resident shards without
-    shipping the columns at all.
-
-    ``column_backend`` selects the kernel backend for the buffer-backed fold
-    paths (``None`` resolves through
+    ``column_backend`` selects the fold kernels (``None`` resolves through
     :func:`repro.engine.columns.resolve_column_backend`: the
-    ``REPRO_COLUMN_BACKEND`` env var, defaulting to ``"stdlib"``).  With
-    ``"numpy"``, the serial columnar build and the resident-dataset build
-    fold their int64 column buffers through the vectorized kernels in
-    :mod:`repro.engine.fused` instead of per-row Python loops.  The backend
-    deliberately does not touch the legacy oracle or the object-table fused
-    path -- those stay pure stdlib so they remain the equivalence baseline.
+    ``REPRO_COLUMN_BACKEND`` env var, defaulting to ``"stdlib"``); with
+    ``"numpy"`` the workers fold their int64 column buffers through the
+    vectorized kernels in :mod:`repro.engine.fused` instead of per-row
+    Python loops.
 
-    All paths produce probabilities identical to :func:`build_model` (the
-    oracle); the test suite asserts this on randomized inputs.
+    The result is identical to :func:`build_model` (the oracle) on every
+    executor and backend; the test suite asserts this on randomized inputs.
     """
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode: {mode!r} (expected one of {ENGINE_MODES})")
-    columnar = isinstance(host_features, HostFeatureColumns)
-    if columnar and mode != "fused":
-        raise ValueError("columnar host features serve only the fused mode "
-                         "(the legacy oracle ingests object rows)")
-    if dataset is not None or runtime is not None:
-        if mode != "fused":
-            raise ValueError("the execution runtime serves only the fused mode")
-        if executor is not None:
-            raise ValueError("pass either executor or runtime/dataset, not both")
-    backend = resolve_column_backend(column_backend)
-    if dataset is not None:
-        cooccurrence, denominators = dataset.model_counts(column_backend=backend)
-        return CooccurrenceModel(cooccurrence=cooccurrence,
-                                 denominators=denominators)
-    executor = executor or (ExecutorConfig() if runtime is None else None)
-    if not columnar:
-        features, ports = host_features_to_tables(host_features)
-    serial = (runtime is None and executor.backend == "serial"
-              and executor.workers == 1)
-
-    if mode == "fused":
-        kernel_path = columnar and serial and backend == "numpy"
-        if columnar:
-            encoder = host_features.encoder
-            if not kernel_path:
-                encoded, ports = host_feature_columns_to_tables(host_features)
-        else:
-            encoder = DictionaryEncoder()
-            encoded = Table(columns={
-                "ip": features.columns["ip"],
-                "port": features.columns["port"],
-                "predictor": encoder.encode_column(features.columns["predictor"]),
-            })
-        if kernel_path:
-            # Fold the pre-encoded column buffers directly through the
-            # vectorized kernels: no table flatten, no per-row join loop.
-            keys, counts = fold_model_pairs_arrays(
-                host_features.member_starts, host_features.ports,
-                host_features.value_starts, host_features.value_ids,
-                MODEL_PACK_BASE)
-            pair_counts = {
-                divmod(key, MODEL_PACK_BASE): count
-                for key, count in zip(keys.tolist(), counts.tolist())}
-            denom_keys, denom_counts = fold_value_counts_arrays(
-                host_features.value_ids)
-            denom_items = zip(denom_keys.tolist(), denom_counts.tolist())
-        elif serial:
-            pair_counts = join_group_count(
-                encoded, ports, on=("ip",), keys=("b_predictor", "a_port"),
-                left_prefix="b_", right_prefix="a_",
-                exclude_self_pairs_on=("b_port", "a_port"), int_keys=True)
-            # GROUP BY the single encoded column is a bare Counter over it.
-            denom_items = Counter(encoded.columns["predictor"]).items()
-        else:
-            pair_counts = partitioned_join_group_count(
-                encoded, ports, on=("ip",), keys=("b_predictor", "a_port"),
-                config=executor, left_prefix="b_", right_prefix="a_",
-                exclude_self_pairs_on=("b_port", "a_port"), int_keys=True,
-                runtime=runtime)
-            denom_counts = partitioned_group_count(encoded, ("predictor",),
-                                                   executor, runtime=runtime)
-            denom_items = ((key[0], count) for key, count in denom_counts.items())
-        # Reassemble grouped by encoded id first so each predictor tuple is
-        # decoded once, not once per (predictor, port) pair.
-        cooccurrence_by_id: Dict[int, Dict[int, int]] = {}
-        for (predictor_id, port_a), count in pair_counts.items():
-            targets = cooccurrence_by_id.get(predictor_id)
-            if targets is None:
-                targets = cooccurrence_by_id[predictor_id] = {}
-            targets[port_a] = count
-        decode = encoder.decode
-        model = CooccurrenceModel()
-        model.denominators = {decode(predictor_id): count
-                              for predictor_id, count in denom_items}
-        model.cooccurrence = {decode(predictor_id): targets
-                              for predictor_id, targets in cooccurrence_by_id.items()}
-        return model
-    else:
-        joined = hash_join(features, ports, on=("ip",),
-                           left_prefix="b_", right_prefix="a_",
-                           exclude_self_pairs_on=("b_port", "a_port"))
-        if serial:
-            pair_counts = group_count(joined, ("b_predictor", "a_port"))
-            denom_counts = group_count(features, ("predictor",))
-        else:
-            pair_counts = partitioned_group_count(joined, ("b_predictor", "a_port"),
-                                                  executor)
-            denom_counts = partitioned_group_count(features, ("predictor",), executor)
-
-    model = CooccurrenceModel()
-    for (predictor,), count in denom_counts.items():
-        model.denominators[predictor] = count
-    for (predictor, port_a), count in pair_counts.items():
-        model.cooccurrence.setdefault(predictor, {})[port_a] = count
-    return model
+    cooccurrence, denominators = dataset.model_counts(
+        column_backend=resolve_column_backend(column_backend))
+    return CooccurrenceModel(cooccurrence=cooccurrence, denominators=denominators)

@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.config import ENGINE_MODES, FeatureConfig
+from repro.core.config import FeatureConfig
 from repro.core.features import (
     HostFeatureColumns,
     HostFeatures,
@@ -33,10 +33,6 @@ from repro.core.features import (
 )
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.encoding import DictionaryEncoder
-from repro.engine.fused import FusedArgmaxPlan, argmax_partner_select
-from repro.engine.parallel import ExecutorConfig, partitioned_argmax_partner_select
-from repro.engine.runtime import EngineRuntime
 from repro.net.asn import AsnDatabase
 from repro.scanner.records import ProbeBatch, ScanObservation, group_pairs
 
@@ -294,178 +290,40 @@ class PredictiveFeatureIndex:
 # -- engine-backed index construction ----------------------------------------------------
 
 
-def compile_prediction_index_query(
-    host_features: Mapping[int, HostFeatures],
-    model: CooccurrenceModel,
-    port_domain: Optional[Sequence[int]] = None,
-    min_pattern_support: int = 2,
-    probability_cutoff: float = 1e-5,
-) -> Tuple[FusedArgmaxPlan, DictionaryEncoder]:
-    """Flatten the Section 5.4 index build into a fused argmax plan.
-
-    Hosts with at least two services become groups, services become members
-    labelled by port, and each service's predictor tuples are
-    dictionary-encoded into the plan's flat integer columns (single-service
-    hosts contribute nothing to the index and are omitted outright).  The
-    model's count rows and supports are referenced once per *distinct*
-    predictor tuple -- after compilation the per-service argmax runs entirely
-    on small ints -- and ``tie_ranks`` orders the ids by their decoded tuples
-    so ties break exactly as
-    :meth:`~repro.core.model.CooccurrenceModel.best_predictor` breaks them.
-
-    Returns the plan together with the encoder that decodes winning ids back
-    to predictor tuples.
-
-    Pre-encoded :class:`~repro.core.features.HostFeatureColumns` compile
-    verbatim -- single-service hosts stay in the columns because the argmax
-    fold skips sub-two-member groups itself, and the side tables cover the
-    ingest encoder's full id space (a superset of what an object compile
-    would encode; ranks over a superset preserve every pairwise tie-break,
-    so the winner list is identical).
-    """
-    if isinstance(host_features, HostFeatureColumns):
-        encoder = host_features.encoder
-        member_starts = host_features.member_starts
-        labels = host_features.ports
-        value_starts = host_features.value_starts
-        value_ids = host_features.value_ids
-    else:
-        encoder = DictionaryEncoder()
-        member_starts: List[int] = [0]
-        labels: List[int] = []
-        value_starts: List[int] = [0]
-        value_ids: List[int] = []
-        for host in host_features.values():
-            open_ports = host.open_ports()
-            if len(open_ports) < 2:
-                continue
-            for port in open_ports:
-                labels.append(port)
-                value_ids.extend(encoder.encode_column(host.ports[port]))
-                value_starts.append(len(value_ids))
-            member_starts.append(len(labels))
-
-    model_denominators = model.denominators
-    model_cooccurrence = model.cooccurrence
-    no_targets: Dict[int, int] = {}
-    target_counts: List[Dict[int, int]] = []
-    denominators: List[int] = []
-    values = encoder.values()
-    for predictor in values:
-        denom = model_denominators.get(predictor, 0)
-        targets = model_cooccurrence.get(predictor) if denom else None
-        if targets:
-            target_counts.append(targets)
-            denominators.append(denom)
-        else:
-            # Unknown predictor, zero support or no co-occurrences: scores 0
-            # for every port, exactly as CooccurrenceModel.probability
-            # reports it, so the fold skips the row outright.
-            target_counts.append(no_targets)
-            denominators.append(0)
-
-    # Rank ids by decoded tuple order: the reference tie-break compares the
-    # predictor tuples themselves, while ids are first-seen-ordered.
-    tie_ranks = [0] * len(values)
-    for rank, value_index in enumerate(sorted(range(len(values)),
-                                              key=values.__getitem__)):
-        tie_ranks[value_index] = rank
-
-    plan = FusedArgmaxPlan(
-        member_starts=tuple(member_starts),
-        labels=tuple(labels),
-        value_starts=tuple(value_starts),
-        value_ids=tuple(value_ids),
-        target_counts=tuple(target_counts),
-        denominators=tuple(denominators),
-        tie_ranks=tuple(tie_ranks),
-        allowed_labels=frozenset(port_domain) if port_domain is not None else None,
-        min_support=min_pattern_support,
-        probability_cutoff=probability_cutoff,
-    )
-    return plan, encoder
-
-
 def build_prediction_index_with_engine(
-    host_features: Mapping[int, HostFeatures],
+    host_features: HostFeatureColumns,
     model: CooccurrenceModel,
     probability_cutoff: float = 1e-5,
     port_domain: Optional[Sequence[int]] = None,
     min_pattern_support: int = 2,
-    executor: Optional[ExecutorConfig] = None,
-    mode: str = "fused",
-    runtime: Optional[EngineRuntime] = None,
-    dataset: Optional[ResidentHostGroups] = None,
+    *,
+    dataset: ResidentHostGroups,
 ) -> PredictiveFeatureIndex:
-    """The Section 5.4 index build on the fused engine (the Table 2 story).
+    """The Section 5.4 index build on the engine runtime (the Table 2 story).
 
     Produces a :class:`PredictiveFeatureIndex` identical to
     :meth:`PredictiveFeatureIndex.from_seed` (the oracle; the test suite
     asserts entry-for-entry equality, tie cases included), but executes as a
     streaming argmax over dictionary-encoded columns
-    (:func:`repro.engine.fused.argmax_partner_select`): count rows bind once
-    per distinct predictor tuple and per-service selection runs on flat int
-    columns instead of re-hashing nested tuples per candidate.  With a
-    parallel ``executor``, contiguous host chunks scatter across workers.
+    (:func:`repro.engine.fused.select_argmax_chunk`) against ``dataset`` --
+    ``host_features``' columns, resident in the runtime's workers: count
+    rows bind once per distinct predictor id, only the whitelist and
+    thresholds ship per call, and the per-shard winners merge back into
+    exact host order before decoding.
 
     Args:
-        host_features: per-host features extracted from the seed observations.
+        host_features: the seed's encoded host features.
         model: the co-occurrence model built from the same seed set.
         probability_cutoff: minimum probability for an index entry.
         port_domain: optional target-port whitelist.
         min_pattern_support: preferred-tier support floor (see ``from_seed``).
-        executor: parallel engine configuration; ``None`` runs serially.
-        mode: ``"fused"`` (default) or ``"legacy"`` (delegates to the
-            reference implementation, kept as the equivalence oracle).
-        runtime: dispatch the compiled plan's chunks to a persistent
-            :class:`~repro.engine.runtime.EngineRuntime` instead of a
-            per-call pool.
-        dataset: a :class:`~repro.core.runtime_plans.ResidentHostGroups`
-            already loaded from the same ``host_features``: the argmax then
-            folds against worker-resident shards, shipping only the model's
-            score tables (once) and the thresholds.
+        dataset: the resident dataset loaded from ``host_features``.
     """
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode: {mode!r} (expected one of {ENGINE_MODES})")
-    if (dataset is not None or runtime is not None) and mode != "fused":
-        raise ValueError("the execution runtime serves only the fused mode")
-    if mode == "legacy":
-        if isinstance(host_features, HostFeatureColumns):
-            raise ValueError("columnar host features serve only the fused mode "
-                             "(the legacy oracle ingests object rows)")
-        return PredictiveFeatureIndex.from_seed(
-            host_features, model,
-            probability_cutoff=probability_cutoff,
-            port_domain=port_domain,
-            min_pattern_support=min_pattern_support,
-        )
-    if dataset is not None:
-        return PredictiveFeatureIndex(
-            PredictiveFeature(predictor=predictor, target_port=label,
-                              probability=probability)
-            for label, predictor, probability in dataset.argmax_winners(
-                model, port_domain=port_domain,
-                min_pattern_support=min_pattern_support,
-                probability_cutoff=probability_cutoff)
-        )
-    plan, encoder = compile_prediction_index_query(
-        host_features, model,
-        port_domain=port_domain,
-        min_pattern_support=min_pattern_support,
-        probability_cutoff=probability_cutoff,
-    )
-    serial = (runtime is None
-              and (executor is None
-                   or (executor.backend == "serial" and executor.workers == 1)))
-    if runtime is not None:
-        winners = partitioned_argmax_partner_select(plan, runtime=runtime)
-    elif serial:
-        winners = argmax_partner_select(plan)
-    else:
-        winners = partitioned_argmax_partner_select(plan, executor)
-    decode = encoder.decode
     return PredictiveFeatureIndex(
-        PredictiveFeature(predictor=decode(value_id), target_port=label,
+        PredictiveFeature(predictor=predictor, target_port=label,
                           probability=probability)
-        for label, value_id, probability in winners
+        for label, predictor, probability in dataset.argmax_winners(
+            model, port_domain=port_domain,
+            min_pattern_support=min_pattern_support,
+            probability_cutoff=probability_cutoff)
     )

@@ -27,13 +27,13 @@ Two implementations produce that list:
   one :meth:`~repro.core.model.CooccurrenceModel.best_predictor` call per
   ordered port pair), kept as the oracle the equivalence tests compare
   against;
-* :func:`build_priors_plan_with_engine` -- the same query compiled onto the
-  fused streaming layer (:class:`repro.engine.fused.FusedPartnerPlan`):
-  predictor tuples are dictionary-encoded once, probabilities are
-  precomputed once per *distinct* predictor, and per-host partner selection
-  folds coverage counts inline, optionally scattered across executor
-  workers.  This is the Table 2 "computation" story applied to the
-  Section 5.3 planning pass; ``GPSConfig.engine_mode`` selects the path.
+* :func:`build_priors_plan_with_engine` -- the same query on the engine
+  runtime: the model's count rows are bound once per *distinct* predictor
+  id, and per-host partner selection
+  (:func:`repro.engine.fused.count_partner_chunk`) folds coverage counts
+  inline over each worker's resident shard of hosts.  This is the Table 2
+  "computation" story applied to the Section 5.3 planning pass;
+  ``GPSConfig.use_engine`` selects the path.
 """
 
 from __future__ import annotations
@@ -41,14 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.config import ENGINE_MODES
 from repro.core.features import HostFeatureColumns, HostFeatures
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.encoding import DictionaryEncoder
-from repro.engine.fused import FusedPartnerPlan, partner_group_count
-from repro.engine.parallel import ExecutorConfig, partitioned_partner_group_count
-from repro.engine.runtime import EngineRuntime
 from repro.net.ipv4 import format_subnet, subnet_key
 
 
@@ -139,155 +134,37 @@ def build_priors_plan(
 # -- engine-backed implementation --------------------------------------------------------
 
 
-def compile_priors_query(
-    host_features: Mapping[int, HostFeatures],
-    model: CooccurrenceModel,
-    step_size: int,
-    port_domain: Optional[Sequence[int]] = None,
-) -> FusedPartnerPlan:
-    """Flatten the priors-planning query into a fused partner plan.
-
-    Hosts become groups (keyed by their ``step_size`` subnet), services become
-    members labelled by port, and each service's predictor tuples are
-    dictionary-encoded into the plan's flat integer columns.  The model's
-    co-occurrence rows and denominators are *referenced* once per distinct
-    predictor tuple -- after compilation the per-host partner selection
-    operates entirely on small ints and never hashes a nested predictor
-    tuple again, which is where the legacy planner spends most of its time.
-    Probabilities stay exact: the fold divides the same
-    ``count / denominator`` integers the reference implementation divides.
-
-    One- and two-service hosts need no predictor evaluation -- a single
-    service is the one that must be found first, and a two-service host's
-    partner choice is forced either way -- so when compiling from object
-    rows their predictor columns are left empty and they skip encoding
-    entirely.  Compiling from pre-encoded
-    :class:`~repro.core.features.HostFeatureColumns` reuses the ingest's
-    columns verbatim (the fold ignores the values of such hosts
-    structurally, so keeping them changes nothing).
-    """
-    if not 0 <= step_size <= 32:
-        raise ValueError(f"step_size must be a prefix length 0-32: {step_size}")
-    if isinstance(host_features, HostFeatureColumns):
-        encoder = host_features.encoder
-        group_keys = [subnet_key(ip, step_size) for ip in host_features.ips]
-        member_starts = host_features.member_starts
-        labels = host_features.ports
-        value_starts = host_features.value_starts
-        value_ids = host_features.value_ids
-    else:
-        encoder = DictionaryEncoder()
-        group_keys: List[int] = []
-        member_starts: List[int] = [0]
-        labels: List[int] = []
-        value_starts: List[int] = [0]
-        value_ids: List[int] = []
-        for host in host_features.values():
-            open_ports = host.open_ports()
-            group_keys.append(subnet_key(host.ip, step_size))
-            if len(open_ports) <= 2:
-                for port in open_ports:
-                    labels.append(port)
-                    value_starts.append(len(value_ids))
-            else:
-                for port in open_ports:
-                    labels.append(port)
-                    value_ids.extend(encoder.encode_column(host.ports[port]))
-                    value_starts.append(len(value_ids))
-            member_starts.append(len(labels))
-
-    model_denominators = model.denominators
-    model_cooccurrence = model.cooccurrence
-    no_targets: Dict[int, int] = {}
-    target_counts: List[Dict[int, int]] = []
-    denominators: List[int] = []
-    for predictor in encoder.values():
-        denom = model_denominators.get(predictor, 0)
-        targets = model_cooccurrence.get(predictor) if denom else None
-        if targets:
-            target_counts.append(targets)
-            denominators.append(denom)
-        else:
-            # Unknown predictor or zero support: probability 0 for every
-            # port, exactly as CooccurrenceModel.probability reports it.
-            target_counts.append(no_targets)
-            denominators.append(1)
-
-    return FusedPartnerPlan(
-        group_keys=tuple(group_keys),
-        member_starts=tuple(member_starts),
-        labels=tuple(labels),
-        value_starts=tuple(value_starts),
-        value_ids=tuple(value_ids),
-        target_counts=tuple(target_counts),
-        denominators=tuple(denominators),
-        allowed_labels=frozenset(port_domain) if port_domain is not None else None,
-    )
-
-
 def build_priors_plan_with_engine(
-    host_features: Mapping[int, HostFeatures],
+    host_features: HostFeatureColumns,
     model: CooccurrenceModel,
     step_size: int,
     port_domain: Optional[Sequence[int]] = None,
-    executor: Optional[ExecutorConfig] = None,
-    mode: str = "fused",
-    runtime: Optional[EngineRuntime] = None,
-    dataset: Optional[ResidentHostGroups] = None,
+    *,
+    dataset: ResidentHostGroups,
 ) -> List[PriorsEntry]:
-    """Priors planning on the fused engine (Section 5.3 / Table 2).
+    """Priors planning on the engine runtime (Section 5.3 / Table 2).
 
     Produces exactly the ordered :class:`PriorsEntry` list of
     :func:`build_priors_plan` (the oracle; the test suite asserts equality
-    across serial/thread/process backends), but executes as a streaming pass
-    over dictionary-encoded columns: the model's count rows are bound once
-    per distinct predictor tuple, per-host partner selection runs on flat
-    int columns, and coverage counts fold inline instead of through
-    intermediate per-host dicts.  With a parallel ``executor``, contiguous
-    host chunks scatter across workers.
+    on every executor), but folds the partner selection against
+    ``dataset`` -- ``host_features``' encoded columns, resident in the
+    runtime's workers: the model's score tables broadcast once per model,
+    each worker folds coverage counts over its shard of hosts, and only the
+    port whitelist ships per call.
 
     Args:
-        host_features: per-host features extracted from the seed observations.
+        host_features: the seed's encoded host features.
         model: the co-occurrence model built from the same seed set.
-        step_size: scanning step size as a prefix length (0-32).
+        step_size: scanning step size as a prefix length; must equal the
+            ``step_size`` the dataset grouped hosts by.
         port_domain: optional port whitelist (Censys-style 2K-port runs).
-        executor: parallel engine configuration; ``None`` runs serially.
-        mode: ``"fused"`` (default) or ``"legacy"`` (delegates to the
-            reference implementation, kept as the benchmark baseline).
-        runtime: dispatch the compiled plan's chunks to a persistent
-            :class:`~repro.engine.runtime.EngineRuntime` instead of a
-            per-call pool.
-        dataset: a :class:`~repro.core.runtime_plans.ResidentHostGroups`
-            already loaded from the same ``host_features``: the query then
-            folds against worker-resident shards, shipping only the model's
-            score tables (once) and the port whitelist.
+        dataset: the resident dataset loaded from ``host_features``.
     """
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode: {mode!r} (expected one of {ENGINE_MODES})")
-    if (dataset is not None or runtime is not None) and mode != "fused":
-        raise ValueError("the execution runtime serves only the fused mode")
-    if mode == "legacy":
-        if isinstance(host_features, HostFeatureColumns):
-            raise ValueError("columnar host features serve only the fused mode "
-                             "(the legacy oracle ingests object rows)")
-        return build_priors_plan(host_features, model, step_size, port_domain)
-    if dataset is not None:
-        if dataset.step_size != step_size:
-            raise ValueError(
-                f"resident dataset was flattened for step_size {dataset.step_size}, "
-                f"not {step_size}")
-        coverage = dataset.priors_coverage(model, port_domain)
-    else:
-        plan = compile_priors_query(host_features, model, step_size, port_domain)
-        serial = (runtime is None and
-                  (executor is None
-                   or (executor.backend == "serial" and executor.workers == 1)))
-        if runtime is not None:
-            coverage = partitioned_partner_group_count(plan, runtime=runtime)
-        elif serial:
-            coverage = partner_group_count(plan)
-        else:
-            coverage = partitioned_partner_group_count(plan, executor)
+    if dataset.step_size != step_size:
+        raise ValueError(
+            f"resident dataset was grouped for step_size {dataset.step_size}, "
+            f"not {step_size}")
+    coverage = dataset.priors_coverage(model, port_domain)
     entries = [
         PriorsEntry(port=port, subnet=subnet, coverage=count)
         for (port, subnet), count in coverage.items()

@@ -3,12 +3,11 @@
 The three Table 2 "computation" queries -- model build (Section 5.2), priors
 planning (Section 5.3) and the prediction-index build (Section 5.4) -- all
 fold over the same underlying relation: hosts owning services owning
-dictionary-encoded predictor tuples.  The per-call engine paths re-flatten
-and re-ship that relation for every build; :class:`ResidentHostGroups`
-flattens it **once**, hash-shards it (:mod:`repro.engine.shard`) and loads
-each shard into a persistent :class:`~repro.engine.runtime.EngineRuntime`
-worker, where it stays resident.  Each subsequent build then ships only its
-plan parameters:
+dictionary-encoded predictor tuples.  :class:`ResidentHostGroups` takes
+that relation as pre-encoded columns, hash-shards it once
+(:mod:`repro.engine.shard`) and loads each shard into a persistent
+:class:`~repro.engine.runtime.EngineRuntime` worker, where it stays
+resident.  Each subsequent build then ships only its plan parameters:
 
 * :meth:`model_counts` -- the co-occurrence fold runs as a shard-local
   self-join derived worker-side from the resident columns (ships nothing);
@@ -16,8 +15,8 @@ plan parameters:
   tables broadcast once (:meth:`ensure_sides`), after which each call ships
   only the port whitelist and thresholds.
 
-Every result is bit-identical to the serial fused operators (and therefore
-to the single-core oracles): counter merges are order-independent, and the
+Every result is bit-identical to the single-core reference builds on every
+executor and shard count: counter merges are order-independent, and the
 order-sensitive argmax winner list is reassembled into exact host order via
 the shards' ``group_order`` columns.
 
@@ -30,10 +29,10 @@ models are used through their attribute surface only -- so
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.encoding import DictionaryEncoder
-from repro.engine.parallel import merge_counters
 from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
 from repro.engine.shard import merge_ordered, shard_group_columns
 from repro.net.ipv4 import subnet_key
@@ -43,6 +42,18 @@ __all__ = ["ResidentHostGroups"]
 #: Distinct runtime keys per process, so two live datasets never collide in
 #: the workers' resident stores.
 _KEY_COUNTER = itertools.count()
+
+
+def merge_counters(counters: Iterable[Counter]) -> Counter:
+    """Sum per-shard counters into the final result.
+
+    Counter addition is commutative, so the merged result is independent of
+    shard layout and arrival order.
+    """
+    merged: Counter = Counter()
+    for counts in counters:
+        merged.update(counts)
+    return merged
 
 
 def _merge_packed(per_shard: Sequence[Tuple[Any, Any]]) -> Dict[int, int]:
@@ -66,7 +77,7 @@ def _merge_packed(per_shard: Sequence[Tuple[Any, Any]]) -> Dict[int, int]:
 class ResidentHostGroups:
     """The host/service/predictor relation, resident in a runtime's workers.
 
-    Constructing the dataset flattens ``host_features`` into group-structured
+    Constructing the dataset takes ``host_features``' group-structured
     columns (groups = hosts keyed by their ``step_size`` subnet, members =
     services labelled by port in ascending order, values = predictor-tuple
     ids interned through one shared :class:`DictionaryEncoder`), shards them
@@ -89,19 +100,15 @@ class ResidentHostGroups:
 
     def __init__(self, runtime: EngineRuntime, host_features: Any,
                  step_size: int, key: Optional[str] = None) -> None:
-        """Flatten (if needed), shard and load the host features.
+        """Shard and load the host features.
 
         Args:
             runtime: the persistent runtime whose workers hold the shards.
-            host_features: the host/service/predictor relation -- either a
-                per-host mapping (see
-                :class:`repro.core.features.HostFeatures`), which is
-                flattened and dictionary-encoded here, or pre-encoded flat
-                columns (:class:`repro.core.features.HostFeatureColumns`,
-                recognized structurally by their ``value_ids`` column),
-                which shard as-is: the columnar ingest already holds exactly
-                the layout the workers need, so no flatten-from-objects
-                pre-pass runs at all and the columns' encoder is shared.
+            host_features: the host/service/predictor relation as
+                pre-encoded flat columns
+                (:class:`repro.core.features.HostFeatureColumns`), which
+                shard as-is: the columnar ingest already holds exactly the
+                layout the workers need, and the columns' encoder is shared.
             step_size: prefix length for the priors planner's subnet group
                 keys (0-32).
             key: resident-store key; auto-generated (unique per process)
@@ -115,31 +122,13 @@ class ResidentHostGroups:
         self._sides_model: Optional[Any] = None
         self._released = False
 
-        if hasattr(host_features, "value_ids"):
-            self.encoder = host_features.encoder
-            assign_keys = host_features.ips
-            group_keys = [subnet_key(ip, step_size) for ip in assign_keys]
-            member_starts = host_features.member_starts
-            labels = host_features.ports
-            value_starts = host_features.value_starts
-            value_ids = host_features.value_ids
-        else:
-            self.encoder = DictionaryEncoder()
-            assign_keys = []
-            group_keys = []
-            member_starts = [0]
-            labels = []
-            value_starts = [0]
-            value_ids = []
-            encode_column = self.encoder.encode_column
-            for host in host_features.values():
-                assign_keys.append(host.ip)
-                group_keys.append(subnet_key(host.ip, step_size))
-                for port in host.open_ports():
-                    labels.append(port)
-                    value_ids.extend(encode_column(host.ports[port]))
-                    value_starts.append(len(value_ids))
-                member_starts.append(len(labels))
+        self.encoder = host_features.encoder
+        assign_keys = host_features.ips
+        group_keys = [subnet_key(ip, step_size) for ip in assign_keys]
+        member_starts = host_features.member_starts
+        labels = host_features.ports
+        value_starts = host_features.value_starts
+        value_ids = host_features.value_ids
         self.group_count = len(group_keys)
         sharded = shard_group_columns(assign_keys, group_keys, member_starts,
                                       labels, value_starts, value_ids,
@@ -160,10 +149,10 @@ class ResidentHostGroups:
 
         The snapshot (:class:`repro.engine.snapshot.Snapshot`, saved with
         sharded host groups) already holds exactly the shard payloads the
-        constructor would flatten and ship: workers receive file references
+        constructor would shard and ship: workers receive file references
         and ``mmap`` their shards straight from disk
         (:meth:`~repro.engine.runtime.EngineRuntime.load_shards_from_snapshot`),
-        so no flatten pass runs and no column bytes cross the worker queues.
+        so no sharding pass runs and no column bytes cross the worker queues.
         The predictor encoder rebuilds from the snapshot's table in exact id
         order, so resident ``value_ids`` decode identically to a
         freshly-built dataset and every downstream query is bit-identical.
@@ -318,9 +307,8 @@ class ResidentHostGroups:
         """Run the priors partner-selection query against the resident shards.
 
         Returns the ``(port, subnet) -> coverage`` counts the priors list is
-        built from, identical to
-        :func:`repro.engine.fused.partner_group_count` over the compiled
-        plan.  Only the port whitelist ships per call.
+        built from, identical to the reference planner's counts.  Only the
+        port whitelist ships per call.
         """
         self._check_usable()
         self.ensure_sides(model)

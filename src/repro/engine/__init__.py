@@ -6,53 +6,31 @@ and computing conditional probabilities -- as SQL on Google BigQuery, because
 the computation is "heavily reading data, aggregating, and joining among
 shared data fields" (Section 5.5) and embarrassingly parallel.
 
-Offline we cannot use BigQuery, so this package provides the same primitives:
+Offline we cannot use BigQuery, so this package provides one engine path for
+all three of GPS's Table 2 builds:
 
-* :class:`~repro.engine.table.Table` -- a small in-memory columnar table;
-* :mod:`~repro.engine.ops` -- projection, filtering, hash join and group-by
-  aggregation over tables;
-* :mod:`~repro.engine.fused` -- the fused streaming ``join_group_count``
-  operator, which folds the self-join directly into per-key counters without
-  materializing the joined table (the hot path of model building);
 * :mod:`~repro.engine.encoding` -- dictionary encoding of hashable values to
   dense integer ids (cheap grouping keys, ``PYTHONHASHSEED``-independent
   sharding, compact cross-process payloads);
-* :mod:`~repro.engine.parallel` -- executors that scatter streamed chunks and
-  run them serially, on a thread pool, or on a process pool, so the Table 2
-  experiment can measure how GPS's prediction computation scales with the
-  degree of parallelism;
+* :mod:`~repro.engine.columns` -- machine-native int64 column buffers and
+  the stdlib/numpy kernel-backend switch;
+* :mod:`~repro.engine.fused` -- the streaming folds for the model build's
+  self-join, the priors planner's partner selection and the index build's
+  argmax, plus the vectorized numpy twin of the model fold;
 * :mod:`~repro.engine.shard` -- ``PYTHONHASHSEED``-independent hash
   partitioning of encoded columns into shards with a stable identity;
 * :mod:`~repro.engine.runtime` -- the persistent execution runtime: one
-  shared worker pool (``serial`` / ``thread`` / ``pool`` executors) that
-  holds sharded columns resident and executes every fused plan without
-  per-call process spawn.
+  worker pool (``serial`` / ``thread`` / ``pool`` executors) that holds
+  sharded columns resident and runs every fold against them.
 
-GPS's model (:mod:`repro.core.model`) ships two implementations: a direct
-dictionary-based one (the single-core reference) and one expressed against
-this engine; the test suite asserts they produce identical probabilities.
+GPS's builds (:mod:`repro.core.model`, :mod:`repro.core.priors`,
+:mod:`repro.core.predictions`) each ship two implementations: a direct
+dictionary-based one (the single-core reference oracle) and one on this
+engine; the test suite asserts they produce identical results on every
+executor and column backend.
 """
 
-from repro.engine.table import Column, Table
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.fused import join_group_count
-from repro.engine.ops import (
-    aggregate,
-    filter_rows,
-    group_count,
-    hash_join,
-    project,
-)
-from repro.engine.parallel import (
-    ExecutorConfig,
-    ParallelExecutor,
-    SerialExecutor,
-    ThreadPoolExecutorBackend,
-    ProcessPoolExecutorBackend,
-    make_executor,
-    partitioned_group_count,
-    partitioned_join_group_count,
-)
 from repro.engine.runtime import (
     RUNTIME_EXECUTORS,
     EngineRuntime,
@@ -62,24 +40,8 @@ from repro.engine.runtime import (
 from repro.engine.shard import ShardedColumns, shard_columns, shard_group_columns
 
 __all__ = [
-    "Column",
-    "Table",
     "DictionaryEncoder",
     "stable_hash",
-    "project",
-    "filter_rows",
-    "hash_join",
-    "group_count",
-    "join_group_count",
-    "aggregate",
-    "ExecutorConfig",
-    "ParallelExecutor",
-    "SerialExecutor",
-    "ThreadPoolExecutorBackend",
-    "ProcessPoolExecutorBackend",
-    "make_executor",
-    "partitioned_group_count",
-    "partitioned_join_group_count",
     "RUNTIME_EXECUTORS",
     "EngineRuntime",
     "WorkerCrashError",

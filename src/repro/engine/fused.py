@@ -1,468 +1,111 @@
-"""Fused streaming operators: join + group-by + count in one pass.
+"""Fused streaming folds: the engine's three Table 2 query shapes.
 
-The GPS model-building query is a self-join whose *output* is quadratic in
-the services per host, but whose *answer* -- co-occurrence counts per
-(predictor, target port) -- is only as large as the number of distinct
-patterns.  :func:`repro.engine.ops.hash_join` followed by
-:func:`repro.engine.ops.group_count` materializes the whole quadratic
-intermediate as row tuples (twice, when self-pair exclusion re-filters the
-joined table) before a single count happens.
+Each of GPS's builds is one fold over the host/service/predictor relation,
+flattened into offset-indexed integer columns (hosts own runs of services,
+services own runs of dictionary-encoded predictor ids):
 
-:func:`join_group_count` fuses the pipeline: left rows stream through the
-right-side hash index and every surviving (left, right) combination folds
-directly into a per-key counter.  No joined ``Table`` is ever constructed,
-self-pairs are skipped inline, and peak memory is the size of the *answer*
-plus the right-side index.  The operator is defined to be exactly equivalent
-to ``group_count(hash_join(left, right, ...), keys)`` -- the property the
-test suite checks on randomized tables -- while the query plan it compiles
-(:class:`FusedJoinPlan`) is plain picklable data, which is what lets
-:mod:`repro.engine.parallel` scatter chunks of the streamed side across
-worker processes without re-deriving anything.
+* :func:`count_join_chunk` -- the Section 5.2 model build's self-join +
+  group-by + count, streamed: every (predictor, other port) combination
+  folds straight into a counter, so the quadratic joined relation never
+  exists;
+* :func:`count_partner_chunk` -- the Section 5.3 priors planner's
+  per-host partner selection, folding ``(port, subnet)`` coverage counts;
+* :func:`select_argmax_chunk` -- the Section 5.4 index build's per-service
+  argmax over the host's other services' predictors.
+
+Payloads are plain picklable tuples, so the same functions run in-process
+and inside :mod:`repro.engine.runtime` workers against their resident
+shards.  The numpy kernels at the bottom are the vectorized twins of the
+model-build fold (the ``numpy`` column backend).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from repro.engine.columns import IntColumn, require_numpy, to_numpy
-from repro.engine.table import Table
 
 __all__ = [
-    "FusedArgmaxPlan",
-    "FusedJoinPlan",
-    "FusedPartnerPlan",
-    "argmax_partner_select",
-    "compile_join_plan",
+    "count_join_chunk",
+    "count_partner_chunk",
     "fold_model_pairs_arrays",
     "fold_value_counts_arrays",
-    "join_group_count",
-    "partner_group_count",
+    "select_argmax_chunk",
 ]
 
-#: Exclusion-predicate shapes: both operands from the streamed (left) side,
-#: one per side, or both from the indexed (right) side.
-_EXCL_LL = "LL"
-_EXCL_LR = "LR"
-_EXCL_RR = "RR"
 
-
-@dataclass(frozen=True)
-class FusedJoinPlan:
-    """A compiled fused join+group-count query (schema-level, no data).
-
-    The plan names which physical columns feed the join key, which fill the
-    static (left-side) slots of the group key, which right-side payload slots
-    fill the rest, and how the optional exclusion predicate is evaluated.
-    Slot indices refer to positions in the output group-key tuple; payload
-    indices refer to positions in the per-match right-side value tuples
-    stored in the hash index.
-
-    Attributes:
-        on: join column names (present in both tables).
-        width: arity of the group-key tuples the query produces.
-        static_slots: ``(slot, left_column_name)`` pairs filled once per left
-            row (join columns are read from the left side -- they are equal
-            across sides by construction).
-        right_slots: ``(slot, payload_index)`` pairs filled once per match.
-        right_payload: right-side column names stored in the index, in
-            payload order.
-        exclusion: ``None`` or ``(shape, a, b)`` where shape is ``"LL"``,
-            ``"LR"`` or ``"RR"``; for ``L`` operands the operand is a left
-            column name, for ``R`` operands a payload index.
-    """
-
-    on: Tuple[str, ...]
-    width: int
-    static_slots: Tuple[Tuple[int, str], ...]
-    right_slots: Tuple[Tuple[int, int], ...]
-    right_payload: Tuple[str, ...]
-    exclusion: Optional[Tuple[str, Any, Any]]
-
-
-def compile_join_plan(left: Table, right: Table, on: Sequence[str],
-                      keys: Sequence[str],
-                      left_prefix: str = "l_", right_prefix: str = "r_",
-                      exclude_self_pairs_on: Optional[Tuple[str, str]] = None,
-                      ) -> FusedJoinPlan:
-    """Compile group keys / exclusion names against the virtual join schema.
-
-    The virtual schema is exactly :func:`repro.engine.ops.hash_join`'s output
-    schema -- join columns unprefixed, then prefixed left and right value
-    columns -- so callers address columns identically in both formulations.
-    """
-    for name in on:
-        if name not in left.columns or name not in right.columns:
-            raise KeyError(f"join column {name!r} missing from one side")
-    left_value_cols = [name for name in left.names if name not in on]
-    right_value_cols = [name for name in right.names if name not in on]
-
-    payload: List[str] = []
-
-    def payload_index(right_col: str) -> int:
-        if right_col not in payload:
-            payload.append(right_col)
-        return payload.index(right_col)
-
-    def resolve(name: str) -> Tuple[str, Any]:
-        """Map an output-schema name to ('L', left column) or ('R', payload idx)."""
-        if name in on:
-            return ("L", name)
-        if name.startswith(left_prefix):
-            stripped = name[len(left_prefix):]
-            if stripped in left_value_cols:
-                return ("L", stripped)
-        if name.startswith(right_prefix):
-            stripped = name[len(right_prefix):]
-            if stripped in right_value_cols:
-                return ("R", payload_index(stripped))
-        raise KeyError(f"column {name!r} not in join output schema")
-
-    static_slots: List[Tuple[int, str]] = []
-    right_slots: List[Tuple[int, int]] = []
-    for slot, name in enumerate(keys):
-        side, ref = resolve(name)
-        if side == "L":
-            static_slots.append((slot, ref))
-        else:
-            right_slots.append((slot, ref))
-
-    exclusion: Optional[Tuple[str, Any, Any]] = None
-    if exclude_self_pairs_on is not None:
-        try:
-            side_a, ref_a = resolve(exclude_self_pairs_on[0])
-            side_b, ref_b = resolve(exclude_self_pairs_on[1])
-        except KeyError:
-            raise KeyError(
-                f"exclude_self_pairs_on columns {exclude_self_pairs_on} not in output schema"
-            ) from None
-        if side_b == "L" and side_a == "R":
-            side_a, ref_a, side_b, ref_b = side_b, ref_b, side_a, ref_a
-        exclusion = (side_a + side_b, ref_a, ref_b)
-
-    return FusedJoinPlan(
-        on=tuple(on),
-        width=len(keys),
-        static_slots=tuple(static_slots),
-        right_slots=tuple(right_slots),
-        right_payload=tuple(payload),
-        exclusion=exclusion,
-    )
-
-
-def build_right_index(right: Table, plan: FusedJoinPlan,
-                      columns: Optional[Dict[str, List[Any]]] = None,
-                      ) -> Dict[Hashable, List[Tuple[Any, ...]]]:
-    """Hash the right side: join key -> list of payload tuples.
-
-    Single-column join keys are stored unwrapped (scalar keys hash faster
-    than 1-tuples and the index is internal to the operator).  ``columns``
-    overrides the physical columns (the parallel driver passes
-    dictionary-encoded ones); by default the table's own columns are used.
-    """
-    cols = columns if columns is not None else right.columns
-    key_cols = [cols[name] for name in plan.on]
-    payload_cols = [cols[name] for name in plan.right_payload]
-    index: Dict[Hashable, List[Tuple[Any, ...]]] = {}
-    if not key_cols:
-        raise ValueError("join requires at least one key column")
-    single = len(key_cols) == 1
-    key_col0 = key_cols[0]
-    for i in range(len(right)):
-        key = key_col0[i] if single else tuple(col[i] for col in key_cols)
-        entry = index.get(key)
-        if entry is None:
-            entry = index[key] = []
-        entry.append(tuple(col[i] for col in payload_cols))
-    return index
+# -- fused self-join (the model-build query shape) ----------------------------------------
 
 
 def count_join_chunk(payload: Tuple[Any, ...]) -> Counter:
-    """Stream one chunk of left rows through the index, counting group keys.
+    """Stream left rows through a per-key label index, counting packed pairs.
 
-    ``payload`` is plain data -- ``(key_cols, static_cols, excl, right_slots,
-    width, index, pack_base)`` with ``excl`` as ``None`` or ``(shape, a, b)``
-    where ``L`` operands are column lists and ``R`` operands payload indices
-    -- so the same function runs in-process and as a process-pool worker.
-    When ``pack_base`` is set the returned counter is keyed by packed ints
-    (``left * pack_base + right``) instead of 2-tuples; drivers unpack with
-    :func:`unpack_counts`.
+    ``payload`` is ``(left_keys, left_values, left_labels, index,
+    pack_base)``: row ``i`` of the streamed side joins every label in
+    ``index[left_keys[i]]`` except its own ``left_labels[i]`` (the
+    left-vs-right self-pair exclusion), and each surviving pair counts under
+    the packed key ``left_values[i] * pack_base + label``.  Every label must
+    be below ``pack_base``; drivers unpack with ``divmod``.  Hashing one small
+    int is several times cheaper than hashing a 2-tuple, and the packed keys
+    fold through a bounded buffer so the counting itself runs in C
+    (``Counter.update`` over a list of ints) instead of one interpreted
+    dict-increment per joined pair.
     """
-    key_cols, static_cols, excl, right_slots, width, index, pack_base = payload
+    left_keys, left_values, left_labels, index, pack_base = payload
     counts: Counter = Counter()
-    if not key_cols:
-        return counts
-    n = len(key_cols[0])
-    single = len(key_cols) == 1
-    key_col0 = key_cols[0]
-    index_get = index.get
-    shape = excl[0] if excl is not None else None
-
-    # Fast path for the model-building shape: one join key, a two-slot group
-    # key of (left value, right value), and no exclusion or a left-vs-right
-    # one.  This is the loop every pair in the co-occurrence query runs
-    # through, so it avoids the slot indirection of the general case.  When
-    # the driver proved both group columns integral (``pack_base`` set), the
-    # two-int group key is packed into a single int -- hashing a small int is
-    # several times cheaper than hashing a 2-tuple, and this loop does one
-    # hash per joined pair.  The driver unpacks the distinct keys afterwards.
-    if (single and width == 2 and len(static_cols) == 1 and len(right_slots) == 1
-            and static_cols[0][0] == 0 and right_slots[0][0] == 1
-            and shape in (None, _EXCL_LR)):
-        _, left_col = static_cols[0]
-        _, right_idx = right_slots[0]
-        if pack_base is not None:
-            # Packed keys fold through a small bounded buffer so the actual
-            # counting happens in C (``Counter.update`` over a list of ints)
-            # instead of one interpreted dict-increment per joined pair.
-            buffer: List[int] = []
-            buffer_append = buffer.append
-            flush = counts.update
-            if shape is None:
-                for i in range(n):
-                    matches = index_get(key_col0[i])
-                    if not matches:
-                        continue
-                    packed = left_col[i] * pack_base
-                    for match in matches:
-                        buffer_append(packed + match[right_idx])
-                    if len(buffer) >= 8192:
-                        flush(buffer)
-                        buffer.clear()
-            else:
-                _, excl_col, excl_idx = excl
-                for i in range(n):
-                    matches = index_get(key_col0[i])
-                    if not matches:
-                        continue
-                    packed = left_col[i] * pack_base
-                    excl_value = excl_col[i]
-                    for match in matches:
-                        if excl_value == match[excl_idx]:
-                            continue
-                        buffer_append(packed + match[right_idx])
-                    if len(buffer) >= 8192:
-                        flush(buffer)
-                        buffer.clear()
-            if buffer:
-                flush(buffer)
-            return counts
-        if shape is None:
-            for i in range(n):
-                matches = index_get(key_col0[i])
-                if not matches:
-                    continue
-                left_value = left_col[i]
-                for match in matches:
-                    counts[(left_value, match[right_idx])] += 1
-        else:
-            _, excl_col, excl_idx = excl
-            for i in range(n):
-                matches = index_get(key_col0[i])
-                if not matches:
-                    continue
-                left_value = left_col[i]
-                excl_value = excl_col[i]
-                for match in matches:
-                    if excl_value == match[excl_idx]:
-                        continue
-                    counts[(left_value, match[right_idx])] += 1
-        return counts
-
-    if excl is not None:
-        _, excl_a, excl_b = excl
-    parts: List[Any] = [None] * width
-    for i in range(n):
-        key = key_col0[i] if single else tuple(col[i] for col in key_cols)
-        matches = index_get(key)
-        if not matches:
-            continue
-        if shape == _EXCL_LL and excl_a[i] == excl_b[i]:
-            continue
-        for slot, col in static_cols:
-            parts[slot] = col[i]
-        for match in matches:
-            if shape == _EXCL_LR:
-                if excl_a[i] == match[excl_b]:
-                    continue
-            elif shape == _EXCL_RR:
-                if match[excl_a] == match[excl_b]:
-                    continue
-            for slot, payload_idx in right_slots:
-                parts[slot] = match[payload_idx]
-            counts[tuple(parts)] += 1
+    buffer: List[int] = []
+    buffer_append = buffer.append
+    flush = counts.update
+    for i in range(len(left_keys)):
+        own = left_labels[i]
+        packed = left_values[i] * pack_base
+        for label in index[left_keys[i]]:
+            if label != own:
+                buffer_append(packed + label)
+        if len(buffer) >= 8192:
+            flush(buffer)
+            buffer.clear()
+    if buffer:
+        flush(buffer)
     return counts
-
-
-def chunk_payload(plan: FusedJoinPlan,
-                  columns: Dict[str, List[Any]],
-                  index: Dict[Hashable, List[Tuple[Any, ...]]],
-                  start: int = 0, stop: Optional[int] = None,
-                  pack_base: Optional[int] = None) -> Tuple[Any, ...]:
-    """Assemble a :func:`count_join_chunk` payload for left rows [start:stop).
-
-    ``columns`` holds the left table's physical columns (raw or encoded);
-    slicing happens here so the parallel driver ships only each worker's
-    range of the streamed side.
-    """
-    def span(col: List[Any]) -> List[Any]:
-        return col if start == 0 and stop is None else col[start:stop]
-
-    key_cols = [span(columns[name]) for name in plan.on]
-    static_cols = [(slot, span(columns[name])) for slot, name in plan.static_slots]
-    excl = plan.exclusion
-    if excl is not None:
-        shape, a, b = excl
-        if shape == _EXCL_LL:
-            excl = (shape, span(columns[a]), span(columns[b]))
-        elif shape == _EXCL_LR:
-            excl = (shape, span(columns[a]), b)
-    return (key_cols, static_cols, excl, list(plan.right_slots), plan.width, index,
-            pack_base)
-
-
-def _is_int_column(values: Sequence[Any]) -> bool:
-    """True when every value is a plain int (the packable column shape)."""
-    return all(type(v) is int for v in values)
-
-
-def packing_base(plan: FusedJoinPlan, left_columns: Dict[str, List[Any]],
-                 right_columns: Dict[str, List[Any]],
-                 int_keys: Optional[bool] = None) -> Optional[int]:
-    """The int-packing base for a query, or ``None`` when packing is unsound.
-
-    Packing applies to the two-slot fast shape (one left group column at slot
-    0, one right at slot 1, exclusion absent or left-vs-right) when the left
-    group column holds plain ints and the right one non-negative plain ints;
-    ``base = max(right) + 1`` makes ``left * base + right`` bijective, so the
-    packed counter unpacks losslessly via divmod.
-
-    ``int_keys`` short-circuits the per-element type scans: ``True`` asserts
-    both group columns are plain ints (the caller just dictionary-encoded
-    them, say), ``False`` disables packing outright, ``None`` detects.
-    """
-    shape = plan.exclusion[0] if plan.exclusion is not None else None
-    if int_keys is False:
-        return None
-    if not (len(plan.on) == 1 and plan.width == 2
-            and len(plan.static_slots) == 1 and plan.static_slots[0][0] == 0
-            and len(plan.right_slots) == 1 and plan.right_slots[0][0] == 1
-            and shape in (None, _EXCL_LR)):
-        return None
-    left_col = left_columns[plan.static_slots[0][1]]
-    right_col = right_columns[plan.right_payload[plan.right_slots[0][1]]]
-    if int_keys is None and not (_is_int_column(left_col)
-                                 and _is_int_column(right_col)):
-        return None
-    if right_col and min(right_col) < 0:
-        return None
-    return (max(right_col) + 1) if right_col else 1
-
-
-def unpack_counts(counts: Counter, pack_base: int) -> Dict[Tuple[Any, ...], int]:
-    """Reverse the int packing of a fast-path counter into 2-tuple keys."""
-    return {divmod(key, pack_base): count for key, count in counts.items()}
 
 
 # -- fused partner selection (the priors-planning query shape) --------------------------
 
 
-@dataclass(frozen=True)
-class FusedPartnerPlan:
-    """A compiled partner-selection + group-count query (plain picklable data).
-
-    This is the second GPS query shape the engine fuses (the paper's
-    Section 5.3 priors planner; :class:`FusedJoinPlan` covers the Section 5.2
-    model build).  Rows are *members* grouped into *groups* -- services
-    grouped by host -- flattened into offset-indexed columns the same way the
-    join plan flattens tables, so chunks of groups slice out of the columns
-    and ship to workers as plain data.
-
-    The query: for every member of a multi-member group, select the *partner*
-    member (any other member of the same group) whose encoded values score
-    highest against the member's label, breaking ties toward the partner with
-    the smallest label; fold ``(partner_label, group_key)`` occurrences
-    straight into a counter.  Single-member groups contribute their only
-    member directly.  No per-group intermediate survives the fold -- peak
-    memory is one group's scratch plus the answer counter.
-
-    Scores are exact integer fractions: the score of value ``v`` against
-    label ``m`` is ``target_counts[v].get(m, 0) / denominators[v]``, divided
-    at fold time with exactly the operands the reference implementation
-    divides -- fused and legacy therefore compare bit-identical IEEE doubles
-    and select identical partners.  Storing count rows (typically references
-    into an existing model's dictionaries) also means compiling a plan never
-    materializes a probability table.
-
-    Attributes:
-        group_keys: one key per group (the priors planner stores the host's
-            subnet key here).
-        member_starts: offsets into ``labels``/``value_starts``; group ``g``
-            owns members ``member_starts[g]:member_starts[g + 1]``.  Length is
-            ``len(group_keys) + 1``.
-        labels: per-member integer label (the service's port), ascending
-            within each group -- the tie-break order relies on this.
-        value_starts: offsets into ``value_ids`` per member; length is
-            ``len(labels) + 1``.
-        value_ids: dictionary-encoded values (predictor-tuple ids) per member.
-        target_counts: per encoded id, ``label -> co-occurrence count``.  May
-            alias dictionaries owned by the model the plan was compiled from;
-            a plan is a query snapshot, not a container, so compile a fresh
-            plan after mutating the model.  Precondition: a value's row never
-            contains the label of the member carrying it (true by
-            construction for co-occurrence counts, which never count a label
-            against itself); the fold's saturation early-exit relies on it.
-        denominators: per encoded id, the count's denominator (the value's
-            support); must be positive wherever the count row is non-empty.
-        allowed_labels: optional label whitelist applied to the *selected*
-            partner (and to single-member groups) before counting.
-    """
-
-    group_keys: Tuple[int, ...]
-    member_starts: Tuple[int, ...]
-    labels: Tuple[int, ...]
-    value_starts: Tuple[int, ...]
-    value_ids: Tuple[int, ...]
-    target_counts: Tuple[Dict[int, int], ...]
-    denominators: Tuple[int, ...]
-    allowed_labels: Optional[frozenset] = None
-
-    def __len__(self) -> int:
-        return len(self.group_keys)
-
-
-def partner_chunk_payload(plan: FusedPartnerPlan, start: int = 0,
-                          stop: Optional[int] = None) -> Tuple[Any, ...]:
-    """Slice groups ``[start:stop)`` of a partner plan into a worker payload.
-
-    Only the chunk's own span of each flat column is shipped; the score table
-    travels whole (it plays the role the right-side hash index plays for the
-    join operator -- shared read-only state every worker needs).  Offset
-    columns keep their absolute values; :func:`count_partner_chunk` rebases
-    them from their first entry.
-    """
-    if stop is None:
-        stop = len(plan.group_keys)
-    m_lo, m_hi = plan.member_starts[start], plan.member_starts[stop]
-    v_lo, v_hi = plan.value_starts[m_lo], plan.value_starts[m_hi]
-    return (
-        plan.group_keys[start:stop],
-        plan.member_starts[start:stop + 1],
-        plan.labels[m_lo:m_hi],
-        plan.value_starts[m_lo:m_hi + 1],
-        plan.value_ids[v_lo:v_hi],
-        plan.target_counts,
-        plan.denominators,
-        plan.allowed_labels,
-    )
-
-
 def count_partner_chunk(payload: Tuple[Any, ...]) -> Counter:
     """Fold one chunk of groups into ``(partner_label, group_key)`` counts.
 
-    ``payload`` is plain data (see :func:`partner_chunk_payload`), so the
-    same function runs in-process and as a process-pool worker.  Per group of
+    The Section 5.3 priors-planning query shape.  Rows are *members*
+    (services) grouped into *groups* (hosts), flattened into offset-indexed
+    columns: ``payload`` is ``(group_keys, member_starts, labels,
+    value_starts, value_ids, target_counts, denominators, allowed)``, plain
+    data, so the same function runs in-process and in a runtime worker.
+
+    * ``group_keys``: one key per group (the host's subnet key);
+    * ``member_starts``: group ``g`` owns members
+      ``member_starts[g]:member_starts[g + 1]`` (offsets index ``labels``
+      and ``value_starts`` directly, and ``value_starts`` indexes
+      ``value_ids`` directly);
+    * ``labels``: per-member label (the service's port), ascending within
+      each group -- the tie-break relies on this;
+    * ``value_starts`` / ``value_ids``: each member's run of encoded values
+      (predictor-tuple ids);
+    * ``target_counts`` / ``denominators``: per encoded id, its
+      ``label -> co-occurrence count`` row and its support.  Precondition: a
+      value's row never contains its own member's label (true by
+      construction for co-occurrence counts); the saturation early-exit
+      relies on it;
+    * ``allowed``: optional label whitelist applied to the *selected*
+      partner (and to single-member groups) before counting.
+
+    For every member of a multi-member group the fold selects the partner
+    member whose values score highest against the member's label, ties
+    going to the smallest partner label, and counts ``(partner_label,
+    group_key)``; single-member groups count their only member.  Scores are
+    ``count / denominator`` divisions with the very operands the reference
+    planner divides, so the selections are bit-identical.  Per group of
     ``k`` members the scratch is three ``k``-length lists; the selected
     partner folds straight into the counter and the scratch dies with the
     group.
@@ -472,11 +115,9 @@ def count_partner_chunk(payload: Tuple[Any, ...]) -> Counter:
     counts: Counter = Counter()
     if not group_keys:
         return counts
-    m_base = member_starts[0]
-    v_base = value_starts[0]
     for g in range(len(group_keys)):
-        lo = member_starts[g] - m_base
-        hi = member_starts[g + 1] - m_base
+        lo = member_starts[g]
+        hi = member_starts[g + 1]
         k = hi - lo
         if k == 0:
             continue
@@ -489,8 +130,6 @@ def count_partner_chunk(payload: Tuple[Any, ...]) -> Counter:
         if k == 2:
             # A two-member group forces the choice: each member's only
             # candidate partner is the other member, whatever its score.
-            # Most multi-service hosts have exactly two services, so this
-            # path also lets the compiler skip encoding their values.
             first, second = labels[lo], labels[lo + 1]
             if allowed is None or second in allowed:
                 counts[(second, group_key)] += 1
@@ -509,8 +148,8 @@ def count_partner_chunk(payload: Tuple[Any, ...]) -> Counter:
         best_partner = [0] * k
         full = k - 1
         for j in range(k):
-            v_lo = value_starts[lo + j] - v_base
-            v_hi = value_starts[lo + j + 1] - v_base
+            v_lo = value_starts[lo + j]
+            v_hi = value_starts[lo + j + 1]
             col = [0.0] * k
             saturated = 0
             for v in range(v_lo, v_hi):
@@ -550,122 +189,30 @@ def count_partner_chunk(payload: Tuple[Any, ...]) -> Counter:
     return counts
 
 
-def partner_group_count(plan: FusedPartnerPlan) -> Dict[Tuple[int, int], int]:
-    """Execute a partner plan serially: ``(partner_label, group_key) -> count``.
-
-    The parallel form (:func:`repro.engine.parallel.partitioned_partner_group_count`)
-    scatters contiguous group chunks across workers; both produce identical
-    counters for any chunking because groups never interact.
-    """
-    return count_partner_chunk(partner_chunk_payload(plan))
-
-
 # -- fused argmax partner selection (the prediction-index query shape) --------------------
-
-
-@dataclass(frozen=True)
-class FusedArgmaxPlan:
-    """A compiled argmax partner-selection query (plain picklable data).
-
-    The third GPS query shape the engine fuses: the Section 5.4
-    most-predictive-feature-values build
-    (:meth:`repro.core.predictions.PredictiveFeatureIndex.from_seed`).  The
-    layout is the :class:`FusedPartnerPlan` flattening -- groups (hosts) own
-    contiguous runs of members (services) which own contiguous runs of
-    dictionary-encoded values (predictor-tuple ids) -- but where the partner
-    plan folds only the best partner's *label* into a counter, this plan
-    tracks the best predictor *identity* alongside the max score: for every
-    member, the query selects the single value (drawn from the group's other
-    members) whose score against the member's label wins under the reference
-    ordering, and emits ``(label, value_id, score)``.
-
-    The reference ordering is exactly
-    :meth:`repro.core.model.CooccurrenceModel.best_predictor`'s: maximum
-    probability, ties broken toward larger support, then toward the smallest
-    predictor *tuple*.  Encoded ids are first-seen-ordered, not
-    value-ordered, so the plan carries ``tie_ranks`` -- the rank of each id
-    in ascending decoded-tuple order -- making the id-space fold bit-identical
-    to the nested-tuple loops.  Selection is two-tier, mirroring the
-    ``min_support``-then-fallback call pattern: values with support below
-    ``min_support`` are only eligible when no supported value scores
-    positively.
-
-    Scores are exact ``count / support`` integer divisions with the very
-    operands the reference divides, so probabilities (and the cutoff
-    comparison) are bit-identical IEEE doubles.
-
-    Attributes:
-        member_starts: group ``g`` owns members
-            ``member_starts[g]:member_starts[g + 1]``; length is the number
-            of groups plus one.  Groups with fewer than two members
-            contribute nothing (the compiler simply omits such hosts).
-        labels: per-member integer label (the service's port), ascending
-            within each group.
-        value_starts: offsets into ``value_ids`` per member.
-        value_ids: dictionary-encoded predictor-tuple ids per member.
-        target_counts: per encoded id, ``label -> co-occurrence count`` (the
-            :class:`FusedPartnerPlan` aliasing notes apply; unlike the
-            partner fold, this operator excludes a member's own values
-            explicitly, so it does not rely on the self-label precondition).
-        denominators: per encoded id, the value's support; positive wherever
-            the count row is non-empty.
-        tie_ranks: per encoded id, its rank in ascending decoded-value order.
-        allowed_labels: optional label whitelist applied to the *target*
-            member (disallowed members are skipped, their values still score
-            for siblings).
-        min_support: minimum support for the preferred selection tier.
-        probability_cutoff: selections scoring below this are dropped.
-    """
-
-    member_starts: Tuple[int, ...]
-    labels: Tuple[int, ...]
-    value_starts: Tuple[int, ...]
-    value_ids: Tuple[int, ...]
-    target_counts: Tuple[Dict[int, int], ...]
-    denominators: Tuple[int, ...]
-    tie_ranks: Tuple[int, ...]
-    allowed_labels: Optional[frozenset] = None
-    min_support: int = 1
-    probability_cutoff: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.member_starts) - 1
-
-
-def argmax_chunk_payload(plan: FusedArgmaxPlan, start: int = 0,
-                         stop: Optional[int] = None) -> Tuple[Any, ...]:
-    """Slice groups ``[start:stop)`` of an argmax plan into a worker payload.
-
-    Mirrors :func:`partner_chunk_payload`: only the chunk's span of each flat
-    column ships; the shared side tables (count rows, supports, tie ranks)
-    travel whole.  Offsets stay absolute and are rebased by the fold.
-    """
-    if stop is None:
-        stop = len(plan)
-    m_lo, m_hi = plan.member_starts[start], plan.member_starts[stop]
-    v_lo, v_hi = plan.value_starts[m_lo], plan.value_starts[m_hi]
-    return (
-        plan.member_starts[start:stop + 1],
-        plan.labels[m_lo:m_hi],
-        plan.value_starts[m_lo:m_hi + 1],
-        plan.value_ids[v_lo:v_hi],
-        plan.target_counts,
-        plan.denominators,
-        plan.tie_ranks,
-        plan.allowed_labels,
-        plan.min_support,
-        plan.probability_cutoff,
-    )
 
 
 def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]]:
     """Select one chunk's ``(label, value_id, score)`` winners, in member order.
 
-    ``payload`` is plain data (see :func:`argmax_chunk_payload`), so the same
-    function runs in-process and as a process-pool worker.  Per group of
-    ``k`` members the scratch is eight ``k``-length lists (the running best
-    per target for the supported and fallback tiers); winners append straight
-    to the output and the scratch dies with the group.
+    The Section 5.4 most-predictive-feature query shape, over the same
+    group/member/value layout as :func:`count_partner_chunk`: ``payload`` is
+    ``(member_starts, labels, value_starts, value_ids, target_counts,
+    denominators, tie_ranks, allowed, min_support, cutoff)``.  For every
+    member of a group with at least two members, the fold selects the single
+    value, drawn from the group's *other* members, that wins under
+    :meth:`repro.core.model.CooccurrenceModel.best_predictor`'s ordering --
+    maximum ``count / support``, then larger support, then the smallest
+    predictor tuple (``tie_ranks`` gives each id its rank in ascending
+    decoded-tuple order, since ids are first-seen-ordered) -- and emits it
+    unless it scores below ``cutoff``.  Selection is two-tier: values with
+    support below ``min_support`` win only when no supported value scores.
+    ``allowed`` whitelists the *target* member (a disallowed member's values
+    still score for its siblings).
+
+    Per group of ``k`` members the scratch is eight ``k``-length lists (the
+    running best per target for the supported and fallback tiers); winners
+    append straight to the output and the scratch dies with the group.
     """
     (member_starts, labels, value_starts, value_ids, target_counts,
      denominators, tie_ranks, allowed, min_support, cutoff) = payload
@@ -673,11 +220,9 @@ def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]
     groups = len(member_starts) - 1
     if groups <= 0:
         return out
-    m_base = member_starts[0]
-    v_base = value_starts[0]
     for g in range(groups):
-        lo = member_starts[g] - m_base
-        hi = member_starts[g + 1] - m_base
+        lo = member_starts[g]
+        hi = member_starts[g + 1]
         k = hi - lo
         if k < 2:
             continue
@@ -702,8 +247,8 @@ def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]
         uns_rank = [0] * k
         uns_id = [-1] * k
         for j in range(k):
-            v_lo = value_starts[lo + j] - v_base
-            v_hi = value_starts[lo + j + 1] - v_base
+            v_lo = value_starts[lo + j]
+            v_hi = value_starts[lo + j + 1]
             for v in range(v_lo, v_hi):
                 pid = value_ids[v]
                 row = target_counts[pid]
@@ -756,17 +301,6 @@ def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]
     return out
 
 
-def argmax_partner_select(plan: FusedArgmaxPlan) -> List[Tuple[int, int, float]]:
-    """Execute an argmax plan serially: ``(label, value_id, score)`` winners.
-
-    The parallel form (:func:`repro.engine.parallel.partitioned_argmax_partner_select`)
-    scatters contiguous group chunks across workers and concatenates the
-    per-chunk winner lists; groups never interact, so any chunking produces
-    the identical list.
-    """
-    return select_argmax_chunk(argmax_chunk_payload(plan))
-
-
 # -- bulk array kernels (the numpy column backend) ---------------------------------------
 #
 # The folds above stream row-by-row through Python loops -- the stdlib
@@ -799,7 +333,7 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
                             pack_base: int) -> Tuple[IntColumn, IntColumn]:
     """The model-build join fold as bulk array passes (numpy backend).
 
-    Input is the flattened group structure every fused plan uses (and every
+    Input is the flattened group structure every fused fold uses (and every
     resident shard stores): group ``g`` owns members
     ``member_starts[g]:member_starts[g+1]``, member ``m`` carries the label
     ``labels[m]`` and the encoded values
@@ -874,35 +408,3 @@ def fold_value_counts_arrays(value_ids) -> Tuple[IntColumn, IntColumn]:
     ordered = np.sort(vids)
     uniq, counts = _run_length(np, ordered)
     return _int_column_of(np, uniq), _int_column_of(np, counts)
-
-
-def join_group_count(left: Table, right: Table, on: Sequence[str],
-                     keys: Sequence[str],
-                     left_prefix: str = "l_", right_prefix: str = "r_",
-                     exclude_self_pairs_on: Optional[Tuple[str, str]] = None,
-                     int_keys: Optional[bool] = None,
-                     ) -> Dict[Tuple[Any, ...], int]:
-    """Fused JOIN + GROUP BY ``keys`` + COUNT(*), never materializing the join.
-
-    Exactly equivalent to::
-
-        group_count(hash_join(left, right, on, left_prefix, right_prefix,
-                              exclude_self_pairs_on), keys)
-
-    but the quadratic joined relation only ever exists as a stream: each left
-    row meets its matches in the right-side hash index and the surviving
-    combinations are folded straight into the result counter.
-
-    ``int_keys`` is a performance hint for the packed fast path (see
-    :func:`packing_base`); results are identical either way as long as the
-    hint is truthful.
-    """
-    plan = compile_join_plan(left, right, on, keys, left_prefix, right_prefix,
-                             exclude_self_pairs_on)
-    index = build_right_index(right, plan)
-    pack_base = packing_base(plan, left.columns, right.columns, int_keys)
-    counts = count_join_chunk(chunk_payload(plan, left.columns, index,
-                                            pack_base=pack_base))
-    if pack_base is not None:
-        return unpack_counts(counts, pack_base)
-    return counts

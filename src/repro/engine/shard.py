@@ -1,12 +1,11 @@
 """Sharding encoded columns for the persistent execution runtime.
 
-The parallel driver in :mod:`repro.engine.parallel` scatters *contiguous
-chunks*: cheap to slice, but meaningless as an identity -- chunk boundaries
-move whenever the worker count does, so a worker can never keep "its" chunk
-around between calls.  The persistent runtime (:mod:`repro.engine.runtime`)
-needs the opposite: a partitioning that is a stable property of the *data*,
-so each worker can hold its shard resident and later plan executions ship
-nothing but the plan.
+Contiguous chunks are cheap to slice but meaningless as an identity: chunk
+boundaries move whenever the worker count does, so a worker could never
+keep "its" chunk around between calls.  The persistent runtime
+(:mod:`repro.engine.runtime`) needs a partitioning that is a stable
+property of the *data*, so each worker can hold its shard resident and
+later plan executions ship nothing but the plan.
 
 :func:`shard_assignments` provides that identity: rows (or groups) are
 assigned to shards by :func:`repro.engine.encoding.stable_hash`, which does
@@ -17,13 +16,12 @@ the worker count re-distributes shards, never splits them).
 
 Two layouts are sharded:
 
-* :func:`shard_columns` -- flat named columns (the join operator's streamed
-  side): rows scatter by the hash of a key column, and parallel columns stay
-  row-aligned within each shard.
-* :func:`shard_group_columns` -- group-structured columns (the partner /
-  argmax operators' flattening: groups own contiguous member runs, members
-  own contiguous value runs): whole groups scatter by the hash of a per-group
-  assignment key, and each shard's offset columns are rebuilt locally (they
+* :func:`shard_columns` -- flat named columns: rows scatter by the hash of
+  a key column, and parallel columns stay row-aligned within each shard.
+* :func:`shard_group_columns` -- group-structured columns (the fused folds'
+  flattening: groups own contiguous member runs, members own contiguous
+  value runs): whole groups scatter by the hash of a per-group assignment
+  key, and each shard's offset columns are rebuilt locally (they
   start at 0, so no rebasing is needed worker-side).  ``group_order`` records
   every group's original index, letting drivers reassemble order-sensitive
   results (the argmax winner list) bit-identically to the serial fold.
@@ -97,8 +95,7 @@ def shard_columns(columns: Mapping[str, Sequence[Any]], key: str,
     Every column must be parallel to ``columns[key]``; rows keep their
     relative order within a shard, and each shard's columns stay row-aligned.
     Row order across shards is *not* preserved -- this layout is for
-    order-insensitive folds (counters), which is exactly what the fused join
-    produces.
+    order-insensitive folds (counters).
     """
     key_col = columns[key]
     names = list(columns)

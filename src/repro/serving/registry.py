@@ -70,7 +70,7 @@ class PreparedModel:
         priors_plan: the ordered priors scan list.
         index: the predictive-feature index every lookup reads.
         resident: the seed's encoded columns, resident in the runtime's
-            workers (``None`` when the model was built on a per-call path).
+            workers (``None`` for reference builds and private-runtime builds).
         build_seconds: wall-clock cost of acquiring the artifacts -- the
             full build for ``source="built"`` models, the snapshot load for
             ``source="snapshot"`` ones (``BENCH_snapshot.json`` compares the
@@ -192,8 +192,8 @@ class PreparedModel:
         priors_plan = snapshot.priors_plan()
         index = snapshot.prediction_index()
         resident: Optional[ResidentHostGroups] = None
-        fused = config.use_engine and config.engine_mode == "fused"
-        if runtime is not None and fused and snapshot.shard_layout() is not None:
+        if (runtime is not None and config.use_engine
+                and snapshot.shard_layout() is not None):
             resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
         try:
             return cls(
@@ -226,11 +226,12 @@ def build_prepared_model(
     """Build one model's artifacts the way the one-shot orchestrator would.
 
     Feature extraction, model build, priors planning and the index build
-    follow exactly the :class:`~repro.core.gps.GPS` helper logic: fused
-    engine configurations ingest columnar and, when a ``runtime`` is
-    supplied, fold against worker-resident shards loaded once; legacy /
-    non-engine configurations run the single-core reference path (the
-    oracle).  Unlike the orchestrator, the resident shards are *not*
+    follow exactly the :class:`~repro.core.gps.GPS` helper logic: engine
+    configurations ingest columnar and fold against worker-resident shards
+    loaded once -- on ``runtime`` when one is supplied, else on a private
+    serial runtime that lives only for this build; non-engine
+    configurations run the single-core reference path (the oracle).  Unlike
+    the orchestrator, shards loaded on a supplied runtime are *not*
     released after the build -- they belong to the registered model and are
     freed on evict/swap.
     """
@@ -238,8 +239,19 @@ def build_prepared_model(
     asn_db = pipeline.universe.topology.asn_db
     start = time.perf_counter()
 
-    fused = config.use_engine and config.engine_mode == "fused"
-    if fused:
+    if not config.use_engine:
+        host_features = extract_host_features(seed.observations, asn_db,
+                                              config.feature_config)
+        model = build_model(host_features)
+        priors_plan = build_priors_plan(host_features, model,
+                                        config.step_size, config.port_domain)
+        index = PredictiveFeatureIndex.from_seed(
+            host_features, model,
+            probability_cutoff=config.probability_cutoff,
+            port_domain=config.port_domain,
+            min_pattern_support=config.min_pattern_support)
+        resident: Optional[ResidentHostGroups] = None
+    else:
         batch = seed.batch
         if batch is None:
             # Rebuild columns in the pipeline's status-id space instead of
@@ -248,52 +260,33 @@ def build_prepared_model(
                 seed.observations, statuses=pipeline.status_encoder)
         host_features = extract_host_features_columns(batch, asn_db,
                                                       config.feature_config)
-    else:
-        host_features = extract_host_features(seed.observations, asn_db,
-                                              config.feature_config)
-
-    resident: Optional[ResidentHostGroups] = None
-    if fused and runtime is not None:
+        private = runtime is None
+        if private:
+            runtime = EngineRuntime(executor="serial")
         resident = ResidentHostGroups(runtime, host_features, config.step_size)
-    try:
-        if resident is not None:
-            model = build_model_with_engine(host_features, mode=config.engine_mode,
-                                            dataset=resident)
+        built = False
+        try:
+            model = build_model_with_engine(host_features, resident,
+                                            column_backend=config.column_backend)
             priors_plan = build_priors_plan_with_engine(
                 host_features, model, config.step_size, config.port_domain,
-                mode=config.engine_mode, dataset=resident)
+                dataset=resident)
             index = build_prediction_index_with_engine(
                 host_features, model,
                 probability_cutoff=config.probability_cutoff,
                 port_domain=config.port_domain,
                 min_pattern_support=config.min_pattern_support,
-                mode=config.engine_mode, dataset=resident)
-        elif config.use_engine:
-            model = build_model_with_engine(host_features, mode=config.engine_mode)
-            priors_plan = build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                mode=config.engine_mode)
-            index = build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                mode=config.engine_mode)
-        else:
-            model = build_model(host_features)
-            priors_plan = build_priors_plan(host_features, model,
-                                            config.step_size, config.port_domain)
-            index = PredictiveFeatureIndex.from_seed(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support)
-    except BaseException:
-        # A failed build must not leak its shards into the warm pool for the
-        # runtime's whole life: nobody will ever hold this model to release it.
-        if resident is not None:
-            resident.release()
-        raise
+                dataset=resident)
+            built = True
+        finally:
+            # A failed build must not leak its shards into the warm pool for
+            # the runtime's whole life: nobody will ever hold this model to
+            # release it.  A private runtime has no owner past this build.
+            if private or not built:
+                resident.release()
+            if private:
+                runtime.close()
+                resident = None
 
     return PreparedModel(
         name=name,

@@ -7,12 +7,22 @@ across tests changes nothing about isolation while keeping the suite fast.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.analysis.scenarios import ExperimentScale, make_censys_dataset, make_lzr_dataset
 from repro.core.config import GPSConfig
+from repro.core.features import HostFeatureColumns
+from repro.engine.columns import IntColumn
+from repro.engine.encoding import DictionaryEncoder
 from repro.core.gps import GPS
+from repro.core.model import build_model_with_engine
+from repro.core.predictions import build_prediction_index_with_engine
+from repro.core.priors import build_priors_plan_with_engine
+from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import seed_scan_cost_probes, split_seed_test
+from repro.engine.runtime import EngineRuntime
 from repro.internet.universe import generate_universe
 from repro.scanner.pipeline import ScanPipeline
 
@@ -26,6 +36,61 @@ TEST_SCALE = ExperimentScale(
     lzr_sample_fraction=0.2,
     default_seed_fraction=0.05,
 )
+
+
+def host_feature_columns(host_features):
+    """Flatten a per-host ``HostFeatures`` mapping into encoded columns.
+
+    Hosts keep the mapping's order, services their ascending ports and
+    predictor tuples their order -- the relation the reference builds
+    iterate -- so hand-built host features (whose predictor tuples no
+    observation would produce) can feed the engine.
+    """
+    encoder = DictionaryEncoder()
+    ips, member_starts, ports, value_starts, value_ids = [], [0], [], [0], []
+    for host in host_features.values():
+        ips.append(host.ip)
+        for port in host.open_ports():
+            ports.append(port)
+            value_ids.extend(encoder.encode_column(host.ports[port]))
+            value_starts.append(len(value_ids))
+        member_starts.append(len(ports))
+    return HostFeatureColumns(ips=IntColumn(ips), member_starts=IntColumn(member_starts),
+                              ports=IntColumn(ports), value_starts=IntColumn(value_starts),
+                              value_ids=IntColumn(value_ids), encoder=encoder)
+
+
+@contextlib.contextmanager
+def resident_dataset(host_features, executor="serial", step_size=16,
+                     num_workers=0, shard_count=0):
+    """Load host features into a fresh runtime; yield ``(columns, dataset)``.
+
+    ``host_features`` may be the reference path's per-host mapping (it is
+    flattened to columns first) or pre-encoded columns.  The runtime closes
+    on exit.
+    """
+    columns = (host_features if isinstance(host_features, HostFeatureColumns)
+               else host_feature_columns(host_features))
+    with EngineRuntime(executor=executor, num_workers=num_workers,
+                       shard_count=shard_count) as runtime:
+        dataset = ResidentHostGroups(runtime, columns, step_size)
+        try:
+            yield columns, dataset
+        finally:
+            dataset.release()
+
+
+def engine_builds(host_features, executor="serial", step_size=16, port_domain=None,
+                  column_backend=None, num_workers=0, shard_count=0, **index_kwargs):
+    """All three Table 2 builds on the engine: ``(model, priors plan, index)``."""
+    with resident_dataset(host_features, executor, step_size, num_workers,
+                          shard_count) as (columns, dataset):
+        model = build_model_with_engine(columns, dataset, column_backend=column_backend)
+        priors = build_priors_plan_with_engine(columns, model, step_size, port_domain,
+                                               dataset=dataset)
+        index = build_prediction_index_with_engine(columns, model, port_domain=port_domain,
+                                                   dataset=dataset, **index_kwargs)
+    return model, priors, index
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from repro.analysis import (
 from repro.analysis.coverage import coverage_summary_rows
 from repro.analysis.reporting import format_ratio
 from repro.analysis.scenarios import ExperimentScale, run_gps_on_dataset
-from repro.engine.parallel import ExecutorConfig
 from tests.conftest import TEST_SCALE
 
 
@@ -165,7 +164,7 @@ class TestPerformanceAndLimits:
     def test_performance_breakdown_rows(self, universe, censys_dataset):
         breakdown = run_performance_breakdown(
             universe, censys_dataset, seed_fraction=0.05, step_size=16,
-            executor=ExecutorConfig(backend="thread", workers=2))
+            workers=2)
         names = [row.name for row in breakdown.rows]
         assert any("seed scan" in name for name in names)
         assert any("PFS" in name for name in names)

@@ -58,6 +58,53 @@ class TestKnownHostPrediction:
         assert not result.prediction_observations
         assert pipeline.ledger.total_probes() == 0
 
+    def test_telemetry_run_emits_prediction_scan_span(self, universe, censys_dataset,
+                                                      censys_split):
+        """The known-hosts scan runs the same loop as a full run: it emits a
+        ``prediction.scan`` span and discovers exactly what probing the
+        predictions slice by slice discovers."""
+        from repro.core.predictions import PREDICTION_BATCH_PREFIX_LEN
+        from repro.scanner.bandwidth import ScanCategory
+        from repro.telemetry.tracing import iter_spans
+
+        known = censys_split.test_observations[:80]
+        seed = censys_split.seed_scan_result()
+
+        def config(telemetry_enabled):
+            return GPSConfig(seed_fraction=0.05, step_size=16,
+                             port_domain=censys_dataset.port_domain,
+                             prediction_batch_size=7,
+                             telemetry_enabled=telemetry_enabled)
+
+        traced_gps = GPS(ScanPipeline(universe), config(True))
+        traced = traced_gps.predict_for_known_hosts(seed, known)
+        plain = GPS(ScanPipeline(universe), config(False)).predict_for_known_hosts(
+            seed, known)
+
+        spans = [span for span in iter_spans(traced_gps.telemetry.tracer.roots)
+                 if span.name == "prediction.scan"]
+        assert len(spans) == 1
+        batches = -(-len(traced.predictions) // 7)
+        assert spans[0].attrs == {"batches": batches,
+                                  "observations": len(traced.prediction_observations)}
+
+        # The prediction-scan loop, spelled out: slice, probe, log new pairs.
+        pipeline = ScanPipeline(universe)
+        discovered = {obs.pair() for obs in seed.observations}
+        expected = []
+        for start in range(0, len(plain.predictions), 7):
+            batch = plain.predictions[start:start + 7]
+            observations = pipeline.scan_pairs(
+                (p.pair() for p in batch), category=ScanCategory.PREDICTION,
+                batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN)
+            new = tuple(pair for pair in (obs.pair() for obs in observations)
+                        if pair not in discovered)
+            discovered.update(new)
+            expected.append((pipeline.ledger.total_probes(), new))
+        for result in (traced, plain):
+            assert [(b.cumulative_probes, b.pairs) for b in result.discovery_log
+                    if b.phase == "prediction"] == expected
+
     def test_known_pairs_not_repredicted(self, gps, censys_split):
         known = censys_split.test_observations[:50]
         result = gps.predict_for_known_hosts(censys_split.seed_scan_result(), known)

@@ -14,6 +14,7 @@ from repro.core.features import (
 )
 from repro.net.asn import AsnDatabase, AsnRecord
 from repro.net.ipv4 import parse_ip, subnet_key
+from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.records import ScanObservation
 
 
@@ -53,17 +54,19 @@ class TestConfigs:
         {"max_full_scans": 0},
         {"prediction_batch_size": 0},
         {"port_domain": (0,)},
-        {"engine_mode": "vectorized"},
+        {"use_engine": True, "executor": "process"},
+        {"use_engine": True, "executor": "legacy"},
+        {"executor": "thread"},
+        {"executor": "pool"},
     ])
     def test_gps_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             GPSConfig(**kwargs)
 
-    def test_port_allowed(self):
-        config = GPSConfig(port_domain=(80, 443))
-        assert config.port_allowed(80)
-        assert not config.port_allowed(22)
-        assert GPSConfig().port_allowed(12345)
+    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    def test_engine_accepts_every_runtime_executor(self, executor):
+        config = GPSConfig(use_engine=True, executor=executor)
+        assert config.executor == executor
 
 
 class TestNetworkFeatures:

@@ -4,8 +4,8 @@
 ``ObservationBatch`` columns into encoded ``HostFeatureColumns``; these tests
 pin it to ``extract_host_features`` (same hosts in the same order, same
 ports, same decoded predictor tuples in the same order) and pin the GPS
-orchestrator's fused columnar ingest to the legacy object-ingest path across
-every runtime executor.
+orchestrator's columnar engine ingest to the reference object-ingest path
+across every runtime executor.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from repro.core.features import (
     extract_host_features_columns,
 )
 from repro.core.gps import GPS
-from repro.core.model import build_model, build_model_with_engine
-from repro.core.predictions import (
-    PredictiveFeatureIndex,
-    build_prediction_index_with_engine,
-)
-from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
+from repro.core.model import build_model
+from repro.core.predictions import PredictiveFeatureIndex
+from repro.core.priors import build_priors_plan
+from repro.engine.columns import numpy_available
 from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ObservationBatch, ScanObservation
+from tests.conftest import engine_builds
 
 
 def _assert_columns_match_oracle(columns, oracle):
@@ -93,8 +92,13 @@ class TestColumnarExtractionEquivalence:
         _assert_columns_match_oracle(columns, oracle)
         assert ("PA", 80, "http_server", "new") in columns.predictors_for(0)[80]
 
-    def test_fused_builds_accept_columns(self, universe, censys_split):
-        """Per-call fused builds ingest the columns and match the oracles."""
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    def test_engine_builds_accept_columns(self, universe, censys_split, executor,
+                                          column_backend):
+        """Engine builds ingest the columns and match the oracles."""
+        if column_backend == "numpy" and not numpy_available():
+            pytest.skip("numpy backend not installed")
         config = FeatureConfig()
         asn_db = universe.topology.asn_db
         oracle = extract_host_features(censys_split.seed_observations, asn_db,
@@ -102,66 +106,57 @@ class TestColumnarExtractionEquivalence:
         columns = extract_host_features_columns(
             censys_split.seed_scan_result().batch, asn_db, config)
         model = build_model(oracle)
-        built = build_model_with_engine(columns)
+        built, priors, index = engine_builds(columns, executor,
+                                             column_backend=column_backend,
+                                             num_workers=2)
         assert built.denominators == model.denominators
         assert {k: v for k, v in built.cooccurrence.items() if v} == \
             {k: v for k, v in model.cooccurrence.items() if v}
-        assert build_priors_plan_with_engine(columns, model, 16) == \
-            build_priors_plan(oracle, model, 16)
-        assert build_prediction_index_with_engine(columns, model).entries() == \
+        assert priors == build_priors_plan(oracle, model, 16)
+        assert index.entries() == \
             PredictiveFeatureIndex.from_seed(oracle, model).entries()
-
-    def test_legacy_mode_rejects_columns(self, universe, censys_split):
-        columns = extract_host_features_columns(
-            censys_split.seed_scan_result().batch,
-            universe.topology.asn_db, FeatureConfig())
-        model = build_model_with_engine(columns)
-        with pytest.raises(ValueError, match="fused"):
-            build_model_with_engine(columns, mode="legacy")
-        with pytest.raises(ValueError, match="fused"):
-            build_priors_plan_with_engine(columns, model, 16, mode="legacy")
-        with pytest.raises(ValueError, match="fused"):
-            build_prediction_index_with_engine(columns, model, mode="legacy")
 
 
 class TestGPSColumnarIngestEquivalence:
-    """Fused columnar GPS output == legacy object-ingest GPS output."""
+    """Columnar engine GPS output == reference object-ingest GPS output."""
 
     @pytest.fixture(scope="class")
-    def legacy_run(self, universe, censys_dataset, censys_split):
+    def reference_run(self, universe, censys_dataset, censys_split):
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
-                           port_domain=censys_dataset.port_domain,
-                           use_engine=True, engine_mode="legacy")
+                           port_domain=censys_dataset.port_domain)
         with GPS(pipeline, config) as gps:
             return gps.run(seed=censys_split.seed_scan_result(),
                            seed_cost_probes=0)
 
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
-    def test_all_executors_match_legacy_ingest(self, universe, censys_dataset,
-                                               censys_split, legacy_run,
-                                               executor):
+    def test_all_executors_match_reference_ingest(self, universe, censys_dataset,
+                                               censys_split, reference_run,
+                                               executor, column_backend):
+        if column_backend == "numpy" and not numpy_available():
+            pytest.skip("numpy backend not installed")
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain,
                            use_engine=True, executor=executor, num_workers=2,
-                           shard_count=3)
+                           shard_count=3, column_backend=column_backend)
         with GPS(pipeline, config) as gps:
             run = gps.run(seed=censys_split.seed_scan_result(),
                           seed_cost_probes=0)
-        assert run.model.denominators == legacy_run.model.denominators
+        assert run.model.denominators == reference_run.model.denominators
         assert {k: v for k, v in run.model.cooccurrence.items() if v} == \
-            {k: v for k, v in legacy_run.model.cooccurrence.items() if v}
-        assert run.priors_plan == legacy_run.priors_plan
-        assert run.feature_index.entries() == legacy_run.feature_index.entries()
+            {k: v for k, v in reference_run.model.cooccurrence.items() if v}
+        assert run.priors_plan == reference_run.priors_plan
+        assert run.feature_index.entries() == reference_run.feature_index.entries()
         assert [p.pair() for p in run.predictions] == \
-            [p.pair() for p in legacy_run.predictions]
-        assert run.discovered_pairs() == legacy_run.discovered_pairs()
+            [p.pair() for p in reference_run.predictions]
+        assert run.discovered_pairs() == reference_run.discovered_pairs()
 
     def test_seed_without_batch_still_ingests_columnar(self, universe,
                                                        censys_dataset,
                                                        censys_split,
-                                                       legacy_run):
+                                                       reference_run):
         """A seed carrying only object rows (no columnar batch) rebuilds the
         columns and produces the identical run."""
         seed = censys_split.seed_scan_result()
@@ -172,6 +167,6 @@ class TestGPSColumnarIngestEquivalence:
                            use_engine=True)
         with GPS(pipeline, config) as gps:
             run = gps.run(seed=seed, seed_cost_probes=0)
-        assert run.priors_plan == legacy_run.priors_plan
-        assert run.feature_index.entries() == legacy_run.feature_index.entries()
-        assert run.discovered_pairs() == legacy_run.discovered_pairs()
+        assert run.priors_plan == reference_run.priors_plan
+        assert run.feature_index.entries() == reference_run.feature_index.entries()
+        assert run.discovered_pairs() == reference_run.discovered_pairs()

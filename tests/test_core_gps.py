@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.core.metrics import fraction_of_services
 from repro.datasets.split import seed_scan_cost_probes
+from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline
 
@@ -117,13 +119,89 @@ class TestBudgetEnforcement:
 
 
 class TestEngineBackedRun:
-    def test_engine_model_produces_same_discoveries(self, universe, censys_dataset,
-                                                    censys_split, gps_run):
-        reference_result, _ = gps_run
+    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    def test_engine_builds_produce_same_discoveries(self, universe, censys_dataset,
+                                                    censys_split, gps_run, executor):
+        reference_result, reference_pipeline = gps_run
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
-                           port_domain=censys_dataset.port_domain, use_engine=True)
-        gps = GPS(pipeline, config)
-        result = gps.run(seed=censys_split.seed_scan_result(),
-                         seed_cost_probes=seed_scan_cost_probes(censys_dataset, 0.05))
+                           port_domain=censys_dataset.port_domain, use_engine=True,
+                           executor=executor, num_workers=2)
+        with GPS(pipeline, config) as gps:
+            result = gps.run(seed=censys_split.seed_scan_result(),
+                             seed_cost_probes=seed_scan_cost_probes(censys_dataset,
+                                                                    0.05))
         assert result.discovered_pairs() == reference_result.discovered_pairs()
+        assert pipeline.ledger.total_probes() == \
+            reference_pipeline.ledger.total_probes()
+
+
+class TestSerialExecutorDefault:
+    """``GPSConfig.executor`` defaults to ``"serial"`` without waking the engine."""
+
+    def test_reference_config_has_no_runtime(self, universe):
+        config = GPSConfig()
+        assert config.executor == "serial" and not config.use_engine
+        with GPS(ScanPipeline(universe), config) as gps:
+            assert gps.runtime() is None
+
+    def test_engine_config_defaults_to_a_serial_runtime(self, universe):
+        with GPS(ScanPipeline(universe), GPSConfig(use_engine=True)) as gps:
+            runtime = gps.runtime()
+            assert runtime is not None and runtime.executor == "serial"
+            assert gps.runtime() is runtime
+        assert runtime.closed
+
+    def test_snapshot_save_without_executor_has_no_shard_layout(self, tmp_path,
+                                                                capsys):
+        from repro.cli import main
+        from repro.engine.snapshot import open_snapshot
+
+        out = tmp_path / "snap"
+        assert main(["snapshot", "save", "--scale", "small", "--seed", "3",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        snapshot = open_snapshot(str(out))
+        assert snapshot.shard_layout() is None
+        assert snapshot.has_section("model")
+
+    def test_prepared_model_without_runtime_matches_reference(self, universe,
+                                                              censys_dataset,
+                                                              censys_split):
+        from repro.serving.registry import build_prepared_model
+
+        seed = censys_split.seed_scan_result()
+        base = {"seed_fraction": 0.05, "port_domain": censys_dataset.port_domain}
+        reference = build_prepared_model("reference", ScanPipeline(universe), seed,
+                                         GPSConfig(**base))
+        engine = build_prepared_model("engine", ScanPipeline(universe), seed,
+                                      GPSConfig(use_engine=True, **base))
+        # The private serial runtime is gone with the build: nothing stays
+        # resident for this model.
+        assert engine.resident is None
+        assert engine.priors_plan == reference.priors_plan
+        assert engine.index.entries() == reference.index.entries()
+        known = censys_split.test_observations[:200]
+        assert engine.predict(known) == reference.predict(known)
+
+    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    def test_prepared_model_on_supplied_runtime_matches_reference(
+            self, universe, censys_dataset, censys_split, executor):
+        from repro.engine.runtime import EngineRuntime
+        from repro.serving.registry import build_prepared_model
+
+        seed = censys_split.seed_scan_result()
+        base = {"seed_fraction": 0.05, "port_domain": censys_dataset.port_domain}
+        reference = build_prepared_model("reference", ScanPipeline(universe), seed,
+                                         GPSConfig(**base))
+        with EngineRuntime(executor=executor, num_workers=2) as runtime:
+            engine = build_prepared_model(
+                "engine", ScanPipeline(universe), seed,
+                GPSConfig(use_engine=True, executor=executor, **base), runtime)
+            # Shards loaded on a supplied runtime stay with the model.
+            assert engine.resident is not None
+            engine.resident.release()
+        assert engine.priors_plan == reference.priors_plan
+        assert engine.index.entries() == reference.index.entries()
+        known = censys_split.test_observations[:200]
+        assert engine.predict(known) == reference.predict(known)

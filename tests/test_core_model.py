@@ -7,14 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features
-from repro.core.model import (
-    CooccurrenceModel,
-    build_model,
-    build_model_with_engine,
-    host_features_to_tables,
-)
-from repro.engine.parallel import ExecutorConfig
+from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
+from repro.engine.columns import numpy_available
 from repro.scanner.records import ScanObservation
+from tests.conftest import host_feature_columns, resident_dataset
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -89,68 +85,66 @@ class TestBuildModel:
         assert rich.predictor_count() > sparse.predictor_count()
 
 
-class TestEngineEquivalence:
-    def _assert_models_equal(self, a: CooccurrenceModel, b: CooccurrenceModel):
-        assert a.denominators == b.denominators
-        assert {k: dict(v) for k, v in a.cooccurrence.items() if v} == \
-            {k: dict(v) for k, v in b.cooccurrence.items() if v}
+def _model_on_engine(hosts, executor="serial", column_backend="stdlib", **runtime_kwargs):
+    if column_backend == "numpy" and not numpy_available():
+        pytest.skip("numpy backend not installed")
+    with resident_dataset(hosts, executor, **runtime_kwargs) as (columns, dataset):
+        return build_model_with_engine(columns, dataset, column_backend=column_backend)
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    def test_engine_matches_reference_on_handcrafted_hosts(self, mode):
+
+def _assert_models_equal(a: CooccurrenceModel, b: CooccurrenceModel):
+    assert a.denominators == b.denominators
+    assert {k: dict(v) for k, v in a.cooccurrence.items() if v} == \
+        {k: dict(v) for k, v in b.cooccurrence.items() if v}
+
+
+class TestEngineEquivalence:
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
+    def test_engine_matches_reference_on_handcrafted_hosts(self, executor,
+                                                           column_backend):
         observations = [
             _obs(1, 80, http_server="a"), _obs(1, 443), _obs(1, 22),
             _obs(2, 80, http_server="b"), _obs(2, 8080),
             _obs(3, 22),
         ]
         hosts = _hosts(observations)
-        self._assert_models_equal(build_model(hosts),
-                                  build_model_with_engine(hosts, mode=mode))
+        _assert_models_equal(build_model(hosts),
+                             _model_on_engine(hosts, executor, column_backend,
+                                           num_workers=2))
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    @pytest.mark.parametrize("config", [
-        ExecutorConfig(backend="serial", workers=4),
-        ExecutorConfig(backend="thread", workers=4),
-    ])
-    def test_engine_matches_reference_with_parallel_workers(self, mode, config):
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("shard_count", [1, 3, 7])
+    def test_engine_matches_reference_across_shard_counts(self, shard_count,
+                                                          column_backend):
         observations = [
-            _obs(ip, port)
+            _obs(ip, port, http_server="srv%d" % (ip % 3))
             for ip in range(1, 30)
             for port in ((80, 443) if ip % 2 else (22, 80, 8080))
         ]
         hosts = _hosts(observations)
-        parallel = build_model_with_engine(hosts, config, mode=mode)
-        self._assert_models_equal(build_model(hosts), parallel)
+        _assert_models_equal(build_model(hosts),
+                             _model_on_engine(hosts, "thread", column_backend,
+                                              num_workers=2,
+                                              shard_count=shard_count))
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    def test_engine_matches_reference_on_process_backend(self, mode):
-        observations = [
-            _obs(ip, port, http_server="srv%d" % (ip % 3))
-            for ip in range(1, 25)
-            for port in ((80, 443) if ip % 2 else (22, 80, 8080))
-        ]
-        hosts = _hosts(observations)
-        parallel = build_model_with_engine(
-            hosts, ExecutorConfig(backend="process", workers=2), mode=mode)
-        self._assert_models_equal(build_model(hosts), parallel)
-
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
     def test_engine_matches_reference_on_universe_seed(self, universe, censys_split,
-                                                       mode):
+                                                       executor, column_backend):
         hosts = extract_host_features(censys_split.seed_observations,
                                       universe.topology.asn_db, FeatureConfig())
-        self._assert_models_equal(build_model(hosts),
-                                  build_model_with_engine(hosts, mode=mode))
+        _assert_models_equal(build_model(hosts),
+                             _model_on_engine(hosts, executor, column_backend,
+                                              num_workers=2))
 
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ValueError):
-            build_model_with_engine({}, mode="vectorized")
-
-    def test_host_features_to_tables_shapes(self):
-        hosts = _hosts([_obs(1, 80), _obs(1, 443)])
-        features, ports = host_features_to_tables(hosts)
-        assert len(ports) == 2
-        assert len(features) >= 2
-        assert set(features.names) == {"ip", "port", "predictor"}
+    def test_host_feature_columns_shapes(self):
+        hosts = _hosts([_obs(1, 80), _obs(1, 443), _obs(2, 22)])
+        columns = host_feature_columns(hosts)
+        assert list(columns.ips) == [1, 2]
+        assert list(columns.member_starts) == [0, 2, 3]
+        assert list(columns.ports) == [80, 443, 22]
+        assert columns.predictors_for(0) == hosts[1].ports
 
 
 ports_strategy = st.lists(
@@ -180,7 +174,7 @@ class TestProperties:
         ]
         hosts = _hosts(observations, FeatureConfig().transport_only())
         reference = build_model(hosts)
-        engine = build_model_with_engine(hosts)
+        engine = _model_on_engine(hosts)
         assert reference.denominators == engine.denominators
         for predictor, targets in reference.cooccurrence.items():
             for port, count in targets.items():
@@ -188,23 +182,21 @@ class TestProperties:
 
     @settings(deadline=None, max_examples=20)
     @given(ports_strategy,
-           st.sampled_from([("serial", 1), ("serial", 3), ("thread", 4)]))
-    def test_fused_legacy_and_reference_agree(self, host_ports, backend_workers):
+           st.sampled_from([("serial", 1), ("serial", 3), ("thread", 4)]),
+           st.sampled_from(["stdlib", "numpy"]))
+    def test_engine_and_reference_agree_on_full_features(self, host_ports, layout,
+                                                         column_backend):
         # Full feature set (nested predictor tuples) so dictionary encoding
-        # and the packed fast path are exercised, across executor shapes.
-        backend, workers = backend_workers
+        # and the packed fold are exercised, across executor and shard shapes.
+        executor, shard_count = layout
         observations = [
             _obs(ip + 1, port, http_server="srv%d" % (ip % 2))
             for ip, ports in enumerate(host_ports) for port in ports
         ]
         hosts = _hosts(observations)
-        reference = build_model(hosts)
-        config = ExecutorConfig(backend=backend, workers=workers)
-        for mode in ("fused", "legacy"):
-            engine = build_model_with_engine(hosts, config, mode=mode)
-            assert engine.denominators == reference.denominators
-            assert {k: v for k, v in engine.cooccurrence.items() if v} == \
-                {k: v for k, v in reference.cooccurrence.items() if v}
+        _assert_models_equal(build_model(hosts),
+                             _model_on_engine(hosts, executor, column_backend,
+                                           num_workers=2, shard_count=shard_count))
 
     @settings(deadline=None, max_examples=40)
     @given(ports_strategy)

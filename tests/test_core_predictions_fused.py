@@ -3,7 +3,8 @@
 ``build_prediction_index_with_engine`` is *defined* as producing the same
 :class:`~repro.core.predictions.PredictiveFeatureIndex` as the reference
 ``PredictiveFeatureIndex.from_seed`` -- entry for entry, probabilities
-bit-identical, argmax ties broken identically -- for every executor backend.
+bit-identical, argmax ties broken identically -- on every runtime executor
+and shard layout.
 The tests pin the tie-break ladder explicitly (probability, then support,
 then smallest predictor tuple), the min-support/fallback tiers and the
 cutoff, plus the bounded network-feature memo that ``predict`` keeps across
@@ -22,18 +23,18 @@ from repro.core.predictions import (
     NET_FEATURE_CACHE_MAX,
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
-    compile_prediction_index_query,
 )
 from repro.datasets.split import split_seed_test
-from repro.engine.fused import argmax_partner_select
-from repro.engine.parallel import ExecutorConfig
+from repro.engine.columns import numpy_available
 from repro.scanner.records import ScanObservation
+from tests.conftest import engine_builds, resident_dataset
 
+#: (executor, workers, shard count) layouts the engine index must agree on.
 EXECUTORS = (
-    None,
-    ExecutorConfig(backend="serial", workers=1),
-    ExecutorConfig(backend="thread", workers=3),
-    ExecutorConfig(backend="process", workers=2),
+    ("serial", 1, 0),
+    ("serial", 1, 4),
+    ("thread", 3, 0),
+    ("pool", 2, 0),
 )
 
 
@@ -50,14 +51,22 @@ def _model(denominators, cooccurrence):
     return model
 
 
-def _assert_indices_equal(fused, legacy):
-    assert fused.entries() == legacy.entries()
-    assert fused.predictors() == legacy.predictors()
-    assert len(fused) == len(legacy)
+def _assert_indices_equal(engine, reference):
+    assert engine.entries() == reference.entries()
+    assert engine.predictors() == reference.predictors()
+    assert len(engine) == len(reference)
 
 
-class TestFusedFromSeedEquivalence:
-    """Dataset-level fused == legacy, across executors and parameters."""
+def _engine_index(hosts, model, executor="serial", num_workers=0, shard_count=0,
+                  **kwargs):
+    with resident_dataset(hosts, executor, num_workers=num_workers,
+                          shard_count=shard_count) as (columns, dataset):
+        return build_prediction_index_with_engine(columns, model, dataset=dataset,
+                                                  **kwargs)
+
+
+class TestEngineFromSeedEquivalence:
+    """Dataset-level engine == reference, across executors and parameters."""
 
     @pytest.fixture(scope="class")
     def seed_inputs(self, universe, censys_dataset):
@@ -66,60 +75,56 @@ class TestFusedFromSeedEquivalence:
                                       universe.topology.asn_db, FeatureConfig())
         return hosts, build_model(hosts), censys_dataset.port_domain
 
-    @pytest.mark.parametrize("executor", EXECUTORS,
-                             ids=("default", "serial", "thread3", "process2"))
-    def test_matches_oracle_across_backends(self, seed_inputs, executor):
+    @pytest.mark.parametrize("layout", EXECUTORS,
+                             ids=("serial", "serial-4-shards", "thread3", "pool2"))
+    def test_matches_oracle_across_executors(self, seed_inputs, layout):
         hosts, model, port_domain = seed_inputs
-        legacy = PredictiveFeatureIndex.from_seed(hosts, model,
-                                                  port_domain=port_domain)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   port_domain=port_domain,
-                                                   executor=executor)
-        _assert_indices_equal(fused, legacy)
+        executor, workers, shard_count = layout
+        reference = PredictiveFeatureIndex.from_seed(hosts, model,
+                                                     port_domain=port_domain)
+        engine = _engine_index(hosts, model, executor, workers, shard_count,
+                               port_domain=port_domain)
+        _assert_indices_equal(engine, reference)
+
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
+    def test_engine_built_model_feeds_identical_index(self, seed_inputs, executor,
+                                                      column_backend):
+        if column_backend == "numpy" and not numpy_available():
+            pytest.skip("numpy backend not installed")
+        hosts, model, port_domain = seed_inputs
+        reference = PredictiveFeatureIndex.from_seed(hosts, model,
+                                                     port_domain=port_domain)
+        _, _, engine = engine_builds(hosts, executor, port_domain=port_domain,
+                                     column_backend=column_backend, num_workers=2)
+        _assert_indices_equal(engine, reference)
 
     @pytest.mark.parametrize("min_support", (1, 2, 3))
     def test_matches_oracle_across_min_support(self, seed_inputs, min_support):
         hosts, model, _ = seed_inputs
-        legacy = PredictiveFeatureIndex.from_seed(
+        reference = PredictiveFeatureIndex.from_seed(
             hosts, model, min_pattern_support=min_support)
-        fused = build_prediction_index_with_engine(
-            hosts, model, min_pattern_support=min_support)
-        _assert_indices_equal(fused, legacy)
+        engine = _engine_index(hosts, model, min_pattern_support=min_support)
+        _assert_indices_equal(engine, reference)
 
     def test_matches_oracle_with_cutoff(self, seed_inputs):
         hosts, model, _ = seed_inputs
-        legacy = PredictiveFeatureIndex.from_seed(hosts, model,
-                                                  probability_cutoff=0.3)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   probability_cutoff=0.3)
-        _assert_indices_equal(fused, legacy)
-
-    def test_legacy_mode_delegates(self, seed_inputs):
-        hosts, model, port_domain = seed_inputs
-        legacy = PredictiveFeatureIndex.from_seed(hosts, model,
-                                                  port_domain=port_domain)
-        delegated = build_prediction_index_with_engine(
-            hosts, model, port_domain=port_domain, mode="legacy")
-        _assert_indices_equal(delegated, legacy)
-
-    def test_unknown_mode_rejected(self, seed_inputs):
-        hosts, model, _ = seed_inputs
-        with pytest.raises(ValueError):
-            build_prediction_index_with_engine(hosts, model, mode="bigquery")
+        reference = PredictiveFeatureIndex.from_seed(hosts, model,
+                                                     probability_cutoff=0.3)
+        engine = _engine_index(hosts, model, probability_cutoff=0.3)
+        _assert_indices_equal(engine, reference)
 
 
 class TestArgmaxTieBreaks:
     """Handcrafted tie cases: both paths must select the identical winner."""
 
     def _both(self, hosts, model, **kwargs):
-        legacy = PredictiveFeatureIndex.from_seed(hosts, model,
-                                                  probability_cutoff=0.0,
-                                                  **kwargs)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   probability_cutoff=0.0,
-                                                   **kwargs)
-        _assert_indices_equal(fused, legacy)
-        return fused, legacy
+        reference = PredictiveFeatureIndex.from_seed(hosts, model,
+                                                     probability_cutoff=0.0,
+                                                     **kwargs)
+        engine = _engine_index(hosts, model, probability_cutoff=0.0, **kwargs)
+        _assert_indices_equal(engine, reference)
+        return engine, reference
 
     def test_equal_prob_equal_support_smallest_tuple_wins(self):
         # Both predictors score 0.5 with support 4 for port 443; the encoder
@@ -130,9 +135,9 @@ class TestArgmaxTieBreaks:
         hosts = {1: _host(1, {80: [pred_late, pred_early], 443: []})}
         model = _model({pred_late: 4, pred_early: 4},
                        {pred_late: {443: 2}, pred_early: {443: 2}})
-        fused, _ = self._both(hosts, model, min_pattern_support=1)
-        assert fused.targets_for(pred_early) == {443: 0.5}
-        assert fused.targets_for(pred_late) == {}
+        engine, _ = self._both(hosts, model, min_pattern_support=1)
+        assert engine.targets_for(pred_early) == {443: 0.5}
+        assert engine.targets_for(pred_late) == {}
 
     def test_equal_prob_higher_support_wins_over_smaller_tuple(self):
         pred_small = ("PA", 80, "a_feature", "x")  # 1/2, support 2
@@ -140,9 +145,9 @@ class TestArgmaxTieBreaks:
         hosts = {1: _host(1, {80: [pred_small, pred_big], 443: []})}
         model = _model({pred_small: 2, pred_big: 4},
                        {pred_small: {443: 1}, pred_big: {443: 2}})
-        fused, _ = self._both(hosts, model, min_pattern_support=1)
-        assert fused.targets_for(pred_big) == {443: 0.5}
-        assert fused.targets_for(pred_small) == {}
+        engine, _ = self._both(hosts, model, min_pattern_support=1)
+        assert engine.targets_for(pred_big) == {443: 0.5}
+        assert engine.targets_for(pred_small) == {}
 
     def test_supported_tier_beats_stronger_unsupported_pattern(self):
         # A host-unique pattern reaches probability 1.0 but has support 1;
@@ -152,16 +157,16 @@ class TestArgmaxTieBreaks:
         hosts = {1: _host(1, {80: [unique, shared], 443: []})}
         model = _model({unique: 1, shared: 10},
                        {unique: {443: 1}, shared: {443: 1}})
-        fused, _ = self._both(hosts, model, min_pattern_support=2)
-        assert fused.targets_for(shared) == {443: 0.1}
-        assert fused.targets_for(unique) == {}
+        engine, _ = self._both(hosts, model, min_pattern_support=2)
+        assert engine.targets_for(shared) == {443: 0.1}
+        assert engine.targets_for(unique) == {}
 
     def test_fallback_to_unsupported_when_no_supported_pattern(self):
         unique = ("PA", 80, "tls_cert_hash", "deadbeef")
         hosts = {1: _host(1, {80: [unique], 443: []})}
         model = _model({unique: 1}, {unique: {443: 1}})
-        fused, _ = self._both(hosts, model, min_pattern_support=2)
-        assert fused.targets_for(unique) == {443: 1.0}
+        engine, _ = self._both(hosts, model, min_pattern_support=2)
+        assert engine.targets_for(unique) == {443: 1.0}
 
     def test_three_service_host_cross_member_argmax(self):
         # Port 22's predictor is the strongest for 443; port 80's for 8080.
@@ -173,10 +178,10 @@ class TestArgmaxTieBreaks:
             {p22: 10, p80: 10, p443: 10},
             {p22: {443: 9, 80: 1}, p80: {443: 5, 22: 2}, p443: {80: 3}},
         )
-        fused, _ = self._both(hosts, model, min_pattern_support=1)
-        assert fused.targets_for(p22) == {443: 0.9}
-        assert fused.targets_for(p443) == {80: 0.3}
-        assert fused.targets_for(p80) == {22: 0.2}
+        engine, _ = self._both(hosts, model, min_pattern_support=1)
+        assert engine.targets_for(p22) == {443: 0.9}
+        assert engine.targets_for(p443) == {80: 0.3}
+        assert engine.targets_for(p80) == {22: 0.2}
 
     def test_port_domain_filters_targets_not_candidates(self):
         # 443 is outside the domain: no entry targets it, but the service on
@@ -185,24 +190,23 @@ class TestArgmaxTieBreaks:
         p80 = ("P", 80)
         hosts = {1: _host(1, {443: [p443], 80: [p80]})}
         model = _model({p443: 4, p80: 4}, {p443: {80: 2}, p80: {443: 2}})
-        fused, _ = self._both(hosts, model, port_domain=(80,),
+        engine, _ = self._both(hosts, model, port_domain=(80,),
                               min_pattern_support=1)
-        assert fused.targets_for(p443) == {80: 0.5}
-        assert fused.targets_for(p80) == {}
+        assert engine.targets_for(p443) == {80: 0.5}
+        assert engine.targets_for(p80) == {}
 
     def test_cutoff_applies_identically(self):
         p80 = ("P", 80)
         p443 = ("P", 443)
         hosts = {1: _host(1, {80: [p80], 443: [p443]})}
         model = _model({p80: 100, p443: 100}, {p80: {443: 1}, p443: {80: 1}})
-        legacy = PredictiveFeatureIndex.from_seed(hosts, model,
-                                                  probability_cutoff=0.05,
-                                                  min_pattern_support=1)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   probability_cutoff=0.05,
-                                                   min_pattern_support=1)
-        _assert_indices_equal(fused, legacy)
-        assert len(fused) == 0
+        reference = PredictiveFeatureIndex.from_seed(hosts, model,
+                                                     probability_cutoff=0.05,
+                                                     min_pattern_support=1)
+        engine = _engine_index(hosts, model, probability_cutoff=0.05,
+                               min_pattern_support=1)
+        _assert_indices_equal(engine, reference)
+        assert len(engine) == 0
 
     def test_own_values_never_score_for_their_member(self):
         # Adversarial model: predictor F's count row contains F's own
@@ -215,17 +219,16 @@ class TestArgmaxTieBreaks:
         hosts = {1: _host(1, {80: [pred_f], 22: [pred_g]})}
         model = _model({pred_f: 2, pred_g: 3},
                        {pred_f: {80: 1, 22: 1}, pred_g: {80: 1}})
-        fused, _ = self._both(hosts, model, min_pattern_support=1)
-        assert fused.targets_for(pred_g) == {80: pytest.approx(1 / 3)}
-        assert fused.targets_for(pred_f) == {22: 0.5}
+        engine, _ = self._both(hosts, model, min_pattern_support=1)
+        assert engine.targets_for(pred_g) == {80: pytest.approx(1 / 3)}
+        assert engine.targets_for(pred_f) == {22: 0.5}
 
-    def test_single_service_hosts_compile_to_no_groups(self):
+    def test_single_service_hosts_select_nothing(self):
         hosts = {1: _host(1, {80: [("P", 80)]}),
                  2: _host(2, {80: [("P", 80)]})}
         model = _model({("P", 80): 2}, {})
-        plan, _ = compile_prediction_index_query(hosts, model)
-        assert len(plan) == 0
-        assert argmax_partner_select(plan) == []
+        engine, _ = self._both(hosts, model, min_pattern_support=1)
+        assert len(engine) == 0
 
 
 class TestBoundedNetFeatureCache:

@@ -1,16 +1,15 @@
-"""Equivalence tests for the fused (engine-backed) priors planner.
+"""Equivalence tests for the engine-backed priors planner.
 
 The load-bearing property: :func:`repro.core.priors.build_priors_plan_with_engine`
 is *defined* as producing exactly the ordered
-:class:`~repro.core.priors.PriorsEntry` list of the legacy
+:class:`~repro.core.priors.PriorsEntry` list of the reference
 :func:`~repro.core.priors.build_priors_plan` oracle -- on handcrafted hosts,
 on randomized observation sets (hypothesis), for every step size / port
-domain, and across the serial, thread and process executor backends.
+domain, and across the serial, thread and pool runtime executors and shard
+counts.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,15 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import FeatureConfig
 from repro.core.features import HostFeatures, extract_host_features
 from repro.core.model import CooccurrenceModel, build_model
-from repro.core.priors import (
-    build_priors_plan,
-    build_priors_plan_with_engine,
-    compile_priors_query,
-)
-from repro.engine.fused import partner_group_count
-from repro.engine.parallel import ExecutorConfig
+from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
+from repro.core.runtime_plans import ResidentHostGroups
+from repro.engine.columns import numpy_available
+from repro.engine.runtime import EngineRuntime
 from repro.net.ipv4 import parse_ip
 from repro.scanner.records import ScanObservation
+from tests.conftest import engine_builds, host_feature_columns, resident_dataset
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -38,6 +35,14 @@ def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservat
 def _model_and_hosts(observations):
     hosts = extract_host_features(observations, None, FeatureConfig())
     return build_model(hosts), hosts
+
+
+def _engine_plan(hosts, model, step_size=16, port_domain=None, executor="serial",
+                 **runtime_kwargs):
+    with resident_dataset(hosts, executor, step_size,
+                          **runtime_kwargs) as (columns, dataset):
+        return build_priors_plan_with_engine(columns, model, step_size, port_domain,
+                                             dataset=dataset)
 
 
 @pytest.fixture()
@@ -57,50 +62,59 @@ def camera_fleet():
     return observations
 
 
-class TestFusedPriorsEquivalence:
+class TestEnginePriorsEquivalence:
     @pytest.mark.parametrize("step_size", [0, 8, 16, 24, 32])
-    def test_matches_legacy_across_step_sizes(self, camera_fleet, step_size):
+    def test_matches_reference_across_step_sizes(self, camera_fleet, step_size):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, step_size)
-        assert build_priors_plan_with_engine(hosts, model, step_size) == expected
+        assert _engine_plan(hosts, model, step_size) == expected
 
     @pytest.mark.parametrize("port_domain", [None, (80,), (554, 37777), (9999,)])
-    def test_matches_legacy_with_port_domain(self, camera_fleet, port_domain):
+    def test_matches_reference_with_port_domain(self, camera_fleet, port_domain):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16, port_domain)
-        assert build_priors_plan_with_engine(hosts, model, 16, port_domain) == expected
+        assert _engine_plan(hosts, model, 16, port_domain) == expected
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("thread", 5), ("process", 2),
+    @pytest.mark.parametrize("executor,workers,shard_count", [
+        ("serial", 1, 0), ("serial", 1, 5), ("thread", 2, 0), ("thread", 5, 0),
+        ("thread", 2, 7), ("pool", 2, 0),
     ])
-    def test_matches_legacy_across_backends(self, camera_fleet, backend, workers):
+    def test_matches_reference_across_executors(self, camera_fleet, executor,
+                                                workers, shard_count):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        executor = ExecutorConfig(backend=backend, workers=workers)
-        assert build_priors_plan_with_engine(hosts, model, 16,
-                                             executor=executor) == expected
+        assert _engine_plan(hosts, model, executor=executor, num_workers=workers,
+                            shard_count=shard_count) == expected
 
-    def test_legacy_mode_delegates_to_oracle(self, camera_fleet):
+    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
+    def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor,
+                                                     column_backend):
+        if column_backend == "numpy" and not numpy_available():
+            pytest.skip("numpy backend not installed")
         model, hosts = _model_and_hosts(camera_fleet)
-        assert build_priors_plan_with_engine(hosts, model, 16, mode="legacy") == \
-            build_priors_plan(hosts, model, 16)
-
-    def test_unknown_mode_rejected(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        with pytest.raises(ValueError):
-            build_priors_plan_with_engine(hosts, model, 16, mode="bigquery")
+        _, plan, _ = engine_builds(hosts, executor, column_backend=column_backend,
+                                   num_workers=2)
+        assert plan == build_priors_plan(hosts, model, 16)
 
     def test_invalid_step_size_rejected(self, camera_fleet):
+        _, hosts = _model_and_hosts(camera_fleet)
+        with EngineRuntime() as runtime:
+            with pytest.raises(ValueError, match="prefix length"):
+                ResidentHostGroups(runtime, host_feature_columns(hosts), 40)
+
+    def test_step_size_must_match_dataset(self, camera_fleet):
         model, hosts = _model_and_hosts(camera_fleet)
-        with pytest.raises(ValueError):
-            build_priors_plan_with_engine(hosts, model, 40)
+        with resident_dataset(hosts, step_size=16) as (columns, dataset):
+            with pytest.raises(ValueError):
+                build_priors_plan_with_engine(columns, model, 24, dataset=dataset)
 
     def test_empty_hosts(self):
-        assert build_priors_plan_with_engine({}, CooccurrenceModel(), 16) == []
+        assert _engine_plan({}, CooccurrenceModel()) == []
 
     def test_host_without_services_contributes_nothing(self):
         hosts = {1: HostFeatures(ip=1)}
-        assert build_priors_plan_with_engine(hosts, CooccurrenceModel(), 16) == []
+        assert _engine_plan(hosts, CooccurrenceModel()) == []
 
     def test_foreign_model_with_unknown_predictors(self, camera_fleet):
         # A model trained on different observations: most predictors miss,
@@ -110,38 +124,7 @@ class TestFusedPriorsEquivalence:
                                      _obs(501, 22, protocol="ssh")])
         _, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        assert build_priors_plan_with_engine(hosts, model, 16) == expected
-
-
-class TestCompiledPlan:
-    def test_small_hosts_skip_value_encoding(self, camera_fleet):
-        # One- and two-service hosts need no predictor evaluation, so only
-        # 3+-service hosts may contribute encoded values.
-        observations = [obs for obs in camera_fleet]
-        model, hosts = _model_and_hosts(observations)
-        plan = compile_priors_query(hosts, model, 16)
-        small_hosts = {h.ip for h in hosts.values() if len(h.ports) <= 2}
-        for g, ip in enumerate(hosts):
-            lo, hi = plan.member_starts[g], plan.member_starts[g + 1]
-            encoded = plan.value_starts[hi] - plan.value_starts[lo]
-            if ip in small_hosts:
-                assert encoded == 0
-            else:
-                assert encoded > 0
-
-    def test_plan_is_picklable_plain_data(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        plan = compile_priors_query(hosts, model, 16)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert partner_group_count(clone) == partner_group_count(plan)
-
-    def test_chunked_execution_is_chunking_invariant(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        expected = build_priors_plan(hosts, model, 16)
-        for workers in (1, 2, 3, 7, 50):
-            executor = ExecutorConfig(backend="thread", workers=workers)
-            assert build_priors_plan_with_engine(hosts, model, 16,
-                                                 executor=executor) == expected
+        assert _engine_plan(hosts, model) == expected
 
 
 # Random observation sets: a few hosts, a few ports, shared banner values so
@@ -160,7 +143,7 @@ class TestRandomizedEquivalence:
     @settings(deadline=None, max_examples=60)
     @given(observation_sets, st.sampled_from([0, 12, 16, 24, 32]),
            st.sampled_from([None, (80, 443), (22, 554, 8080)]))
-    def test_fused_equals_legacy(self, rows, step_size, port_domain):
+    def test_engine_equals_reference(self, rows, step_size, port_domain):
         observations = []
         seen = set()
         for host_index, port, protocol, server in rows:
@@ -173,13 +156,12 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, step_size, port_domain)
-        got = build_priors_plan_with_engine(hosts, model, step_size, port_domain)
-        assert got == expected
+        assert _engine_plan(hosts, model, step_size, port_domain) == expected
 
     @settings(deadline=None, max_examples=20)
     @given(observation_sets, st.integers(1, 6),
            st.sampled_from(["serial", "thread"]))
-    def test_parallel_fused_equals_legacy(self, rows, workers, backend):
+    def test_sharded_engine_equals_reference(self, rows, shard_count, executor):
         observations = []
         seen = set()
         for host_index, port, protocol, server in rows:
@@ -191,6 +173,5 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, 16)
-        executor = ExecutorConfig(backend=backend, workers=workers)
-        assert build_priors_plan_with_engine(hosts, model, 16,
-                                             executor=executor) == expected
+        assert _engine_plan(hosts, model, executor=executor, num_workers=2,
+                            shard_count=shard_count) == expected

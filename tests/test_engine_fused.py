@@ -1,10 +1,11 @@
-"""Tests for the fused streaming query layer and dictionary encoding.
+"""Tests for the fused self-join fold, dictionary encoding and stable sharding.
 
-The load-bearing property: :func:`repro.engine.fused.join_group_count` (and
-its partitioned form) is *defined* as equivalent to ``hash_join`` followed by
-``group_count``, so every test here compares the fused result against the
-materializing formulation on the same inputs -- handcrafted, randomized via
-hypothesis, and across all three executor backends.
+The load-bearing property: :func:`repro.engine.fused.count_join_chunk` is
+*defined* as the packed (value, label) counts of a join with the self-pairs
+dropped, so every test here compares the fold against a brute-force
+materialization of that join -- handcrafted and randomized via hypothesis.
+The end-to-end model build over resident shards is pinned against the
+dictionary reference in ``test_core_model.py``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.fused import compile_join_plan, join_group_count, packing_base
-from repro.engine.ops import group_count, hash_join
-from repro.engine.parallel import (
-    ExecutorConfig,
-    partition_rows,
-    partitioned_join_group_count,
-)
-from repro.engine.table import Table
+from repro.engine.fused import count_join_chunk
+from repro.engine.shard import shard_columns, shard_group_columns
 
 
 class TestDictionaryEncoder:
@@ -70,16 +65,20 @@ class TestStableHash:
     def test_str_bearing_tuples_are_deterministic_across_hash_seeds(self):
         # The builtin hash of a str-bearing tuple changes with
         # PYTHONHASHSEED; stable_hash must not.  Regression test for
-        # bit-reproducible partitioning: compute shard assignments in two
-        # subprocesses with different hash seeds and require identical
-        # output.
+        # bit-reproducible sharding (both layouts the runtime loads): compute
+        # shard assignments in two subprocesses with different hash seeds
+        # and require identical output.
         script = (
             "from repro.engine.encoding import stable_hash\n"
-            "from repro.engine.parallel import partition_rows\n"
+            "from repro.engine.shard import shard_columns, shard_group_columns\n"
             "rows = [(p, 'proto-%d' % (p % 3)) for p in range(40)]\n"
-            "shards = partition_rows(rows, 4)\n"
+            "flat = shard_columns({'key': rows, 'i': list(range(40))}, 'key', 4)\n"
+            "grouped = shard_group_columns(rows, list(range(40)),\n"
+            "                              list(range(41)), [80] * 40,\n"
+            "                              list(range(41)), list(range(40)), 4)\n"
             "print([stable_hash(r) for r in rows])\n"
-            "print([[tuple(r) for r in s] for s in shards])\n"
+            "print([shard['i'] for shard in flat.shards])\n"
+            "print([list(shard['group_order']) for shard in grouped.shards])\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
@@ -96,163 +95,95 @@ class TestStableHash:
         assert stable_hash(1) == stable_hash(True) == stable_hash(1.0)
         assert stable_hash((1, "x")) == stable_hash((True, "x")) == \
             stable_hash((1.0, "x"))
-        shards = partition_rows([(1,), (True,), (1.0,)], 4)
-        assert sum(1 for shard in shards if shard) == 1
+        keys = [(1,), (True,), (1.0,)]
+        flat = shard_columns({"key": keys}, "key", 4)
+        assert sum(1 for shard in flat.shards if shard["key"]) == 1
+        grouped = shard_group_columns(keys, [0, 0, 0], [0, 1, 2, 3], [80, 80, 80],
+                                      [0, 0, 0, 0], [], 4)
+        assert sum(1 for shard in grouped.shards if len(shard["group_order"])) == 1
 
-    def test_partition_rows_still_covers_and_groups(self):
+    def test_shard_columns_covers_and_groups(self):
         rows = [(i % 7, "s%d" % (i % 3)) for i in range(100)]
-        shards = partition_rows(rows, 4)
-        assert sum(len(shard) for shard in shards) == 100
+        sharded = shard_columns({"key": rows, "i": list(range(100))}, "key", 4)
+        assert sorted(i for shard in sharded.shards for i in shard["i"]) == \
+            list(range(100))
         # Same key always lands in the same shard.
         location = {}
-        for shard_id, shard in enumerate(shards):
-            for row in shard:
+        for shard_id, shard in enumerate(sharded.shards):
+            for row in shard["key"]:
                 assert location.setdefault(row, shard_id) == shard_id
 
 
-def _reference(left, right, on, keys, excl):
-    joined = hash_join(left, right, on=on, left_prefix="b_", right_prefix="a_",
-                       exclude_self_pairs_on=excl)
-    return group_count(joined, keys)
+PACK = 1 << 16
 
 
-class TestJoinGroupCount:
-    @pytest.fixture()
-    def features(self):
-        rows = [
-            (1, 80, ("P", 80)), (1, 80, ("PA", 80, "k", "v")), (1, 443, ("P", 443)),
-            (2, 80, ("P", 80)), (2, 22, ("P", 22)),
-            (3, 8080, ("P", 8080)),
-        ]
-        return Table.from_rows(("ip", "port", "predictor"), rows)
+def _payload(left_rows, right_rows):
+    """A count_join_chunk payload: left (key, value, label) rows joined to the
+    labels each key owns on the right."""
+    keys = sorted({key for key, _, _ in left_rows} | {key for key, _ in right_rows})
+    slot = {key: i for i, key in enumerate(keys)}
+    index = [[] for _ in keys]
+    for key, label in right_rows:
+        index[slot[key]].append(label)
+    return ([slot[key] for key, _, _ in left_rows],
+            [value for _, value, _ in left_rows],
+            [label for _, _, label in left_rows],
+            index, PACK)
 
-    @pytest.fixture()
-    def ports(self):
-        rows = [(1, 80), (1, 443), (2, 80), (2, 22), (3, 8080)]
-        return Table.from_rows(("ip", "port"), rows)
 
-    def test_matches_materialized_join_on_model_query(self, features, ports):
-        expected = _reference(features, ports, ("ip",), ("b_predictor", "a_port"),
-                              ("b_port", "a_port"))
-        got = join_group_count(features, ports, on=("ip",),
-                               keys=("b_predictor", "a_port"),
-                               left_prefix="b_", right_prefix="a_",
-                               exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
+def _reference(left_rows, right_rows):
+    """Materialize the join, drop the self-pairs, count (value, label)."""
+    counts = {}
+    for key, value, own in left_rows:
+        for right_key, label in right_rows:
+            if right_key == key and label != own:
+                counts[(value, label)] = counts.get((value, label), 0) + 1
+    return counts
 
-    def test_without_exclusion(self, features, ports):
-        expected = _reference(features, ports, ("ip",), ("b_predictor", "a_port"), None)
-        got = join_group_count(features, ports, on=("ip",),
-                               keys=("b_predictor", "a_port"),
-                               left_prefix="b_", right_prefix="a_")
-        assert dict(got) == dict(expected)
 
-    def test_group_key_may_include_join_column(self, features, ports):
-        keys = ("ip", "b_predictor", "a_port")
-        expected = _reference(features, ports, ("ip",), keys, ("b_port", "a_port"))
-        got = join_group_count(features, ports, on=("ip",), keys=keys,
-                               left_prefix="b_", right_prefix="a_",
-                               exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
+def _unpacked(counts):
+    return {divmod(packed, PACK): count for packed, count in counts.items()}
 
-    def test_unknown_group_column_raises(self, features, ports):
-        with pytest.raises(KeyError):
-            join_group_count(features, ports, on=("ip",), keys=("nope",),
-                             left_prefix="b_", right_prefix="a_")
 
-    def test_unknown_exclusion_column_raises(self, features, ports):
-        with pytest.raises(KeyError):
-            join_group_count(features, ports, on=("ip",), keys=("a_port",),
-                             left_prefix="b_", right_prefix="a_",
-                             exclude_self_pairs_on=("zz", "a_port"))
+class TestCountJoinChunk:
+    def test_model_query_excludes_self_pairs(self):
+        # Host 1 serves 80 and 443, host 2 serves 80 and 22, host 3 only 8080.
+        left = [(1, 0, 80), (1, 1, 80), (1, 2, 443), (2, 0, 80), (2, 3, 22),
+                (3, 4, 8080)]
+        right = [(1, 80), (1, 443), (2, 80), (2, 22), (3, 8080)]
+        got = _unpacked(count_join_chunk(_payload(left, right)))
+        assert got == {(0, 443): 1, (1, 443): 1, (2, 80): 1, (0, 22): 1,
+                       (3, 80): 1}
+        assert got == _reference(left, right)
 
     def test_empty_inputs(self):
-        empty = Table.empty(("ip", "port"))
-        got = join_group_count(empty, empty, on=("ip",), keys=("l_port", "r_port"))
-        assert dict(got) == {}
+        assert count_join_chunk(([], [], [], [], PACK)) == {}
 
-    def test_packing_declined_for_negative_right_values(self):
-        left = Table.from_rows(("ip", "v"), [(1, 10), (2, 20)])
-        right = Table.from_rows(("ip", "w"), [(1, -5), (2, 3)])
-        plan = compile_join_plan(left, right, ("ip",), ("l_v", "r_w"))
-        assert packing_base(plan, left.columns, right.columns) is None
-        expected = group_count(hash_join(left, right, on=("ip",)), ("l_v", "r_w"))
-        got = join_group_count(left, right, on=("ip",), keys=("l_v", "r_w"))
-        assert dict(got) == dict(expected)
+    def test_keys_without_right_rows_contribute_nothing(self):
+        left = [(1, 5, 80), (2, 6, 22)]
+        right = [(1, 443)]
+        assert _unpacked(count_join_chunk(_payload(left, right))) == {(5, 443): 1}
 
-    def test_packing_declined_for_non_int_columns(self):
-        left = Table.from_rows(("ip", "v"), [(1, "a"), (2, "b")])
-        right = Table.from_rows(("ip", "w"), [(1, 5), (2, 3)])
-        plan = compile_join_plan(left, right, ("ip",), ("l_v", "r_w"))
-        assert packing_base(plan, left.columns, right.columns) is None
-        expected = group_count(hash_join(left, right, on=("ip",)), ("l_v", "r_w"))
-        assert dict(join_group_count(left, right, on=("ip",),
-                                     keys=("l_v", "r_w"))) == dict(expected)
+    def test_buffer_flushes_preserve_counts(self):
+        # Enough joined pairs to cross the fold's internal flush threshold.
+        left = [(0, v % 50, 1) for v in range(400)]
+        right = [(0, label) for label in range(2, 60)]
+        got = _unpacked(count_join_chunk(_payload(left, right)))
+        assert got == _reference(left, right)
+        assert sum(got.values()) == 400 * 58
 
-    def test_packing_applies_to_int_pair_keys(self):
-        left = Table.from_rows(("ip", "v"), [(1, -7), (1, 4), (2, 4)])
-        right = Table.from_rows(("ip", "w"), [(1, 5), (1, 0), (2, 3)])
-        plan = compile_join_plan(left, right, ("ip",), ("l_v", "r_w"))
-        assert packing_base(plan, left.columns, right.columns) == 6
-        expected = group_count(hash_join(left, right, on=("ip",)), ("l_v", "r_w"))
-        got = join_group_count(left, right, on=("ip",), keys=("l_v", "r_w"))
-        assert dict(got) == dict(expected)
+    def test_labels_up_to_pack_base_unpack_exactly(self):
+        # The largest label below pack_base must not carry into the value.
+        left = [(0, 0, 1), (0, 7, 1), (0, 7, PACK - 1)]
+        right = [(0, PACK - 1), (0, 1)]
+        got = _unpacked(count_join_chunk(_payload(left, right)))
+        assert got == {(0, PACK - 1): 1, (7, PACK - 1): 1, (7, 1): 1}
+        assert got == _reference(left, right)
 
-
-rows_strategy = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(1, 5),
-              st.sampled_from(["http", "ssh", "rtsp"])),
-    max_size=60,
-)
-right_rows_strategy = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(1, 5)), max_size=60,
-)
-
-
-class TestEquivalenceProperties:
     @settings(deadline=None, max_examples=50)
-    @given(rows_strategy, right_rows_strategy,
-           st.sampled_from([None, ("b_port", "a_port")]),
-           st.sampled_from([("b_predictor", "a_port"), ("b_port",),
-                            ("a_port", "b_predictor"), ("ip", "a_port")]))
-    def test_fused_equals_materialized(self, left_rows, right_rows, excl, keys):
-        left = Table.from_rows(("ip", "port", "predictor"), left_rows)
-        right = Table.from_rows(("ip", "port"), right_rows)
-        expected = _reference(left, right, ("ip",), keys, excl)
-        got = join_group_count(left, right, on=("ip",), keys=keys,
-                               left_prefix="b_", right_prefix="a_",
-                               exclude_self_pairs_on=excl)
-        assert dict(got) == dict(expected)
-
-    @settings(deadline=None, max_examples=25)
-    @given(rows_strategy, right_rows_strategy, st.integers(1, 6),
-           st.sampled_from(["serial", "thread"]))
-    def test_partitioned_fused_equals_materialized(self, left_rows, right_rows,
-                                                   workers, backend):
-        left = Table.from_rows(("ip", "port", "predictor"), left_rows)
-        right = Table.from_rows(("ip", "port"), right_rows)
-        expected = _reference(left, right, ("ip",), ("b_predictor", "a_port"),
-                              ("b_port", "a_port"))
-        config = ExecutorConfig(backend=backend, workers=workers)
-        got = partitioned_join_group_count(
-            left, right, on=("ip",), keys=("b_predictor", "a_port"), config=config,
-            left_prefix="b_", right_prefix="a_",
-            exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
-
-    def test_partitioned_fused_process_backend(self):
-        # Process pools are too slow to spin up per hypothesis example; one
-        # representative fixed case checks the encoded-column path end to end.
-        left_rows = [(ip % 5, 1 + ip % 4, ("P", ip % 3, "s%d" % (ip % 2)))
-                     for ip in range(60)]
-        right_rows = [(ip % 5, 1 + ip % 6) for ip in range(40)]
-        left = Table.from_rows(("ip", "port", "predictor"), left_rows)
-        right = Table.from_rows(("ip", "port"), right_rows)
-        expected = _reference(left, right, ("ip",), ("b_predictor", "a_port"),
-                              ("b_port", "a_port"))
-        config = ExecutorConfig(backend="process", workers=2)
-        got = partitioned_join_group_count(
-            left, right, on=("ip",), keys=("b_predictor", "a_port"), config=config,
-            left_prefix="b_", right_prefix="a_",
-            exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9),
+                              st.integers(1, 5)), max_size=60),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(1, 5)), max_size=60))
+    def test_equals_materialized_join(self, left_rows, right_rows):
+        got = _unpacked(count_join_chunk(_payload(left_rows, right_rows)))
+        assert got == _reference(left_rows, right_rows)

@@ -4,8 +4,7 @@ Covers the explicit pool lifecycle (reuse across consecutive plan
 executions, idempotent close, worker crash surfacing a clean error, spawn
 start method), the stable-hash sharding invariants, and bit-identical
 results -- model, priors plan and prediction index -- across the serial,
-thread and pool executors on both the stateless-dispatch and
-resident-dataset paths.
+thread and pool executors on the resident-dataset path.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import logging
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FeatureConfig, GPSConfig
 from repro.core.features import extract_host_features
@@ -24,9 +24,8 @@ from repro.core.predictions import (
     build_prediction_index_with_engine,
 )
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
-from repro.core.runtime_plans import ResidentHostGroups
+from repro.core.runtime_plans import ResidentHostGroups, merge_counters
 from repro.engine.faults import FaultPlan
-from repro.engine.parallel import ExecutorConfig, partitioned_group_count
 from repro.engine.runtime import (
     RUNTIME_EXECUTORS,
     EngineRuntime,
@@ -39,26 +38,27 @@ from repro.engine.runtime import (
     lpt_placement,
 )
 from repro.engine.shard import (
+    ShardedColumns,
     merge_ordered,
     shard_assignments,
     shard_columns,
     shard_group_columns,
 )
-from repro.engine.table import Table
 from repro.scanner.pipeline import ScanPipeline
+from tests.conftest import host_feature_columns
 
 BACKENDS = tuple(RUNTIME_EXECUTORS)
 
 
 @pytest.fixture(scope="module")
 def seed_inputs(universe, censys_split):
-    """Host features + oracle model/priors/index for the equivalence tests."""
+    """Encoded host features + oracle model/priors/index for the equivalence tests."""
     host_features = extract_host_features(censys_split.seed_observations,
                                           universe.topology.asn_db, FeatureConfig())
     model = build_model(host_features)
     priors = build_priors_plan(host_features, model, 16)
     index = PredictiveFeatureIndex.from_seed(host_features, model)
-    return host_features, model, priors, index
+    return host_feature_columns(host_features), model, priors, index
 
 
 class TestRuntimeConstruction:
@@ -149,6 +149,14 @@ class TestPoolLifecycle:
             assert not runtime.broken
             out = runtime.map_stateless("count_rows", [[1, 1]])
             assert out[0] == Counter({1: 2})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_map_stateless_returns_results_in_payload_order(self, backend):
+        payloads = [[(i % 5, i % 3) for i in range(start, start + 40)]
+                    for start in range(0, 120, 40)]
+        with EngineRuntime(executor=backend, num_workers=2) as runtime:
+            assert runtime.map_stateless("count_rows", payloads) == \
+                [Counter(rows) for rows in payloads]
 
     def test_spawn_start_method(self):
         """Workers use the spawn start method (3.10-3.12 compatible)."""
@@ -251,7 +259,7 @@ class TestSelfHealing:
             dataset = ResidentHostGroups(runtime, host_features, 16)
             before = [pid for pid, _ in runtime.execute("_probe", dataset.key)]
             placement = runtime._backend._placements[dataset.key]
-            built = build_model_with_engine(host_features, dataset=dataset)
+            built = build_model_with_engine(host_features, dataset)
             assert built.denominators == model.denominators
             assert {k: v for k, v in built.cooccurrence.items() if v} == \
                 {k: v for k, v in model.cooccurrence.items() if v}
@@ -428,6 +436,68 @@ class TestShardingLayer:
         assert merge_ordered([[(3, "d"), (0, "a")], [(2, "c")], [(1, "b")]]) == \
             ["a", "b", "c", "d"]
 
+    def test_zero_shards_rejected(self):
+        with pytest.raises(ValueError):
+            shard_assignments([1, 2], 0)
+        with pytest.raises(ValueError):
+            shard_columns({"k": [1, 2]}, "k", 0)
+
+    def test_sharded_columns_checks_its_shape(self):
+        with pytest.raises(ValueError):
+            ShardedColumns(shard_count=0, shards=())
+        with pytest.raises(ValueError):
+            ShardedColumns(shard_count=2, shards=({},))
+        assert len(ShardedColumns(shard_count=2, shards=({}, {}))) == 2
+
+    @pytest.mark.parametrize("assign_keys,member_starts", [
+        ([10], [0, 1, 2]),        # one assignment key for two groups
+        ([10, 11], [0, 1]),       # offsets one short of the group count
+    ])
+    def test_shard_group_columns_rejects_misaligned(self, assign_keys,
+                                                    member_starts):
+        with pytest.raises(ValueError):
+            shard_group_columns(assign_keys, [7, 8], member_starts, [80, 443],
+                                [0, 1, 2], [5, 6], 2)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers()), max_size=80),
+           st.integers(1, 6))
+    def test_shard_columns_keeps_row_order_within_each_shard(self, rows,
+                                                             shard_count):
+        columns = {"k": [k for k, _ in rows], "i": list(range(len(rows)))}
+        sharded = shard_columns(columns, "k", shard_count)
+        assignments = shard_assignments(columns["k"], shard_count)
+        for shard_id, shard in enumerate(sharded.shards):
+            # Each shard holds exactly the rows hashed to it, in input order.
+            assert list(shard["i"]) == [i for i, a in enumerate(assignments)
+                                        if a == shard_id]
+            assert list(shard["k"]) == [columns["k"][i] for i in shard["i"]]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sharded_count_rows_matches_direct_count(self, backend):
+        """Hash-sharded rows counted per shard on the runtime and merged
+        equal one direct count of every row."""
+        rows = [(i % 11, "proto-%d" % (i % 4)) for i in range(300)]
+        sharded = shard_columns({"row": rows}, "row", 4)
+        with EngineRuntime(executor=backend, num_workers=2) as runtime:
+            per_shard = runtime.map_stateless(
+                "count_rows", [shard["row"] for shard in sharded.shards])
+        assert merge_counters(per_shard) == Counter(rows)
+
+
+class TestMergeCounters:
+    def test_empty(self):
+        assert merge_counters([]) == Counter()
+        assert merge_counters([Counter(), Counter()]) == Counter()
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.integers(0, 9), max_size=60), st.integers(1, 5),
+           st.randoms(use_true_random=False))
+    def test_independent_of_layout_and_arrival_order(self, items, parts, rng):
+        chunks = [Counter(items[start::parts]) for start in range(parts)]
+        rng.shuffle(chunks)
+        assert merge_counters(chunks) == Counter(items)
+
 
 class TestLptPlacement:
     def test_balanced_layout_is_round_robin(self):
@@ -483,7 +553,7 @@ class TestLptPlacement:
         with EngineRuntime(executor="pool", num_workers=2,
                            shard_count=5) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
-            built = build_model_with_engine(host_features, dataset=dataset)
+            built = build_model_with_engine(host_features, dataset)
             assert built.denominators == model.denominators
             assert build_priors_plan_with_engine(host_features, built, 16,
                                                  dataset=dataset) == priors
@@ -493,41 +563,8 @@ class TestLptPlacement:
             dataset.release()
 
 
-class TestStatelessRuntimeDispatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partitioned_group_count_matches(self, backend):
-        table = Table.from_rows(("a", "b"), [(i % 5, i % 3) for i in range(120)])
-        expected = partitioned_group_count(table, ("a", "b"), ExecutorConfig())
-        with EngineRuntime(executor=backend, num_workers=2) as runtime:
-            assert partitioned_group_count(table, ("a", "b"),
-                                           runtime=runtime) == expected
-
-    def test_config_and_runtime_are_exclusive(self):
-        table = Table.from_rows(("a",), [(1,)])
-        with pytest.raises(ValueError):
-            partitioned_group_count(table, ("a",))
-        with EngineRuntime() as runtime:
-            with pytest.raises(ValueError):
-                partitioned_group_count(table, ("a",), ExecutorConfig(),
-                                        runtime=runtime)
-
-
 class TestRuntimeEquivalence:
     """All three engine builds, bit-identical on every backend and path."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stateless_paths_match_oracles(self, seed_inputs, backend):
-        host_features, model, priors, index = seed_inputs
-        with EngineRuntime(executor=backend, num_workers=2) as runtime:
-            built = build_model_with_engine(host_features, runtime=runtime)
-            assert built.denominators == model.denominators
-            assert {k: v for k, v in built.cooccurrence.items() if v} == \
-                {k: v for k, v in model.cooccurrence.items() if v}
-            assert build_priors_plan_with_engine(host_features, model, 16,
-                                                 runtime=runtime) == priors
-            rebuilt = build_prediction_index_with_engine(host_features, model,
-                                                         runtime=runtime)
-            assert rebuilt.entries() == index.entries()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shard_count", [1, 3])
@@ -537,7 +574,7 @@ class TestRuntimeEquivalence:
         with EngineRuntime(executor=backend, num_workers=2,
                            shard_count=shard_count) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
-            built = build_model_with_engine(host_features, dataset=dataset)
+            built = build_model_with_engine(host_features, dataset)
             assert built.denominators == model.denominators
             assert {k: v for k, v in built.cooccurrence.items() if v} == \
                 {k: v for k, v in model.cooccurrence.items() if v}
@@ -548,7 +585,7 @@ class TestRuntimeEquivalence:
             assert rebuilt.entries() == index.entries()
             # Consecutive builds reuse the resident shards (the pool path
             # additionally reuses the worker-side derived join payload).
-            again = build_model_with_engine(host_features, dataset=dataset)
+            again = build_model_with_engine(host_features, dataset)
             assert again.denominators == built.denominators
             dataset.release()
             dataset.release()  # idempotent
@@ -563,25 +600,11 @@ class TestRuntimeEquivalence:
                 build_priors_plan_with_engine(host_features, model, 20,
                                               dataset=dataset)
 
-    def test_runtime_rejects_legacy_mode(self, seed_inputs):
-        host_features, model, _, _ = seed_inputs
-        with EngineRuntime() as runtime:
-            with pytest.raises(ValueError):
-                build_model_with_engine(host_features, mode="legacy",
-                                        runtime=runtime)
-            with pytest.raises(ValueError):
-                build_priors_plan_with_engine(host_features, model, 16,
-                                              mode="legacy", runtime=runtime)
-            with pytest.raises(ValueError):
-                build_prediction_index_with_engine(host_features, model,
-                                                   mode="legacy", runtime=runtime)
-
-
 class TestGPSRuntimeIntegration:
     def test_config_validates_executor_names(self):
         with pytest.raises(ValueError):
             GPSConfig(executor="gpu")
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             GPSConfig(executor=42)
         with pytest.raises(ValueError):
             GPSConfig(num_workers=-1)
@@ -589,12 +612,13 @@ class TestGPSRuntimeIntegration:
             GPSConfig(shard_count=-2)
 
     def test_config_rejects_inert_runtime_executors(self):
-        """A runtime executor that would silently do nothing must not validate."""
+        """A non-default executor that would silently do nothing must not validate."""
         with pytest.raises(ValueError, match="use_engine"):
             GPSConfig(executor="pool")
-        with pytest.raises(ValueError, match="fused"):
-            GPSConfig(use_engine=True, engine_mode="legacy", executor="pool")
+        with pytest.raises(ValueError, match="use_engine"):
+            GPSConfig(executor="thread")
         assert GPSConfig(use_engine=True, executor="pool").executor == "pool"
+        assert GPSConfig().executor == "serial"
 
     def test_config_validates_supervision_knobs(self):
         with pytest.raises(ValueError):
@@ -624,7 +648,7 @@ class TestGPSRuntimeIntegration:
                                                   censys_dataset, censys_split,
                                                   monkeypatch):
         """A FaultPlan killing one worker mid-model-build leaves the whole
-        GPS run bit-identical to the per-call engine reference."""
+        GPS run bit-identical to the serial engine reference."""
         monkeypatch.setenv("REPRO_RUNTIME_CRASH_TEST", "1")
 
         def run(**extra):
@@ -659,7 +683,7 @@ class TestGPSRuntimeIntegration:
             assert second is not first and not second.broken
             assert second.map_stateless("count_rows", [[1]]) == [Counter({1: 1})]
 
-    def test_no_runtime_for_per_call_executors(self, universe):
+    def test_no_runtime_without_engine(self, universe):
         gps = GPS(ScanPipeline(universe), GPSConfig())
         assert gps.runtime() is None
         gps.close()  # safe no-op

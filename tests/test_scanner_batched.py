@@ -339,16 +339,16 @@ class TestColumnarFilter:
 
 
 class TestGPSEngineModes:
-    """GPS end-to-end equivalence across engine modes (the acceptance check)."""
+    """GPS end-to-end equivalence of the engine and the reference (the acceptance check)."""
 
     @pytest.fixture(scope="class")
     def mode_runs(self, universe, censys_dataset, censys_split):
         results = {}
-        for mode in ("fused", "legacy"):
+        for mode, use_engine in (("engine", True), ("reference", False)):
             run_pipeline = ScanPipeline(universe)
             config = GPSConfig(seed_fraction=0.05, step_size=16,
                                port_domain=censys_dataset.port_domain,
-                               use_engine=True, engine_mode=mode)
+                               use_engine=use_engine)
             gps = GPS(run_pipeline, config)
             seed_cost = seed_scan_cost_probes(censys_dataset, 0.05)
             results[mode] = (gps.run(seed=censys_split.seed_scan_result(),
@@ -356,15 +356,15 @@ class TestGPSEngineModes:
         return results
 
     def test_priors_plans_identical(self, mode_runs):
-        assert mode_runs["fused"][0].priors_plan == mode_runs["legacy"][0].priors_plan
+        assert mode_runs["engine"][0].priors_plan == mode_runs["reference"][0].priors_plan
 
     def test_predictions_identical(self, mode_runs):
-        assert mode_runs["fused"][0].predictions == mode_runs["legacy"][0].predictions
+        assert mode_runs["engine"][0].predictions == mode_runs["reference"][0].predictions
 
     def test_discoveries_identical(self, mode_runs):
-        assert mode_runs["fused"][0].discovered_pairs() == \
-            mode_runs["legacy"][0].discovered_pairs()
+        assert mode_runs["engine"][0].discovered_pairs() == \
+            mode_runs["reference"][0].discovered_pairs()
 
     def test_bandwidth_identical(self, mode_runs):
-        assert mode_runs["fused"][1].ledger.probes == \
-            mode_runs["legacy"][1].ledger.probes
+        assert mode_runs["engine"][1].ledger.probes == \
+            mode_runs["reference"][1].ledger.probes

@@ -41,6 +41,7 @@ from repro.engine.snapshot import (
 )
 from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.serving.registry import PreparedModel
+from tests.conftest import engine_builds
 
 BACKENDS = ("stdlib", "numpy")
 
@@ -63,15 +64,11 @@ observations_strategy = st.lists(
 
 @pytest.fixture(scope="module")
 def artifacts(universe, censys_split):
-    """Columnar host features + fused-built Table 2 artifacts (the oracle)."""
+    """Columnar host features + engine-built Table 2 artifacts (the oracle)."""
     batch = ObservationBatch.from_observations(censys_split.seed_observations)
     host_features = extract_host_features_columns(
         batch, universe.topology.asn_db, FeatureConfig())
-    model = build_model_with_engine(host_features, mode="fused")
-    priors = build_priors_plan_with_engine(host_features, model, 16,
-                                           mode="fused")
-    index = build_prediction_index_with_engine(host_features, model,
-                                               mode="fused")
+    model, priors, index = engine_builds(host_features)
     return batch, host_features, model, priors, index
 
 
@@ -151,12 +148,11 @@ class TestRoundTrip:
                            shard_count=3) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
             built_model = build_model_with_engine(
-                host_features, mode="fused", dataset=dataset,
-                column_backend=backend)
+                host_features, dataset, column_backend=backend)
             built_priors = build_priors_plan_with_engine(
-                host_features, built_model, 16, mode="fused", dataset=dataset)
+                host_features, built_model, 16, dataset=dataset)
             built_index = build_prediction_index_with_engine(
-                host_features, built_model, mode="fused", dataset=dataset)
+                host_features, built_model, dataset=dataset)
             dataset.release()
         directory = str(tmp_path / f"{executor}-{backend}")
         save_snapshot(directory, host_features=host_features,
@@ -177,11 +173,7 @@ class TestRoundTrip:
         batch = ObservationBatch.from_observations(rows)
         host_features = extract_host_features_columns(
             batch, universe.topology.asn_db, FeatureConfig())
-        model = build_model_with_engine(host_features, mode="fused")
-        priors = build_priors_plan_with_engine(host_features, model, 16,
-                                               mode="fused")
-        index = build_prediction_index_with_engine(host_features, model,
-                                                   mode="fused")
+        model, priors, index = engine_builds(host_features)
         with tempfile.TemporaryDirectory() as directory:
             save_snapshot(directory, observations=batch,
                           host_features=host_features, model=model,
@@ -268,8 +260,7 @@ class TestRuntimeShardLoading:
             snapshot = open_snapshot(saved)
             dataset = ResidentHostGroups.from_snapshot(runtime, snapshot)
             assert runtime.recovery_stats.shard_bytes_queued == 0
-            built = build_model_with_engine(host_features, mode="fused",
-                                            dataset=dataset)
+            built = build_model_with_engine(host_features, dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
             dataset.release()
@@ -302,8 +293,7 @@ class TestRuntimeShardLoading:
             assert stats.crashes_detected == 1 and stats.respawns == 1
             assert stats.reloaded_shards >= 1
             assert stats.shard_bytes_queued == 0
-            built = build_model_with_engine(host_features, mode="fused",
-                                            dataset=dataset)
+            built = build_model_with_engine(host_features, dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
             assert not runtime.broken
@@ -325,15 +315,14 @@ class TestRuntimeShardLoading:
             assert stats.migrated_shards > 0
             assert stats.shard_bytes_queued == 0
             assert runtime.num_workers == 1
-            built = build_model_with_engine(host_features, mode="fused",
-                                            dataset=dataset)
+            built = build_model_with_engine(host_features, dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
             built_priors = build_priors_plan_with_engine(
-                host_features, built, 16, mode="fused", dataset=dataset)
+                host_features, built, 16, dataset=dataset)
             assert built_priors == priors
             built_index = build_prediction_index_with_engine(
-                host_features, built, mode="fused", dataset=dataset)
+                host_features, built, dataset=dataset)
             assert built_index.entries() == index.entries()
             dataset.release()
 
