@@ -21,8 +21,8 @@ root.  Headline assertion: columnar dataset build + feature extraction is
 >= 1.5x the object path end to end (relaxed to 1.2x under ``BENCH_SMOKE=1``
 for shared-runner jitter).  A second test times the engine's model build on
 the serial runtime (resident load + fold) with the stdlib per-row fold
-against the vectorized numpy kernels over the same column buffers
-(``column_backend="numpy"``); floor >= 2x.  The equivalence assertions --
+against the vectorized numpy kernels over the same column buffers (the
+kernel is forced at its one selection point); floor >= 2x.  The equivalence assertions --
 columnar rows == object rows, decoded predictor runs == the object
 extraction's tuples, engine model off the columns == the oracle model,
 numpy model == stdlib model -- are never relaxed.
@@ -34,6 +34,7 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
+from repro.core import runtime_plans
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import _observation_from_record, build_full_dataset
 from repro.engine.columns import numpy_available
@@ -81,12 +83,14 @@ def _merge_results(update: dict) -> None:
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
-def _model_on_engine(columns, column_backend: str = "stdlib"):
-    """The engine's model build on the serial runtime: resident load + fold."""
-    with EngineRuntime(executor="serial") as runtime:
+def _model_on_engine(columns, kernel: str):
+    """The engine's model build on the serial runtime: resident load + fold,
+    with the model fold forced onto ``kernel`` (``stdlib`` or ``numpy``)."""
+    with mock.patch.object(runtime_plans, "resolve_column_backend",
+                           lambda override=None: kernel), \
+            EngineRuntime(executor="serial") as runtime:
         resident = ResidentHostGroups(runtime, columns, 16)
-        return build_model_with_engine(columns, resident,
-                                       column_backend=column_backend)
+        return build_model_with_engine(columns, resident)
 
 
 def _object_path(universe, asn_db, config):
@@ -125,7 +129,7 @@ def run_dataset_benchmark(universe):
         assert decoded == host.ports, \
             "columnar predictor tuples diverged from the object extraction"
     reference = build_model(oracle)
-    engine = _model_on_engine(columns)
+    engine = _model_on_engine(columns, "stdlib")
     assert engine.denominators == reference.denominators, \
         "engine model off the columns diverged from the oracle"
     assert {k: v for k, v in engine.cooccurrence.items() if v} == \
@@ -190,8 +194,8 @@ def run_model_fold_benchmark(universe):
     """Time the serial engine model build, stdlib fold vs numpy kernels.
 
     Same encoded columns in, same model out; the only difference is the
-    fold: the stdlib backend streams the shard's self-join row by row
-    through ``count_join_chunk``, the numpy backend folds the raw int64
+    fold: the stdlib kernel streams the shard's self-join row by row
+    through ``fold_model_pairs``, the numpy kernel folds the raw int64
     buffers through ``fold_model_pairs_arrays`` (no per-row loop).  Model
     equality is asserted before timing, never relaxed.
     """

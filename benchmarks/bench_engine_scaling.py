@@ -5,8 +5,9 @@ self-join + group-by is embarrassingly parallel.  This benchmark keeps the
 reproduction's side of that claim honest: at medium scale it times the
 single-core dictionary reference (:func:`repro.core.model.build_model`)
 against the engine's model build on the ``serial`` runtime executor with
-both column backends.  Each engine row pays what a GPS run pays for its
-model: loading the seed's encoded columns into the runtime
+both model-fold kernels (forced at their one selection point; a GPS run
+gets numpy whenever it imports).  Each engine row pays what a GPS run pays
+for its model: loading the seed's encoded columns into the runtime
 (:class:`~repro.core.runtime_plans.ResidentHostGroups`) and folding the
 self-join.  The ratios are recorded without a floor: at this scale the
 stdlib fold is slower than the reference, and that is the number.
@@ -34,6 +35,7 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -42,6 +44,7 @@ from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
+from repro.core import runtime_plans
 from repro.core.runtime_plans import ResidentHostGroups, merge_counters
 from repro.datasets.builders import build_full_dataset
 from repro.datasets.split import split_seed_test
@@ -81,16 +84,18 @@ def _merge_results(update: dict) -> None:
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
-def _model_on_engine(columns, column_backend: str):
-    """One engine model build as a GPS run pays it: resident load + fold."""
-    with EngineRuntime(executor="serial") as runtime:
+def _model_on_engine(columns, kernel: str):
+    """One engine model build as a GPS run pays it: resident load + fold,
+    with the model fold forced onto ``kernel`` (``stdlib`` or ``numpy``)."""
+    with mock.patch.object(runtime_plans, "resolve_column_backend",
+                           lambda override=None: kernel), \
+            EngineRuntime(executor="serial") as runtime:
         dataset = ResidentHostGroups(runtime, columns, step_size=16)
-        return build_model_with_engine(columns, dataset,
-                                       column_backend=column_backend)
+        return build_model_with_engine(columns, dataset)
 
 
 def run_engine_scaling(universe, dataset, seed_fraction: float):
-    """Time the reference model build vs the engine on each column backend."""
+    """Time the reference model build vs the engine on each fold kernel."""
     split = split_seed_test(dataset, seed_fraction, seed=0)
     asn_db = universe.topology.asn_db
     host_features = extract_host_features(split.seed_observations, asn_db,
@@ -176,24 +181,23 @@ def run_model_fold_kernel(universe):
     """Time the packed model-pairs fold: per-row stdlib vs the numpy kernel.
 
     Both variants run against the same worker-resident column buffers
-    through ``EngineRuntime.execute`` on the serial executor (one shard), so
-    the measured region is exactly the fold: per-row ``count_join_chunk``
-    over the derived self-join payload versus ``fold_model_pairs_arrays``
-    over the raw buffers.  Equivalence of the packed counts is asserted
-    before timing and never relaxed.
+    through ``EngineRuntime.execute`` on the serial executor (one shard),
+    with the kernel name as the task argument, so the measured region is
+    exactly the fold: per-row ``fold_model_pairs`` over the hydrated shard
+    lists versus ``fold_model_pairs_arrays`` over the raw buffers.
+    Equivalence of the packed counts is asserted before timing and never
+    relaxed.
     """
     columns = _full_scale_columns(universe)
     runtime, resident = _resident_groups(universe, columns, "serial", 1)
     try:
-        per_row = merge_counters(runtime.execute("model_pairs", resident.key))
-        keys, counts = runtime.execute("model_pairs", resident.key,
-                                       [("numpy",)])[0]
-        bulk = dict(zip(keys.tolist(), counts.tolist()))
-        assert bulk == dict(per_row), \
+        per_row = runtime.execute("model_pairs", resident.key, [("stdlib",)])[0]
+        bulk = runtime.execute("model_pairs", resident.key, [("numpy",)])[0]
+        assert bulk == per_row, \
             "vectorized model-pairs fold diverged from the per-row fold"
 
         per_row_seconds = _best_seconds(
-            lambda: runtime.execute("model_pairs", resident.key))
+            lambda: runtime.execute("model_pairs", resident.key, [("stdlib",)]))
         bulk_seconds = _best_seconds(
             lambda: runtime.execute("model_pairs", resident.key, [("numpy",)]))
     finally:
@@ -202,7 +206,7 @@ def run_model_fold_kernel(universe):
     return {
         "hosts": len(columns),
         "predictor_refs": len(columns.value_ids),
-        "packed_pairs": len(bulk),
+        "packed_pairs": len(bulk[0]),
         "equivalence": "numpy packed counts == per-row packed counts",
         "per_row_seconds": per_row_seconds,
         "bulk_seconds": bulk_seconds,
@@ -222,7 +226,7 @@ def test_model_fold_kernel_bulk_vs_per_row(run_once, universe):
     print()
     print(format_table(
         ("kernel", "seconds", "speedup"),
-        [("per-row (count_join_chunk)", f"{results['per_row_seconds']:.4f}", "1.00x"),
+        [("per-row (fold_model_pairs)", f"{results['per_row_seconds']:.4f}", "1.00x"),
          ("bulk (fold_model_pairs_arrays)", f"{results['bulk_seconds']:.4f}",
           f"{speedup:.2f}x")],
         title=(f"Model-pairs fold kernel ({results['hosts']} hosts, "

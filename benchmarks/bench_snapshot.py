@@ -3,7 +3,7 @@
 ``BENCH_runtime.json`` showed that keeping a pool and its shards warm beats
 re-spawning per call; this benchmark measures the other half of Section 6.5's
 "reuse an existing seed scan" deployment mode: a process that *restarts* and
-wants the Table 2 artifacts back.  Three comparisons:
+wants the Table 2 artifacts back.  Two comparisons:
 
 * **warm restart vs full build** -- ``open_snapshot`` + materializing the
   model, priors plan and prediction index + a first lookup, against the full
@@ -17,11 +17,9 @@ wants the Table 2 artifacts back.  Three comparisons:
   workers ``mmap`` their own files, zero column bytes through the inbox
   queues) against the constructor path (flatten + pickle every shard through
   a queue).  The ``RecoveryStats.shard_bytes_queued`` ledger proves the
-  zero-copy claim before anything is timed.
-* **elastic resize after a snapshot load** -- grow and shrink the pool with
-  snapshot-backed shards resident; the remap moves file descriptors, so the
-  queued-bytes ledger must not advance.  Cost is recorded, not floored
-  (spawning an interpreter dominates and is machine-dependent).
+  zero-copy claim before anything is timed; the latency ratio is recorded
+  without a floor (at this scale the shards are small and the two paths
+  run at parity).
 
 Results are printed as a table and written to ``BENCH_snapshot.json`` at the
 repository root.  Equivalence is asserted before any timing -- everything
@@ -58,11 +56,11 @@ SEED_FRACTION = 0.1
 
 STEP_SIZE = 16
 
-#: Pool size for the shard-loading and resize comparisons.
+#: Pool size for the shard-loading comparison.
 WORKERS = 2
 
-#: Shard count for the saved layout; more shards than workers so resize has
-#: placement decisions to make.
+#: Shard count for the saved layout; more shards than workers so the load
+#: has placement decisions to make.
 SHARDS = 4
 
 REPEATS = 3
@@ -70,10 +68,11 @@ REPEATS = 3
 #: The headline floor: restoring the Table 2 artifacts from a snapshot
 #: (including the crc32 verification pass and a first lookup) must beat
 #: rebuilding them from the raw seed observations by at least this factor.
-#: Measured locally the ratio is >30x -- the restart reads a few MB of
-#: mapped int64 columns while the rebuild re-runs the flatten and all three
-#: engine folds -- so 5x holds comfortably even on noisy CI runners and under
-#: ``BENCH_SMOKE=1``.
+#: On a quiet shared 2-vCPU VM the ratio reads 5.1-5.5x with the numpy
+#: model kernel, and a loaded host can read below the floor: the rebuild's
+#: folds are vectorized, so what separates the two paths is mostly the
+#: restart's own work -- decoding the manifest's predictor tables and
+#: rebuilding the model's nested dicts.
 WARM_RESTART_FLOOR = 5.0
 
 
@@ -87,7 +86,7 @@ def _best_seconds(func, repeats: int = REPEATS) -> float:
 
 
 def run_snapshot_benchmark(universe, dataset):
-    """Time warm restart, mmap shard loading and elastic resize."""
+    """Time warm restart and mmap shard loading."""
     split = split_seed_test(dataset, SEED_FRACTION, seed=0)
     observations = split.seed_observations
     asn_db = universe.topology.asn_db
@@ -117,8 +116,7 @@ def run_snapshot_benchmark(universe, dataset):
         save_snapshot(
             snapshot_dir, observations=batch, host_features=host_features,
             model=model, priors_plan=priors, index=index,
-            shard_count=SHARDS, step_size=STEP_SIZE,
-            placement_workers=WORKERS)
+            shard_count=SHARDS, step_size=STEP_SIZE)
         snapshot_bytes = sum(
             path.stat().st_size for path in Path(snapshot_dir).iterdir())
 
@@ -172,24 +170,6 @@ def run_snapshot_benchmark(universe, dataset):
             queued_bytes = runtime.recovery_stats.shard_bytes_queued
             assert queued_bytes > 0, \
                 "queue-ship baseline unexpectedly shipped nothing"
-
-            # -- elastic resize with snapshot-backed shards resident -------
-            resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            ledger_before = runtime.recovery_stats.shard_bytes_queued
-            start = time.perf_counter()
-            runtime.resize(WORKERS + 1)
-            grow_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            runtime.resize(WORKERS)
-            shrink_seconds = time.perf_counter() - start
-            migrated = runtime.recovery_stats.migrated_shards
-            assert runtime.recovery_stats.shard_bytes_queued == \
-                ledger_before, \
-                "resize after a snapshot load re-shipped shard bytes"
-            resized_model = build_model_with_engine(host_features, resident)
-            assert resized_model == model, \
-                "model after resize diverged from the oracle"
-            resident.release()
         finally:
             runtime.close()
     finally:
@@ -203,7 +183,7 @@ def run_snapshot_benchmark(universe, dataset):
         "shards": SHARDS,
         "snapshot_bytes": snapshot_bytes,
         "equivalence": ("loaded == built for model, priors plan, prediction "
-                        "index, and mmap-resident/resized shard builds"),
+                        "index, and mmap-resident shard builds"),
         "rows": [
             {"path": "full build from seed observations",
              "seconds": build_seconds},
@@ -215,20 +195,7 @@ def run_snapshot_benchmark(universe, dataset):
             {"path": "shard load queue-ship (pool)",
              "seconds": queue_seconds},
         ],
-        "resize": {
-            "grow_seconds": grow_seconds,
-            "shrink_seconds": shrink_seconds,
-            "migrated_shards": migrated,
-            "queued_bytes_delta": 0,
-            # Recorded for the report, never gated: at bench scale resize
-            # cost is dominated by interpreter spawn, not shard movement.
-            "floor_asserted": False,
-        },
         "queue_ship_bytes": queued_bytes,
-        # Latency parity is expected at this scale (shards are small); the
-        # architectural claim is the zero-byte ledger asserted above, so the
-        # ratio is reported without a floor.
-        "mmap_floor_asserted": False,
     }
 
 
@@ -245,8 +212,6 @@ def test_snapshot_warm_restart_vs_full_build(run_once, universe,
     results["warm_restart_speedup"] = round(warm_restart_speedup, 2)
     results["warm_restart_floor"] = WARM_RESTART_FLOOR
     results["mmap_vs_queue_ship"] = round(queue_load / mmap_load, 2)
-    results["resize"]["remap_vs_reship"] = round(
-        queue_load / results["resize"]["shrink_seconds"], 2)
     if RESULT_PATH.exists():
         merged = json.loads(RESULT_PATH.read_text())
         merged.update(results)
@@ -263,12 +228,8 @@ def test_snapshot_warm_restart_vs_full_build(run_once, universe,
                f"{results['shards']} shards, {WORKERS} workers, "
                f"{results['snapshot_bytes'] / 1e6:.1f} MB on disk)"),
     ))
-    resize = results["resize"]
     print(f"Warm restart vs full build: {warm_restart_speedup:.2f}x; "
-          f"mmap vs queue-ship: {results['mmap_vs_queue_ship']:.2f}x; "
-          f"resize grow {resize['grow_seconds']:.3f}s / shrink "
-          f"{resize['shrink_seconds']:.3f}s, {resize['migrated_shards']} "
-          f"shards migrated, 0 bytes queued "
+          f"mmap vs queue-ship: {results['mmap_vs_queue_ship']:.2f}x "
           f"(written to {RESULT_PATH.name})")
 
     # Headline acceptance: restarting from disk must beat rebuilding from

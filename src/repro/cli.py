@@ -147,16 +147,13 @@ def _save_run_snapshot(directory, result, universe, status_encoder=None,
                                                statuses=status_encoder)
     host_features = extract_host_features_columns(
         batch, universe.topology.asn_db, config.feature_config)
-    shard_kwargs = {}
-    if runtime is not None:
-        shard_kwargs = {"shard_count": runtime.shard_count,
-                        "placement_workers": runtime.num_workers}
     manifest = save_snapshot(directory, observations=batch,
                              host_features=host_features, model=result.model,
                              priors_plan=result.priors_plan,
                              index=result.feature_index,
-                             step_size=config.step_size, telemetry=telemetry,
-                             **shard_kwargs)
+                             shard_count=(runtime.shard_count
+                                          if runtime is not None else None),
+                             step_size=config.step_size, telemetry=telemetry)
     print(f"snapshot saved to {directory} "
           f"({len(manifest['sections'])} sections)", file=sys.stderr)
     return manifest

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.engine.columns import COLUMN_BACKENDS
 from repro.engine.faults import FaultPlan
 from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.internet.banners import APP_FEATURE_KEYS
@@ -160,15 +159,6 @@ class GPSConfig:
             (:class:`~repro.engine.faults.FaultPlan`) injected into the
             runtime's workers and the scan pipeline; testing and drills
             only -- leave ``None`` in production.
-        column_backend: kernel backend for the fused folds over
-            buffer-backed columns -- ``"stdlib"`` (pure-Python loops, the
-            default and the equivalence oracle) or ``"numpy"`` (vectorized
-            bulk passes that release the GIL; requires numpy).  ``None``
-            falls through to the ``REPRO_COLUMN_BACKEND`` environment
-            variable (see :mod:`repro.engine.columns`).  Only the engine's
-            folds are affected; the reference oracle always runs stdlib.
-            Requesting ``"numpy"`` without numpy installed raises
-            at build time rather than silently degrading.
         telemetry_enabled: create a :class:`~repro.telemetry.Telemetry`
             instance for the run -- per-phase spans, engine/scan metrics.
             Off by default: telemetry must never tax a run that did not
@@ -195,7 +185,6 @@ class GPSConfig:
     task_deadline_s: Optional[float] = None
     execution_deadline_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
-    column_backend: Optional[str] = None
     telemetry_enabled: bool = False
     telemetry_sample_every: int = 1
 
@@ -235,11 +224,6 @@ class GPSConfig:
                 raise ValueError(f"{name} must be positive when set")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise TypeError("fault_plan must be a FaultPlan or None")
-        if (self.column_backend is not None
-                and self.column_backend not in COLUMN_BACKENDS):
-            raise ValueError(
-                f"unknown column_backend: {self.column_backend!r} "
-                f"(expected one of {COLUMN_BACKENDS} or None)")
         if self.telemetry_sample_every < 1:
             raise ValueError("telemetry_sample_every must be >= 1")
         if self.port_domain is not None:

@@ -418,17 +418,9 @@ class GPS:
         return ResidentHostGroups(self.runtime(), host_features, config.step_size)
 
     def _build_model(self, host_features, dataset) -> CooccurrenceModel:
-        """Build the Section 5.2 model on the configured execution path.
-
-        ``config.column_backend`` rides along to the engine: with
-        ``"numpy"`` its folds run the vectorized kernels
-        (:mod:`repro.engine.columns`); the reference path is the oracle and
-        always stays stdlib.
-        """
-        config = self.config
-        if config.use_engine:
-            return build_model_with_engine(host_features, dataset,
-                                           column_backend=config.column_backend)
+        """Build the Section 5.2 model on the configured execution path."""
+        if self.config.use_engine:
+            return build_model_with_engine(host_features, dataset)
         return build_model(host_features)
 
     def _build_priors_plan(self, host_features, model: CooccurrenceModel, dataset):

@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.features import HostFeatureColumns, HostFeatures, PredictorTuple
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.columns import resolve_column_backend
 
 
 @dataclass
@@ -137,9 +136,7 @@ def build_model(host_features: Mapping[int, HostFeatures]) -> CooccurrenceModel:
 
 
 def build_model_with_engine(host_features: HostFeatureColumns,
-                            dataset: ResidentHostGroups,
-                            column_backend: Optional[str] = None,
-                            ) -> CooccurrenceModel:
+                            dataset: ResidentHostGroups) -> CooccurrenceModel:
     """Model building expressed as engine operations (the BigQuery analogue).
 
     The computation is: JOIN the feature relation with the port relation on
@@ -151,16 +148,10 @@ def build_model_with_engine(host_features: HostFeatureColumns,
     span shards, so the join is shard-local) and the driver merges the
     per-shard counters and decodes the predictor ids once.
 
-    ``column_backend`` selects the fold kernels (``None`` resolves through
-    :func:`repro.engine.columns.resolve_column_backend`: the
-    ``REPRO_COLUMN_BACKEND`` env var, defaulting to ``"stdlib"``); with
-    ``"numpy"`` the workers fold their int64 column buffers through the
-    vectorized kernels in :mod:`repro.engine.fused` instead of per-row
-    Python loops.
-
+    The workers fold with the numpy kernels when numpy imports and the
+    stdlib fold otherwise (see :meth:`ResidentHostGroups.model_counts`).
     The result is identical to :func:`build_model` (the oracle) on every
-    executor and backend; the test suite asserts this on randomized inputs.
+    executor and kernel; the test suite asserts this on randomized inputs.
     """
-    cooccurrence, denominators = dataset.model_counts(
-        column_backend=resolve_column_backend(column_backend))
+    cooccurrence, denominators = dataset.model_counts()
     return CooccurrenceModel(cooccurrence=cooccurrence, denominators=denominators)

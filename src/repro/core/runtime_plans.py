@@ -10,7 +10,7 @@ that relation as pre-encoded columns, hash-shards it once
 resident.  Each subsequent build then ships only its plan parameters:
 
 * :meth:`model_counts` -- the co-occurrence fold runs as a shard-local
-  self-join derived worker-side from the resident columns (ships nothing);
+  self-join over the resident columns (ships only the kernel name);
 * :meth:`priors_coverage` / :meth:`argmax_winners` -- the model's score
   tables broadcast once (:meth:`ensure_sides`), after which each call ships
   only the port whitelist and thresholds.
@@ -32,6 +32,7 @@ import itertools
 from collections import Counter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from repro.engine.columns import resolve_column_backend
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
 from repro.engine.shard import merge_ordered, shard_group_columns
@@ -59,8 +60,8 @@ def merge_counters(counters: Iterable[Counter]) -> Counter:
 def _merge_packed(per_shard: Sequence[Tuple[Any, Any]]) -> Dict[int, int]:
     """Merge per-shard packed ``(keys, counts)`` column pairs into one dict.
 
-    The vectorized fold kernels return parallel int64 columns instead of
-    dicts; the merge builds the combined mapping exactly once driver-side
+    Both model-fold kernels return parallel int64 columns instead of dicts;
+    the merge builds the combined mapping exactly once, coordinator-side
     (``.tolist()`` unboxes each buffer in a single C pass).
     """
     merged: Dict[int, int] = {}
@@ -211,36 +212,26 @@ class ResidentHostGroups:
 
     # -- model build (Section 5.2) -------------------------------------------------
 
-    def model_counts(self, column_backend: str = "stdlib",
-                     ) -> Tuple[Dict[Any, Dict[int, int]], Dict[Any, int]]:
+    def model_counts(self) -> Tuple[Dict[Any, Dict[int, int]], Dict[Any, int]]:
         """Run the co-occurrence query against the resident shards.
 
         Returns ``(cooccurrence, denominators)`` with decoded predictor-tuple
         keys, exactly the contents of the
         :class:`~repro.core.model.CooccurrenceModel` the oracle builds.
 
-        With the default ``"stdlib"`` backend the shard-local self-join
-        payload is derived (and cached) worker-side, so repeated builds ship
-        nothing at all.  With ``column_backend="numpy"`` each worker instead
-        folds its resident column buffers through the vectorized kernels
-        (:func:`repro.engine.fused.fold_model_pairs_arrays`), returning
-        packed ``(keys, counts)`` column pairs that are merged driver-side
-        -- same counts, no per-row Python loop, and numpy's GIL-releasing
-        sorts let thread workers overlap for real.
+        The fold kernel is resolved here, once per build, and ships to every
+        shard as the task argument: the numpy kernels
+        (:func:`repro.engine.fused.fold_model_pairs_arrays`) when numpy
+        imports -- no per-row Python loop, and numpy's GIL-releasing sorts
+        let thread workers overlap -- else the stdlib row-by-row fold.  Both
+        reply with packed ``(keys, counts)`` columns merged here.
         """
         self._check_usable()
-        if column_backend == "numpy":
-            backend_args = [("numpy",)] * self.runtime.shard_count
-            pair_counts = _merge_packed(
-                self.runtime.execute("model_pairs", self.key, backend_args))
-            denominators = _merge_packed(
-                self.runtime.execute("model_denominators", self.key,
-                                     backend_args))
-        else:
-            pair_counts = merge_counters(
-                self.runtime.execute("model_pairs", self.key))
-            denominators = merge_counters(
-                self.runtime.execute("model_denominators", self.key))
+        kernel_args = [(resolve_column_backend(),)] * self.runtime.shard_count
+        pair_counts = _merge_packed(
+            self.runtime.execute("model_pairs", self.key, kernel_args))
+        denominators = _merge_packed(
+            self.runtime.execute("model_denominators", self.key, kernel_args))
         cooccurrence_by_id: Dict[int, Dict[int, int]] = {}
         for packed, count in pair_counts.items():
             predictor_id, port = divmod(packed, MODEL_PACK_BASE)

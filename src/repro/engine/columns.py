@@ -15,27 +15,21 @@ fold over it without ever materializing Python ints:
 * ``numpy.frombuffer(column, dtype=int64)`` is a zero-copy ndarray view
   (what the vectorized kernels in :mod:`repro.engine.fused` fold over).
 
-Two kernel backends exist and the **stdlib one is the default and the
-equivalence oracle**: pure-Python folds over the buffers, no third-party
-imports.  The optional ``numpy`` backend vectorizes the same folds with
-ufuncs -- numpy releases the GIL inside its C loops, which is what finally
-lets the ``thread`` executor beat ``serial`` on the model-build fold.  The
-gate is explicit: the ``REPRO_COLUMN_BACKEND`` environment variable
-(``stdlib`` | ``numpy``) or the ``GPSConfig.column_backend`` field, resolved
-through :func:`resolve_column_backend`.  Requesting ``numpy`` where the wheel
-is missing is an error, never a silent fallback -- a benchmark that asked
-for the vector path must not quietly measure the interpreter.
+Two kernel backends exist for the engine's model fold, and the platform
+picks between them: :func:`resolve_column_backend` selects ``numpy`` when
+numpy imports (vectorized sort + run-length passes that release the GIL,
+faster and smaller at every measured seed size) and the pure-Python
+``stdlib`` fold otherwise, which is the only kernel on numpy-less
+interpreters.  Both produce identical packed counts; the tests pin each
+against the other and against the dictionary reference.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = [
-    "COLUMN_BACKEND_ENV",
-    "COLUMN_BACKENDS",
     "ColumnView",
     "INT64_MAX",
     "INT64_MIN",
@@ -46,12 +40,6 @@ __all__ = [
     "resolve_column_backend",
     "to_numpy",
 ]
-
-#: Kernel backends a column fold can run on.
-COLUMN_BACKENDS = ("stdlib", "numpy")
-
-#: Environment variable selecting the default kernel backend.
-COLUMN_BACKEND_ENV = "REPRO_COLUMN_BACKEND"
 
 #: The value range an :class:`IntColumn` element can hold.
 INT64_MIN = -(2**63)
@@ -194,31 +182,13 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def resolve_column_backend(override: Optional[str] = None) -> str:
-    """Resolve the kernel backend: explicit override, else env var, else stdlib.
+def resolve_column_backend(override: None = None) -> str:
+    """The model-fold kernel to run: ``numpy`` when it imports, else ``stdlib``.
 
-    Args:
-        override: a backend name from :data:`COLUMN_BACKENDS` or ``None`` to
-            fall through to the ``REPRO_COLUMN_BACKEND`` environment variable
-            (itself defaulting to ``"stdlib"``).
-
-    Raises:
-        ValueError: unknown backend name (wherever it came from).
-        RuntimeError: the numpy backend was requested but numpy is not
-            importable -- requested vectorization never silently degrades.
+    ``override`` is accepted and ignored, so callers that pass ``None`` for
+    "the platform's pick" keep working; there is no way to name a kernel.
     """
-    backend = override if override is not None else os.environ.get(
-        COLUMN_BACKEND_ENV, "stdlib")
-    if backend not in COLUMN_BACKENDS:
-        raise ValueError(
-            f"unknown column backend: {backend!r} "
-            f"(expected one of {COLUMN_BACKENDS})")
-    if backend == "numpy" and _np is None:
-        raise RuntimeError(
-            "column backend 'numpy' requested "
-            f"(override or ${COLUMN_BACKEND_ENV}) but numpy is not installed; "
-            "install numpy or select the 'stdlib' backend")
-    return backend
+    return "numpy" if _np is not None else "stdlib"
 
 
 def require_numpy():
@@ -226,7 +196,7 @@ def require_numpy():
 
     Raises:
         RuntimeError: numpy is not importable (the caller should have gated
-            on :func:`resolve_column_backend` first).
+            on :func:`numpy_available` first).
     """
     if _np is None:
         raise RuntimeError(
@@ -241,7 +211,7 @@ def as_numpy(column):
     while it is alive the column cannot be resized -- kernels therefore keep
     their views function-local.  Only valid when the numpy backend resolved.
     """
-    if _np is None:  # pragma: no cover - callers gate on resolve_column_backend
+    if _np is None:  # pragma: no cover - only the numpy kernels call this
         raise RuntimeError("numpy is not available")
     if isinstance(column, ColumnView):
         return _np.frombuffer(column.raw, dtype=_np.int64)
@@ -256,7 +226,7 @@ def to_numpy(values):
     bulk kernels accept either so resident shard payloads and ad-hoc test
     columns fold through the same code.
     """
-    if _np is None:  # pragma: no cover - callers gate on resolve_column_backend
+    if _np is None:  # pragma: no cover - only the numpy kernels call this
         raise RuntimeError("numpy is not available")
     if isinstance(values, array):
         return _np.frombuffer(values, dtype=_np.int64)

@@ -4,19 +4,20 @@ Each of GPS's builds is one fold over the host/service/predictor relation,
 flattened into offset-indexed integer columns (hosts own runs of services,
 services own runs of dictionary-encoded predictor ids):
 
-* :func:`count_join_chunk` -- the Section 5.2 model build's self-join +
-  group-by + count, streamed: every (predictor, other port) combination
-  folds straight into a counter, so the quadratic joined relation never
-  exists;
+* :func:`fold_model_pairs` / :func:`fold_value_counts` -- the Section 5.2
+  model build's self-join + group-by + count, streamed: every (predictor,
+  other port) combination folds straight into a counter, so the quadratic
+  joined relation never exists;
 * :func:`count_partner_chunk` -- the Section 5.3 priors planner's
   per-host partner selection, folding ``(port, subnet)`` coverage counts;
 * :func:`select_argmax_chunk` -- the Section 5.4 index build's per-service
   argmax over the host's other services' predictors.
 
-Payloads are plain picklable tuples, so the same functions run in-process
-and inside :mod:`repro.engine.runtime` workers against their resident
-shards.  The numpy kernels at the bottom are the vectorized twins of the
-model-build fold (the ``numpy`` column backend).
+Inputs are plain picklable columns and tuples, so the same functions run
+in-process and inside :mod:`repro.engine.runtime` workers against their
+resident shards.  The numpy kernels at the bottom are the vectorized twins
+of the model-build fold; :func:`repro.engine.columns.resolve_column_backend`
+picks them whenever numpy imports.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import Any, List, Tuple
 from repro.engine.columns import IntColumn, require_numpy, to_numpy
 
 __all__ = [
-    "count_join_chunk",
     "count_partner_chunk",
+    "fold_model_pairs",
     "fold_model_pairs_arrays",
+    "fold_value_counts",
     "fold_value_counts_arrays",
     "select_argmax_chunk",
 ]
@@ -38,37 +40,56 @@ __all__ = [
 # -- fused self-join (the model-build query shape) ----------------------------------------
 
 
-def count_join_chunk(payload: Tuple[Any, ...]) -> Counter:
-    """Stream left rows through a per-key label index, counting packed pairs.
+def _packed_columns(counts: Counter) -> Tuple[IntColumn, IntColumn]:
+    """A counter as ``(keys, counts)`` columns sorted by key -- the packed
+    reply shape both kernels of the model fold share."""
+    keys = sorted(counts)
+    return IntColumn(keys), IntColumn([counts[key] for key in keys])
 
-    ``payload`` is ``(left_keys, left_values, left_labels, index,
-    pack_base)``: row ``i`` of the streamed side joins every label in
-    ``index[left_keys[i]]`` except its own ``left_labels[i]`` (the
-    left-vs-right self-pair exclusion), and each surviving pair counts under
-    the packed key ``left_values[i] * pack_base + label``.  Every label must
-    be below ``pack_base``; drivers unpack with ``divmod``.  Hashing one small
-    int is several times cheaper than hashing a 2-tuple, and the packed keys
-    fold through a bounded buffer so the counting itself runs in C
+
+def fold_model_pairs(member_starts, labels, value_starts, value_ids,
+                     pack_base: int) -> Tuple[IntColumn, IntColumn]:
+    """The model-build join fold, streamed row by row (stdlib kernel).
+
+    Same input, output and precondition as :func:`fold_model_pairs_arrays`:
+    for every value of every member, one count per *other* member's label in
+    the same group, keyed ``value_id * pack_base + label``.  Every label must
+    be below ``pack_base``; callers unpack with ``divmod``.  Hashing one
+    small int is several times cheaper than hashing a 2-tuple, and the packed
+    keys fold through a bounded buffer so the counting itself runs in C
     (``Counter.update`` over a list of ints) instead of one interpreted
-    dict-increment per joined pair.
+    dict-increment per joined pair.  Groups of one member join nothing and
+    are skipped.  Plain lists index fastest; any int sequence works.
     """
-    left_keys, left_values, left_labels, index, pack_base = payload
     counts: Counter = Counter()
     buffer: List[int] = []
-    buffer_append = buffer.append
+    append = buffer.append
     flush = counts.update
-    for i in range(len(left_keys)):
-        own = left_labels[i]
-        packed = left_values[i] * pack_base
-        for label in index[left_keys[i]]:
-            if label != own:
-                buffer_append(packed + label)
-        if len(buffer) >= 8192:
-            flush(buffer)
-            buffer.clear()
+    if len(member_starts):
+        m_lo = member_starts[0]
+        for m_hi in member_starts[1:]:
+            if m_hi - m_lo > 1:
+                group = labels[m_lo:m_hi]
+                for m in range(m_lo, m_hi):
+                    own = labels[m]
+                    for value in value_ids[value_starts[m]:value_starts[m + 1]]:
+                        packed = value * pack_base
+                        for label in group:
+                            if label != own:
+                                append(packed + label)
+                if len(buffer) >= 8192:
+                    flush(buffer)
+                    buffer.clear()
+            m_lo = m_hi
     if buffer:
         flush(buffer)
-    return counts
+    return _packed_columns(counts)
+
+
+def fold_value_counts(value_ids) -> Tuple[IntColumn, IntColumn]:
+    """``Counter(value_ids)`` as sorted ``(ids, counts)`` columns (stdlib
+    kernel; the twin of :func:`fold_value_counts_arrays`)."""
+    return _packed_columns(Counter(value_ids))
 
 
 # -- fused partner selection (the priors-planning query shape) --------------------------
@@ -304,8 +325,8 @@ def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]
 # -- bulk array kernels (the numpy column backend) ---------------------------------------
 #
 # The folds above stream row-by-row through Python loops -- the stdlib
-# backend, and the equivalence oracle for everything below.  When the numpy
-# gate is on (see repro.engine.columns), the model-build fold runs instead as
+# backend, the only one on numpy-less interpreters.  When numpy imports (see
+# repro.engine.columns), the model-build fold runs instead as
 # whole-column ufunc passes over the group-structured buffers: expand the
 # join's full multiset of packed keys, sort it, run-length count it, and
 # subtract the excluded self pairs.  Sorting machine words is cheaper than a
@@ -340,8 +361,8 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
     ``value_ids[value_starts[m]:value_starts[m+1]]``.  The fold counts, for
     every value of every member, one occurrence per *other* member's label in
     the same group, keyed ``value_id * pack_base + label`` -- exactly the
-    packed counter :func:`count_join_chunk` produces for the model join
-    (the tests pin the equivalence).
+    packed counts :func:`fold_model_pairs` streams (the tests pin the
+    equivalence).
 
     Precondition: labels are unique within each group (host port runs are,
     by construction) -- the join excludes matches whose label equals the

@@ -67,9 +67,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.engine.columns import ColumnView
 from repro.engine.faults import FaultPlan, WorkerFaultState
 from repro.engine.fused import (
-    count_join_chunk,
     count_partner_chunk,
+    fold_model_pairs,
     fold_model_pairs_arrays,
+    fold_value_counts,
     fold_value_counts_arrays,
     select_argmax_chunk,
 )
@@ -105,8 +106,8 @@ RUNTIME_EXECUTORS = ("serial", "thread", "pool")
 
 #: Packing base for the resident model fold: group keys are
 #: ``(predictor id, target port)`` pairs and ports are < 65536, so
-#: ``pid * 65536 + port`` is bijective and the packed counter unpacks
-#: losslessly (see :func:`repro.engine.fused.packing_base`).
+#: ``pid * 65536 + port`` is bijective and the packed counts unpack
+#: losslessly with ``divmod``.
 MODEL_PACK_BASE = 65536
 
 
@@ -208,7 +209,7 @@ def _queued_shard_bytes(payload: Any) -> int:
     The zero-reship ledger (:attr:`RecoveryStats.shard_bytes_queued`): dict
     payloads pickle their full column buffers into the pipe, file references
     ship only the descriptor -- the observable difference between queue-ship
-    and mmap loading that the resize/recovery assertions are built on.
+    and mmap loading that the load/recovery assertions are built on.
     """
     return _payload_nbytes(payload) if isinstance(payload, dict) else 0
 
@@ -268,8 +269,8 @@ class RecoveryStats:
     full pool rebuild.  ``shard_bytes_queued`` is the zero-copy ledger:
     every column byte a shard-load message pickles through an inbox queue
     counts here (snapshot file references count zero -- workers map their
-    own files), so "resize after a snapshot load re-ships zero shard bytes"
-    is a counter assertion, not a claim.
+    own files), so "crash recovery after a snapshot load re-ships zero
+    shard bytes" is a counter assertion, not a claim.
     """
 
     crashes_detected: int = 0
@@ -278,8 +279,6 @@ class RecoveryStats:
     reloaded_broadcasts: int = 0
     redispatched_tasks: int = 0
     retry_rounds: int = 0
-    resizes: int = 0
-    migrated_shards: int = 0
     shard_bytes_queued: int = 0
 
 
@@ -313,8 +312,8 @@ def _shard_lists(shard: dict) -> dict:
     the bulk kernels, but indexing one element-by-element boxes a fresh
     Python int per access, where a list hands back the already-boxed object.
     The stdlib row-by-row folds therefore read these cached ``tolist()``
-    copies (hydrated lazily worker-side, exactly like the ``_model_join``
-    cache); the numpy kernels read the buffers directly.
+    copies, hydrated lazily worker-side on first use; the numpy kernels
+    read the buffers directly.
     """
     lists = shard.get("_lists")
     if lists is None:
@@ -325,70 +324,34 @@ def _shard_lists(shard: dict) -> dict:
     return lists
 
 
-def _derive_model_join(shard: dict) -> Tuple[Any, ...]:
-    """Derive the resident model-build join payload from host-group columns.
-
-    The co-occurrence query over one shard of hosts is a self-join local to
-    the shard: the left side streams one row per (host, port, predictor id),
-    each shard-local host indexes its own ports, and the left-vs-right
-    exclusion drops the self-pairs.  Group keys are ``(predictor id, target
-    port)`` packed into one int (ports < 65536) for
-    :func:`~repro.engine.fused.count_join_chunk`.  Derivation happens
-    worker-side on first use and is cached in the resident shard, so
-    repeated model builds skip it entirely.
-    """
-    lists = _shard_lists(shard)
-    member_starts = lists["member_starts"]
-    labels = lists["labels"]
-    value_starts = lists["value_starts"]
-    value_ids = lists["value_ids"]
-    left_host: List[int] = []
-    left_port: List[int] = []
-    left_pid: List[int] = []
-    index: List[List[int]] = []
-    for g in range(len(member_starts) - 1):
-        m_lo, m_hi = member_starts[g], member_starts[g + 1]
-        index.append(labels[m_lo:m_hi])
-        for m in range(m_lo, m_hi):
-            port = labels[m]
-            for v in range(value_starts[m], value_starts[m + 1]):
-                left_host.append(g)
-                left_port.append(port)
-                left_pid.append(value_ids[v])
-    return (left_host, left_pid, left_port, index, MODEL_PACK_BASE)
-
-
 def _task_model_pairs(shard: dict, broadcast: Optional[dict], args: Any) -> Any:
     """Resident co-occurrence fold: packed (predictor id, port) counts.
 
-    ``args`` optionally carries the column backend name: the default stdlib
-    backend streams the derived join payload through
-    :func:`~repro.engine.fused.count_join_chunk` and replies with a packed
-    ``Counter``; the ``numpy`` backend folds the shard's buffers through
-    :func:`~repro.engine.fused.fold_model_pairs_arrays` and replies with
-    packed ``(keys, counts)`` columns.  The driver merges either shape into
-    the same dictionary, and the two are equivalence-pinned by the tests.
+    ``args`` carries the kernel name the coordinator resolved (``None`` runs the
+    stdlib fold): ``"numpy"`` folds the shard's buffers through
+    :func:`~repro.engine.fused.fold_model_pairs_arrays`, ``"stdlib"`` streams
+    the hydrated lists through :func:`~repro.engine.fused.fold_model_pairs`.
+    Both reply with the same sorted ``(keys, counts)`` columns.
     """
     if args and args[0] == "numpy":
-        return fold_model_pairs_arrays(
-            shard["member_starts"], shard["labels"], shard["value_starts"],
-            shard["value_ids"], MODEL_PACK_BASE)
-    payload = shard.get("_model_join")
-    if payload is None:
-        payload = shard["_model_join"] = _derive_model_join(shard)
-    return count_join_chunk(payload)
+        columns, fold = shard, fold_model_pairs_arrays
+    else:
+        columns, fold = _shard_lists(shard), fold_model_pairs
+    return fold(columns["member_starts"], columns["labels"],
+                columns["value_starts"], columns["value_ids"],
+                MODEL_PACK_BASE)
 
 
 def _task_model_denominators(shard: dict, broadcast: Optional[dict],
                              args: Any) -> Any:
     """Resident denominator fold: predictor-id occurrence counts.
 
-    Same backend contract as :func:`_task_model_pairs`: stdlib replies with a
-    ``Counter``, numpy with sorted ``(ids, counts)`` columns.
+    Same kernel contract as :func:`_task_model_pairs`; replies with sorted
+    ``(ids, counts)`` columns.
     """
     if args and args[0] == "numpy":
         return fold_value_counts_arrays(shard["value_ids"])
-    return Counter(_shard_lists(shard)["value_ids"])
+    return fold_value_counts(_shard_lists(shard)["value_ids"])
 
 
 def _task_priors_partner(shard: dict, broadcast: dict, args: Any) -> Counter:
@@ -485,8 +448,7 @@ def _worker_main(worker_id: int, inbox: Any, outbox: Any,
     this worker's address space instead of unpickling shipped buffers),
     ``("run", task_id, fn, key, shard_idx, args)`` executes a registered
     task, ``("drop", task_id, key)`` releases a key's payloads,
-    ``("drop_shard", task_id, key, shard_idx)`` releases exactly one shard
-    (the resize remap's migration cleanup), ``("close",)`` exits.  Replies -- ``("ok", worker_id, task_id, result)``
+    ``("close",)`` exits.  Replies -- ``("ok", worker_id, task_id, result)``
     or ``("err", worker_id, task_id, description)`` -- go back over
     ``outbox``, this worker's *private* pipe connection to the coordinator.
     ``run`` replies append a fifth element, the task's worker-side execute
@@ -543,10 +505,6 @@ def _worker_main(worker_id: int, inbox: Any, outbox: Any,
                 for resident_key in [k for k in store if k[0] == key]:
                     del store[resident_key]
                 outbox.send(("ok", worker_id, task_id, None))
-            elif kind == "drop_shard":
-                _, _, key, shard_idx = message
-                store.pop((key, shard_idx), None)
-                outbox.send(("ok", worker_id, task_id, None))
             else:
                 raise ValueError(f"unknown message kind: {kind!r}")
         except BaseException as exc:  # noqa: BLE001 - reported to the driver
@@ -563,8 +521,9 @@ def _worker_main(worker_id: int, inbox: Any, outbox: Any,
 class Executor:
     """Dispatch protocol every runtime backend implements.
 
-    ``load`` makes a payload resident (per-shard or, with ``shard_idx=None``,
-    broadcast to every worker), ``run`` executes a batch of named tasks and
+    ``load_shards`` makes one payload per shard resident,
+    ``load_broadcast`` makes one payload resident on every worker, ``run``
+    executes a batch of named tasks and
     returns their results in order, ``drop`` releases a key, ``close`` tears
     the backend down.  A shard's tasks are always served by the worker
     holding the shard resident -- the pool backend records a per-key
@@ -581,13 +540,13 @@ class Executor:
     broken = False
     telemetry: Telemetry = NULL_TELEMETRY
 
-    def load(self, key: Any, shard_idx: Optional[int], payload: dict) -> None:
+    def load_shards(self, key: Any, payloads: Sequence[Any]) -> None:
+        """Load payload ``s`` onto shard ``s``'s worker."""
         raise NotImplementedError
 
-    def load_shards(self, key: Any, payloads: Sequence[dict]) -> None:
-        """Load payload ``s`` onto shard ``s``'s worker (batched where possible)."""
-        for shard_idx, payload in enumerate(payloads):
-            self.load(key, shard_idx, payload)
+    def load_broadcast(self, key: Any, payload: dict) -> None:
+        """Load ``payload`` onto every worker."""
+        raise NotImplementedError
 
     def resident_stats(self) -> Tuple[int, int]:
         """``(estimated bytes, payload count)`` resident in the backend."""
@@ -634,9 +593,16 @@ class SerialExecutor(Executor):
             raise KeyError(f"no resident payload for key {key!r}")
         return shard, broadcast
 
-    def load(self, key: Any, shard_idx: Optional[int], payload: dict) -> None:
+    def _load(self, key: Any, shard_idx: Optional[int], payload: Any) -> None:
         self._store.setdefault((key, shard_idx), {}).update(
             _resolve_payload(payload))
+
+    def load_shards(self, key: Any, payloads: Sequence[Any]) -> None:
+        for shard_idx, payload in enumerate(payloads):
+            self._load(key, shard_idx, payload)
+
+    def load_broadcast(self, key: Any, payload: dict) -> None:
+        self._load(key, None, payload)
 
     def run(self, tasks: Sequence[Tuple[str, Any, Optional[int], Any]]) -> List[Any]:
         results = []
@@ -693,20 +659,6 @@ class ThreadExecutor(SerialExecutor):
             return _TASKS[fn_name](shard, broadcast, args)
 
         return list(self._pool.map(_one, tasks))
-
-    def resize(self, workers: int) -> None:
-        """Swap the thread pool for one of the new size.
-
-        The resident store is shared process memory, so no payload moves at
-        all -- resizing is purely a concurrency-cap change.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        import concurrent.futures
-
-        old_pool = self._pool
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-        old_pool.shutdown(wait=True)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -882,8 +834,6 @@ class PoolExecutor(Executor):
             return "load", message[2], message[3]
         if kind == "drop":
             return "drop", message[2], None
-        if kind == "drop_shard":
-            return "drop_shard", message[2], message[3]
         return kind, None, None
 
     def _record_resident(self, key: Any, shard_idx: Optional[int],
@@ -1164,7 +1114,8 @@ class PoolExecutor(Executor):
                     key: Any = None) -> int:
         """The worker serving a task: stateless work round-robins by
         position; shard tasks follow the key's recorded placement (falling
-        back to ``shard % workers`` for keys loaded shard-by-shard)."""
+        back to ``shard % workers`` for a key with no resident shards, whose
+        tasks then fail worker-side with a typed error)."""
         if shard_idx is None:
             return position % self.workers
         placement = self._placements.get(key) if key is not None else None
@@ -1174,24 +1125,15 @@ class PoolExecutor(Executor):
 
     # -- Executor interface --------------------------------------------------------
 
-    def load(self, key: Any, shard_idx: Optional[int], payload: Any) -> None:
+    def load_broadcast(self, key: Any, payload: dict) -> None:
         self._ensure_started()
         # Record the coordinator-side copy before dispatch so a worker that
         # dies mid-load is recoverable from the same source of truth.
-        self._record_resident(key, shard_idx, payload)
+        self._record_resident(key, None, payload)
         inflight: Dict[int, Tuple[int, Tuple[Any, ...]]] = {}
-        if shard_idx is None:
-            for worker_id in range(self.workers):
-                task_id = self._new_task_id()
-                message = ("load", task_id, key, None, payload)
-                self._send(worker_id, message)
-                inflight[task_id] = (worker_id, message)
-        else:
-            self.recovery_stats.shard_bytes_queued += _queued_shard_bytes(
-                payload)
-            worker_id = self._worker_for(shard_idx, 0, key)
+        for worker_id in range(self.workers):
             task_id = self._new_task_id()
-            message = ("load", task_id, key, shard_idx, payload)
+            message = ("load", task_id, key, None, payload)
             self._send(worker_id, message)
             inflight[task_id] = (worker_id, message)
         self._collect(inflight)
@@ -1224,131 +1166,6 @@ class PoolExecutor(Executor):
             self._send(worker_id, message)
             inflight[task_id] = (worker_id, message)
         self._collect(inflight)
-
-    def resize(self, workers: int) -> None:
-        """Grow or shrink the pool to ``workers``, remapping shard placement.
-
-        Resident data makes naive resize wrong (a new worker would own
-        shards it does not hold) and naive re-load expensive (re-shipping
-        every shard through the queues).  This resize is a **placement
-        remap** instead:
-
-        1. *Grow*: spawn the new worker slots and replicate every broadcast
-           payload to them (broadcasts live on all workers by contract).
-        2. *Remap*: for every resident key, recompute the LPT placement over
-           the key's shard sizes at the new worker count.  Each shard whose
-           owner changed is loaded onto its new worker from the
-           coordinator's resident record -- a snapshot file reference for
-           disk-backed shards (the new owner maps the files; **zero column
-           bytes cross a queue**) or the payload dict for queue-shipped ones
-           -- and dropped from its surviving old owner via ``drop_shard``.
-        3. *Shrink*: retired workers close only after their shards' new
-           owners acknowledged the loads, then their slots truncate away.
-
-        Placement-only keys loaded shard-by-shard (no recorded placement)
-        are pinned to their historical ``shard % old_workers`` layout first,
-        so their shards migrate correctly too.  All re-routing state updates
-        before the polite close of retired workers, so a crash mid-resize
-        recovers against the *new* placement.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._ensure_started()
-        old_workers = self.workers
-        if workers == old_workers:
-            return
-        # Keys without a recorded placement (loaded via bare load()) used
-        # the shard % workers fallback; freeze that layout so the remap
-        # below sees where their shards actually live.
-        shard_counts: Dict[Any, int] = {}
-        for key, shard_idx in self._resident:
-            if shard_idx is not None:
-                shard_counts[key] = max(shard_counts.get(key, 0),
-                                        shard_idx + 1)
-        for key, count in shard_counts.items():
-            if key not in self._placements:
-                self._placements[key] = [s % old_workers
-                                         for s in range(count)]
-        inflight: Dict[int, Tuple[int, Tuple[Any, ...]]] = {}
-        if workers > old_workers:
-            self._generations.extend([0] * (workers - old_workers))
-            for worker_id in range(old_workers, workers):
-                self._spawn_worker(worker_id)
-            for (key, shard_idx), payload in self._resident.items():
-                if shard_idx is not None:
-                    continue
-                for worker_id in range(old_workers, workers):
-                    task_id = self._new_task_id()
-                    message = ("load", task_id, key, None, payload)
-                    self._send(worker_id, message)
-                    inflight[task_id] = (worker_id, message)
-        self.workers = workers
-        migrated = 0
-        for key, old_placement in list(self._placements.items()):
-            sizes = [
-                _payload_rows(self._resident[(key, shard_idx)])
-                if (key, shard_idx) in self._resident else 0
-                for shard_idx in range(len(old_placement))
-            ]
-            new_placement = lpt_placement(sizes, workers)
-            for shard_idx, (old_worker, new_worker) in enumerate(
-                    zip(old_placement, new_placement)):
-                if old_worker == new_worker:
-                    continue
-                payload = self._resident.get((key, shard_idx))
-                if payload is None:
-                    continue
-                task_id = self._new_task_id()
-                message = ("load", task_id, key, shard_idx, payload)
-                self._send(new_worker, message)
-                inflight[task_id] = (new_worker, message)
-                migrated += 1
-                self.recovery_stats.migrated_shards += 1
-                self.recovery_stats.shard_bytes_queued += (
-                    _queued_shard_bytes(payload))
-                self.telemetry.counter(
-                    "engine_shard_migrations_total",
-                    "Shards moved to a different worker by resize").inc()
-                _emit(RuntimeEvent(kind="migrate", worker_id=new_worker,
-                                   key=key, shard_idx=shard_idx))
-                if old_worker < workers:
-                    drop_id = self._new_task_id()
-                    drop_message = ("drop_shard", drop_id, key, shard_idx)
-                    self._send(old_worker, drop_message)
-                    inflight[drop_id] = (old_worker, drop_message)
-            self._placements[key] = new_placement
-        self._collect(inflight)
-        if workers < old_workers:
-            for worker_id in range(workers, old_workers):
-                process = self._processes[worker_id]
-                if process.is_alive():
-                    try:
-                        self._send(worker_id, ("close",))
-                    except (OSError, ValueError):
-                        pass
-            for worker_id in range(workers, old_workers):
-                process = self._processes[worker_id]
-                process.join(timeout=2.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=2.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=2.0)
-                self._inboxes[worker_id].close()
-                self._inboxes[worker_id].cancel_join_thread()
-                self._readers[worker_id].close()
-            del self._processes[workers:]
-            del self._inboxes[workers:]
-            del self._readers[workers:]
-            del self._generations[workers:]
-        self.recovery_stats.resizes += 1
-        self.telemetry.counter("engine_pool_resizes_total",
-                               "Elastic pool resize operations").inc()
-        _emit(RuntimeEvent(
-            kind="resize",
-            detail=f"{old_workers} -> {workers} workers, "
-                   f"{migrated} shard(s) migrated"))
 
     def run(self, tasks: Sequence[Tuple[str, Any, Optional[int], Any]]) -> List[Any]:
         self._ensure_started()
@@ -1607,9 +1424,8 @@ class EngineRuntime:
         and ``mmap``\\ s the shard files straight from disk
         (:attr:`RecoveryStats.shard_bytes_queued` stays untouched).  The
         coordinator's recovery record *is* the reference, so a crashed
-        worker heals by re-opening files, and :meth:`resize` migrates shards
-        by moving descriptors.  In-process backends resolve the references
-        inline -- results stay bit-identical across executors.
+        worker heals by re-opening files.  In-process backends resolve the
+        references inline -- results stay bit-identical across executors.
         """
         if len(shard_refs) != self.shard_count:
             raise ValueError(
@@ -1627,43 +1443,6 @@ class EngineRuntime:
         else:
             backend.load_shards(key, shard_refs)
 
-    def resize(self, num_workers: int) -> None:
-        """Change the pool size in place, keeping resident data usable.
-
-        The pool backend remaps shard placement (see
-        :meth:`PoolExecutor.resize`): snapshot-backed shards migrate by
-        closing and re-opening file handles, queue-shipped shards by
-        re-sending their payload dict; broadcasts replicate to new workers.
-        The thread backend swaps its thread pool (shared memory moves
-        nothing); the serial backend just records the number.
-        ``shard_count`` never changes -- it was fixed when the resident
-        datasets were sharded -- so more workers than shards idle, and
-        fewer workers than shards stack shards per worker, exactly like
-        construction-time sizing.
-        """
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if num_workers == self.num_workers:
-            return
-        backend = self._ensure_backend()
-        resize = getattr(backend, "resize", None)
-        if resize is not None:
-            if self.telemetry.enabled:
-                t0 = time.perf_counter()
-                resize(num_workers)
-                self.telemetry.histogram(
-                    "engine_resize_seconds",
-                    "Wall-clock time of an elastic pool resize").observe(
-                        time.perf_counter() - t0)
-            else:
-                resize(num_workers)
-        self.num_workers = num_workers
-        if self.telemetry.enabled:
-            self.telemetry.gauge(
-                "engine_pool_workers",
-                "Current worker count of the runtime pool").set(num_workers)
-            self._update_resident_gauges()
-
     def load_broadcast(self, key: Any, payload: dict) -> None:
         """Make one payload dict resident on *every* worker under ``key``.
 
@@ -1674,14 +1453,14 @@ class EngineRuntime:
         backend = self._ensure_backend()
         if self.telemetry.enabled:
             t0 = time.perf_counter()
-            backend.load(key, None, payload)
+            backend.load_broadcast(key, payload)
             self.telemetry.histogram(
                 "engine_load_seconds",
                 "Wall-clock time making payloads resident",
                 kind="broadcast").observe(time.perf_counter() - t0)
             self._update_resident_gauges()
         else:
-            backend.load(key, None, payload)
+            backend.load_broadcast(key, payload)
 
     def unload(self, key: Any) -> None:
         """Release the resident payloads stored under ``key`` on every worker."""

@@ -15,7 +15,7 @@ Format (version 1)::
 
     <dir>/MANIFEST.json            format version, per-section column tables
                                    (file, rows, dtype, crc32), encoder and
-                                   interner tables, shard layout + placement
+                                   interner tables, shard layout
     <dir>/<section>.<column>.bin   one raw little-endian binary file per
                                    column buffer, written via ``tobytes()``
 
@@ -25,13 +25,13 @@ stdlib kernels through ``tolist()`` hydration and the numpy kernels through
 ``np.frombuffer`` without decoding a single element.  Sharded host-group
 sections additionally publish :class:`ShardFileRef` handles -- small
 picklable descriptors a pool worker resolves by mapping its own files --
-which is what makes shard (re)distribution zero-copy: loading, crash
-recovery and pool resize move file handles, never pickled column bytes
+which is what makes shard (re)distribution zero-copy: loading and crash
+recovery move file handles, never pickled column bytes
 (see :meth:`repro.engine.runtime.EngineRuntime.load_shards_from_snapshot`).
 
 Failure handling is typed and loud: a truncated column file, a crc32
-mismatch, or a manifest from a future format version raises
-:class:`SnapshotError` (:class:`SnapshotIntegrityError` /
+mismatch, a malformed shard layout, or a manifest from a future format
+version raises :class:`SnapshotError` (:class:`SnapshotIntegrityError` /
 :class:`SnapshotVersionError`) -- a snapshot never partially loads.
 
 Loaded artifacts are **bit-identical** to freshly built ones: encoders and
@@ -145,8 +145,8 @@ class ShardFileRef:
     This is what ships over a pool worker's inbox instead of the shard's
     bytes: the coordinator keeps the ref as its resident record, the worker
     :meth:`open`\\ s it by mapping the files into its own address space, and
-    crash recovery / pool resize re-ship the same few hundred bytes of
-    descriptor while the kernel page cache keeps serving the data.
+    crash recovery re-ships the same few hundred bytes of descriptor while
+    the kernel page cache keeps serving the data.
     """
 
     directory: str
@@ -231,7 +231,8 @@ class SnapshotWriter:
 
     def add_section(self, name: str, columns: Mapping[str, Any],
                     meta: Optional[dict] = None,
-                    dtypes: Optional[Mapping[str, str]] = None) -> None:
+                    dtypes: Optional[Mapping[str, str]] = None,
+                    lazy_meta: bool = True) -> None:
         """Write one section's columns and record them for the manifest.
 
         Args:
@@ -241,6 +242,8 @@ class SnapshotWriter:
                 (:class:`IntColumn`, ``array``) write via ``tobytes()``.
             meta: JSON-serializable side tables (encoder/interner contents).
             dtypes: per-column dtype overrides (default ``"int64"``).
+            lazy_meta: embed ``meta`` as one JSON string decoded on first
+                access (the default) rather than as a plain JSON object.
         """
         if name in self._sections:
             raise ValueError(f"duplicate snapshot section: {name!r}")
@@ -259,16 +262,21 @@ class SnapshotWriter:
                 "dtype": dtype,
                 "crc32": zlib.crc32(payload),
             }
-        # Side tables ship inside the manifest but as one embedded JSON
-        # string per section: the outer parse scans a single string token
-        # instead of materializing every encoder/interner row, keeping
-        # ``open_snapshot`` O(map) -- readers that never touch a section's
-        # meta (the warm-restart path skips the host-features encoder and
-        # the banner interner entirely) never pay for decoding it.
-        self._sections[name] = {
-            "columns": recorded,
-            "meta_json": json.dumps(meta or {}, sort_keys=True),
-        }
+        # Side tables ship inside the manifest, by default as one embedded
+        # JSON string per section: the outer parse scans a single string
+        # token instead of materializing every encoder/interner row, so
+        # readers that never touch a section's meta (the warm-restart path
+        # skips the host-features encoder and the banner interner entirely)
+        # never pay for decoding it.  Sections every warm restart decodes
+        # (the model and the index) embed a plain object instead, parsed
+        # once with the manifest rather than scanned as an escaped string
+        # and then parsed again.
+        self._sections[name] = {"columns": recorded}
+        if lazy_meta:
+            self._sections[name]["meta_json"] = json.dumps(
+                meta or {}, sort_keys=True, separators=(",", ":"))
+        else:
+            self._sections[name]["meta"] = meta or {}
 
     def finish(self, meta: Optional[dict] = None) -> dict:
         """Write the manifest (the commit point) and return it."""
@@ -281,7 +289,8 @@ class SnapshotWriter:
         path = os.path.join(self.directory, MANIFEST_NAME)
         tmp_path = path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True)
+            json.dump(manifest, handle, sort_keys=True,
+                      separators=(",", ":"))
         os.replace(tmp_path, path)
         return manifest
 
@@ -318,10 +327,11 @@ class Snapshot:
     def section_meta(self, name: str) -> dict:
         """A section's side tables, decoded lazily on first access.
 
-        Metas are embedded in the manifest as one JSON string per section
-        (see :meth:`SnapshotWriter.add_section`); decoding happens here,
-        once, only for sections a reader actually materializes.  A plain
-        ``"meta"`` dict (hand-written manifests) is honoured as-is.
+        Most metas are embedded in the manifest as one JSON string per
+        section (see :meth:`SnapshotWriter.add_section`); decoding happens
+        here, once, only for sections a reader actually materializes.  A
+        plain ``"meta"`` object (the model and index sections, hand-written
+        manifests) was already parsed with the manifest and is used as-is.
         """
         if name in self._meta_cache:
             return self._meta_cache[name]
@@ -380,7 +390,8 @@ class Snapshot:
     # -- sharded host groups -------------------------------------------------------
 
     def shard_layout(self) -> Optional[dict]:
-        """The manifest's shard layout (count, step size, placement hint)."""
+        """The manifest's shard layout: ``shard_count``, ``step_size`` and
+        ``group_count`` (validated by :func:`open_snapshot`), or ``None``."""
         return self.meta.get("shards")
 
     def shard_refs(self) -> List[ShardFileRef]:
@@ -469,11 +480,9 @@ class Snapshot:
                 targets = cooccurrence.setdefault(predictors[pid], {})
                 last_pid = pid
             targets[port] = count
-        denominators = {
-            predictors[pid]: count
-            for pid, count in zip(columns["denominator_pids"].tolist(),
-                                  columns["denominator_counts"].tolist())
-        }
+        denominators = dict(zip(
+            map(predictors.__getitem__, columns["denominator_pids"].tolist()),
+            columns["denominator_counts"].tolist()))
         return CooccurrenceModel(cooccurrence=cooccurrence,
                                  denominators=denominators)
 
@@ -517,21 +526,47 @@ def _predictor_from_json(row: Sequence[Any]) -> tuple:
     return tuple(row)
 
 
-def _verify_checksums(directory: str, manifest: dict) -> None:
-    """Walk every column file's crc32 against the manifest."""
-    for name, section in manifest["sections"].items():
-        for column_name, entry in section["columns"].items():
-            column = ColumnFile(name=column_name, file=entry["file"],
-                                rows=entry["rows"], dtype=entry["dtype"],
-                                crc32=entry["crc32"])
-            path = os.path.join(directory, column.file)
-            buffer = _map_column(path, column)
-            actual = zlib.crc32(memoryview(buffer))
-            if actual != column.crc32:
-                raise SnapshotIntegrityError(
-                    f"snapshot column {name}.{column_name} ({path}) fails "
-                    f"its checksum: crc32 {actual:#010x}, manifest says "
-                    f"{column.crc32:#010x}")
+def _verify_checksum(section: str, path: str, column: ColumnFile,
+                     buffer: Any) -> None:
+    """Check one mapped column file's crc32 against the manifest."""
+    actual = zlib.crc32(memoryview(buffer))
+    if actual != column.crc32:
+        raise SnapshotIntegrityError(
+            f"snapshot column {section}.{column.name} ({path}) fails "
+            f"its checksum: crc32 {actual:#010x}, manifest says "
+            f"{column.crc32:#010x}")
+
+
+def _check_shard_layout(manifest_path: str, manifest: dict) -> None:
+    """Reject a malformed ``meta.shards`` entry with :class:`SnapshotError`.
+
+    The layout sizes the runtime load (``shard_count``), keys the priors
+    subnets (``step_size``, a prefix length 0-32) and counts the saved host
+    groups (``group_count``); each must be a non-negative int in range.
+    Keys a reader does not use (older writers saved a placement hint) are
+    ignored.
+    """
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise SnapshotError(
+            f"snapshot manifest at {manifest_path} declares a non-object "
+            f"meta ({type(meta).__name__})")
+    layout = meta.get("shards")
+    if layout is None:
+        return
+    if not isinstance(layout, dict):
+        raise SnapshotError(
+            f"snapshot manifest at {manifest_path} declares a non-object "
+            f"shard layout ({type(layout).__name__})")
+    for name, low, high in (("shard_count", 1, None), ("step_size", 0, 32),
+                            ("group_count", 0, None)):
+        value = layout.get(name)
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or value < low or (high is not None and value > high)):
+            bounds = f"{low}-{high}" if high is not None else f">= {low}"
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path} has an invalid shard "
+                f"layout: {name}={value!r} (expected an int {bounds})")
 
 
 def open_snapshot(directory: str, verify: bool = True,
@@ -546,7 +581,8 @@ def open_snapshot(directory: str, verify: bool = True,
     caller just verified the same directory.
 
     Raises:
-        SnapshotError: missing/unparseable manifest or missing files.
+        SnapshotError: missing/unparseable manifest, malformed shard layout
+            or missing files.
         SnapshotVersionError: manifest from a future format version.
         SnapshotIntegrityError: truncated file or checksum mismatch.
     """
@@ -577,16 +613,18 @@ def open_snapshot(directory: str, verify: bool = True,
                 f"snapshot at {directory} is format version {version}; "
                 f"this reader understands up to {FORMAT_VERSION} -- "
                 "upgrade before loading it")
+        _check_shard_layout(manifest_path, manifest)
         snapshot = Snapshot(directory, manifest)
         total_bytes = 0
         for name in snapshot.sections():
             for column in snapshot.column_files(name):
-                # Size check (cheap, catches truncation) runs even without
-                # checksum verification.
-                _map_column(os.path.join(directory, column.file), column)
+                # The size check (cheap, catches truncation) runs even
+                # without checksum verification.
+                path = os.path.join(directory, column.file)
+                buffer = _map_column(path, column)
                 total_bytes += column.nbytes
-        if verify:
-            _verify_checksums(directory, manifest)
+                if verify:
+                    _verify_checksum(name, path, column, buffer)
         span.set("sections", len(snapshot.sections()))
         span.set("bytes", total_bytes)
         span.set("verified", verify)
@@ -644,7 +682,8 @@ def _add_model(writer: SnapshotWriter, model: Any) -> None:
          "pair_counts": pair_counts, "denominator_pids": denominator_pids,
          "denominator_counts": denominator_counts},
         meta={"predictors": [_predictor_to_json(p)
-                             for p in encoder.values()]})
+                             for p in encoder.values()]},
+        lazy_meta=False)
 
 
 def _add_priors(writer: SnapshotWriter, priors_plan: Sequence[Any]) -> None:
@@ -672,20 +711,20 @@ def _add_index(writer: SnapshotWriter, index: Any) -> None:
         {"pids": pids, "ports": ports, "probabilities": probabilities},
         meta={"predictors": [_predictor_to_json(p)
                              for p in encoder.values()]},
-        dtypes={"probabilities": "float64"})
+        dtypes={"probabilities": "float64"}, lazy_meta=False)
 
 
 def _add_shards(writer: SnapshotWriter, host_features: Any, shard_count: int,
-                step_size: int, placement_workers: int) -> dict:
+                step_size: int) -> dict:
     """Shard the host groups exactly like the resident loader and save them.
 
     Uses the same flatten/shard pipeline as
     :class:`repro.core.runtime_plans.ResidentHostGroups` (subnet group keys
     at ``step_size``, stable-hash assignment over ``shard_count``), so a
     runtime loading these files holds byte-identical shards to one that
-    shipped them through queues.
+    shipped them through queues.  Placement is not saved: a pool decides
+    it when the shards load.
     """
-    from repro.engine.runtime import lpt_placement
     from repro.engine.shard import shard_group_columns
     from repro.net.ipv4 import subnet_key
 
@@ -695,23 +734,14 @@ def _add_shards(writer: SnapshotWriter, host_features: Any, shard_count: int,
         assign_keys, group_keys, host_features.member_starts,
         host_features.ports, host_features.value_starts,
         host_features.value_ids, shard_count)
-    rows_per_shard = []
     for shard_idx, payload in enumerate(sharded.shards):
         writer.add_section(
             _SHARD_SECTION_FMT.format(idx=shard_idx),
             {name: payload[name] for name in _SHARD_COLUMNS})
-        rows_per_shard.append(sum(len(payload[name])
-                                  for name in _SHARD_COLUMNS))
     return {
         "shard_count": shard_count,
         "step_size": step_size,
         "group_count": len(group_keys),
-        "rows_per_shard": rows_per_shard,
-        "placement": {
-            "workers": placement_workers,
-            "shard_to_worker": lpt_placement(rows_per_shard,
-                                             placement_workers),
-        },
     }
 
 
@@ -720,7 +750,6 @@ def save_snapshot(directory: str, *, observations: Any = None,
                   priors_plan: Optional[Sequence[Any]] = None,
                   index: Any = None, shard_count: Optional[int] = None,
                   step_size: Optional[int] = None,
-                  placement_workers: Optional[int] = None,
                   meta: Optional[dict] = None,
                   telemetry: Optional[Telemetry] = None) -> dict:
     """Save any subset of the engine's artifacts as one snapshot directory.
@@ -739,9 +768,6 @@ def save_snapshot(directory: str, *, observations: Any = None,
             this many mmap-loadable shard sections (requires ``step_size``).
         step_size: the priors subnet prefix length the shard group keys use
             -- must match the ``GPSConfig.step_size`` the runtime will use.
-        placement_workers: worker count the manifest's placement hint is
-            computed for (defaults to ``shard_count``); runtimes with a
-            different pool size recompute their own placement.
         meta: extra JSON-serializable manifest metadata.
         telemetry: optional instrumentation (``snapshot.save`` span + byte
             gauge).
@@ -764,8 +790,7 @@ def save_snapshot(directory: str, *, observations: Any = None,
                 if shard_count < 1:
                     raise ValueError("shard_count must be >= 1")
                 top_meta["shards"] = _add_shards(
-                    writer, host_features, shard_count, step_size,
-                    placement_workers or shard_count)
+                    writer, host_features, shard_count, step_size)
         elif shard_count is not None:
             raise ValueError("shard_count requires host_features")
         if model is not None:

@@ -266,8 +266,7 @@ def build_prepared_model(
         resident = ResidentHostGroups(runtime, host_features, config.step_size)
         built = False
         try:
-            model = build_model_with_engine(host_features, resident,
-                                            column_backend=config.column_backend)
+            model = build_model_with_engine(host_features, resident)
             priors_plan = build_priors_plan_with_engine(
                 host_features, model, config.step_size, config.port_domain,
                 dataset=resident)

@@ -8,18 +8,20 @@ across tests changes nothing about isolation while keeping the suite fast.
 from __future__ import annotations
 
 import contextlib
+from unittest import mock
 
 import pytest
 
 from repro.analysis.scenarios import ExperimentScale, make_censys_dataset, make_lzr_dataset
 from repro.core.config import GPSConfig
 from repro.core.features import HostFeatureColumns
-from repro.engine.columns import IntColumn
+from repro.engine.columns import IntColumn, numpy_available
 from repro.engine.encoding import DictionaryEncoder
 from repro.core.gps import GPS
 from repro.core.model import build_model_with_engine
 from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
+from repro.core import runtime_plans
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import seed_scan_cost_probes, split_seed_test
 from repro.engine.runtime import EngineRuntime
@@ -80,12 +82,36 @@ def resident_dataset(host_features, executor="serial", step_size=16,
             dataset.release()
 
 
+@contextlib.contextmanager
+def forced_model_kernel(kernel):
+    """Run the engine's model fold on ``kernel`` (``stdlib`` or ``numpy``).
+
+    Patches the one coordinator-side selection point,
+    :meth:`ResidentHostGroups.model_counts`' call to
+    ``resolve_column_backend``; the kernel name ships to every worker as the
+    task argument, so the patch reaches all three executors.  Skips the
+    test when ``numpy`` is asked for but not installed.
+    """
+    if kernel == "numpy" and not numpy_available():
+        pytest.skip("numpy kernel not installed")
+    with mock.patch.object(runtime_plans, "resolve_column_backend",
+                           lambda override=None: kernel):
+        yield kernel
+
+
+@pytest.fixture(params=["stdlib", "numpy"])
+def model_kernel(request):
+    """Each test using this runs once per model-fold kernel."""
+    with forced_model_kernel(request.param) as kernel:
+        yield kernel
+
+
 def engine_builds(host_features, executor="serial", step_size=16, port_domain=None,
-                  column_backend=None, num_workers=0, shard_count=0, **index_kwargs):
+                  num_workers=0, shard_count=0, **index_kwargs):
     """All three Table 2 builds on the engine: ``(model, priors plan, index)``."""
     with resident_dataset(host_features, executor, step_size, num_workers,
                           shard_count) as (columns, dataset):
-        model = build_model_with_engine(columns, dataset, column_backend=column_backend)
+        model = build_model_with_engine(columns, dataset)
         priors = build_priors_plan_with_engine(columns, model, step_size, port_domain,
                                                dataset=dataset)
         index = build_prediction_index_with_engine(columns, model, port_domain=port_domain,

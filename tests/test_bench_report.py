@@ -108,7 +108,8 @@ def test_gated_metric_fails_when_asserted(results_dir):
 
 def test_recorded_ratios_without_floor_never_gate(results_dir, capsys):
     """Ratios recorded without a floor (engine vs reference, warm pool vs
-    serial) report "not asserted" however low they read."""
+    serial, mmap vs queue-ship) report "not asserted" however low they
+    read."""
 
     def engine(document):
         document["engine_vs_reference"]["stdlib"] = 0.1
@@ -116,12 +117,17 @@ def test_recorded_ratios_without_floor_never_gate(results_dir, capsys):
     def runtime(document):
         document["warm_vs_serial"] = 0.1
 
+    def snapshot(document):
+        document["mmap_vs_queue_ship"] = 0.1
+
     _doctor(results_dir, "BENCH_engine.json", engine)
     _doctor(results_dir, "BENCH_runtime.json", runtime)
+    _doctor(results_dir, "BENCH_snapshot.json", snapshot)
     assert _run(results_dir, "--check") == 0
     out = capsys.readouterr().out
     for label in ("engine model build vs reference (serial, stdlib)",
-                  "warm resident pool vs serial (model build)"):
+                  "warm resident pool vs serial (model build)",
+                  "mmap shard load vs queue-ship (pool)"):
         line = next(line for line in out.splitlines() if line.startswith(label))
         assert "not asserted" in line
 

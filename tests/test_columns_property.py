@@ -19,7 +19,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.columns import IntColumn, numpy_available
+from repro.engine.columns import IntColumn, numpy_available, resolve_column_backend
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.shard import merge_ordered, shard_group_columns
 from repro.internet.banners import BannerInterner
@@ -86,6 +86,11 @@ class TestIntColumn:
         ndarray = as_numpy(column)
         assert ndarray.dtype == np.int64
         assert ndarray.tolist() == values
+
+    def test_platform_picks_the_model_kernel(self):
+        expected = "numpy" if numpy_available() else "stdlib"
+        assert resolve_column_backend() == expected
+        assert resolve_column_backend(None) == expected
 
 
 class TestObservationBatchRoundTrip:

@@ -21,7 +21,6 @@ from repro.core.gps import GPS
 from repro.core.model import build_model
 from repro.core.predictions import PredictiveFeatureIndex
 from repro.core.priors import build_priors_plan
-from repro.engine.columns import numpy_available
 from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ObservationBatch, ScanObservation
@@ -92,13 +91,10 @@ class TestColumnarExtractionEquivalence:
         _assert_columns_match_oracle(columns, oracle)
         assert ("PA", 80, "http_server", "new") in columns.predictors_for(0)[80]
 
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
     def test_engine_builds_accept_columns(self, universe, censys_split, executor,
-                                          column_backend):
+                                          model_kernel):
         """Engine builds ingest the columns and match the oracles."""
-        if column_backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend not installed")
         config = FeatureConfig()
         asn_db = universe.topology.asn_db
         oracle = extract_host_features(censys_split.seed_observations, asn_db,
@@ -106,9 +102,7 @@ class TestColumnarExtractionEquivalence:
         columns = extract_host_features_columns(
             censys_split.seed_scan_result().batch, asn_db, config)
         model = build_model(oracle)
-        built, priors, index = engine_builds(columns, executor,
-                                             column_backend=column_backend,
-                                             num_workers=2)
+        built, priors, index = engine_builds(columns, executor, num_workers=2)
         assert built.denominators == model.denominators
         assert {k: v for k, v in built.cooccurrence.items() if v} == \
             {k: v for k, v in model.cooccurrence.items() if v}
@@ -129,18 +123,15 @@ class TestGPSColumnarIngestEquivalence:
             return gps.run(seed=censys_split.seed_scan_result(),
                            seed_cost_probes=0)
 
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
     def test_all_executors_match_reference_ingest(self, universe, censys_dataset,
                                                censys_split, reference_run,
-                                               executor, column_backend):
-        if column_backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend not installed")
+                                               executor, model_kernel):
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain,
                            use_engine=True, executor=executor, num_workers=2,
-                           shard_count=3, column_backend=column_backend)
+                           shard_count=3)
         with GPS(pipeline, config) as gps:
             run = gps.run(seed=censys_split.seed_scan_result(),
                           seed_cost_probes=0)

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
-from repro.engine.columns import numpy_available
 from repro.scanner.records import ScanObservation
-from tests.conftest import host_feature_columns, resident_dataset
+from tests.conftest import forced_model_kernel, host_feature_columns, resident_dataset
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -85,11 +84,9 @@ class TestBuildModel:
         assert rich.predictor_count() > sparse.predictor_count()
 
 
-def _model_on_engine(hosts, executor="serial", column_backend="stdlib", **runtime_kwargs):
-    if column_backend == "numpy" and not numpy_available():
-        pytest.skip("numpy backend not installed")
+def _model_on_engine(hosts, executor="serial", **runtime_kwargs):
     with resident_dataset(hosts, executor, **runtime_kwargs) as (columns, dataset):
-        return build_model_with_engine(columns, dataset, column_backend=column_backend)
+        return build_model_with_engine(columns, dataset)
 
 
 def _assert_models_equal(a: CooccurrenceModel, b: CooccurrenceModel):
@@ -99,10 +96,9 @@ def _assert_models_equal(a: CooccurrenceModel, b: CooccurrenceModel):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
     def test_engine_matches_reference_on_handcrafted_hosts(self, executor,
-                                                           column_backend):
+                                                           model_kernel):
         observations = [
             _obs(1, 80, http_server="a"), _obs(1, 443), _obs(1, 22),
             _obs(2, 80, http_server="b"), _obs(2, 8080),
@@ -110,13 +106,11 @@ class TestEngineEquivalence:
         ]
         hosts = _hosts(observations)
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, column_backend,
-                                           num_workers=2))
+                             _model_on_engine(hosts, executor, num_workers=2))
 
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("shard_count", [1, 3, 7])
     def test_engine_matches_reference_across_shard_counts(self, shard_count,
-                                                          column_backend):
+                                                          model_kernel):
         observations = [
             _obs(ip, port, http_server="srv%d" % (ip % 3))
             for ip in range(1, 30)
@@ -124,19 +118,16 @@ class TestEngineEquivalence:
         ]
         hosts = _hosts(observations)
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, "thread", column_backend,
-                                              num_workers=2,
+                             _model_on_engine(hosts, "thread", num_workers=2,
                                               shard_count=shard_count))
 
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
     def test_engine_matches_reference_on_universe_seed(self, universe, censys_split,
-                                                       executor, column_backend):
+                                                       executor, model_kernel):
         hosts = extract_host_features(censys_split.seed_observations,
                                       universe.topology.asn_db, FeatureConfig())
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, column_backend,
-                                              num_workers=2))
+                             _model_on_engine(hosts, executor, num_workers=2))
 
     def test_host_feature_columns_shapes(self):
         hosts = _hosts([_obs(1, 80), _obs(1, 443), _obs(2, 22)])
@@ -185,7 +176,7 @@ class TestProperties:
            st.sampled_from([("serial", 1), ("serial", 3), ("thread", 4)]),
            st.sampled_from(["stdlib", "numpy"]))
     def test_engine_and_reference_agree_on_full_features(self, host_ports, layout,
-                                                         column_backend):
+                                                         kernel):
         # Full feature set (nested predictor tuples) so dictionary encoding
         # and the packed fold are exercised, across executor and shard shapes.
         executor, shard_count = layout
@@ -194,9 +185,10 @@ class TestProperties:
             for ip, ports in enumerate(host_ports) for port in ports
         ]
         hosts = _hosts(observations)
-        _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, column_backend,
-                                           num_workers=2, shard_count=shard_count))
+        with forced_model_kernel(kernel):
+            engine = _model_on_engine(hosts, executor, num_workers=2,
+                                      shard_count=shard_count)
+        _assert_models_equal(build_model(hosts), engine)
 
     @settings(deadline=None, max_examples=40)
     @given(ports_strategy)

@@ -25,7 +25,6 @@ from repro.core.predictions import (
     build_prediction_index_with_engine,
 )
 from repro.datasets.split import split_seed_test
-from repro.engine.columns import numpy_available
 from repro.scanner.records import ScanObservation
 from tests.conftest import engine_builds, resident_dataset
 
@@ -86,17 +85,14 @@ class TestEngineFromSeedEquivalence:
                                port_domain=port_domain)
         _assert_indices_equal(engine, reference)
 
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
     def test_engine_built_model_feeds_identical_index(self, seed_inputs, executor,
-                                                      column_backend):
-        if column_backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend not installed")
+                                                      model_kernel):
         hosts, model, port_domain = seed_inputs
         reference = PredictiveFeatureIndex.from_seed(hosts, model,
                                                      port_domain=port_domain)
         _, _, engine = engine_builds(hosts, executor, port_domain=port_domain,
-                                     column_backend=column_backend, num_workers=2)
+                                     num_workers=2)
         _assert_indices_equal(engine, reference)
 
     @pytest.mark.parametrize("min_support", (1, 2, 3))

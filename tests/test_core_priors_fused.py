@@ -19,7 +19,6 @@ from repro.core.features import HostFeatures, extract_host_features
 from repro.core.model import CooccurrenceModel, build_model
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.columns import numpy_available
 from repro.engine.runtime import EngineRuntime
 from repro.net.ipv4 import parse_ip
 from repro.scanner.records import ScanObservation
@@ -86,15 +85,11 @@ class TestEnginePriorsEquivalence:
         assert _engine_plan(hosts, model, executor=executor, num_workers=workers,
                             shard_count=shard_count) == expected
 
-    @pytest.mark.parametrize("column_backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
     def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor,
-                                                     column_backend):
-        if column_backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend not installed")
+                                                     model_kernel):
         model, hosts = _model_and_hosts(camera_fleet)
-        _, plan, _ = engine_builds(hosts, executor, column_backend=column_backend,
-                                   num_workers=2)
+        _, plan, _ = engine_builds(hosts, executor, num_workers=2)
         assert plan == build_priors_plan(hosts, model, 16)
 
     def test_invalid_step_size_rejected(self, camera_fleet):

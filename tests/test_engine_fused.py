@@ -1,9 +1,11 @@
 """Tests for the fused self-join fold, dictionary encoding and stable sharding.
 
-The load-bearing property: :func:`repro.engine.fused.count_join_chunk` is
-*defined* as the packed (value, label) counts of a join with the self-pairs
-dropped, so every test here compares the fold against a brute-force
-materialization of that join -- handcrafted and randomized via hypothesis.
+The load-bearing property: the model fold -- both kernels,
+:func:`repro.engine.fused.fold_model_pairs` (stdlib) and
+:func:`repro.engine.fused.fold_model_pairs_arrays` (numpy) -- is *defined*
+as the packed (value, label) counts of a join with the self-pairs dropped,
+so every test here runs each kernel against a brute-force materialization
+of that join, handcrafted and randomized via hypothesis.
 The end-to-end model build over resident shards is pinned against the
 dictionary reference in ``test_core_model.py``.
 """
@@ -13,13 +15,20 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine.columns import numpy_available
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.fused import count_join_chunk
+from repro.engine.fused import (
+    fold_model_pairs,
+    fold_model_pairs_arrays,
+    fold_value_counts,
+    fold_value_counts_arrays,
+)
 from repro.engine.shard import shard_columns, shard_group_columns
 
 
@@ -116,74 +125,100 @@ class TestStableHash:
 
 PACK = 1 << 16
 
-
-def _payload(left_rows, right_rows):
-    """A count_join_chunk payload: left (key, value, label) rows joined to the
-    labels each key owns on the right."""
-    keys = sorted({key for key, _, _ in left_rows} | {key for key, _ in right_rows})
-    slot = {key: i for i, key in enumerate(keys)}
-    index = [[] for _ in keys]
-    for key, label in right_rows:
-        index[slot[key]].append(label)
-    return ([slot[key] for key, _, _ in left_rows],
-            [value for _, value, _ in left_rows],
-            [label for _, _, label in left_rows],
-            index, PACK)
+KERNELS = {
+    "stdlib": (fold_model_pairs, fold_value_counts),
+    "numpy": (fold_model_pairs_arrays, fold_value_counts_arrays),
+}
 
 
-def _reference(left_rows, right_rows):
-    """Materialize the join, drop the self-pairs, count (value, label)."""
+@pytest.fixture(params=sorted(KERNELS))
+def kernel(request):
+    """``(pair fold, value-count fold)`` of one model-fold kernel."""
+    if request.param == "numpy" and not numpy_available():
+        pytest.skip("numpy kernel not installed")
+    return KERNELS[request.param]
+
+
+def _columns(groups):
+    """Flatten ``[[(label, [value, ...]), ...], ...]`` into the fold's
+    ``(member_starts, labels, value_starts, value_ids)`` columns."""
+    member_starts, labels, value_starts, value_ids = [0], [], [0], []
+    for members in groups:
+        for label, values in members:
+            labels.append(label)
+            value_ids.extend(values)
+            value_starts.append(len(value_ids))
+        member_starts.append(len(labels))
+    return member_starts, labels, value_starts, value_ids
+
+
+def _reference(groups):
+    """Materialize the self-join, drop the self-pairs, count (value, label)."""
     counts = {}
-    for key, value, own in left_rows:
-        for right_key, label in right_rows:
-            if right_key == key and label != own:
-                counts[(value, label)] = counts.get((value, label), 0) + 1
+    for members in groups:
+        for own, values in members:
+            for value in values:
+                for label, _ in members:
+                    if label != own:
+                        counts[(value, label)] = counts.get((value, label), 0) + 1
     return counts
 
 
-def _unpacked(counts):
-    return {divmod(packed, PACK): count for packed, count in counts.items()}
+def _fold(kernel, groups):
+    """Run the pair fold and unpack its sorted ``(keys, counts)`` reply."""
+    keys, counts = kernel[0](*_columns(groups), PACK)
+    assert list(keys) == sorted(keys)
+    return {divmod(key, PACK): count for key, count in zip(keys, counts)}
 
 
-class TestCountJoinChunk:
-    def test_model_query_excludes_self_pairs(self):
+class TestFoldModelPairs:
+    def test_model_query_excludes_self_pairs(self, kernel):
         # Host 1 serves 80 and 443, host 2 serves 80 and 22, host 3 only 8080.
-        left = [(1, 0, 80), (1, 1, 80), (1, 2, 443), (2, 0, 80), (2, 3, 22),
-                (3, 4, 8080)]
-        right = [(1, 80), (1, 443), (2, 80), (2, 22), (3, 8080)]
-        got = _unpacked(count_join_chunk(_payload(left, right)))
+        groups = [[(80, [0, 1]), (443, [2])], [(80, [0]), (22, [3])],
+                  [(8080, [4])]]
+        got = _fold(kernel, groups)
         assert got == {(0, 443): 1, (1, 443): 1, (2, 80): 1, (0, 22): 1,
                        (3, 80): 1}
-        assert got == _reference(left, right)
+        assert got == _reference(groups)
 
-    def test_empty_inputs(self):
-        assert count_join_chunk(([], [], [], [], PACK)) == {}
+    def test_empty_inputs(self, kernel):
+        for columns in (([], [], [], []), ([0], [], [0], [])):
+            keys, counts = kernel[0](*columns, PACK)
+            assert list(keys) == [] and list(counts) == []
 
-    def test_keys_without_right_rows_contribute_nothing(self):
-        left = [(1, 5, 80), (2, 6, 22)]
-        right = [(1, 443)]
-        assert _unpacked(count_join_chunk(_payload(left, right))) == {(5, 443): 1}
+    def test_lone_members_and_valueless_members_contribute_nothing(self, kernel):
+        groups = [[(80, [5])], [(22, [6]), (443, [])]]
+        assert _fold(kernel, groups) == {(6, 443): 1}
 
-    def test_buffer_flushes_preserve_counts(self):
-        # Enough joined pairs to cross the fold's internal flush threshold.
-        left = [(0, v % 50, 1) for v in range(400)]
-        right = [(0, label) for label in range(2, 60)]
-        got = _unpacked(count_join_chunk(_payload(left, right)))
-        assert got == _reference(left, right)
-        assert sum(got.values()) == 400 * 58
+    def test_buffer_flushes_preserve_counts(self, kernel):
+        # Enough joined pairs across groups to cross the stdlib fold's
+        # internal flush threshold several times.
+        group = [(1, list(range(50)))] + [(label, []) for label in range(2, 60)]
+        got = _fold(kernel, [group] * 8)
+        assert got == _reference([group] * 8)
+        assert sum(got.values()) == 8 * 50 * 58
 
-    def test_labels_up_to_pack_base_unpack_exactly(self):
+    def test_labels_up_to_pack_base_unpack_exactly(self, kernel):
         # The largest label below pack_base must not carry into the value.
-        left = [(0, 0, 1), (0, 7, 1), (0, 7, PACK - 1)]
-        right = [(0, PACK - 1), (0, 1)]
-        got = _unpacked(count_join_chunk(_payload(left, right)))
+        groups = [[(1, [0, 7]), (PACK - 1, [7])]]
+        got = _fold(kernel, groups)
         assert got == {(0, PACK - 1): 1, (7, PACK - 1): 1, (7, 1): 1}
-        assert got == _reference(left, right)
+        assert got == _reference(groups)
 
-    @settings(deadline=None, max_examples=50)
-    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9),
-                              st.integers(1, 5)), max_size=60),
-           st.lists(st.tuples(st.integers(0, 6), st.integers(1, 5)), max_size=60))
-    def test_equals_materialized_join(self, left_rows, right_rows):
-        got = _unpacked(count_join_chunk(_payload(left_rows, right_rows)))
-        assert got == _reference(left_rows, right_rows)
+    @settings(deadline=None, max_examples=50,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.dictionaries(st.integers(1, 6),
+                                    st.lists(st.integers(0, 9), max_size=4),
+                                    max_size=5),
+                    max_size=8))
+    def test_equals_materialized_join(self, kernel, groups):
+        groups = [list(members.items()) for members in groups]
+        assert _fold(kernel, groups) == _reference(groups)
+
+    @settings(deadline=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(0, 20), max_size=40))
+    def test_value_counts_equal_counter(self, kernel, value_ids):
+        ids, counts = kernel[1](value_ids)
+        assert list(ids) == sorted(set(value_ids))
+        assert dict(zip(ids, counts)) == Counter(value_ids)

@@ -84,10 +84,7 @@ class TestRuntimeConstruction:
     def test_shards_can_outnumber_workers(self):
         with EngineRuntime(executor="pool", num_workers=2, shard_count=5) as runtime:
             runtime.load_shards("k", [{"value_ids": [s]} for s in range(5)])
-            merged = Counter()
-            for counts in runtime.execute("model_denominators", "k"):
-                merged.update(counts)
-            assert merged == Counter(range(5))
+            assert _denominator_fold(runtime, "k") == Counter(range(5))
 
 
 class TestPoolLifecycle:
@@ -189,9 +186,10 @@ class TestPoolLifecycle:
 
 
 def _denominator_fold(runtime, key):
+    """Merge the per-shard ``(ids, counts)`` replies into one counter."""
     merged = Counter()
-    for counts in runtime.execute("model_denominators", key):
-        merged.update(counts)
+    for ids, counts in runtime.execute("model_denominators", key):
+        merged.update(dict(zip(ids, counts)))
     return merged
 
 

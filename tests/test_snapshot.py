@@ -1,13 +1,13 @@
 """Tests for the versioned snapshot format and its runtime integration.
 
 The persistence layer must be invisible: everything loaded from a snapshot
-is bit-identical to what a fresh build would have produced -- across column
-backends, across executors, and across crash/resize chaos.  Covers the
-round-trip property (hypothesis-driven shapes plus the shared-fixture
-artifacts), the typed corrupt-snapshot failure modes (truncation, checksum
-mismatch, future format versions -- never a silent partial load), the
-mmap-backed shard loading path (zero bytes through worker queues, elastic
-resize as a pure placement remap, disk-backed crash recovery), and the
+is bit-identical to what a fresh build would have produced -- across model
+kernels, across executors, and across crash chaos.  Covers the round-trip
+property (hypothesis-driven shapes plus the shared-fixture artifacts), the
+typed corrupt-snapshot failure modes (truncation, checksum mismatch, future
+format versions, malformed shard layouts -- never a silent partial load),
+the mmap-backed shard loading path (zero bytes through worker queues,
+disk-backed crash recovery), and the
 serving provenance surfaces (``GET /models``, ``/stats``).
 """
 
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,6 @@ from repro.core.model import build_model_with_engine
 from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.columns import numpy_available
 from repro.engine.faults import FaultPlan
 from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
 from repro.engine.snapshot import (
@@ -42,8 +43,6 @@ from repro.engine.snapshot import (
 from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.serving.registry import PreparedModel
 from tests.conftest import engine_builds
-
-BACKENDS = ("stdlib", "numpy")
 
 protocols = st.sampled_from(["http", "ssh", "tls", "ftp", "unknown"])
 banner_features = st.dictionaries(
@@ -131,30 +130,65 @@ class TestRoundTrip:
                 getattr(host_features, column).tolist()
         assert loaded.encoder.values() == host_features.encoder.values()
 
+    def test_warm_restart_metas_are_plain_objects(self, saved):
+        """The model and index metas parse with the manifest; the bulky
+        encoder and interner tables stay embedded strings decoded lazily."""
+        manifest = json.loads((Path(saved) / MANIFEST_NAME).read_text())
+        sections = manifest["sections"]
+        for name in ("model", "index"):
+            assert "meta_json" not in sections[name]
+            assert isinstance(sections[name]["meta"]["predictors"], list)
+        for name in ("observations", "host_features"):
+            assert "meta" not in sections[name]
+            assert isinstance(sections[name]["meta_json"], str)
+
+    def test_manifest_with_every_meta_embedded_still_loads(self, saved,
+                                                           artifacts,
+                                                           tmp_path):
+        """Earlier writers embedded every section's meta as a JSON string
+        in an indented manifest; such snapshots load bit-identically."""
+        batch, host_features, model, priors, index = artifacts
+        directory = tmp_path / "snapshot"
+        shutil.copytree(saved, directory)
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        for section in manifest["sections"].values():
+            if "meta" in section:
+                section["meta_json"] = json.dumps(section.pop("meta"),
+                                                  sort_keys=True)
+        manifest_path.write_text(json.dumps(manifest, indent=1,
+                                            sort_keys=True))
+        snapshot = open_snapshot(str(directory))
+        loaded = snapshot.model()
+        assert loaded == model
+        assert list(loaded.cooccurrence) == list(model.cooccurrence)
+        assert snapshot.priors_plan() == priors
+        assert snapshot.prediction_index().entries() == index.entries()
+        assert snapshot.host_feature_columns().encoder.values() == \
+            host_features.encoder.values()
+        assert snapshot.observation_batch().materialize() == \
+            batch.materialize()
+
     def test_open_without_verify_still_checks_sizes(self, saved):
         snapshot = open_snapshot(saved, verify=False)
         assert snapshot.version == FORMAT_VERSION
         assert snapshot.has_section("model")
 
     @pytest.mark.parametrize("executor", tuple(RUNTIME_EXECUTORS))
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_and_executors_round_trip(self, tmp_path, artifacts,
-                                               executor, backend):
+                                               executor, model_kernel):
         """build -> snapshot -> load is bit-identical on every engine path."""
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend not installed")
         _, host_features, model, priors, index = artifacts
         with EngineRuntime(executor=executor, num_workers=2,
                            shard_count=3) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
-            built_model = build_model_with_engine(
-                host_features, dataset, column_backend=backend)
+            built_model = build_model_with_engine(host_features, dataset)
             built_priors = build_priors_plan_with_engine(
                 host_features, built_model, 16, dataset=dataset)
             built_index = build_prediction_index_with_engine(
                 host_features, built_model, dataset=dataset)
             dataset.release()
-        directory = str(tmp_path / f"{executor}-{backend}")
+        directory = str(tmp_path / f"{executor}-{model_kernel}")
         save_snapshot(directory, host_features=host_features,
                       model=built_model, priors_plan=built_priors,
                       index=built_index, shard_count=3, step_size=16)
@@ -244,14 +278,41 @@ class TestCorruptSnapshots:
         with pytest.raises(SnapshotError, match="missing"):
             open_snapshot(directory)
 
+    @pytest.mark.parametrize("meta", [
+        pytest.param({"shards": {"step_size": 16, "group_count": 5}},
+                     id="no-shard_count"),
+        pytest.param({"shards": {"shard_count": 3, "step_size": 16}},
+                     id="no-group_count"),
+        pytest.param({"shards": [1]}, id="layout-not-an-object"),
+        pytest.param({"shards": {"shard_count": 3, "step_size": 40,
+                                 "group_count": 5}},
+                     id="step_size-out-of-range"),
+        pytest.param({"shards": {"shard_count": "3", "step_size": 16,
+                                 "group_count": 5}},
+                     id="shard_count-not-an-int"),
+        pytest.param({"shards": {"shard_count": 0, "step_size": 16,
+                                 "group_count": 5}},
+                     id="shard_count-zero"),
+        pytest.param([1], id="meta-not-an-object"),
+    ])
+    def test_malformed_shard_layout_raises_snapshot_error(self, saved, tmp_path,
+                                                          meta):
+        directory = tmp_path / "snapshot"
+        shutil.copytree(saved, directory)
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"] = meta
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="non-object|shard layout"):
+            open_snapshot(str(directory), verify=False)
+
     def test_typed_errors_share_one_base(self):
         assert issubclass(SnapshotIntegrityError, SnapshotError)
         assert issubclass(SnapshotVersionError, SnapshotError)
 
 
 class TestRuntimeShardLoading:
-    """mmap shard references: zero queue bytes, disk-backed recovery,
-    resize as a placement remap."""
+    """mmap shard references: zero queue bytes, disk-backed recovery."""
 
     def test_snapshot_load_ships_zero_shard_bytes(self, saved, artifacts):
         _, host_features, model, priors, index = artifacts
@@ -263,6 +324,29 @@ class TestRuntimeShardLoading:
             built = build_model_with_engine(host_features, dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
+            built_priors = build_priors_plan_with_engine(
+                host_features, built, 16, dataset=dataset)
+            assert built_priors == priors
+            built_index = build_prediction_index_with_engine(
+                host_features, built, dataset=dataset)
+            assert built_index.entries() == index.entries()
+            dataset.release()
+
+    def test_layout_keys_a_reader_does_not_use_are_ignored(self, saved,
+                                                           artifacts, tmp_path):
+        """Manifests from writers that saved a placement hint still load."""
+        _, host_features, model, _, _ = artifacts
+        directory = tmp_path / "snapshot"
+        shutil.copytree(saved, directory)
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["shards"]["placement"] = {"workers": 3}
+        manifest_path.write_text(json.dumps(manifest))
+        with EngineRuntime(executor="serial", shard_count=3) as runtime:
+            dataset = ResidentHostGroups.from_snapshot(
+                runtime, open_snapshot(str(directory)))
+            built = build_model_with_engine(host_features, dataset)
+            assert built.cooccurrence == model.cooccurrence
             dataset.release()
 
     def test_from_snapshot_requires_matching_shard_count(self, saved):
@@ -297,33 +381,6 @@ class TestRuntimeShardLoading:
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
             assert not runtime.broken
-            dataset.release()
-
-    def test_resize_after_snapshot_load_ships_zero_bytes(self, saved,
-                                                         artifacts):
-        """Growing and shrinking the pool migrates shards as file handles:
-        RecoveryStats pins that not one shard byte crossed a queue."""
-        _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor="pool", num_workers=2,
-                           shard_count=3) as runtime:
-            snapshot = open_snapshot(saved)
-            dataset = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            runtime.resize(3)
-            runtime.resize(1)
-            stats = runtime.recovery_stats
-            assert stats.resizes == 2
-            assert stats.migrated_shards > 0
-            assert stats.shard_bytes_queued == 0
-            assert runtime.num_workers == 1
-            built = build_model_with_engine(host_features, dataset)
-            assert built.cooccurrence == model.cooccurrence
-            assert built.denominators == model.denominators
-            built_priors = build_priors_plan_with_engine(
-                host_features, built, 16, dataset=dataset)
-            assert built_priors == priors
-            built_index = build_prediction_index_with_engine(
-                host_features, built, dataset=dataset)
-            assert built_index.entries() == index.entries()
             dataset.release()
 
 

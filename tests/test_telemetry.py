@@ -361,7 +361,7 @@ class TestHTTPSurface:
         assert set(payload["recovery"]) == {
             "crashes_detected", "respawns", "reloaded_shards",
             "reloaded_broadcasts", "redispatched_tasks", "retry_rounds",
-            "resizes", "migrated_shards", "shard_bytes_queued"}
+            "shard_bytes_queued"}
 
     def test_batch_flushes_reported_by_reason(self, telemetry_server):
         _, host, _ = telemetry_server
