@@ -16,12 +16,12 @@ This benchmark covers the two hot paths after the model build:
   observations of the dataset's test half).
 
 Results are printed as tables and written to ``BENCH_priors.json`` at the
-repository root (``benchmarks/bench_scan_columnar.py`` adds its
-columnar-vs-per-object layer breakdown to the same file).  Headline
-assertions: the engine's serial priors build is >= 2x faster than the
-reference planner, the batched ZMap layer is >= 1.3x faster than per-pair probing, the
-columnar pipeline is >= 1.6x faster end to end than the per-object pairwise
-path, and all paths produce identical plans / observations / ledger charges.
+repository root.  Headline assertions: the engine's serial priors build is
+>= 2x faster than the reference planner, the batched columnar ZMap layer
+(``zmap.scan_pair_batch_columns``, the one production batches run) is
+>= 1.3x faster than per-pair probing, the columnar pipeline is >= 1.6x
+faster end to end than the per-pair path, and all paths produce identical
+plans / observations / ledger charges.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ REPEATS = 3
 
 #: Speedup floors the benchmark asserts: (engine priors serial, batched zmap
 #: layer, columnar pipeline end-to-end).  On a quiet dev machine the measured
-#: ratios are ~2.4x, ~2x and ~2.2x.  ``BENCH_SMOKE=1`` (set by CI, whose
+#: ratios are ~2.4x, ~4x and ~2.2x.  ``BENCH_SMOKE=1`` (set by CI, whose
 #: shared runners time noisily) relaxes the floors to "regressed to roughly
 #: parity" -- a real regression (losing the algorithmic win) still fails
 #: loudly, runner jitter does not.  The equivalence assertions are never
@@ -210,7 +210,7 @@ def run_scan_batching(universe, dataset):
     zmap_unbatched_seconds = _best_seconds(
         lambda: ScanPipeline(universe).zmap.scan_pairs(pairs))
     zmap_batched_seconds = _best_seconds(
-        lambda: ScanPipeline(universe).zmap.scan_pair_batches(batches))
+        lambda: ScanPipeline(universe).zmap.scan_pair_batch_columns(batches))
     return {
         "predictions": len(pairs),
         "batches": len(batches),
@@ -244,14 +244,7 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
     reference_seconds = by_config[("reference", "serial", 1)]
     speedup = reference_seconds / by_config[("engine", "serial", 1)]
     results["priors_fused_serial_speedup"] = round(speedup, 2)
-    # Read-merge-write: bench_scan_columnar.py keeps its section in the same
-    # file, and running this benchmark alone must not delete it.
-    try:
-        merged = json.loads(RESULT_PATH.read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        merged = {}
-    merged.update(results)
-    RESULT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     print()
     print(format_table(

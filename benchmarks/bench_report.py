@@ -102,8 +102,6 @@ METRICS: Tuple[Metric, ...] = (
            "priors_fused_serial_speedup", floor=2.0, smoke_floor=1.3),
     Metric("BENCH_priors.json", "batched scan pipeline end to end",
            "scan.end_to_end_speedup", floor=1.6, smoke_floor=1.05),
-    Metric("BENCH_priors.json", "columnar scan layers vs per-object",
-           "scan_columnar.pipeline_speedup", floor=1.3, smoke_floor=1.05),
     Metric("BENCH_runtime.json", "warm resident pool vs serial (model build)",
            "warm_vs_serial", floor=None, smoke_floor=None),
     Metric("BENCH_runtime.json", "surgical heal vs full rebuild",

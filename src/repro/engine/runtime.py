@@ -1326,11 +1326,6 @@ class EngineRuntime:
         return self._backend is not None and self._backend.broken
 
     @property
-    def wants_encoded_payloads(self) -> bool:
-        """True when payloads cross a process boundary (encode before shipping)."""
-        return self.executor == "pool"
-
-    @property
     def recovery_stats(self) -> RecoveryStats:
         """Supervision counters (all zero for in-process backends)."""
         if isinstance(self._backend, PoolExecutor):

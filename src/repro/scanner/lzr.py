@@ -154,70 +154,21 @@ class LZRSimulator:
                 results.append(result)
         return results
 
-    def fingerprint_batch(self, targets: Iterable[Tuple[int, int]],
-                          category: ScanCategory = ScanCategory.OTHER,
-                          ) -> List[FingerprintResult]:
-        """Batched :meth:`fingerprint_many` (the batched prediction scan, Section 5.4).
-
-        Produces the same protocol-bearing results in the same order and
-        charges the ledger identically, but resolves each target with a
-        single host lookup (instead of separate service/pseudo/host queries)
-        and records the handshake cost once for the whole batch.  The
-        middlebox check collapses to the same lookup: a middlebox host has no
-        services and no pseudo range, so it falls through to "no data" and is
-        dropped without further queries.
-        """
-        results: List[FingerprintResult] = []
-        hosts_get = self.universe.hosts.get
-        lossy = self.loss is not None
-        sent = 0
-        responded = 0
-        retried = 0
-        for ip, port in targets:
-            sent += 1
-            host = hosts_get(ip)
-            if host is None:
-                continue
-            record = host.services.get(port)
-            if record is not None:
-                if lossy:
-                    attempts, observed = self._handshake_attempts(ip, port)
-                    retried += attempts - 1
-                    if not observed:
-                        continue
-                responded += 1
-                results.append(FingerprintResult(ip=ip, port=port,
-                                                 protocol=record.protocol,
-                                                 is_real_service=True,
-                                                 ttl=record.ttl))
-                continue
-            if host.is_pseudo_responsive_on(port):
-                if lossy:
-                    attempts, observed = self._handshake_attempts(ip, port)
-                    retried += attempts - 1
-                    if not observed:
-                        continue
-                responded += 1
-                results.append(FingerprintResult(ip=ip, port=port, protocol="http",
-                                                 is_real_service=False,
-                                                 ttl=host.base_ttl))
-        self.ledger.record(category,
-                           probes=PROBES_PER_FINGERPRINT * (sent + retried),
-                           responses=PROBES_PER_FINGERPRINT * responded,
-                           retransmits=PROBES_PER_FINGERPRINT * retried)
-        return results
-
     def fingerprint_batch_columns(self, ips: Sequence[int], ports: Sequence[int],
                                   category: ScanCategory = ScanCategory.OTHER,
                                   statuses: Optional[DictionaryEncoder] = None,
                                   ) -> FingerprintBatch:
-        """Columnar :meth:`fingerprint_batch`: fold outcomes into flat columns.
+        """Columnar :meth:`fingerprint_many`: fold outcomes into flat columns.
 
         Same targets fingerprinted, same protocol-bearing rows kept in the
-        same order, identical ledger charges -- but per surviving target the
-        work is four list appends instead of a :class:`FingerprintResult`
-        allocation.  ``statuses`` lets a pipeline share one protocol-id space
-        across batches; by default each batch gets its own encoder.
+        same order, identical ledger totals -- but each target resolves with
+        a single host lookup (a middlebox has no services and no pseudo
+        range, so it falls through to "no data" without further queries),
+        the handshake cost is charged once for the whole call, and per
+        surviving target the work is four list appends instead of a
+        :class:`FingerprintResult` allocation.  ``statuses`` lets a
+        pipeline share one protocol-id space across batches; by default
+        each batch gets its own encoder.
         """
         # "is not None", not truthiness: a shared encoder that is still empty
         # must not be silently replaced (DictionaryEncoder defines __len__).

@@ -12,10 +12,19 @@ scan shapes the paper's system needs:
 * :meth:`ScanPipeline.scan_pairs` -- targeted probes of predicted (ip, port)
   pairs: the prediction scan (Section 5.4).  Passing ``batch_prefix_len``
   (or calling :meth:`ScanPipeline.scan_pair_batches` with pre-grouped
-  :class:`~repro.scanner.records.ProbeBatch` objects) runs the same probes
-  through the batched scanner layers, which amortize ground-truth lookups,
-  middlebox checks and ledger charges across each per-(prefix, port) batch
-  instead of paying them per pair.
+  :class:`~repro.scanner.records.ProbeBatch` objects) amortizes ground-truth
+  lookups and ledger charges across each per-(prefix, port) batch instead of
+  paying them per pair.
+
+Every shape runs the *columnar* layers (``scan_pair_batch_columns``,
+``fingerprint_batch_columns``, ``grab_batch_columns`` and the columnar
+pseudo-service filter), which fold hits into flat int columns and
+materialize :class:`~repro.scanner.records.ScanObservation` rows only at the
+API boundary.  The per-pair layer methods (``zmap.scan_pairs``,
+``fingerprint_many``, ``grab_many``, ``filter``) are the reference oracle:
+unbatched :meth:`ScanPipeline.scan_pairs` chains them, and every columnar
+shape is defined as producing the same observations in the same order with
+identical ledger charges.
 
 Every probe sent is charged to a :class:`~repro.scanner.bandwidth.BandwidthLedger`
 so that each experiment can report cost in the paper's unit of "100 % scans".
@@ -197,6 +206,10 @@ class ScanPipeline:
 
         ``subnet`` is either a packed subnet key (see
         :func:`repro.net.ipv4.subnet_key`) or a ``(base, prefix_len)`` tuple.
+        The responders run through the columnar LZR/ZGrab layers and the
+        columnar filter: the same observations, in the same order, with the
+        same ledger charges as chaining ``fingerprint_many`` -> ``grab_many``
+        -> ``filter``; the rows are read-only interner views.
         """
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
         if isinstance(subnet, tuple):
@@ -204,12 +217,9 @@ class ScanPipeline:
         else:
             base, length = subnet_key_parts(subnet)
         responders = self.zmap.scan_prefix(port, base, length, category=category)
-        fingerprints = self.lzr.fingerprint_many(
-            ((ip, port) for ip in responders), category=category
-        )
-        observations = self.zgrab.grab_many(fingerprints, category=category)
-        if apply_filter:
-            observations = self.pseudo_filter.filter(observations)
+        batch = self._grab_columns(responders, [port] * len(responders), category)
+        observations = (self.pseudo_filter.filter_batch(batch) if apply_filter
+                        else batch.materialize())
         if sweep_t0 is not None:
             self._observe_sweep("prefix", time.perf_counter() - sweep_t0)
         return observations
@@ -288,24 +298,7 @@ class ScanPipeline:
         """
         hit_ips, hit_ports = self.zmap.scan_pair_batch_columns(batches,
                                                                category=category)
-        fingerprints = self.lzr.fingerprint_batch_columns(
-            hit_ips, hit_ports, category=category, statuses=self._status_encoder)
-        return self.zgrab.grab_batch_columns(fingerprints, category=category)
-
-    def exhaustive_port_scan(self, port: int,
-                             category: ScanCategory = ScanCategory.EXHAUSTIVE,
-                             apply_filter: bool = True) -> List[ScanObservation]:
-        """A 100 % scan of one port (the exhaustive baseline's unit of work)."""
-        observations: List[ScanObservation] = []
-        for system in self.universe.topology.systems:
-            for base, length in system.prefixes:
-                observations.extend(
-                    self.scan_prefix(port, (base, length), category=category,
-                                     apply_filter=False)
-                )
-        if apply_filter:
-            observations = self.pseudo_filter.filter(observations)
-        return observations
+        return self._grab_columns(hit_ips, hit_ports, category)
 
     # -- internals ---------------------------------------------------------------------
 
@@ -359,14 +352,18 @@ class ScanPipeline:
                 # LZR middlebox shortcut: sample a few ports; if none ever
                 # produce data the host is acking everything and is dropped.
                 sample = responsive_ports[:MIDDLEBOX_SAMPLE_PORTS]
-                sampled_results = self.lzr.fingerprint_many(
-                    ((ip, port) for port in sample), category=category
-                )
-                if not sampled_results:
+                # A throwaway status encoder: the sample only asks whether
+                # any port spoke, and must not reorder the shared id space.
+                if not self.lzr.fingerprint_batch_columns(
+                        [ip] * len(sample), sample, category=category):
                     continue
             target_ips.extend([ip] * len(responsive_ports))
             target_ports.extend(responsive_ports)
+        return self._grab_columns(target_ips, target_ports, category)
+
+    def _grab_columns(self, ips: Sequence[int], ports: Sequence[int],
+                      category: ScanCategory) -> ObservationBatch:
+        """Fingerprint then banner-grab SYN-ACKing targets on the columnar layers."""
         fingerprints = self.lzr.fingerprint_batch_columns(
-            target_ips, target_ports, category=category,
-            statuses=self._status_encoder)
+            ips, ports, category=category, statuses=self._status_encoder)
         return self.zgrab.grab_batch_columns(fingerprints, category=category)

@@ -110,65 +110,16 @@ class ZGrabSimulator:
                 observations.append(observation)
         return observations
 
-    def grab_batch(self, fingerprints: Iterable[FingerprintResult],
-                   category: ScanCategory = ScanCategory.OTHER,
-                   ) -> List[ScanObservation]:
-        """Batched :meth:`grab_many` (the batched prediction scan, Section 5.4).
-
-        Produces the same observations in the same order and charges the
-        ledger identically, but resolves each target with one host lookup
-        and records the handshake cost once for the whole batch instead of
-        once per target.
-        """
-        observations: List[ScanObservation] = []
-        hosts_get = self.universe.hosts.get
-        lossy = self.loss is not None
-        handshakes = 0
-        answered = 0
-        retried = 0
-        for fingerprint in fingerprints:
-            if fingerprint.protocol is None:
-                continue
-            handshakes += 1
-            ip, port = fingerprint.ip, fingerprint.port
-            if lossy:
-                attempts, observed = self._handshake_attempts(ip, port)
-                retried += attempts - 1
-                if not observed:
-                    continue
-            answered += 1
-            host = hosts_get(ip)
-            if host is None:
-                continue
-            record = host.services.get(port)
-            if record is not None:
-                observations.append(ScanObservation(
-                    ip=record.ip, port=record.port, protocol=record.protocol,
-                    app_features=dict(record.app_features), ttl=record.ttl))
-                continue
-            if host.is_pseudo_responsive_on(port):
-                features = self.banner_factory.pseudo_service_features(
-                    ip, host.pseudo_incident_style, port=port
-                )
-                observations.append(ScanObservation(ip=ip, port=port,
-                                                    protocol="http",
-                                                    app_features=features,
-                                                    ttl=host.base_ttl))
-        self.ledger.record(
-            category, probes=PROBES_PER_HANDSHAKE * (handshakes + retried),
-            responses=PROBES_PER_HANDSHAKE * (answered if lossy else handshakes),
-            retransmits=PROBES_PER_HANDSHAKE * retried)
-        return observations
-
     def grab_batch_columns(self, fingerprints: FingerprintBatch,
                            category: ScanCategory = ScanCategory.OTHER,
                            ) -> ObservationBatch:
-        """Columnar :meth:`grab_batch`: fold banner grabs into an observation batch.
+        """Columnar :meth:`grab_many`: fold banner grabs into an observation batch.
 
         Same targets handshaked in the same order and identical ledger
-        charges, but per hit the work is one host lookup plus five list
-        appends: real services resolve their banner through the universe's
-        identity-cached interner (no dict copy); the static pseudo page
+        totals (charged once for the whole call), but per hit the work is
+        one host lookup plus five list appends: real services resolve their
+        banner through the universe's identity-cached interner (no dict
+        copy); the static pseudo page
         interns by content (collapsing to one id universe-wide) while
         incident-style pseudo pages -- unique per target, so interning
         buys nothing -- ride as batch-local banners and die with the batch.

@@ -188,45 +188,18 @@ class ZMapSimulator:
                            retransmits=retransmits)
         return hits
 
-    def scan_pair_batches(self, batches: Iterable[ProbeBatch],
-                          category: ScanCategory = ScanCategory.PREDICTION,
-                          ) -> List[Tuple[int, int]]:
-        """Probe per-(prefix, port) batches (the batched prediction scan, Section 5.4).
-
-        Sends exactly the probes :meth:`scan_pairs` would send for the
-        flattened batches and returns the same SYN-ACKing pairs (in batch
-        order), but resolves each batch with one ranged ground-truth query
-        (:meth:`~repro.internet.universe.Universe.syn_ack_many`), validates
-        the port once per batch, and charges the ledger once for the whole
-        call -- the per-pair bookkeeping the unbatched path pays on every
-        probe is amortized across each batch.
-        """
-        sent = 0
-        retransmits = 0
-        hits: List[Tuple[int, int]] = []
-        for batch in batches:
-            port = batch.port
-            if not is_valid_port(port):
-                raise ValueError(f"invalid port: {port}")
-            sent += len(batch.ips)
-            responders = self.universe.syn_ack_many(batch.ips, port)
-            if self.loss is not None:
-                responders, extra = self._retry_responders(responders, port)
-                sent += extra
-                retransmits += extra
-            hits.extend((ip, port) for ip in responders)
-        self.ledger.record(category, probes=sent, responses=len(hits),
-                           retransmits=retransmits)
-        return hits
-
     def scan_pair_batch_columns(self, batches: Iterable[ProbeBatch],
                                 category: ScanCategory = ScanCategory.PREDICTION,
                                 ) -> Tuple[List[int], List[int]]:
-        """Columnar :meth:`scan_pair_batches`: hits as parallel (ips, ports) columns.
+        """Batched :meth:`scan_pairs`: hits as parallel (ips, ports) columns.
 
-        Identical probes, responders and ledger charges, but the hits are
-        folded into two flat int columns instead of a list of per-hit tuples
-        -- the shape the columnar LZR/ZGrab layers consume
+        Sends exactly the probes :meth:`scan_pairs` would send for the
+        flattened batches and returns the same SYN-ACKing targets (in batch
+        order), but resolves each batch with one ranged ground-truth query
+        (:meth:`~repro.internet.universe.Universe.syn_ack_many`), validates
+        the port once per batch, charges the ledger once for the whole call,
+        and folds the hits into two flat int columns -- the shape the
+        columnar LZR/ZGrab layers consume
         (:class:`~repro.scanner.records.ObservationBatch` downstream).
         """
         sent = 0

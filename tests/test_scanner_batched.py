@@ -1,18 +1,16 @@
-"""Equivalence tests for the batched prediction-scan path.
+"""Equivalence tests for the columnar scan path.
 
-The batched layers (``Universe.syn_ack_many``, ``ZMapSimulator.scan_pair_batches``,
-``LZRSimulator.fingerprint_batch``, ``ZGrabSimulator.grab_batch`` and
-``ScanPipeline.scan_pair_batches``) are *defined* as equivalent to their
-pair-by-pair counterparts: same probes sent, same services observed, identical
-bandwidth-ledger charges.  Every test here compares the two paths on the same
-targets, including the miss-heavy mixes (dark addresses, closed ports,
-middleboxes, pseudo services) a real prediction scan probes.
-
-The *columnar* layers (``scan_pair_batch_columns``, ``fingerprint_batch_columns``,
-``grab_batch_columns``, ``ObservationBatch`` and the columnar pseudo filter)
-carry the same contract one representation further: flat int columns instead
-of per-hit objects, materializing ``ScanObservation`` rows only at the API
-boundary -- with the per-object paths kept as the equivalence oracle.
+Every production scan shape (``ScanPipeline.seed_scan``, ``scan_prefix`` and
+the batched ``scan_pairs`` / ``scan_pair_batches``) runs the columnar layers:
+``Universe.syn_ack_many``, ``ZMapSimulator.scan_pair_batch_columns``,
+``LZRSimulator.fingerprint_batch_columns``, ``ZGrabSimulator.grab_batch_columns``,
+``ObservationBatch`` and the columnar pseudo filter.  They are *defined* as
+equivalent to the per-pair layer chain (``zmap.scan_pairs`` /
+``zmap.scan_prefix`` -> ``fingerprint_many`` -> ``grab_many`` -> ``filter``):
+same probes sent, same services observed, identical bandwidth-ledger charges.
+Every test here compares the two on the same targets, including the
+miss-heavy mixes (dark addresses, closed ports, middleboxes, pseudo services)
+a real scan probes, lossless and under seeded probe loss.
 """
 
 from __future__ import annotations
@@ -24,10 +22,21 @@ import pytest
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.datasets.split import seed_scan_cost_probes
+from repro.engine.faults import FaultPlan
 from repro.net.ipv4 import subnet_key
 from repro.scanner.bandwidth import ScanCategory
-from repro.scanner.pipeline import ScanPipeline
+from repro.scanner.pipeline import (
+    MIDDLEBOX_SAMPLE_PORTS,
+    MIDDLEBOX_SUSPECT_PORT_COUNT,
+    ScanPipeline,
+)
 from repro.scanner.records import ProbeBatch, group_pairs
+
+#: Seeded probe loss with a retry budget that covers it: results must stay
+#: identical to the lossless run, only the ledger shows retransmits.
+LOSS = FaultPlan(seed=7, probe_loss_rate=0.35)
+FAULT_PLANS = pytest.mark.parametrize("fault_plan", [None, LOSS],
+                                      ids=["lossless", "lossy"])
 
 
 def _mixed_targets(universe, count=600, seed=5):
@@ -40,6 +49,22 @@ def _mixed_targets(universe, count=600, seed=5):
     pairs += [(rng.randrange(0, 2**32), 443) for _ in range(count // 4)]
     rng.shuffle(pairs)
     return pairs
+
+
+def _prefix_targets(universe):
+    """(port, /16) priors-scan entries hitting every responder kind: real
+    services, static and incident-style pseudo pages, and middleboxes."""
+    hosts = universe.hosts.values()
+    real = next(iter(universe.real_services()))
+    middlebox = next(host for host in hosts if host.is_middlebox)
+    pseudo = {host.pseudo_incident_style: host for host in hosts
+              if host.pseudo_port_range is not None}
+    targets = [(real.port, real.ip), (real.port, middlebox.ip),
+               (80, middlebox.ip)]
+    targets += [(host.pseudo_port_range[0], host.ip) for host in pseudo.values()]
+    targets.append((universe.port_registry().top_ports(1)[0],
+                    universe.topology.systems[0].prefixes[0][0]))
+    return [(port, (ip >> 16 << 16, 16)) for port, ip in targets]
 
 
 def _observation_key(observations):
@@ -107,47 +132,6 @@ class TestGroupPairs:
             group_pairs([(1, 80)], 33)
 
 
-class TestBatchedLayers:
-    def test_zmap_batches_match_pairs(self, universe):
-        pairs = _mixed_targets(universe)
-        batches = group_pairs(pairs, 16)
-        pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        hits_pairwise = pipeline_a.zmap.scan_pairs(pairs)
-        hits_batched = pipeline_b.zmap.scan_pair_batches(batches)
-        assert sorted(hits_pairwise) == sorted(hits_batched)
-        assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
-        assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
-
-    def test_zmap_batch_rejects_invalid_port(self, universe):
-        pipeline = ScanPipeline(universe)
-        batch = ProbeBatch(port=0, subnet=subnet_key(1, 16), ips=(1, 2))
-        with pytest.raises(ValueError):
-            pipeline.zmap.scan_pair_batches([batch])
-
-    def test_lzr_batch_matches_fingerprint_many(self, universe):
-        pairs = _mixed_targets(universe)
-        hits = ScanPipeline(universe).zmap.scan_pairs(pairs)
-        pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        many = pipeline_a.lzr.fingerprint_many(hits, category=ScanCategory.PREDICTION)
-        batch = pipeline_b.lzr.fingerprint_batch(hits, category=ScanCategory.PREDICTION)
-        assert many == batch
-        assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
-        assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
-
-    def test_zgrab_batch_matches_grab_many(self, universe):
-        pairs = _mixed_targets(universe)
-        fresh = ScanPipeline(universe)
-        fingerprints = fresh.lzr.fingerprint_many(fresh.zmap.scan_pairs(pairs))
-        pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        many = pipeline_a.zgrab.grab_many(fingerprints,
-                                          category=ScanCategory.PREDICTION)
-        batch = pipeline_b.zgrab.grab_batch(fingerprints,
-                                            category=ScanCategory.PREDICTION)
-        assert many == batch
-        assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
-        assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
-
-
 class TestBatchedPipeline:
     @pytest.mark.parametrize("prefix_len", [0, 16, 24])
     def test_batched_scan_pairs_equivalent(self, universe, prefix_len):
@@ -176,13 +160,16 @@ class TestBatchedPipeline:
 
 
 class TestColumnarLayers:
-    """Columnar scanner stages vs their per-object oracles."""
+    """Columnar scanner stages vs their per-pair oracles."""
 
     def test_zmap_columns_match_pair_batches(self, universe):
         pairs = _mixed_targets(universe)
         batches = group_pairs(pairs, 16)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        hits = pipeline_a.zmap.scan_pair_batches(batches)
+        # Probed in batch order, the per-pair scan yields the same hits in
+        # the same order as the batched columns.
+        hits = pipeline_a.zmap.scan_pairs(
+            [pair for batch in batches for pair in batch.pairs()])
         ips, ports = pipeline_b.zmap.scan_pair_batch_columns(batches)
         assert list(zip(ips, ports)) == hits
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
@@ -190,16 +177,17 @@ class TestColumnarLayers:
 
     def test_zmap_columns_reject_invalid_port(self, universe):
         pipeline = ScanPipeline(universe)
-        batch = ProbeBatch(port=70000, subnet=subnet_key(1, 16), ips=(1,))
-        with pytest.raises(ValueError):
-            pipeline.zmap.scan_pair_batch_columns([batch])
+        for port in (0, 70000):
+            batch = ProbeBatch(port=port, subnet=subnet_key(1, 16), ips=(1, 2))
+            with pytest.raises(ValueError):
+                pipeline.zmap.scan_pair_batch_columns([batch])
 
     def test_lzr_columns_match_fingerprint_batch(self, universe):
         pairs = _mixed_targets(universe)
         hits = ScanPipeline(universe).zmap.scan_pairs(pairs)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        objects = pipeline_a.lzr.fingerprint_batch(hits,
-                                                   category=ScanCategory.PREDICTION)
+        objects = pipeline_a.lzr.fingerprint_many(hits,
+                                                  category=ScanCategory.PREDICTION)
         columns = pipeline_b.lzr.fingerprint_batch_columns(
             [ip for ip, _ in hits], [port for _, port in hits],
             category=ScanCategory.PREDICTION)
@@ -220,8 +208,8 @@ class TestColumnarLayers:
         columns = fresh.lzr.fingerprint_batch_columns(
             [ip for ip, _ in hits], [port for _, port in hits])
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        objects = pipeline_a.zgrab.grab_batch(fingerprints,
-                                              category=ScanCategory.PREDICTION)
+        objects = pipeline_a.zgrab.grab_many(fingerprints,
+                                             category=ScanCategory.PREDICTION)
         batch = pipeline_b.zgrab.grab_batch_columns(columns,
                                                     category=ScanCategory.PREDICTION)
         assert batch.materialize() == objects
@@ -236,6 +224,69 @@ class TestColumnarLayers:
         assert _observation_key(batch.materialize()) == _observation_key(pairwise)
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
         assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
+
+
+class TestColumnarScanShapes:
+    """The re-routed production shapes vs the per-pair layer chain."""
+
+    @pytest.mark.parametrize("apply_filter", [True, False],
+                             ids=["filtered", "unfiltered"])
+    @FAULT_PLANS
+    def test_scan_prefix_matches_per_pair_chain(self, universe, fault_plan,
+                                                apply_filter):
+        columnar = ScanPipeline(universe, fault_plan=fault_plan)
+        oracle = ScanPipeline(universe, fault_plan=fault_plan)
+        category = ScanCategory.PRIORS
+        real_rows = set()
+        for port, subnet in _prefix_targets(universe):
+            responders = oracle.zmap.scan_prefix(port, *subnet, category=category)
+            fingerprints = oracle.lzr.fingerprint_many(
+                ((ip, port) for ip in responders), category=category)
+            expected = oracle.zgrab.grab_many(fingerprints, category=category)
+            if apply_filter:
+                expected = oracle.pseudo_filter.filter(expected)
+            observed = columnar.scan_prefix(port, subnet, category=category,
+                                            apply_filter=apply_filter)
+            assert observed == expected
+            real_rows.update(universe.lookup(obs.ip, obs.port) is not None
+                             for obs in observed)
+        # Both real services and pseudo pages came through.
+        assert real_rows == {True, False}
+        assert columnar.ledger.snapshot() == oracle.ledger.snapshot()
+        assert columnar.ledger.retransmits == oracle.ledger.retransmits
+        assert (columnar.ledger.total_retransmits() > 0) == (fault_plan is not None)
+
+    @FAULT_PLANS
+    def test_seed_sweep_middlebox_sample_matches_per_pair_chain(
+            self, universe, fault_plan):
+        hosts = universe.hosts.values()
+        ips = sorted([next(host.ip for host in hosts if host.is_middlebox),
+                      next(host.ip for host in hosts if host.services),
+                      next(host.ip for host in hosts
+                           if host.pseudo_port_range is not None)])
+        columnar = ScanPipeline(universe, fault_plan=fault_plan)
+        columnar.sample_addresses = lambda fraction, rng: ips
+        oracle = ScanPipeline(universe, fault_plan=fault_plan)
+        category = ScanCategory.SEED
+        expected = []
+        sampled_middlebox = False
+        for ip in ips:
+            ports = oracle.zmap.scan_host_ports(ip, category=category)
+            if len(ports) > MIDDLEBOX_SUSPECT_PORT_COUNT:
+                sampled_middlebox = True
+                sample = ports[:MIDDLEBOX_SAMPLE_PORTS]
+                if not oracle.lzr.fingerprint_many(
+                        ((ip, port) for port in sample), category=category):
+                    continue
+            fingerprints = oracle.lzr.fingerprint_many(
+                ((ip, port) for port in ports), category=category)
+            expected.extend(oracle.zgrab.grab_many(fingerprints,
+                                                   category=category))
+        assert sampled_middlebox and expected
+        result = columnar.seed_scan(0.01, apply_filter=False)
+        assert result.observations == expected
+        assert columnar.ledger.snapshot() == oracle.ledger.snapshot()
+        assert columnar.ledger.retransmits == oracle.ledger.retransmits
 
 
 class TestObservationBatch:
