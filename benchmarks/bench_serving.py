@@ -96,7 +96,6 @@ def run_serving_benchmark(universe):
     loop = asyncio.new_event_loop()
     try:
         batched = GPSService(ServingConfig(executor="serial", max_batch=32,
-                                           batch_window_s=0.002,
                                            request_timeout_s=120.0))
         unbatched = GPSService(ServingConfig(executor="serial", max_batch=1,
                                              request_timeout_s=120.0))

@@ -7,11 +7,11 @@ promise on the two paths an operator would instrument first:
 
 * **warm model build** -- ``build_prepared_model`` on a persistent serial
   engine runtime, telemetry on vs off (the build path: per-task timings,
-  resident gauges, phase counters);
+  resident gauges, phase counters), the two legs' builds alternating;
 * **warm serving lookup** -- sequential ``lookup_ip`` requests against a
   warm :class:`~repro.serving.service.GPSService`, telemetry on vs off
   (the serve path: per-request counters, latency histograms, micro-batch
-  accounting).
+  accounting), both legs on one service and alternating lookup by lookup.
 
 Equivalence is asserted before any timing is trusted: the instrumented
 build's predictions and the instrumented service's replies must be
@@ -40,7 +40,7 @@ from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
 from repro.serving import GPSService, InProcessClient, ServingConfig
 from repro.serving.registry import build_prepared_model
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 
@@ -51,7 +51,8 @@ SEED_FRACTION = 0.1
 #: Build repetitions per leg (best-of; the build is the expensive part).
 BUILD_REPEATS = 3 if SMOKE else 5
 
-#: Sequential warm lookups per timing round, and rounds per leg (best-of).
+#: Sequential warm lookups per timing round, and rounds per leg (each
+#: lookup's best-of).
 WARM_LOOKUPS = 60
 LOOKUP_ROUNDS = 3
 
@@ -65,66 +66,106 @@ def _gps_config() -> GPSConfig:
     return GPSConfig(use_engine=True, executor="serial")
 
 
-def _build_leg(universe, seed, telemetry):
-    """Best-of-N warm builds on one persistent runtime; returns (s, preds)."""
-    runtime = EngineRuntime(executor="serial", telemetry=telemetry)
-    pipeline = ScanPipeline(universe, telemetry=telemetry)
-    best = float("inf")
-    predictions = None
+def _build_legs(universe, seed):
+    """Best-of-N warm builds, telemetry off and on, each on its own
+    persistent runtime.
+
+    The legs alternate build by build, the one that goes first swapping
+    every round, so machine noise that drifts over the run lands on both.
+    Returns ``{telemetry_enabled: (s, predictions)}``.
+    """
+    telemetry = {False: None, True: Telemetry()}
+    runtimes = {enabled: EngineRuntime(executor="serial", telemetry=tel)
+                for enabled, tel in telemetry.items()}
+    pipelines = {enabled: ScanPipeline(universe, telemetry=tel)
+                 for enabled, tel in telemetry.items()}
+    best = dict.fromkeys(telemetry, float("inf"))
+    predictions = {}
+    ip = seed.observations[0].ip
+    order = list(telemetry)
     try:
         for _ in range(BUILD_REPEATS):
-            start = time.perf_counter()
-            prepared = build_prepared_model("bench", pipeline, seed,
-                                            _gps_config(), runtime)
-            best = min(best, time.perf_counter() - start)
-            ip = seed.observations[0].ip
-            predictions = prepared.predict(
-                prepared.known_observations(ip),
-                known_pairs=prepared.known_pairs_for(ip))
-            prepared.release()
+            for enabled in order:
+                start = time.perf_counter()
+                prepared = build_prepared_model(
+                    "bench", pipelines[enabled], seed, _gps_config(),
+                    runtimes[enabled])
+                best[enabled] = min(best[enabled],
+                                    time.perf_counter() - start)
+                predictions[enabled] = tuple(prepared.predict(
+                    prepared.known_observations(ip),
+                    known_pairs=prepared.known_pairs_for(ip)))
+                prepared.release()
+            order.reverse()  # neither leg always goes first
     finally:
-        runtime.close()
-    return best, tuple(predictions)
+        for runtime in runtimes.values():
+            runtime.close()
+    return {enabled: (best[enabled], predictions[enabled])
+            for enabled in telemetry}
 
 
-def _lookup_leg(universe, seed, telemetry_enabled):
-    """Best-of-N sequential warm-lookup rounds; returns (s/lookup, replies)."""
+def _lookup_legs(universe, seed):
+    """Best-of-N sequential warm lookups on one service, telemetry off and on.
+
+    A warm lookup takes ~100 us.  Two separately loaded services differ by
+    more than the 5 % this leg gates, whatever their telemetry: on a shared
+    2-vCPU VM, of two identical telemetry-off services the one loaded first
+    served ~9 % faster.  So one warm telemetry-enabled service serves both
+    legs: the on leg with its own live telemetry, the off leg with
+    ``NULL_TELEMETRY`` (what a ``telemetry_enabled=False`` service holds)
+    swapped in.  The legs alternate lookup by lookup, the one that goes
+    first swapping every lookup, and each lookup's time is the best of its
+    ``LOOKUP_ROUNDS`` rounds.  Returns ``{telemetry_enabled: (s/lookup,
+    replies)}``.
+    """
     ips = sorted({obs.ip for obs in seed.observations})[:WARM_LOOKUPS]
     loop = asyncio.new_event_loop()
     try:
         service = GPSService(ServingConfig(
             executor="serial", request_timeout_s=120.0,
-            telemetry_enabled=telemetry_enabled))
+            telemetry_enabled=True))
         loop.run_until_complete(service.load_model(
             "default", ScanPipeline(universe), seed, _gps_config()))
         client = InProcessClient(service)
+        telemetry = {False: NULL_TELEMETRY, True: service.telemetry}
+        best = {enabled: [float("inf")] * len(ips) for enabled in telemetry}
+        replies = {enabled: [None] * len(ips) for enabled in telemetry}
 
-        async def sequential():
-            return [await client.lookup_ip("default", ip) for ip in ips]
+        async def paired_round():
+            order = list(telemetry)
+            for i, ip in enumerate(ips):
+                for enabled in order:
+                    service.telemetry = telemetry[enabled]
+                    start = time.perf_counter()
+                    reply = await client.lookup_ip("default", ip)
+                    best[enabled][i] = min(best[enabled][i],
+                                           time.perf_counter() - start)
+                    replies[enabled][i] = reply.predictions
+                order.reverse()  # neither leg always goes first
 
-        best = float("inf")
-        replies = None
         for _ in range(LOOKUP_ROUNDS):
-            start = time.perf_counter()
-            replies = loop.run_until_complete(sequential())
-            best = min(best, (time.perf_counter() - start) / len(ips))
+            loop.run_until_complete(paired_round())
+        service.telemetry = telemetry[True]
         loop.run_until_complete(service.close())
     finally:
         loop.close()
-    return best, tuple(r.predictions for r in replies)
+    return {enabled: (sum(best[enabled]) / len(ips), tuple(replies[enabled]))
+            for enabled in telemetry}
 
 
 def run_telemetry_benchmark(universe):
     pipeline = ScanPipeline(universe)
     seed = pipeline.seed_scan(SEED_FRACTION, seed=0)
 
-    build_off, predictions_off = _build_leg(universe, seed, None)
-    build_on, predictions_on = _build_leg(universe, seed, Telemetry())
+    builds = _build_legs(universe, seed)
+    build_off, predictions_off = builds[False]
+    build_on, predictions_on = builds[True]
     assert predictions_on == predictions_off, \
         "telemetry changed the build's predictions"
 
-    lookup_off, replies_off = _lookup_leg(universe, seed, False)
-    lookup_on, replies_on = _lookup_leg(universe, seed, True)
+    legs = _lookup_legs(universe, seed)
+    lookup_off, replies_off = legs[False]
+    lookup_on, replies_on = legs[True]
     assert replies_on == replies_off, \
         "telemetry changed a served lookup reply"
 

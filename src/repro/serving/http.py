@@ -214,7 +214,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, self.host.service.stats_snapshot())
             elif url.path == "/metrics":
                 self._send_text(
-                    200, self.host.service.telemetry.render_prometheus(),
+                    200, self.host.service.render_metrics(),
                     "text/plain; version=0.0.4; charset=utf-8")
             elif url.path == "/lookup":
                 params = parse_qs(url.query)

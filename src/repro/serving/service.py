@@ -11,21 +11,23 @@ One service owns:
   corrupting in-flight responses;
 * **a model registry** (:mod:`repro.serving.registry`) with load/swap/evict
   of named models;
-* **a request router** with per-model micro-batching: concurrent point
-  lookups coalesce into one worker-thread flush (flushed when the batch
-  reaches ``max_batch`` *or* the oldest waiter has waited
-  ``batch_window_s``, whichever first), sharing one executor dispatch and
-  one hot net-feature memo instead of paying per-request scheduling;
+* **a request router** with per-model natural batching: a lookup that
+  finds its model's batcher idle flushes on the next loop turn, and lookups
+  that arrive while a flush is in flight coalesce into the next one
+  (flushed when the in-flight flush completes, or at once on reaching
+  ``max_batch``), sharing one executor dispatch and one hot net-feature
+  memo.  Nothing waits on a timer: batches grow only when there is queueing;
 * **bounded admission**: at most ``max_pending`` requests are in flight;
   request number ``max_pending + 1`` is shed *immediately* with
   :class:`~repro.serving.schemas.ServiceOverloaded` -- the queue never grows
   without bound, so overload degrades into fast typed rejections rather
   than collapse;
 * **graceful drain**: :meth:`close` stops admission (typed
-  :class:`~repro.serving.schemas.ServiceClosed` for late arrivals), flushes
-  every batcher, waits for outstanding requests to complete (bounded by
-  ``drain_timeout_s``), then tears down the thread pool, the registry and
-  the engine runtime.  Idempotent; double-close is a no-op.
+  :class:`~repro.serving.schemas.ServiceClosed` for late arrivals), waits
+  for outstanding requests to complete (bounded by ``drain_timeout_s``;
+  parked lookups leave with the flush they wait behind), then tears down
+  the thread pool, the registry and the engine runtime.  Idempotent;
+  double-close is a no-op.
 
 Everything is framework-free: plain asyncio plus a small
 ``ThreadPoolExecutor`` for the CPU-bound prediction folds (which is why the
@@ -81,9 +83,8 @@ class ServingConfig:
     Attributes:
         max_pending: bound on concurrently admitted requests; the next one
             is shed with :class:`ServiceOverloaded`.
-        max_batch: micro-batch size that triggers an immediate flush.
-        batch_window_s: longest a coalesced lookup waits for company before
-            the batch flushes anyway (the deadline flush).
+        max_batch: micro-batch size that triggers an immediate flush, even
+            while another flush of the same model is in flight.
         request_timeout_s: per-request deadline; ``None`` disables.  Scan
             streams apply it per awaited update.
         drain_timeout_s: how long :meth:`GPSService.close` waits for
@@ -103,7 +104,6 @@ class ServingConfig:
 
     max_pending: int = 256
     max_batch: int = 32
-    batch_window_s: float = 0.002
     request_timeout_s: Optional[float] = 30.0
     drain_timeout_s: float = 10.0
     lookup_threads: int = 4
@@ -122,8 +122,6 @@ class ServingConfig:
             raise ValueError("max_pending must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
         for name, value in (("request_timeout_s", self.request_timeout_s),
                             ("task_deadline_s", self.task_deadline_s),
                             ("execution_deadline_s", self.execution_deadline_s)):
@@ -149,49 +147,54 @@ class ServingConfig:
 class _MicroBatcher:
     """Coalesces one model's concurrent point lookups into shared flushes.
 
-    Waiters append onto the open batch; the batch flushes when it reaches
-    ``max_batch`` or when the *oldest* waiter has waited ``batch_window_s``
-    (one timer armed by the first arrival -- later arrivals never extend the
-    deadline).  All state is touched from the event loop only.
+    Natural batching: a lookup that arrives while no flush is in flight
+    schedules one on the next loop turn (``idle``), so lookups arriving in
+    the same turn share it; lookups that arrive while a flush is in flight
+    gather and leave together when the last in-flight flush completes.
+    Reaching ``max_batch`` flushes at once (``size``), in flight or not.
+    Nothing waits on a timer, so a lookup parked behind a flush always
+    leaves when that flush completes -- draining needs no trigger of its
+    own.  All state is touched from the event loop only.
     """
 
     def __init__(self, service: "GPSService") -> None:
         self._service = service
         self._items: List[Tuple[PointLookup, asyncio.Future]] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._scheduled: Optional[asyncio.Handle] = None
+        self._in_flight = 0
 
     async def submit(self, request: PointLookup) -> LookupReply:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._items.append((request, future))
-        config = self._service.config
-        # An admitted request can land here *after* close() swept the
-        # batchers (wait_for schedules this coroutine as its own task);
-        # waiting out the window would deadlock the drain, so a draining
-        # service flushes every arrival immediately.
-        if len(self._items) >= config.max_batch:
+        if len(self._items) >= self._service.config.max_batch:
             self.flush("size")
-        elif self._service.closed:
-            self.flush("drain")
-        elif self._timer is None:
-            self._timer = loop.call_later(config.batch_window_s, self.flush)
+        elif self._scheduled is None and not self._in_flight:
+            self._scheduled = loop.call_soon(self.flush, "idle")
         return await future
 
-    def flush(self, reason: str = "window") -> None:
+    def flush(self, reason: str) -> None:
         """Close the open batch and hand it to a worker thread (loop-side).
 
-        ``reason`` says which trigger fired -- ``"size"`` (the batch filled),
-        ``"window"`` (the oldest waiter's deadline, the timer default) or
-        ``"drain"`` (close-time sweep) -- and flows into the
+        ``reason`` says which trigger fired -- ``"size"`` (the batch filled)
+        or ``"idle"`` (no flush was in flight) -- and flows into the
         ``serving_flushes_total{reason=...}`` telemetry counter.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
         if not self._items:
             return
         items, self._items = self._items, []
-        self._service._spawn_flush(items, reason)
+        self._in_flight += 1
+        self._service._spawn_flush(items, reason).add_done_callback(
+            self._flush_done)
+
+    def _flush_done(self, _task: asyncio.Task) -> None:
+        """Send what gathered during the flushes once none is in flight."""
+        self._in_flight -= 1
+        if not self._in_flight:
+            self.flush("idle")
 
 
 class GPSService:
@@ -219,6 +222,9 @@ class GPSService:
         self._jobs: Dict[str, "_ScanJob"] = {}
         self._job_ids = itertools.count()
         self._flush_tasks: Set[asyncio.Task] = set()
+        self._request_instruments: Dict[str, List[Any]] = {}
+        self._flush_counters: Dict[str, Any] = {}
+        self._batch_sizes: Any = None
         self._threads = ThreadPoolExecutor(
             max_workers=self.config.lookup_threads,
             thread_name_prefix="gps-serve")
@@ -256,18 +262,14 @@ class GPSService:
 
         Late submissions observe a typed :class:`ServiceClosed` immediately.
         With ``drain=True`` (the default) outstanding requests -- including
-        open micro-batches, which are flushed right away rather than waiting
-        out their window -- run to completion, bounded by
-        ``drain_timeout_s``.  Idempotent: every call after the first returns
-        once the first teardown is done.
+        lookups parked behind an in-flight flush, which leave when it
+        completes -- run to completion, bounded by ``drain_timeout_s``.
+        Idempotent: every call after the first returns once the first
+        teardown is done.
         """
         if self._state == _CLOSED:
             return
-        first = self._state == _OPEN
         self._state = _DRAINING
-        if first:
-            for batcher in self._batchers.values():
-                batcher.flush("drain")
         if drain and self._pending > 0:
             self._ensure_loop_state()
             assert self._drained is not None
@@ -391,6 +393,19 @@ class GPSService:
              "loaded_at": info.loaded_at}
             for info in self._registry.infos()]
         return snapshot
+
+    def render_metrics(self) -> str:
+        """Everything ``/metrics`` reports, in Prometheus text format.
+
+        The ``serving_pending`` gauge is read from the live admission count
+        here, at scrape time, instead of being set on every admission and
+        release; it appears once the first request has been admitted.
+        """
+        if self.telemetry.enabled and self.stats.admitted:
+            self.telemetry.gauge(
+                "serving_pending",
+                "Requests currently admitted and in flight.").set(self._pending)
+        return self.telemetry.render_prometheus()
 
     # -- point lookups (micro-batched) -------------------------------------------------
 
@@ -583,15 +598,25 @@ class GPSService:
         """Count one served request; observe its latency when sampled in.
 
         ``seconds=None`` counts without a latency observation (scan jobs,
-        whose lifetime is the stream's, not the submit call's).
+        whose lifetime is the stream's, not the submit call's).  A served
+        lookup takes ~100 us, so each endpoint's two instruments are held
+        here once resolved instead of being looked up per request; each is
+        resolved on its first update, when the registry would have created
+        it anyway, so ``/metrics`` output is unchanged.
         """
         tel = self.telemetry
-        tel.counter("serving_requests_total",
-                    "Requests served by endpoint.", endpoint=endpoint).inc()
+        handles = self._request_instruments.get(endpoint)
+        if handles is None:
+            handles = self._request_instruments[endpoint] = [tel.counter(
+                "serving_requests_total", "Requests served by endpoint.",
+                endpoint=endpoint), None]
+        handles[0].inc()
         if seconds is not None and tel.sampled():
-            tel.histogram("serving_request_seconds",
-                          "Request latency by endpoint.",
-                          endpoint=endpoint).observe(seconds)
+            if handles[1] is None:
+                handles[1] = tel.histogram(
+                    "serving_request_seconds", "Request latency by endpoint.",
+                    endpoint=endpoint)
+            handles[1].observe(seconds)
 
     def _ensure_loop_state(self) -> None:
         """Bind loop-affine state (event, lock) to the running loop once."""
@@ -632,10 +657,6 @@ class GPSService:
                 f"(max_pending={self.config.max_pending})")
         self._pending += 1
         self.stats.admitted += 1
-        if self.telemetry.enabled:
-            self.telemetry.gauge(
-                "serving_pending",
-                "Requests currently admitted and in flight.").set(self._pending)
         # A stale "drained" signal from an earlier quiet period must not let
         # close() tear down under this request's feet.
         if self._drained is not None:
@@ -644,10 +665,6 @@ class GPSService:
     def _release(self) -> None:
         self._pending -= 1
         self.stats.completed += 1
-        if self.telemetry.enabled:
-            self.telemetry.gauge(
-                "serving_pending",
-                "Requests currently admitted and in flight.").set(self._pending)
         if self._pending == 0 and self._drained is not None:
             self._drained.set()
 
@@ -668,25 +685,32 @@ class GPSService:
                 f"request exceeded request_timeout_s={timeout}") from None
 
     def _spawn_flush(self, items: Sequence[Tuple[PointLookup, asyncio.Future]],
-                     reason: str = "window") -> None:
+                     reason: str) -> asyncio.Task:
         """Run one micro-batch flush as a tracked loop task."""
         assert self._loop is not None
         task = self._loop.create_task(self._run_flush(list(items), reason))
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_tasks.discard)
+        return task
 
     async def _run_flush(self, items: List[Tuple[PointLookup, asyncio.Future]],
-                         reason: str = "window") -> None:
+                         reason: str) -> None:
         self.stats.flushes += 1
         self.stats.max_coalesced = max(self.stats.max_coalesced, len(items))
         if self.telemetry.enabled:
-            self.telemetry.counter(
-                "serving_flushes_total",
-                "Micro-batch flushes by trigger.", reason=reason).inc()
-            self.telemetry.histogram(
-                "serving_batch_size",
-                "Lookups coalesced per micro-batch flush.",
-                buckets=_BATCH_SIZE_BUCKETS).observe(len(items))
+            # Held once resolved, like _observe_request's instruments.
+            flushes = self._flush_counters.get(reason)
+            if flushes is None:
+                flushes = self._flush_counters[reason] = self.telemetry.counter(
+                    "serving_flushes_total", "Micro-batch flushes by trigger.",
+                    reason=reason)
+            flushes.inc()
+            if self._batch_sizes is None:
+                self._batch_sizes = self.telemetry.histogram(
+                    "serving_batch_size",
+                    "Lookups coalesced per micro-batch flush.",
+                    buckets=_BATCH_SIZE_BUCKETS)
+            self._batch_sizes.observe(len(items))
         loop = asyncio.get_running_loop()
         try:
             results = await loop.run_in_executor(

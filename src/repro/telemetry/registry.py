@@ -86,8 +86,14 @@ class Counter:
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
+        # acquire/try/finally is measurably cheaper than ``with`` on the
+        # serving hot path, where every lookup updates four instruments.
+        lock = self._lock
+        lock.acquire()
+        try:
             self._value += amount
+        finally:
+            lock.release()
 
     @property
     def value(self) -> float:
@@ -144,10 +150,14 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         index = bisect_left(self.bounds, value)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()  # not ``with``: see Counter.inc
+        try:
             self._bucket_counts[index] += 1
             self._sum += value
             self._count += 1
+        finally:
+            lock.release()
 
     @property
     def count(self) -> int:
@@ -221,23 +231,32 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
+        # (name, kind, *label items in call order) -> child: the lock-free
+        # fast path for call sites that resolve their handles per call.
+        self._handles: Dict[tuple, object] = {}
 
     # -- instrument creation -------------------------------------------------------
 
+    # A handle resolved before is read from ``_handles`` without the lock,
+    # label sorting or bucket conversion (a dict read is atomic under the
+    # GIL); only the first resolution takes the ``_child`` slow path.
+
     def counter(self, name: str, help_text: str = "", **labels: str) -> Counter:
-        return self._child(name, "counter", help_text, None, labels)
+        return (self._handles.get((name, "counter", *labels.items()))
+                or self._child(name, "counter", help_text, None, labels))
 
     def gauge(self, name: str, help_text: str = "", **labels: str) -> Gauge:
-        return self._child(name, "gauge", help_text, None, labels)
+        return (self._handles.get((name, "gauge", *labels.items()))
+                or self._child(name, "gauge", help_text, None, labels))
 
     def histogram(self, name: str, help_text: str = "",
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
                   **labels: str) -> Histogram:
-        return self._child(name, "histogram", help_text,
-                           tuple(float(b) for b in buckets), labels)
+        return (self._handles.get((name, "histogram", *labels.items()))
+                or self._child(name, "histogram", help_text, buckets, labels))
 
     def _child(self, name: str, kind: str, help_text: str,
-               buckets: Optional[Tuple[float, ...]],
+               buckets: Optional[Sequence[float]],
                labels: Dict[str, str]):
         if not self.enabled:
             return _NULL_INSTRUMENT
@@ -245,8 +264,11 @@ class MetricsRegistry:
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = self._families[name] = _Family(name, kind, help_text,
-                                                        buckets)
+                # Registered below, once its first child is built: bounds
+                # a Histogram rejects must not stick to the name.
+                family = _Family(name, kind, help_text,
+                                 tuple(float(b) for b in buckets)
+                                 if buckets is not None else None)
             elif family.kind != kind:
                 raise ValueError(
                     f"metric {name!r} already registered as {family.kind}, "
@@ -258,11 +280,10 @@ class MetricsRegistry:
                 elif kind == "gauge":
                     child = Gauge(self._lock)
                 else:
-                    child = Histogram(
-                        self._lock,
-                        buckets if buckets is not None
-                        else DEFAULT_LATENCY_BUCKETS)
+                    child = Histogram(self._lock, family.buckets)
                 family.children[label_key] = child
+            self._families[name] = family
+            self._handles[(name, kind, *labels.items())] = child
             return child
 
     # -- export --------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestConcurrentEquivalence:
         """N concurrent clients, interleaved point/bulk, every executor."""
         config = ServingConfig(executor=executor, num_workers=workers,
                                shard_count=shards, max_batch=8,
-                               batch_window_s=0.005, request_timeout_s=60.0)
+                               request_timeout_s=60.0)
         gps_config = GPSConfig(use_engine=True, executor=executor,
                                num_workers=workers, shard_count=shards)
         groups = _host_groups(seed, 12)

@@ -1,8 +1,9 @@
 """Lifecycle, backpressure and batching behaviour of the serving core.
 
 These tests pin the service's *control plane*: bounded admission sheds with
-typed errors, micro-batches flush on size or deadline, drain is graceful and
-close is idempotent, and the registry's load/swap/evict semantics hold.
+typed errors, micro-batches flush when the batcher is idle or full, drain is
+graceful and close is idempotent, and the registry's load/swap/evict
+semantics hold.
 Correctness of the *data plane* (served predictions == serial oracle) lives
 in test_serving_equivalence.py; fault injection in test_serving_chaos.py.
 """
@@ -10,6 +11,7 @@ in test_serving_equivalence.py; fault injection in test_serving_chaos.py.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.serving import (
     ServiceOverloaded,
     ServingConfig,
 )
+from repro.serving.registry import PreparedModel
 
 
 def run(coro):
@@ -46,6 +49,51 @@ def _observations_of(seed, count=4):
         by_ip.setdefault(obs.ip, []).append(obs)
     groups = sorted(by_ip.items())[:count]
     return [tuple(rows) for _, rows in groups]
+
+
+class _FlushGate:
+    """Holds every served ``PreparedModel.predict`` until released.
+
+    A flush that reaches a worker thread stays in flight while the gate is
+    closed, so lookups arriving meanwhile park in the batcher
+    deterministically -- no timer decides when they leave.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.entered = threading.Event()
+        self.opened = threading.Event()
+        predict = PreparedModel.predict
+
+        def gated(model, *args, **kwargs):
+            self.entered.set()
+            self.opened.wait(10.0)
+            return predict(model, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedModel, "predict", gated)
+
+    async def hold(self, client, rows):
+        """Start a lookup and return once its flush is blocked in flight."""
+        self.opened.clear()
+        self.entered.clear()
+        held = asyncio.ensure_future(client.lookup("default", rows))
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.entered.wait, 10.0)
+        return held
+
+    def open(self) -> None:
+        self.opened.set()
+
+
+@pytest.fixture()
+def flush_gate(monkeypatch):
+    gate = _FlushGate(monkeypatch)
+    yield gate
+    gate.open()  # never leave a worker thread blocked past a failed test
+
+
+def _flushes(service, reason):
+    return service.telemetry.counter("serving_flushes_total",
+                                     reason=reason).value
 
 
 async def _loaded_service(universe, seed, config=None, gps_config=None):
@@ -106,28 +154,35 @@ class TestRegistry:
 
 
 class TestBatching:
-    def test_size_flush_coalesces_concurrent_lookups(self, universe, seed):
-        """max_batch concurrent lookups flush together without waiting out
-        the (deliberately enormous) batch window."""
-        config = ServingConfig(max_batch=4, batch_window_s=30.0,
-                               request_timeout_s=10.0)
+    def test_size_flush_coalesces_concurrent_lookups(self, universe,
+                                                      seed, flush_gate):
+        """max_batch lookups parked behind a blocked flush leave together
+        at once, without waiting for the in-flight flush to complete."""
+        config = ServingConfig(max_batch=4, request_timeout_s=10.0)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
-                groups = _observations_of(seed, 4)
-                replies = await asyncio.gather(*[
+                held_rows, *groups = _observations_of(seed, 5)
+                held = await flush_gate.hold(client, held_rows)
+                before = service.stats.flushes
+                burst = asyncio.gather(*[
                     client.lookup("default", rows) for rows in groups])
+                while service.stats.flushes == before:
+                    await asyncio.sleep(0)
+                flush_gate.open()
+                replies = await burst
+                await held
                 assert [r.coalesced for r in replies] == [4, 4, 4, 4]
-                assert service.stats.flushes == 1
+                assert service.stats.flushes == before + 1
                 assert service.stats.max_coalesced == 4
         run(scenario())
 
-    def test_deadline_flush_fires_for_lonely_request(self, universe, seed):
-        """A single lookup must not wait for company: the window timer
-        flushes it alone well before the request deadline."""
-        config = ServingConfig(max_batch=64, batch_window_s=0.01,
-                               request_timeout_s=5.0)
+    def test_lonely_lookup_flushes_when_idle(self, universe, seed):
+        """A single lookup never waits for company: the idle batcher
+        flushes it alone on the next loop turn."""
+        config = ServingConfig(max_batch=64, request_timeout_s=5.0,
+                               telemetry_enabled=True)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
@@ -136,6 +191,47 @@ class TestBatching:
                 reply = await client.lookup("default", rows)
                 assert reply.coalesced == 1
                 assert service.stats.flushes == 1
+                assert _flushes(service, "idle") == 1
+        run(scenario())
+
+    def test_arrivals_during_a_flush_coalesce(self, universe, seed, flush_gate):
+        """Lookups arriving while a flush is in flight wait for it, then
+        leave in exactly one follow-up flush; reaching max_batch while a
+        flush is in flight flushes at once."""
+        config = ServingConfig(max_batch=3, request_timeout_s=10.0,
+                               telemetry_enabled=True)
+
+        async def scenario():
+            async with await _loaded_service(universe, seed, config) as service:
+                client = InProcessClient(service)
+                groups = _observations_of(seed, 8)
+
+                held = await flush_gate.hold(client, groups[0])
+                parked = [asyncio.ensure_future(client.lookup("default", rows))
+                          for rows in groups[1:3]]
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                assert service.stats.flushes == 1
+                assert service.stats_snapshot()["batch_queue_depth"] == 2
+                flush_gate.open()
+                assert (await held).coalesced == 1
+                assert [r.coalesced for r in await asyncio.gather(*parked)] \
+                    == [2, 2]
+                assert service.stats.flushes == 2
+                assert _flushes(service, "idle") == 2
+
+                held = await flush_gate.hold(client, groups[3])
+                full = asyncio.gather(*[client.lookup("default", rows)
+                                        for rows in groups[4:7]])
+                while service.stats.flushes == 3:
+                    await asyncio.sleep(0)
+                assert _flushes(service, "size") == 1
+                assert service.stats_snapshot()["batch_queue_depth"] == 0
+                flush_gate.open()
+                assert [r.coalesced for r in await full] == [3, 3, 3]
+                assert (await held).coalesced == 1
+                assert service.stats.flushes == 4
+                assert _flushes(service, "idle") == 3
         run(scenario())
 
     def test_batches_never_mix_models(self, universe, seed):
@@ -156,27 +252,50 @@ class TestBatching:
 
 
 class TestBackpressure:
-    def test_overload_sheds_with_typed_error(self, universe, seed):
+    def test_overload_sheds_with_typed_error(self, universe, seed, flush_gate):
         """Admission is bounded: request max_pending+1 is shed immediately
-        while the first ones are still parked in an unflushed batch."""
+        while the first ones are still in flight or parked behind it."""
         config = ServingConfig(max_pending=2, max_batch=64,
-                               batch_window_s=30.0, request_timeout_s=10.0)
+                               request_timeout_s=10.0)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
                 groups = _observations_of(seed, 3)
-                first = asyncio.ensure_future(client.lookup("default", groups[0]))
+                first = await flush_gate.hold(client, groups[0])
                 second = asyncio.ensure_future(client.lookup("default", groups[1]))
-                await asyncio.sleep(0)  # let both get admitted
+                await asyncio.sleep(0)  # let it get admitted
                 with pytest.raises(ServiceOverloaded):
                     await client.lookup("default", groups[2])
                 assert service.stats.shed == 1
                 # The parked requests still complete once the service drains
-                # (close flushes open batches).
+                # (the parked one leaves when the held flush completes).
+                flush_gate.open()
                 await service.close()
                 replies = await asyncio.gather(first, second)
                 assert all(reply.predictions is not None for reply in replies)
+        run(scenario())
+
+    def test_pending_gauge_is_read_at_scrape_time(self, universe, seed,
+                                                  flush_gate):
+        """/metrics reports the live admission count; the gauge appears
+        once the first request has been admitted, as it always has."""
+        config = ServingConfig(telemetry_enabled=True, request_timeout_s=10.0)
+
+        async def scenario():
+            service = GPSService(config)
+            assert "serving_pending" not in service.render_metrics()
+            await service.load_model(
+                "default", ScanPipeline(universe), seed,
+                GPSConfig(use_engine=True, executor="serial"))
+            assert "\nserving_pending 0\n" in service.render_metrics()
+            client = InProcessClient(service)
+            held = await flush_gate.hold(client, _observations_of(seed, 1)[0])
+            assert "\nserving_pending 1\n" in service.render_metrics()
+            flush_gate.open()
+            await held
+            assert "\nserving_pending 0\n" in service.render_metrics()
+            await service.close()
         run(scenario())
 
     def test_scan_jobs_hold_admission_capacity(self, universe, seed):
@@ -198,19 +317,30 @@ class TestBackpressure:
 
 
 class TestLifecycle:
-    def test_graceful_drain_completes_in_flight(self, universe, seed):
-        config = ServingConfig(max_batch=64, batch_window_s=30.0,
-                               request_timeout_s=10.0, drain_timeout_s=10.0)
+    def test_graceful_drain_completes_in_flight(self, universe, seed,
+                                                flush_gate):
+        config = ServingConfig(max_batch=64, request_timeout_s=10.0,
+                               drain_timeout_s=10.0)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
-                (rows,) = _observations_of(seed, 1)
+                held_rows, rows = _observations_of(seed, 2)
+                held = await flush_gate.hold(client, held_rows)
                 parked = asyncio.ensure_future(client.lookup("default", rows))
-                await asyncio.sleep(0)
-                await service.close()  # flushes the open batch, then drains
+                while not service.stats_snapshot()["batch_queue_depth"]:
+                    await asyncio.sleep(0)
+                # close() starts while a flush is held and a lookup is parked
+                # behind it: it stops admission but waits for both.
+                closing = asyncio.ensure_future(service.close())
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                assert service.closed and not closing.done()
+                flush_gate.open()
+                await closing
                 reply = await parked
                 assert reply.coalesced == 1
+                assert (await held).coalesced == 1
                 assert service.stats.completed == service.stats.admitted
         run(scenario())
 
@@ -240,8 +370,6 @@ class TestLifecycle:
             ServingConfig(max_pending=0)
         with pytest.raises(ValueError):
             ServingConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            ServingConfig(batch_window_s=-1.0)
         with pytest.raises(ValueError):
             ServingConfig(request_timeout_s=0)
         with pytest.raises(ValueError):

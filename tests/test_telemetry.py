@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import urllib.request
 
@@ -51,9 +52,25 @@ class TestRegistry:
         gauge.dec(2)
         assert gauge.value == 3
 
+    def test_label_order_and_value_types_resolve_one_child(self):
+        registry = MetricsRegistry()
+        first = registry.counter("c_total", a="1", b="2")
+        assert registry.counter("c_total", b="2", a="1") is first
+        assert registry.counter("c_total", a=1, b=2) is first
+        first.inc()
+        assert registry.as_dict()["c_total"]["samples"] == [
+            {"labels": {"a": "1", "b": "2"}, "value": 1.0}]
+
+    def test_first_call_fixes_histogram_bounds(self):
+        registry = MetricsRegistry()
+        registry.histogram("h", buckets=(0.5,), x="a")
+        assert registry.histogram("h", buckets=(1.0, 2.0), x="b").bounds \
+            == (0.5,)
+
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
         registry.counter("thing_total")
+        registry.counter("thing_total")  # resolved again before the clash
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("thing_total")
 
@@ -69,16 +86,28 @@ class TestRegistry:
         registry = MetricsRegistry()
         threads, per_thread = 8, 5000
 
+        start = threading.Barrier(threads)
+
         def writer() -> None:
+            start.wait(timeout=60)
             for _ in range(per_thread):
                 registry.counter("hits_total", worker="w").inc()
                 registry.histogram("lat_seconds", buckets=(0.5,)).observe(0.1)
 
         pool = [threading.Thread(target=writer) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
+        # A common start and frequent thread switches give a lost update or
+        # a duplicated first resolution of the child their best chance to
+        # show in the totals.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
         assert registry.counter("hits_total", worker="w").value \
             == threads * per_thread
         histogram = registry.histogram("lat_seconds", buckets=(0.5,))
@@ -104,6 +133,9 @@ class TestHistogramBuckets:
             registry.histogram("bad", buckets=(1.0, 0.5))
         with pytest.raises(ValueError):
             registry.histogram("empty", buckets=())
+        # A rejected first call fixes nothing: the name stays free.
+        assert registry.histogram("bad", buckets=(0.5, 1.0)).bounds \
+            == (0.5, 1.0)
 
 
 class TestPrometheusExposition:
