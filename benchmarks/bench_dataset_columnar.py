@@ -17,7 +17,7 @@ columnar ingest that replaced it:
   (port, banner, network) combination).
 
 Results are printed and written to ``BENCH_dataset.json`` at the repository
-root.  Headline assertion: columnar dataset build + feature extraction is
+root, each asserted floor beside its ratio.  Headline assertion: columnar dataset build + feature extraction is
 >= 1.5x the object path end to end (relaxed to 1.2x under ``BENCH_SMOKE=1``
 for shared-runner jitter).  A second test times the engine's model build on
 the serial runtime (resident load + fold) with the stdlib per-row fold
@@ -30,13 +30,12 @@ numpy model == stdlib model -- are never relaxed.
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
+
+from _harness import SMOKE, best_seconds, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -57,30 +56,11 @@ REPEATS = 3
 #: Measured locally the ratio is well above 2x (no per-service object or
 #: banner copy, one banner scan per distinct banner instead of per service);
 #: 1.5x is the acceptance floor, relaxed for CI runner jitter only.
-DATASET_FLOOR = 1.5
-SMOKE_FLOOR = 1.2
+DATASET_FLOOR = 1.2 if SMOKE else 1.5
 
 #: The numpy fold kernels must beat the stdlib per-row fold >= 2x on the
 #: serial engine model build (relaxed under smoke for runner jitter).
-MODEL_FOLD_FLOOR = 2.0 if os.environ.get("BENCH_SMOKE") != "1" else 1.5
-
-
-def _best_seconds(func, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _merge_results(update: dict) -> None:
-    """Merge a section into BENCH_dataset.json without clobbering siblings."""
-    results = {}
-    if RESULT_PATH.exists():
-        results = json.loads(RESULT_PATH.read_text())
-    results.update(update)
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+MODEL_FOLD_FLOOR = 1.5 if SMOKE else 2.0
 
 
 def _model_on_engine(columns, kernel: str):
@@ -136,9 +116,10 @@ def run_dataset_benchmark(universe):
         {k: v for k, v in reference.cooccurrence.items() if v}, \
         "engine co-occurrence off the columns diverged from the oracle"
 
-    object_seconds = _best_seconds(lambda: _object_path(universe, asn_db, config))
-    columnar_seconds = _best_seconds(
-        lambda: _columnar_path(universe, asn_db, config))
+    object_seconds = best_seconds(
+        lambda: _object_path(universe, asn_db, config), REPEATS)
+    columnar_seconds = best_seconds(
+        lambda: _columnar_path(universe, asn_db, config), REPEATS)
 
     return {
         "scale": MEDIUM_SCALE.name,
@@ -166,7 +147,8 @@ def test_dataset_columnar_ingest_vs_object_path(run_once, universe):
     columnar_seconds = seconds["columnar (columns + extract_host_features_columns)"]
     speedup = object_seconds / columnar_seconds
     results["columnar_vs_object_speedup"] = round(speedup, 2)
-    _merge_results(results)
+    results["columnar_vs_object_floor"] = DATASET_FLOOR
+    record(RESULT_PATH, results)
 
     print()
     print(format_table(
@@ -179,12 +161,11 @@ def test_dataset_columnar_ingest_vs_object_path(run_once, universe):
                f"{results['predictor_refs']} predictor refs)"),
     ))
     print(f"Columnar ingest vs object path: {speedup:.2f}x "
-          f"(written to {RESULT_PATH.name})")
+          f"(floor {DATASET_FLOOR}x, written to {RESULT_PATH.name})")
 
-    floor = SMOKE_FLOOR if os.environ.get("BENCH_SMOKE") == "1" else DATASET_FLOOR
-    assert speedup >= floor, \
+    assert speedup >= DATASET_FLOOR, \
         (f"columnar ingest only {speedup:.2f}x over the object path "
-         f"(floor {floor}x)")
+         f"(floor {DATASET_FLOOR}x)")
 
 
 # -- model fold: stdlib per-row vs numpy kernels ------------------------------------
@@ -211,8 +192,10 @@ def run_model_fold_benchmark(universe):
     assert numpy_model.cooccurrence == stdlib_model.cooccurrence, \
         "numpy model co-occurrence diverged from the stdlib fold"
 
-    per_row_seconds = _best_seconds(lambda: _model_on_engine(columns, "stdlib"))
-    bulk_seconds = _best_seconds(lambda: _model_on_engine(columns, "numpy"))
+    per_row_seconds = best_seconds(
+        lambda: _model_on_engine(columns, "stdlib"), REPEATS)
+    bulk_seconds = best_seconds(
+        lambda: _model_on_engine(columns, "numpy"), REPEATS)
     return {
         "hosts": len(columns),
         "predictor_refs": len(columns.value_ids),
@@ -230,7 +213,7 @@ def test_model_fold_stdlib_vs_numpy(run_once, universe):
     speedup = results["per_row_seconds"] / results["bulk_seconds"]
     results["speedup"] = round(speedup, 2)
     results["floor"] = MODEL_FOLD_FLOOR
-    _merge_results({"model_fold": results})
+    record(RESULT_PATH, {"model_fold": results})
 
     print()
     print(format_table(

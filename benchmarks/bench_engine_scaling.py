@@ -31,13 +31,13 @@ repository root.  Every timed engine model is first checked identical to the
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
+
+from _harness import SMOKE, best_seconds, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -56,7 +56,7 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 REPEATS = 3
 
 #: The vectorized model fold must beat the per-row fold on the same buffers.
-KERNEL_FLOOR = 2.0 if os.environ.get("BENCH_SMOKE") != "1" else 1.5
+KERNEL_FLOOR = 1.5 if SMOKE else 2.0
 
 #: Thread executor over GIL-releasing kernels vs serial; only meaningful
 #: (and only asserted) with >= 2 cores.
@@ -64,24 +64,6 @@ THREAD_FLOOR = 1.3
 
 #: Shards/workers for the thread-vs-serial fold.
 THREAD_WORKERS = 4
-
-
-def _best_seconds(func, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _merge_results(update: dict) -> None:
-    """Merge a section into BENCH_engine.json without clobbering siblings."""
-    results = {}
-    if RESULT_PATH.exists():
-        results = json.loads(RESULT_PATH.read_text())
-    results.update(update)
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def _model_on_engine(columns, kernel: str):
@@ -105,7 +87,8 @@ def run_engine_scaling(universe, dataset, seed_fraction: float):
     reference = build_model(host_features)
 
     rows = [{"path": "reference", "executor": None, "column_backend": None,
-             "seconds": _best_seconds(lambda: build_model(host_features))}]
+             "seconds": best_seconds(lambda: build_model(host_features),
+                                     REPEATS)}]
     backends = ("stdlib", "numpy") if numpy_available() else ("stdlib",)
     for backend in backends:
         model = _model_on_engine(columns, backend)
@@ -116,8 +99,8 @@ def run_engine_scaling(universe, dataset, seed_fraction: float):
             f"engine/{backend} co-occurrence diverged from the oracle"
         rows.append({"path": "engine", "executor": "serial",
                      "column_backend": backend,
-                     "seconds": _best_seconds(
-                         lambda: _model_on_engine(columns, backend))})
+                     "seconds": best_seconds(
+                         lambda: _model_on_engine(columns, backend), REPEATS)})
     return {
         "scale": MEDIUM_SCALE.name,
         "seed_hosts": len(host_features),
@@ -138,7 +121,7 @@ def test_model_build_engine_vs_reference(run_once, universe, censys_dataset, sca
         row["column_backend"]: round(reference_seconds / row["seconds"], 2)
         for row in engine_rows
     }
-    _merge_results(results)
+    record(RESULT_PATH, results)
 
     print()
     print(format_table(
@@ -196,10 +179,12 @@ def run_model_fold_kernel(universe):
         assert bulk == per_row, \
             "vectorized model-pairs fold diverged from the per-row fold"
 
-        per_row_seconds = _best_seconds(
-            lambda: runtime.execute("model_pairs", resident.key, [("stdlib",)]))
-        bulk_seconds = _best_seconds(
-            lambda: runtime.execute("model_pairs", resident.key, [("numpy",)]))
+        per_row_seconds = best_seconds(
+            lambda: runtime.execute("model_pairs", resident.key, [("stdlib",)]),
+            REPEATS)
+        bulk_seconds = best_seconds(
+            lambda: runtime.execute("model_pairs", resident.key, [("numpy",)]),
+            REPEATS)
     finally:
         resident.release()
         runtime.close()
@@ -221,7 +206,7 @@ def test_model_fold_kernel_bulk_vs_per_row(run_once, universe):
     speedup = results["per_row_seconds"] / results["bulk_seconds"]
     results["speedup"] = round(speedup, 2)
     results["floor"] = KERNEL_FLOOR
-    _merge_results({"model_fold_kernel": results})
+    record(RESULT_PATH, {"model_fold_kernel": results})
 
     print()
     print(format_table(
@@ -256,8 +241,9 @@ def run_thread_fold(universe):
             first = runtime.execute("model_pairs", resident.key, args)
             counts[executor] = merge_counters(
                 dict(zip(keys.tolist(), cnts.tolist())) for keys, cnts in first)
-            timings[executor] = _best_seconds(
-                lambda: runtime.execute("model_pairs", resident.key, args))
+            timings[executor] = best_seconds(
+                lambda: runtime.execute("model_pairs", resident.key, args),
+                REPEATS)
         finally:
             resident.release()
             runtime.close()
@@ -283,7 +269,7 @@ def test_thread_fold_beats_serial(run_once, universe):
     results["speedup"] = round(speedup, 2)
     results["floor"] = THREAD_FLOOR
     results["floor_asserted"] = asserted
-    _merge_results({"thread_fold": results})
+    record(RESULT_PATH, {"thread_fold": results})
 
     print()
     print(format_table(

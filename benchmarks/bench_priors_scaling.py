@@ -16,8 +16,9 @@ This benchmark covers the two hot paths after the model build:
   observations of the dataset's test half).
 
 Results are printed as tables and written to ``BENCH_priors.json`` at the
-repository root.  Headline assertions: the engine's serial priors build is
->= 2x faster than the reference planner, the batched columnar ZMap layer
+repository root, each asserted floor beside its ratio.  Headline
+assertions: the engine's serial priors build is >= 2x faster than the
+reference planner, the batched columnar ZMap layer
 (``zmap.scan_pair_batch_columns``, the one production batches run) is
 >= 1.3x faster than per-pair probing, the columnar pipeline is >= 1.6x
 faster end to end than the per-pair path, and all paths produce identical
@@ -26,10 +27,9 @@ plans / observations / ledger charges.
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from pathlib import Path
+
+from _harness import SMOKE, best_seconds, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -72,17 +72,7 @@ REPEATS = 3
 #: parity" -- a real regression (losing the algorithmic win) still fails
 #: loudly, runner jitter does not.  The equivalence assertions are never
 #: relaxed.
-SPEEDUP_FLOORS = ((1.3, 1.05, 1.05) if os.environ.get("BENCH_SMOKE") == "1"
-                  else (2.0, 1.3, 1.6))
-
-
-def _best_seconds(func, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+SPEEDUP_FLOORS = (1.3, 1.05, 1.05) if SMOKE else (2.0, 1.3, 1.6)
 
 
 def _observation_key(observations):
@@ -116,8 +106,9 @@ def run_priors_scaling(universe, dataset):
     reference = build_priors_plan(host_features, model, 16, port_domain)
 
     rows = []
-    reference_seconds = _best_seconds(
-        lambda: build_priors_plan(host_features, model, 16, port_domain))
+    reference_seconds = best_seconds(
+        lambda: build_priors_plan(host_features, model, 16, port_domain),
+        REPEATS)
     rows.append({"mode": "reference", "backend": "serial", "workers": 1,
                  "seconds": reference_seconds})
     for executor, workers in SWEEP:
@@ -127,10 +118,11 @@ def run_priors_scaling(universe, dataset):
                                                  dataset=resident)
             assert plan == reference, \
                 f"engine/{executor}x{workers} priors plan diverged from the oracle"
-            seconds = _best_seconds(
+            seconds = best_seconds(
                 lambda: build_priors_plan_with_engine(columns, _fresh(model), 16,
                                                       port_domain,
-                                                      dataset=resident))
+                                                      dataset=resident),
+                REPEATS)
         rows.append({"mode": "engine", "backend": executor, "workers": workers,
                      "seconds": seconds})
     return {
@@ -160,13 +152,15 @@ def run_prediction_index(universe, dataset):
                                                     dataset=resident)
         assert engine.entries() == reference.entries(), \
             "engine prediction index diverged from the from_seed oracle"
-        engine_seconds = _best_seconds(
+        engine_seconds = best_seconds(
             lambda: build_prediction_index_with_engine(
                 columns, _fresh(model), port_domain=port_domain,
-                dataset=resident))
-    reference_seconds = _best_seconds(
+                dataset=resident),
+            REPEATS)
+    reference_seconds = best_seconds(
         lambda: PredictiveFeatureIndex.from_seed(host_features, model,
-                                                 port_domain=port_domain))
+                                                 port_domain=port_domain),
+        REPEATS)
     return {
         "index_entries": len(reference),
         "reference_seconds": reference_seconds,
@@ -204,13 +198,16 @@ def run_scan_batching(universe, dataset):
     assert unbatched_pipeline.ledger.probes == batched_pipeline.ledger.probes
     assert unbatched_pipeline.ledger.responses == batched_pipeline.ledger.responses
 
-    unbatched_seconds = _best_seconds(lambda: ScanPipeline(universe).scan_pairs(pairs))
-    batched_seconds = _best_seconds(
-        lambda: ScanPipeline(universe).scan_pairs(pairs, batch_prefix_len=16))
-    zmap_unbatched_seconds = _best_seconds(
-        lambda: ScanPipeline(universe).zmap.scan_pairs(pairs))
-    zmap_batched_seconds = _best_seconds(
-        lambda: ScanPipeline(universe).zmap.scan_pair_batch_columns(batches))
+    unbatched_seconds = best_seconds(
+        lambda: ScanPipeline(universe).scan_pairs(pairs), REPEATS)
+    batched_seconds = best_seconds(
+        lambda: ScanPipeline(universe).scan_pairs(pairs, batch_prefix_len=16),
+        REPEATS)
+    zmap_unbatched_seconds = best_seconds(
+        lambda: ScanPipeline(universe).zmap.scan_pairs(pairs), REPEATS)
+    zmap_batched_seconds = best_seconds(
+        lambda: ScanPipeline(universe).zmap.scan_pair_batch_columns(batches),
+        REPEATS)
     return {
         "predictions": len(pairs),
         "batches": len(batches),
@@ -243,8 +240,13 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
                  for r in priors["rows"]}
     reference_seconds = by_config[("reference", "serial", 1)]
     speedup = reference_seconds / by_config[("engine", "serial", 1)]
+    priors_floor, zmap_floor, pipeline_floor = SPEEDUP_FLOORS
+    scan = results["scan"]
     results["priors_fused_serial_speedup"] = round(speedup, 2)
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    results["priors_fused_serial_floor"] = priors_floor
+    scan["end_to_end_floor"] = pipeline_floor
+    scan["zmap_layer_floor"] = zmap_floor
+    record(RESULT_PATH, results)
 
     print()
     print(format_table(
@@ -262,7 +264,6 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
     print(f"Prediction index ({index['index_entries']} entries): "
           f"reference {index['reference_seconds']:.4f}s vs engine "
           f"{index['engine_seconds']:.4f}s -- {index['engine_speedup']}x")
-    scan = results["scan"]
     print(format_table(
         ("path", "pipeline (s)", "zmap layer (s)"),
         [
@@ -285,7 +286,6 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
     # the columnar scan path must keep the full pipeline >= 1.6x over the
     # per-object pairwise path (floors relaxed under BENCH_SMOKE=1 for noisy
     # CI runners).
-    priors_floor, zmap_floor, pipeline_floor = SPEEDUP_FLOORS
     assert speedup >= priors_floor, \
         f"engine priors speedup regressed to {speedup:.2f}x (floor {priors_floor}x)"
     assert scan["zmap_layer_speedup"] >= zmap_floor, \

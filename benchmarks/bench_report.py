@@ -14,15 +14,16 @@ judged against.  This tool closes the loop:
   and, when ``$GITHUB_STEP_SUMMARY`` is set, as a Markdown table into the
   workflow step summary;
 * with ``--check``, exit non-zero if any asserted metric fell below its
-  floor.
+  floor or recorded none.
 
-Floors come from two places.  Benchmarks that record their floor in the
-JSON (``model_fold_kernel.floor``, ``thread_fold.floor`` ...) are judged
-against the recorded value -- it was written under the same conditions
-(smoke or full) as the measurement.  Headline ratios without a recorded
-floor use the static registry below, which mirrors the assertion in the
-producing benchmark; ``BENCH_SMOKE=1`` (or ``--smoke``) selects the same
-relaxed floors CI smoke runs assert.  Ratios registered without a floor
+Floors come from one place: the results themselves.  Every benchmark
+writes each floor it asserts into its JSON beside the ratio that floor gates
+(``model_fold_kernel.floor``, ``warm_restart_floor``,
+``scan.zmap_layer_floor`` ...), under the same conditions (smoke or full) as
+the measurement.  So the report keeps no copy of any floor and has no
+``--smoke`` switch: a smoke run records its relaxed floors itself.  An asserted metric whose value is present but whose floor is
+not fails ``--check``: deleting the line that records a floor cannot quietly
+remove its gate.  Ratios registered without a floor path
 (``engine_vs_reference``, ``warm_vs_serial``, ``mmap_vs_queue_ship``) are
 recorded for the trend only and always report "not asserted".  Metrics
 gated off by the producing run (``thread_fold.floor_asserted`` false on
@@ -33,7 +34,8 @@ wheel exists) are reported as missing rather than failed.
 Run locally::
 
     python benchmarks/bench_report.py            # table only
-    python benchmarks/bench_report.py --check    # fail on floor regression
+    python benchmarks/bench_report.py --check    # fail on floor regression or
+                                                 # a missing recorded floor
 """
 
 from __future__ import annotations
@@ -59,14 +61,10 @@ class Metric:
         file: BENCH file name the metric lives in.
         label: human-readable row label.
         value_path: dotted path to the speedup inside the JSON document.
-        floor: static floor (mirrors the producing benchmark's assertion);
-            ignored when ``floor_path`` resolves.  ``None`` for a ratio the
-            producing benchmark records without a floor: it is reported as
-            "not asserted" and never gates.
-        smoke_floor: the relaxed floor the producing benchmark asserts
-            under ``BENCH_SMOKE=1`` (``None`` alongside a ``None`` floor).
-        floor_path: dotted path to a floor recorded by the producing run
-            itself; preferred over the static floors when present.
+        floor_path: dotted path to the floor the producing run recorded
+            beside the speedup.  ``None`` for a ratio the producing
+            benchmark records without a floor: it is reported as "not
+            asserted" and never gates.
         gate_path: dotted path to a boolean recorded by the producing run;
             when it resolves to false the metric is reported but exempt
             from ``--check`` (e.g. thread-vs-serial on a 1-core machine).
@@ -75,43 +73,41 @@ class Metric:
     file: str
     label: str
     value_path: str
-    floor: Optional[float] = 0.0
-    smoke_floor: Optional[float] = 0.0
     floor_path: Optional[str] = None
     gate_path: Optional[str] = None
 
 
-#: Static floors mirror the assertions in the producing benchmarks -- keep
-#: the two in sync when a floor moves.  Recorded-floor metrics carry their
-#: floor inside the JSON instead.
+#: Every headline ratio the report renders; the floors live in the results.
 METRICS: Tuple[Metric, ...] = (
     Metric("BENCH_engine.json", "engine model build vs reference (serial, stdlib)",
-           "engine_vs_reference.stdlib", floor=None, smoke_floor=None),
+           "engine_vs_reference.stdlib"),
     Metric("BENCH_engine.json", "engine model build vs reference (serial, numpy)",
-           "engine_vs_reference.numpy", floor=None, smoke_floor=None),
+           "engine_vs_reference.numpy"),
     Metric("BENCH_engine.json", "numpy fold kernel vs per-row fold",
            "model_fold_kernel.speedup", floor_path="model_fold_kernel.floor"),
     Metric("BENCH_engine.json", "thread fold vs serial (model build)",
            "thread_fold.speedup", floor_path="thread_fold.floor",
            gate_path="thread_fold.floor_asserted"),
     Metric("BENCH_dataset.json", "columnar seed ingest vs object path",
-           "columnar_vs_object_speedup", floor=1.5, smoke_floor=1.2),
+           "columnar_vs_object_speedup", floor_path="columnar_vs_object_floor"),
     Metric("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
            "model_fold.speedup", floor_path="model_fold.floor"),
     Metric("BENCH_priors.json", "engine priors plan vs reference (serial)",
-           "priors_fused_serial_speedup", floor=2.0, smoke_floor=1.3),
+           "priors_fused_serial_speedup", floor_path="priors_fused_serial_floor"),
     Metric("BENCH_priors.json", "batched scan pipeline end to end",
-           "scan.end_to_end_speedup", floor=1.6, smoke_floor=1.05),
+           "scan.end_to_end_speedup", floor_path="scan.end_to_end_floor"),
+    Metric("BENCH_priors.json", "batched zmap layer vs per-pair probing",
+           "scan.zmap_layer_speedup", floor_path="scan.zmap_layer_floor"),
     Metric("BENCH_runtime.json", "warm resident pool vs serial (model build)",
-           "warm_vs_serial", floor=None, smoke_floor=None),
+           "warm_vs_serial"),
     Metric("BENCH_runtime.json", "surgical heal vs full rebuild",
-           "recovery.rebuild_vs_heal", floor=1.0, smoke_floor=0.7),
+           "recovery.rebuild_vs_heal", floor_path="recovery.floor"),
     Metric("BENCH_serving.json", "warm served lookup vs cold one-shot",
-           "warm_vs_cold_speedup", floor=5.0, smoke_floor=5.0),
+           "warm_vs_cold_speedup", floor_path="warm_vs_cold_floor"),
     Metric("BENCH_snapshot.json", "warm restart from snapshot vs full rebuild",
            "warm_restart_speedup", floor_path="warm_restart_floor"),
     Metric("BENCH_snapshot.json", "mmap shard load vs queue-ship (pool)",
-           "mmap_vs_queue_ship", floor=None, smoke_floor=None),
+           "mmap_vs_queue_ship"),
     Metric("BENCH_telemetry.json", "warm model build, telemetry off vs on",
            "model_build.off_vs_on", floor_path="model_build.floor"),
     Metric("BENCH_telemetry.json", "warm serving lookup, telemetry off vs on",
@@ -132,16 +128,19 @@ class Row:
 
     @property
     def regressed(self) -> bool:
-        """True when the metric is asserted, present, and below its floor."""
+        """True when the metric is asserted and present, and its floor is
+        missing or above the value."""
         return (self.asserted and self.value is not None
-                and self.floor is not None and self.value < self.floor)
+                and (self.floor is None or self.value < self.floor))
 
     @property
     def status(self) -> str:
         if self.value is None:
             return "missing"
-        if not self.asserted or self.floor is None:
+        if not self.asserted:
             return "not asserted"
+        if self.floor is None:
+            return "NO FLOOR"
         return "REGRESSED" if self.regressed else "ok"
 
 
@@ -181,13 +180,13 @@ def _best(values: List[float]) -> Optional[float]:
 
 
 def evaluate(results: Dict[str, List[Dict[str, Any]]],
-             baselines: Dict[str, List[Dict[str, Any]]],
-             smoke: bool = False) -> List[Row]:
-    """Judge every registered metric against its floor and baseline.
+             baselines: Dict[str, List[Dict[str, Any]]]) -> List[Row]:
+    """Judge every registered metric against its recorded floor and baseline.
 
     With several result documents per file (matrix legs), a metric passes
-    if its *best* leg clears the floor -- a single noisy shared runner
-    must not fail the build when a sibling leg demonstrates the speedup.
+    if its *best* leg clears the lowest floor any leg recorded -- a single
+    noisy shared runner must not fail the build when a sibling leg
+    demonstrates the speedup.
     """
     rows: List[Row] = []
     for metric in METRICS:
@@ -201,11 +200,9 @@ def evaluate(results: Dict[str, List[Dict[str, Any]]],
             recorded = [resolve(d, metric.floor_path) for d in docs]
             floors = [f for f in recorded if isinstance(f, (int, float))]
             floor = min(floors) if floors else None
-        if floor is None:
-            floor = metric.smoke_floor if smoke else metric.floor
 
-        asserted = True
-        if metric.gate_path is not None and docs:
+        asserted = metric.floor_path is not None
+        if asserted and metric.gate_path is not None and docs:
             gates = [resolve(d, metric.gate_path) for d in docs]
             asserted = any(g is True for g in gates)
 
@@ -248,7 +245,7 @@ def render_text(rows: Sequence[Row]) -> str:
 
 def render_markdown(rows: Sequence[Row]) -> str:
     """GitHub-flavoured Markdown table for the workflow step summary."""
-    icon = {"ok": "white_check_mark", "REGRESSED": "x",
+    icon = {"ok": "white_check_mark", "REGRESSED": "x", "NO FLOOR": "x",
             "missing": "heavy_minus_sign", "not asserted": "zzz"}
     lines = [
         "## Benchmark regression report",
@@ -263,8 +260,8 @@ def render_markdown(rows: Sequence[Row]) -> str:
             f"| {_fmt(row.baseline)} | {_delta(row)} "
             f"| :{icon[row.status]}: {row.status} |")
     lines.append("")
-    lines.append("Best leg per metric; floors mirror the producing "
-                 "benchmark's own assertion (see `benchmarks/`).")
+    lines.append("Best leg per metric; each floor is the one its benchmark "
+                 "recorded beside the ratio (see `benchmarks/`).")
     return "\n".join(lines) + "\n"
 
 
@@ -293,14 +290,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "(default: the repository root)")
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if any asserted metric is below its floor")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="judge static floors at their BENCH_SMOKE values (implied by "
-             "BENCH_SMOKE=1 in the environment)")
+        help="exit 1 if any asserted metric is below its recorded floor or "
+             "has no recorded floor")
     args = parser.parse_args(argv)
 
-    smoke = args.smoke or os.environ.get("BENCH_SMOKE") == "1"
     results = load_documents(args.results_dir)
     baselines = load_documents(args.baseline_dir)
     if not results:
@@ -308,15 +301,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{args.results_dir}", file=sys.stderr)
         return 2
 
-    rows = evaluate(results, baselines, smoke=smoke)
+    rows = evaluate(results, baselines)
     print(render_text(rows))
     write_step_summary(render_markdown(rows))
 
     regressions = [row for row in rows if row.regressed]
     for row in regressions:
-        print(f"bench-report: FLOOR REGRESSION: {row.metric.label} "
-              f"({row.metric.file}) at {row.value:.2f}x, "
-              f"floor {row.floor:.2f}x", file=sys.stderr)
+        if row.floor is None:
+            print(f"bench-report: NO RECORDED FLOOR: {row.metric.label} "
+                  f"({row.metric.file}) at {row.value:.2f}x; expected one at "
+                  f"{row.metric.floor_path}", file=sys.stderr)
+        else:
+            print(f"bench-report: FLOOR REGRESSION: {row.metric.label} "
+                  f"({row.metric.file}) at {row.value:.2f}x, "
+                  f"floor {row.floor:.2f}x", file=sys.stderr)
     if args.check and regressions:
         return 1
     if regressions:

@@ -24,9 +24,10 @@ number.  The equivalence assertions are never relaxed.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
+
+from _harness import best_seconds, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -49,15 +50,6 @@ SEED_FRACTION = 0.1
 WORKERS = 2
 
 REPEATS = 3
-
-
-def _best_seconds(func, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _assert_model_equal(candidate, reference, label):
@@ -110,16 +102,19 @@ def run_runtime_benchmark(universe, dataset):
         "pool prediction index diverged from the serial engine index"
 
     # Timings: both executors fold data already resident in the runtime.
-    serial_seconds = _best_seconds(
-        lambda: build_model_with_engine(columns, serial_resident))
-    warm_seconds = _best_seconds(lambda: build_model_with_engine(columns, resident))
-    warm_priors_seconds = _best_seconds(
+    serial_seconds = best_seconds(
+        lambda: build_model_with_engine(columns, serial_resident), REPEATS)
+    warm_seconds = best_seconds(
+        lambda: build_model_with_engine(columns, resident), REPEATS)
+    warm_priors_seconds = best_seconds(
         lambda: build_priors_plan_with_engine(columns, pool_model, 16,
-                                              port_domain, dataset=resident))
-    warm_index_seconds = _best_seconds(
+                                              port_domain, dataset=resident),
+        REPEATS)
+    warm_index_seconds = best_seconds(
         lambda: build_prediction_index_with_engine(columns, pool_model,
                                                    port_domain=port_domain,
-                                                   dataset=resident))
+                                                   dataset=resident),
+        REPEATS)
     resident.release()
     runtime.close()
     serial_resident.release()
@@ -152,13 +147,9 @@ def test_runtime_warm_pool_vs_serial(run_once, universe, censys_dataset):
     serial = seconds["model serial (resident shards)"]
     warm = seconds["model warm pool (resident shards)"]
     results["warm_vs_serial"] = round(serial / warm, 2)
-    # Merge over the existing file: the "recovery" section is owned by
-    # bench_runtime_recovery.py and must survive a rerun of this benchmark.
-    if RESULT_PATH.exists():
-        merged = json.loads(RESULT_PATH.read_text())
-        merged.update(results)
-        results = merged
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    # The "recovery" section is owned by bench_runtime_recovery.py and
+    # survives a rerun of this benchmark.
+    record(RESULT_PATH, results)
 
     print()
     print(format_table(

@@ -14,8 +14,9 @@ execution.  This benchmark measures both against the same engine model build:
 * **rebuild** -- close the runtime, start a fresh one, re-ship all shards,
   run the build (the fail-fast recovery path).
 
-Results merge into ``BENCH_runtime.json`` under the ``"recovery"`` key (the
-rest of the file belongs to ``bench_runtime.py``).  Headline assertion:
+Results merge into ``BENCH_runtime.json`` under the ``"recovery"`` key, the
+asserted floor beside its ratio (the rest of the file belongs to
+``bench_runtime.py``).  Headline assertion:
 healing one dead worker costs less than one full pool rebuild, and the heal
 re-ships only the dead worker's shards.  ``BENCH_SMOKE=1`` relaxes the
 wall-clock floor only; the surgical-reload and equivalence assertions are
@@ -24,10 +25,10 @@ never relaxed.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
+
+from _harness import SMOKE, record
 
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features_columns
@@ -46,7 +47,7 @@ SHARDS = 8
 #: CI runner's jitter gets some slack (the rebuild spawns every worker and
 #: re-ships every shard, so even relaxed the architecture cannot regress to
 #: rebuild-per-crash without tripping this).
-HEAL_VS_REBUILD_FLOOR = 1.0 if os.environ.get("BENCH_SMOKE") != "1" else 0.7
+HEAL_VS_REBUILD_FLOOR = 0.7 if SMOKE else 1.0
 
 
 def run_recovery_benchmark(universe, dataset):
@@ -107,20 +108,13 @@ def run_recovery_benchmark(universe, dataset):
     }
 
 
-def _merge_into_results(recovery: dict) -> None:
-    existing = {}
-    if RESULT_PATH.exists():
-        existing = json.loads(RESULT_PATH.read_text())
-    existing["recovery"] = recovery
-    RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
 def test_recovery_beats_full_rebuild(run_once, universe, censys_dataset):
     results = run_once(run_recovery_benchmark, universe, censys_dataset)
 
     ratio = results["rebuild_seconds"] / results["heal_seconds"]
     results["rebuild_vs_heal"] = round(ratio, 2)
-    _merge_into_results(results)
+    results["floor"] = HEAL_VS_REBUILD_FLOOR
+    record(RESULT_PATH, {"recovery": results})
 
     print()
     print(f"warm build:            {results['warm_seconds']:.4f}s")

@@ -20,19 +20,20 @@ This benchmark times:
   buys under concurrency.
 
 Results are printed and written to ``BENCH_serving.json`` at the repository
-root.  Headline assertion: a warm lookup beats a cold invocation by >=
-``WARM_VS_COLD_FLOOR``.  The floor holds under ``BENCH_SMOKE=1`` too -- a
-cold invocation contains an entire model build, so the margin measures the
-architecture, not runner speed.  Every reply is asserted bit-identical to
+root, the asserted floor beside its ratio.  Headline assertion: a warm
+lookup beats a cold invocation by >= ``WARM_VS_COLD_FLOOR``.  The floor
+holds under ``BENCH_SMOKE=1`` too -- a cold invocation contains an entire
+model build, so the margin measures the architecture, not runner speed.  Every reply is asserted bit-identical to
 the serial oracle before any timing is trusted.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from pathlib import Path
+
+from _harness import record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -71,7 +72,11 @@ def _host_ips(seed, count):
 
 
 def _cold_invocation_seconds(universe, seed, ip) -> float:
-    """One cold question: build everything, answer once, throw it away."""
+    """One cold question: build everything, answer once, throw it away.
+
+    Its own best-of loop rather than the harness timer: each build's
+    ``release()`` stays outside the clock, which a timed callable cannot do.
+    """
     best = float("inf")
     for _ in range(COLD_REPEATS):
         start = time.perf_counter()
@@ -171,13 +176,8 @@ def test_serving_warm_vs_cold(run_once, universe):
         results["batched_burst_seconds"]
     results["warm_vs_cold_speedup"] = round(warm_vs_cold, 2)
     results["batched_vs_unbatched_speedup"] = round(batched_vs_unbatched, 2)
-
-    # Merge-preserve: other sections of the file (if any) survive a rerun.
-    if RESULT_PATH.exists():
-        merged = json.loads(RESULT_PATH.read_text())
-        merged.update(results)
-        results = merged
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    results["warm_vs_cold_floor"] = WARM_VS_COLD_FLOOR
+    record(RESULT_PATH, results)
 
     print()
     print(format_table(
@@ -201,7 +201,7 @@ def test_serving_warm_vs_cold(run_once, universe):
                f"one-off build {results['model_build_seconds']:.3f}s)"),
     ))
     print(f"Warm serve vs cold invocation: {warm_vs_cold:.0f}x "
-          f"(written to {RESULT_PATH.name})")
+          f"(floor {WARM_VS_COLD_FLOOR}x, written to {RESULT_PATH.name})")
 
     # Headline acceptance, never relaxed: a cold invocation contains a full
     # model build, so the warm index read must win by a huge margin.

@@ -29,11 +29,11 @@ never relaxed under ``BENCH_SMOKE=1``.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
-import time
 from pathlib import Path
+
+from _harness import best_seconds, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -74,15 +74,6 @@ REPEATS = 3
 #: restart's own work -- decoding the manifest's predictor tables and
 #: rebuilding the model's nested dicts.
 WARM_RESTART_FLOOR = 5.0
-
-
-def _best_seconds(func, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_snapshot_benchmark(universe, dataset):
@@ -138,10 +129,10 @@ def run_snapshot_benchmark(universe, dataset):
         assert loaded_index.entries() == index.entries(), \
             "snapshot prediction index diverged from the built index"
 
-        build_seconds = _best_seconds(full_build)
-        warm_seconds = _best_seconds(warm_restart)
-        warm_noverify_seconds = _best_seconds(
-            lambda: open_snapshot(snapshot_dir, verify=False).model())
+        build_seconds = best_seconds(full_build, REPEATS)
+        warm_seconds = best_seconds(warm_restart, REPEATS)
+        warm_noverify_seconds = best_seconds(
+            lambda: open_snapshot(snapshot_dir, verify=False).model(), REPEATS)
 
         # -- shard loading: mmap references vs queue-shipped payloads ------
         runtime = EngineRuntime(executor="pool", num_workers=WORKERS,
@@ -161,12 +152,12 @@ def run_snapshot_benchmark(universe, dataset):
                 ResidentHostGroups(runtime, host_features,
                                    STEP_SIZE).release()
 
-            mmap_seconds = _best_seconds(mmap_load)
+            mmap_seconds = best_seconds(mmap_load, REPEATS)
             # The zero-copy ledger: every mmap load so far shipped only file
             # descriptors, never column bytes, through the worker queues.
             assert runtime.recovery_stats.shard_bytes_queued == 0, \
                 "snapshot shard loads queued column bytes"
-            queue_seconds = _best_seconds(queue_load)
+            queue_seconds = best_seconds(queue_load, REPEATS)
             queued_bytes = runtime.recovery_stats.shard_bytes_queued
             assert queued_bytes > 0, \
                 "queue-ship baseline unexpectedly shipped nothing"
@@ -212,11 +203,7 @@ def test_snapshot_warm_restart_vs_full_build(run_once, universe,
     results["warm_restart_speedup"] = round(warm_restart_speedup, 2)
     results["warm_restart_floor"] = WARM_RESTART_FLOOR
     results["mmap_vs_queue_ship"] = round(queue_load / mmap_load, 2)
-    if RESULT_PATH.exists():
-        merged = json.loads(RESULT_PATH.read_text())
-        merged.update(results)
-        results = merged
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    record(RESULT_PATH, results)
 
     print()
     print(format_table(

@@ -1,8 +1,8 @@
 """Telemetry overhead: instrumented vs bare on the two hot paths.
 
 The telemetry subsystem promises to be cheap enough to leave on in
-production: counters under one registry lock, latency histograms behind a
-sampling knob, spans only at phase granularity.  This benchmark prices that
+production: counters under one registry lock, latency histograms, spans
+only at phase granularity.  This benchmark prices that
 promise on the two paths an operator would instrument first:
 
 * **warm model build** -- ``build_prepared_model`` on a persistent serial
@@ -15,7 +15,9 @@ promise on the two paths an operator would instrument first:
 
 Equivalence is asserted before any timing is trusted: the instrumented
 build's predictions and the instrumented service's replies must be
-bit-identical to the bare legs'.
+bit-identical to the bare legs'.  Both legs keep their own timing loops
+instead of the harness's best-of timer: the legs interleave, build by build
+and lookup by lookup, which timing one callable at a time cannot do.
 
 Results go to ``BENCH_telemetry.json``.  Headline assertion: the bare leg
 is at most ~5 % faster than the instrumented leg (``off_vs_on >= 0.95``;
@@ -28,10 +30,10 @@ produced under.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import time
 from pathlib import Path
+
+from _harness import SMOKE, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
@@ -43,8 +45,6 @@ from repro.serving.registry import build_prepared_model
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
-
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 SEED_FRACTION = 0.1
 
@@ -192,12 +192,7 @@ def run_telemetry_benchmark(universe):
 
 def test_telemetry_overhead(run_once, universe):
     results = run_once(run_telemetry_benchmark, universe)
-
-    if RESULT_PATH.exists():
-        merged = json.loads(RESULT_PATH.read_text())
-        merged.update(results)
-        results = merged
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    record(RESULT_PATH, results)
 
     build = results["model_build"]
     lookup = results["warm_lookup"]

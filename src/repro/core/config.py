@@ -163,9 +163,6 @@ class GPSConfig:
             instance for the run -- per-phase spans, engine/scan metrics.
             Off by default: telemetry must never tax a run that did not
             ask for it.
-        telemetry_sample_every: record every Nth per-task latency
-            observation (1 records all).  Counters, gauges and spans are
-            never sampled.
     """
 
     seed_fraction: float = 0.01
@@ -186,7 +183,6 @@ class GPSConfig:
     execution_deadline_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     telemetry_enabled: bool = False
-    telemetry_sample_every: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.seed_fraction <= 1.0:
@@ -224,8 +220,6 @@ class GPSConfig:
                 raise ValueError(f"{name} must be positive when set")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise TypeError("fault_plan must be a FaultPlan or None")
-        if self.telemetry_sample_every < 1:
-            raise ValueError("telemetry_sample_every must be >= 1")
         if self.port_domain is not None:
             for port in self.port_domain:
                 if not 1 <= port <= 65535:

@@ -139,8 +139,7 @@ class GPS:
         if telemetry is not None:
             self.telemetry = telemetry
         elif self.config.telemetry_enabled:
-            self.telemetry = Telemetry(
-                sample_every=self.config.telemetry_sample_every)
+            self.telemetry = Telemetry()
         else:
             self.telemetry = NULL_TELEMETRY
         self._asn_db = pipeline.universe.topology.asn_db

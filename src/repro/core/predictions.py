@@ -34,7 +34,7 @@ from repro.core.features import (
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.net.asn import AsnDatabase
-from repro.scanner.records import ProbeBatch, ScanObservation, group_pairs
+from repro.scanner.records import ScanObservation
 
 #: Prefix length prediction probes are grouped by before they reach the scan
 #: pipeline's batched layers.  /16 matches the default network feature (the
@@ -263,28 +263,6 @@ class PredictiveFeatureIndex:
         predictions = list(best.values())
         predictions.sort(key=lambda p: (-p.probability, p.ip, p.port))
         return predictions
-
-    def predict_batches(
-        self,
-        observations: Iterable[ScanObservation],
-        asn_db: Optional[AsnDatabase],
-        feature_config: FeatureConfig,
-        known_pairs: Optional[Set[Tuple[int, int]]] = None,
-        prefix_len: int = PREDICTION_BATCH_PREFIX_LEN,
-    ) -> List[ProbeBatch]:
-        """Predict remaining services as per-(subnetwork, port) probe batches.
-
-        The batched form of :meth:`predict` for the Section 5.4 prediction
-        scan: the probability-ordered predictions are grouped into
-        :class:`~repro.scanner.records.ProbeBatch` objects (batches in
-        first-seen order, so the highest-probability region of each
-        (subnetwork, port) group is probed first) ready for
-        :meth:`repro.scanner.pipeline.ScanPipeline.scan_pair_batches`, which
-        amortizes universe lookups and ledger charges across each batch.
-        """
-        predictions = self.predict(observations, asn_db, feature_config,
-                                   known_pairs=known_pairs)
-        return group_pairs((p.pair() for p in predictions), prefix_len)
 
 
 # -- engine-backed index construction ----------------------------------------------------

@@ -554,9 +554,9 @@ class Executor:
 
     def _observe_task(self, fn_name: str, exec_s: float,
                       queue_s: Optional[float] = None) -> None:
-        """Record one task's latency split (subject to sampling)."""
+        """Record one task's latency split (when telemetry is on)."""
         tel = self.telemetry
-        if not tel.sampled():
+        if not tel.enabled:
             return
         tel.histogram("engine_task_execute_seconds",
                       "Worker-side task execution time",

@@ -177,7 +177,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": "internal", "detail": repr(exc)})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise InvalidRequest(f"invalid Content-Length: {raw_length!r}")
         if length == 0:
             return {}
         try:
@@ -273,7 +282,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_scan(self) -> None:
         payload = self._read_body()
         model = str(payload.get("model", "default"))
-        batch_size = int(payload.get("batch_size", 2000))
+        try:
+            batch_size = int(payload.get("batch_size", 2000))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidRequest(
+                f'"batch_size" must be an integer: {exc}') from exc
         observations: Tuple = ()
         known = frozenset()
         if payload.get("ips"):

@@ -94,8 +94,6 @@ class ServingConfig:
             :class:`~repro.telemetry.Telemetry` (request counters, latency
             histograms, the ``/metrics`` surface).  Off by default; replies
             are bit-identical either way.
-        telemetry_sample_every: observe every Nth request latency when
-            telemetry is on (counters and gauges are never sampled).
         executor / num_workers / shard_count / max_task_retries /
         task_deadline_s / execution_deadline_s / fault_plan: the engine
             runtime's knobs, passed through verbatim (see
@@ -108,7 +106,6 @@ class ServingConfig:
     drain_timeout_s: float = 10.0
     lookup_threads: int = 4
     telemetry_enabled: bool = False
-    telemetry_sample_every: int = 1
     executor: str = "serial"
     num_workers: int = 0
     shard_count: int = 0
@@ -131,8 +128,6 @@ class ServingConfig:
             raise ValueError("drain_timeout_s must be non-negative")
         if self.lookup_threads < 1:
             raise ValueError("lookup_threads must be >= 1")
-        if self.telemetry_sample_every < 1:
-            raise ValueError("telemetry_sample_every must be >= 1")
         if self.executor not in RUNTIME_EXECUTORS:
             raise ValueError(f"unknown executor: {self.executor!r} "
                              f"(expected one of {RUNTIME_EXECUTORS})")
@@ -206,8 +201,7 @@ class GPSService:
         if telemetry is not None:
             self.telemetry = telemetry
         elif self.config.telemetry_enabled:
-            self.telemetry = Telemetry(
-                sample_every=self.config.telemetry_sample_every)
+            self.telemetry = Telemetry()
         else:
             self.telemetry = NULL_TELEMETRY
         self.stats = ServingStats()
@@ -595,7 +589,7 @@ class GPSService:
     # -- internals ---------------------------------------------------------------------
 
     def _observe_request(self, endpoint: str, seconds: Optional[float]) -> None:
-        """Count one served request; observe its latency when sampled in.
+        """Count one served request; observe its latency when telemetry is on.
 
         ``seconds=None`` counts without a latency observation (scan jobs,
         whose lifetime is the stream's, not the submit call's).  A served
@@ -611,7 +605,7 @@ class GPSService:
                 "serving_requests_total", "Requests served by endpoint.",
                 endpoint=endpoint), None]
         handles[0].inc()
-        if seconds is not None and tel.sampled():
+        if seconds is not None and tel.enabled:
             if handles[1] is None:
                 handles[1] = tel.histogram(
                     "serving_request_seconds", "Request latency by endpoint.",

@@ -8,15 +8,9 @@ it.)
 The :class:`Telemetry` facade bundles the two instrument surfaces every
 instrumented layer needs -- a :class:`~repro.telemetry.registry.MetricsRegistry`
 for counters/gauges/histograms and a :class:`~repro.telemetry.tracing.Tracer`
-for phase span trees -- behind one enabled/disabled switch and one sampling
-knob.  Components take an optional ``telemetry`` argument and default to
+for phase span trees -- behind one enabled/disabled switch.  Components take an optional ``telemetry`` argument and default to
 :data:`NULL_TELEMETRY`, whose instruments are all shared no-ops, so the
 disabled path costs an attribute read and a no-op method call at most.
-
-``sample_every`` thins *per-task* histogram observations (the engine's
-per-task execute/queue timings, serving's per-request latencies): a value
-of N records every Nth observation.  Counters, gauges and spans are never
-sampled -- totals must stay exact.
 
 Everything in this package is standard-library only, so any layer
 (including ``engine.runtime``, which must stay import-light for spawned
@@ -25,7 +19,6 @@ workers) can import it without cycles.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from repro.telemetry.events import EventBus
@@ -59,21 +52,14 @@ class Telemetry:
 
     Attributes:
         enabled: False makes every instrument a shared no-op.
-        sample_every: record every Nth per-observation histogram sample
-            (see :meth:`sampled`); 1 records everything.
         metrics: the registry; ``counter``/``gauge``/``histogram`` delegate.
         tracer: the span tracer; :meth:`span` delegates.
     """
 
-    def __init__(self, enabled: bool = True, sample_every: int = 1,
-                 max_spans: int = 100_000) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+    def __init__(self, enabled: bool = True, max_spans: int = 100_000) -> None:
         self.enabled = enabled
-        self.sample_every = sample_every
         self.metrics = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled, max_spans=max_spans)
-        self._sample_tick = itertools.count()
 
     # -- instrument delegates ------------------------------------------------------
 
@@ -90,20 +76,6 @@ class Telemetry:
 
     def span(self, name: str, **attrs: Any):
         return self.tracer.span(name, **attrs)
-
-    def sampled(self) -> bool:
-        """True when a per-observation histogram sample should be recorded.
-
-        A shared modulo counter: with ``sample_every == 1`` (the default)
-        this is always true; larger values record every Nth call site hit
-        across the whole Telemetry instance.  Disabled telemetry always
-        answers False so callers can skip computing the observation.
-        """
-        if not self.enabled:
-            return False
-        if self.sample_every == 1:
-            return True
-        return next(self._sample_tick) % self.sample_every == 0
 
     # -- export --------------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 CI runs the report with ``--check`` after every benchmark matrix; these
 tests prove the gate actually bites -- a seeded floor regression in a
-results directory fails the check -- without breaking the committed
-baselines.  The committed BENCH_*.json files themselves must pass the
+results directory fails the check, and so does a deleted floor -- without
+breaking the committed baselines.  The committed BENCH_*.json files themselves must pass the
 check: they are the floors the next change is judged against.
 """
 
@@ -38,11 +38,39 @@ def results_dir(tmp_path):
     return target
 
 
+#: Asserted ratios and the floors their benchmarks record beside them:
+#: (file, label, value path, floor path).
+RECORDED_FLOORS = (
+    ("BENCH_dataset.json", "columnar seed ingest vs object path",
+     "columnar_vs_object_speedup", "columnar_vs_object_floor"),
+    ("BENCH_priors.json", "engine priors plan vs reference",
+     "priors_fused_serial_speedup", "priors_fused_serial_floor"),
+    ("BENCH_priors.json", "batched scan pipeline end to end",
+     "scan.end_to_end_speedup", "scan.end_to_end_floor"),
+    ("BENCH_priors.json", "batched zmap layer vs per-pair probing",
+     "scan.zmap_layer_speedup", "scan.zmap_layer_floor"),
+    ("BENCH_runtime.json", "surgical heal vs full rebuild",
+     "recovery.rebuild_vs_heal", "recovery.floor"),
+    ("BENCH_serving.json", "warm served lookup vs cold one-shot",
+     "warm_vs_cold_speedup", "warm_vs_cold_floor"),
+    ("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
+     "model_fold.speedup", "model_fold.floor"),
+)
+
+
 def _doctor(directory: Path, name: str, mutate) -> None:
     path = directory / name
     document = json.loads(path.read_text())
     mutate(document)
     path.write_text(json.dumps(document))
+
+
+def _parent(document: dict, dotted: str):
+    """The dict holding a dotted path's last key, and that key."""
+    *parents, key = dotted.split(".")
+    for part in parents:
+        document = document[part]
+    return document, key
 
 
 def _run(results_dir: Path, *extra: str) -> int:
@@ -58,22 +86,35 @@ def test_committed_baselines_pass_the_check(capsys):
     assert "REGRESSED" not in out
 
 
-def test_seeded_static_floor_regression_fails(results_dir, capsys):
-    """Dropping a headline ratio below its static floor fails --check."""
-    _doctor(results_dir, "BENCH_priors.json",
-            lambda d: d.__setitem__("priors_fused_serial_speedup", 1.0))
+@pytest.mark.parametrize("name, label, value_path, floor_path", RECORDED_FLOORS,
+                         ids=[row[2] for row in RECORDED_FLOORS])
+def test_seeded_recorded_floor_regression_fails(
+        results_dir, capsys, name, label, value_path, floor_path):
+    """Dropping a ratio just below the floor its benchmark recorded fails
+    --check."""
+
+    def mutate(document):
+        floor_parent, floor_key = _parent(document, floor_path)
+        value_parent, value_key = _parent(document, value_path)
+        value_parent[value_key] = floor_parent[floor_key] - 0.01
+
+    _doctor(results_dir, name, mutate)
     assert _run(results_dir, "--check") == 1
     captured = capsys.readouterr()
     assert "FLOOR REGRESSION" in captured.err
-    assert "engine priors plan vs reference" in captured.err
+    assert label in captured.err
 
 
-def test_seeded_recorded_floor_regression_fails(results_dir):
-    """A metric judged against its JSON-recorded floor regresses too."""
+def test_value_without_recorded_floor_fails(results_dir, capsys):
+    """An asserted ratio whose floor line was deleted fails --check, so a
+    gate cannot vanish by omission."""
     _doctor(results_dir, "BENCH_dataset.json",
-            lambda d: d["model_fold"].__setitem__(
-                "speedup", d["model_fold"]["floor"] - 0.1))
+            lambda d: d.pop("columnar_vs_object_floor"))
     assert _run(results_dir, "--check") == 1
+    captured = capsys.readouterr()
+    assert "NO RECORDED FLOOR" in captured.err
+    assert "columnar seed ingest vs object path" in captured.err
+    assert "NO FLOOR" in captured.out
 
 
 def test_without_check_regressions_warn_but_pass(results_dir):

@@ -164,27 +164,3 @@ class TestPredictiveFeatureIndex:
             PredictiveFeature(("P", 80), 443, 0.7),
         ])
         assert index.targets_for(("P", 80))[443] == pytest.approx(0.7)
-
-    def test_predict_batches_groups_the_prediction_list(self, camera_fleet):
-        from repro.scanner.records import group_pairs
-
-        model, hosts = _model_and_hosts(camera_fleet)
-        index = PredictiveFeatureIndex.from_seed(hosts, model)
-        discovered = [_obs(parse_ip("10.2.0.99"), 554, protocol="rtsp"),
-                      _obs(parse_ip("10.9.0.50"), 80)]
-        predictions = index.predict(discovered, None, FeatureConfig())
-        batches = index.predict_batches(discovered, None, FeatureConfig())
-        # Exactly the grouped form of the probability-ordered predictions.
-        assert batches == group_pairs((p.pair() for p in predictions), 16)
-        flattened = [pair for batch in batches for pair in batch.pairs()]
-        assert sorted(flattened) == sorted(p.pair() for p in predictions)
-
-    def test_predict_batches_forwards_known_pairs(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        index = PredictiveFeatureIndex.from_seed(hosts, model)
-        new_host = parse_ip("10.2.0.99")
-        discovered = [_obs(new_host, 554, protocol="rtsp")]
-        batches = index.predict_batches(discovered, None, FeatureConfig(),
-                                        known_pairs={(new_host, 37777)})
-        assert (new_host, 37777) not in [pair for batch in batches
-                                         for pair in batch.pairs()]

@@ -10,9 +10,11 @@ the adapter it delegates to.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -165,6 +167,30 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base + "/predict", {"model": "default", "ips": ["0.0.0.1"]})
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, server, length):
+        base, _, _ = server
+        connection = http.client.HTTPConnection(
+            urllib.parse.urlsplit(base).netloc, timeout=10)
+        try:
+            connection.putrequest("POST", "/predict")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.load(response)["error"] == "invalid_request"
+        finally:
+            connection.close()
+
+    def test_scan_rejects_non_integer_batch_size(self, server):
+        base, _, seed = server
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/scan", {"model": "default", "batch_size": "abc",
+                                   "ips": [format_ip(seed.observations[0].ip)]})
+        assert excinfo.value.code == 400
+        assert json.load(excinfo.value)["error"] == "invalid_request"
 
 
 class TestServeCli:

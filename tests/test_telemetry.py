@@ -217,18 +217,10 @@ class TestTracer:
 
 
 class TestTelemetryFacade:
-    def test_sampling_thins_observations_only(self):
-        telemetry = Telemetry(sample_every=3)
-        assert sum(telemetry.sampled() for _ in range(9)) == 3
-        assert NULL_TELEMETRY.sampled() is False
-        assert Telemetry().sampled() is True
-
     def test_null_normalisation(self):
         assert telemetry_or_null(None) is NULL_TELEMETRY
         live = Telemetry()
         assert telemetry_or_null(live) is live
-        with pytest.raises(ValueError):
-            Telemetry(sample_every=0)
 
 
 class TestEventBus:
