@@ -202,11 +202,13 @@ def run_performance_breakdown(
     ))
 
     # -- Phase: priors scan (executed against the universe) ---------------------------
-    priors_observations = []
+    priors_batch = ObservationBatch(banners=universe.banners,
+                                    statuses=pipeline.status_encoder)
     for entry in priors_plan:
-        priors_observations.extend(
+        priors_batch.extend(
             pipeline.scan_prefix(entry.port, entry.subnet, category=ScanCategory.PRIORS)
         )
+    priors_observations = priors_batch.materialize()
     priors_probes = pipeline.ledger.total_probes(ScanCategory.PRIORS)
     priors_bytes = _observations_bytes(priors_observations)
     breakdown.rows.append(PhaseRow(
@@ -227,12 +229,14 @@ def run_performance_breakdown(
                                              port_domain=dataset.port_domain)
     known = {obs.pair() for obs in split.seed_observations}
     known.update(obs.pair() for obs in priors_observations)
-    predictions = index.predict(priors_observations, asn_db, feature_config,
-                                known_pairs=known)
+    predictions = index.predict_reference(priors_observations, asn_db,
+                                          feature_config, known_pairs=known)
     prs_single = time.perf_counter() - start
 
+    # The engine row predicts as an engine GPS run does: compiled tables
+    # over the priors columns.
     start = time.perf_counter()
-    index_parallel.predict(priors_observations, asn_db, feature_config,
+    index_parallel.predict(priors_batch, asn_db, feature_config,
                            known_pairs=known)
     prs_parallel = index_parallel_seconds + time.perf_counter() - start
 

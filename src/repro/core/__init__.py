@@ -31,6 +31,7 @@ from repro.core.model import CooccurrenceModel, build_model, build_model_with_en
 from repro.core.priors import PriorsEntry, build_priors_plan
 from repro.core.predictions import (
     PredictedService,
+    Predictions,
     PredictiveFeature,
     PredictiveFeatureIndex,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "PredictiveFeature",
     "PredictiveFeatureIndex",
     "PredictedService",
+    "Predictions",
     "GPS",
     "DiscoveryBatch",
     "GPSRunResult",

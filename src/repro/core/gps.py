@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import GPSConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
@@ -27,6 +27,7 @@ from repro.core.model import CooccurrenceModel, build_model, build_model_with_en
 from repro.core.predictions import (
     PREDICTION_BATCH_PREFIX_LEN,
     PredictedService,
+    Predictions,
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
 )
@@ -65,10 +66,17 @@ class DiscoveryBatch:
 class GPSRunResult:
     """Everything a GPS run produced.
 
+    A run keeps its scan results and predictions in columns: after
+    :meth:`GPS.run`, ``priors_observations`` and ``prediction_observations``
+    are :class:`~repro.scanner.records.ObservationBatch` sequences and
+    ``predictions`` is a :class:`~repro.core.predictions.Predictions`
+    sequence, so a row object is built only when a caller reads that row.
+
     Attributes:
         config: the configuration the run used.
         seed_observations: the (filtered) seed set GPS learned from.
-        priors_observations: services discovered by the priors scan.
+        priors_observations: services discovered by the priors scan (the
+            supplied known observations for :meth:`GPS.predict_for_known_hosts`).
         prediction_observations: services discovered by the prediction scan.
         priors_plan: the ordered priors scan list.
         predictions: the ordered predictions list (before probing).
@@ -83,10 +91,10 @@ class GPSRunResult:
 
     config: GPSConfig
     seed_observations: List[ScanObservation]
-    priors_observations: List[ScanObservation] = field(default_factory=list)
-    prediction_observations: List[ScanObservation] = field(default_factory=list)
+    priors_observations: Sequence[ScanObservation] = field(default_factory=list)
+    prediction_observations: Sequence[ScanObservation] = field(default_factory=list)
     priors_plan: List[PriorsEntry] = field(default_factory=list)
-    predictions: List[PredictedService] = field(default_factory=list)
+    predictions: Sequence[PredictedService] = field(default_factory=list)
     model: Optional[CooccurrenceModel] = None
     feature_index: Optional[PredictiveFeatureIndex] = None
     discovery_log: List[DiscoveryBatch] = field(default_factory=list)
@@ -246,20 +254,21 @@ class GPS:
             result.priors_plan = priors_plan
             result.model_build_seconds += time.perf_counter() - build_start
 
+            priors = result.priors_observations = self._empty_batch()
             with tel.span("priors.scan") as span:
                 batches = 0
                 for entry in priors_plan:
                     if budget_probes is not None and ledger.total_probes() >= budget_probes:
                         result.truncated_by_budget = True
                         break
-                    observations = self.pipeline.scan_prefix(entry.port, entry.subnet,
-                                                             category=ScanCategory.PRIORS)
-                    result.priors_observations.extend(observations)
+                    found = self.pipeline.scan_prefix(entry.port, entry.subnet,
+                                                      category=ScanCategory.PRIORS)
+                    priors.extend(found)
                     self._log_batch(result, "priors", ledger.total_probes(),
-                                    [obs.pair() for obs in observations], discovered)
+                                    zip(found.ips, found.ports), discovered)
                     batches += 1
                 span.set("batches", batches)
-                span.set("observations", len(result.priors_observations))
+                span.set("observations", len(priors))
 
             # Phase 4: predict and scan remaining services.
             build_start = time.perf_counter()
@@ -273,10 +282,15 @@ class GPS:
             if dataset is not None:
                 dataset.release()
         with tel.span("predict") as span:
-            predictions = feature_index.predict(
-                result.priors_observations, self._asn_db, config.feature_config,
-                known_pairs=set(discovered),
-            )
+            if config.use_engine:
+                predictions = feature_index.predict(
+                    priors, self._asn_db, config.feature_config,
+                    known_pairs=discovered)
+            else:
+                predictions = Predictions.from_services(
+                    feature_index.predict_reference(
+                        priors, self._asn_db, config.feature_config,
+                        known_pairs=discovered))
             span.set("predictions", len(predictions))
         result.predictions = predictions
         result.model_build_seconds += time.perf_counter() - build_start
@@ -347,37 +361,42 @@ class GPS:
 
     # -- helpers ------------------------------------------------------------------------
 
-    def _prediction_scan(self, result: GPSRunResult,
-                         predictions: Sequence[PredictedService],
+    def _prediction_scan(self, result: GPSRunResult, predictions: Predictions,
                          discovered: Set[Pair]) -> None:
         """Probe ``predictions`` in order until exhausted or out of budget.
 
         Probes within each slice of ``prediction_batch_size`` predictions
         are grouped by (subnetwork, port) so the pipeline's batched layers
         amortize lookups and ledger charges; the probability ordering still
-        governs at slice granularity.
+        governs at slice granularity.  Targets are read from the prediction
+        columns and the responders accumulate in one batch.
         """
         batch_size = self.config.prediction_batch_size
         ledger = self.pipeline.ledger
         budget_probes = self._budget_probes()
+        found_all = result.prediction_observations = self._empty_batch()
         with self.telemetry.span("prediction.scan") as span:
             batches = 0
             for start in range(0, len(predictions), batch_size):
                 if budget_probes is not None and ledger.total_probes() >= budget_probes:
                     result.truncated_by_budget = True
                     break
-                batch = predictions[start:start + batch_size]
-                observations = self.pipeline.scan_pairs(
-                    (prediction.pair() for prediction in batch),
+                found = self.pipeline.scan_pairs(
+                    predictions[start:start + batch_size].pairs(),
                     category=ScanCategory.PREDICTION,
                     batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
                 )
-                result.prediction_observations.extend(observations)
+                found_all.extend(found)
                 self._log_batch(result, "prediction", ledger.total_probes(),
-                                [obs.pair() for obs in observations], discovered)
+                                zip(found.ips, found.ports), discovered)
                 batches += 1
             span.set("batches", batches)
-            span.set("observations", len(result.prediction_observations))
+            span.set("observations", len(found_all))
+
+    def _empty_batch(self) -> ObservationBatch:
+        """An empty batch in the pipeline's banner and status id spaces."""
+        return ObservationBatch(banners=self.pipeline.universe.banners,
+                                statuses=self.pipeline.status_encoder)
 
     def _extract_features(self, seed: SeedScanResult):
         """Extract the seed's host features on the configured ingest path.
@@ -459,7 +478,7 @@ class GPS:
 
     @staticmethod
     def _log_batch(result: GPSRunResult, phase: str, cumulative_probes: int,
-                   pairs: Sequence[Pair], discovered: Set[Pair]) -> None:
+                   pairs: Iterable[Pair], discovered: Set[Pair]) -> None:
         new_pairs = tuple(pair for pair in pairs if pair not in discovered)
         discovered.update(new_pairs)
         result.discovery_log.append(DiscoveryBatch(

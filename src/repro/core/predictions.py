@@ -14,14 +14,33 @@ GPS uses the features of those services to predict every remaining service:
 3. The predictions list is ordered by probability, descending, so that the
    most predictable services are scanned first (this ordering is what gives
    GPS its precision profile in Figure 3).
+
+:meth:`PredictiveFeatureIndex.predict` runs step 2 on per-port match tables
+compiled once from the list, reads the priors scan's observation columns
+directly and returns the ordered list as columns (:class:`Predictions`);
+:meth:`PredictiveFeatureIndex.predict_reference` is the dictionary oracle it
+equals row for row.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.config import FeatureConfig
 from repro.core.features import (
@@ -34,7 +53,7 @@ from repro.core.features import (
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.net.asn import AsnDatabase
-from repro.scanner.records import ScanObservation
+from repro.scanner.records import ObservationBatch, ScanObservation
 
 #: Prefix length prediction probes are grouped by before they reach the scan
 #: pipeline's batched layers.  /16 matches the default network feature (the
@@ -75,8 +94,186 @@ class PredictedService:
         return (self.ip, self.port)
 
 
+class Predictions(Sequence[PredictedService]):
+    """An ordered predictions list stored as columns.
+
+    Four parallel columns -- address, port, probability and an id into a
+    shared predictor table -- hold what a list of :class:`PredictedService`
+    would, in the probing order (probability descending, then address, then
+    port).  A :class:`PredictedService` is built only when a row is read:
+    indexing, iterating or :meth:`materialize`.  Slicing returns another
+    ``Predictions`` and :meth:`pairs` reads the (ip, port) targets straight
+    from the columns, which is all the prediction scan needs.  The sequence
+    is immutable, and equals any sequence of the same
+    :class:`PredictedService` rows in the same order.
+    """
+
+    __slots__ = ("ips", "ports", "probabilities", "predictor_ids", "predictor_table")
+
+    def __init__(self, ips: array, ports: array, probabilities: array,
+                 predictor_ids: array,
+                 predictor_table: Sequence[PredictorTuple]) -> None:
+        self.ips = ips
+        self.ports = ports
+        self.probabilities = probabilities
+        self.predictor_ids = predictor_ids
+        self.predictor_table = predictor_table
+
+    @classmethod
+    def from_services(cls, services: Iterable[PredictedService]) -> "Predictions":
+        """Columns holding ``services`` in the given order."""
+        ids: Dict[PredictorTuple, int] = {}
+        ips, ports, probabilities, predictor_ids = (array("q"), array("q"),
+                                                    array("d"), array("q"))
+        for service in services:
+            ips.append(service.ip)
+            ports.append(service.port)
+            probabilities.append(service.probability)
+            predictor_ids.append(ids.setdefault(service.predictor, len(ids)))
+        return cls(ips, ports, probabilities, predictor_ids, tuple(ids))
+
+    def __len__(self) -> int:
+        return len(self.ips)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Predictions(self.ips[index], self.ports[index],
+                               self.probabilities[index],
+                               self.predictor_ids[index], self.predictor_table)
+        return PredictedService(self.ips[index], self.ports[index],
+                                self.probabilities[index],
+                                self.predictor_table[self.predictor_ids[index]])
+
+    def __iter__(self) -> Iterator[PredictedService]:
+        return map(PredictedService, self.ips, self.ports, self.probabilities,
+                   map(self.predictor_table.__getitem__, self.predictor_ids))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Predictions({len(self)} rows)"
+
+    def pairs(self) -> List[Tuple[int, int]]:
+        """The (ip, port) targets in probing order."""
+        return list(zip(self.ips, self.ports))
+
+    def materialize(self) -> List[PredictedService]:
+        """Every row as a :class:`PredictedService`, in order."""
+        return list(self)
+
+
+#: One predictor's targets as compiled for :meth:`PredictiveFeatureIndex.predict`:
+#: ``(target port, probability, predictor id)`` triples in index order.
+_Targets = Tuple[Tuple[int, float, int], ...]
+
+
+class _PortMatcher:
+    """The index entries whose predictor sits on one port, keyed by value.
+
+    A service on this port derives exactly the predictor tuples the
+    Section 5.2 families allow; the matcher answers, for each family, which
+    of them the index holds without building the tuples: ``transport`` is
+    ``("P", port)``'s targets, ``app`` maps an app key then its value to a
+    ``("PA", ...)`` entry, ``network`` maps a ``(kind, value)`` network
+    feature to a ``("PN", ...)`` entry, and ``app_network`` maps an app key
+    then its value to the ``(kind, value)`` table of the ``("PAN", ...)``
+    entries.  Targets on the port itself are dropped when compiling: a
+    service never predicts its own port.
+    """
+
+    __slots__ = ("transport", "app", "network", "app_network")
+
+    def __init__(self) -> None:
+        self.transport: _Targets = ()
+        self.app: Dict[str, Dict[str, _Targets]] = {}
+        self.network: Dict[Tuple[str, int], _Targets] = {}
+        self.app_network: Dict[str, Dict[str, Dict[Tuple[str, int], _Targets]]] = {}
+
+    def add(self, predictor: PredictorTuple, targets: _Targets) -> None:
+        """File one predictor's targets under its family and values."""
+        family = predictor[0]
+        if family == "P" and len(predictor) == 2:
+            self.transport = targets
+        elif family == "PA" and len(predictor) == 4:
+            self.app.setdefault(predictor[2], {})[predictor[3]] = targets
+        elif family == "PN" and len(predictor) == 4:
+            self.network[predictor[2:4]] = targets
+        elif family == "PAN" and len(predictor) == 6:
+            by_value = self.app_network.setdefault(predictor[2], {})
+            by_value.setdefault(predictor[3], {})[predictor[4:6]] = targets
+        # Any other shape is never derived from an observation, so it never
+        # matches (the reference predict agrees by construction).
+
+    def match(self, features: Mapping[str, str],
+              net_values: Sequence[Tuple[str, int]],
+              config: FeatureConfig) -> _Targets:
+        """One service's best ``(target port, probability, predictor id)`` per target.
+
+        Visits the predictors the service derives that the index holds, in
+        the reference order -- P, then PA (app keys in ``config`` order),
+        then PN (network kinds in order), then PAN (app-major) -- and keeps
+        per target port the first of the most probable: exactly the
+        candidate the reference's strict ``>`` keeps from this service, so
+        folding these instead of every candidate changes no tie.
+        """
+        matched: List[_Targets] = []
+        if config.include_transport_only and self.transport:
+            matched.append(self.transport)
+        crossed_nets: List[Dict[Tuple[str, int], _Targets]] = []
+        app = self.app if config.include_app else {}
+        crossed = self.app_network if config.include_app_network else {}
+        if app or crossed:
+            get = features.get
+            for key in config.app_feature_keys:
+                by_value = app.get(key)
+                crossed_by_value = crossed.get(key)
+                if by_value is None and crossed_by_value is None:
+                    continue
+                value = get(key)
+                if not value:
+                    continue
+                if by_value is not None:
+                    targets = by_value.get(value)
+                    if targets:
+                        matched.append(targets)
+                if crossed_by_value is not None:
+                    nets = crossed_by_value.get(value)
+                    if nets:
+                        crossed_nets.append(nets)
+        if config.include_network and self.network:
+            for net_value in net_values:
+                targets = self.network.get(net_value)
+                if targets:
+                    matched.append(targets)
+        for nets in crossed_nets:
+            for net_value in net_values:
+                targets = nets.get(net_value)
+                if targets:
+                    matched.append(targets)
+        if len(matched) == 1:
+            return matched[0]
+        best: Dict[int, Tuple[int, float, int]] = {}
+        for targets in matched:
+            for candidate in targets:
+                current = best.get(candidate[0])
+                if current is None or candidate[1] > current[1]:
+                    best[candidate[0]] = candidate
+        return tuple(best.values())
+
+
 class PredictiveFeatureIndex:
-    """The "most predictive feature values" list, indexed for fast lookup."""
+    """The "most predictive feature values" list, indexed for fast lookup.
+
+    Construction also compiles the list into one :class:`_PortMatcher` per
+    predictor port, which :meth:`predict` matches services against;
+    :meth:`predict_reference` is the dictionary oracle it must equal.
+    """
 
     def __init__(self, features: Iterable[PredictiveFeature]) -> None:
         self._by_predictor: Dict[PredictorTuple, Dict[int, float]] = {}
@@ -86,6 +283,20 @@ class PredictiveFeatureIndex:
             if existing is None or feature.probability > existing:
                 targets[feature.target_port] = feature.probability
         self._entry_count = sum(len(t) for t in self._by_predictor.values())
+        self._predictor_table: Tuple[PredictorTuple, ...] = tuple(self._by_predictor)
+        self._matchers: Dict[int, _PortMatcher] = {}
+        for predictor_id, (predictor, targets) in enumerate(self._by_predictor.items()):
+            if len(predictor) < 2:
+                continue
+            port = predictor[1]
+            compiled = tuple([(target, probability, predictor_id)
+                              for target, probability in targets.items()
+                              if target != port])
+            if compiled:
+                matcher = self._matchers.get(port)
+                if matcher is None:
+                    matcher = self._matchers[port] = _PortMatcher()
+                matcher.add(predictor, compiled)
         # Bounded LRU memo for network_feature_values, shared across predict
         # calls; keyed per (asn_db, feature kinds) identity so an index
         # reused against a different universe never serves stale features.
@@ -93,7 +304,7 @@ class PredictiveFeatureIndex:
         # structural cache operation (lookup+refresh, insert+evict, rekey)
         # holds the lock: an unguarded get/move_to_end pair races with
         # another thread's eviction and dies with KeyError.
-        self._net_cache: "OrderedDict[int, List[Tuple[str, int]]]" = OrderedDict()
+        self._net_cache: "OrderedDict[int, Tuple[Tuple[str, int], ...]]" = OrderedDict()
         self._net_cache_db: Optional[AsnDatabase] = None
         self._net_cache_kinds: Optional[Tuple[str, ...]] = None
         self._net_cache_lock = threading.Lock()
@@ -173,36 +384,68 @@ class PredictiveFeatureIndex:
 
     # -- prediction (steps 2-3) ----------------------------------------------------------
 
-    def _net_values_cache(self, asn_db: Optional[AsnDatabase],
-                          kinds: Tuple[str, ...],
-                          ) -> "OrderedDict[int, List[Tuple[str, int]]]":
-        """The bounded per-(asn_db, kinds) network-feature memo, reset on rekey.
+    def _net_values_of(self, asn_db: Optional[AsnDatabase],
+                       kinds: Tuple[str, ...],
+                       ) -> Callable[[int], Tuple[Tuple[str, int], ...]]:
+        """An address -> network feature values reader over the index's memo.
 
-        Callers must only touch the returned dict under
-        ``self._net_cache_lock``; the rekey check itself takes the lock so a
-        concurrent predict against a different universe cannot interleave
-        with the swap and resurrect the stale dict.
+        Network-layer features depend only on the address, and hosts with
+        several discovered services appear once per service; memoize per IP
+        so the ASN lookup and subnet derivations run once per host.  The
+        memo lives on the index and persists across GPS rounds, but is
+        bounded (NET_FEATURE_CACHE_MAX, LRU eviction: a hit refreshes the
+        entry, the stalest entry goes first) so long-running multi-round
+        deployments cannot grow it without limit while hot hosts stay
+        memoized, and it is keyed per (asn_db, kinds) so reuse against
+        another universe resets it (the rekey check takes the lock, so a
+        concurrent predict against a different universe cannot resurrect
+        the stale dict).  The serving layer calls predict from many threads
+        against one shared index, so the lookup+refresh and evict+insert
+        pairs each run atomically under the cache lock; the feature
+        derivation itself runs outside it (a concurrent duplicate derivation
+        wastes a little work but last-write-wins on identical values, so
+        nothing is lost or duplicated).  Values are cached as tuples, which
+        the cyclic collector stops tracking.
         """
-        with self._net_cache_lock:
+        lock = self._net_cache_lock
+        with lock:
             if self._net_cache_db is not asn_db or self._net_cache_kinds != kinds:
                 self._net_cache = OrderedDict()
                 self._net_cache_db = asn_db
                 self._net_cache_kinds = kinds
-            return self._net_cache
+            cache = self._net_cache
+        limit = NET_FEATURE_CACHE_MAX
+
+        def net_values_of(ip: int) -> Tuple[Tuple[str, int], ...]:
+            with lock:
+                net_values = cache.get(ip)
+                if net_values is not None:
+                    cache.move_to_end(ip)
+                    return net_values
+            net_values = tuple(network_feature_values(ip, asn_db, kinds))
+            with lock:
+                while len(cache) >= limit:
+                    cache.popitem(last=False)
+                cache[ip] = net_values
+            return net_values
+
+        return net_values_of
 
     def predict(
         self,
-        observations: Iterable[ScanObservation],
+        observations: Union[ObservationBatch, Iterable[ScanObservation]],
         asn_db: Optional[AsnDatabase],
         feature_config: FeatureConfig,
         known_pairs: Optional[Set[Tuple[int, int]]] = None,
-    ) -> List[PredictedService]:
+    ) -> Predictions:
         """Predict remaining services from discovered-service observations.
 
         Args:
             observations: services discovered so far (typically the priors
                 scan results; the seed services' patterns are already encoded
-                in the index itself).
+                in the index itself), as an
+                :class:`~repro.scanner.records.ObservationBatch` or any
+                iterable of :class:`~repro.scanner.records.ScanObservation`.
             asn_db: ASN database for network feature extraction.
             feature_config: which predictor tuples to derive per observation.
             known_pairs: (ip, port) pairs already discovered; predictions for
@@ -210,40 +453,102 @@ class PredictiveFeatureIndex:
 
         Returns:
             Deduplicated predictions ordered by probability (descending), the
-            order in which GPS probes them.
+            order in which GPS probes them: equal to
+            :meth:`predict_reference` row for row.
+
+        Each service is matched against its port's compiled
+        :class:`_PortMatcher` (a port without one is skipped before any
+        feature is derived), which visits the matching predictors in the
+        reference order P -> PA -> PN -> PAN, so an equal-probability tie
+        keeps the predictor the reference keeps.  On a batch the match is
+        memoized per (port, interned banner, network values): co-located
+        services with the same banner match once.  The candidates fold into
+        flat columns keyed by ``ip << 16 | port`` (ports are 16-bit) and
+        sort once; no per-service object is built.
+        """
+        matchers = self._matchers
+        net_values_of = self._net_values_of(
+            asn_db, feature_config.network_feature_kinds)
+        known = known_pairs or ()
+        if isinstance(observations, ObservationBatch):
+            interned = observations.banners.features
+            local_banners = observations.local_banners
+            rows: Iterable = zip(observations.ips, observations.ports,
+                                 observations.banner_ids)
+        else:
+            interned = local_banners = None
+            rows = ((obs.ip, obs.port, obs.app_features) for obs in observations)
+        # (port, interned banner) -> network values -> the service's targets.
+        memo: Dict[int, Dict[Tuple[Tuple[str, int], ...], _Targets]] = {}
+        slots: Dict[int, int] = {}  # ip << 16 | port -> row, or -1 when known
+        keys: List[int] = []
+        probabilities: List[float] = []
+        predictor_ids: List[int] = []
+        for ip, port, banner in rows:
+            matcher = matchers.get(port)
+            if matcher is None:
+                continue
+            net_values = net_values_of(ip)
+            if interned is None:
+                targets = matcher.match(banner, net_values, feature_config)
+            elif banner >= 0:
+                by_net = memo.get(banner << 16 | port)
+                if by_net is None:
+                    by_net = memo[banner << 16 | port] = {}
+                targets = by_net.get(net_values)
+                if targets is None:
+                    targets = by_net[net_values] = matcher.match(
+                        interned(banner), net_values, feature_config)
+            else:
+                targets = matcher.match(local_banners[-banner - 1], net_values,
+                                        feature_config)
+            ip_key = ip << 16
+            for target_port, probability, predictor_id in targets:
+                key = ip_key | target_port
+                slot = slots.get(key)
+                if slot is None:
+                    if (ip, target_port) in known:
+                        slots[key] = -1
+                        continue
+                    slots[key] = len(keys)
+                    keys.append(key)
+                    probabilities.append(probability)
+                    predictor_ids.append(predictor_id)
+                elif slot >= 0 and probability > probabilities[slot]:
+                    probabilities[slot] = probability
+                    predictor_ids[slot] = predictor_id
+        # Probability descending, then (ip, port) ascending: one sort by the
+        # packed pair key, then a stable sort by negated probability.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        negated = [-probability for probability in probabilities]
+        order.sort(key=negated.__getitem__)
+        return Predictions(array("q", [keys[i] >> 16 for i in order]),
+                           array("q", [keys[i] & 0xFFFF for i in order]),
+                           array("d", [probabilities[i] for i in order]),
+                           array("q", [predictor_ids[i] for i in order]),
+                           self._predictor_table)
+
+    def predict_reference(
+        self,
+        observations: Iterable[ScanObservation],
+        asn_db: Optional[AsnDatabase],
+        feature_config: FeatureConfig,
+        known_pairs: Optional[Set[Tuple[int, int]]] = None,
+    ) -> List[PredictedService]:
+        """The dictionary oracle :meth:`predict` must equal, row for row.
+
+        Derives every predictor tuple of every observation, looks each up in
+        the index and keeps the most probable prediction per (ip, port) --
+        the first one seen on ties.  It serves GPS's reference path
+        (``use_engine=False``), Table 2's single-core row and the tests.
+        Arguments and ordering as :meth:`predict`.
         """
         known = known_pairs or set()
         best: Dict[Tuple[int, int], PredictedService] = {}
-        # Network-layer features depend only on the address, and hosts with
-        # several discovered services appear once per service; memoize per IP
-        # so the ASN lookup and subnet derivations run once per host.  The
-        # memo lives on the index and persists across GPS rounds, but is
-        # bounded (NET_FEATURE_CACHE_MAX, LRU eviction: a hit refreshes the
-        # entry, the stalest entry goes first) so long-running multi-round
-        # deployments cannot grow it without limit while hot hosts stay
-        # memoized, and it is keyed per (asn_db, kinds) so reuse against
-        # another universe resets it.  The serving layer calls predict from
-        # many threads against one shared index, so the lookup+refresh and
-        # evict+insert pairs each run atomically under the cache lock; the
-        # feature derivation itself runs outside it (a concurrent duplicate
-        # derivation wastes a little work but last-write-wins on identical
-        # values, so nothing is lost or duplicated).
-        net_cache = self._net_values_cache(
+        net_values_of = self._net_values_of(
             asn_db, feature_config.network_feature_kinds)
-        net_cache_lock = self._net_cache_lock
-        limit = NET_FEATURE_CACHE_MAX
         for observation in observations:
-            with net_cache_lock:
-                net_values = net_cache.get(observation.ip)
-                if net_values is not None:
-                    net_cache.move_to_end(observation.ip)
-            if net_values is None:
-                net_values = network_feature_values(
-                    observation.ip, asn_db, feature_config.network_feature_kinds)
-                with net_cache_lock:
-                    while len(net_cache) >= limit:
-                        net_cache.popitem(last=False)
-                    net_cache[observation.ip] = net_values
+            net_values = net_values_of(observation.ip)
             predictors = predictor_tuples_for_observation(observation, net_values,
                                                           feature_config)
             for predictor in predictors:

@@ -231,17 +231,18 @@ class PseudoServiceFilter:
                 kept.extend(indices)
         return kept, removed_duplicate, removed_dense, flagged
 
-    def filter_batch(self, batch: ObservationBatch) -> List[ScanObservation]:
+    def filter_batch(self, batch: ObservationBatch) -> ObservationBatch:
         """Columnar :meth:`filter`: apply both rules to an observation batch.
 
-        Produces exactly ``self.filter(batch.materialize())`` -- same
-        surviving observations in the same order -- but the filtering runs on
-        the batch's flat columns (one sort-based grouping pass, see
-        :meth:`_partition_batch`), the stripped-content key is computed once
-        per *distinct* interned banner id (then memoized across batches)
-        instead of once per observation, and only the surviving rows are ever
-        materialized into :class:`~repro.scanner.records.ScanObservation`
-        objects.
+        Returns the surviving rows as a new batch (``batch.select(kept)``,
+        sharing the input's interner, status encoder and local banners)
+        whose rows materialize to exactly ``self.filter(batch.materialize())``
+        -- same surviving observations in the same order.  The filtering runs
+        on the batch's flat columns (one sort-based grouping pass, see
+        :meth:`_partition_batch`) and the stripped-content key is computed
+        once per *distinct* interned banner id (then memoized across
+        batches) instead of once per observation; no
+        :class:`~repro.scanner.records.ScanObservation` is built.
 
         Duplicate (ip, port) rows cannot disagree: the simulated universe is
         deterministic per target, so equal pairs always carry equal banner
@@ -249,8 +250,7 @@ class PseudoServiceFilter:
         therefore identical to :meth:`apply`'s pair-wise removal.
         """
         kept, _, _, _ = self._partition_batch(batch)
-        row = batch.row
-        return [row(i) for i in kept]
+        return batch.select(kept)
 
     def apply_batch(self, batch: ObservationBatch,
                     ) -> Tuple[ObservationBatch, FilterReport]:

@@ -18,10 +18,13 @@ scan shapes the paper's system needs:
 
 Every shape runs the *columnar* layers (``scan_pair_batch_columns``,
 ``fingerprint_batch_columns``, ``grab_batch_columns`` and the columnar
-pseudo-service filter), which fold hits into flat int columns and
-materialize :class:`~repro.scanner.records.ScanObservation` rows only at the
-API boundary.  The per-pair layer methods (``zmap.scan_pairs``,
-``fingerprint_many``, ``grab_many``, ``filter``) are the reference oracle:
+pseudo-service filter), which fold hits into flat int columns.
+``scan_prefix`` and the batched prediction scan return the
+:class:`~repro.scanner.records.ObservationBatch` itself, whose
+:class:`~repro.scanner.records.ScanObservation` rows materialize only when a
+consumer reads them; the seed scan materializes its rows once.  The per-pair
+layer methods (``zmap.scan_pairs``, ``fingerprint_many``, ``grab_many``,
+``filter``) are the reference oracle:
 unbatched :meth:`ScanPipeline.scan_pairs` chains them, and every columnar
 shape is defined as producing the same observations in the same order with
 identical ledger charges.
@@ -201,13 +204,15 @@ class ScanPipeline:
 
     def scan_prefix(self, port: int, subnet: int | Tuple[int, int],
                     category: ScanCategory = ScanCategory.PRIORS,
-                    apply_filter: bool = True) -> List[ScanObservation]:
+                    apply_filter: bool = True) -> ObservationBatch:
         """Exhaustively scan one port across one subnetwork.
 
         ``subnet`` is either a packed subnet key (see
         :func:`repro.net.ipv4.subnet_key`) or a ``(base, prefix_len)`` tuple.
         The responders run through the columnar LZR/ZGrab layers and the
-        columnar filter: the same observations, in the same order, with the
+        columnar filter, and come back as the filtered
+        :class:`~repro.scanner.records.ObservationBatch`: its rows
+        materialize to the same observations, in the same order, with the
         same ledger charges as chaining ``fingerprint_many`` -> ``grab_many``
         -> ``filter``; the rows are read-only interner views.
         """
@@ -218,16 +223,17 @@ class ScanPipeline:
             base, length = subnet_key_parts(subnet)
         responders = self.zmap.scan_prefix(port, base, length, category=category)
         batch = self._grab_columns(responders, [port] * len(responders), category)
-        observations = (self.pseudo_filter.filter_batch(batch) if apply_filter
-                        else batch.materialize())
+        if apply_filter:
+            batch = self.pseudo_filter.filter_batch(batch)
         if sweep_t0 is not None:
             self._observe_sweep("prefix", time.perf_counter() - sweep_t0)
-        return observations
+        return batch
 
     def scan_pairs(self, pairs: Iterable[Tuple[int, int]],
                    category: ScanCategory = ScanCategory.PREDICTION,
                    apply_filter: bool = True,
-                   batch_prefix_len: Optional[int] = None) -> List[ScanObservation]:
+                   batch_prefix_len: Optional[int] = None,
+                   ) -> Sequence[ScanObservation]:
         """Probe specific (ip, port) targets and banner-grab the responders.
 
         Args:
@@ -242,6 +248,12 @@ class ScanPipeline:
                 identical; only the per-pair bookkeeping is amortized, and
                 results come back in batch order rather than strict pair
                 order.
+
+        Returns:
+            With ``batch_prefix_len`` the observations as an
+            :class:`~repro.scanner.records.ObservationBatch` (rows
+            materialize when read); without it a list from the per-pair
+            reference layers.
         """
         if batch_prefix_len is not None:
             # Delegates to scan_pair_batches, which times itself -- no
@@ -261,7 +273,7 @@ class ScanPipeline:
 
     def scan_pair_batches(self, batches: Sequence[ProbeBatch],
                           category: ScanCategory = ScanCategory.PREDICTION,
-                          apply_filter: bool = True) -> List[ScanObservation]:
+                          apply_filter: bool = True) -> ObservationBatch:
         """Probe pre-grouped per-(prefix, port) batches (Section 5.4, batched).
 
         Equivalent to :meth:`scan_pairs` over the flattened batches -- same
@@ -269,36 +281,23 @@ class ScanPipeline:
         whole pass is *columnar*: ZMap resolves responders into flat
         (ip, port) columns with ranged universe queries, LZR and ZGrab fold
         outcomes into parallel int columns (protocol-status ids, interned
-        banner ids) instead of allocating per-hit objects, and
+        banner ids) instead of allocating per-hit objects: per hit the three
+        layers together perform two host-table lookups and a handful of list
+        appends, with no banner-dict copies.  The result is the (filtered)
+        :class:`~repro.scanner.records.ObservationBatch`, whose
         :class:`~repro.scanner.records.ScanObservation` rows materialize only
-        here, at the API boundary.  :meth:`scan_pair_batches_columnar`
-        exposes the batch itself for consumers that can stay columnar.
+        when a consumer reads them.
         """
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
-        batch = self.scan_pair_batches_columnar(batches, category=category)
-        if apply_filter:
-            # The columnar filter memoizes content keys per interned banner
-            # id and materializes only the surviving rows.
-            observations = self.pseudo_filter.filter_batch(batch)
-        else:
-            observations = batch.materialize()
-        if sweep_t0 is not None:
-            self._observe_sweep("pair_batches", time.perf_counter() - sweep_t0)
-        return observations
-
-    def scan_pair_batches_columnar(self, batches: Sequence[ProbeBatch],
-                                   category: ScanCategory = ScanCategory.PREDICTION,
-                                   ) -> ObservationBatch:
-        """Probe pre-grouped batches, returning the raw columnar observations.
-
-        The unfiltered columnar form of :meth:`scan_pair_batches`: per hit
-        the three layers together perform two host-table lookups and a
-        handful of list appends -- no :class:`FingerprintResult` or
-        :class:`ScanObservation` objects, no banner-dict copies.
-        """
         hit_ips, hit_ports = self.zmap.scan_pair_batch_columns(batches,
                                                                category=category)
-        return self._grab_columns(hit_ips, hit_ports, category)
+        batch = self._grab_columns(hit_ips, hit_ports, category)
+        if apply_filter:
+            # The columnar filter memoizes content keys per interned banner id.
+            batch = self.pseudo_filter.filter_batch(batch)
+        if sweep_t0 is not None:
+            self._observe_sweep("pair_batches", time.perf_counter() - sweep_t0)
+        return batch
 
     # -- internals ---------------------------------------------------------------------
 

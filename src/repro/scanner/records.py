@@ -10,14 +10,14 @@ the device profile that generated the host.
 :class:`ObservationBatch` is the *columnar* form the batched scanner layers
 accumulate into: flat parallel int64 columns (address, port, encoded protocol
 status, interned banner id, TTL) instead of one object per hit, with lazy
-per-row :class:`ScanObservation` views.  The columns are
+per-row :class:`ScanObservation` views: a batch iterates and indexes as a
+sequence of rows, each built only when it is read.  The columns are
 :class:`~repro.engine.columns.IntColumn` buffers -- machine-native
 ``array('q')`` storage, one word per element -- so bulk consumers (the fused
 fold kernels, shard shipping) read them through the buffer protocol instead
 of boxing Python ints.  Keeping per-hit work O(1) appends is what lets the
 scan loop track the batched ZMap layer's throughput (the paper's Section 5.4
-/ Table 2 story); observations only materialize at the pipeline's API
-boundary.
+/ Table 2 story); observations only materialize where a consumer reads rows.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ class ObservationBatch:
     The batched scanner layers fold hits straight into these columns -- one
     ``list.append`` per column per hit -- instead of allocating a
     :class:`ScanObservation` (and copying its banner dict) per hit.  Rows are
-    materialized lazily: :meth:`row` builds one observation on demand and
-    :meth:`materialize` builds them all, which the scan pipeline does exactly
-    once at its API boundary.
+    materialized lazily: :meth:`row` (and indexing or iterating the batch)
+    builds one observation on demand and :meth:`materialize` builds them all.
+    The scan shapes return batches; only consumers that read rows pay for
+    them.
 
     Attributes:
         banners: the interner non-negative banner ids refer to (normally the
@@ -136,6 +137,33 @@ class ObservationBatch:
         """The (ip, port) identities of the batch's rows, in row order."""
         return list(zip(self.ips, self.ports))
 
+    def extend(self, other: "ObservationBatch") -> None:
+        """Append ``other``'s rows after this batch's (concatenation).
+
+        The columns append in bulk.  Batch-local banners move with their
+        rows: ``other``'s local table is appended to this batch's and its
+        negative ids shift by this table's previous size, so every appended
+        row resolves to the same banner it did in ``other``.  Existing ids
+        stay valid, including in batches that share this batch's local table
+        (see :meth:`select`).  Both batches must speak the same banner
+        interner and status encoder, as every batch one pipeline produces
+        does.
+        """
+        if other.banners is not self.banners or other.statuses is not self.statuses:
+            raise ValueError("extend needs batches sharing one banner interner "
+                             "and one status encoder")
+        self.ips.extend(other.ips)
+        self.ports.extend(other.ports)
+        self.status.extend(other.status)
+        self.ttls.extend(other.ttls)
+        if other.local_banners:
+            offset = len(self.local_banners)
+            self.local_banners.extend(other.local_banners)
+            self.banner_ids.extend(banner_id if banner_id >= 0 else banner_id - offset
+                                   for banner_id in other.banner_ids)
+        else:
+            self.banner_ids.extend(other.banner_ids)
+
     def select(self, indices: Iterable[int]) -> "ObservationBatch":
         """A new batch holding the given rows, in the given order.
 
@@ -201,6 +229,12 @@ class ObservationBatch:
             app_features=self.banner_features(i),
             ttl=self.ttls[i],
         )
+
+    def __getitem__(self, index: int) -> ScanObservation:
+        return self.row(index)
+
+    def __iter__(self) -> Iterator[ScanObservation]:
+        return self.iter_rows()
 
     def iter_rows(self) -> Iterator[ScanObservation]:
         """Iterate lazily materialized rows in order."""

@@ -26,6 +26,7 @@ from repro.serving.schemas import (
     LookupReply,
     ModelInfo,
     ModelNotFound,
+    PayloadTooLarge,
     PointLookup,
     RequestTimeout,
     ScanJobFailed,
@@ -49,6 +50,7 @@ __all__ = [
     "ModelInfo",
     "ModelNotFound",
     "ModelRegistry",
+    "PayloadTooLarge",
     "PointLookup",
     "PreparedModel",
     "RequestTimeout",

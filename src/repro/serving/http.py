@@ -20,6 +20,8 @@ Endpoints::
     POST /scan      {"model": ..., "ips": [...], "batch_size": N}
                                        streamed NDJSON scan updates
 
+Request bodies are capped at :data:`MAX_BODY_BYTES` and ``"ips"`` lists at
+:data:`MAX_REQUEST_IPS`; either overrun answers 413 ``payload_too_large``.
 Addresses are dotted quads or raw integers.  ``/predict`` and ``/scan``
 evidence the listed addresses with the model's own seed observations (the
 deployment shape Section 7 describes for hitlists); in-process callers can
@@ -41,11 +43,21 @@ from repro.serving.schemas import (
     InvalidRequest,
     LookupReply,
     ModelInfo,
+    PayloadTooLarge,
     ScanJobRequest,
     ScanUpdate,
     ServiceError,
 )
 from repro.serving.service import GPSService, ServingConfig
+
+#: Largest request body read, in bytes.  A larger ``Content-Length`` answers
+#: 413 ``payload_too_large`` before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Most addresses one ``/predict`` or ``/scan`` request may list; a longer
+#: ``"ips"`` list answers 413 ``payload_too_large``.  That many dotted quads
+#: fit well inside :data:`MAX_BODY_BYTES`.
+MAX_REQUEST_IPS = 4096
 
 
 class ServiceHost:
@@ -187,6 +199,11 @@ class _Handler(BaseHTTPRequestHandler):
             # reused for another request.
             self.close_connection = True
             raise InvalidRequest(f"invalid Content-Length: {raw_length!r}")
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            raise PayloadTooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
         if length == 0:
             return {}
         try:
@@ -202,6 +219,9 @@ class _Handler(BaseHTTPRequestHandler):
         raw = payload.get("ips")
         if not isinstance(raw, list) or not raw:
             raise InvalidRequest('"ips" must be a non-empty list')
+        if len(raw) > MAX_REQUEST_IPS:
+            raise PayloadTooLarge(
+                f'"ips" lists {len(raw)} addresses, more than {MAX_REQUEST_IPS}')
         return [_parse_address(str(item)) for item in raw]
 
     # -- GET ---------------------------------------------------------------------------
@@ -339,4 +359,5 @@ def serve_forever(host: ServiceHost, address: str = "127.0.0.1",
         host.close()
 
 
-__all__ = ["ServiceHost", "make_http_server", "serve_forever"]
+__all__ = ["MAX_BODY_BYTES", "MAX_REQUEST_IPS", "ServiceHost", "make_http_server",
+           "serve_forever"]

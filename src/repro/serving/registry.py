@@ -37,7 +37,7 @@ from repro.core.config import GPSConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.core.predictions import (
-    PredictedService,
+    Predictions,
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
 )
@@ -109,12 +109,12 @@ class PreparedModel:
     # -- queries (pure reads, safe from any thread) --------------------------------
 
     def predict(self, observations: Iterable[ScanObservation],
-                known_pairs: Optional[Set[Pair]] = None) -> List[PredictedService]:
+                known_pairs: Optional[Set[Pair]] = None) -> Predictions:
         """Probability-ordered predictions for the given observations.
 
         Exactly ``index.predict`` with the model's ASN database and feature
         configuration -- the serial one-shot oracle the equivalence tests
-        compare against.
+        compare against.  Replies materialize the rows with ``tuple(...)``.
         """
         return self.index.predict(observations, self._asn_db,
                                   self.config.feature_config,

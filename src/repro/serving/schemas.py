@@ -91,6 +91,13 @@ class InvalidRequest(ServiceError):
     http_status = 400
 
 
+class PayloadTooLarge(InvalidRequest):
+    """A request exceeded a fixed size limit (body bytes or listed addresses)."""
+
+    code = "payload_too_large"
+    http_status = 413
+
+
 # -- requests ----------------------------------------------------------------------------
 
 
@@ -288,6 +295,7 @@ __all__ = [
     "LookupReply",
     "ModelInfo",
     "ModelNotFound",
+    "PayloadTooLarge",
     "PointLookup",
     "RequestTimeout",
     "ScanJobFailed",

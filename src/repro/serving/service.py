@@ -470,7 +470,7 @@ class GPSService:
         prepared = self._registry.get(request.model)
         predictions = prepared.predict(request.observations,
                                        known_pairs=set(request.known_pairs))
-        batches = group_pairs((p.pair() for p in predictions), request.prefix_len)
+        batches = group_pairs(predictions.pairs(), request.prefix_len)
         return BulkReply(model=request.model,
                          predictions=tuple(predictions),
                          batches=tuple(batches))
@@ -569,7 +569,7 @@ class GPSService:
                 for start in range(0, total, request.batch_size):
                     chunk = predictions[start:start + request.batch_size]
                     found = prepared.pipeline.scan_pairs(
-                        (p.pair() for p in chunk),
+                        chunk.pairs(),
                         category=ScanCategory.PREDICTION,
                         batch_prefix_len=request.prefix_len)
                     push(ScanUpdate(job_id=job.job_id, seq=seq,

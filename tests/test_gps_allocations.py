@@ -1,0 +1,98 @@
+"""An engine GPS run stays in columns from the priors scan to the prediction scan.
+
+The priors scan and the prediction scan return observation batches, and
+``predict`` returns columnar :class:`~repro.core.predictions.Predictions`,
+so an engine run builds no per-service object: no
+:class:`~repro.core.predictions.PredictedService` at all, and no
+:class:`~repro.scanner.records.ScanObservation` outside the seed scan (whose
+:class:`~repro.scanner.pipeline.SeedScanResult` stays materialized).  Rows
+are built only when a caller reads the result's sequences.  Constructions
+are counted by wrapping each class's ``__init__``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.scenarios import SMALL_SCALE, make_lzr_dataset, make_universe
+from repro.core.config import GPSConfig
+from repro.core.gps import GPS
+from repro.core.predictions import PredictedService
+from repro.datasets.split import split_seed_test
+from repro.scanner.pipeline import ScanPipeline
+from repro.scanner.records import ScanObservation
+
+
+@pytest.fixture(scope="module")
+def small_universe():
+    return make_universe(SMALL_SCALE, seed=3)
+
+
+@pytest.fixture()
+def constructions(monkeypatch):
+    """Count row-object constructions, outside and inside ``seed_scan``."""
+    counts = {"predicted": 0, "observed": 0, "observed_in_seed_scan": 0}
+    in_seed_scan = [False]
+    predicted_init = PredictedService.__init__
+    observed_init = ScanObservation.__init__
+    seed_scan = ScanPipeline.seed_scan
+
+    def counting_predicted(self, *args, **kwargs):
+        counts["predicted"] += 1
+        predicted_init(self, *args, **kwargs)
+
+    def counting_observed(self, *args, **kwargs):
+        counts["observed_in_seed_scan" if in_seed_scan[0] else "observed"] += 1
+        observed_init(self, *args, **kwargs)
+
+    def flagged_seed_scan(self, *args, **kwargs):
+        in_seed_scan[0] = True
+        try:
+            return seed_scan(self, *args, **kwargs)
+        finally:
+            in_seed_scan[0] = False
+
+    monkeypatch.setattr(PredictedService, "__init__", counting_predicted)
+    monkeypatch.setattr(ScanObservation, "__init__", counting_observed)
+    monkeypatch.setattr(ScanPipeline, "seed_scan", flagged_seed_scan)
+    return counts
+
+
+def _assert_rows_build_on_read(result, counts):
+    assert len(result.predictions) > 0 and len(result.priors_observations) > 0
+    predictions = list(result.predictions)
+    assert counts["predicted"] == len(predictions)
+    priors = list(result.priors_observations)
+    assert counts["observed"] == len(priors)
+
+
+def test_self_seeded_engine_run_builds_no_row_objects(small_universe,
+                                                      constructions):
+    config = GPSConfig(seed_fraction=0.05, use_engine=True)
+    with GPS(ScanPipeline(small_universe), config) as gps:
+        result = gps.run()
+    assert constructions["observed_in_seed_scan"] > 0  # the seed stays rows
+    assert constructions["predicted"] == 0
+    assert constructions["observed"] == 0
+    _assert_rows_build_on_read(result, constructions)
+
+
+@pytest.fixture(scope="module")
+def lzr_split(small_universe):
+    """An LZR-like dataset and its seed, built before any counting starts."""
+    dataset = make_lzr_dataset(small_universe, SMALL_SCALE)
+    seed = split_seed_test(dataset, dataset.sample_fraction / 2,
+                           seed=1).seed_scan_result()
+    return dataset, seed
+
+
+def test_dataset_split_engine_run_builds_no_row_objects(small_universe, lzr_split,
+                                                        constructions):
+    dataset, seed = lzr_split
+    config = GPSConfig(seed_fraction=dataset.sample_fraction / 2,
+                       port_domain=dataset.port_domain, use_engine=True)
+    with GPS(ScanPipeline(small_universe), config) as gps:
+        result = gps.run(seed=seed, seed_cost_probes=0)
+    assert constructions == {"predicted": 0, "observed": 0,
+                             "observed_in_seed_scan": 0}
+    _assert_rows_build_on_read(result, constructions)

@@ -220,7 +220,7 @@ class TestColumnarLayers:
         pairs = _mixed_targets(universe)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
         pairwise = pipeline_a.scan_pairs(pairs, apply_filter=False)
-        batch = pipeline_b.scan_pair_batches_columnar(group_pairs(pairs, 16))
+        batch = pipeline_b.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
         assert _observation_key(batch.materialize()) == _observation_key(pairwise)
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
         assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
@@ -247,7 +247,7 @@ class TestColumnarScanShapes:
                 expected = oracle.pseudo_filter.filter(expected)
             observed = columnar.scan_prefix(port, subnet, category=category,
                                             apply_filter=apply_filter)
-            assert observed == expected
+            assert observed.materialize() == expected
             real_rows.update(universe.lookup(obs.ip, obs.port) is not None
                              for obs in observed)
         # Both real services and pseudo pages came through.
@@ -293,8 +293,8 @@ class TestObservationBatch:
     @pytest.fixture()
     def batch(self, universe):
         pairs = _mixed_targets(universe, count=400)
-        return ScanPipeline(universe).scan_pair_batches_columnar(
-            group_pairs(pairs, 16))
+        return ScanPipeline(universe).scan_pair_batches(
+            group_pairs(pairs, 16), apply_filter=False)
 
     def test_lazy_rows_match_materialize(self, batch):
         assert len(batch) > 0
@@ -325,7 +325,7 @@ class TestObservationBatch:
         interned_before = len(universe.banners)
         pairs = list(universe.real_service_pairs())[:50]
         pipeline = ScanPipeline(universe)
-        pipeline.scan_pair_batches_columnar(group_pairs(pairs * 2, 16))
+        pipeline.scan_pair_batches(group_pairs(pairs * 2, 16), apply_filter=False)
         assert len(universe.banners) == interned_before
 
     def test_incident_pseudo_pages_never_grow_the_interner(self, universe):
@@ -341,7 +341,7 @@ class TestObservationBatch:
         for round_index in range(3):
             pairs = [(host.ip, host.pseudo_port_range[0] + round_index * 20 + k)
                      for host in incident_hosts for k in range(20)]
-            batch = pipeline.scan_pair_batches_columnar(group_pairs(pairs, 16))
+            batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
             assert len(batch.local_banners) == len(batch) > 0
             assert all(banner_id < 0 for banner_id in batch.banner_ids)
             sizes.append(len(universe.banners))
@@ -350,8 +350,8 @@ class TestObservationBatch:
     def test_status_ids_stable_across_batches(self, universe):
         pairs = list(universe.real_service_pairs())[:40]
         pipeline = ScanPipeline(universe)
-        first = pipeline.scan_pair_batches_columnar(group_pairs(pairs[:20], 16))
-        second = pipeline.scan_pair_batches_columnar(group_pairs(pairs[20:], 16))
+        first = pipeline.scan_pair_batches(group_pairs(pairs[:20], 16), apply_filter=False)
+        second = pipeline.scan_pair_batches(group_pairs(pairs[20:], 16), apply_filter=False)
         assert first.statuses is second.statuses
 
 
@@ -364,8 +364,8 @@ class TestColumnarFilter:
                 lo, _ = host.pseudo_port_range
                 pairs.extend((host.ip, lo + offset) for offset in range(12))
         pipeline = ScanPipeline(universe)
-        batch = pipeline.scan_pair_batches_columnar(group_pairs(pairs, 16))
-        assert pipeline.pseudo_filter.filter_batch(batch) == \
+        batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
+        assert pipeline.pseudo_filter.filter_batch(batch).materialize() == \
             pipeline.pseudo_filter.filter(batch.materialize())
 
     def test_filter_batch_drops_pseudo_hosts(self, universe):
@@ -376,9 +376,9 @@ class TestColumnarFilter:
         lo, _ = host.pseudo_port_range
         pairs = [(host.ip, lo + offset) for offset in range(12)]
         pipeline = ScanPipeline(universe)
-        batch = pipeline.scan_pair_batches_columnar(group_pairs(pairs, 16))
+        batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
         assert len(batch) == 12
-        assert pipeline.pseudo_filter.filter_batch(batch) == []
+        assert pipeline.pseudo_filter.filter_batch(batch).materialize() == []
 
     def test_filtered_pipeline_matches_pairwise_filtered(self, universe):
         pairs = _mixed_targets(universe)

@@ -24,7 +24,12 @@ from repro.core.config import GPSConfig
 from repro.net.ipv4 import format_ip
 from repro.scanner.pipeline import ScanPipeline
 from repro.serving import ServingConfig
-from repro.serving.http import ServiceHost, make_http_server
+from repro.serving.http import (
+    MAX_BODY_BYTES,
+    MAX_REQUEST_IPS,
+    ServiceHost,
+    make_http_server,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,31 @@ class TestErrorMapping:
             assert json.load(response)["error"] == "invalid_request"
         finally:
             connection.close()
+
+    def test_oversized_body_is_413_without_reading_it(self, server):
+        """Only the headers are sent: a server that tried to read the
+        announced body would block until the client's timeout."""
+        base, _, _ = server
+        connection = http.client.HTTPConnection(
+            urllib.parse.urlsplit(base).netloc, timeout=10)
+        try:
+            connection.putrequest("POST", "/predict")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert json.load(response)["error"] == "payload_too_large"
+        finally:
+            connection.close()
+
+    def test_too_many_addresses_is_413(self, server):
+        base, _, seed = server
+        ips = [format_ip(seed.observations[0].ip)] * (MAX_REQUEST_IPS + 1)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/predict", {"model": "default", "ips": ips})
+        assert excinfo.value.code == 413
+        assert json.load(excinfo.value)["error"] == "payload_too_large"
 
     def test_scan_rejects_non_integer_batch_size(self, server):
         base, _, seed = server
