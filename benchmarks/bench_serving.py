@@ -6,18 +6,21 @@ build (feature extraction, co-occurrence model, priors plan, index) on every
 invocation.  The serving layer amortizes that: one
 :class:`~repro.serving.service.GPSService` builds a model once, keeps it
 (and its engine shards) warm, and serves every subsequent request as a pure
-index read behind micro-batching.
+index read, predicted on the event loop behind micro-batching.
 
 This benchmark times:
 
 * **cold per-invocation** -- ``build_prepared_model`` + one prediction fold,
   the price of answering a single question without the service;
 * **warm point lookups** -- sequential ``lookup_ip`` requests against the
-  warm service (per-request latency including the asyncio hop);
+  warm service (per-request latency including the loop turn the flush
+  waits for);
 * **concurrent throughput, batched vs unbatched** -- the same concurrent
   lookup burst against a coalescing service (``max_batch=32``) and a
-  batching-disabled one (``max_batch=1``), isolating what micro-batching
-  buys under concurrency.
+  batching-disabled one (``max_batch=1``).  A flush runs on the event loop
+  with no executor dispatch to share, so each request still runs its own
+  ``predict`` either way and the ratio sits near 1; it is recorded as
+  measured, with no floor.
 
 Results are printed and written to ``BENCH_serving.json`` at the repository
 root, the asserted floor beside its ratio.  Headline assertion: a warm
@@ -122,7 +125,7 @@ def run_serving_benchmark(universe):
             assert tuple(expected) == reply.predictions, \
                 "served reply diverged from the serial oracle"
 
-        # Warm sequential lookups (per-request latency, asyncio hop included).
+        # Warm sequential lookups (per-request latency, flush turn included).
         async def sequential():
             for ip in ips[:WARM_LOOKUPS]:
                 await client.lookup_ip("default", ip)

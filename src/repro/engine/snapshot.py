@@ -66,6 +66,7 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
+    "MAX_SNAPSHOT_SECTIONS",
     "ColumnFile",
     "ShardFileRef",
     "Snapshot",
@@ -87,6 +88,12 @@ FORMAT_VERSION = 1
 
 #: The manifest file name inside a snapshot directory.
 MANIFEST_NAME = "MANIFEST.json"
+
+#: Most sections a manifest may declare.  A snapshot holds at most five
+#: artifact sections plus one section per shard, so this admits ~1000
+#: shards -- far above any runtime's shard count -- while an untrusted
+#: manifest cannot make a reader walk an unbounded section table.
+MAX_SNAPSHOT_SECTIONS = 1024
 
 #: dtype name <-> array typecode for column files.  Everything the engine
 #: folds over is int64 (the :class:`IntColumn` layout); float64 exists for
@@ -247,6 +254,9 @@ class SnapshotWriter:
         """
         if name in self._sections:
             raise ValueError(f"duplicate snapshot section: {name!r}")
+        if len(self._sections) >= MAX_SNAPSHOT_SECTIONS:
+            raise ValueError(f"a snapshot holds at most {MAX_SNAPSHOT_SECTIONS} "
+                             "sections")
         recorded: Dict[str, Any] = {}
         for column_name, values in columns.items():
             dtype = (dtypes or {}).get(column_name, "int64")
@@ -569,6 +579,50 @@ def _check_shard_layout(manifest_path: str, manifest: dict) -> None:
                 f"layout: {name}={value!r} (expected an int {bounds})")
 
 
+def _is_column_entry(entry: Any) -> bool:
+    """Whether one manifest column entry is well formed."""
+    if not isinstance(entry, dict):
+        return False
+    file = entry.get("file")
+    return (isinstance(file, str) and file not in ("", ".", "..")
+            and os.path.basename(file) == file
+            and entry.get("dtype") in _DTYPE_TO_TYPECODE
+            and all(isinstance(entry.get(key), int)
+                    and not isinstance(entry[key], bool) and entry[key] >= 0
+                    for key in ("rows", "crc32")))
+
+
+def _check_sections(manifest_path: str, manifest: dict) -> None:
+    """Reject a malformed section table with :class:`SnapshotError`.
+
+    ``sections`` must be an object of at most ``MAX_SNAPSHOT_SECTIONS``
+    sections, each with a ``columns`` object whose entries name a plain file
+    inside the snapshot directory, a known dtype and non-negative int
+    ``rows`` and ``crc32`` -- so every later reader indexes a well-formed
+    entry instead of failing with a raw ``AttributeError`` or ``KeyError``.
+    """
+    sections = manifest.get("sections")
+    if not isinstance(sections, dict):
+        raise SnapshotError(
+            f"snapshot manifest at {manifest_path} declares a non-object "
+            f"section table ({type(sections).__name__})")
+    if len(sections) > MAX_SNAPSHOT_SECTIONS:
+        raise SnapshotError(
+            f"snapshot manifest at {manifest_path} declares {len(sections)} "
+            f"sections (at most {MAX_SNAPSHOT_SECTIONS})")
+    for name, section in sections.items():
+        columns = section.get("columns") if isinstance(section, dict) else None
+        if not isinstance(columns, dict):
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path} has a malformed "
+                f"section {name!r} (expected an object with a columns object)")
+        for column_name, entry in columns.items():
+            if not _is_column_entry(entry):
+                raise SnapshotError(
+                    f"snapshot manifest at {manifest_path} has a malformed "
+                    f"column entry {name}.{column_name}: {entry!r:.200}")
+
+
 def open_snapshot(directory: str, verify: bool = True,
                   telemetry: Optional[Telemetry] = None) -> Snapshot:
     """Open and validate a snapshot directory.
@@ -581,8 +635,10 @@ def open_snapshot(directory: str, verify: bool = True,
     caller just verified the same directory.
 
     Raises:
-        SnapshotError: missing/unparseable manifest, malformed shard layout
-            or missing files.
+        SnapshotError: missing/unparseable manifest, a manifest that is not
+            an object, a malformed section table (or more than
+            ``MAX_SNAPSHOT_SECTIONS`` sections), malformed shard layout or
+            missing files.
         SnapshotVersionError: manifest from a future format version.
         SnapshotIntegrityError: truncated file or checksum mismatch.
     """
@@ -599,6 +655,10 @@ def open_snapshot(directory: str, verify: bool = True,
             raise SnapshotError(
                 f"snapshot manifest at {manifest_path} is not valid JSON: "
                 f"{exc}") from exc
+        if not isinstance(manifest, dict):
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path} is not a JSON object "
+                f"({type(manifest).__name__})")
         if manifest.get("format") != FORMAT_NAME:
             raise SnapshotError(
                 f"{manifest_path} is not a {FORMAT_NAME} manifest "
@@ -613,6 +673,7 @@ def open_snapshot(directory: str, verify: bool = True,
                 f"snapshot at {directory} is format version {version}; "
                 f"this reader understands up to {FORMAT_VERSION} -- "
                 "upgrade before loading it")
+        _check_sections(manifest_path, manifest)
         _check_shard_layout(manifest_path, manifest)
         snapshot = Snapshot(directory, manifest)
         total_bytes = 0

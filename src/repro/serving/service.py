@@ -11,12 +11,13 @@ One service owns:
   corrupting in-flight responses;
 * **a model registry** (:mod:`repro.serving.registry`) with load/swap/evict
   of named models;
-* **a request router** with per-model natural batching: a lookup that
-  finds its model's batcher idle flushes on the next loop turn, and lookups
-  that arrive while a flush is in flight coalesce into the next one
-  (flushed when the in-flight flush completes, or at once on reaching
-  ``max_batch``), sharing one executor dispatch and one hot net-feature
-  memo.  Nothing waits on a timer: batches grow only when there is queueing;
+* **a request router** with per-model natural batching: lookups submitted
+  in the same loop turn leave together in one flush on the next turn, and
+  reaching ``max_batch`` flushes at once.  A flush runs synchronously on
+  the event loop -- there is no executor dispatch, so a lookup never waits
+  for a thread handoff behind a CPU-bound model build -- and the
+  ``max_batch`` bound caps how long one flush holds the loop.  Nothing
+  waits on a timer;
 * **bounded admission**: at most ``max_pending`` requests are in flight;
   request number ``max_pending + 1`` is shed *immediately* with
   :class:`~repro.serving.schemas.ServiceOverloaded` -- the queue never grows
@@ -25,13 +26,14 @@ One service owns:
 * **graceful drain**: :meth:`close` stops admission (typed
   :class:`~repro.serving.schemas.ServiceClosed` for late arrivals), waits
   for outstanding requests to complete (bounded by ``drain_timeout_s``;
-  parked lookups leave with the flush they wait behind), then tears down
+  parked lookups leave with the next loop turn's flush), then tears down
   the thread pool, the registry and the engine runtime.  Idempotent;
   double-close is a no-op.
 
 Everything is framework-free: plain asyncio plus a small
-``ThreadPoolExecutor`` for the CPU-bound prediction folds (which is why the
-index's net-feature memo is lock-protected).  The service is loop-affine --
+``ThreadPoolExecutor`` for the unbounded work -- model builds, snapshot
+loads, bulk predictions and scan jobs (which is why the index's
+net-feature memo is lock-protected).  The service is loop-affine --
 construct and use it from one running event loop (the in-process client does;
 the HTTP adapter hosts a dedicated loop thread).
 """
@@ -43,7 +45,7 @@ import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.core.config import GPSConfig
 from repro.engine.faults import FaultPlan
@@ -83,13 +85,14 @@ class ServingConfig:
     Attributes:
         max_pending: bound on concurrently admitted requests; the next one
             is shed with :class:`ServiceOverloaded`.
-        max_batch: micro-batch size that triggers an immediate flush, even
-            while another flush of the same model is in flight.
+        max_batch: micro-batch size that triggers an immediate flush; it
+            also bounds how long one flush holds the event loop.
         request_timeout_s: per-request deadline; ``None`` disables.  Scan
             streams apply it per awaited update.
         drain_timeout_s: how long :meth:`GPSService.close` waits for
             outstanding requests before tearing down regardless.
-        lookup_threads: worker threads serving prediction folds.
+        lookup_threads: threads for model builds, snapshot loads, bulk
+            predictions and scan jobs.
         telemetry_enabled: build the service with a live
             :class:`~repro.telemetry.Telemetry` (request counters, latency
             histograms, the ``/metrics`` surface).  Off by default; replies
@@ -140,23 +143,22 @@ class ServingConfig:
 
 
 class _MicroBatcher:
-    """Coalesces one model's concurrent point lookups into shared flushes.
+    """Coalesces one model's point lookups into shared flushes on the loop.
 
-    Natural batching: a lookup that arrives while no flush is in flight
-    schedules one on the next loop turn (``idle``), so lookups arriving in
-    the same turn share it; lookups that arrive while a flush is in flight
-    gather and leave together when the last in-flight flush completes.
-    Reaching ``max_batch`` flushes at once (``size``), in flight or not.
-    Nothing waits on a timer, so a lookup parked behind a flush always
-    leaves when that flush completes -- draining needs no trigger of its
-    own.  All state is touched from the event loop only.
+    Natural batching: the first lookup of a loop turn schedules a flush on
+    the next turn (``idle``), so lookups submitted in the same turn share
+    it; reaching ``max_batch`` flushes at once (``size``).  A flush runs
+    synchronously on the event loop -- no executor dispatch -- and
+    ``max_batch`` bounds how long it holds the loop.  Nothing waits on a
+    timer, so a parked lookup always leaves on the next turn -- draining
+    needs no trigger of its own.  All state is touched from the event loop
+    only.
     """
 
     def __init__(self, service: "GPSService") -> None:
         self._service = service
         self._items: List[Tuple[PointLookup, asyncio.Future]] = []
         self._scheduled: Optional[asyncio.Handle] = None
-        self._in_flight = 0
 
     async def submit(self, request: PointLookup) -> LookupReply:
         loop = asyncio.get_running_loop()
@@ -164,15 +166,15 @@ class _MicroBatcher:
         self._items.append((request, future))
         if len(self._items) >= self._service.config.max_batch:
             self.flush("size")
-        elif self._scheduled is None and not self._in_flight:
+        elif self._scheduled is None:
             self._scheduled = loop.call_soon(self.flush, "idle")
         return await future
 
     def flush(self, reason: str) -> None:
-        """Close the open batch and hand it to a worker thread (loop-side).
+        """Close the open batch and serve it on the loop.
 
         ``reason`` says which trigger fired -- ``"size"`` (the batch filled)
-        or ``"idle"`` (no flush was in flight) -- and flows into the
+        or ``"idle"`` (the next loop turn came) -- and flows into the
         ``serving_flushes_total{reason=...}`` telemetry counter.
         """
         if self._scheduled is not None:
@@ -181,15 +183,7 @@ class _MicroBatcher:
         if not self._items:
             return
         items, self._items = self._items, []
-        self._in_flight += 1
-        self._service._spawn_flush(items, reason).add_done_callback(
-            self._flush_done)
-
-    def _flush_done(self, _task: asyncio.Task) -> None:
-        """Send what gathered during the flushes once none is in flight."""
-        self._in_flight -= 1
-        if not self._in_flight:
-            self.flush("idle")
+        self._service._run_flush(items, reason)
 
 
 class GPSService:
@@ -215,10 +209,8 @@ class GPSService:
         self._batchers: Dict[str, _MicroBatcher] = {}
         self._jobs: Dict[str, "_ScanJob"] = {}
         self._job_ids = itertools.count()
-        self._flush_tasks: Set[asyncio.Task] = set()
         self._request_instruments: Dict[str, List[Any]] = {}
-        self._flush_counters: Dict[str, Any] = {}
-        self._batch_sizes: Any = None
+        self._flush_instruments: Dict[str, Tuple[Any, Any]] = {}
         self._threads = ThreadPoolExecutor(
             max_workers=self.config.lookup_threads,
             thread_name_prefix="gps-serve")
@@ -256,8 +248,8 @@ class GPSService:
 
         Late submissions observe a typed :class:`ServiceClosed` immediately.
         With ``drain=True`` (the default) outstanding requests -- including
-        lookups parked behind an in-flight flush, which leave when it
-        completes -- run to completion, bounded by ``drain_timeout_s``.
+        lookups parked in an open micro-batch, which leave on the next loop
+        turn -- run to completion, bounded by ``drain_timeout_s``.
         Idempotent: every call after the first returns once the first
         teardown is done.
         """
@@ -593,10 +585,11 @@ class GPSService:
 
         ``seconds=None`` counts without a latency observation (scan jobs,
         whose lifetime is the stream's, not the submit call's).  A served
-        lookup takes ~100 us, so each endpoint's two instruments are held
-        here once resolved instead of being looked up per request; each is
-        resolved on its first update, when the registry would have created
-        it anyway, so ``/metrics`` output is unchanged.
+        lookup takes ~35 us, so each endpoint's two instruments are held
+        here once resolved instead of being looked up per request, and are
+        updated in one lock round trip; each is resolved on its first
+        update, when the registry would have created it anyway, so
+        ``/metrics`` output is unchanged.
         """
         tel = self.telemetry
         handles = self._request_instruments.get(endpoint)
@@ -604,13 +597,14 @@ class GPSService:
             handles = self._request_instruments[endpoint] = [tel.counter(
                 "serving_requests_total", "Requests served by endpoint.",
                 endpoint=endpoint), None]
-        handles[0].inc()
-        if seconds is not None and tel.enabled:
-            if handles[1] is None:
-                handles[1] = tel.histogram(
-                    "serving_request_seconds", "Request latency by endpoint.",
-                    endpoint=endpoint)
-            handles[1].observe(seconds)
+        if seconds is None:
+            handles[0].inc()
+            return
+        if handles[1] is None:
+            handles[1] = tel.histogram(
+                "serving_request_seconds", "Request latency by endpoint.",
+                endpoint=endpoint)
+        handles[1].observe_and_count(seconds, handles[0])
 
     def _ensure_loop_state(self) -> None:
         """Bind loop-affine state (event, lock) to the running loop once."""
@@ -678,73 +672,47 @@ class GPSService:
             raise RequestTimeout(
                 f"request exceeded request_timeout_s={timeout}") from None
 
-    def _spawn_flush(self, items: Sequence[Tuple[PointLookup, asyncio.Future]],
-                     reason: str) -> asyncio.Task:
-        """Run one micro-batch flush as a tracked loop task."""
-        assert self._loop is not None
-        task = self._loop.create_task(self._run_flush(list(items), reason))
-        self._flush_tasks.add(task)
-        task.add_done_callback(self._flush_tasks.discard)
-        return task
-
-    async def _run_flush(self, items: List[Tuple[PointLookup, asyncio.Future]],
-                         reason: str) -> None:
-        self.stats.flushes += 1
-        self.stats.max_coalesced = max(self.stats.max_coalesced, len(items))
-        if self.telemetry.enabled:
-            # Held once resolved, like _observe_request's instruments.
-            flushes = self._flush_counters.get(reason)
-            if flushes is None:
-                flushes = self._flush_counters[reason] = self.telemetry.counter(
-                    "serving_flushes_total", "Micro-batch flushes by trigger.",
-                    reason=reason)
-            flushes.inc()
-            if self._batch_sizes is None:
-                self._batch_sizes = self.telemetry.histogram(
-                    "serving_batch_size",
-                    "Lookups coalesced per micro-batch flush.",
-                    buckets=_BATCH_SIZE_BUCKETS)
-            self._batch_sizes.observe(len(items))
-        loop = asyncio.get_running_loop()
-        try:
-            results = await loop.run_in_executor(
-                self._threads, self._process_lookups, items)
-        except BaseException as exc:
-            for _, future in items:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for (_, future), result in zip(items, results):
-            if future.done():
-                continue
-            if isinstance(result, BaseException):
-                future.set_exception(result)
-            else:
-                future.set_result(result)
-
-    def _process_lookups(self, items: Sequence[Tuple[PointLookup, asyncio.Future]],
-                         ) -> List[Union[LookupReply, BaseException]]:
-        """Worker-thread body of one flush: per-request oracle-identical folds.
+    def _run_flush(self, items: List[Tuple[PointLookup, asyncio.Future]],
+                   reason: str) -> None:
+        """Serve one micro-batch on the loop: per-request oracle-identical folds.
 
         Each request runs its *own* ``predict`` with its own known-pair
-        suppression (coalescing shares the thread dispatch and the index's
-        hot net-feature memo, never request state), so replies cannot drift
+        suppression (coalescing shares the flush and the index's hot
+        net-feature memo, never request state), so replies cannot drift
         from the serial one-shot oracle -- two coalesced lookups about the
-        same address with different evidence stay independent.
+        same address with different evidence stay independent.  A lookup
+        that already gave up (its deadline fired) is skipped.
         """
         coalesced = len(items)
-        out: List[Union[LookupReply, BaseException]] = []
-        for request, _ in items:
+        self.stats.flushes += 1
+        self.stats.max_coalesced = max(self.stats.max_coalesced, coalesced)
+        if self.telemetry.enabled:
+            # Held once resolved, like _observe_request's instruments.
+            instruments = self._flush_instruments.get(reason)
+            if instruments is None:
+                instruments = self._flush_instruments[reason] = (
+                    self.telemetry.counter(
+                        "serving_flushes_total",
+                        "Micro-batch flushes by trigger.", reason=reason),
+                    self.telemetry.histogram(
+                        "serving_batch_size",
+                        "Lookups coalesced per micro-batch flush.",
+                        buckets=_BATCH_SIZE_BUCKETS))
+            flushes, sizes = instruments
+            sizes.observe_and_count(coalesced, flushes)
+        for request, future in items:
+            if future.done():
+                continue
             try:
                 prepared = self._registry.get(request.model)
                 predictions = prepared.predict(
                     request.observations, known_pairs=set(request.known_pairs))
-                out.append(LookupReply(model=request.model,
-                                       predictions=tuple(predictions),
-                                       coalesced=coalesced))
-            except BaseException as exc:
-                out.append(exc)
-        return out
+            except Exception as exc:
+                future.set_exception(exc)
+                continue
+            future.set_result(LookupReply(model=request.model,
+                                          predictions=tuple(predictions),
+                                          coalesced=coalesced))
 
 
 @dataclass

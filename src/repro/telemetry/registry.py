@@ -159,6 +159,25 @@ class Histogram:
         finally:
             lock.release()
 
+    def observe_and_count(self, value: float, counter: Counter) -> None:
+        """``observe(value)`` plus ``counter.inc()`` in one lock round trip.
+
+        For call sites that always update the pair together -- the serving
+        layer's per-request and per-flush accounting, where the lock round
+        trips are a measurable share of a ~35 us lookup.  ``counter`` must
+        come from this histogram's registry, whose lock every child shares.
+        """
+        index = bisect_left(self.bounds, value)
+        lock = self._lock
+        lock.acquire()  # not ``with``: see Counter.inc
+        try:
+            counter._value += 1.0
+            self._bucket_counts[index] += 1
+            self._sum += value
+            self._count += 1
+        finally:
+            lock.release()
+
     @property
     def count(self) -> int:
         return self._count
@@ -193,6 +212,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_and_count(self, value: float, counter: object) -> None:
         pass
 
     value = 0.0

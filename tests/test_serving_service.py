@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+import repro.serving.service as service_module
 from repro.core.config import GPSConfig
 from repro.scanner.pipeline import ScanPipeline
 from repro.serving import (
@@ -29,7 +30,7 @@ from repro.serving import (
     ServiceOverloaded,
     ServingConfig,
 )
-from repro.serving.registry import PreparedModel
+from repro.serving.registry import PreparedModel, build_prepared_model
 
 
 def run(coro):
@@ -51,33 +52,38 @@ def _observations_of(seed, count=4):
     return [tuple(rows) for _, rows in groups]
 
 
-class _FlushGate:
-    """Holds every served ``PreparedModel.predict`` until released.
+class _BuildGate:
+    """Holds the served model builds started by :meth:`hold` on their
+    worker thread until released.
 
-    A flush that reaches a worker thread stays in flight while the gate is
-    closed, so lookups arriving meanwhile park in the batcher
-    deterministically -- no timer decides when they leave.
+    Point lookups flush on the event loop, so an operation that must stay in
+    flight deterministically is a ``load_model``: its gated
+    ``build_prepared_model`` blocks a worker thread, never the loop.
     """
 
     def __init__(self, monkeypatch) -> None:
         self.entered = threading.Event()
         self.opened = threading.Event()
-        predict = PreparedModel.predict
+        self.armed = False
+        build = service_module.build_prepared_model
 
-        def gated(model, *args, **kwargs):
-            self.entered.set()
-            self.opened.wait(10.0)
-            return predict(model, *args, **kwargs)
+        def gated(*args, **kwargs):
+            if self.armed:
+                self.entered.set()
+                self.opened.wait(10.0)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(PreparedModel, "predict", gated)
+        monkeypatch.setattr(service_module, "build_prepared_model", gated)
 
-    async def hold(self, client, rows):
-        """Start a lookup and return once its flush is blocked in flight."""
-        self.opened.clear()
-        self.entered.clear()
-        held = asyncio.ensure_future(client.lookup("default", rows))
+    async def hold(self, service, universe, seed, name="other"):
+        """Start a model load and return once its build is blocked."""
+        self.armed = True
+        held = asyncio.ensure_future(service.load_model(
+            name, ScanPipeline(universe), seed,
+            GPSConfig(use_engine=True, executor="serial")))
         await asyncio.get_running_loop().run_in_executor(
             None, self.entered.wait, 10.0)
+        assert self.entered.is_set() and not held.done()
         return held
 
     def open(self) -> None:
@@ -85,10 +91,25 @@ class _FlushGate:
 
 
 @pytest.fixture()
-def flush_gate(monkeypatch):
-    gate = _FlushGate(monkeypatch)
+def build_gate(monkeypatch):
+    gate = _BuildGate(monkeypatch)
     yield gate
     gate.open()  # never leave a worker thread blocked past a failed test
+
+
+async def _until(condition, turns=100):
+    """Yield loop turns until ``condition()`` holds; fail after ``turns``."""
+    for _ in range(turns):
+        if condition():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"condition not met within {turns} loop turns")
+
+
+async def _until_parked(service, count):
+    """Yield loop turns until ``count`` lookups wait in open micro-batches."""
+    await _until(
+        lambda: service.stats_snapshot()["batch_queue_depth"] >= count)
 
 
 def _flushes(service, reason):
@@ -154,28 +175,31 @@ class TestRegistry:
 
 
 class TestBatching:
-    def test_size_flush_coalesces_concurrent_lookups(self, universe,
-                                                      seed, flush_gate):
-        """max_batch lookups parked behind a blocked flush leave together
-        at once, without waiting for the in-flight flush to complete."""
-        config = ServingConfig(max_batch=4, request_timeout_s=10.0)
+    def test_size_flush_coalesces_concurrent_lookups(self, universe, seed):
+        """max_batch lookups submitted in one loop turn leave together at
+        once (``size``), without waiting for the next turn; the rest of
+        that turn's lookups leave in one ``idle`` flush."""
+        config = ServingConfig(max_batch=4, request_timeout_s=10.0,
+                               telemetry_enabled=True)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
-                held_rows, *groups = _observations_of(seed, 5)
-                held = await flush_gate.hold(client, held_rows)
+                groups = _observations_of(seed, 5)
                 before = service.stats.flushes
-                burst = asyncio.gather(*[
-                    client.lookup("default", rows) for rows in groups])
-                while service.stats.flushes == before:
-                    await asyncio.sleep(0)
-                flush_gate.open()
-                replies = await burst
-                await held
-                assert [r.coalesced for r in replies] == [4, 4, 4, 4]
-                assert service.stats.flushes == before + 1
+                burst = [asyncio.ensure_future(client.lookup("default", rows))
+                         for rows in groups]
+                await _until(lambda: service.stats.flushes != before)
+                # The size flush fired inside the fourth submission: the
+                # fifth lookup is parked and no idle flush has run yet.
+                assert _flushes(service, "size") == 1
+                assert _flushes(service, "idle") == 0
+                assert service.stats_snapshot()["batch_queue_depth"] == 1
+                replies = await asyncio.gather(*burst)
+                assert [r.coalesced for r in replies] == [4, 4, 4, 4, 1]
+                assert service.stats.flushes == before + 2
                 assert service.stats.max_coalesced == 4
+                assert _flushes(service, "idle") == 1
         run(scenario())
 
     def test_lonely_lookup_flushes_when_idle(self, universe, seed):
@@ -194,44 +218,30 @@ class TestBatching:
                 assert _flushes(service, "idle") == 1
         run(scenario())
 
-    def test_arrivals_during_a_flush_coalesce(self, universe, seed, flush_gate):
-        """Lookups arriving while a flush is in flight wait for it, then
-        leave in exactly one follow-up flush; reaching max_batch while a
-        flush is in flight flushes at once."""
-        config = ServingConfig(max_batch=3, request_timeout_s=10.0,
+    def test_lookups_of_one_turn_share_an_idle_flush(self, universe, seed):
+        """Lookups started in one loop turn park together and leave in
+        exactly one ``idle`` flush on the next turn, each with
+        ``coalesced == n``; the next turn's lookups form the next flush."""
+        config = ServingConfig(max_batch=64, request_timeout_s=10.0,
                                telemetry_enabled=True)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
-                groups = _observations_of(seed, 8)
-
-                held = await flush_gate.hold(client, groups[0])
-                parked = [asyncio.ensure_future(client.lookup("default", rows))
-                          for rows in groups[1:3]]
-                for _ in range(5):
-                    await asyncio.sleep(0)
-                assert service.stats.flushes == 1
-                assert service.stats_snapshot()["batch_queue_depth"] == 2
-                flush_gate.open()
-                assert (await held).coalesced == 1
-                assert [r.coalesced for r in await asyncio.gather(*parked)] \
-                    == [2, 2]
-                assert service.stats.flushes == 2
+                groups = _observations_of(seed, 5)
+                flushes = 0
+                for batch in (groups[:3], groups[3:]):
+                    parked = [asyncio.ensure_future(client.lookup("default", rows))
+                              for rows in batch]
+                    await _until_parked(service, len(batch))
+                    assert service.stats.flushes == flushes
+                    replies = await asyncio.gather(*parked)
+                    assert [r.coalesced for r in replies] == [len(batch)] * len(batch)
+                    flushes += 1
+                    assert service.stats.flushes == flushes
+                    assert service.stats_snapshot()["batch_queue_depth"] == 0
                 assert _flushes(service, "idle") == 2
-
-                held = await flush_gate.hold(client, groups[3])
-                full = asyncio.gather(*[client.lookup("default", rows)
-                                        for rows in groups[4:7]])
-                while service.stats.flushes == 3:
-                    await asyncio.sleep(0)
-                assert _flushes(service, "size") == 1
-                assert service.stats_snapshot()["batch_queue_depth"] == 0
-                flush_gate.open()
-                assert [r.coalesced for r in await full] == [3, 3, 3]
-                assert (await held).coalesced == 1
-                assert service.stats.flushes == 4
-                assert _flushes(service, "idle") == 3
+                assert _flushes(service, "size") == 0
         run(scenario())
 
     def test_batches_never_mix_models(self, universe, seed):
@@ -251,10 +261,67 @@ class TestBatching:
         run(scenario())
 
 
+class TestLoopFlush:
+    def test_served_predict_runs_on_the_event_loop_thread(self, universe,
+                                                          seed, monkeypatch):
+        """A point lookup's predict runs on the loop: no thread hop."""
+        threads = []
+        predict = PreparedModel.predict
+
+        def recording(model, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return predict(model, *args, **kwargs)
+
+        async def scenario():
+            async with await _loaded_service(universe, seed) as service:
+                monkeypatch.setattr(PreparedModel, "predict", recording)
+                client = InProcessClient(service)
+                await asyncio.gather(*[client.lookup("default", rows)
+                                       for rows in _observations_of(seed, 3)])
+                await client.lookup_ip("default", seed.observations[0].ip)
+            return threading.get_ident()
+
+        loop_thread = run(scenario())
+        assert len(threads) == 4
+        assert set(threads) == {loop_thread}
+
+    def test_lookups_complete_while_a_rebuild_is_held(self, universe, seed,
+                                                      build_gate):
+        """A model rebuild held on its worker thread does not stall lookups
+        against the already-loaded model; replies stay oracle-identical."""
+        oracle = build_prepared_model("oracle", ScanPipeline(universe), seed,
+                                      GPSConfig())
+        config = ServingConfig(request_timeout_s=10.0)
+
+        async def scenario():
+            async with await _loaded_service(universe, seed, config) as service:
+                client = InProcessClient(service)
+                held = await build_gate.hold(service, universe, seed,
+                                             name="default")
+                groups = _observations_of(seed, 6)
+                replies = await asyncio.gather(*[
+                    client.lookup("default", rows) for rows in groups])
+                ip_reply = await client.lookup_ip("default",
+                                                  seed.observations[0].ip)
+                assert not held.done()
+                for rows, reply in zip(groups, replies):
+                    assert reply.predictions == tuple(oracle.predict(rows))
+                ip = seed.observations[0].ip
+                assert ip_reply.predictions == tuple(oracle.predict(
+                    oracle.known_observations(ip),
+                    known_pairs=oracle.known_pairs_for(ip)))
+                build_gate.open()
+                await held
+        try:
+            run(scenario())
+        finally:
+            oracle.release()
+
+
 class TestBackpressure:
-    def test_overload_sheds_with_typed_error(self, universe, seed, flush_gate):
+    def test_overload_sheds_with_typed_error(self, universe, seed):
         """Admission is bounded: request max_pending+1 is shed immediately
-        while the first ones are still in flight or parked behind it."""
+        while the first ones are admitted and parked in the batcher."""
         config = ServingConfig(max_pending=2, max_batch=64,
                                request_timeout_s=10.0)
 
@@ -262,22 +329,23 @@ class TestBackpressure:
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
                 groups = _observations_of(seed, 3)
-                first = await flush_gate.hold(client, groups[0])
-                second = asyncio.ensure_future(client.lookup("default", groups[1]))
-                await asyncio.sleep(0)  # let it get admitted
+                first, second = [
+                    asyncio.ensure_future(client.lookup("default", rows))
+                    for rows in groups[:2]]
+                await _until_parked(service, 2)
+                assert service.stats_snapshot()["pending"] == 2
                 with pytest.raises(ServiceOverloaded):
                     await client.lookup("default", groups[2])
                 assert service.stats.shed == 1
+                assert not first.done() and not second.done()
                 # The parked requests still complete once the service drains
-                # (the parked one leaves when the held flush completes).
-                flush_gate.open()
+                # (they leave with the next loop turn's flush).
                 await service.close()
                 replies = await asyncio.gather(first, second)
                 assert all(reply.predictions is not None for reply in replies)
         run(scenario())
 
-    def test_pending_gauge_is_read_at_scrape_time(self, universe, seed,
-                                                  flush_gate):
+    def test_pending_gauge_is_read_at_scrape_time(self, universe, seed):
         """/metrics reports the live admission count; the gauge appears
         once the first request has been admitted, as it always has."""
         config = ServingConfig(telemetry_enabled=True, request_timeout_s=10.0)
@@ -290,10 +358,11 @@ class TestBackpressure:
                 GPSConfig(use_engine=True, executor="serial"))
             assert "\nserving_pending 0\n" in service.render_metrics()
             client = InProcessClient(service)
-            held = await flush_gate.hold(client, _observations_of(seed, 1)[0])
+            parked = asyncio.ensure_future(
+                client.lookup("default", _observations_of(seed, 1)[0]))
+            await _until_parked(service, 1)
             assert "\nserving_pending 1\n" in service.render_metrics()
-            flush_gate.open()
-            await held
+            await parked
             assert "\nserving_pending 0\n" in service.render_metrics()
             await service.close()
         run(scenario())
@@ -318,29 +387,29 @@ class TestBackpressure:
 
 class TestLifecycle:
     def test_graceful_drain_completes_in_flight(self, universe, seed,
-                                                flush_gate):
+                                                build_gate):
         config = ServingConfig(max_batch=64, request_timeout_s=10.0,
                                drain_timeout_s=10.0)
 
         async def scenario():
             async with await _loaded_service(universe, seed, config) as service:
                 client = InProcessClient(service)
-                held_rows, rows = _observations_of(seed, 2)
-                held = await flush_gate.hold(client, held_rows)
+                (rows,) = _observations_of(seed, 1)
+                held = await build_gate.hold(service, universe, seed)
+                # close() starts in the turn the lookup is admitted, before
+                # its flush: it stops admission but waits for the lookup and
+                # for the held build.
                 parked = asyncio.ensure_future(client.lookup("default", rows))
-                while not service.stats_snapshot()["batch_queue_depth"]:
-                    await asyncio.sleep(0)
-                # close() starts while a flush is held and a lookup is parked
-                # behind it: it stops admission but waits for both.
                 closing = asyncio.ensure_future(service.close())
-                for _ in range(5):
-                    await asyncio.sleep(0)
-                assert service.closed and not closing.done()
-                flush_gate.open()
-                await closing
+                await _until(lambda: service.closed)
+                assert not closing.done() and not parked.done()
+                assert service.stats_snapshot()["pending"] == 2
                 reply = await parked
                 assert reply.coalesced == 1
-                assert (await held).coalesced == 1
+                assert not closing.done()  # the build is still held
+                build_gate.open()
+                await closing
+                assert (await held).name == "other"
                 assert service.stats.completed == service.stats.admitted
         run(scenario())
 

@@ -32,11 +32,14 @@ from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.faults import FaultPlan
 from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
 from repro.engine.snapshot import (
+    FORMAT_NAME,
     FORMAT_VERSION,
     MANIFEST_NAME,
+    MAX_SNAPSHOT_SECTIONS,
     SnapshotError,
     SnapshotIntegrityError,
     SnapshotVersionError,
+    SnapshotWriter,
     open_snapshot,
     save_snapshot,
 )
@@ -305,6 +308,64 @@ class TestCorruptSnapshots:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="non-object|shard layout"):
             open_snapshot(str(directory), verify=False)
+
+    @pytest.mark.parametrize("manifest", [[], "x"], ids=["list", "string"])
+    def test_non_object_manifest_raises_snapshot_error(self, tmp_path,
+                                                       manifest):
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="not a JSON object"):
+            open_snapshot(str(tmp_path))
+
+    @staticmethod
+    def _write_sections(tmp_path, sections) -> str:
+        (tmp_path / "c.bin").write_bytes(b"")
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(
+            {"format": FORMAT_NAME, "format_version": FORMAT_VERSION,
+             "sections": sections}))
+        return str(tmp_path)
+
+    @pytest.mark.parametrize("section", [
+        pytest.param({"columns": 5}, id="columns-not-an-object"),
+        pytest.param(5, id="section-not-an-object"),
+        pytest.param({"columns": {"c": 5}}, id="entry-not-an-object"),
+        pytest.param({"columns": {"c": {"file": "c.bin", "rows": 0,
+                                        "dtype": "int8", "crc32": 0}}},
+                     id="unknown-dtype"),
+        pytest.param({"columns": {"c": {"file": "../c.bin", "rows": 0,
+                                        "dtype": "int64", "crc32": 0}}},
+                     id="file-outside-the-directory"),
+        pytest.param({"columns": {"c": {"file": "c.bin", "rows": "0",
+                                        "dtype": "int64", "crc32": 0}}},
+                     id="rows-not-an-int"),
+    ])
+    def test_malformed_section_raises_snapshot_error(self, tmp_path, section):
+        directory = self._write_sections(tmp_path, {"a": section})
+        with pytest.raises(SnapshotError,
+                           match="malformed (section|column entry)"):
+            open_snapshot(directory)
+
+    def test_non_object_section_table_raises_snapshot_error(self, tmp_path):
+        directory = self._write_sections(tmp_path, [])
+        with pytest.raises(SnapshotError, match="non-object section table"):
+            open_snapshot(directory)
+
+    def test_section_count_is_bounded(self, tmp_path):
+        sections = {f"s{i}": {"columns": {}}
+                    for i in range(MAX_SNAPSHOT_SECTIONS + 1)}
+        directory = self._write_sections(tmp_path, sections)
+        with pytest.raises(SnapshotError, match="at most"):
+            open_snapshot(directory)
+        del sections["s0"]
+        self._write_sections(tmp_path, sections)
+        assert len(open_snapshot(directory).sections()) == MAX_SNAPSHOT_SECTIONS
+
+    def test_writer_stops_at_the_section_bound(self, tmp_path):
+        """A snapshot the writer produces is always one the reader opens."""
+        writer = SnapshotWriter(str(tmp_path))
+        for i in range(MAX_SNAPSHOT_SECTIONS):
+            writer.add_section(f"s{i}", {})
+        with pytest.raises(ValueError, match="at most"):
+            writer.add_section("one-more", {})
 
     def test_typed_errors_share_one_base(self):
         assert issubclass(SnapshotIntegrityError, SnapshotError)

@@ -93,6 +93,8 @@ class TestRegistry:
             for _ in range(per_thread):
                 registry.counter("hits_total", worker="w").inc()
                 registry.histogram("lat_seconds", buckets=(0.5,)).observe(0.1)
+                registry.histogram("paired_seconds", buckets=(0.5,)) \
+                    .observe_and_count(0.1, registry.counter("paired_total"))
 
         pool = [threading.Thread(target=writer) for _ in range(threads)]
         # A common start and frequent thread switches give a lost update or
@@ -113,6 +115,9 @@ class TestRegistry:
         histogram = registry.histogram("lat_seconds", buckets=(0.5,))
         assert histogram.count == threads * per_thread
         assert histogram.sum == pytest.approx(0.1 * threads * per_thread)
+        paired = registry.histogram("paired_seconds", buckets=(0.5,))
+        assert paired.count == threads * per_thread
+        assert registry.counter("paired_total").value == threads * per_thread
 
 
 class TestHistogramBuckets:
@@ -126,6 +131,18 @@ class TestHistogramBuckets:
             ("0.01", 2), ("0.1", 4), ("1", 5), ("+Inf", 7)]
         assert histogram.count == 7
         assert histogram.sum == pytest.approx(52.865)
+
+    def test_observe_and_count_matches_observe_then_inc(self):
+        separate, paired = MetricsRegistry(), MetricsRegistry()
+        for value in (0.005, 0.1, 0.7, 50.0):
+            separate.histogram("h", buckets=(0.01, 0.1, 1.0)).observe(value)
+            separate.counter("c_total").inc()
+            paired.histogram("h", buckets=(0.01, 0.1, 1.0)).observe_and_count(
+                value, paired.counter("c_total"))
+        assert paired.render_prometheus() == separate.render_prometheus()
+        null = MetricsRegistry(enabled=False)
+        null.histogram("h").observe_and_count(1.0, null.counter("c_total"))
+        assert null.render_prometheus() == ""
 
     def test_bounds_must_increase(self):
         registry = MetricsRegistry()
