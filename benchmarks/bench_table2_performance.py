@@ -3,10 +3,13 @@
 Paper: with a 1 % seed and /16 step size, GPS's bottleneck is bandwidth (the
 seed scan dominates 12.3 days of scanning); the prediction computation takes
 ~9 days on a single core but only 13 minutes on BigQuery; data transfer adds
-~9 hours.  The reproduction measures the computation phases directly (single
-core versus the engine runtime's thread executor, resident load included)
-and models scan/transfer wall
-time with the same cost model (probes x packet size / line rate).
+~9 hours.  The reproduction runs GPS twice on one dataset split -- single
+core on the reference path, then on the engine runtime's thread executor --
+and reads each computation row off that run's own phase spans (PFS: feature
+extraction, resident load, model and priors builds; PRS: index build and
+prediction).  Probe counts come from the run's bandwidth ledger, and
+scan/transfer wall time is modelled with the same cost model as the paper
+(probes x packet size / line rate).
 """
 
 from __future__ import annotations

@@ -2,39 +2,38 @@
 
 Table 2 decomposes a full GPS run into scanning, computation and data-transfer
 phases and reports bandwidth, computation time (single core), wall-clock time
-and data volume for each.  The reproduction measures what it can measure
-directly (model-building and prediction computation, single core versus the
-engine runtime on a thread pool) and models what depends on infrastructure
-that does not exist offline (line-rate scan time, upload/download time at a
-given link speed), using the same cost model as the paper: probes x packet
-size / line rate and bytes / transfer rate.
+and data volume for each.  The reproduction runs :meth:`GPS.run` twice on one
+dataset split -- once on the single-core reference path, once on the engine
+runtime's thread executor -- and reads the computation rows off each run's own
+phase spans: "predicting first service" (PFS) is feature extraction, the
+resident load, the model build and the priors plan; "predicting remaining
+services" (PRS) is the index build and the prediction step.  Probe counts come
+from the run's bandwidth ledger and data sizes from its result.  What depends
+on infrastructure that does not exist offline (line-rate scan time,
+upload/download time at a given link speed) is modelled with the same cost
+model as the paper: probes x packet size / line rate and bytes / transfer rate.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import FeatureConfig
-from repro.core.features import extract_host_features, extract_host_features_columns
-from repro.core.gps import GPS
-from repro.core.model import build_model, build_model_with_engine
-from repro.core.predictions import (
-    PredictiveFeatureIndex,
-    build_prediction_index_with_engine,
-)
-from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
-from repro.core.runtime_plans import ResidentHostGroups
+from repro.core.config import GPSConfig
+from repro.core.gps import GPS, GPSRunResult
 from repro.datasets.builders import GroundTruthDataset
 from repro.datasets.io import observation_to_dict
 from repro.datasets.split import seed_scan_cost_probes, split_seed_test
-from repro.engine.runtime import EngineRuntime
 from repro.internet.universe import Universe
-from repro.scanner.bandwidth import BITS_PER_PROBE, ScanCategory
-from repro.scanner.pipeline import ScanPipeline
-from repro.scanner.records import ObservationBatch
+from repro.scanner.bandwidth import BITS_PER_PROBE, BandwidthLedger, ScanCategory
+from repro.scanner.pipeline import ScanPipeline, SeedScanResult
+from repro.telemetry import Telemetry
+
+#: The ``gps.run`` child spans each computation row of Table 2 sums.
+PFS_SPANS = ("features.extract", "resident.load", "model.build", "priors.build")
+PRS_SPANS = ("index.build", "predict")
 
 
 @dataclass
@@ -101,6 +100,25 @@ def _observations_bytes(observations: Sequence) -> int:
     return sum(len(json.dumps(observation_to_dict(obs))) + 1 for obs in observations)
 
 
+def _traced_run(universe: Universe, config: GPSConfig, seed: SeedScanResult,
+                seed_cost: int
+                ) -> Tuple[GPSRunResult, BandwidthLedger, Dict[str, float]]:
+    """Run GPS once under a fresh :class:`Telemetry`.
+
+    Returns the result, the run's ledger and the seconds of each phase span
+    (the children of the ``gps.run`` root), summed per span name.
+    """
+    telemetry = Telemetry()
+    pipeline = ScanPipeline(universe)
+    with GPS(pipeline, config, telemetry=telemetry) as gps:
+        result = gps.run(seed=seed, seed_cost_probes=seed_cost)
+    (root,) = telemetry.tracer.roots
+    span_seconds: Dict[str, float] = defaultdict(float)
+    for span in root.children:
+        span_seconds[span.name] += span.duration_s
+    return result, pipeline.ledger, span_seconds
+
+
 def run_performance_breakdown(
     universe: Universe,
     dataset: GroundTruthDataset,
@@ -114,15 +132,23 @@ def run_performance_breakdown(
 ) -> PerformanceBreakdown:
     """Measure/model the Table 2 breakdown for one GPS configuration.
 
-    Computation phases are run twice -- once single-core, once on the engine
-    runtime's ``thread`` executor with ``workers`` workers -- so the
-    breakdown can report the speedup the paper attributes to a highly
-    parallel execution environment.  The engine's timed regions include
-    loading the seed's encoded columns into the workers.
+    GPS runs twice on the same seed -- once single-core on the reference
+    path, once on the engine runtime's ``thread`` executor with ``workers``
+    workers -- so the breakdown can report the speedup the paper attributes
+    to a highly parallel execution environment.  The engine's PFS row
+    includes loading the seed's encoded columns into the workers.  The scan
+    and data rows read the engine run, whose outputs equal the reference's.
     """
     split = split_seed_test(dataset, seed_fraction, seed=split_seed)
-    feature_config = FeatureConfig()
-    asn_db = universe.topology.asn_db
+    seed = split.seed_scan_result()
+    seed_cost = seed_scan_cost_probes(dataset, seed_fraction)
+    config = GPSConfig(seed_fraction=seed_fraction, step_size=step_size,
+                       port_domain=dataset.port_domain)
+    _, _, single_seconds = _traced_run(universe, config, seed, seed_cost)
+    result, ledger, engine_seconds = _traced_run(
+        universe, replace(config, use_engine=True, executor="thread",
+                          num_workers=workers),
+        seed, seed_cost)
     space = universe.address_space_size()
 
     breakdown = PerformanceBreakdown(
@@ -132,134 +158,39 @@ def run_performance_breakdown(
         parallel_workers=workers,
     )
 
-    # -- Phase: seed scan (bandwidth-modelled; the data already exists) -------------
-    seed_probes = seed_scan_cost_probes(dataset, seed_fraction)
-    seed_bytes = _observations_bytes(split.seed_observations)
-    breakdown.rows.append(PhaseRow(
-        name="1% seed scan (if needed)" if abs(seed_fraction - 0.01) < 1e-9
-        else f"{seed_fraction:.2%} seed scan (if needed)",
-        probes=seed_probes,
-        full_scans=seed_probes / space,
-        wall_seconds=seed_probes * BITS_PER_PROBE / seed_scan_rate_bps,
-    ))
-    breakdown.rows.append(PhaseRow(
-        name="Seed scan upload",
-        data_bytes=seed_bytes,
-        wall_seconds=seed_bytes / transfer_rate_bytes_per_s,
-    ))
+    def scan_row(name: str, category: ScanCategory, rate_bps: float) -> PhaseRow:
+        probes = ledger.total_probes(category)
+        return PhaseRow(name=name, probes=probes, full_scans=probes / space,
+                        wall_seconds=probes * BITS_PER_PROBE / rate_bps)
 
-    # -- Phase: predicting the first service (computation) ---------------------------
-    start = time.perf_counter()
-    host_features = extract_host_features(split.seed_observations, asn_db, feature_config)
-    model_single = build_model(host_features)
-    priors_plan = build_priors_plan(host_features, model_single, step_size,
-                                    dataset.port_domain)
-    pfs_single = time.perf_counter() - start
+    def compute_row(name: str, spans: Sequence[str], data_bytes: int) -> PhaseRow:
+        parallel = sum(engine_seconds[span] for span in spans)
+        return PhaseRow(name=name,
+                        compute_seconds_single_core=sum(single_seconds[span]
+                                                        for span in spans),
+                        compute_seconds_parallel=parallel,
+                        wall_seconds=parallel, data_bytes=data_bytes)
 
-    # The priors-scan phase below needs the pipeline anyway; creating it
-    # here lets the columnar rebuild share its status-id space.
-    pipeline = ScanPipeline(universe)
+    def transfer_row(name: str, data_bytes: int) -> PhaseRow:
+        return PhaseRow(name=name, data_bytes=data_bytes,
+                        wall_seconds=data_bytes / transfer_rate_bytes_per_s)
 
-    # The engine measurement runs the engine's own ingest: a dataset split
-    # hands GPS the seed as a pre-sliced column batch (see
-    # SeedTestSplit.seed_scan_result), so the timed region covers exactly
-    # what an engine run computes -- columns -> encoded host/service/predictor
-    # columns -> resident load -> model and priors builds.  Outputs are
-    # identical to the single-core rows above.  The index build shares the
-    # resident load, so it is timed here too and joins the PRS row below.
-    seed_batch = split.seed_scan_result().batch
-    if seed_batch is None:  # object-backed dataset: rebuild columns untimed
-        seed_batch = ObservationBatch.from_observations(
-            split.seed_observations, statuses=pipeline.status_encoder)
-    with EngineRuntime(executor="thread", num_workers=workers) as runtime:
-        start = time.perf_counter()
-        host_columns = extract_host_features_columns(seed_batch, asn_db,
-                                                     feature_config)
-        resident = ResidentHostGroups(runtime, host_columns, step_size)
-        model_parallel = build_model_with_engine(host_columns, resident)
-        build_priors_plan_with_engine(host_columns, model_parallel, step_size,
-                                      dataset.port_domain, dataset=resident)
-        pfs_parallel = time.perf_counter() - start
-
-        start = time.perf_counter()
-        index_parallel = build_prediction_index_with_engine(
-            host_columns, model_parallel, port_domain=dataset.port_domain,
-            dataset=resident)
-        index_parallel_seconds = time.perf_counter() - start
-
-    plan_bytes = sum(len(entry.describe()) + 1 for entry in priors_plan)
-    breakdown.rows.append(PhaseRow(
-        name="Predicting first service (PFS)",
-        compute_seconds_single_core=pfs_single,
-        compute_seconds_parallel=pfs_parallel,
-        wall_seconds=pfs_parallel,
-        data_bytes=_observations_bytes(split.seed_observations),
-    ))
-    breakdown.rows.append(PhaseRow(
-        name="PFS download",
-        data_bytes=plan_bytes,
-        wall_seconds=plan_bytes / transfer_rate_bytes_per_s,
-    ))
-
-    # -- Phase: priors scan (executed against the universe) ---------------------------
-    priors_batch = ObservationBatch(banners=universe.banners,
-                                    statuses=pipeline.status_encoder)
-    for entry in priors_plan:
-        priors_batch.extend(
-            pipeline.scan_prefix(entry.port, entry.subnet, category=ScanCategory.PRIORS)
-        )
-    priors_observations = priors_batch.materialize()
-    priors_probes = pipeline.ledger.total_probes(ScanCategory.PRIORS)
-    priors_bytes = _observations_bytes(priors_observations)
-    breakdown.rows.append(PhaseRow(
-        name="PFS scan",
-        probes=priors_probes,
-        full_scans=priors_probes / space,
-        wall_seconds=priors_probes * BITS_PER_PROBE / prediction_scan_rate_bps,
-    ))
-    breakdown.rows.append(PhaseRow(
-        name="PFS scan upload",
-        data_bytes=priors_bytes,
-        wall_seconds=priors_bytes / transfer_rate_bytes_per_s,
-    ))
-
-    # -- Phase: predicting remaining services (computation) ----------------------------
-    start = time.perf_counter()
-    index = PredictiveFeatureIndex.from_seed(host_features, model_single,
-                                             port_domain=dataset.port_domain)
-    known = {obs.pair() for obs in split.seed_observations}
-    known.update(obs.pair() for obs in priors_observations)
-    predictions = index.predict_reference(priors_observations, asn_db,
-                                          feature_config, known_pairs=known)
-    prs_single = time.perf_counter() - start
-
-    # The engine row predicts as an engine GPS run does: compiled tables
-    # over the priors columns.
-    start = time.perf_counter()
-    index_parallel.predict(priors_batch, asn_db, feature_config,
-                           known_pairs=known)
-    prs_parallel = index_parallel_seconds + time.perf_counter() - start
-
-    predictions_bytes = sum(24 for _ in predictions)  # ip + port + probability per line
-    breakdown.rows.append(PhaseRow(
-        name="Predicting remaining services (PRS)",
-        compute_seconds_single_core=prs_single,
-        compute_seconds_parallel=prs_parallel,
-        wall_seconds=prs_parallel,
-        data_bytes=priors_bytes,
-    ))
-    breakdown.rows.append(PhaseRow(
-        name="PRS download",
-        data_bytes=predictions_bytes,
-        wall_seconds=predictions_bytes / transfer_rate_bytes_per_s,
-    ))
-
-    # -- Phase: prediction scan ---------------------------------------------------------
-    prediction_probes = len(predictions)
-    breakdown.rows.append(PhaseRow(
-        name="PRS scan",
-        probes=prediction_probes,
-        full_scans=prediction_probes / space,
-        wall_seconds=prediction_probes * BITS_PER_PROBE / prediction_scan_rate_bps,
-    ))
+    seed_bytes = _observations_bytes(result.seed_observations)
+    priors_bytes = _observations_bytes(result.priors_observations)
+    plan_bytes = sum(len(entry.describe()) + 1 for entry in result.priors_plan)
+    predictions_bytes = 24 * len(result.predictions)  # ip + port + probability
+    breakdown.rows = [
+        scan_row("1% seed scan (if needed)" if abs(seed_fraction - 0.01) < 1e-9
+                 else f"{seed_fraction:.2%} seed scan (if needed)",
+                 ScanCategory.SEED, seed_scan_rate_bps),
+        transfer_row("Seed scan upload", seed_bytes),
+        compute_row("Predicting first service (PFS)", PFS_SPANS, seed_bytes),
+        transfer_row("PFS download", plan_bytes),
+        scan_row("PFS scan", ScanCategory.PRIORS, prediction_scan_rate_bps),
+        transfer_row("PFS scan upload", priors_bytes),
+        compute_row("Predicting remaining services (PRS)", PRS_SPANS,
+                    priors_bytes),
+        transfer_row("PRS download", predictions_bytes),
+        scan_row("PRS scan", ScanCategory.PREDICTION, prediction_scan_rate_bps),
+    ]
     return breakdown

@@ -28,6 +28,7 @@ rebuilding anything.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from typing import Optional, Sequence
 
@@ -45,7 +46,6 @@ from repro.analysis.scenarios import (
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.core.metrics import fraction_of_services, normalized_fraction_of_services
-from repro.engine.runtime import RUNTIME_EVENT_BUS
 from repro.internet.churn import ChurnConfig
 from repro.scanner.pipeline import ScanPipeline
 from repro.telemetry import Telemetry
@@ -88,25 +88,31 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
                              "stderr")
 
 
-def _print_runtime_event(event) -> None:
-    """The ``--verbose-runtime`` sink: one stderr line per runtime event."""
-    print(f"[repro.engine.runtime] {event}", file=sys.stderr)
+#: Name of the stderr handler ``--verbose-runtime`` attaches.
+_VERBOSE_RUNTIME_HANDLER = "verbose-runtime"
 
 
 def _configure_runtime_events(args: argparse.Namespace) -> None:
-    """Subscribe a stderr sink to the runtime event bus on opt-in.
+    """Print the runtime's supervision events to stderr on opt-in.
 
     Every supervision event (task errors with worker tracebacks, worker
-    crashes with exit codes, respawn/reload/redispatch recovery steps)
-    flows over :data:`~repro.engine.runtime.RUNTIME_EVENT_BUS`;
-    ``--verbose-runtime`` attaches a print sink to that same stream -- the
-    fields are exactly what the structured-logging path records.
-    Idempotent: the bus deduplicates the sink across repeated CLI
-    invocations in one process.
+    crashes with exit codes, respawn/reload/redispatch recovery steps) is
+    logged at INFO on the ``repro.engine.runtime`` logger;
+    ``--verbose-runtime`` sets that logger to INFO and attaches one stderr
+    handler printing ``[repro.engine.runtime] RuntimeEvent(...)`` lines.
+    Idempotent: repeated CLI invocations in one process reuse the handler.
     """
     if not getattr(args, "verbose_runtime", False):
         return
-    RUNTIME_EVENT_BUS.subscribe(_print_runtime_event)
+    logger = logging.getLogger("repro.engine.runtime")
+    logger.setLevel(logging.INFO)
+    if any(handler.get_name() == _VERBOSE_RUNTIME_HANDLER
+           for handler in logger.handlers):
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name(_VERBOSE_RUNTIME_HANDLER)
+    handler.setFormatter(logging.Formatter("[%(name)s] %(message)s"))
+    logger.addHandler(handler)
 
 
 def _trace_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:

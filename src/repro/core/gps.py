@@ -134,10 +134,12 @@ class GPS:
     ``telemetry`` instance -- e.g. one shared with the scan pipeline so scan
     counters and phase spans land in the same export) every run emits one
     ``gps.run`` span tree whose children are the paper's phases: dataset
-    build, feature extraction, and the three Table 2 builds, plus the two
-    scan loops and the prediction step.  Instrumentation never alters the
-    run itself -- the equivalence tests pin bit-identical outputs with
-    telemetry on and off.
+    build, feature extraction, the resident load (engine only) and the three
+    Table 2 builds, plus the two scan loops and the prediction step --
+    :func:`~repro.analysis.performance.run_performance_breakdown` reads
+    Table 2 off these spans.  Instrumentation never alters the run itself --
+    the equivalence tests pin bit-identical outputs with telemetry on and
+    off.
     """
 
     def __init__(self, pipeline: ScanPipeline, config: Optional[GPSConfig] = None,
@@ -236,66 +238,31 @@ class GPS:
 
         budget_probes = self._budget_probes()
 
-        # Phase 2: probabilistic model.
-        build_start = time.perf_counter()
-        with tel.span("features.extract"):
-            host_features = self._extract_features(seed)
-        dataset = self._resident_dataset(host_features)
-        try:
-            with tel.span("model.build") as span:
-                model = self._build_model(host_features, dataset)
-                span.set("pairs", len(model.cooccurrence))
-            result.model = model
+        # Phases 2-4 computation: model, priors plan and index.  The index
+        # reads only the seed and the model, so it is built before the priors
+        # scan and the resident shards are freed before any probing.
+        self._build(seed, result, priors=True)
 
-            # Phase 3: priors scan (find the first service of every host).
-            with tel.span("priors.build") as span:
-                priors_plan = self._build_priors_plan(host_features, model, dataset)
-                span.set("entries", len(priors_plan))
-            result.priors_plan = priors_plan
-            result.model_build_seconds += time.perf_counter() - build_start
+        # Phase 3: priors scan (find the first service of every host).
+        priors = result.priors_observations = self._empty_batch()
+        with tel.span("priors.scan") as span:
+            batches = 0
+            for entry in result.priors_plan:
+                if budget_probes is not None and ledger.total_probes() >= budget_probes:
+                    result.truncated_by_budget = True
+                    break
+                found = self.pipeline.scan_prefix(entry.port, entry.subnet,
+                                                  category=ScanCategory.PRIORS)
+                priors.extend(found)
+                self._log_batch(result, "priors", ledger.total_probes(),
+                                zip(found.ips, found.ports), discovered)
+                batches += 1
+            span.set("batches", batches)
+            span.set("observations", len(priors))
 
-            priors = result.priors_observations = self._empty_batch()
-            with tel.span("priors.scan") as span:
-                batches = 0
-                for entry in priors_plan:
-                    if budget_probes is not None and ledger.total_probes() >= budget_probes:
-                        result.truncated_by_budget = True
-                        break
-                    found = self.pipeline.scan_prefix(entry.port, entry.subnet,
-                                                      category=ScanCategory.PRIORS)
-                    priors.extend(found)
-                    self._log_batch(result, "priors", ledger.total_probes(),
-                                    zip(found.ips, found.ports), discovered)
-                    batches += 1
-                span.set("batches", batches)
-                span.set("observations", len(priors))
-
-            # Phase 4: predict and scan remaining services.
-            build_start = time.perf_counter()
-            with tel.span("index.build") as span:
-                feature_index = self._build_feature_index(host_features, model, dataset)
-                span.set("entries", len(feature_index))
-            result.feature_index = feature_index
-        finally:
-            # The resident shards served their three builds; free the worker
-            # memory (the runtime itself stays warm for the next run).
-            if dataset is not None:
-                dataset.release()
-        with tel.span("predict") as span:
-            if config.use_engine:
-                predictions = feature_index.predict(
-                    priors, self._asn_db, config.feature_config,
-                    known_pairs=discovered)
-            else:
-                predictions = Predictions.from_services(
-                    feature_index.predict_reference(
-                        priors, self._asn_db, config.feature_config,
-                        known_pairs=discovered))
-            span.set("predictions", len(predictions))
-        result.predictions = predictions
-        result.model_build_seconds += time.perf_counter() - build_start
-
-        self._prediction_scan(result, predictions, discovered)
+        # Phase 4: predict and scan remaining services.
+        self._predict(result, priors, discovered)
+        self._prediction_scan(result, result.predictions, discovered)
         return result
 
     def predict_for_known_hosts(
@@ -320,43 +287,19 @@ class GPS:
             scan: probe the predictions through the pipeline (``True``) or
                 only return the ordered predictions list (``False``).
         """
-        config = self.config
-        ledger = self.pipeline.ledger
-        tel = self.telemetry
-        result = GPSRunResult(config=config, seed_observations=list(seed.observations))
+        result = GPSRunResult(config=self.config,
+                              seed_observations=list(seed.observations))
         discovered: Set[Pair] = set()
-        self._log_batch(result, "seed", ledger.total_probes(),
+        self._log_batch(result, "seed", self.pipeline.ledger.total_probes(),
                         [obs.pair() for obs in seed.observations], discovered)
-
-        build_start = time.perf_counter()
-        with tel.span("features.extract"):
-            host_features = self._extract_features(seed)
-        dataset = self._resident_dataset(host_features)
-        try:
-            with tel.span("model.build"):
-                model = self._build_model(host_features, dataset)
-            result.model = model
-
-            with tel.span("index.build"):
-                feature_index = self._build_feature_index(host_features, model, dataset)
-            result.feature_index = feature_index
-        finally:
-            if dataset is not None:
-                dataset.release()
+        self._build(seed, result, priors=False)
 
         known = list(known_observations)
         result.priors_observations = known
-        known_pairs = set(discovered) | {obs.pair() for obs in known}
-        with tel.span("predict") as span:
-            predictions = feature_index.predict(known, self._asn_db,
-                                                config.feature_config,
-                                                known_pairs=known_pairs)
-            span.set("predictions", len(predictions))
-        result.predictions = predictions
-        result.model_build_seconds = time.perf_counter() - build_start
-
+        self._predict(result, known,
+                      discovered | {obs.pair() for obs in known})
         if scan:
-            self._prediction_scan(result, predictions, discovered)
+            self._prediction_scan(result, result.predictions, discovered)
         return result
 
     # -- helpers ------------------------------------------------------------------------
@@ -422,24 +365,71 @@ class GPS:
         return extract_host_features(seed.observations, self._asn_db,
                                      config.feature_config)
 
-    def _resident_dataset(self, host_features) -> Optional[ResidentHostGroups]:
-        """Load the seed's host groups into the runtime's workers.
+    def _build(self, seed: SeedScanResult, result: GPSRunResult,
+               priors: bool) -> None:
+        """Build the model, the priors plan (with ``priors``) and the index.
 
-        Returns ``None`` on the reference path; otherwise ships the encoded
-        columns once so all three builds of this run fold against
-        worker-resident shards.  The caller releases the dataset when the
-        builds are done.
+        The one build sequence of both run modes: features -> resident load
+        (engine only) -> model -> priors plan -> index -> release of the
+        resident shards (the runtime itself stays warm for the next run).
+        Each step is a span of the run's trace, and the whole counts toward
+        ``result.model_build_seconds``.
         """
         config = self.config
-        if not config.use_engine:
-            return None
-        return ResidentHostGroups(self.runtime(), host_features, config.step_size)
+        tel = self.telemetry
+        start = time.perf_counter()
+        with tel.span("features.extract"):
+            host_features = self._extract_features(seed)
+        dataset = None
+        try:
+            if config.use_engine:
+                with tel.span("resident.load"):
+                    dataset = ResidentHostGroups(self.runtime(), host_features,
+                                                 config.step_size)
+            with tel.span("model.build") as span:
+                if config.use_engine:
+                    model = build_model_with_engine(host_features, dataset)
+                else:
+                    model = build_model(host_features)
+                span.set("pairs", len(model.cooccurrence))
+            result.model = model
+            if priors:
+                with tel.span("priors.build") as span:
+                    result.priors_plan = self._build_priors_plan(
+                        host_features, model, dataset)
+                    span.set("entries", len(result.priors_plan))
+            with tel.span("index.build") as span:
+                result.feature_index = self._build_feature_index(
+                    host_features, model, dataset)
+                span.set("entries", len(result.feature_index))
+        finally:
+            if dataset is not None:
+                dataset.release()
+        result.model_build_seconds += time.perf_counter() - start
 
-    def _build_model(self, host_features, dataset) -> CooccurrenceModel:
-        """Build the Section 5.2 model on the configured execution path."""
-        if self.config.use_engine:
-            return build_model_with_engine(host_features, dataset)
-        return build_model(host_features)
+    def _predict(self, result: GPSRunResult, observations,
+                 known_pairs: Set[Pair]) -> None:
+        """Predict remaining services from ``observations`` into ``result``.
+
+        The engine runs the index's compiled :meth:`~PredictiveFeatureIndex.predict`;
+        the reference path runs the dict oracle ``predict_reference``.  The
+        time counts toward ``result.model_build_seconds``.
+        """
+        config = self.config
+        index = result.feature_index
+        start = time.perf_counter()
+        with self.telemetry.span("predict") as span:
+            if config.use_engine:
+                predictions = index.predict(observations, self._asn_db,
+                                            config.feature_config,
+                                            known_pairs=known_pairs)
+            else:
+                predictions = Predictions.from_services(index.predict_reference(
+                    observations, self._asn_db, config.feature_config,
+                    known_pairs=known_pairs))
+            span.set("predictions", len(predictions))
+        result.predictions = predictions
+        result.model_build_seconds += time.perf_counter() - start
 
     def _build_priors_plan(self, host_features, model: CooccurrenceModel, dataset):
         """Build the Section 5.3 priors plan on the configured execution path."""

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.engine.encoding import DictionaryEncoder
 from repro.internet.banners import BannerInterner
+from repro.net.ipv4 import MAX_IPV4
 from repro.scanner.records import ObservationBatch, ScanObservation
 
 PathLike = Union[str, Path]
@@ -40,26 +41,58 @@ def observation_to_dict(observation: ScanObservation) -> dict:
     }
 
 
-def observation_from_dict(record: dict) -> ScanObservation:
-    """Rebuild an observation from its dict form, validating required fields."""
+#: ``(ip, port, protocol, app_features, ttl)`` of one validated record.
+RecordFields = Tuple[int, int, str, Dict[str, str], int]
+
+
+def _parse_record(record: object) -> RecordFields:
+    """Validate one observation record; the one parser both loaders share.
+
+    Raises ``ValueError`` for a missing or non-integer field, an address
+    outside 0 .. 2**32 - 1, a port outside 1 .. 65535 and a non-mapping
+    ``app_features``.
+    """
     try:
         ip = int(record["ip"])
         port = int(record["port"])
         protocol = str(record["protocol"])
-    except (KeyError, TypeError, ValueError) as exc:
+        ttl = int(record.get("ttl", 64))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed observation record: {record!r}") from exc
+    if not 0 <= ip <= MAX_IPV4:
+        raise ValueError(f"invalid address in record: {ip}")
     if not 1 <= port <= 65535:
         raise ValueError(f"invalid port in record: {port}")
     app_features = record.get("app_features", {})
     if not isinstance(app_features, dict):
         raise ValueError("app_features must be a mapping")
-    return ScanObservation(
-        ip=ip,
-        port=port,
-        protocol=protocol,
-        app_features={str(k): str(v) for k, v in app_features.items()},
-        ttl=int(record.get("ttl", 64)),
-    )
+    return (ip, port, protocol,
+            {str(k): str(v) for k, v in app_features.items()}, ttl)
+
+
+def observation_from_dict(record: dict) -> ScanObservation:
+    """Rebuild an observation from its dict form, validating required fields."""
+    ip, port, protocol, app_features, ttl = _parse_record(record)
+    return ScanObservation(ip=ip, port=port, protocol=protocol,
+                           app_features=app_features, ttl=ttl)
+
+
+def _read_records(path: PathLike) -> Iterator[RecordFields]:
+    """Parse a JSONL file's non-blank lines; every error names ``path:line``."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_number}: invalid JSON") from exc
+            try:
+                fields = _parse_record(record)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from exc
+            yield fields
 
 
 def save_observations_jsonl(observations: Iterable[ScanObservation],
@@ -78,19 +111,9 @@ def save_observations_jsonl(observations: Iterable[ScanObservation],
 
 def load_observations_jsonl(path: PathLike) -> List[ScanObservation]:
     """Load observations previously written by :func:`save_observations_jsonl`."""
-    path = Path(path)
-    observations: List[ScanObservation] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: invalid JSON") from exc
-            observations.append(observation_from_dict(record))
-    return observations
+    return [ScanObservation(ip=ip, port=port, protocol=protocol,
+                            app_features=app_features, ttl=ttl)
+            for ip, port, protocol, app_features, ttl in _read_records(path)]
 
 
 def load_observation_batch(path: PathLike,
@@ -106,43 +129,19 @@ def load_observation_batch(path: PathLike,
     banners across rows collapse to one interned mapping instead of one
     boxed dict per row.  No :class:`ScanObservation` is ever allocated.
 
-    Validation matches :func:`observation_from_dict` exactly (missing or
-    non-numeric fields, out-of-range ports and non-mapping ``app_features``
-    raise ``ValueError`` naming the record), and the loaded batch is
-    row-identical to ``ObservationBatch.from_observations(
+    Both loaders parse records with the same validator, so a bad record
+    raises the same ``ValueError`` naming ``path:line``, and the loaded
+    batch is row-identical to ``ObservationBatch.from_observations(
     load_observations_jsonl(path))`` -- the object loader stays the
     equivalence oracle.
     """
-    path = Path(path)
     batch = ObservationBatch(
         banners=banners if banners is not None else BannerInterner(),
         statuses=statuses if statuses is not None else DictionaryEncoder())
     encode_status = batch.statuses.encode
     intern_banner = batch.banners.intern_value
     append = batch.append
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: invalid JSON") from exc
-            try:
-                ip = int(record["ip"])
-                port = int(record["port"])
-                protocol = str(record["protocol"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"malformed observation record: {record!r}") from exc
-            if not 1 <= port <= 65535:
-                raise ValueError(f"invalid port in record: {port}")
-            app_features = record.get("app_features", {})
-            if not isinstance(app_features, dict):
-                raise ValueError("app_features must be a mapping")
-            append(ip, port, encode_status(protocol),
-                   intern_banner({str(k): str(v)
-                                  for k, v in app_features.items()}),
-                   int(record.get("ttl", 64)))
+    for ip, port, protocol, app_features, ttl in _read_records(path):
+        append(ip, port, encode_status(protocol), intern_banner(app_features),
+               ttl)
     return batch

@@ -40,11 +40,9 @@ the outstanding tasks (tasks are pure and loads are idempotent), and retries
 under a bounded budget with exponential backoff.  Only an exhausted budget
 surfaces as :class:`WorkerCrashError`; a wedged-but-alive worker is caught by
 the optional per-task / per-execution deadlines as :class:`WorkerTimeoutError`
-with a process dump.  Every supervision step emits a structured
-:class:`RuntimeEvent` on the module-level :data:`RUNTIME_EVENT_BUS`; a
-default sink forwards each event to the ``repro.engine.runtime`` logger
-(silent unless a handler is attached), and other consumers -- the CLI's
-``--verbose-runtime`` printer, test captures -- subscribe the same stream.
+with a process dump.  Every supervision step logs a structured
+:class:`RuntimeEvent` at INFO on the ``repro.engine.runtime`` logger (silent
+unless a handler is attached; the CLI's ``--verbose-runtime`` attaches one).
 An optional :class:`~repro.telemetry.Telemetry` instance adds quantitative
 instrumentation on top: per-task dispatch/queue/execute latency histograms,
 crash/respawn/redispatch counters mirroring :class:`RecoveryStats`, and
@@ -75,11 +73,9 @@ from repro.engine.fused import (
     select_argmax_chunk,
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.events import EventBus
 
 __all__ = [
     "EngineRuntime",
-    "RUNTIME_EVENT_BUS",
     "RUNTIME_EXECUTORS",
     "RecoveryStats",
     "RuntimeEvent",
@@ -90,16 +86,9 @@ __all__ = [
     "lpt_placement",
 ]
 
-#: The default event sink forwards to this logger; no handler is attached
-#: by default, so production runs stay silent unless an operator opts in.
+#: Supervision events log here; no handler is attached by default, so
+#: production runs stay silent unless an operator opts in.
 _LOGGER = logging.getLogger("repro.engine.runtime")
-
-#: Every structured supervision event publishes here.  The logger sink
-#: below is subscribed at import, preserving the historical behaviour
-#: (events reach ``repro.engine.runtime`` at INFO); further sinks -- the
-#: CLI's ``--verbose-runtime`` printer, test captures -- subscribe the same
-#: stream instead of growing parallel logging paths.
-RUNTIME_EVENT_BUS = EventBus()
 
 #: Executor backends an :class:`EngineRuntime` can run plans on.
 RUNTIME_EXECUTORS = ("serial", "thread", "pool")
@@ -248,16 +237,8 @@ class RuntimeEvent:
     detail: str = ""
 
 
-def _log_event(event: RuntimeEvent) -> None:
-    """Default bus sink: forward every event to the module logger."""
-    _LOGGER.info("%s", event)
-
-
-RUNTIME_EVENT_BUS.subscribe(_log_event)
-
-
 def _emit(event: RuntimeEvent) -> None:
-    RUNTIME_EVENT_BUS.publish(event)
+    _LOGGER.info("%s", event)
 
 
 @dataclass

@@ -208,7 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
             return {}
         try:
             payload = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidRequest(f"request body is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InvalidRequest("request body must be a JSON object")

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, span tracer, and the event bus.
+"""Unified telemetry: metrics registry and span tracer.
 
 (Named ``telemetry`` rather than ``metrics`` to avoid colliding with
 ``repro.core.metrics``, which holds the *paper's* coverage/precision
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.telemetry.events import EventBus
 from repro.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -34,7 +33,6 @@ from repro.telemetry.tracing import NULL_SPAN, Span, Tracer, trace_span
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "EventBus",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -174,6 +174,48 @@ class TestPerformanceAndLimits:
         assert breakdown.total_compute_seconds_single_core() > 0
         assert breakdown.speedup() is None or breakdown.speedup() > 0
 
+    def test_performance_breakdown_reads_the_runs_spans(self, universe,
+                                                        censys_dataset,
+                                                        monkeypatch):
+        """Table 2's compute rows are the span sums of the two GPS runs that
+        produced them, and its scan rows are the engine run's ledger."""
+        from repro.analysis.performance import PFS_SPANS, PRS_SPANS
+        from repro.core.gps import GPS
+        from repro.scanner.bandwidth import ScanCategory
+
+        runs = {}
+        run = GPS.run
+
+        def spy(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            runs[self.config.use_engine] = (self.telemetry,
+                                            self.pipeline.ledger)
+            return result
+
+        monkeypatch.setattr(GPS, "run", spy)
+        breakdown = run_performance_breakdown(
+            universe, censys_dataset, seed_fraction=0.05, step_size=16,
+            workers=2)
+        assert set(runs) == {False, True}
+
+        def span_sum(use_engine, names):
+            (root,) = runs[use_engine][0].tracer.roots
+            return sum(span.duration_s for span in root.children
+                       if span.name in names)
+
+        rows = {row.name: row for row in breakdown.rows}
+        for name, spans in (("Predicting first service (PFS)", PFS_SPANS),
+                            ("Predicting remaining services (PRS)", PRS_SPANS)):
+            assert rows[name].compute_seconds_single_core == \
+                pytest.approx(span_sum(False, spans), rel=1e-12)
+            assert rows[name].compute_seconds_parallel == \
+                pytest.approx(span_sum(True, spans), rel=1e-12)
+        ledger = runs[True][1]
+        assert rows["PFS scan"].probes == ledger.total_probes(ScanCategory.PRIORS)
+        assert rows["PRS scan"].probes == \
+            ledger.total_probes(ScanCategory.PREDICTION)
+        assert rows["PFS scan"].probes > 0 and rows["PRS scan"].probes > 0
+
     def test_ideal_conditions_study(self, censys_dataset):
         study = run_ideal_conditions_study(censys_dataset,
                                            seed_fraction_of_dataset=0.9)

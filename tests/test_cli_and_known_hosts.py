@@ -105,6 +105,30 @@ class TestKnownHostPrediction:
             assert [(b.cumulative_probes, b.pairs) for b in result.discovery_log
                     if b.phase == "prediction"] == expected
 
+    def test_reference_path_predicts_with_the_oracle(self, gps, censys_split,
+                                                      monkeypatch):
+        """Without ``use_engine`` the prediction step is ``predict_reference``,
+        as in :meth:`GPS.run`; the compiled ``predict`` is never called."""
+        from repro.core.predictions import PredictiveFeatureIndex
+
+        calls = []
+        reference = PredictiveFeatureIndex.predict_reference
+
+        def spy(self, *args, **kwargs):
+            calls.append("predict_reference")
+            return reference(self, *args, **kwargs)
+
+        def compiled(self, *args, **kwargs):
+            raise AssertionError("reference path called the compiled predict")
+
+        monkeypatch.setattr(PredictiveFeatureIndex, "predict_reference", spy)
+        monkeypatch.setattr(PredictiveFeatureIndex, "predict", compiled)
+        known = censys_split.test_observations[:50]
+        result = gps.predict_for_known_hosts(censys_split.seed_scan_result(),
+                                             known, scan=False)
+        assert calls == ["predict_reference"]
+        assert result.predictions
+
     def test_known_pairs_not_repredicted(self, gps, censys_split):
         known = censys_split.test_observations[:50]
         result = gps.predict_for_known_hosts(censys_split.seed_scan_result(), known)

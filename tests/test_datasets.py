@@ -6,6 +6,7 @@ import pytest
 
 from repro.datasets.builders import build_censys_like, build_full_dataset, build_lzr_like
 from repro.datasets.io import (
+    load_observation_batch,
     load_observations_jsonl,
     observation_from_dict,
     observation_to_dict,
@@ -135,6 +136,32 @@ class TestIO:
         path.write_text('{"ip": 1, "port": 80, "protocol": "http"}\nnot json\n')
         with pytest.raises(ValueError):
             load_observations_jsonl(path)
+
+    @pytest.mark.parametrize("load", [load_observations_jsonl,
+                                      load_observation_batch])
+    def test_null_ttl_is_a_value_error(self, tmp_path, load):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"ip": 1, "port": 80, "protocol": "http", "ttl": null}\n')
+        with pytest.raises(ValueError, match="bad.jsonl:1: malformed"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_observations_jsonl,
+                                      load_observation_batch])
+    @pytest.mark.parametrize("ip", [-5, 2**32])
+    def test_address_outside_ipv4_rejected(self, tmp_path, load, ip):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"ip": %d, "port": 80, "protocol": "http"}\n' % ip)
+        with pytest.raises(ValueError, match="bad.jsonl:1: invalid address"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_observations_jsonl,
+                                      load_observation_batch])
+    def test_record_error_names_the_line(self, tmp_path, load):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"ip": 1, "port": 80, "protocol": "http"}\n'
+                        '{"ip": 2, "port": 0, "protocol": "http"}\n')
+        with pytest.raises(ValueError, match="bad.jsonl:2: invalid port"):
+            load(path)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "blank.jsonl"

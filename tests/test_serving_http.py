@@ -167,6 +167,16 @@ class TestErrorMapping:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
+    def test_predict_rejects_non_utf8_body(self, server):
+        base, _, _ = server
+        request = urllib.request.Request(
+            base + "/predict", data=b"\x80abc",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert json.load(excinfo.value)["error"] == "invalid_request"
+
     def test_predict_rejects_unknown_addresses(self, server):
         base, _, _ = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:

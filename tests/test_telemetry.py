@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import sys
 import threading
 import urllib.request
@@ -24,7 +25,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
-from repro.engine.runtime import RUNTIME_EVENT_BUS, RuntimeEvent
+from repro.engine.runtime import RuntimeEvent, _emit
 from repro.scanner.pipeline import ScanPipeline
 from repro.serving.schemas import PointLookup
 from repro.serving.service import GPSService, ServingConfig
@@ -35,7 +36,6 @@ from repro.telemetry import (
     Tracer,
     telemetry_or_null,
 )
-from repro.telemetry.events import EventBus
 
 
 class TestRegistry:
@@ -240,46 +240,27 @@ class TestTelemetryFacade:
         assert telemetry_or_null(live) is live
 
 
-class TestEventBus:
-    def test_publish_subscribe_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.subscribe(seen.append)  # deduplicated
-        assert len(bus) == 1
-        bus.publish("one")
-        bus.unsubscribe(seen.append)
-        bus.publish("two")
-        assert seen == ["one"]
-
-    def test_sink_exceptions_are_swallowed(self):
-        bus = EventBus()
-        seen = []
-
-        def bad(_event) -> None:
-            raise RuntimeError("sink bug")
-
-        bus.subscribe(bad)
-        bus.subscribe(seen.append)
-        bus.publish("evt")
-        assert seen == ["evt"]
-
-    def test_verbose_runtime_sink_prints_bus_events(self, capsys):
-        """Satellite: ``--verbose-runtime`` rides the runtime event bus."""
+class TestRuntimeEvents:
+    def test_verbose_runtime_prints_logged_events(self, capsys):
+        """``--verbose-runtime`` prints the runtime logger's events to stderr."""
         import argparse
 
-        from repro.cli import _configure_runtime_events, _print_runtime_event
+        from repro.cli import _configure_runtime_events
 
+        logger = logging.getLogger("repro.engine.runtime")
+        level, handlers = logger.level, list(logger.handlers)
         args = argparse.Namespace(verbose_runtime=True)
         _configure_runtime_events(args)
+        _configure_runtime_events(args)  # idempotent: one handler
         try:
-            event = RuntimeEvent(kind="worker_crash", worker_id=3,
-                                 detail="exit code -9")
-            RUNTIME_EVENT_BUS.publish(event)
+            _emit(RuntimeEvent(kind="worker_crash", worker_id=3,
+                               detail="exit code -9"))
         finally:
-            RUNTIME_EVENT_BUS.unsubscribe(_print_runtime_event)
+            for handler in logger.handlers[len(handlers):]:
+                logger.removeHandler(handler)
+            logger.setLevel(level)
         err = capsys.readouterr().err
-        assert "[repro.engine.runtime]" in err
+        assert err.count("[repro.engine.runtime] RuntimeEvent(") == 1
         assert "worker_crash" in err and "exit code -9" in err
 
 
@@ -320,6 +301,29 @@ class TestEquivalence:
         probes = sum(sample["value"]
                      for sample in metrics["scan_probes_total"]["samples"])
         assert probes == on_pipeline.ledger.total_probes()
+
+    def test_resident_load_span_only_on_engine_runs(self, universe,
+                                                     censys_dataset,
+                                                     censys_split):
+        """Both paths run one build sequence; only the engine loads shards,
+        and the index is built before the priors scan."""
+        seed = censys_split.seed_scan_result()
+
+        def phases(**engine):
+            telemetry = Telemetry()
+            config = GPSConfig(seed_fraction=0.05, step_size=16,
+                               port_domain=censys_dataset.port_domain, **engine)
+            with GPS(ScanPipeline(universe), config, telemetry=telemetry) as gps:
+                gps.run(seed=seed)
+            (root,) = telemetry.tracer.roots
+            return [span.name for span in root.children]
+
+        reference = phases()
+        engine = phases(use_engine=True, executor="serial")
+        assert reference == ["features.extract", "model.build", "priors.build",
+                             "index.build", "priors.scan", "predict",
+                             "prediction.scan"]
+        assert engine == reference[:1] + ["resident.load"] + reference[1:]
 
     def test_serving_lookup_identical_with_telemetry_on(self, universe):
         seed = ScanPipeline(universe).seed_scan(0.05, seed=31)
