@@ -460,11 +460,14 @@ class PredictiveFeatureIndex:
         :class:`_PortMatcher` (a port without one is skipped before any
         feature is derived), which visits the matching predictors in the
         reference order P -> PA -> PN -> PAN, so an equal-probability tie
-        keeps the predictor the reference keeps.  On a batch the match is
-        memoized per (port, interned banner, network values): co-located
-        services with the same banner match once.  The candidates fold into
-        flat columns keyed by ``ip << 16 | port`` (ports are 16-bit) and
-        sort once; no per-service object is built.
+        keeps the predictor the reference keeps.  Each distinct address
+        derives its network values once per call (through the index's
+        shared memo), and each distinct network-values tuple gets a small
+        per-call id.  On a batch the match is memoized per (interned banner,
+        port, network-values id), packed into one int: co-located services
+        with the same banner match once.  The candidates fold into flat
+        columns keyed by ``ip << 16 | port`` (ports are 16-bit) and sort
+        once; no per-service object is built.
         """
         matchers = self._matchers
         net_values_of = self._net_values_of(
@@ -478,8 +481,13 @@ class PredictiveFeatureIndex:
         else:
             interned = local_banners = None
             rows = ((obs.ip, obs.port, obs.app_features) for obs in observations)
-        # (port, interned banner) -> network values -> the service's targets.
-        memo: Dict[int, Dict[Tuple[Tuple[str, int], ...], _Targets]] = {}
+        net_id_of_ip: Dict[int, int] = {}
+        net_ids: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        net_table: List[Tuple[Tuple[str, int], ...]] = []
+        # banner << 48 | port << 32 | network-values id -> the service's
+        # targets (an address has one network-values tuple, so a call has
+        # fewer than 2**32 of them).
+        memo: Dict[int, _Targets] = {}
         slots: Dict[int, int] = {}  # ip << 16 | port -> row, or -1 when known
         keys: List[int] = []
         probabilities: List[float] = []
@@ -488,20 +496,25 @@ class PredictiveFeatureIndex:
             matcher = matchers.get(port)
             if matcher is None:
                 continue
-            net_values = net_values_of(ip)
+            net_id = net_id_of_ip.get(ip)
+            if net_id is None:
+                net_values = net_values_of(ip)
+                net_id = net_ids.get(net_values)
+                if net_id is None:
+                    net_id = net_ids[net_values] = len(net_table)
+                    net_table.append(net_values)
+                net_id_of_ip[ip] = net_id
             if interned is None:
-                targets = matcher.match(banner, net_values, feature_config)
+                targets = matcher.match(banner, net_table[net_id], feature_config)
             elif banner >= 0:
-                by_net = memo.get(banner << 16 | port)
-                if by_net is None:
-                    by_net = memo[banner << 16 | port] = {}
-                targets = by_net.get(net_values)
+                match_key = (banner << 16 | port) << 32 | net_id
+                targets = memo.get(match_key)
                 if targets is None:
-                    targets = by_net[net_values] = matcher.match(
-                        interned(banner), net_values, feature_config)
+                    targets = memo[match_key] = matcher.match(
+                        interned(banner), net_table[net_id], feature_config)
             else:
-                targets = matcher.match(local_banners[-banner - 1], net_values,
-                                        feature_config)
+                targets = matcher.match(local_banners[-banner - 1],
+                                        net_table[net_id], feature_config)
             ip_key = ip << 16
             for target_port, probability, predictor_id in targets:
                 key = ip_key | target_port

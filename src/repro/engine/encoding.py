@@ -59,8 +59,17 @@ class DictionaryEncoder:
         return new_id
 
     def encode_column(self, values: Iterable[Hashable]) -> List[int]:
-        """Encode a whole column, returning the parallel list of ids."""
+        """Encode a whole column, returning the parallel list of ids.
+
+        A list or tuple whose values all have ids already is read in one
+        C-level pass; otherwise values are assigned ids in order.
+        """
         ids = self._ids
+        if isinstance(values, (list, tuple)):
+            try:
+                return list(map(ids.__getitem__, values))
+            except KeyError:
+                pass
         out: List[int] = []
         append = out.append
         for value in values:

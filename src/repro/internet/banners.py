@@ -62,6 +62,10 @@ def _digest(*parts: object) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
+#: Body hash of the static pseudo-service page, shared by every such target.
+_PSEUDO_STATIC_BODY_HASH = _digest("pseudo-static")
+
+
 class BannerFactory:
     """Builds application-layer feature dictionaries for synthetic services.
 
@@ -215,7 +219,7 @@ class BannerFactory:
             body_hash = _digest("pseudo-incident", ip, port)
             title = "Request blocked - Incident ID"
         else:
-            body_hash = _digest("pseudo-static")
+            body_hash = _PSEUDO_STATIC_BODY_HASH
             title = "No service is available on this address"
         return {
             "protocol": "http",

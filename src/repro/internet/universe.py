@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 
+from repro.engine.columns import IntColumn
 from repro.internet.banners import BannerFactory, BannerInterner
 from repro.internet.profiles import DeviceProfile, default_profiles
 from repro.internet.topology import (
@@ -103,6 +105,69 @@ class Host:
 
 
 @dataclass(frozen=True)
+class PortServices:
+    """The real services on one port as parallel columns, in address order.
+
+    Row ``i`` is the service at ``ips[i]``: the protocol LZR fingerprints,
+    the interned id of the banner ZGrab grabs and the TTL both observe.
+    The columns are built once with the universe's indices, so a prefix
+    sweep takes its real services as one slice of each column instead of
+    looking every responder's host and record up again.
+    """
+
+    ips: IntColumn
+    protocols: List[str]
+    banner_ids: IntColumn
+    ttls: IntColumn
+
+    def __len__(self) -> int:
+        return len(self.ips)
+
+
+_NO_SERVICES = PortServices(ips=IntColumn(), protocols=[],
+                            banner_ids=IntColumn(), ttls=IntColumn())
+
+
+@dataclass(frozen=True)
+class PrefixResponders:
+    """The addresses of one prefix that SYN-ACK on one port, split by kind.
+
+    Rows ``start:stop`` of ``services`` are the prefix's real services on
+    ``port``; ``others`` holds every other responder (pseudo services whose
+    range covers the port, middleboxes), ascending.  Only ``others`` needs
+    a per-target look at its host.
+    """
+
+    port: int
+    services: PortServices
+    start: int
+    stop: int
+    others: List[int]
+
+    def __len__(self) -> int:
+        return self.stop - self.start + len(self.others)
+
+    def ips(self) -> List[int]:
+        """Every responder, ascending."""
+        return sorted(chain(self.services.ips[self.start:self.stop],
+                            self.others))
+
+    def answered(self, responders: Sequence[int]) -> "PrefixResponders":
+        """The part of this split a sweep actually heard from.
+
+        ``responders`` is a sweep's observed subset of :meth:`ips`, in
+        order.  When nothing was dropped (always, once the retry budget
+        covers the loss bound) this split is returned as it is; otherwise
+        every answered address moves to ``others`` and resolves per target.
+        """
+        if len(responders) == len(self):
+            return self
+        return PrefixResponders(port=self.port, services=self.services,
+                                start=self.start, stop=self.start,
+                                others=list(responders))
+
+
+@dataclass(frozen=True)
 class UniverseConfig:
     """Parameters controlling universe generation.
 
@@ -162,8 +227,8 @@ class Universe:
         self.hosts = hosts
         self.topology = topology
         self.config = config
-        # port -> sorted list of IPs with a *real* service on that port.
-        self._port_index: Dict[int, List[int]] = {}
+        # port -> the *real* services on that port, as columns sorted by IP.
+        self._port_services: Dict[int, PortServices] = {}
         self._pseudo_ips: List[int] = []
         self._middlebox_ips: List[int] = []
         # Banner interner: every ground-truth banner dict is assigned a dense
@@ -175,23 +240,35 @@ class Universe:
     # -- index maintenance ---------------------------------------------------------
 
     def _rebuild_indices(self) -> None:
-        port_index: Dict[int, List[int]] = {}
+        columns: Dict[int, Tuple[List[int], List[str], List[int], List[int]]] = {}
         pseudo: List[int] = []
         middlebox: List[int] = []
         intern_banner = self.banners.intern
         for ip, host in self.hosts.items():
             for port, record in host.services.items():
-                port_index.setdefault(port, []).append(ip)
+                port_columns = columns.get(port)
+                if port_columns is None:
+                    port_columns = columns[port] = ([], [], [], [])
+                ips, protocols, banner_ids, ttls = port_columns
+                ips.append(ip)
+                protocols.append(record.protocol)
                 # Pre-intern every ground-truth banner so a scan hit resolves
                 # its banner id with one identity-cache lookup.
-                intern_banner(record.app_features)
+                banner_ids.append(intern_banner(record.app_features))
+                ttls.append(record.ttl)
             if host.is_pseudo_host():
                 pseudo.append(ip)
             if host.is_middlebox:
                 middlebox.append(ip)
-        for ips in port_index.values():
-            ips.sort()
-        self._port_index = port_index
+        port_services: Dict[int, PortServices] = {}
+        for port, (ips, protocols, banner_ids, ttls) in columns.items():
+            order = sorted(range(len(ips)), key=ips.__getitem__)
+            port_services[port] = PortServices(
+                ips=IntColumn([ips[row] for row in order]),
+                protocols=[protocols[row] for row in order],
+                banner_ids=IntColumn([banner_ids[row] for row in order]),
+                ttls=IntColumn([ttls[row] for row in order]))
+        self._port_services = port_services
         self._pseudo_ips = sorted(pseudo)
         self._middlebox_ips = sorted(middlebox)
 
@@ -254,16 +331,21 @@ class Universe:
 
     def ports_in_use(self) -> List[int]:
         """Ports with at least one real service, ascending."""
-        return sorted(self._port_index)
+        return sorted(self._port_services)
+
+    def port_services(self, port: int) -> PortServices:
+        """The real services on ``port`` as columns (empty when none)."""
+        return self._port_services.get(port, _NO_SERVICES)
 
     def ips_on_port(self, port: int) -> List[int]:
         """Sorted addresses with a real service on ``port``."""
-        return list(self._port_index.get(port, ()))
+        return list(self.port_services(port).ips)
 
     def port_registry(self) -> PortRegistry:
         """Per-port real-service counts (used by popularity-ordered baselines)."""
         return PortRegistry.from_counts(
-            {port: len(ips) for port, ips in self._port_index.items()}
+            {port: len(services)
+             for port, services in self._port_services.items()}
         )
 
     def address_space_size(self) -> int:
@@ -299,19 +381,31 @@ class Universe:
         pays the bandwidth cost of the exhaustive sweep; this method only
         avoids enumerating dark addresses.
         """
+        return self.prefix_responders(port, base, prefix_len).ips()
+
+    def prefix_responders(self, port: int, base: int,
+                          prefix_len: int) -> PrefixResponders:
+        """:meth:`responders_in_prefix`, split into real services and the rest.
+
+        The real services are a row range of :meth:`port_services`, found by
+        bisecting the sorted per-port index; the rest come from the small
+        sorted pseudo-host and middlebox pools.
+        """
         lo = prefix_of(base, prefix_len)
         hi = lo + prefix_size(prefix_len)
-        out: List[int] = []
-        ips = self._port_index.get(port)
-        if ips:
-            out.extend(ips[bisect_left(ips, lo):bisect_right(ips, hi - 1)])
+        services = self.port_services(port)
+        ips = services.ips
+        others: Set[int] = set()
         for pool in (self._pseudo_ips, self._middlebox_ips):
             for ip in pool[bisect_left(pool, lo):bisect_right(pool, hi - 1)]:
                 host = self.hosts[ip]
-                if host.is_middlebox or self.is_pseudo_responsive(ip, port):
+                if host.is_middlebox or host.is_pseudo_responsive_on(port):
                     if port not in host.services:
-                        out.append(ip)
-        return sorted(set(out))
+                        others.add(ip)
+        return PrefixResponders(port=port, services=services,
+                                start=bisect_left(ips, lo),
+                                stop=bisect_right(ips, hi - 1),
+                                others=sorted(others))
 
     def syn_ack(self, ip: int, port: int) -> bool:
         """Whether a single SYN probe to ``(ip, port)`` would be answered."""
@@ -363,7 +457,7 @@ class Universe:
         def window(pool: List[int]) -> Set[int]:
             return set(pool[bisect_left(pool, lo):bisect_right(pool, hi)])
 
-        open_ips = window(self._port_index.get(port, []))
+        open_ips = window(self.port_services(port).ips)
         middleboxes = window(self._middlebox_ips)
         pseudo = window(self._pseudo_ips)
         out: List[int] = []
@@ -379,7 +473,7 @@ class Universe:
         return {
             "hosts": len(self.hosts),
             "real_services": self.service_count(),
-            "ports_in_use": len(self._port_index),
+            "ports_in_use": len(self._port_services),
             "pseudo_hosts": len(self._pseudo_ips),
             "middleboxes": len(self._middlebox_ips),
             "autonomous_systems": len(self.topology),

@@ -48,11 +48,13 @@ class AsnDatabase:
     Announcements are indexed by prefix length so a lookup walks from the most
     specific (/32) to the least specific (/0) length present, returning the
     first match -- the standard longest-prefix-match semantics of BGP routing
-    tables.
+    tables.  The lengths present are kept sorted, most specific first, as
+    announcements are added.
     """
 
     def __init__(self, records: Iterable[AsnRecord] = ()) -> None:
         self._by_len: Dict[int, Dict[int, AsnRecord]] = {}
+        self._lengths: List[int] = []
         self._names: Dict[int, str] = {}
         for record in records:
             self.add(record)
@@ -66,7 +68,10 @@ class AsnDatabase:
         """
         if not 0 <= record.prefix_len <= 32:
             raise IPv4Error(f"prefix length out of range: {record.prefix_len}")
-        bucket = self._by_len.setdefault(record.prefix_len, {})
+        bucket = self._by_len.get(record.prefix_len)
+        if bucket is None:
+            bucket = self._by_len[record.prefix_len] = {}
+            self._lengths = sorted(self._by_len, reverse=True)
         key = prefix_of(record.base, record.prefix_len)
         if key in bucket:
             raise ValueError(f"duplicate announcement for {record.cidr()}")
@@ -76,7 +81,7 @@ class AsnDatabase:
 
     def lookup(self, ip: int) -> Optional[AsnRecord]:
         """Return the most specific announcement containing ``ip``, if any."""
-        for prefix_len in sorted(self._by_len, reverse=True):
+        for prefix_len in self._lengths:
             key = prefix_of(ip, prefix_len)
             record = self._by_len[prefix_len].get(key)
             if record is not None:
@@ -99,7 +104,7 @@ class AsnDatabase:
     def records(self) -> List[AsnRecord]:
         """All announcements, most specific first (for inspection/tests)."""
         out: List[AsnRecord] = []
-        for prefix_len in sorted(self._by_len, reverse=True):
+        for prefix_len in self._lengths:
             out.extend(self._by_len[prefix_len].values())
         return out
 

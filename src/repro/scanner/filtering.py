@@ -141,18 +141,16 @@ class PseudoServiceFilter:
             self._content_keys_interner = banners
         return self._content_keys
 
-    def _partition_batch(self, batch: ObservationBatch,
-                         ) -> Tuple[List[int], List[int], List[int], Set[int]]:
-        """Split a batch's row indices by filter outcome.
+    def _kept_rows(self, batch: ObservationBatch) -> List[int]:
+        """The row indices of a batch that survive both rules.
 
-        Returns ``(kept, removed_duplicate, removed_dense, flagged_hosts)``
-        row-index lists.  The grouping is one sort-based pass over the flat
-        columns: every ip is assigned its first-seen rank, all row indices
-        sort once by ``(rank, port)`` (stable, so equal ports keep probe
-        order), and hosts are the runs of equal ips in that order -- no
-        per-host list-of-lists is ever built.  ``kept`` therefore comes back
-        in host first-seen order with ports ascending within each host,
-        exactly the order :meth:`apply` emits.
+        The grouping is one sort-based pass over the flat columns: every ip
+        is assigned its first-seen rank, all row indices sort once by
+        ``(rank, port)`` (stable, so equal ports keep probe order), and
+        hosts are the runs of equal ips in that order -- no per-host
+        list-of-lists is ever built.  The rows therefore come back in host
+        first-seen order with ports ascending within each host, exactly the
+        order :meth:`apply` emits.
         """
         ips, ports = batch.ips, batch.ports
         banner_ids = batch.banner_ids
@@ -169,9 +167,6 @@ class PseudoServiceFilter:
         banner_features = batch.banners.features
         local_banners = batch.local_banners
         kept: List[int] = []
-        removed_duplicate: List[int] = []
-        removed_dense: List[int] = []
-        flagged: Set[int] = set()
         total = len(order)
         lo = 0
         while lo < total:
@@ -184,8 +179,6 @@ class PseudoServiceFilter:
             lo = hi
             # Rule 2 first: dense hosts are dropped wholesale.
             if len(indices) > self.max_services_per_host:
-                removed_dense.extend(indices)
-                flagged.add(ip)
                 continue
             # A host with fewer rows than the duplicate threshold cannot
             # form a removable content group; keep it without resolving any
@@ -223,23 +216,19 @@ class PseudoServiceFilter:
             for group in groups.values():
                 if len(group) >= self.min_duplicate_services:
                     removed.update(group)
-            if removed:
-                removed_duplicate.extend(i for i in indices if i in removed)
-                flagged.add(ip)
-                kept.extend(i for i in indices if i not in removed)
-            else:
-                kept.extend(indices)
-        return kept, removed_duplicate, removed_dense, flagged
+            kept.extend(i for i in indices if i not in removed)
+        return kept
 
     def filter_batch(self, batch: ObservationBatch) -> ObservationBatch:
         """Columnar :meth:`filter`: apply both rules to an observation batch.
 
-        Returns the surviving rows as a new batch (``batch.select(kept)``,
-        sharing the input's interner, status encoder and local banners)
-        whose rows materialize to exactly ``self.filter(batch.materialize())``
-        -- same surviving observations in the same order.  The filtering runs
+        Returns the surviving rows as a batch (a ``batch.select`` of the
+        kept rows, sharing the input's interner, status encoder and local
+        banners) whose rows materialize to exactly
+        ``self.filter(batch.materialize())`` -- same surviving observations
+        in the same order.  The filtering runs
         on the batch's flat columns (one sort-based grouping pass, see
-        :meth:`_partition_batch`) and the stripped-content key is computed
+        :meth:`_kept_rows`) and the stripped-content key is computed
         once per *distinct* interned banner id (then memoized across
         batches) instead of once per observation; no
         :class:`~repro.scanner.records.ScanObservation` is built.
@@ -248,34 +237,16 @@ class PseudoServiceFilter:
         deterministic per target, so equal pairs always carry equal banner
         ids and land in the same content group -- index-wise removal is
         therefore identical to :meth:`apply`'s pair-wise removal.
-        """
-        kept, _, _, _ = self._partition_batch(batch)
-        return batch.select(kept)
 
-    def apply_batch(self, batch: ObservationBatch,
-                    ) -> Tuple[ObservationBatch, FilterReport]:
-        """Columnar :meth:`apply`: filter a batch, keeping the columnar form.
-
-        Returns ``(kept_batch, report)``: the surviving rows as a new
-        :class:`~repro.scanner.records.ObservationBatch` sharing the input's
-        banner interner and status encoder, plus a :class:`FilterReport`
-        whose removed lists and ``flagged_hosts`` contain exactly the rows
-        :meth:`apply` over the materialized input would remove (removed rows
-        come back in host/port order rather than content-group order).
-        ``report.kept`` is deliberately left empty
-        -- the kept rows already exist as the returned batch, and
-        materializing them twice would defeat the point of staying columnar
-        (``removed_count()`` never consults ``kept``).
+        A batch whose addresses are all distinct (every single-port prefix
+        sweep) comes back as it is: one row per host can neither exceed
+        ``max_services_per_host`` (at least 1) nor form a content group of
+        ``min_duplicate_services`` (at least 2), and the kept order is the
+        input order.
         """
-        kept, removed_duplicate, removed_dense, flagged = (
-            self._partition_batch(batch))
-        row = batch.row
-        report = FilterReport(
-            removed_duplicate_content=[row(i) for i in removed_duplicate],
-            removed_dense_host=[row(i) for i in removed_dense],
-            flagged_hosts=flagged,
-        )
-        return batch.select(kept), report
+        if len(set(batch.ips)) == len(batch):
+            return batch
+        return batch.select(self._kept_rows(batch))
 
 
 def filter_quality(report: FilterReport,

@@ -22,12 +22,14 @@ charged to the same ledger category as the scan that discovered the target.
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.faults import ProbeLossModel
-from repro.internet.universe import Universe
+from repro.internet.universe import PrefixResponders, Universe
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
 
 #: Extra packets LZR exchanges per responsive target (ACK + data / RST).
@@ -79,6 +81,65 @@ class FingerprintBatch:
 
     def __len__(self) -> int:
         return len(self.ips)
+
+
+@dataclass
+class PrefixFingerprints(FingerprintBatch):
+    """A prefix sweep's fingerprints, carrying its real services' banners.
+
+    The rows of real services are slices of the universe's per-port
+    columns, so their ground-truth banner ids ride along in ``banner_ids``
+    for ZGrab.  The rows listed in ``pending`` (the responders resolved per
+    target) hold a placeholder there: ZGrab grabs their banners itself.
+    Every column is an int64 ``array``, which the observation batch copies
+    in bulk.
+    """
+
+    banner_ids: array = field(default_factory=lambda: array("q"))
+    pending: List[int] = field(default_factory=list)
+
+    @classmethod
+    def of_services(cls, found: PrefixResponders,
+                    statuses: DictionaryEncoder) -> "PrefixFingerprints":
+        """Rows ``found.start:found.stop`` of the real services, as slices."""
+        services, start, stop = found.services, found.start, found.stop
+        return cls(statuses=statuses,
+                   ips=services.ips[start:stop],
+                   ports=array("q", [found.port]) * (stop - start),
+                   status=array("q", statuses.encode_column(
+                       services.protocols[start:stop])),
+                   ttls=services.ttls[start:stop],
+                   banner_ids=services.banner_ids[start:stop])
+
+    def insert_pending(self, ip: int, port: int, status_id: int,
+                       ttl: int) -> None:
+        """Merge one per-target row in at its address.
+
+        Rows must arrive in ascending address order, so earlier
+        ``pending`` rows never shift.
+        """
+        row = bisect_left(self.ips, ip)
+        self.pending.append(row)
+        self.ips.insert(row, ip)
+        self.ports.insert(row, port)
+        self.status.insert(row, status_id)
+        self.ttls.insert(row, ttl)
+        self.banner_ids.insert(row, -1)
+
+    def without(self, rows: Sequence[int]) -> "PrefixFingerprints":
+        """A copy without the given rows."""
+        dropped = set(rows)
+        kept = [i for i in range(len(self.ips)) if i not in dropped]
+        new_index = {old: new for new, old in enumerate(kept)}
+
+        def take(column: array) -> array:
+            return array("q", [column[i] for i in kept])
+
+        return PrefixFingerprints(
+            statuses=self.statuses, ips=take(self.ips), ports=take(self.ports),
+            status=take(self.status), ttls=take(self.ttls),
+            banner_ids=take(self.banner_ids),
+            pending=[new_index[i] for i in self.pending if i not in dropped])
 
 
 class LZRSimulator:
@@ -213,5 +274,49 @@ class LZRSimulator:
         self.ledger.record(category,
                            probes=PROBES_PER_FINGERPRINT * (len(ips) + retried),
                            responses=PROBES_PER_FINGERPRINT * responded,
+                           retransmits=PROBES_PER_FINGERPRINT * retried)
+        return batch
+
+    def fingerprint_prefix_columns(self, found: PrefixResponders,
+                                   category: ScanCategory = ScanCategory.OTHER,
+                                   statuses: Optional[DictionaryEncoder] = None,
+                                   ) -> PrefixFingerprints:
+        """:meth:`fingerprint_batch_columns` for one prefix sweep's responders.
+
+        Same rows in the same (address) order and identical ledger totals as
+        fingerprinting ``found.ips()`` on ``found.port`` -- but the real
+        services come in as slices of the universe's per-port columns, with
+        no host or record lookup.  Only ``found.others`` resolve per target
+        (a pseudo page speaks HTTP, a middlebox stays silent, a real service
+        the sweep could not place in the slice reads its record); their rows
+        merge in at their address.  Under a loss model the handshake draws
+        run over the merged rows, as they would target by target.
+        """
+        statuses = statuses if statuses is not None else DictionaryEncoder()
+        pseudo_status = statuses.encode("http")
+        batch = PrefixFingerprints.of_services(found, statuses)
+        port = found.port
+        hosts_get = self.universe.hosts.get
+        for ip in found.others:
+            host = hosts_get(ip)
+            record = host.services.get(port) if host is not None else None
+            if record is not None:
+                batch.insert_pending(ip, port, statuses.encode(record.protocol),
+                                     record.ttl)
+            elif host is not None and host.is_pseudo_responsive_on(port):
+                batch.insert_pending(ip, port, pseudo_status, host.base_ttl)
+        retried = 0
+        if self.loss is not None:
+            lost: List[int] = []
+            for row, ip in enumerate(batch.ips):
+                attempts, observed = self._handshake_attempts(ip, port)
+                retried += attempts - 1
+                if not observed:
+                    lost.append(row)
+            if lost:
+                batch = batch.without(lost)
+        self.ledger.record(category,
+                           probes=PROBES_PER_FINGERPRINT * (len(found) + retried),
+                           responses=PROBES_PER_FINGERPRINT * len(batch),
                            retransmits=PROBES_PER_FINGERPRINT * retried)
         return batch

@@ -16,9 +16,16 @@ scan shapes the paper's system needs:
   lookups and ledger charges across each per-(prefix, port) batch instead of
   paying them per pair.
 
-Every shape runs the *columnar* layers (``scan_pair_batch_columns``,
-``fingerprint_batch_columns``, ``grab_batch_columns`` and the columnar
-pseudo-service filter), which fold hits into flat int columns.
+Every shape runs the *columnar* layers, which fold hits into flat int
+columns.  The seed sweep and the batched prediction scan chain
+``fingerprint_batch_columns`` -> ``grab_batch_columns`` -> the columnar
+pseudo-service filter, resolving every target's host.  ``scan_prefix`` keeps
+ZMap's sweep but takes the prefix's real services as one slice of the
+universe's per-port columns
+(:meth:`~repro.internet.universe.Universe.prefix_responders`), so only the
+pseudo pages and middleboxes among its responders resolve per target
+(``fingerprint_prefix_columns`` -> ``grab_prefix_columns``); a single-port
+sweep has one row per address, which the filter passes through untouched.
 ``scan_prefix`` and the batched prediction scan return the
 :class:`~repro.scanner.records.ObservationBatch` itself, whose
 :class:`~repro.scanner.records.ScanObservation` rows materialize only when a
@@ -27,7 +34,7 @@ layer methods (``zmap.scan_pairs``, ``fingerprint_many``, ``grab_many``,
 ``filter``) are the reference oracle:
 unbatched :meth:`ScanPipeline.scan_pairs` chains them, and every columnar
 shape is defined as producing the same observations in the same order with
-identical ledger charges.
+identical ledger charges, lossless or under a loss model.
 
 Every probe sent is charged to a :class:`~repro.scanner.bandwidth.BandwidthLedger`
 so that each experiment can report cost in the paper's unit of "100 % scans".
@@ -193,8 +200,9 @@ class ScanPipeline:
         batch = self._sweep_hosts_columnar(sampled, port_tuple, ScanCategory.SEED)
         removed = 0
         if apply_filter:
-            batch, report = self.pseudo_filter.apply_batch(batch)
-            removed = report.removed_count()
+            kept = self.pseudo_filter.filter_batch(batch)
+            removed = len(batch) - len(kept)
+            batch = kept
         if sweep_t0 is not None:
             self._observe_sweep("seed", time.perf_counter() - sweep_t0)
         return SeedScanResult(observations=batch.materialize(),
@@ -209,12 +217,20 @@ class ScanPipeline:
 
         ``subnet`` is either a packed subnet key (see
         :func:`repro.net.ipv4.subnet_key`) or a ``(base, prefix_len)`` tuple.
-        The responders run through the columnar LZR/ZGrab layers and the
-        columnar filter, and come back as the filtered
+        ZMap sweeps and charges the prefix as always.  The real services
+        among its responders are one row range of the universe's per-port
+        columns (protocol, interned banner id, TTL), found by the same
+        bisect bounds the sweep uses, and arrive as column slices; only the
+        other responders (pseudo pages, middleboxes) look their host up, in
+        ``fingerprint_prefix_columns`` and ``grab_prefix_columns``, which
+        merge them in at their address.  If the sweep lost a responder for
+        good (a retry budget below the loss bound), every answered responder
+        resolves per target instead.  The result is the filtered
         :class:`~repro.scanner.records.ObservationBatch`: its rows
         materialize to the same observations, in the same order, with the
         same ledger charges as chaining ``fingerprint_many`` -> ``grab_many``
-        -> ``filter``; the rows are read-only interner views.
+        -> ``filter`` over ZMap's responders, lossless or lossy; the rows are
+        read-only interner views.
         """
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
         if isinstance(subnet, tuple):
@@ -222,7 +238,11 @@ class ScanPipeline:
         else:
             base, length = subnet_key_parts(subnet)
         responders = self.zmap.scan_prefix(port, base, length, category=category)
-        batch = self._grab_columns(responders, [port] * len(responders), category)
+        found = self.universe.prefix_responders(port, base, length)
+        fingerprints = self.lzr.fingerprint_prefix_columns(
+            found.answered(responders), category=category,
+            statuses=self._status_encoder)
+        batch = self.zgrab.grab_prefix_columns(fingerprints, category=category)
         if apply_filter:
             batch = self.pseudo_filter.filter_batch(batch)
         if sweep_t0 is not None:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import time
 from types import MappingProxyType
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.engine.faults import ProbeLossModel
 from repro.internet.banners import BannerFactory
 from repro.internet.universe import Universe
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
-from repro.scanner.lzr import FingerprintBatch, FingerprintResult
+from repro.scanner.lzr import FingerprintBatch, FingerprintResult, PrefixFingerprints
 from repro.scanner.records import ObservationBatch, ScanObservation
 
 #: Packets exchanged to complete a typical application handshake and banner grab.
@@ -172,5 +172,62 @@ class ZGrabSimulator:
         self.ledger.record(
             category, probes=PROBES_PER_HANDSHAKE * (handshakes + retried),
             responses=PROBES_PER_HANDSHAKE * (answered if lossy else handshakes),
+            retransmits=PROBES_PER_HANDSHAKE * retried)
+        return batch
+
+    def grab_prefix_columns(self, fingerprints: PrefixFingerprints,
+                            category: ScanCategory = ScanCategory.OTHER,
+                            ) -> ObservationBatch:
+        """:meth:`grab_batch_columns` for one prefix sweep's fingerprints.
+
+        Same rows, order and ledger totals, but the columns copy over
+        whole: the real services' banner ids arrived with the fingerprints,
+        so only the ``pending`` rows look their host up -- a real record
+        resolves through the interner, a pseudo page is built as in
+        :meth:`grab_batch_columns`.  Under a loss model the handshake draws
+        run over every row first, and rows whose banner was lost drop out.
+        """
+        universe = self.universe
+        handshakes = len(fingerprints)
+        retried = 0
+        dropped: Set[int] = set()
+        if self.loss is not None:
+            for row, (ip, port) in enumerate(zip(fingerprints.ips,
+                                                 fingerprints.ports)):
+                attempts, observed = self._handshake_attempts(ip, port)
+                retried += attempts - 1
+                if not observed:
+                    dropped.add(row)
+        answered = handshakes - len(dropped)
+        batch = ObservationBatch(banners=universe.banners,
+                                 statuses=fingerprints.statuses)
+        batch.ips.extend(fingerprints.ips)
+        batch.ports.extend(fingerprints.ports)
+        batch.status.extend(fingerprints.status)
+        batch.banner_ids.extend(fingerprints.banner_ids)
+        batch.ttls.extend(fingerprints.ttls)
+        for row in fingerprints.pending:
+            if row in dropped:
+                continue
+            ip, port = batch.ips[row], batch.ports[row]
+            host = universe.hosts.get(ip)
+            record = host.services.get(port) if host is not None else None
+            if record is not None:
+                batch.banner_ids[row] = universe.banner_id_of(record)
+            elif host is not None and host.is_pseudo_responsive_on(port):
+                features = self.banner_factory.pseudo_service_features(
+                    ip, host.pseudo_incident_style, port=port)
+                batch.banner_ids[row] = (
+                    batch.add_local_banner(MappingProxyType(features))
+                    if host.pseudo_incident_style
+                    else universe.banners.intern_value(features))
+            else:
+                dropped.add(row)
+        if dropped:
+            batch = batch.select([row for row in range(len(batch))
+                                  if row not in dropped])
+        self.ledger.record(
+            category, probes=PROBES_PER_HANDSHAKE * (handshakes + retried),
+            responses=PROBES_PER_HANDSHAKE * answered,
             retransmits=PROBES_PER_HANDSHAKE * retried)
         return batch

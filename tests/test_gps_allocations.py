@@ -19,8 +19,11 @@ from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.core.predictions import PredictedService
 from repro.datasets.split import split_seed_test
+from repro.internet.universe import Universe
+from repro.scanner.lzr import LZRSimulator
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ScanObservation
+from repro.scanner.zgrab import ZGrabSimulator
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +99,55 @@ def test_dataset_split_engine_run_builds_no_row_objects(small_universe, lzr_spli
     assert constructions == {"predicted": 0, "observed": 0,
                              "observed_in_seed_scan": 0}
     _assert_rows_build_on_read(result, constructions)
+
+
+def test_priors_scan_resolves_real_services_without_per_target_calls(
+        small_universe, lzr_split, monkeypatch):
+    """The priors scan takes its real services from the universe's port columns.
+
+    Every (ip, port) handed to a per-target LZR, ZGrab or ground-truth
+    lookup while ``scan_prefix`` runs is recorded; none of them may be a
+    real service the scan returned.  Pseudo pages and middleboxes still
+    resolve per target.
+    """
+    dataset, seed = lzr_split
+    in_priors = [False]
+    targets = []
+    scan_prefix = ScanPipeline.scan_prefix
+
+    def flagged_scan_prefix(self, *args, **kwargs):
+        in_priors[0] = True
+        try:
+            return scan_prefix(self, *args, **kwargs)
+        finally:
+            in_priors[0] = False
+
+    def spy(cls, name, pairs_of):
+        original = getattr(cls, name)
+
+        def recording(self, *args, **kwargs):
+            if in_priors[0]:
+                targets.extend(pairs_of(*args))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, recording)
+
+    monkeypatch.setattr(ScanPipeline, "scan_prefix", flagged_scan_prefix)
+    spy(LZRSimulator, "fingerprint", lambda ip, port, *rest: [(ip, port)])
+    spy(LZRSimulator, "fingerprint_batch_columns",
+        lambda ips, ports, *rest: list(zip(ips, ports)))
+    spy(ZGrabSimulator, "grab", lambda found, *rest: [(found.ip, found.port)])
+    spy(ZGrabSimulator, "grab_batch_columns",
+        lambda found, *rest: list(zip(found.ips, found.ports)))
+    spy(Universe, "lookup", lambda ip, port: [(ip, port)])
+    spy(Universe, "banner_id_of", lambda record: [(record.ip, record.port)])
+
+    config = GPSConfig(seed_fraction=dataset.sample_fraction / 2,
+                       port_domain=dataset.port_domain, use_engine=True)
+    with GPS(ScanPipeline(small_universe), config) as gps:
+        result = gps.run(seed=seed, seed_cost_probes=0)
+    priors = result.priors_observations
+    real = {(ip, port) for ip, port in zip(priors.ips, priors.ports)
+            if port in small_universe.hosts[ip].services}
+    assert real and len(real) < len(priors)  # pseudo pages came through too
+    assert not real & set(targets)

@@ -145,6 +145,40 @@ class TestQueries:
         assert ips == sorted(ips)
         assert all(port in universe.hosts[ip].services for ip in ips)
 
+    def test_port_services_columns_match_records(self, universe):
+        ports = universe.ports_in_use()
+        assert sum(len(universe.port_services(port)) for port in ports) \
+            == universe.service_count()
+        for port in ports:
+            services = universe.port_services(port)
+            assert list(services.ips) == universe.ips_on_port(port)
+            assert (len(services.protocols) == len(services.banner_ids)
+                    == len(services.ttls) == len(services))
+            for row, ip in enumerate(services.ips):
+                record = universe.hosts[ip].services[port]
+                assert services.protocols[row] == record.protocol
+                assert services.ttls[row] == record.ttl
+                assert services.banner_ids[row] == universe.banner_id_of(record)
+        assert len(universe.port_services(0)) == 0
+
+    def test_prefix_responders_split_the_sweep(self, universe):
+        hosts = universe.hosts.values()
+        middlebox = next(host for host in hosts if host.is_middlebox)
+        pseudo = next(host for host in hosts if host.is_pseudo_host())
+        top_port = universe.port_registry().top_ports(1)[0]
+        for port, ip in [(top_port, middlebox.ip),
+                         (pseudo.pseudo_port_range[0], pseudo.ip)]:
+            base, length = ip >> 16 << 16, 16
+            found = universe.prefix_responders(port, base, length)
+            real = list(found.services.ips[found.start:found.stop])
+            assert real == [addr for addr in universe.ips_on_port(port)
+                            if ip_in_prefix(addr, base, length)]
+            assert ip in found.others
+            assert all(port not in universe.hosts[other].services
+                       for other in found.others)
+            assert found.ips() == universe.responders_in_prefix(port, base, length)
+            assert len(found) == len(found.ips())
+
     def test_responders_in_prefix_subset_of_prefix(self, universe):
         port = universe.port_registry().top_ports(1)[0]
         system = universe.topology.systems[0]

@@ -41,6 +41,15 @@ class TestAsnDatabase:
         ])
         assert db.asn_of(parse_ip("10.1.2.3")) == 65001
         assert db.asn_of(parse_ip("10.200.2.3")) == 65000
+        # Lengths added after a lookup take part in the next one, in order.
+        db.add(_record("10.1.2.0", 24, 65002, "Finer"))
+        assert db.asn_of(parse_ip("10.1.2.3")) == 65002
+        db.add(_record("10.0.0.0", 12, 65003, "Middle"))
+        assert db.asn_of(parse_ip("10.1.2.3")) == 65002
+        assert db.asn_of(parse_ip("10.1.3.3")) == 65001
+        assert db.asn_of(parse_ip("10.5.0.1")) == 65003
+        assert db.asn_of(parse_ip("10.200.2.3")) == 65000
+        assert [r.prefix_len for r in db.records()] == [24, 16, 12, 8]
 
     def test_duplicate_announcement_rejected(self):
         db = AsnDatabase([_record("10.1.0.0", 16, 65001)])

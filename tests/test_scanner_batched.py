@@ -256,6 +256,38 @@ class TestColumnarScanShapes:
         assert columnar.ledger.retransmits == oracle.ledger.retransmits
         assert (columnar.ledger.total_retransmits() > 0) == (fault_plan is not None)
 
+    @pytest.mark.parametrize("short_layers", [("zmap", "lzr", "zgrab"),
+                                              ("lzr",), ("zgrab",)],
+                             ids=["all", "lzr", "zgrab"])
+    def test_lossy_scan_prefix_with_short_retries_matches_per_pair_chain(
+            self, universe, short_layers):
+        # With no retries under loss, ZMap drops responders and LZR/ZGrab
+        # drop rows; the column slices must drop exactly what the per-pair
+        # chain drops, and charge what it charges.
+        pipelines = []
+        for _ in range(2):
+            pipeline = ScanPipeline(universe, fault_plan=LOSS)
+            for name in short_layers:
+                getattr(pipeline, name).max_retries = 0
+            pipelines.append(pipeline)
+        columnar, oracle = pipelines
+        lossless = ScanPipeline(universe)
+        category = ScanCategory.PRIORS
+        dropped = 0
+        for port, subnet in _prefix_targets(universe):
+            responders = oracle.zmap.scan_prefix(port, *subnet, category=category)
+            fingerprints = oracle.lzr.fingerprint_many(
+                ((ip, port) for ip in responders), category=category)
+            expected = oracle.zgrab.grab_many(fingerprints, category=category)
+            observed = columnar.scan_prefix(port, subnet, category=category,
+                                            apply_filter=False)
+            assert observed.materialize() == expected
+            dropped += len(lossless.scan_prefix(port, subnet,
+                                                apply_filter=False)) - len(observed)
+        assert dropped > 0
+        assert columnar.ledger.snapshot() == oracle.ledger.snapshot()
+        assert columnar.ledger.retransmits == oracle.ledger.retransmits
+
     @FAULT_PLANS
     def test_seed_sweep_middlebox_sample_matches_per_pair_chain(
             self, universe, fault_plan):
@@ -365,8 +397,14 @@ class TestColumnarFilter:
                 pairs.extend((host.ip, lo + offset) for offset in range(12))
         pipeline = ScanPipeline(universe)
         batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
-        assert pipeline.pseudo_filter.filter_batch(batch).materialize() == \
-            pipeline.pseudo_filter.filter(batch.materialize())
+        # A one-port prefix sweep: every address distinct, pseudo pages and
+        # middleboxes among its responders.
+        port, subnet = _prefix_targets(universe)[0]
+        prefix_batch = pipeline.scan_prefix(port, subnet, apply_filter=False)
+        assert len(set(prefix_batch.ips)) == len(prefix_batch) > 1
+        for each in (batch, prefix_batch):
+            assert pipeline.pseudo_filter.filter_batch(each).materialize() == \
+                pipeline.pseudo_filter.filter(each.materialize())
 
     def test_filter_batch_drops_pseudo_hosts(self, universe):
         pseudo_hosts = [host for host in universe.hosts.values()

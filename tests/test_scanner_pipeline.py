@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.scanner.bandwidth import ScanCategory
+from repro.scanner.filtering import PseudoServiceFilter
 from repro.scanner.pipeline import ScanPipeline
 
 
@@ -46,7 +47,10 @@ class TestSeedScan:
         unfiltered = ScanPipeline(universe).seed_scan(0.01, seed=3, apply_filter=False)
         filtered = ScanPipeline(universe).seed_scan(0.01, seed=3, apply_filter=True)
         assert len(filtered.observations) <= len(unfiltered.observations)
-        assert filtered.removed_pseudo_services >= 0
+        report = PseudoServiceFilter().apply(unfiltered.observations)
+        assert report.removed_count() > 0
+        assert filtered.removed_pseudo_services == report.removed_count()
+        assert filtered.observations == report.kept
 
     def test_seed_scan_deterministic_given_seed(self, universe):
         first = ScanPipeline(universe).seed_scan(0.005, seed=4)
