@@ -16,10 +16,17 @@ GPS uses the features of those services to predict every remaining service:
    GPS its precision profile in Figure 3).
 
 :meth:`PredictiveFeatureIndex.predict` runs step 2 on per-port match tables
-compiled once from the list, reads the priors scan's observation columns
-directly and returns the ordered list as columns (:class:`Predictions`);
-:meth:`PredictiveFeatureIndex.predict_reference` is the dictionary oracle it
-equals row for row.
+compiled once from the list and returns the ordered list as columns
+(:class:`Predictions`).  It takes one of two routes, picked by the input's
+type.  The priors scan's :class:`~repro.scanner.records.ObservationBatch`
+folds in numpy array passes over its columns: one match per distinct
+(banner, port, network values) key, then one expansion, deduplication and
+sort over every candidate.  An iterable of
+:class:`~repro.scanner.records.ScanObservation` -- served lookups, bulk
+predictions, known hosts, usually a handful of rows -- runs a row loop,
+whose network values come from a per-index memo, because the array passes
+carry a fixed cost per call.  :meth:`PredictiveFeatureIndex.predict_reference`
+is the dictionary oracle both routes equal row for row.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -42,6 +50,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.config import FeatureConfig
 from repro.core.features import (
     HostFeatureColumns,
@@ -52,7 +62,9 @@ from repro.core.features import (
 )
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
+from repro.engine.columns import as_numpy
 from repro.net.asn import AsnDatabase
+from repro.net.ipv4 import prefix_mask
 from repro.scanner.records import ObservationBatch, ScanObservation
 
 #: Prefix length prediction probes are grouped by before they reach the scan
@@ -62,12 +74,13 @@ from repro.scanner.records import ObservationBatch, ScanObservation
 #: reordering the probability-ordered schedule by more than a batch.
 PREDICTION_BATCH_PREFIX_LEN = 16
 
-#: Upper bound on the per-index network-feature memo used by
-#: :meth:`PredictiveFeatureIndex.predict`.  The memo persists across predict
-#: calls (GPS rounds against the same universe hit the same hosts again), so
-#: without a bound it would grow with every distinct address ever predicted
-#: from; at the bound the least-recently-used entry is evicted, so hosts
-#: that keep reappearing across rounds stay memoized under pressure.
+#: Upper bound on the per-index network-feature memo that the row route of
+#: :meth:`PredictiveFeatureIndex.predict` (served lookups) and
+#: :meth:`~PredictiveFeatureIndex.predict_reference` read.  A served index
+#: lives across many calls, so without a bound the memo would grow with
+#: every distinct address ever looked up; at the bound the least-recently-used
+#: entry is evicted, so hosts that keep reappearing stay memoized under
+#: pressure.  A GPS run builds a fresh index, so there it starts cold.
 NET_FEATURE_CACHE_MAX = 65536
 
 
@@ -172,6 +185,13 @@ class Predictions(Sequence[PredictedService]):
 #: ``(target port, probability, predictor id)`` triples in index order.
 _Targets = Tuple[Tuple[int, float, int], ...]
 
+#: One :data:`_Targets` triple as a numpy record, for the batch route's expansion.
+_TARGET_DTYPE = np.dtype([("port", np.int64), ("probability", np.float64),
+                          ("predictor", np.int64)])
+
+#: An ``(ip, port)`` pair as a numpy record, for packing known pairs.
+_PAIR_DTYPE = np.dtype([("ip", np.int64), ("port", np.int64)])
+
 
 class _PortMatcher:
     """The index entries whose predictor sits on one port, keyed by value.
@@ -187,13 +207,15 @@ class _PortMatcher:
     service never predicts its own port.
     """
 
-    __slots__ = ("transport", "app", "network", "app_network")
+    __slots__ = ("transport", "app", "network", "app_network", "_app_keys")
 
     def __init__(self) -> None:
         self.transport: _Targets = ()
         self.app: Dict[str, Dict[str, _Targets]] = {}
         self.network: Dict[Tuple[str, int], _Targets] = {}
         self.app_network: Dict[str, Dict[str, Dict[Tuple[str, int], _Targets]]] = {}
+        # (a config's app keys, the ones this matcher files, in that order)
+        self._app_keys: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
 
     def add(self, predictor: PredictorTuple, targets: _Targets) -> None:
         """File one predictor's targets under its family and values."""
@@ -209,6 +231,20 @@ class _PortMatcher:
             by_value.setdefault(predictor[3], {})[predictor[4:6]] = targets
         # Any other shape is never derived from an observation, so it never
         # matches (the reference predict agrees by construction).
+        self._app_keys = ((), ())
+
+    def app_keys(self, config_keys: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The keys of ``config_keys`` this matcher files, in config order.
+
+        Compiled once per config: the last config's keys are kept, and a
+        call with the same tuple reuses them.
+        """
+        compiled = self._app_keys
+        if compiled[0] is not config_keys:
+            filed = self.app.keys() | self.app_network.keys()
+            compiled = self._app_keys = (
+                config_keys, tuple(key for key in config_keys if key in filed))
+        return compiled[1]
 
     def match(self, features: Mapping[str, str],
               net_values: Sequence[Tuple[str, int]],
@@ -230,7 +266,7 @@ class _PortMatcher:
         crossed = self.app_network if config.include_app_network else {}
         if app or crossed:
             get = features.get
-            for key in config.app_feature_keys:
+            for key in self.app_keys(config.app_feature_keys):
                 by_value = app.get(key)
                 crossed_by_value = crossed.get(key)
                 if by_value is None and crossed_by_value is None:
@@ -297,6 +333,7 @@ class PredictiveFeatureIndex:
                 if matcher is None:
                     matcher = self._matchers[port] = _PortMatcher()
                 matcher.add(predictor, compiled)
+        self._matcher_ports = np.array(sorted(self._matchers), dtype=np.int64)
         # Bounded LRU memo for network_feature_values, shared across predict
         # calls; keyed per (asn_db, feature kinds) identity so an index
         # reused against a different universe never serves stale features.
@@ -392,11 +429,13 @@ class PredictiveFeatureIndex:
         Network-layer features depend only on the address, and hosts with
         several discovered services appear once per service; memoize per IP
         so the ASN lookup and subnet derivations run once per host.  The
-        memo lives on the index and persists across GPS rounds, but is
-        bounded (NET_FEATURE_CACHE_MAX, LRU eviction: a hit refreshes the
-        entry, the stalest entry goes first) so long-running multi-round
-        deployments cannot grow it without limit while hot hosts stay
-        memoized, and it is keyed per (asn_db, kinds) so reuse against
+        memo lives on the index and serves the row route (served lookups
+        against one long-lived index); a GPS run's fresh index starts it
+        cold, and the batch route derives network values as arrays instead.
+        It is bounded (NET_FEATURE_CACHE_MAX, LRU eviction: a hit refreshes
+        the entry, the stalest entry goes first) so a long-lived served
+        index cannot grow it without limit while hot hosts stay memoized,
+        and it is keyed per (asn_db, kinds) so reuse against
         another universe resets it (the rekey check takes the lock, so a
         concurrent predict against a different universe cannot resurrect
         the stale dict).  The serving layer calls predict from many threads
@@ -460,61 +499,43 @@ class PredictiveFeatureIndex:
         :class:`_PortMatcher` (a port without one is skipped before any
         feature is derived), which visits the matching predictors in the
         reference order P -> PA -> PN -> PAN, so an equal-probability tie
-        keeps the predictor the reference keeps.  Each distinct address
-        derives its network values once per call (through the index's
-        shared memo), and each distinct network-values tuple gets a small
-        per-call id.  On a batch the match is memoized per (interned banner,
-        port, network-values id), packed into one int: co-located services
-        with the same banner match once.  The candidates fold into flat
-        columns keyed by ``ip << 16 | port`` (ports are 16-bit) and sort
-        once; no per-service object is built.
+        keeps the predictor the reference keeps.  The input's type picks the
+        route: a batch (GPS's priors scan) folds in numpy array passes
+        (:meth:`_predict_batch`), and row objects (served lookups, bulk
+        predictions, known hosts) in a row loop (:meth:`_predict_rows`),
+        whose cost stays proportional to the handful of rows a lookup
+        carries.
+        """
+        if isinstance(observations, ObservationBatch):
+            return self._predict_batch(observations, asn_db, feature_config,
+                                       known_pairs)
+        return self._predict_rows(observations, asn_db, feature_config,
+                                  known_pairs)
+
+    def _predict_rows(self, observations: Iterable[ScanObservation],
+                      asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
+                      known_pairs: Optional[Set[Tuple[int, int]]]) -> Predictions:
+        """:meth:`predict` over row objects: one match per row.
+
+        Each address derives its network values through the index's memo;
+        the candidates fold into flat columns keyed by ``ip << 16 | port``
+        (ports are 16-bit) and sort once.
         """
         matchers = self._matchers
         net_values_of = self._net_values_of(
             asn_db, feature_config.network_feature_kinds)
         known = known_pairs or ()
-        if isinstance(observations, ObservationBatch):
-            interned = observations.banners.features
-            local_banners = observations.local_banners
-            rows: Iterable = zip(observations.ips, observations.ports,
-                                 observations.banner_ids)
-        else:
-            interned = local_banners = None
-            rows = ((obs.ip, obs.port, obs.app_features) for obs in observations)
-        net_id_of_ip: Dict[int, int] = {}
-        net_ids: Dict[Tuple[Tuple[str, int], ...], int] = {}
-        net_table: List[Tuple[Tuple[str, int], ...]] = []
-        # banner << 48 | port << 32 | network-values id -> the service's
-        # targets (an address has one network-values tuple, so a call has
-        # fewer than 2**32 of them).
-        memo: Dict[int, _Targets] = {}
         slots: Dict[int, int] = {}  # ip << 16 | port -> row, or -1 when known
         keys: List[int] = []
         probabilities: List[float] = []
         predictor_ids: List[int] = []
-        for ip, port, banner in rows:
+        for observation in observations:
+            ip, port = observation.ip, observation.port
             matcher = matchers.get(port)
             if matcher is None:
                 continue
-            net_id = net_id_of_ip.get(ip)
-            if net_id is None:
-                net_values = net_values_of(ip)
-                net_id = net_ids.get(net_values)
-                if net_id is None:
-                    net_id = net_ids[net_values] = len(net_table)
-                    net_table.append(net_values)
-                net_id_of_ip[ip] = net_id
-            if interned is None:
-                targets = matcher.match(banner, net_table[net_id], feature_config)
-            elif banner >= 0:
-                match_key = (banner << 16 | port) << 32 | net_id
-                targets = memo.get(match_key)
-                if targets is None:
-                    targets = memo[match_key] = matcher.match(
-                        interned(banner), net_table[net_id], feature_config)
-            else:
-                targets = matcher.match(local_banners[-banner - 1],
-                                        net_table[net_id], feature_config)
+            targets = matcher.match(observation.app_features, net_values_of(ip),
+                                    feature_config)
             ip_key = ip << 16
             for target_port, probability, predictor_id in targets:
                 key = ip_key | target_port
@@ -539,6 +560,86 @@ class PredictiveFeatureIndex:
                            array("q", [keys[i] & 0xFFFF for i in order]),
                            array("d", [probabilities[i] for i in order]),
                            array("q", [predictor_ids[i] for i in order]),
+                           self._predictor_table)
+
+    def _predict_batch(self, batch: ObservationBatch,
+                       asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
+                       known_pairs: Optional[Set[Tuple[int, int]]]) -> Predictions:
+        """:meth:`predict` over a batch's columns, in numpy array passes.
+
+        1. Every distinct address of a row with a matcher gets a
+           network-values id: subnet keys come from arithmetic, the ASN from
+           :meth:`~repro.net.asn.AsnDatabase.asn_of_many`.
+        2. ``match`` runs once per distinct (banner id, port, network-values
+           id) key.  Each id is the inverse of an ``np.unique`` over the
+           previous id times the next column's width, so no id assumes a
+           bit width.
+        3. The keys' targets expand in row order (``np.repeat``); a stable
+           ``lexsort`` on (pair key, -probability) keeps per
+           ``ip << 16 | port`` the first most probable candidate -- the
+           reference's strict ``>`` -- and known pairs drop through a sorted
+           packed-key test.  A second ``lexsort`` on (-probability, pair
+           key) gives the probing order.
+        """
+        ips = as_numpy(batch.ips)
+        ports = as_numpy(batch.ports)
+        rows = np.flatnonzero(np.isin(ports, self._matcher_ports))
+        row_ips, row_ports = ips[rows], ports[rows]
+        row_banners = as_numpy(batch.banner_ids)[rows]
+
+        hosts, host_of_row = np.unique(row_ips, return_inverse=True)
+        net_columns = _network_columns(hosts, asn_db,
+                                       feature_config.network_feature_kinds)
+        net_of_host, net_first = _dense_ids([values for _, values in net_columns],
+                                            len(hosts))
+        net_table = _network_values_table(net_columns, net_first)
+        net_of_row = net_of_host[host_of_row]
+
+        key_of_row, key_first = _dense_ids([row_banners, row_ports, net_of_row],
+                                           len(rows))
+        interned, local_banners = batch.banners.features, batch.local_banners
+        matchers = self._matchers
+        matched: List[_Targets] = []
+        for banner, port, net in zip(row_banners[key_first].tolist(),
+                                     row_ports[key_first].tolist(),
+                                     net_of_row[key_first].tolist()):
+            features = (interned(banner) if banner >= 0
+                        else local_banners[-banner - 1])
+            matched.append(matchers[port].match(features, net_table[net],
+                                                feature_config))
+
+        # Expand every row's targets, in row order.
+        lengths = np.fromiter(map(len, matched), dtype=np.int64, count=len(matched))
+        flat = np.fromiter(chain.from_iterable(matched), dtype=_TARGET_DTYPE,
+                           count=int(lengths.sum()))
+        counts = lengths[key_of_row]
+        row_starts = np.cumsum(counts) - counts
+        key_starts = np.cumsum(lengths) - lengths
+        candidates = (np.arange(int(counts.sum()))
+                      + np.repeat(key_starts[key_of_row] - row_starts, counts))
+        pair_keys = (np.repeat(row_ips, counts) << 16) | flat["port"][candidates]
+        probabilities = flat["probability"][candidates]
+
+        # The first most probable candidate per pair, unless it is known.
+        order = np.lexsort((-probabilities, pair_keys))
+        sorted_keys = pair_keys[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        kept = order[first]
+        kept_keys = pair_keys[kept]
+        if known_pairs:
+            pairs = np.fromiter(known_pairs, dtype=_PAIR_DTYPE, count=len(known_pairs))
+            known = np.sort(pairs["ip"] << 16 | pairs["port"])
+            at = np.searchsorted(known, kept_keys).clip(max=len(known) - 1)
+            unknown = known[at] != kept_keys
+            kept, kept_keys = kept[unknown], kept_keys[unknown]
+
+        final = kept[np.lexsort((kept_keys, -probabilities[kept]))]
+        final_keys = pair_keys[final]
+        return Predictions(array("q", (final_keys >> 16).tobytes()),
+                           array("q", (final_keys & 0xFFFF).tobytes()),
+                           array("d", probabilities[final].tobytes()),
+                           array("q", flat["predictor"][candidates[final]].tobytes()),
                            self._predictor_table)
 
     def predict_reference(
@@ -581,6 +682,54 @@ class PredictiveFeatureIndex:
         predictions = list(best.values())
         predictions.sort(key=lambda p: (-p.probability, p.ip, p.port))
         return predictions
+
+
+def _network_columns(hosts: np.ndarray, asn_db: Optional[AsnDatabase],
+                     kinds: Sequence[str]) -> List[Tuple[str, np.ndarray]]:
+    """Each network feature kind's value per address, as ``(kind, values)``.
+
+    The array twin of :func:`~repro.core.features.network_feature_values`:
+    subnet keys by arithmetic, ASNs through
+    :meth:`~repro.net.asn.AsnDatabase.asn_of_many` (0 where unannounced,
+    which :func:`_network_values_table` skips) and no ASN column without a
+    database.
+    """
+    columns: List[Tuple[str, np.ndarray]] = []
+    for kind in kinds:
+        if kind == "asn":
+            if asn_db is not None:
+                columns.append((kind, asn_db.asn_of_many(hosts)))
+        elif kind.startswith("subnet"):
+            prefix_len = int(kind[len("subnet"):])
+            columns.append((kind, (hosts & prefix_mask(prefix_len)) << 6 | prefix_len))
+        else:
+            raise ValueError(f"unknown network feature kind: {kind}")
+    return columns
+
+
+def _network_values_table(columns: Sequence[Tuple[str, np.ndarray]],
+                          first: np.ndarray) -> List[Tuple[Tuple[str, int], ...]]:
+    """The network-values tuple of each id, read from the id's first address."""
+    picked = [(kind, values[first].tolist()) for kind, values in columns]
+    return [tuple((kind, values[i]) for kind, values in picked
+                  if values[i] or kind != "asn")
+            for i in range(len(first))]
+
+
+def _dense_ids(columns: Sequence[np.ndarray], size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the distinct rows of ``columns``, and each id's first row.
+
+    Folds one column at a time: the ids so far times the column's number of
+    distinct values, plus the column's ``np.unique`` inverse, densify again
+    through ``np.unique``, so no intermediate exceeds ``size ** 2``
+    whatever the columns hold.
+    """
+    ids = np.zeros(size, dtype=np.int64)
+    for column in columns:
+        values, inverse = np.unique(column, return_inverse=True)
+        _, ids = np.unique(ids * len(values) + inverse, return_inverse=True)
+    _, first = np.unique(ids, return_index=True)
+    return ids, first
 
 
 # -- engine-backed index construction ----------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
@@ -219,6 +219,34 @@ class UniverseConfig:
             raise ValueError("cluster_probability out of range")
 
 
+def _announced_coverage(prefixes: Iterable[Tuple[int, int]],
+                        ) -> Tuple[List[int], List[int], List[int]]:
+    """The announcement coverage of the address line, as a step table.
+
+    Returns the sorted announcement edges and, at each edge, the announced
+    addresses below it and the number of announcements covering the stretch
+    up to the next edge.  An address inside two announcements counts twice,
+    as it does when every announcement's overlap is summed.
+    """
+    steps: Dict[int, int] = {}
+    for base, length in prefixes:
+        steps[base] = steps.get(base, 0) + 1
+        end = base + prefix_size(length)
+        steps[end] = steps.get(end, 0) - 1
+    edges = sorted(steps)
+    below: List[int] = []
+    depth: List[int] = []
+    total = covering = 0
+    previous = edges[0] if edges else 0
+    for edge in edges:
+        total += covering * (edge - previous)
+        below.append(total)
+        covering += steps[edge]
+        depth.append(covering)
+        previous = edge
+    return edges, below, depth
+
+
 class Universe:
     """Ground-truth container with the query interface the scanners need."""
 
@@ -236,6 +264,8 @@ class Universe:
         # copying dicts per hit (see repro.scanner.records.ObservationBatch).
         self.banners = BannerInterner()
         self._rebuild_indices()
+        self._announced = _announced_coverage(
+            prefix for system in topology.systems for prefix in system.prefixes)
 
     # -- index maintenance ---------------------------------------------------------
 
@@ -361,15 +391,20 @@ class Universe:
         """
         lo = prefix_of(base, prefix_len)
         hi = lo + prefix_size(prefix_len)
-        total = 0
-        for system in self.topology.systems:
-            for p_base, p_len in system.prefixes:
-                p_lo = p_base
-                p_hi = p_base + prefix_size(p_len)
-                overlap = min(hi, p_hi) - max(lo, p_lo)
-                if overlap > 0:
-                    total += overlap
-        return total
+        return self._announced_below(hi) - self._announced_below(lo)
+
+    def _announced_below(self, address: int) -> int:
+        """Announced addresses below ``address``, each announcement counted.
+
+        Reads the coverage table built once from the topology: between two
+        adjacent announcement edges the count grows by the number of
+        announcements covering that stretch.
+        """
+        edges, below, depth = self._announced
+        at = bisect_right(edges, address) - 1
+        if at < 0:
+            return 0
+        return below[at] + depth[at] * (address - edges[at])
 
     # -- prefix queries (what the simulated ZMap uses) -------------------------------
 

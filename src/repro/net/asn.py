@@ -10,9 +10,11 @@ match lookups, exactly like a routing-table-derived IP-to-ASN dataset would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.net.ipv4 import IPv4Error, format_ip, prefix_of
+import numpy as np
+
+from repro.net.ipv4 import IPv4Error, format_ip, prefix_mask, prefix_of
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,16 @@ class AsnDatabase:
     specific (/32) to the least specific (/0) length present, returning the
     first match -- the standard longest-prefix-match semantics of BGP routing
     tables.  The lengths present are kept sorted, most specific first, as
-    announcements are added.
+    announcements are added.  :meth:`asn_of_many` answers the same lookup
+    for an address array over sorted per-length arrays, built on first use
+    and dropped by :meth:`add`.
     """
 
     def __init__(self, records: Iterable[AsnRecord] = ()) -> None:
         self._by_len: Dict[int, Dict[int, AsnRecord]] = {}
         self._lengths: List[int] = []
         self._names: Dict[int, str] = {}
+        self._arrays: Optional[List[Tuple[int, np.ndarray, np.ndarray]]] = None
         for record in records:
             self.add(record)
 
@@ -76,6 +81,7 @@ class AsnDatabase:
         if key in bucket:
             raise ValueError(f"duplicate announcement for {record.cidr()}")
         bucket[key] = record
+        self._arrays = None
         if record.name:
             self._names.setdefault(record.asn, record.name)
 
@@ -96,6 +102,37 @@ class AsnDatabase:
         """
         record = self.lookup(ip)
         return record.asn if record is not None else default
+
+    def asn_of_many(self, ips: np.ndarray) -> np.ndarray:
+        """:meth:`asn_of` of every address in an int array (0 when unannounced).
+
+        Each prefix length present holds its announcements' prefix keys
+        sorted, with their ASNs alongside.  The masked addresses are
+        ``searchsorted`` into each length, most specific first, and an
+        address keeps the first length that holds its prefix.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            arrays = []
+            for prefix_len in self._lengths:
+                bucket = self._by_len[prefix_len]
+                keys = np.array(sorted(bucket), dtype=np.int64)
+                asns = np.array([bucket[key].asn for key in keys.tolist()],
+                                dtype=np.int64)
+                arrays.append((prefix_mask(prefix_len), keys, asns))
+            self._arrays = arrays
+        ips = np.asarray(ips, dtype=np.int64)
+        out = np.zeros(len(ips), dtype=np.int64)
+        unresolved = np.arange(len(ips))
+        for mask, keys, asns in arrays:
+            if not len(unresolved):
+                break
+            wanted = ips[unresolved] & mask
+            at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+            hit = keys[at] == wanted
+            out[unresolved[hit]] = asns[at[hit]]
+            unresolved = unresolved[~hit]
+        return out
 
     def name_of(self, asn: int) -> str:
         """Return the organisation name registered for an ASN (or ``""``)."""

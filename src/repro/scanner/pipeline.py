@@ -217,13 +217,13 @@ class ScanPipeline:
 
         ``subnet`` is either a packed subnet key (see
         :func:`repro.net.ipv4.subnet_key`) or a ``(base, prefix_len)`` tuple.
-        ZMap sweeps and charges the prefix as always.  The real services
-        among its responders are one row range of the universe's per-port
-        columns (protocol, interned banner id, TTL), found by the same
-        bisect bounds the sweep uses, and arrive as column slices; only the
-        other responders (pseudo pages, middleboxes) look their host up, in
-        ``fingerprint_prefix_columns`` and ``grab_prefix_columns``, which
-        merge them in at their address.  If the sweep lost a responder for
+        The universe splits the prefix's responders once; ZMap sweeps and
+        charges the prefix from that split.  The real services among its
+        responders are one row range of the universe's per-port columns
+        (protocol, interned banner id, TTL), found by bisect bounds, and
+        arrive as column slices; only the other responders (pseudo pages,
+        middleboxes) look their host up, in ``fingerprint_prefix_columns``
+        and ``grab_prefix_columns``, which merge them in at their address.  If the sweep lost a responder for
         good (a retry budget below the loss bound), every answered responder
         resolves per target instead.  The result is the filtered
         :class:`~repro.scanner.records.ObservationBatch`: its rows
@@ -237,8 +237,9 @@ class ScanPipeline:
             base, length = subnet
         else:
             base, length = subnet_key_parts(subnet)
-        responders = self.zmap.scan_prefix(port, base, length, category=category)
         found = self.universe.prefix_responders(port, base, length)
+        responders = self.zmap.scan_prefix(port, base, length, category=category,
+                                           split=found)
         fingerprints = self.lzr.fingerprint_prefix_columns(
             found.answered(responders), category=category,
             statuses=self._status_encoder)

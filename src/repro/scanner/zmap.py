@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.faults import ProbeLossModel
-from repro.internet.universe import Universe
+from repro.internet.universe import PrefixResponders, Universe
 from repro.net.ports import MAX_PORT, is_valid_port
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
 from repro.scanner.records import ProbeBatch
@@ -91,17 +91,22 @@ class ZMapSimulator:
     # -- scan shapes -----------------------------------------------------------------
 
     def scan_prefix(self, port: int, base: int, prefix_len: int,
-                    category: ScanCategory = ScanCategory.PRIORS) -> List[int]:
+                    category: ScanCategory = ScanCategory.PRIORS,
+                    split: Optional[PrefixResponders] = None) -> List[int]:
         """Exhaustively sweep one port across ``base/prefix_len``.
 
         Returns the addresses that SYN-ACKed.  The ledger is charged one probe
         per *announced* address in the prefix regardless of how many respond
         (probing unannounced space would not be part of a real deployment's
         target list, and charging for it would distort the "100 % scan" unit).
+        ``split`` is the prefix's
+        :meth:`~repro.internet.universe.Universe.prefix_responders` when the
+        caller already holds it; without it the sweep asks the universe.
         """
         if not is_valid_port(port):
             raise ValueError(f"invalid port: {port}")
-        responders = self.universe.responders_in_prefix(port, base, prefix_len)
+        responders = (split.ips() if split is not None
+                      else self.universe.responders_in_prefix(port, base, prefix_len))
         probes = self.universe.announced_overlap(base, prefix_len)
         if self.loss is not None:
             return self._sweep_with_loss(responders, port, probes, category)

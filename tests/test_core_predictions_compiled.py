@@ -8,10 +8,15 @@ and, on equal-probability ties, the predictor tuple kept -- on batch input
 and on object input, under every feature ablation, with suppressed known
 pairs and with batch-local banners.  Hypothesis draws small domains (a few
 ports, hosts, app values and probabilities) so ties across families and
-across rows of the same host are common.
+across rows of the same host are common.  The batch route's ids must not
+assume a width: banner ids past 2**15, ports up to 65535, ASN tables with
+nested prefixes and unannounced addresses, no ASN table at all, and
+batches that are empty or match no port.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,14 +101,14 @@ def _batch(drawn_rows, like=None):
     return batch
 
 
-def _agree(index, batch, config, known_pairs):
-    expected = index.predict_reference(batch.materialize(), ASN_DB, config,
+def _agree(index, batch, config, known_pairs, asn_db=ASN_DB):
+    expected = index.predict_reference(batch.materialize(), asn_db, config,
                                        known_pairs=known_pairs)
-    on_batch = index.predict(batch, ASN_DB, config, known_pairs=known_pairs)
+    on_batch = index.predict(batch, asn_db, config, known_pairs=known_pairs)
     on_objects = index.predict(
         [ScanObservation(ip=o.ip, port=o.port, protocol=o.protocol,
                          app_features=dict(o.app_features))
-         for o in batch], ASN_DB, config, known_pairs=known_pairs)
+         for o in batch], asn_db, config, known_pairs=known_pairs)
     assert on_batch.materialize() == expected
     assert on_objects.materialize() == expected
     # Field by field too: == on PredictedService already compares the
@@ -151,6 +156,108 @@ def test_predict_on_concatenated_batches(features, first, second):
                                        ASN_DB, FeatureConfig())
     head.extend(tail)
     assert index.predict(head, ASN_DB, FeatureConfig()).materialize() == expected
+
+
+# -- wide ids and nested ASN tables ---------------------------------------------------
+
+#: Ports at both ends of the 16-bit range, beside two common ones.
+WIDE_PORTS = (1, 80, 32768, 65535)
+#: Nested announcements of several lengths: 10/8 holds 10.0/16, which holds
+#: 10.0.0/24, which holds 10.0.0.128/25; 10.1.128/17 holds 10.1.128/20.
+NESTED_DB = AsnDatabase([AsnRecord(0x0A000000, 8, 1),
+                         AsnRecord(0x0A000000, 16, 2),
+                         AsnRecord(0x0A000000, 24, 3),
+                         AsnRecord(0x0A000080, 25, 4),
+                         AsnRecord(0x0A018000, 17, 5),
+                         AsnRecord(0x0A018000, 20, 6)])
+#: One address at each nesting depth, one in a nested /20, two outside
+#: every announcement (one in a neighbouring /8, one far away).
+NESTED_IPS = (0x0A000001, 0x0A000081, 0x0A00F001, 0x0AFF0001, 0x0A018001,
+              0x0A01F001, 0x0B000001, 0xC0A80001)
+
+
+def _world(port_pool, ip_pool, asn_db):
+    """(features, rows, known) strategies over the given ports and hosts."""
+    port = st.sampled_from(port_pool)
+    values = sorted({value for ip in ip_pool
+                     for value in network_feature_values(ip, asn_db,
+                                                         NETWORK_FEATURE_KINDS)})
+    net = st.sampled_from(values) if values else st.just(("subnet16", 1))
+    predictor = st.one_of(
+        st.tuples(st.just("P"), port),
+        st.builds(lambda p, app: ("PA", p) + app, port, app_items),
+        st.builds(lambda p, n: ("PN", p) + n, port, net),
+        st.builds(lambda p, app, n: ("PAN", p) + app + n, port, app_items, net),
+    )
+    drawn_features = st.lists(
+        st.builds(PredictiveFeature, predictor=predictor, target_port=port,
+                  probability=st.sampled_from(PROBABILITIES)),
+        min_size=4, max_size=30)
+    drawn_rows = st.lists(st.tuples(st.sampled_from(ip_pool), port, banners,
+                                    st.booleans()), min_size=1, max_size=20)
+    drawn_known = st.sets(st.tuples(st.sampled_from(ip_pool), port), max_size=6)
+    return drawn_features, drawn_rows, drawn_known
+
+
+WIDE_FEATURES, WIDE_ROWS, WIDE_KNOWN = _world(WIDE_PORTS, IPS, ASN_DB)
+NESTED_FEATURES, NESTED_ROWS, NESTED_KNOWN = _world(PORTS, NESTED_IPS, NESTED_DB)
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_interner():
+    """An interner already holding 40,000 banners: new ids exceed 2**15."""
+    interner = BannerInterner()
+    for i in range(40_000):
+        interner.intern_value({"title": f"filler-{i}"})
+    return interner
+
+
+def _wide_batch(drawn_rows):
+    batch = ObservationBatch(banners=_wide_interner())
+    status = batch.status_id("http")
+    for ip, port, banner, local in drawn_rows:
+        banner_id = (batch.add_local_banner(banner) if local
+                     else batch.banners.intern_value(banner))
+        batch.append(ip, port, status, banner_id, 64)
+    return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(features=WIDE_FEATURES, drawn_rows=WIDE_ROWS, known_pairs=WIDE_KNOWN,
+       config=st.sampled_from(ABLATIONS[:6]))
+def test_banner_ids_past_int16_and_ports_up_to_65535(features, drawn_rows,
+                                                      known_pairs, config):
+    batch = _wide_batch(drawn_rows)
+    assert all(banner_id >= 2 ** 15 or banner_id < 0
+               for banner_id in batch.banner_ids)
+    _agree(PredictiveFeatureIndex(features), batch, config, known_pairs)
+
+
+@pytest.mark.parametrize("asn_db", [NESTED_DB, None], ids=["nested", "no-asn-db"])
+@settings(max_examples=60, deadline=None)
+@given(features=NESTED_FEATURES, drawn_rows=NESTED_ROWS, known_pairs=NESTED_KNOWN,
+       kinds=st.sampled_from([("asn",), ("asn", "subnet16"),
+                              ("subnet23", "asn", "subnet17")]))
+def test_nested_asn_prefixes_and_unannounced_addresses(asn_db, features, drawn_rows,
+                                                       known_pairs, kinds):
+    config = FeatureConfig(network_feature_kinds=kinds)
+    _agree(PredictiveFeatureIndex(features), _batch(drawn_rows), config,
+           known_pairs, asn_db=asn_db)
+
+
+@pytest.mark.parametrize("asn_db", [ASN_DB, None], ids=["asn-db", "no-asn-db"])
+def test_empty_batch_and_batch_without_matched_ports(asn_db):
+    index = PredictiveFeatureIndex([PredictiveFeature(("P", 80), 443, 0.5),
+                                    PredictiveFeature(("P", 22), 80, 1.0)])
+    empty = _batch([])
+    unmatched = _batch([(IPS[0], 443, {"title": "a"}, False),
+                        (IPS[1], 8080, {}, True)])
+    for batch in (empty, unmatched):
+        for known_pairs in (set(), {(IPS[0], 80)}):
+            _agree(index, batch, FeatureConfig(), known_pairs, asn_db=asn_db)
+            predictions = index.predict(batch, asn_db, FeatureConfig(),
+                                        known_pairs=known_pairs)
+            assert len(predictions) == 0 and predictions == []
 
 
 def test_equal_probability_tie_keeps_the_first_family():

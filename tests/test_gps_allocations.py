@@ -17,7 +17,13 @@ import pytest
 from repro.analysis.scenarios import SMALL_SCALE, make_lzr_dataset, make_universe
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
-from repro.core.predictions import PredictedService
+from repro.core import predictions as predictions_module
+from repro.core.features import network_feature_values
+from repro.core.predictions import (
+    PredictedService,
+    PredictiveFeatureIndex,
+    _PortMatcher,
+)
 from repro.datasets.split import split_seed_test
 from repro.internet.universe import Universe
 from repro.scanner.lzr import LZRSimulator
@@ -151,3 +157,51 @@ def test_priors_scan_resolves_real_services_without_per_target_calls(
             if port in small_universe.hosts[ip].services}
     assert real and len(real) < len(priors)  # pseudo pages came through too
     assert not real & set(targets)
+
+
+def test_batch_predict_matches_once_per_key_without_per_address_features(
+        small_universe, lzr_split, monkeypatch):
+    """A batch predict runs ``match`` once per distinct (banner, port, network
+    values) key and derives no address's network values one at a time.
+
+    An engine run's priors batch is predicted again, on a fresh index
+    holding the run's entries (as each run builds its own), with
+    ``_PortMatcher.match`` and ``network_feature_values`` counted; the keys
+    expected are computed here from the batch's columns.
+    """
+    dataset, seed = lzr_split
+    config = GPSConfig(seed_fraction=dataset.sample_fraction / 2,
+                       port_domain=dataset.port_domain, use_engine=True)
+    with GPS(ScanPipeline(small_universe), config) as gps:
+        result = gps.run(seed=seed, seed_cost_probes=0)
+    batch = result.priors_observations
+    index = PredictiveFeatureIndex(result.feature_index.entries())
+    asn_db = small_universe.topology.asn_db
+    kinds = config.feature_config.network_feature_kinds
+    expected_keys = {
+        (banner_id, port, tuple(network_feature_values(ip, asn_db, kinds)))
+        for ip, port, banner_id in zip(batch.ips, batch.ports, batch.banner_ids)
+        if port in index._matchers}
+    expected = result.feature_index.predict_reference(
+        batch.materialize(), asn_db, config.feature_config)
+
+    calls = []
+    derived = []
+    match = _PortMatcher.match
+
+    def counting_match(self, features, net_values, feature_config):
+        calls.append((id(self), id(features), tuple(net_values)))
+        return match(self, features, net_values, feature_config)
+
+    def counting_network_values(*args, **kwargs):
+        derived.append(args)
+        return network_feature_values(*args, **kwargs)
+
+    monkeypatch.setattr(_PortMatcher, "match", counting_match)
+    monkeypatch.setattr(predictions_module, "network_feature_values",
+                        counting_network_values)
+    predictions = index.predict(batch, asn_db, config.feature_config)
+
+    assert predictions == expected and len(expected) > 0
+    assert len(calls) == len(set(calls)) == len(expected_keys)
+    assert derived == []

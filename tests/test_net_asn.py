@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.asn import AsnDatabase, AsnRecord
 from repro.net.ipv4 import IPv4Error, parse_ip
@@ -72,6 +74,57 @@ class TestAsnDatabase:
         assert len(db) == 2
         lengths = [record.prefix_len for record in db.records()]
         assert lengths == sorted(lengths, reverse=True)
+
+
+#: Nested announcements of several lengths (10/8 > 10.0/16 > 10.0.0/24 >
+#: 10.0.0.128/25, and 10.1.128/17 > 10.1.128/20) plus a lone /32.
+NESTED = [("10.0.0.0", 8, 1), ("10.0.0.0", 16, 2), ("10.0.0.0", 24, 3),
+          ("10.0.0.128", 25, 4), ("10.1.128.0", 17, 5), ("10.1.128.0", 20, 6),
+          ("192.0.2.7", 32, 7)]
+#: Every announcement's first and last address, their outside neighbours
+#: and a few addresses no announcement covers.
+EDGES = sorted({address
+                for base, length, _ in NESTED
+                for first in [parse_ip(base)]
+                for address in (first - 1, first, first + 2 ** (32 - length) - 1,
+                                first + 2 ** (32 - length))}
+               | {0, parse_ip("11.0.0.1"), parse_ip("192.168.0.1"), 2 ** 32 - 1})
+
+
+class TestAsnOfMany:
+    """``asn_of_many`` is ``asn_of`` over an array, element for element."""
+
+    @staticmethod
+    def _nested():
+        return AsnDatabase([_record(base, length, asn)
+                            for base, length, asn in NESTED])
+
+    @staticmethod
+    def _agrees(db, ips):
+        assert db.asn_of_many(np.array(ips, dtype=np.int64)).tolist() == \
+            [db.asn_of(ip) for ip in ips]
+
+    def test_nested_edges(self):
+        self._agrees(self._nested(), EDGES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ips=st.lists(st.one_of(st.sampled_from(EDGES),
+                                  st.integers(0x0A000000, 0x0A01FFFF),
+                                  st.integers(0, 2 ** 32 - 1)), max_size=40))
+    def test_nested_any_addresses(self, ips):
+        self._agrees(self._nested(), ips)
+
+    def test_empty_database_and_empty_input(self):
+        assert AsnDatabase().asn_of_many(np.array(EDGES)).tolist() == [0] * len(EDGES)
+        assert self._nested().asn_of_many(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_add_after_a_lookup_takes_part_in_the_next(self):
+        db = AsnDatabase([_record("10.0.0.0", 8, 1)])
+        self._agrees(db, EDGES)
+        for base, length, asn in NESTED[1:]:
+            db.add(_record(base, length, asn))
+            self._agrees(db, EDGES)
+        assert db.asn_of_many(np.array([parse_ip("10.0.0.200")])).tolist() == [4]
 
 
 class TestUniverseAsnDatabase:
