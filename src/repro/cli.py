@@ -168,18 +168,17 @@ def _save_run_snapshot(directory, result, universe, status_encoder=None,
 def _load_snapshot_seed(directory):
     """Rebuild a seed-scan result from a snapshot's encoded seed columns.
 
-    The reloaded seed carries both the object rows and the columnar batch,
-    so every GPS ingest path (engine columnar, reference object) consumes it
-    exactly like a freshly collected seed -- except no probes are charged
-    (the Section 6.5 seed-reuse saving).
+    The reloaded seed carries the columnar batch, whose object rows build
+    on first read, so every GPS ingest path (engine columnar, reference
+    object) consumes it exactly like a freshly collected seed -- except no
+    probes are charged (the Section 6.5 seed-reuse saving).
     """
     from repro.engine.snapshot import open_snapshot
     from repro.scanner.pipeline import SeedScanResult
 
     snapshot = open_snapshot(directory)
     batch = snapshot.observation_batch()
-    return SeedScanResult(observations=batch.materialize(),
-                          sampled_ips=sorted(set(batch.ips)),
+    return SeedScanResult(sampled_ips=sorted(set(batch.ips)),
                           removed_pseudo_services=0,
                           batch=batch)
 

@@ -67,7 +67,8 @@ class GPSRunResult:
     """Everything a GPS run produced.
 
     A run keeps its scan results and predictions in columns: after
-    :meth:`GPS.run`, ``priors_observations`` and ``prediction_observations``
+    :meth:`GPS.run`, ``seed_observations`` (for a seed carrying a batch),
+    ``priors_observations`` and ``prediction_observations``
     are :class:`~repro.scanner.records.ObservationBatch` sequences and
     ``predictions`` is a :class:`~repro.core.predictions.Predictions`
     sequence, so a row object is built only when a caller reads that row.
@@ -90,7 +91,7 @@ class GPSRunResult:
     """
 
     config: GPSConfig
-    seed_observations: List[ScanObservation]
+    seed_observations: Sequence[ScanObservation]
     priors_observations: Sequence[ScanObservation] = field(default_factory=list)
     prediction_observations: Sequence[ScanObservation] = field(default_factory=list)
     priors_plan: List[PriorsEntry] = field(default_factory=list)
@@ -219,7 +220,7 @@ class GPS:
                     seed=config.seed_scan_seed,
                     ports=list(config.port_domain) if config.port_domain else None,
                 )
-                span.set("observations", len(seed.observations))
+                span.set("observations", len(seed.batch))
         elif seed_cost_probes is None:
             port_count = (len(config.port_domain) if config.port_domain
                           else 65535)
@@ -227,14 +228,15 @@ class GPS:
                 config.seed_fraction * port_count
                 * self.pipeline.universe.address_space_size()
             ))
+        seed_rows = self._seed_rows(seed)
         if seed_cost_probes:
             ledger.record(ScanCategory.SEED, probes=seed_cost_probes,
-                          responses=len(seed.observations))
+                          responses=len(seed_rows))
 
-        result = GPSRunResult(config=config, seed_observations=list(seed.observations))
+        result = GPSRunResult(config=config, seed_observations=seed_rows)
         discovered: Set[Pair] = set()
-        self._log_batch(result, "seed", ledger.total_probes(),
-                        [obs.pair() for obs in seed.observations], discovered)
+        self._log_batch(result, "seed", ledger.total_probes(), seed.pairs(),
+                        discovered)
 
         budget_probes = self._budget_probes()
 
@@ -288,10 +290,10 @@ class GPS:
                 only return the ordered predictions list (``False``).
         """
         result = GPSRunResult(config=self.config,
-                              seed_observations=list(seed.observations))
+                              seed_observations=self._seed_rows(seed))
         discovered: Set[Pair] = set()
         self._log_batch(result, "seed", self.pipeline.ledger.total_probes(),
-                        [obs.pair() for obs in seed.observations], discovered)
+                        seed.pairs(), discovered)
         self._build(seed, result, priors=False)
 
         known = list(known_observations)
@@ -303,6 +305,12 @@ class GPS:
         return result
 
     # -- helpers ------------------------------------------------------------------------
+
+    @staticmethod
+    def _seed_rows(seed: SeedScanResult) -> Sequence[ScanObservation]:
+        """The seed's rows as the run result holds them: the batch when the
+        seed has one (rows build on read), else the seed's object rows."""
+        return seed.batch if seed.batch is not None else seed.observations
 
     def _prediction_scan(self, result: GPSRunResult, predictions: Predictions,
                          discovered: Set[Pair]) -> None:

@@ -59,11 +59,11 @@ class SeedTestSplit:
             batch = columns.select(
                 i for i in range(len(ips)) if ips[i] in seed_ips)
         return SeedScanResult(
-            observations=list(self.seed_observations),
             sampled_ips=list(self.seed_ips),
             removed_pseudo_services=0,
             ports_scanned=self.dataset.port_domain,
             batch=batch,
+            rows=list(self.seed_observations),
         )
 
     def test_pairs(self) -> Set[Tuple[int, int]]:

@@ -393,6 +393,17 @@ class Universe:
         hi = lo + prefix_size(prefix_len)
         return self._announced_below(hi) - self._announced_below(lo)
 
+    def distinct_announced(self) -> int:
+        """Number of distinct announced addresses.
+
+        An address inside nested announcements counts once here (unlike
+        :meth:`announced_overlap`): the stretches of the coverage table that
+        at least one announcement covers.
+        """
+        edges, _, depth = self._announced
+        return sum(edges[at + 1] - edges[at]
+                   for at in range(len(edges) - 1) if depth[at] > 0)
+
     def _announced_below(self, address: int) -> int:
         """Announced addresses below ``address``, each announcement counted.
 

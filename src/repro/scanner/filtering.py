@@ -93,6 +93,10 @@ class PseudoServiceFilter:
 
     # -- helpers ------------------------------------------------------------------
 
+    def drops_host(self, services: int) -> bool:
+        """Rule 2: whether a host with this many services is dropped whole."""
+        return services > self.max_services_per_host
+
     def _stripped_content(self, observation: ScanObservation) -> Tuple[Tuple[str, str], ...]:
         """Banner content with dynamic fields removed, as a hashable key."""
         return tuple(sorted(
@@ -107,7 +111,7 @@ class PseudoServiceFilter:
         report = FilterReport()
         for ip, host_observations in observations_by_host(observations).items():
             # Rule 2 first: dense hosts are dropped wholesale.
-            if len(host_observations) > self.max_services_per_host:
+            if self.drops_host(len(host_observations)):
                 report.removed_dense_host.extend(host_observations)
                 report.flagged_hosts.add(ip)
                 continue
@@ -178,7 +182,7 @@ class PseudoServiceFilter:
             indices = order[lo:hi]
             lo = hi
             # Rule 2 first: dense hosts are dropped wholesale.
-            if len(indices) > self.max_services_per_host:
+            if self.drops_host(len(indices)):
                 continue
             # A host with fewer rows than the duplicate threshold cannot
             # form a removable content group; keep it without resolving any

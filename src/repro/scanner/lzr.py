@@ -277,6 +277,18 @@ class LZRSimulator:
                            retransmits=PROBES_PER_FINGERPRINT * retried)
         return batch
 
+    def charge_fingerprints(self, targets: int, speaking: int,
+                            category: ScanCategory = ScanCategory.OTHER) -> None:
+        """Charge ``targets`` handshakes, ``speaking`` of them answered, unrun.
+
+        The totals :meth:`fingerprint_batch_columns` charges for targets a
+        caller has already resolved: exact for silent targets under any loss
+        model (a no-data target is never retried) and for speaking targets
+        of a lossless sweep.
+        """
+        self.ledger.record(category, probes=PROBES_PER_FINGERPRINT * targets,
+                           responses=PROBES_PER_FINGERPRINT * speaking)
+
     def fingerprint_prefix_columns(self, found: PrefixResponders,
                                    category: ScanCategory = ScanCategory.OTHER,
                                    statuses: Optional[DictionaryEncoder] = None,

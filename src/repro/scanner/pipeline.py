@@ -19,9 +19,11 @@ scan shapes the paper's system needs:
 Every shape runs the *columnar* layers, which fold hits into flat int
 columns.  The seed sweep and the batched prediction scan chain
 ``fingerprint_batch_columns`` -> ``grab_batch_columns`` -> the columnar
-pseudo-service filter, resolving every target's host.  ``scan_prefix`` keeps
-ZMap's sweep but takes the prefix's real services as one slice of the
-universe's per-port columns
+pseudo-service filter, resolving every target's host; the seed sweep first
+charges dark addresses, and the hosts the filter's dense-host rule would
+drop, by count, so only rows the filter can keep are built.
+``scan_prefix`` keeps ZMap's sweep but takes the prefix's real services as
+one slice of the universe's per-port columns
 (:meth:`~repro.internet.universe.Universe.prefix_responders`), so only the
 pseudo pages and middleboxes among its responders resolve per target
 (``fingerprint_prefix_columns`` -> ``grab_prefix_columns``); a single-port
@@ -29,9 +31,10 @@ sweep has one row per address, which the filter passes through untouched.
 ``scan_prefix`` and the batched prediction scan return the
 :class:`~repro.scanner.records.ObservationBatch` itself, whose
 :class:`~repro.scanner.records.ScanObservation` rows materialize only when a
-consumer reads them; the seed scan materializes its rows once.  The per-pair
-layer methods (``zmap.scan_pairs``, ``fingerprint_many``, ``grab_many``,
-``filter``) are the reference oracle:
+consumer reads them; the seed scan's :class:`SeedScanResult` carries its
+batch and builds its rows once, on the first read of ``observations``.  The
+per-pair layer methods (``zmap.scan_pairs``, ``fingerprint_many``,
+``grab_many``, ``filter``) are the reference oracle:
 unbatched :meth:`ScanPipeline.scan_pairs` chains them, and every columnar
 shape is defined as producing the same observations in the same order with
 identical ledger charges, lossless or under a loss model.
@@ -44,7 +47,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.encoding import DictionaryEncoder
@@ -62,7 +67,7 @@ from repro.scanner.records import (
     group_pairs,
 )
 from repro.scanner.zgrab import ZGrabSimulator
-from repro.scanner.zmap import ZMapSimulator
+from repro.scanner.zmap import SweptPorts, ZMapSimulator
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: If a host SYN-ACKs on more than this many ports in a single sweep, LZR
@@ -77,26 +82,46 @@ class SeedScanResult:
     """Outcome of a seed scan.
 
     Attributes:
-        observations: filtered, fully-featured service observations.
         sampled_ips: the addresses that were probed (responsive or not).
         removed_pseudo_services: number of observations the Appendix B filter
             removed.
         ports_scanned: the ports each sampled address was probed on (``None``
             means all 65,535 ports).
-        batch: the same observations in columnar form.  Live seed scans
+        batch: the filtered observations in columnar form.  Live seed scans
             produce it natively (the sweep, the fingerprint/grab layers and
             the pseudo-service filter all run columnar) and dataset-split
             seeds slice the dataset's columns.  Row ``i`` of the batch
             materializes to ``observations[i]``; consumers that can stay
-            columnar (GPS's fused feature ingest) read this and skip the
-            object rows.
+            columnar (GPS's fused feature ingest, its discovery log) read
+            this and never build the object rows.
+        rows: the object rows when the seed was built from them (a seed
+            without a batch must pass them); otherwise ``None`` until
+            :attr:`observations` first builds them from ``batch``.
     """
 
-    observations: List[ScanObservation]
     sampled_ips: List[int]
     removed_pseudo_services: int
     ports_scanned: Optional[Tuple[int, ...]] = None
     batch: Optional[ObservationBatch] = None
+    rows: Optional[List[ScanObservation]] = field(default=None, repr=False,
+                                                  compare=False)
+
+    @property
+    def observations(self) -> List[ScanObservation]:
+        """The filtered, fully-featured service observations.
+
+        Built from ``batch`` on first read and cached, so every later read
+        (a serving build, the reference feature extraction) shares one list.
+        """
+        if self.rows is None:
+            self.rows = self.batch.materialize()
+        return self.rows
+
+    def pairs(self) -> List[Tuple[int, int]]:
+        """The seed's (ip, port) pairs in row order, without building rows."""
+        if self.batch is not None:
+            return self.batch.pairs()
+        return [obs.pair() for obs in self.observations]
 
 
 class ScanPipeline:
@@ -157,24 +182,38 @@ class ScanPipeline:
     # -- address sampling -------------------------------------------------------------
 
     def sample_addresses(self, fraction: float, rng: random.Random) -> List[int]:
-        """Uniformly sample a fraction of the announced address space."""
+        """Uniformly sample a fraction of the announced address space.
+
+        Each draw is an offset into the announcements laid end to end,
+        mapped to its prefix by a bisect over their cumulative sizes.  The
+        offset is drawn as ``randrange(total)`` draws it -- ``getrandbits``
+        of ``total``'s bit length, redrawn while out of range -- so a seed
+        picks the same addresses either way.  Nested announcements put some
+        addresses under several offsets; the sample never asks for more
+        addresses than are distinct.
+        """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"sample fraction out of range: {fraction}")
-        ranges: List[Tuple[int, int]] = []
+        ends: List[int] = []    # cumulative end offset of each announcement
+        shifts: List[int] = []  # address minus offset inside each one
+        total = 0
         for system in self.universe.topology.systems:
             for base, length in system.prefixes:
-                ranges.append((base, prefix_size(length)))
-        total = sum(size for _, size in ranges)
+                shifts.append(base - total)
+                total += prefix_size(length)
+                ends.append(total)
         count = max(1, int(round(total * fraction)))
-        count = min(count, total)
+        count = min(count, self.universe.distinct_announced())
+        bits = total.bit_length()
+        getrandbits = rng.getrandbits
         picks: set[int] = set()
         while len(picks) < count:
-            offset = rng.randrange(total)
-            for base, size in ranges:
-                if offset < size:
-                    picks.add(base + offset)
-                    break
-                offset -= size
+            # Each draw adds at most one pick, so drawing the shortfall in
+            # one go never draws past the point where the sample is full.
+            # Dropping out-of-range draws is randrange's redraw loop.
+            draws = list(map(getrandbits, repeat(bits, count - len(picks))))
+            picks.update([offset + shifts[bisect_right(ends, offset)]
+                          for offset in draws if offset < total])
         return sorted(picks)
 
     # -- scan shapes -------------------------------------------------------------------
@@ -183,6 +222,14 @@ class ScanPipeline:
                   ports: Optional[Sequence[int]] = None,
                   apply_filter: bool = True) -> SeedScanResult:
         """Collect a seed set: random address sample swept across ports.
+
+        The sweep (:meth:`_sweep_hosts_columnar`) charges dark addresses,
+        and under the filter the hosts its dense-host rule would drop, by
+        count; only the other hosts' rows are fingerprinted, grabbed and
+        filtered.  The result carries the kept rows as a batch and builds
+        the row objects on the first read of ``observations``.  Picks, rows,
+        their order, ``removed_pseudo_services`` and the per-category ledger
+        totals are those of chaining the per-host layers.
 
         Args:
             sample_fraction: fraction of the announced address space to probe.
@@ -197,16 +244,15 @@ class ScanPipeline:
         rng = random.Random(seed)
         sampled = self.sample_addresses(sample_fraction, rng)
         port_tuple = tuple(ports) if ports is not None else None
-        batch = self._sweep_hosts_columnar(sampled, port_tuple, ScanCategory.SEED)
-        removed = 0
+        batch, removed = self._sweep_hosts_columnar(
+            sampled, port_tuple, ScanCategory.SEED, drop_dense=apply_filter)
         if apply_filter:
             kept = self.pseudo_filter.filter_batch(batch)
-            removed = len(batch) - len(kept)
+            removed += len(batch) - len(kept)
             batch = kept
         if sweep_t0 is not None:
             self._observe_sweep("seed", time.perf_counter() - sweep_t0)
-        return SeedScanResult(observations=batch.materialize(),
-                              sampled_ips=sampled,
+        return SeedScanResult(sampled_ips=sampled,
                               removed_pseudo_services=removed,
                               ports_scanned=port_tuple, batch=batch)
 
@@ -349,37 +395,93 @@ class ScanPipeline:
 
     def _sweep_hosts_columnar(self, ips: Sequence[int],
                               ports: Optional[Tuple[int, ...]],
-                              category: ScanCategory) -> ObservationBatch:
-        """Probe each address across the port set, staying columnar throughout.
+                              category: ScanCategory, drop_dense: bool = False,
+                              ) -> Tuple[ObservationBatch, int]:
+        """Probe each address across the port set, building only rows that can stay.
 
-        The SYN sweep runs per host (the middlebox shortcut needs per-host
-        results), accumulating every responsive (ip, port) target into two
-        flat columns; fingerprinting and banner-grabbing then fold the whole
-        sweep through the batched columnar layers in one pass each --
-        identical targets, row order and ledger charges to chaining
-        ``fingerprint_many`` / ``grab_many`` per host (the LZR/ZGrab loss
-        draws are pure functions of the target, not of batching), without
-        ever allocating per-hit result objects.
+        Returns the batch and the number of rows charged but not built.
+        The charges and rows equal chaining ``scan_host_ports`` ->
+        ``fingerprint_many`` -> ``grab_many`` per host (the LZR/ZGrab loss
+        draws are pure functions of the target, not of batching):
+
+        * dark addresses answer nothing and retry nothing, so ZMap charges
+          them all in one record, lossless or lossy;
+        * a silent SYN-ACK (a middlebox port) costs LZR its handshake and
+          is never retried, so it is charged by count and never becomes a
+          target -- a middlebox's 65,535 SYN-ACKs are counted, not listed,
+          though its port sample still runs through LZR;
+        * without a loss model, a live host's SYN-ACKs and speaking ports
+          are counted from its services and pseudo range
+          (:class:`~repro.scanner.zmap.SweptPorts`).  With ``drop_dense``
+          (the filter will run), a host with more speaking ports than the
+          filter's dense-host rule allows is charged its ZMap, LZR and ZGrab
+          probes by count and builds no row, port list or banner; its rows
+          are the second return value.  The status ids those rows would
+          have taken are still assigned, in row order, so the pipeline's
+          status id space does not depend on the shortcut.
+
+        Every other host's speaking ports become targets, which
+        fingerprinting and banner-grabbing fold through the columnar layers
+        in one pass each.  Under a loss model every live host still sweeps
+        through ``scan_host_ports`` (its loss draws decide what answers).
         """
+        swept = SweptPorts(ports)
+        hosts = self.universe.hosts
+        lossy = self.zmap.loss is not None
+        by_count = drop_dense and not lossy
+        encode_status = self._status_encoder.encode
+        if by_count:
+            encode_status("http")  # the first id LZR hands out
+        live = [ip for ip in ips if ip in hosts]
+        # ZMap sweeps charged by count (the dark addresses, and every live
+        # host when lossless) and the SYN-ACKs they drew.
+        swept_hosts = len(ips) - len(live)
+        answered = 0
+        silent = 0   # SYN-ACKing targets LZR hears nothing from
+        dropped = 0  # speaking targets of hosts dropped by count
         target_ips: List[int] = []
         target_ports: List[int] = []
-        for ip in ips:
-            responsive_ports = self.zmap.scan_host_ports(ip, ports=ports,
-                                                         category=category)
-            if not responsive_ports:
-                continue
-            if len(responsive_ports) > MIDDLEBOX_SUSPECT_PORT_COUNT:
+        for ip in live:
+            host = hosts[ip]
+            if lossy:
+                responsive = self.zmap.scan_host_ports(ip, ports=ports,
+                                                       category=category)
+                speaks = host.is_pseudo_responsive_on
+                speaking = [port for port in responsive
+                            if port in host.services or speaks(port)]
+                acks = len(responsive)
+            else:
+                swept_hosts += 1
+                speaking = None
+                speaking_count = swept.speaking(host)
+                acks = swept.answered(host)
+                answered += acks
+            if acks > MIDDLEBOX_SUSPECT_PORT_COUNT:
                 # LZR middlebox shortcut: sample a few ports; if none ever
                 # produce data the host is acking everything and is dropped.
-                sample = responsive_ports[:MIDDLEBOX_SAMPLE_PORTS]
                 # A throwaway status encoder: the sample only asks whether
                 # any port spoke, and must not reorder the shared id space.
+                sample = (responsive[:MIDDLEBOX_SAMPLE_PORTS] if lossy
+                          else swept.answered_head(host, MIDDLEBOX_SAMPLE_PORTS))
                 if not self.lzr.fingerprint_batch_columns(
                         [ip] * len(sample), sample, category=category):
                     continue
-            target_ips.extend([ip] * len(responsive_ports))
-            target_ports.extend(responsive_ports)
-        return self._grab_columns(target_ips, target_ports, category)
+            if by_count:
+                for port in swept.service_ports(host):
+                    encode_status(host.services[port].protocol)
+                if self.pseudo_filter.drops_host(speaking_count):
+                    silent += acks - speaking_count
+                    dropped += speaking_count
+                    continue
+            if speaking is None:
+                speaking = swept.speaking_ports(host)
+            silent += acks - len(speaking)
+            target_ips.extend([ip] * len(speaking))
+            target_ports.extend(speaking)
+        self.zmap.charge_host_sweeps(swept_hosts, swept, answered, category)
+        self.lzr.charge_fingerprints(silent + dropped, dropped, category)
+        self.zgrab.charge_handshakes(dropped, category)
+        return self._grab_columns(target_ips, target_ports, category), dropped
 
     def _grab_columns(self, ips: Sequence[int], ports: Sequence[int],
                       category: ScanCategory) -> ObservationBatch:

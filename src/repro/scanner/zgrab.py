@@ -175,6 +175,16 @@ class ZGrabSimulator:
             retransmits=PROBES_PER_HANDSHAKE * retried)
         return batch
 
+    def charge_handshakes(self, count: int,
+                          category: ScanCategory = ScanCategory.OTHER) -> None:
+        """Charge ``count`` answered handshakes without grabbing any banner.
+
+        The totals :meth:`grab_batch_columns` charges for as many rows of
+        a lossless sweep, for rows a caller knows it would discard.
+        """
+        self.ledger.record(category, probes=PROBES_PER_HANDSHAKE * count,
+                           responses=PROBES_PER_HANDSHAKE * count)
+
     def grab_prefix_columns(self, fingerprints: PrefixFingerprints,
                             category: ScanCategory = ScanCategory.OTHER,
                             ) -> ObservationBatch:

@@ -17,11 +17,13 @@ documentation and tests.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.faults import ProbeLossModel
-from repro.internet.universe import PrefixResponders, Universe
+from repro.internet.universe import Host, PrefixResponders, Universe
 from repro.net.ports import MAX_PORT, is_valid_port
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
 from repro.scanner.records import ProbeBatch
@@ -32,6 +34,84 @@ ZMAP_IP_ID_FINGERPRINT = 54321
 #: Loss-model layer tag: decisions are per (layer, ip, port, attempt), so the
 #: SYN sweep, LZR and ZGrab draw independent losses for the same target.
 LOSS_LAYER = "zmap"
+
+
+class SweptPorts:
+    """The ports a seed sweep probes on every sampled host.
+
+    ``None`` means all 65,535 ports; a sequence is probed in its order,
+    repeats included.  Built (and validated) once per sweep, it answers what
+    :meth:`ZMapSimulator.scan_host_ports` would return for a host -- and
+    which of those ports speak a protocol -- from the host's services and
+    pseudo range alone, so a sweep can count a host's responses without
+    listing its ports.
+    """
+
+    def __init__(self, ports: Optional[Sequence[int]]) -> None:
+        if ports is None:
+            self.ports: Optional[Tuple[int, ...]] = None
+            self.size = MAX_PORT
+            return
+        for port in ports:
+            if not is_valid_port(port):
+                raise ValueError(f"invalid port: {port}")
+        self.ports = tuple(ports)
+        self.size = len(self.ports)
+        self._sorted = sorted(self.ports)
+        self._repeats = Counter(self.ports)
+
+    def speaking(self, host: Host) -> int:
+        """Probes that reach one of ``host``'s services or pseudo pages.
+
+        The length of :meth:`speaking_ports`, counted without building it.
+        """
+        services = host.services
+        span = host.pseudo_port_range
+        if self.ports is None:
+            count = len(services)
+            if span is not None:
+                lo, hi = span
+                count += max(0, hi - lo + 1) - sum(
+                    lo <= port <= hi for port in services)
+            return count
+        repeats = self._repeats
+        count = sum(repeats.get(port, 0) for port in services)
+        if span is not None:
+            lo, hi = span
+            count += (bisect_right(self._sorted, hi)
+                      - bisect_left(self._sorted, lo)
+                      - sum(repeats.get(port, 0) for port in services
+                            if lo <= port <= hi))
+        return count
+
+    def speaking_ports(self, host: Host) -> List[int]:
+        """The probed ports where ``host`` speaks a protocol, in probe order."""
+        services = host.services
+        if self.ports is None:
+            span = host.pseudo_port_range
+            if span is None:
+                return sorted(services)
+            return sorted(set(services) | set(range(span[0], span[1] + 1)))
+        speaks = host.is_pseudo_responsive_on
+        return [port for port in self.ports if port in services or speaks(port)]
+
+    def service_ports(self, host: Host) -> List[int]:
+        """The probed ports of ``host``'s real services, in probe order."""
+        if self.ports is None:
+            return sorted(host.services)
+        return [port for port in self.ports if port in host.services]
+
+    def answered(self, host: Host) -> int:
+        """How many probes ``host`` SYN-ACKs: all of them for a middlebox."""
+        return self.size if host.is_middlebox else self.speaking(host)
+
+    def answered_head(self, host: Host, count: int) -> List[int]:
+        """The first ``count`` ports ``host`` SYN-ACKs, in probe order."""
+        if not host.is_middlebox:
+            return self.speaking_ports(host)[:count]
+        if self.ports is None:
+            return list(range(1, count + 1))
+        return list(self.ports[:count])
 
 
 class ZMapSimulator:
@@ -159,6 +239,18 @@ class ZMapSimulator:
             return [port for port in responsive if port in observed]
         self.ledger.record(category, probes=probes_sent, responses=len(responsive))
         return responsive
+
+    def charge_host_sweeps(self, hosts: int, ports: SweptPorts, responses: int,
+                           category: ScanCategory = ScanCategory.SEED) -> None:
+        """Charge ``hosts`` sweeps across ``ports`` in one ledger record.
+
+        The totals :meth:`scan_host_ports` charges for the same hosts when
+        ``responses`` is the sum of their SYN-ACKs and nothing is retried:
+        any lossless sweep, and dark hosts under loss (a host that answers
+        nothing has nothing to retransmit, so its sweep is one round).
+        """
+        self.ledger.record(category, probes=hosts * ports.size,
+                           responses=responses)
 
     def scan_pairs(self, pairs: Iterable[Tuple[int, int]],
                    category: ScanCategory = ScanCategory.PREDICTION) -> List[Tuple[int, int]]:

@@ -1,13 +1,14 @@
-"""An engine GPS run stays in columns from the priors scan to the prediction scan.
+"""An engine GPS run stays in columns from the seed scan to the prediction scan.
 
-The priors scan and the prediction scan return observation batches, and
-``predict`` returns columnar :class:`~repro.core.predictions.Predictions`,
-so an engine run builds no per-service object: no
-:class:`~repro.core.predictions.PredictedService` at all, and no
-:class:`~repro.scanner.records.ScanObservation` outside the seed scan (whose
-:class:`~repro.scanner.pipeline.SeedScanResult` stays materialized).  Rows
-are built only when a caller reads the result's sequences.  Constructions
-are counted by wrapping each class's ``__init__``.
+The seed scan, the priors scan and the prediction scan return observation
+batches, and ``predict`` returns columnar
+:class:`~repro.core.predictions.Predictions`, so an engine run builds no
+per-service object: no :class:`~repro.core.predictions.PredictedService` and
+no :class:`~repro.scanner.records.ScanObservation` at all.  Rows are built
+only when a caller reads the result's sequences (a
+:class:`~repro.scanner.pipeline.SeedScanResult` builds its rows once, on the
+first read of ``observations``).  Constructions are counted by wrapping each
+class's ``__init__``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from repro.core.predictions import (
     _PortMatcher,
 )
 from repro.datasets.split import split_seed_test
+from repro.internet.banners import BannerFactory
 from repro.internet.universe import Universe
 from repro.scanner.lzr import LZRSimulator
 from repro.scanner.pipeline import ScanPipeline
-from repro.scanner.records import ScanObservation
+from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.scanner.zgrab import ZGrabSimulator
+from repro.scanner.zmap import ZMapSimulator
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +83,72 @@ def test_self_seeded_engine_run_builds_no_row_objects(small_universe,
     config = GPSConfig(seed_fraction=0.05, use_engine=True)
     with GPS(ScanPipeline(small_universe), config) as gps:
         result = gps.run()
-    assert constructions["observed_in_seed_scan"] > 0  # the seed stays rows
+    assert constructions["observed_in_seed_scan"] == 0
     assert constructions["predicted"] == 0
     assert constructions["observed"] == 0
     _assert_rows_build_on_read(result, constructions)
+
+
+def test_reference_run_builds_seed_rows_once(small_universe, constructions,
+                                             monkeypatch):
+    """The seed's rows build on the first read of ``observations`` and every
+    later read -- the caller's second one, the reference feature extraction
+    of a non-engine run -- shares them."""
+    pipeline = ScanPipeline(small_universe)
+    seed = pipeline.seed_scan(0.05)
+    assert constructions["observed"] == 0
+    materialized = []
+    materialize = ObservationBatch.materialize
+
+    def counting_materialize(self):
+        if self is seed.batch:
+            materialized.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(ObservationBatch, "materialize", counting_materialize)
+    first = seed.observations
+    assert seed.observations is first
+    assert len(first) == len(seed.batch) > 0
+    assert constructions["observed"] == len(first)
+    with GPS(pipeline, GPSConfig(seed_fraction=0.05)) as gps:
+        result = gps.run(seed=seed, seed_cost_probes=0)
+    assert len(materialized) == 1
+    assert list(result.seed_observations) == first
+
+
+def _speaking_ports(host):
+    """Every port where ``host`` serves a service or a pseudo page."""
+    span = host.pseudo_port_range or (1, 0)
+    return set(host.services) | set(range(span[0], span[1] + 1))
+
+
+def test_seed_sweep_skips_dark_addresses_and_dense_hosts(small_universe,
+                                                         monkeypatch):
+    """No per-host ZMap sweep runs for a dark address, and no pseudo page is
+    built for a host the dense-host rule drops by count."""
+    swept, paged = [], []
+
+    def spy(cls, name, record):
+        original = getattr(cls, name)
+
+        def recording(self, ip, *args, **kwargs):
+            record.append(ip)
+            return original(self, ip, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, recording)
+
+    spy(ZMapSimulator, "scan_host_ports", swept)
+    spy(BannerFactory, "pseudo_service_features", paged)
+    pipeline = ScanPipeline(small_universe)
+    result = pipeline.seed_scan(0.05)
+    hosts = small_universe.hosts
+    dark = [ip for ip in result.sampled_ips if ip not in hosts]
+    limit = pipeline.pseudo_filter.max_services_per_host
+    dense = {ip for ip in result.sampled_ips
+             if ip in hosts and len(_speaking_ports(hosts[ip])) > limit}
+    assert dark and dense and result.removed_pseudo_services > 0
+    assert not set(swept) & set(dark)
+    assert not set(paged) & dense
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,8 @@ from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.datasets.split import seed_scan_cost_probes
 from repro.engine.faults import FaultPlan
+from repro.internet.topology import AutonomousSystem, Topology
+from repro.internet.universe import Host, ServiceRecord, Universe, UniverseConfig
 from repro.net.ipv4 import subnet_key
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import (
@@ -31,6 +33,7 @@ from repro.scanner.pipeline import (
     ScanPipeline,
 )
 from repro.scanner.records import ProbeBatch, group_pairs
+from repro.telemetry import Telemetry
 
 #: Seeded probe loss with a retry budget that covers it: results must stay
 #: identical to the lossless run, only the ledger shows retransmits.
@@ -319,6 +322,150 @@ class TestColumnarScanShapes:
         assert result.observations == expected
         assert columnar.ledger.snapshot() == oracle.ledger.snapshot()
         assert columnar.ledger.retransmits == oracle.ledger.retransmits
+
+
+class TestSeedSweep:
+    """``seed_scan`` on sampled seeds vs the per-host layer chain.
+
+    The chain sweeps every sampled address with ``scan_host_ports``,
+    fingerprints and grabs each host's SYN-ACKs target by target and runs
+    the object filter; the columnar sweep charges dark space and dense hosts
+    by count instead.  Rows, their order, the removed count, every ledger
+    total and the live probe counter must agree.
+    """
+
+    FRACTION, SCAN_SEED = 0.05, 0
+
+    @staticmethod
+    def _per_host_chain(pipeline, ips, ports):
+        """The unfiltered rows of the per-host chain."""
+        category = ScanCategory.SEED
+        rows = []
+        for ip in ips:
+            found = pipeline.zmap.scan_host_ports(ip, ports=ports,
+                                                  category=category)
+            if len(found) > MIDDLEBOX_SUSPECT_PORT_COUNT:
+                sample = found[:MIDDLEBOX_SAMPLE_PORTS]
+                if not pipeline.lzr.fingerprint_many(
+                        ((ip, port) for port in sample), category=category):
+                    continue
+            fingerprints = pipeline.lzr.fingerprint_many(
+                ((ip, port) for port in found), category=category)
+            rows.extend(pipeline.zgrab.grab_many(fingerprints,
+                                                 category=category))
+        return rows
+
+    @classmethod
+    def _filtered(cls, pipeline, rows, apply_filter):
+        """The chain's rows and removed count after the optional filter."""
+        if not apply_filter:
+            return rows, 0
+        report = pipeline.pseudo_filter.apply(rows)
+        return report.kept, report.removed_count()
+
+    def test_sample_covers_every_host_kind(self, universe):
+        ips = ScanPipeline(universe).sample_addresses(
+            self.FRACTION, random.Random(self.SCAN_SEED))
+        hosts = [universe.hosts[ip] for ip in ips if ip in universe.hosts]
+        assert len(hosts) < len(ips)  # dark space
+        assert any(host.is_middlebox for host in hosts)
+        assert any(host.services for host in hosts)
+        dense = [host for host in hosts if host.pseudo_port_range is not None]
+        assert {host.pseudo_incident_style for host in dense} == {True, False}
+
+    @pytest.mark.parametrize("apply_filter", [True, False],
+                             ids=["filtered", "unfiltered"])
+    @pytest.mark.parametrize("top_ports", [None, 8], ids=["all-ports", "top-8"])
+    @FAULT_PLANS
+    def test_seed_sweep_matches_per_host_chain(self, universe, fault_plan,
+                                               top_ports, apply_filter):
+        ports = (universe.port_registry().top_ports(top_ports)
+                 if top_ports else None)
+        columnar = ScanPipeline(universe, fault_plan=fault_plan,
+                                telemetry=Telemetry())
+        oracle = ScanPipeline(universe, fault_plan=fault_plan,
+                              telemetry=Telemetry())
+        result = columnar.seed_scan(self.FRACTION, seed=self.SCAN_SEED,
+                                    ports=ports, apply_filter=apply_filter)
+        ips = oracle.sample_addresses(self.FRACTION,
+                                      random.Random(self.SCAN_SEED))
+        expected, removed = self._filtered(
+            oracle, self._per_host_chain(oracle, ips, ports), apply_filter)
+        assert result.sampled_ips == ips
+        assert result.observations == expected
+        assert result.removed_pseudo_services == removed
+        assert (removed > 0) == (apply_filter and top_ports is None)
+        assert columnar.ledger.snapshot() == oracle.ledger.snapshot()
+        assert columnar.ledger.retransmits == oracle.ledger.retransmits
+        assert (columnar.ledger.total_retransmits() > 0) == (fault_plan is not None)
+        probes = [pipeline.telemetry.counter("scan_probes_total",
+                                             category="seed").value
+                  for pipeline in (columnar, oracle)]
+        assert probes[0] == probes[1] == columnar.ledger.total_probes()
+
+
+    @staticmethod
+    def _hand_built_universe():
+        """One /24 of hosts the generator never makes: middleboxes with
+        services, services inside a pseudo range, a pseudo range wider than
+        the middlebox threshold."""
+        base = 10 << 24
+
+        def host(offset, service_ports=(), protocol="ssh", **kwargs):
+            ip = base + offset
+            services = {port: ServiceRecord(
+                ip=ip, port=port, protocol=protocol,
+                app_features={"banner": f"{ip}:{port}"})
+                for port in service_ports}
+            return Host(ip=ip, asn=1, profile_name="hand", services=services,
+                        **kwargs)
+
+        hosts = [
+            host(1, [22, 80, 443]),
+            # A middlebox whose sampled ports speak, sparse and dense.
+            host(2, [1, 2, 3], protocol="ftp", is_middlebox=True),
+            host(3, range(1, 15), protocol="smtp", is_middlebox=True),
+            # A middlebox whose sample stays silent: dropped before LZR.
+            host(4, range(100, 120), protocol="imap", is_middlebox=True),
+            # Real services inside (and beside) a pseudo range.
+            host(5, [21, 25, 40], protocol="pop3",
+                 pseudo_port_range=(20, 30)),
+            host(6, [5], protocol="telnet", pseudo_port_range=(1, 40000),
+                 pseudo_incident_style=True),
+            host(7, [8080], protocol="rdp", pseudo_port_range=(8000, 8003)),
+        ]
+        system = AutonomousSystem(asn=1, name="hand", category="isp",
+                                  prefixes=((base, 24),))
+        return Universe({h.ip: h for h in hosts}, Topology([system]),
+                        UniverseConfig(host_count=len(hosts)))
+
+    # A port list with repeats, and one long enough (past
+    # MIDDLEBOX_SUSPECT_PORT_COUNT) to sample middleboxes, in reverse order.
+    REPEATS = [80, 22, 80, 8001, 5, 25, 21, 1, 2, 3]
+    DESCENDING = list(range(MIDDLEBOX_SUSPECT_PORT_COUNT + 1, 0, -1))
+
+    @pytest.mark.parametrize("fault_plan, ports", [
+        (None, None), (None, REPEATS), (None, DESCENDING),
+        (LOSS, None), (LOSS, REPEATS)],
+        ids=["lossless-all-ports", "lossless-repeats", "lossless-descending",
+             "lossy-all-ports", "lossy-repeats"])
+    def test_seed_sweep_on_hand_built_hosts_matches_per_host_chain(
+            self, fault_plan, ports):
+        universe = self._hand_built_universe()
+        columnar = ScanPipeline(universe, fault_plan=fault_plan)
+        oracle = ScanPipeline(universe, fault_plan=fault_plan)
+        result = columnar.seed_scan(1.0, ports=ports)
+        rows = self._per_host_chain(oracle, result.sampled_ips, ports)
+        expected, removed = self._filtered(oracle, rows, apply_filter=True)
+        assert len(result.sampled_ips) == 256
+        assert result.observations == expected
+        assert result.removed_pseudo_services == removed
+        assert columnar.ledger.snapshot() == oracle.ledger.snapshot()
+        assert columnar.ledger.retransmits == oracle.ledger.retransmits
+        # Status ids are handed out in row order, dropped rows included,
+        # as when every row is fingerprinted in one columnar pass.
+        assert columnar.status_encoder.values() == list(dict.fromkeys(
+            ["http"] + [row.protocol for row in rows]))
 
 
 class TestObservationBatch:

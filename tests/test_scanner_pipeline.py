@@ -2,11 +2,42 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.internet.topology import AutonomousSystem, Topology
+from repro.internet.universe import Universe, UniverseConfig
+from repro.net.ipv4 import prefix_size
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.filtering import PseudoServiceFilter
 from repro.scanner.pipeline import ScanPipeline
+
+
+def _randrange_sample(universe, fraction, rng):
+    """The per-pick reference sampler: one ``randrange`` per draw, mapped to
+    its announcement by walking the prefixes in order."""
+    ranges = [(base, prefix_size(length))
+              for system in universe.topology.systems
+              for base, length in system.prefixes]
+    total = sum(size for _, size in ranges)
+    count = min(max(1, int(round(total * fraction))), total)
+    picks = set()
+    while len(picks) < count:
+        offset = rng.randrange(total)
+        for base, size in ranges:
+            if offset < size:
+                picks.add(base + offset)
+                break
+            offset -= size
+    return sorted(picks)
+
+
+def _universe_of(*prefixes):
+    """A host-less universe announcing ``prefixes`` from one AS."""
+    system = AutonomousSystem(asn=1, name="hand", category="isp",
+                              prefixes=tuple(prefixes))
+    return Universe({}, Topology([system]), UniverseConfig(host_count=1))
 
 
 class TestSampling:
@@ -24,6 +55,47 @@ class TestSampling:
         assert len(sample) == expected
         assert len(set(sample)) == len(sample)
         assert all(universe.topology.asn_db.lookup(ip) is not None for ip in sample[:50])
+
+    @pytest.mark.parametrize("fraction", [0.001, 0.05, 0.25])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_picks_match_randrange_reference(self, universe, pipeline, seed,
+                                             fraction):
+        assert (pipeline.sample_addresses(fraction, random.Random(seed))
+                == _randrange_sample(universe, fraction, random.Random(seed)))
+
+    def test_full_fraction_on_a_small_universe(self):
+        universe = _universe_of((10 << 24, 24), (11 << 24, 26), (12 << 24, 30))
+        sample = ScanPipeline(universe).sample_addresses(1.0, random.Random(3))
+        assert sample == _randrange_sample(universe, 1.0, random.Random(3))
+        assert len(sample) == 256 + 64 + 4
+
+    @pytest.mark.parametrize("prefixes, fraction, bits", [
+        (((10 << 24, 32),), 0.5, 1),
+        (((10 << 24, 13),), 0.01, 20),
+        (((0, 2), (1 << 31, 1)), 2e-6, 32),
+        (((0, 0),), 1e-6, 33),
+    ], ids=["1-bit", "20-bit", "32-bit", "33-bit"])
+    def test_picks_match_randrange_reference_across_bit_lengths(
+            self, prefixes, fraction, bits):
+        universe = _universe_of(*prefixes)
+        total = sum(prefix_size(length) for _, length in prefixes)
+        assert total.bit_length() == bits
+        for seed in (0, 5):
+            assert (ScanPipeline(universe).sample_addresses(
+                fraction, random.Random(seed))
+                == _randrange_sample(universe, fraction, random.Random(seed)))
+
+    @pytest.mark.timeout(30)
+    def test_nested_announcements_return_every_distinct_address(self):
+        # A /25 inside a /24: 384 offsets but 256 distinct addresses.  The
+        # sampler must stop at the distinct count rather than wait forever
+        # for addresses that do not exist.
+        base = 10 << 24
+        universe = _universe_of((base, 24), (base, 25))
+        assert universe.announced_overlap(base, 24) == 384
+        assert universe.distinct_announced() == 256
+        sample = ScanPipeline(universe).sample_addresses(1.0, random.Random(0))
+        assert sample == list(range(base, base + 256))
 
 
 class TestSeedScan:
