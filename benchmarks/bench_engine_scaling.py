@@ -12,17 +12,10 @@ for its model: loading the seed's encoded columns into the runtime
 self-join.  The ratios are recorded without a floor: at this scale the
 stdlib fold is slower than the reference, and that is the number.
 
-Two further tests cover the machine-native column kernels:
-
-* ``test_model_fold_kernel_bulk_vs_per_row`` -- the model-pairs fold alone
-  (packed counts, no decode), per-row stdlib vs the vectorized numpy kernel
-  over the same resident column buffers; floor >= 2x.
-* ``test_thread_fold_beats_serial`` -- the same vectorized fold dispatched
-  across resident shards on the ``thread`` executor vs ``serial``.  numpy's
-  sorts release the GIL, so with >= 2 cores threads genuinely overlap; the
-  >= 1.3x floor is asserted whenever the machine has >= 2 cores (CI smoke
-  runners do) and recorded without asserting on single-core boxes, where
-  beating serial is physically impossible.
+A further test covers the machine-native column kernels:
+``test_model_fold_kernel_bulk_vs_per_row`` times the model-pairs fold alone
+(packed counts, no decode), per-row stdlib vs the vectorized numpy kernel
+over the same resident column buffers; floor >= 2x.
 
 Results are printed as tables and written to ``BENCH_engine.json`` at the
 repository root.  Every timed engine model is first checked identical to the
@@ -31,7 +24,6 @@ repository root.  Every timed engine model is first checked identical to the
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from unittest import mock
 
@@ -45,7 +37,7 @@ from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
 from repro.core import runtime_plans
-from repro.core.runtime_plans import ResidentHostGroups, merge_counters
+from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import build_full_dataset
 from repro.datasets.split import split_seed_test
 from repro.engine.columns import numpy_available
@@ -57,13 +49,6 @@ REPEATS = 3
 
 #: The vectorized model fold must beat the per-row fold on the same buffers.
 KERNEL_FLOOR = 1.5 if SMOKE else 2.0
-
-#: Thread executor over GIL-releasing kernels vs serial; only meaningful
-#: (and only asserted) with >= 2 cores.
-THREAD_FLOOR = 1.3
-
-#: Shards/workers for the thread-vs-serial fold.
-THREAD_WORKERS = 4
 
 
 def _model_on_engine(columns, kernel: str):
@@ -154,12 +139,6 @@ def _full_scale_columns(universe):
                                          FeatureConfig())
 
 
-def _resident_groups(universe, columns, executor: str, workers: int):
-    runtime = EngineRuntime(executor=executor, num_workers=workers,
-                            shard_count=workers)
-    return runtime, ResidentHostGroups(runtime, columns, step_size=16)
-
-
 def run_model_fold_kernel(universe):
     """Time the packed model-pairs fold: per-row stdlib vs the numpy kernel.
 
@@ -172,7 +151,8 @@ def run_model_fold_kernel(universe):
     relaxed.
     """
     columns = _full_scale_columns(universe)
-    runtime, resident = _resident_groups(universe, columns, "serial", 1)
+    runtime = EngineRuntime(executor="serial")
+    resident = ResidentHostGroups(runtime, columns, step_size=16)
     try:
         per_row = runtime.execute("model_pairs", resident.key, [("stdlib",)])[0]
         bulk = runtime.execute("model_pairs", resident.key, [("numpy",)])[0]
@@ -221,69 +201,3 @@ def test_model_fold_kernel_bulk_vs_per_row(run_once, universe):
           f"(floor {KERNEL_FLOOR}x, written to {RESULT_PATH.name})")
     assert speedup >= KERNEL_FLOOR, \
         f"bulk fold kernel only {speedup:.2f}x over per-row (floor {KERNEL_FLOOR}x)"
-
-
-def run_thread_fold(universe):
-    """Time the vectorized model fold on thread vs serial resident runtimes.
-
-    Every shard's fold sorts int64 buffers inside numpy (GIL released), so
-    the thread executor's workers genuinely overlap -- the first fold in
-    this repo where ``thread`` can beat ``serial``.
-    """
-    columns = _full_scale_columns(universe)
-    timings = {}
-    counts = {}
-    for executor in ("serial", "thread"):
-        runtime, resident = _resident_groups(universe, columns, executor,
-                                             THREAD_WORKERS)
-        try:
-            args = [("numpy",)] * runtime.shard_count
-            first = runtime.execute("model_pairs", resident.key, args)
-            counts[executor] = merge_counters(
-                dict(zip(keys.tolist(), cnts.tolist())) for keys, cnts in first)
-            timings[executor] = best_seconds(
-                lambda: runtime.execute("model_pairs", resident.key, args),
-                REPEATS)
-        finally:
-            resident.release()
-            runtime.close()
-    assert counts["thread"] == counts["serial"], \
-        "thread-executor fold diverged from the serial fold"
-    return {
-        "hosts": len(columns),
-        "predictor_refs": len(columns.value_ids),
-        "workers": THREAD_WORKERS,
-        "cpu_count": os.cpu_count(),
-        "equivalence": "thread merged packed counts == serial merged packed counts",
-        "serial_seconds": timings["serial"],
-        "thread_seconds": timings["thread"],
-    }
-
-
-def test_thread_fold_beats_serial(run_once, universe):
-    if not numpy_available():
-        pytest.skip("numpy backend unavailable; the GIL-releasing fold needs it")
-    results = run_once(run_thread_fold, universe)
-    speedup = results["serial_seconds"] / results["thread_seconds"]
-    asserted = (os.cpu_count() or 1) >= 2
-    results["speedup"] = round(speedup, 2)
-    results["floor"] = THREAD_FLOOR
-    results["floor_asserted"] = asserted
-    record(RESULT_PATH, {"thread_fold": results})
-
-    print()
-    print(format_table(
-        ("executor", "seconds", "speedup"),
-        [("serial", f"{results['serial_seconds']:.4f}", "1.00x"),
-         (f"thread x{THREAD_WORKERS}", f"{results['thread_seconds']:.4f}",
-          f"{speedup:.2f}x")],
-        title=(f"Vectorized model fold, resident shards "
-               f"({results['hosts']} hosts, {os.cpu_count()} cores)"),
-    ))
-    print(f"Thread fold vs serial: {speedup:.2f}x (floor {THREAD_FLOOR}x, "
-          f"{'asserted' if asserted else 'recorded only: single-core machine'}, "
-          f"written to {RESULT_PATH.name})")
-    if asserted:
-        assert speedup >= THREAD_FLOOR, \
-            (f"thread fold only {speedup:.2f}x over serial on a "
-             f"{os.cpu_count()}-core machine (floor {THREAD_FLOOR}x)")

@@ -5,7 +5,7 @@ This benchmark covers the two hot paths after the model build:
 * **priors planning** (Section 5.3): the reference planner's per-host dict
   loops versus :func:`repro.core.priors.build_priors_plan_with_engine`,
   which folds coverage counts over dictionary-encoded columns resident in
-  an engine runtime, swept over the serial/thread/pool executors (the
+  an engine runtime, swept over the serial and pool executors (the
   seed's columns load once per runtime, as in a GPS run; the model's side
   tables ship on every timed call);
 * **prediction scanning** (Section 5.4): pair-by-pair
@@ -58,8 +58,6 @@ PRIORS_SEED_FRACTION = 0.1
 #: (executor, workers) sweep over the runtime executors.
 SWEEP = (
     ("serial", 1),
-    ("thread", 2),
-    ("thread", 4),
     ("pool", 2),
 )
 

@@ -25,9 +25,7 @@ the measurement.  So the report keeps no copy of any floor and has no
 not fails ``--check``: deleting the line that records a floor cannot quietly
 remove its gate.  Ratios registered without a floor path
 (``engine_vs_reference``, ``warm_vs_serial``, ``mmap_vs_queue_ship``) are
-recorded for the trend only and always report "not asserted".  Metrics
-gated off by the producing run (``thread_fold.floor_asserted`` false on
-single-core machines) are reported but never fail the check, and sections
+recorded for the trend only and always report "not asserted".  Sections
 that are absent from a results file (numpy-gated benchmarks skip where no
 wheel exists) are reported as missing rather than failed.
 
@@ -65,16 +63,12 @@ class Metric:
             beside the speedup.  ``None`` for a ratio the producing
             benchmark records without a floor: it is reported as "not
             asserted" and never gates.
-        gate_path: dotted path to a boolean recorded by the producing run;
-            when it resolves to false the metric is reported but exempt
-            from ``--check`` (e.g. thread-vs-serial on a 1-core machine).
     """
 
     file: str
     label: str
     value_path: str
     floor_path: Optional[str] = None
-    gate_path: Optional[str] = None
 
 
 #: Every headline ratio the report renders; the floors live in the results.
@@ -85,9 +79,6 @@ METRICS: Tuple[Metric, ...] = (
            "engine_vs_reference.numpy"),
     Metric("BENCH_engine.json", "numpy fold kernel vs per-row fold",
            "model_fold_kernel.speedup", floor_path="model_fold_kernel.floor"),
-    Metric("BENCH_engine.json", "thread fold vs serial (model build)",
-           "thread_fold.speedup", floor_path="thread_fold.floor",
-           gate_path="thread_fold.floor_asserted"),
     Metric("BENCH_dataset.json", "columnar seed ingest vs object path",
            "columnar_vs_object_speedup", floor_path="columnar_vs_object_floor"),
     Metric("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
@@ -202,9 +193,6 @@ def evaluate(results: Dict[str, List[Dict[str, Any]]],
             floor = min(floors) if floors else None
 
         asserted = metric.floor_path is not None
-        if asserted and metric.gate_path is not None and docs:
-            gates = [resolve(d, metric.gate_path) for d in docs]
-            asserted = any(g is True for g in gates)
 
         base_docs = baselines.get(metric.file, [])
         base_values = [v for v in (resolve(d, metric.value_path)

@@ -2,13 +2,15 @@
 
 Table 2 decomposes a full GPS run into scanning, computation and data-transfer
 phases and reports bandwidth, computation time (single core), wall-clock time
-and data volume for each.  The reproduction runs :meth:`GPS.run` twice on one
-dataset split -- once on the single-core reference path, once on the engine
-runtime's thread executor -- and reads the computation rows off each run's own
-phase spans: "predicting first service" (PFS) is feature extraction, the
+and data volume for each.  The reproduction runs :meth:`GPS.run` once on one
+dataset split, on the engine runtime's in-process ``serial`` executor (one
+core), and reads the computation rows off the run's own phase spans:
+"predicting first service" (PFS) is feature extraction, the
 resident load, the model build and the priors plan; "predicting remaining
 services" (PRS) is the index build and the prediction step.  Probe counts come
-from the run's bandwidth ledger and data sizes from its result.  What depends
+from the run's bandwidth ledger and data sizes from its result.  The paper's
+parallel figure (BigQuery) has no offline counterpart that a measurement here
+backs, so the breakdown reports the one measured compute column.  What depends
 on infrastructure that does not exist offline (line-rate scan time,
 upload/download time at a given link speed) is modelled with the same cost
 model as the paper: probes x packet size / line rate and bytes / transfer rate.
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS, GPSRunResult
@@ -45,11 +47,9 @@ class PhaseRow:
         probes: probes sent in this phase (0 for pure-compute phases).
         full_scans: the same bandwidth in "100 % scans".
         compute_seconds_single_core: measured single-core computation time.
-        compute_seconds_parallel: measured computation time on the parallel
-            engine (None when the phase has no parallel implementation).
         wall_seconds: modelled wall-clock time of the phase (scan time at the
             configured line rate, transfer time at the configured link speed,
-            or the parallel compute time for computation phases).
+            or the measured compute time for computation phases).
         data_bytes: data produced/transferred by the phase.
     """
 
@@ -57,7 +57,6 @@ class PhaseRow:
     probes: int = 0
     full_scans: float = 0.0
     compute_seconds_single_core: float = 0.0
-    compute_seconds_parallel: Optional[float] = None
     wall_seconds: float = 0.0
     data_bytes: int = 0
 
@@ -70,7 +69,6 @@ class PerformanceBreakdown:
     seed_scan_rate_bps: float = 1.5e9
     prediction_scan_rate_bps: float = 50e6
     transfer_rate_bytes_per_s: float = 25e6
-    parallel_workers: int = 1
 
     def total_wall_seconds(self) -> float:
         """Sum of modelled wall-clock time across phases."""
@@ -83,16 +81,6 @@ class PerformanceBreakdown:
     def total_full_scans(self) -> float:
         """Total bandwidth in 100 % scans."""
         return sum(row.full_scans for row in self.rows)
-
-    def speedup(self) -> Optional[float]:
-        """Single-core versus parallel compute speedup across compute phases."""
-        single = sum(row.compute_seconds_single_core for row in self.rows
-                     if row.compute_seconds_parallel is not None)
-        parallel = sum(row.compute_seconds_parallel for row in self.rows
-                       if row.compute_seconds_parallel is not None)
-        if parallel and parallel > 0:
-            return single / parallel
-        return None
 
 
 def _observations_bytes(observations: Sequence) -> int:
@@ -125,37 +113,29 @@ def run_performance_breakdown(
     seed_fraction: float = 0.01,
     step_size: int = 16,
     split_seed: int = 0,
-    workers: int = 4,
     seed_scan_rate_bps: float = 1.5e9,
     prediction_scan_rate_bps: float = 50e6,
     transfer_rate_bytes_per_s: float = 25e6,
 ) -> PerformanceBreakdown:
     """Measure/model the Table 2 breakdown for one GPS configuration.
 
-    GPS runs twice on the same seed -- once single-core on the reference
-    path, once on the engine runtime's ``thread`` executor with ``workers``
-    workers -- so the breakdown can report the speedup the paper attributes
-    to a highly parallel execution environment.  The engine's PFS row
-    includes loading the seed's encoded columns into the workers.  The scan
-    and data rows read the engine run, whose outputs equal the reference's.
+    GPS runs once, on the engine runtime's ``serial`` executor; every row
+    reads that run.  The PFS row includes loading the seed's encoded columns
+    into the runtime.
     """
     split = split_seed_test(dataset, seed_fraction, seed=split_seed)
     seed = split.seed_scan_result()
     seed_cost = seed_scan_cost_probes(dataset, seed_fraction)
     config = GPSConfig(seed_fraction=seed_fraction, step_size=step_size,
-                       port_domain=dataset.port_domain)
-    _, _, single_seconds = _traced_run(universe, config, seed, seed_cost)
-    result, ledger, engine_seconds = _traced_run(
-        universe, replace(config, use_engine=True, executor="thread",
-                          num_workers=workers),
-        seed, seed_cost)
+                       port_domain=dataset.port_domain, use_engine=True,
+                       executor="serial")
+    result, ledger, span_seconds = _traced_run(universe, config, seed, seed_cost)
     space = universe.address_space_size()
 
     breakdown = PerformanceBreakdown(
         seed_scan_rate_bps=seed_scan_rate_bps,
         prediction_scan_rate_bps=prediction_scan_rate_bps,
         transfer_rate_bytes_per_s=transfer_rate_bytes_per_s,
-        parallel_workers=workers,
     )
 
     def scan_row(name: str, category: ScanCategory, rate_bps: float) -> PhaseRow:
@@ -164,12 +144,9 @@ def run_performance_breakdown(
                         wall_seconds=probes * BITS_PER_PROBE / rate_bps)
 
     def compute_row(name: str, spans: Sequence[str], data_bytes: int) -> PhaseRow:
-        parallel = sum(engine_seconds[span] for span in spans)
-        return PhaseRow(name=name,
-                        compute_seconds_single_core=sum(single_seconds[span]
-                                                        for span in spans),
-                        compute_seconds_parallel=parallel,
-                        wall_seconds=parallel, data_bytes=data_bytes)
+        seconds = sum(span_seconds[span] for span in spans)
+        return PhaseRow(name=name, compute_seconds_single_core=seconds,
+                        wall_seconds=seconds, data_bytes=data_bytes)
 
     def transfer_row(name: str, data_bytes: int) -> PhaseRow:
         return PhaseRow(name=name, data_bytes=data_bytes,

@@ -139,8 +139,8 @@ def run_gps_on_dataset(
     trains on the supplied seed and the ``seed_cost_mode`` charge applies to
     it unchanged.
 
-    ``executor`` selects a persistent engine-runtime backend (``"serial"``,
-    ``"thread"`` or ``"pool"``; implies ``use_engine``) with ``num_workers``
+    ``executor`` selects a persistent engine-runtime backend (``"serial"``
+    or ``"pool"``; implies ``use_engine``) with ``num_workers``
     workers over ``shard_count`` resident shards (0 = one per worker); the
     runtime lives for this one run and is closed before returning.
 

@@ -46,6 +46,7 @@ from repro.analysis.scenarios import (
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.core.metrics import fraction_of_services, normalized_fraction_of_services
+from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.internet.churn import ChurnConfig
 from repro.scanner.pipeline import ScanPipeline
 from repro.telemetry import Telemetry
@@ -65,7 +66,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--executor", choices=("serial", "thread", "pool"),
+    parser.add_argument("--executor", choices=RUNTIME_EXECUTORS,
                         default=None,
                         help="run model/priors/prediction-index builds on the "
                              "persistent engine runtime with this backend "

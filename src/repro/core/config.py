@@ -12,8 +12,8 @@ GPS exposes exactly the knobs the paper describes as user parameters:
 * the **probability cut-off** below which a pattern is considered random noise
   (Section 5.4 uses 1e-5, roughly the hit rate of random probing);
 * the **compute backend** used for the three Table 2 builds (the single-core
-  reference, or the engine runtime on a serial, thread or pool executor,
-  Section 5.5 / Table 2).
+  reference, or the engine runtime on its in-process serial executor or its
+  pool of worker processes, Section 5.5 / Table 2).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class GPSConfig:
             folds all three builds against the resident shards; every
             result is bit-identical to the reference.
         executor: the runtime executor the engine runs on -- ``"serial"``
-            (the default), ``"thread"`` or ``"pool"``.  The :class:`GPS`
+            (the default) or ``"pool"``.  The :class:`GPS`
             orchestrator owns one
             :class:`~repro.engine.runtime.EngineRuntime` for its lifetime:
             workers start once and every run reuses them.  Only consulted

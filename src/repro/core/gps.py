@@ -124,7 +124,7 @@ class GPS:
 
     With ``GPSConfig.use_engine`` set, the instance owns one
     :class:`~repro.engine.runtime.EngineRuntime` on ``GPSConfig.executor``
-    (``"serial"``, ``"thread"`` or ``"pool"``) for its whole life: the pool
+    (``"serial"`` or ``"pool"``) for its whole life: the pool
     starts lazily on the first engine build, every run reuses it, and
     :meth:`close` (or using the GPS as a context manager) tears it down.
     Within a run the seed's encoded columns load into the workers once and

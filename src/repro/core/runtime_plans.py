@@ -222,9 +222,9 @@ class ResidentHostGroups:
         The fold kernel is resolved here, once per build, and ships to every
         shard as the task argument: the numpy kernels
         (:func:`repro.engine.fused.fold_model_pairs_arrays`) when numpy
-        imports -- no per-row Python loop, and numpy's GIL-releasing sorts
-        let thread workers overlap -- else the stdlib row-by-row fold.  Both
-        reply with packed ``(keys, counts)`` columns merged here.
+        imports -- no per-row Python loop -- else the stdlib row-by-row
+        fold.  Both reply with packed ``(keys, counts)`` columns merged
+        here.
         """
         self._check_usable()
         kernel_args = [(resolve_column_backend(),)] * self.runtime.shard_count

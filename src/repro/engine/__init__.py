@@ -19,9 +19,9 @@ all three of GPS's Table 2 builds:
   argmax, plus the vectorized numpy twin of the model fold;
 * :mod:`~repro.engine.shard` -- ``PYTHONHASHSEED``-independent hash
   partitioning of encoded columns into shards with a stable identity;
-* :mod:`~repro.engine.runtime` -- the persistent execution runtime: one
-  worker pool (``serial`` / ``thread`` / ``pool`` executors) that holds
-  sharded columns resident and runs every fold against them.
+* :mod:`~repro.engine.runtime` -- the persistent execution runtime: the
+  in-process ``serial`` executor or the ``pool`` of worker processes, either
+  of which holds sharded columns resident and runs every fold against them.
 
 GPS's builds (:mod:`repro.core.model`, :mod:`repro.core.priors`,
 :mod:`repro.core.predictions`) each ship two implementations: a direct

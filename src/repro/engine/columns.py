@@ -10,15 +10,13 @@ to a boxed ``int``), pickles as a single contiguous byte buffer (one
 object per element), and exports the buffer protocol, so bulk kernels can
 fold over it without ever materializing Python ints:
 
-* ``memoryview(column)`` is a zero-copy typed view (what the thread executor
-  shares between workers);
 * ``numpy.frombuffer(column, dtype=int64)`` is a zero-copy ndarray view
   (what the vectorized kernels in :mod:`repro.engine.fused` fold over).
 
 Two kernel backends exist for the engine's model fold, and the platform
 picks between them: :func:`resolve_column_backend` selects ``numpy`` when
-numpy imports (vectorized sort + run-length passes that release the GIL,
-faster and smaller at every measured seed size) and the pure-Python
+numpy imports (vectorized sort + run-length passes, faster and smaller at
+every measured seed size) and the pure-Python
 ``stdlib`` fold otherwise, which is the only kernel on numpy-less
 interpreters.  Both produce identical packed counts; the tests pin each
 against the other and against the dictionary reference.

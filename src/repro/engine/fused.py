@@ -330,8 +330,7 @@ def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]
 # whole-column ufunc passes over the group-structured buffers: expand the
 # join's full multiset of packed keys, sort it, run-length count it, and
 # subtract the excluded self pairs.  Sorting machine words is cheaper than a
-# per-pair dict hop, and numpy releases the GIL inside its C loops -- which
-# is what lets the thread executor fold resident shards concurrently.
+# per-pair dict hop.
 
 
 def _run_length(np, sorted_values):
@@ -400,7 +399,7 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
         ms[group_of_value] - out_starts, reps)
     full = np.repeat(vids, reps) * pack_base + ports[idx]
     # In-place sort + run-length count; np.sort over int64 is the whole
-    # fold's hot loop and runs GIL-free.  (No argsort anywhere: a stable
+    # fold's hot loop.  (No argsort anywhere: a stable
     # argsort of the expansion costs an order of magnitude more than the
     # value sort and nothing here needs original positions.)
     full.sort()

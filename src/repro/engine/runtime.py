@@ -12,10 +12,10 @@ the same architecture to GPS's three Table 2 builds:
   shard resident, so repeated builds against the same data (model -> priors
   -> prediction index in one GPS run) ship only the plan parameters, never
   the columns;
-* **one dispatch protocol** -- the ``serial``, ``thread`` and ``pool``
-  executors implement the same :class:`Executor` interface, so callers pick
-  a backend by name and results are bit-identical across all three (the
-  equivalence suites assert it).
+* **one dispatch protocol** -- the in-process ``serial`` executor and the
+  out-of-process ``pool`` executor implement the same :class:`Executor`
+  interface, so callers pick a backend by name and results are
+  bit-identical across both (the equivalence suites assert it).
 
 Workers are plain interpreter processes started with the ``spawn`` method
 (fork-safety on 3.12+, identical behaviour on 3.10-3.12); each owns a
@@ -91,7 +91,7 @@ __all__ = [
 _LOGGER = logging.getLogger("repro.engine.runtime")
 
 #: Executor backends an :class:`EngineRuntime` can run plans on.
-RUNTIME_EXECUTORS = ("serial", "thread", "pool")
+RUNTIME_EXECUTORS = ("serial", "pool")
 
 #: Packing base for the resident model fold: group keys are
 #: ``(predictor id, target port)`` pairs and ports are < 65536, so
@@ -270,7 +270,7 @@ class RecoveryStats:
 # ``broadcast`` the worker-resident broadcast payload dict (or None), and
 # ``args`` the per-call plain-data arguments.  Registering by name keeps
 # messages free of pickled callables and makes the same registry serve the
-# in-process executors and the spawned workers.
+# in-process serial executor and the spawned workers.
 
 
 def _task_count_rows(shard: Optional[dict], broadcast: Optional[dict],
@@ -534,7 +534,7 @@ class Executor:
         return 0, 0
 
     def _observe_task(self, fn_name: str, exec_s: float,
-                      queue_s: Optional[float] = None) -> None:
+                      queue_s: float) -> None:
         """Record one task's latency split (when telemetry is on)."""
         tel = self.telemetry
         if not tel.enabled:
@@ -542,11 +542,10 @@ class Executor:
         tel.histogram("engine_task_execute_seconds",
                       "Worker-side task execution time",
                       task=fn_name).observe(exec_s)
-        if queue_s is not None:
-            tel.histogram("engine_task_queue_seconds",
-                          "Time between dispatch and execution "
-                          "(inbox queue + IPC)",
-                          task=fn_name).observe(queue_s)
+        tel.histogram("engine_task_queue_seconds",
+                      "Time between dispatch and execution "
+                      "(inbox queue + IPC)",
+                      task=fn_name).observe(queue_s)
 
     def run(self, tasks: Sequence[Tuple[str, Any, Optional[int], Any]]) -> List[Any]:
         """Execute ``(fn_name, key, shard_idx, args)`` tasks, results in order."""
@@ -608,42 +607,6 @@ class SerialExecutor(Executor):
 
     def close(self) -> None:
         self._store.clear()
-
-
-class ThreadExecutor(SerialExecutor):
-    """Runs tasks on a persistent thread pool over the shared in-process store.
-
-    Residency is trivial (one address space), so this backend mainly
-    validates the dispatch/sharding logic and serves workloads whose folds
-    release the GIL; the resident store is only read during ``run``.
-    """
-
-    def __init__(self, workers: int) -> None:
-        super().__init__()
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        import concurrent.futures
-
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-
-    def run(self, tasks: Sequence[Tuple[str, Any, Optional[int], Any]]) -> List[Any]:
-        timed = self.telemetry.enabled
-
-        def _one(task):
-            fn_name, key, shard_idx, args = task
-            shard, broadcast = self._resolve(key, shard_idx)
-            if timed:
-                t0 = time.perf_counter()
-                result = _TASKS[fn_name](shard, broadcast, args)
-                self._observe_task(fn_name, time.perf_counter() - t0)
-                return result
-            return _TASKS[fn_name](shard, broadcast, args)
-
-        return list(self._pool.map(_one, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-        super().close()
 
 
 class PoolExecutor(Executor):
@@ -1212,9 +1175,9 @@ class PoolExecutor(Executor):
 class EngineRuntime:
     """A persistent, shard-aware execution runtime for the engine's folds.
 
-    One runtime owns one executor backend (``serial``, ``thread`` or
-    ``pool``) for its whole life: workers start once (lazily, on first use)
-    and every plan execution reuses them.  Data ships through
+    One runtime owns one executor backend (``serial`` or ``pool``) for its
+    whole life: workers start once (lazily, on first use) and every plan
+    execution reuses them.  Data ships through
     :meth:`load_shards` / :meth:`load_broadcast` and stays resident in the
     workers under a caller-chosen key; :meth:`execute` then runs a registered
     task against each resident shard, shipping only per-call arguments.
@@ -1240,7 +1203,7 @@ class EngineRuntime:
         """Configure the runtime (workers start lazily on first use).
 
         Args:
-            executor: ``"serial"``, ``"thread"`` or ``"pool"``.
+            executor: ``"serial"`` or ``"pool"``.
             num_workers: pool size; ``0`` means :func:`default_worker_count`.
             shard_count: shards resident datasets are partitioned into;
                 ``0`` means one shard per worker.  More shards than workers
@@ -1308,7 +1271,7 @@ class EngineRuntime:
 
     @property
     def recovery_stats(self) -> RecoveryStats:
-        """Supervision counters (all zero for in-process backends)."""
+        """Supervision counters (all zero for the in-process backend)."""
         if isinstance(self._backend, PoolExecutor):
             return self._backend.recovery_stats
         return RecoveryStats()
@@ -1319,8 +1282,6 @@ class EngineRuntime:
         if self._backend is None:
             if self.executor == "serial":
                 self._backend = SerialExecutor()
-            elif self.executor == "thread":
-                self._backend = ThreadExecutor(self.num_workers)
             else:
                 self._backend = PoolExecutor(
                     self.num_workers,

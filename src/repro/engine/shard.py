@@ -146,10 +146,10 @@ def shard_group_columns(
 
     Payload columns are returned as :class:`~repro.engine.columns.IntColumn`
     buffers: a resident shard is one machine-native allocation per column
-    (not a list of boxed ints), the thread executor's workers read the
-    buffers zero-copy, and shipping a shard to a pool worker pickles each
-    column as a single contiguous ``tobytes()`` blob instead of one object
-    per element.
+    (not a list of boxed ints), the numpy kernels read the buffers
+    zero-copy, and shipping a shard to a pool worker pickles each column as
+    a single contiguous ``tobytes()`` blob instead of one object per
+    element.
     """
     group_count = len(group_keys)
     if len(assign_keys) != group_count:

@@ -4,7 +4,7 @@
 :class:`~repro.engine.runtime.EngineRuntime` into a long-lived serving layer.
 One service owns:
 
-* **one engine runtime** (serial/thread/pool, the PR 4-6 machinery) that
+* **one engine runtime** (serial or pool) that
   every model build folds on -- worker processes spawn once and hold each
   loaded model's seed columns resident until the model is evicted; a worker
   crash mid-build heals through the runtime's own supervision without

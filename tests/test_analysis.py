@@ -163,8 +163,7 @@ class TestFeatureAnalysis:
 class TestPerformanceAndLimits:
     def test_performance_breakdown_rows(self, universe, censys_dataset):
         breakdown = run_performance_breakdown(
-            universe, censys_dataset, seed_fraction=0.05, step_size=16,
-            workers=2)
+            universe, censys_dataset, seed_fraction=0.05, step_size=16)
         names = [row.name for row in breakdown.rows]
         assert any("seed scan" in name for name in names)
         assert any("PFS" in name for name in names)
@@ -172,34 +171,33 @@ class TestPerformanceAndLimits:
         assert breakdown.total_wall_seconds() > 0
         assert breakdown.total_full_scans() > 0
         assert breakdown.total_compute_seconds_single_core() > 0
-        assert breakdown.speedup() is None or breakdown.speedup() > 0
 
     def test_performance_breakdown_reads_the_runs_spans(self, universe,
                                                         censys_dataset,
                                                         monkeypatch):
-        """Table 2's compute rows are the span sums of the two GPS runs that
-        produced them, and its scan rows are the engine run's ledger."""
+        """Table 2 runs GPS once, on the engine's serial executor: its
+        compute rows are that run's span sums and its scan rows its ledger."""
         from repro.analysis.performance import PFS_SPANS, PRS_SPANS
         from repro.core.gps import GPS
         from repro.scanner.bandwidth import ScanCategory
 
-        runs = {}
+        runs = []
         run = GPS.run
 
         def spy(self, *args, **kwargs):
             result = run(self, *args, **kwargs)
-            runs[self.config.use_engine] = (self.telemetry,
-                                            self.pipeline.ledger)
+            runs.append((self.config.use_engine, self.config.executor,
+                         self.telemetry, self.pipeline.ledger))
             return result
 
         monkeypatch.setattr(GPS, "run", spy)
         breakdown = run_performance_breakdown(
-            universe, censys_dataset, seed_fraction=0.05, step_size=16,
-            workers=2)
-        assert set(runs) == {False, True}
+            universe, censys_dataset, seed_fraction=0.05, step_size=16)
+        ((use_engine, executor, telemetry, ledger),) = runs
+        assert use_engine and executor == "serial"
 
-        def span_sum(use_engine, names):
-            (root,) = runs[use_engine][0].tracer.roots
+        def span_sum(names):
+            (root,) = telemetry.tracer.roots
             return sum(span.duration_s for span in root.children
                        if span.name in names)
 
@@ -207,10 +205,9 @@ class TestPerformanceAndLimits:
         for name, spans in (("Predicting first service (PFS)", PFS_SPANS),
                             ("Predicting remaining services (PRS)", PRS_SPANS)):
             assert rows[name].compute_seconds_single_core == \
-                pytest.approx(span_sum(False, spans), rel=1e-12)
-            assert rows[name].compute_seconds_parallel == \
-                pytest.approx(span_sum(True, spans), rel=1e-12)
-        ledger = runs[True][1]
+                pytest.approx(span_sum(spans), rel=1e-12)
+            assert rows[name].wall_seconds == \
+                rows[name].compute_seconds_single_core
         assert rows["PFS scan"].probes == ledger.total_probes(ScanCategory.PRIORS)
         assert rows["PRS scan"].probes == \
             ledger.total_probes(ScanCategory.PREDICTION)

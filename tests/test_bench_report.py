@@ -124,29 +124,6 @@ def test_without_check_regressions_warn_but_pass(results_dir):
     assert _run(results_dir) == 0
 
 
-def test_gated_metric_never_fails_when_not_asserted(results_dir):
-    """thread_fold below floor with floor_asserted false must not gate
-    (single-core machines record the number without asserting it)."""
-
-    def mutate(document):
-        document["thread_fold"]["speedup"] = 0.5
-        document["thread_fold"]["floor_asserted"] = False
-
-    _doctor(results_dir, "BENCH_engine.json", mutate)
-    assert _run(results_dir, "--check") == 0
-
-
-def test_gated_metric_fails_when_asserted(results_dir):
-    """...but the same number on a multi-core leg fails the check."""
-
-    def mutate(document):
-        document["thread_fold"]["speedup"] = 0.5
-        document["thread_fold"]["floor_asserted"] = True
-
-    _doctor(results_dir, "BENCH_engine.json", mutate)
-    assert _run(results_dir, "--check") == 1
-
-
 def test_recorded_ratios_without_floor_never_gate(results_dir, capsys):
     """Ratios recorded without a floor (engine vs reference, warm pool vs
     serial, mmap vs queue-ship) report "not asserted" however low they

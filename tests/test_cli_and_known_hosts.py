@@ -145,6 +145,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["quickstart", "--scale", "galactic"])
 
+    @pytest.mark.parametrize("command", [
+        ["quickstart"], ["coverage"], ["serve"],
+        ["snapshot", "save", "--out", "snap"],
+    ], ids=("quickstart", "coverage", "serve", "snapshot-save"))
+    @pytest.mark.parametrize("executor", ["thread", "gpu"])
+    def test_parser_rejects_unknown_executor(self, command, executor, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--executor", executor])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_quickstart_command(self, capsys):
         exit_code = main(["quickstart", "--scale", "small", "--seed", "3",
                           "--seed-fraction", "0.05"])

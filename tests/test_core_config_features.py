@@ -56,7 +56,7 @@ class TestConfigs:
         {"port_domain": (0,)},
         {"use_engine": True, "executor": "process"},
         {"use_engine": True, "executor": "legacy"},
-        {"executor": "thread"},
+        {"use_engine": True, "executor": "thread"},
         {"executor": "pool"},
     ])
     def test_gps_config_validation(self, kwargs):

@@ -5,7 +5,7 @@ is *defined* as producing exactly the ordered
 :class:`~repro.core.priors.PriorsEntry` list of the reference
 :func:`~repro.core.priors.build_priors_plan` oracle -- on handcrafted hosts,
 on randomized observation sets (hypothesis), for every step size / port
-domain, and across the serial, thread and pool runtime executors and shard
+domain, and across the serial and pool runtime executors and shard
 counts.
 """
 
@@ -75,8 +75,7 @@ class TestEnginePriorsEquivalence:
         assert _engine_plan(hosts, model, 16, port_domain) == expected
 
     @pytest.mark.parametrize("executor,workers,shard_count", [
-        ("serial", 1, 0), ("serial", 1, 5), ("thread", 2, 0), ("thread", 5, 0),
-        ("thread", 2, 7), ("pool", 2, 0),
+        ("serial", 1, 0), ("serial", 1, 5), ("serial", 2, 7), ("pool", 2, 0),
     ])
     def test_matches_reference_across_executors(self, camera_fleet, executor,
                                                 workers, shard_count):
@@ -85,7 +84,7 @@ class TestEnginePriorsEquivalence:
         assert _engine_plan(hosts, model, executor=executor, num_workers=workers,
                             shard_count=shard_count) == expected
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "pool"])
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
     def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor,
                                                      model_kernel):
         model, hosts = _model_and_hosts(camera_fleet)
@@ -154,9 +153,8 @@ class TestRandomizedEquivalence:
         assert _engine_plan(hosts, model, step_size, port_domain) == expected
 
     @settings(deadline=None, max_examples=20)
-    @given(observation_sets, st.integers(1, 6),
-           st.sampled_from(["serial", "thread"]))
-    def test_sharded_engine_equals_reference(self, rows, shard_count, executor):
+    @given(observation_sets, st.integers(1, 6))
+    def test_sharded_engine_equals_reference(self, rows, shard_count):
         observations = []
         seen = set()
         for host_index, port, protocol, server in rows:
@@ -168,5 +166,5 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, 16)
-        assert _engine_plan(hosts, model, executor=executor, num_workers=2,
+        assert _engine_plan(hosts, model, num_workers=2,
                             shard_count=shard_count) == expected

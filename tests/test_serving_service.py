@@ -443,5 +443,6 @@ class TestLifecycle:
             ServingConfig(request_timeout_s=0)
         with pytest.raises(ValueError):
             ServingConfig(lookup_threads=0)
-        with pytest.raises(ValueError):
-            ServingConfig(executor="bigquery")
+        for executor in ("bigquery", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                ServingConfig(executor=executor)
