@@ -89,7 +89,7 @@ def forced_model_kernel(kernel):
     Patches the one coordinator-side selection point,
     :meth:`ResidentHostGroups.model_counts`' call to
     ``resolve_column_backend``; the kernel name ships to every worker as the
-    task argument, so the patch reaches all three executors.  Skips the
+    task argument, so the patch reaches every executor.  Skips the
     test when ``numpy`` is asked for but not installed.
     """
     if kernel == "numpy" and not numpy_available():
@@ -104,6 +104,17 @@ def model_kernel(request):
     """Each test using this runs once per model-fold kernel."""
     with forced_model_kernel(request.param) as kernel:
         yield kernel
+
+
+#: Engine layouts the executor-parametrized equivalence tests run on, as
+#: ``(executor, shard_count)``; a shard count of 0 means one shard per
+#: worker.  ``serial-5-shards`` puts more shards than workers on the
+#: in-process executor, so the shard merge order is checked without a pool.
+ENGINE_LAYOUTS = (
+    pytest.param("serial", 0, id="serial"),
+    pytest.param("serial", 5, id="serial-5-shards"),
+    pytest.param("pool", 0, id="pool"),
+)
 
 
 def engine_builds(host_features, executor="serial", step_size=16, port_domain=None,

@@ -55,6 +55,14 @@ RECORDED_FLOORS = (
      "warm_vs_cold_speedup", "warm_vs_cold_floor"),
     ("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
      "model_fold.speedup", "model_fold.floor"),
+    ("BENCH_engine.json", "numpy fold kernel vs per-row fold",
+     "model_fold_kernel.speedup", "model_fold_kernel.floor"),
+    ("BENCH_snapshot.json", "warm restart from snapshot vs full rebuild",
+     "warm_restart_speedup", "warm_restart_floor"),
+    ("BENCH_telemetry.json", "warm model build, telemetry off vs on",
+     "model_build.off_vs_on", "model_build.floor"),
+    ("BENCH_telemetry.json", "warm serving lookup, telemetry off vs on",
+     "warm_lookup.off_vs_on", "warm_lookup.floor"),
 )
 
 

@@ -21,10 +21,9 @@ from repro.core.gps import GPS
 from repro.core.model import build_model
 from repro.core.predictions import PredictiveFeatureIndex
 from repro.core.priors import build_priors_plan
-from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ObservationBatch, ScanObservation
-from tests.conftest import engine_builds
+from tests.conftest import ENGINE_LAYOUTS, engine_builds
 
 
 def _assert_columns_match_oracle(columns, oracle):
@@ -91,9 +90,9 @@ class TestColumnarExtractionEquivalence:
         _assert_columns_match_oracle(columns, oracle)
         assert ("PA", 80, "http_server", "new") in columns.predictors_for(0)[80]
 
-    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_builds_accept_columns(self, universe, censys_split, executor,
-                                          model_kernel):
+                                          shard_count, model_kernel):
         """Engine builds ingest the columns and match the oracles."""
         config = FeatureConfig()
         asn_db = universe.topology.asn_db
@@ -102,7 +101,8 @@ class TestColumnarExtractionEquivalence:
         columns = extract_host_features_columns(
             censys_split.seed_scan_result().batch, asn_db, config)
         model = build_model(oracle)
-        built, priors, index = engine_builds(columns, executor, num_workers=2)
+        built, priors, index = engine_builds(columns, executor, num_workers=2,
+                                             shard_count=shard_count)
         assert built.denominators == model.denominators
         assert {k: v for k, v in built.cooccurrence.items() if v} == \
             {k: v for k, v in model.cooccurrence.items() if v}
@@ -123,15 +123,20 @@ class TestGPSColumnarIngestEquivalence:
             return gps.run(seed=censys_split.seed_scan_result(),
                            seed_cost_probes=0)
 
-    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    @pytest.mark.parametrize("executor,shard_count", [
+        pytest.param("serial", 3, id="serial"),
+        pytest.param("serial", 7, id="serial-7-shards"),
+        pytest.param("pool", 3, id="pool"),
+    ])
     def test_all_executors_match_reference_ingest(self, universe, censys_dataset,
                                                censys_split, reference_run,
-                                               executor, model_kernel):
+                                               executor, shard_count,
+                                               model_kernel):
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain,
                            use_engine=True, executor=executor, num_workers=2,
-                           shard_count=3)
+                           shard_count=shard_count)
         with GPS(pipeline, config) as gps:
             run = gps.run(seed=censys_split.seed_scan_result(),
                           seed_cost_probes=0)

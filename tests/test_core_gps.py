@@ -8,9 +8,9 @@ from repro.core.config import GPSConfig
 from repro.core.gps import GPS
 from repro.core.metrics import fraction_of_services
 from repro.datasets.split import seed_scan_cost_probes
-from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline
+from tests.conftest import ENGINE_LAYOUTS
 
 
 class TestDatasetSplitMode:
@@ -119,14 +119,16 @@ class TestBudgetEnforcement:
 
 
 class TestEngineBackedRun:
-    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_builds_produce_same_discoveries(self, universe, censys_dataset,
-                                                    censys_split, gps_run, executor):
+                                                    censys_split, gps_run, executor,
+                                                    shard_count):
         reference_result, reference_pipeline = gps_run
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain, use_engine=True,
-                           executor=executor, num_workers=2)
+                           executor=executor, num_workers=2,
+                           shard_count=shard_count)
         with GPS(pipeline, config) as gps:
             result = gps.run(seed=censys_split.seed_scan_result(),
                              seed_cost_probes=seed_scan_cost_probes(censys_dataset,
@@ -184,9 +186,9 @@ class TestSerialExecutorDefault:
         known = censys_split.test_observations[:200]
         assert engine.predict(known) == reference.predict(known)
 
-    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_prepared_model_on_supplied_runtime_matches_reference(
-            self, universe, censys_dataset, censys_split, executor):
+            self, universe, censys_dataset, censys_split, executor, shard_count):
         from repro.engine.runtime import EngineRuntime
         from repro.serving.registry import build_prepared_model
 
@@ -194,7 +196,8 @@ class TestSerialExecutorDefault:
         base = {"seed_fraction": 0.05, "port_domain": censys_dataset.port_domain}
         reference = build_prepared_model("reference", ScanPipeline(universe), seed,
                                          GPSConfig(**base))
-        with EngineRuntime(executor=executor, num_workers=2) as runtime:
+        with EngineRuntime(executor=executor, num_workers=2,
+                           shard_count=shard_count) as runtime:
             engine = build_prepared_model(
                 "engine", ScanPipeline(universe), seed,
                 GPSConfig(use_engine=True, executor=executor, **base), runtime)

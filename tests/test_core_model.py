@@ -9,7 +9,8 @@ from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.scanner.records import ScanObservation
-from tests.conftest import forced_model_kernel, host_feature_columns, resident_dataset
+from tests.conftest import (ENGINE_LAYOUTS, forced_model_kernel, host_feature_columns,
+                            resident_dataset)
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -96,8 +97,9 @@ def _assert_models_equal(a: CooccurrenceModel, b: CooccurrenceModel):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_matches_reference_on_handcrafted_hosts(self, executor,
+                                                           shard_count,
                                                            model_kernel):
         observations = [
             _obs(1, 80, http_server="a"), _obs(1, 443), _obs(1, 22),
@@ -106,7 +108,8 @@ class TestEngineEquivalence:
         ]
         hosts = _hosts(observations)
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, num_workers=2))
+                             _model_on_engine(hosts, executor, num_workers=2,
+                                              shard_count=shard_count))
 
     @pytest.mark.parametrize("shard_count", [1, 3, 7])
     def test_engine_matches_reference_across_shard_counts(self, shard_count,
@@ -121,13 +124,15 @@ class TestEngineEquivalence:
                              _model_on_engine(hosts, "serial", num_workers=2,
                                               shard_count=shard_count))
 
-    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_matches_reference_on_universe_seed(self, universe, censys_split,
-                                                       executor, model_kernel):
+                                                       executor, shard_count,
+                                                       model_kernel):
         hosts = extract_host_features(censys_split.seed_observations,
                                       universe.topology.asn_db, FeatureConfig())
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, num_workers=2))
+                             _model_on_engine(hosts, executor, num_workers=2,
+                                              shard_count=shard_count))
 
     def test_host_feature_columns_shapes(self):
         hosts = _hosts([_obs(1, 80), _obs(1, 443), _obs(2, 22)])

@@ -26,7 +26,7 @@ from repro.core.predictions import (
 )
 from repro.datasets.split import split_seed_test
 from repro.scanner.records import ScanObservation
-from tests.conftest import engine_builds, resident_dataset
+from tests.conftest import ENGINE_LAYOUTS, engine_builds, resident_dataset
 
 #: (executor, workers, shard count) layouts the engine index must agree on.
 EXECUTORS = (
@@ -86,14 +86,14 @@ class TestEngineFromSeedEquivalence:
                                port_domain=port_domain)
         _assert_indices_equal(engine, reference)
 
-    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_built_model_feeds_identical_index(self, seed_inputs, executor,
-                                                      model_kernel):
+                                                      shard_count, model_kernel):
         hosts, model, port_domain = seed_inputs
         reference = PredictiveFeatureIndex.from_seed(hosts, model,
                                                      port_domain=port_domain)
         _, _, engine = engine_builds(hosts, executor, port_domain=port_domain,
-                                     num_workers=2)
+                                     num_workers=2, shard_count=shard_count)
         _assert_indices_equal(engine, reference)
 
     @pytest.mark.parametrize("min_support", (1, 2, 3))

@@ -22,7 +22,8 @@ from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.runtime import EngineRuntime
 from repro.net.ipv4 import parse_ip
 from repro.scanner.records import ScanObservation
-from tests.conftest import engine_builds, host_feature_columns, resident_dataset
+from tests.conftest import (ENGINE_LAYOUTS, engine_builds, host_feature_columns,
+                            resident_dataset)
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -84,11 +85,12 @@ class TestEnginePriorsEquivalence:
         assert _engine_plan(hosts, model, executor=executor, num_workers=workers,
                             shard_count=shard_count) == expected
 
-    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor,
-                                                     model_kernel):
+                                                     shard_count, model_kernel):
         model, hosts = _model_and_hosts(camera_fleet)
-        _, plan, _ = engine_builds(hosts, executor, num_workers=2)
+        _, plan, _ = engine_builds(hosts, executor, num_workers=2,
+                                   shard_count=shard_count)
         assert plan == build_priors_plan(hosts, model, 16)
 
     def test_invalid_step_size_rejected(self, camera_fleet):
