@@ -719,17 +719,24 @@ def _network_values_table(columns: Sequence[Tuple[str, np.ndarray]],
 def _dense_ids(columns: Sequence[np.ndarray], size: int) -> Tuple[np.ndarray, np.ndarray]:
     """Dense ids of the distinct rows of ``columns``, and each id's first row.
 
-    Folds one column at a time: the ids so far times the column's number of
-    distinct values, plus the column's ``np.unique`` inverse, densify again
-    through ``np.unique``, so no intermediate exceeds ``size ** 2``
-    whatever the columns hold.
+    Ids number the distinct rows in lexicographic order of the columns (the
+    first column most significant).  One stable ``lexsort`` puts equal rows
+    next to each other in row order; a row whose values differ from its
+    predecessor's starts a new id, and that row is the id's first.  No
+    arithmetic combines the columns, so no value width is assumed.  Without
+    columns every row is the same row: one id.
     """
-    ids = np.zeros(size, dtype=np.int64)
+    if not columns or size == 0:
+        return np.zeros(size, dtype=np.int64), np.zeros(min(size, 1), dtype=np.int64)
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(size, dtype=bool)
+    starts[0] = True
     for column in columns:
-        values, inverse = np.unique(column, return_inverse=True)
-        _, ids = np.unique(ids * len(values) + inverse, return_inverse=True)
-    _, first = np.unique(ids, return_index=True)
-    return ids, first
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(size, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, order[starts]
 
 
 # -- engine-backed index construction ----------------------------------------------------
