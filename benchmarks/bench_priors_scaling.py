@@ -10,25 +10,27 @@ This benchmark covers the two hot paths after the model build:
   tables ship on every timed call);
 * **prediction scanning** (Section 5.4): pair-by-pair
   :meth:`~repro.scanner.pipeline.ScanPipeline.scan_pairs` versus the batched
-  *columnar* per-(prefix, port) path (flat observation columns, per-hit
-  objects materialized only at the API boundary), on a realistic predictions
+  pass, which resolves every target against the universe's packed service
+  index in array passes (flat observation columns, per-hit objects
+  materialized only at the API boundary), on a realistic predictions
   workload (the most-predictive-feature index applied to first-service
   observations of the dataset's test half).
 
 Results are printed as tables and written to ``BENCH_priors.json`` at the
 repository root, each asserted floor beside its ratio.  Headline
 assertions: the engine's serial priors build is >= 2x faster than the
-reference planner, the batched columnar ZMap layer
-(``zmap.scan_pair_batch_columns``, the one production batches run) is
->= 1.3x faster than per-pair probing, the columnar pipeline is >= 1.6x
-faster end to end than the per-pair path, and all paths produce identical
-plans / observations / ledger charges.
+reference planner, the batched pass's ZMap step
+(``zmap.scan_pair_columns``: the packed lookup plus its ledger charge) is
+>= 1.3x faster than per-pair probing with ``zmap.scan_pairs``, the batched
+pipeline is >= 1.6x faster end to end than the per-pair path, and all
+paths produce identical plans / observations / ledger charges.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 from _harness import SMOKE, best_seconds, record
 
 from repro.analysis import format_table
@@ -45,7 +47,7 @@ from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
 from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
-from repro.scanner.records import group_pairs
+from repro.scanner.records import group_order, group_pairs
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_priors.json"
 
@@ -63,9 +65,9 @@ SWEEP = (
 
 REPEATS = 3
 
-#: Speedup floors the benchmark asserts: (engine priors serial, batched zmap
-#: layer, columnar pipeline end-to-end).  On a quiet dev machine the measured
-#: ratios are ~2.4x, ~4x and ~2.2x.  ``BENCH_SMOKE=1`` (set by CI, whose
+#: Speedup floors the benchmark asserts: (engine priors serial, the batched
+#: pass's ZMap step, the batched pipeline end-to-end).  On a 2-vCPU VM the
+#: measured ratios are ~2.6x, ~10x and ~14x.  ``BENCH_SMOKE=1`` (set by CI, whose
 #: shared runners time noisily) relaxes the floors to "regressed to roughly
 #: parity" -- a real regression (losing the algorithmic win) still fails
 #: loudly, runner jitter does not.  The equivalence assertions are never
@@ -186,6 +188,11 @@ def run_scan_batching(universe, dataset):
     predictions = index.predict(firsts, universe.topology.asn_db, FeatureConfig())
     pairs = [prediction.pair() for prediction in predictions]
     batches = group_pairs(pairs, 16)
+    # The ZMap step's input: the targets as columns, in batch order.
+    ips = np.array([ip for ip, _ in pairs], dtype=np.int64)
+    ports = np.array([port for _, port in pairs], dtype=np.int64)
+    order = group_order(ips, ports, 16)
+    ips, ports = ips[order], ports[order]
 
     unbatched_pipeline = ScanPipeline(universe)
     unbatched_obs = unbatched_pipeline.scan_pairs(pairs)
@@ -204,7 +211,7 @@ def run_scan_batching(universe, dataset):
     zmap_unbatched_seconds = best_seconds(
         lambda: ScanPipeline(universe).zmap.scan_pairs(pairs), REPEATS)
     zmap_batched_seconds = best_seconds(
-        lambda: ScanPipeline(universe).zmap.scan_pair_batch_columns(batches),
+        lambda: ScanPipeline(universe).zmap.scan_pair_columns(ips, ports),
         REPEATS)
     return {
         "predictions": len(pairs),
@@ -279,15 +286,15 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
           f"(written to {RESULT_PATH.name})")
 
     # Headline acceptance: the engine's priors build must stay >= 2x faster
-    # than the reference dict loops, the
-    # batched ZMap layer must keep a clear margin over per-pair probing, and
-    # the columnar scan path must keep the full pipeline >= 1.6x over the
-    # per-object pairwise path (floors relaxed under BENCH_SMOKE=1 for noisy
-    # CI runners).
+    # than the reference dict loops, the batched pass's ZMap step (packed
+    # lookup plus ledger charge) must keep a clear margin over per-pair
+    # probing, and the batched pass must keep the full pipeline >= 1.6x over
+    # the per-object pairwise path (floors relaxed under BENCH_SMOKE=1 for
+    # noisy CI runners).
     assert speedup >= priors_floor, \
         f"engine priors speedup regressed to {speedup:.2f}x (floor {priors_floor}x)"
     assert scan["zmap_layer_speedup"] >= zmap_floor, \
-        (f"batched zmap speedup regressed to {scan['zmap_layer_speedup']:.2f}x "
+        (f"batched zmap step speedup regressed to {scan['zmap_layer_speedup']:.2f}x "
          f"(floor {zmap_floor}x)")
     assert scan["end_to_end_speedup"] >= pipeline_floor, \
         (f"columnar pipeline speedup regressed to "

@@ -87,7 +87,7 @@ METRICS: Tuple[Metric, ...] = (
            "priors_fused_serial_speedup", floor_path="priors_fused_serial_floor"),
     Metric("BENCH_priors.json", "batched scan pipeline end to end",
            "scan.end_to_end_speedup", floor_path="scan.end_to_end_floor"),
-    Metric("BENCH_priors.json", "batched zmap layer vs per-pair probing",
+    Metric("BENCH_priors.json", "batched pass zmap step vs per-pair probing",
            "scan.zmap_layer_speedup", floor_path="scan.zmap_layer_floor"),
     Metric("BENCH_runtime.json", "warm resident pool vs serial (model build)",
            "warm_vs_serial"),

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.config import GPSConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
@@ -37,16 +40,17 @@ from repro.core.priors import (
     build_priors_plan_with_engine,
 )
 from repro.core.runtime_plans import ResidentHostGroups
+from repro.engine.columns import to_numpy
 from repro.engine.runtime import EngineRuntime
 from repro.scanner.bandwidth import ScanCategory
-from repro.scanner.pipeline import ScanPipeline, SeedScanResult
+from repro.scanner.pipeline import PairColumns, ScanPipeline, SeedScanResult
 from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 Pair = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscoveryBatch:
     """One batch of the discovery log.
 
@@ -54,12 +58,97 @@ class DiscoveryBatch:
         phase: ``"seed"``, ``"priors"`` or ``"prediction"``.
         cumulative_probes: total probes sent by GPS up to and including this
             batch (across all phases).
-        pairs: (ip, port) services newly discovered by this batch.
+        ips: int64 addresses of the services newly discovered by this
+            batch, in discovery order.
+        ports: their ports, parallel to ``ips``.
     """
 
     phase: str
     cumulative_probes: int
-    pairs: Tuple[Pair, ...]
+    ips: np.ndarray
+    ports: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ips)
+
+    @cached_property
+    def pairs(self) -> Tuple[Pair, ...]:
+        """The newly discovered (ip, port) services, built on first read."""
+        return tuple(zip(self.ips.tolist(), self.ports.tolist()))
+
+
+def _pair_keys(ips: Sequence[int], ports: Sequence[int]) -> np.ndarray:
+    """``ip << 16 | port`` (ports are 16-bit) of parallel int columns."""
+    return to_numpy(ips) << 16 | to_numpy(ports)
+
+
+class _DiscoveryLog:
+    """A run's discovery log while it runs.
+
+    Every batch's pairs are the next rows of one of a few column sources
+    the run grows anyway -- the seed, the priors observations, the
+    prediction observations -- so the log records each batch's size only
+    and reads the pairs as packed keys when it needs them.  Which pairs are
+    *new* (found by no earlier batch) is resolved once, in one array pass,
+    when the run is over (:meth:`resolve`).
+    """
+
+    def __init__(self) -> None:
+        self._sources: List[PairColumns] = []
+        self._batches: List[Tuple[str, int, int]] = []
+
+    def follow(self, source: PairColumns) -> None:
+        """Take the next batches' pairs from ``source``'s rows, in order."""
+        self._sources.append(source)
+
+    def add(self, phase: str, cumulative_probes: int, size: int) -> None:
+        """Log a batch: the next ``size`` rows of the sources."""
+        self._batches.append((phase, cumulative_probes, size))
+
+    def _keys(self) -> np.ndarray:
+        return np.concatenate([_pair_keys(source.ips, source.ports)
+                               for source in self._sources])
+
+    def known_keys(self, *extra: np.ndarray) -> np.ndarray:
+        """The sorted keys of every pair found so far (and of ``extra``);
+        a pair found twice is listed twice."""
+        return np.sort(np.concatenate([self._keys(), *extra]))
+
+    def resolve(self) -> List[DiscoveryBatch]:
+        """The log: each batch keeps the pairs no earlier batch found.
+
+        A pair is new in the first batch that holds it (repeats inside that
+        batch stay, as the batch found them); the batches' order and each
+        batch's pair order are kept.
+        """
+        keys = self._keys()
+        sizes = [size for _, _, size in self._batches]
+        assert sum(sizes) == len(keys), "logged batches do not cover the sources"
+        batch_of = np.repeat(np.arange(len(sizes)), sizes)
+        # Stable: equal keys stay in batch order, so each run's head sits
+        # in the first batch that found the pair.
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = ordered[1:] != ordered[:-1]
+        ordered_batch = batch_of[order]
+        new = np.empty(len(keys), dtype=bool)
+        new[order] = ordered_batch == ordered_batch[starts][np.cumsum(starts) - 1]
+        found = keys[new]
+        ips, ports = found >> 16, found & 0xFFFF
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(
+            batch_of[new], minlength=len(sizes))))).tolist()
+        return [DiscoveryBatch(phase=phase, cumulative_probes=cumulative_probes,
+                               ips=ips[start:stop], ports=ports[start:stop])
+                for (phase, cumulative_probes, _), start, stop
+                in zip(self._batches, bounds, bounds[1:])]
+
+
+class _Columns(NamedTuple):
+    """Plain parallel (ips, ports) columns."""
+
+    ips: Sequence[int]
+    ports: Sequence[int]
 
 
 @dataclass
@@ -106,7 +195,7 @@ class GPSRunResult:
         """All (ip, port) services GPS discovered, across all phases."""
         pairs: Set[Pair] = set()
         for batch in self.discovery_log:
-            pairs.update(batch.pairs)
+            pairs.update(zip(batch.ips.tolist(), batch.ports.tolist()))
         return pairs
 
     def all_observations(self) -> List[ScanObservation]:
@@ -234,9 +323,8 @@ class GPS:
                           responses=len(seed_rows))
 
         result = GPSRunResult(config=config, seed_observations=seed_rows)
-        discovered: Set[Pair] = set()
-        self._log_batch(result, "seed", ledger.total_probes(), seed.pairs(),
-                        discovered)
+        log = _DiscoveryLog()
+        self._log_seed(log, seed, ledger.total_probes())
 
         budget_probes = self._budget_probes()
 
@@ -247,6 +335,7 @@ class GPS:
 
         # Phase 3: priors scan (find the first service of every host).
         priors = result.priors_observations = self._empty_batch()
+        log.follow(priors)
         with tel.span("priors.scan") as span:
             batches = 0
             for entry in result.priors_plan:
@@ -256,15 +345,15 @@ class GPS:
                 found = self.pipeline.scan_prefix(entry.port, entry.subnet,
                                                   category=ScanCategory.PRIORS)
                 priors.extend(found)
-                self._log_batch(result, "priors", ledger.total_probes(),
-                                zip(found.ips, found.ports), discovered)
+                log.add("priors", ledger.total_probes(), len(found))
                 batches += 1
             span.set("batches", batches)
             span.set("observations", len(priors))
 
         # Phase 4: predict and scan remaining services.
-        self._predict(result, priors, discovered)
-        self._prediction_scan(result, result.predictions, discovered)
+        self._predict(result, priors, log.known_keys())
+        self._prediction_scan(result, result.predictions, log)
+        result.discovery_log = log.resolve()
         return result
 
     def predict_for_known_hosts(
@@ -291,17 +380,17 @@ class GPS:
         """
         result = GPSRunResult(config=self.config,
                               seed_observations=self._seed_rows(seed))
-        discovered: Set[Pair] = set()
-        self._log_batch(result, "seed", self.pipeline.ledger.total_probes(),
-                        seed.pairs(), discovered)
+        log = _DiscoveryLog()
+        self._log_seed(log, seed, self.pipeline.ledger.total_probes())
         self._build(seed, result, priors=False)
 
         known = list(known_observations)
         result.priors_observations = known
-        self._predict(result, known,
-                      discovered | {obs.pair() for obs in known})
+        self._predict(result, known, log.known_keys(_pair_keys(
+            [obs.ip for obs in known], [obs.port for obs in known])))
         if scan:
-            self._prediction_scan(result, result.predictions, discovered)
+            self._prediction_scan(result, result.predictions, log)
+        result.discovery_log = log.resolve()
         return result
 
     # -- helpers ------------------------------------------------------------------------
@@ -312,20 +401,33 @@ class GPS:
         seed has one (rows build on read), else the seed's object rows."""
         return seed.batch if seed.batch is not None else seed.observations
 
+    @staticmethod
+    def _log_seed(log: _DiscoveryLog, seed: SeedScanResult,
+                  cumulative_probes: int) -> None:
+        """Log the seed as the first batch, read from its columns when it
+        has them (no rows are built)."""
+        if seed.batch is not None:
+            source: PairColumns = seed.batch
+        else:
+            rows = seed.observations
+            source = _Columns([obs.ip for obs in rows], [obs.port for obs in rows])
+        log.follow(source)
+        log.add("seed", cumulative_probes, len(source.ips))
+
     def _prediction_scan(self, result: GPSRunResult, predictions: Predictions,
-                         discovered: Set[Pair]) -> None:
+                         log: _DiscoveryLog) -> None:
         """Probe ``predictions`` in order until exhausted or out of budget.
 
-        Probes within each slice of ``prediction_batch_size`` predictions
-        are grouped by (subnetwork, port) so the pipeline's batched layers
-        amortize lookups and ledger charges; the probability ordering still
-        governs at slice granularity.  Targets are read from the prediction
-        columns and the responders accumulate in one batch.
+        Each slice of ``prediction_batch_size`` predictions goes to the
+        pipeline as columns, probed in (subnetwork, port) batches in one
+        array pass; the probability ordering governs at slice granularity.
+        The responders accumulate in one batch.
         """
         batch_size = self.config.prediction_batch_size
         ledger = self.pipeline.ledger
         budget_probes = self._budget_probes()
         found_all = result.prediction_observations = self._empty_batch()
+        log.follow(found_all)
         with self.telemetry.span("prediction.scan") as span:
             batches = 0
             for start in range(0, len(predictions), batch_size):
@@ -333,13 +435,12 @@ class GPS:
                     result.truncated_by_budget = True
                     break
                 found = self.pipeline.scan_pairs(
-                    predictions[start:start + batch_size].pairs(),
+                    predictions[start:start + batch_size],
                     category=ScanCategory.PREDICTION,
                     batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
                 )
                 found_all.extend(found)
-                self._log_batch(result, "prediction", ledger.total_probes(),
-                                zip(found.ips, found.ports), discovered)
+                log.add("prediction", ledger.total_probes(), len(found))
                 batches += 1
             span.set("batches", batches)
             span.set("observations", len(found_all))
@@ -416,11 +517,13 @@ class GPS:
         result.model_build_seconds += time.perf_counter() - start
 
     def _predict(self, result: GPSRunResult, observations,
-                 known_pairs: Set[Pair]) -> None:
+                 known_keys: np.ndarray) -> None:
         """Predict remaining services from ``observations`` into ``result``.
 
-        The engine runs the index's compiled :meth:`~PredictiveFeatureIndex.predict`;
-        the reference path runs the dict oracle ``predict_reference``.  The
+        ``known_keys`` are the sorted ``ip << 16 | port`` keys of the pairs
+        already discovered.  The engine runs the index's compiled
+        :meth:`~PredictiveFeatureIndex.predict` on them; the reference path
+        runs the dict oracle ``predict_reference`` on them as pairs.  The
         time counts toward ``result.model_build_seconds``.
         """
         config = self.config
@@ -430,8 +533,10 @@ class GPS:
             if config.use_engine:
                 predictions = index.predict(observations, self._asn_db,
                                             config.feature_config,
-                                            known_pairs=known_pairs)
+                                            known_pairs=known_keys)
             else:
+                known_pairs = set(zip((known_keys >> 16).tolist(),
+                                      (known_keys & 0xFFFF).tolist()))
                 predictions = Predictions.from_services(index.predict_reference(
                     observations, self._asn_db, config.feature_config,
                     known_pairs=known_pairs))
@@ -473,12 +578,3 @@ class GPS:
             return None
         return int(self.config.max_full_scans
                    * self.pipeline.universe.address_space_size())
-
-    @staticmethod
-    def _log_batch(result: GPSRunResult, phase: str, cumulative_probes: int,
-                   pairs: Iterable[Pair], discovered: Set[Pair]) -> None:
-        new_pairs = tuple(pair for pair in pairs if pair not in discovered)
-        discovered.update(new_pairs)
-        result.discovery_log.append(DiscoveryBatch(
-            phase=phase, cumulative_probes=cumulative_probes, pairs=new_pairs
-        ))

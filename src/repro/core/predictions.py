@@ -192,6 +192,10 @@ _TARGET_DTYPE = np.dtype([("port", np.int64), ("probability", np.float64),
 #: An ``(ip, port)`` pair as a numpy record, for packing known pairs.
 _PAIR_DTYPE = np.dtype([("ip", np.int64), ("port", np.int64)])
 
+#: Pairs :meth:`PredictiveFeatureIndex.predict` suppresses: a set of
+#: ``(ip, port)`` pairs, or a sorted int64 array of ``ip << 16 | port`` keys.
+KnownPairs = Union[Set[Tuple[int, int]], np.ndarray, None]
+
 
 class _PortMatcher:
     """The index entries whose predictor sits on one port, keyed by value.
@@ -475,7 +479,7 @@ class PredictiveFeatureIndex:
         observations: Union[ObservationBatch, Iterable[ScanObservation]],
         asn_db: Optional[AsnDatabase],
         feature_config: FeatureConfig,
-        known_pairs: Optional[Set[Tuple[int, int]]] = None,
+        known_pairs: KnownPairs = None,
     ) -> Predictions:
         """Predict remaining services from discovered-service observations.
 
@@ -489,6 +493,9 @@ class PredictiveFeatureIndex:
             feature_config: which predictor tuples to derive per observation.
             known_pairs: (ip, port) pairs already discovered; predictions for
                 them are suppressed so bandwidth is not spent re-probing.
+                Either a set of pairs or a sorted int64 array of their
+                ``ip << 16 | port`` keys, which is what GPS passes: its
+                known pairs are the seed's and priors batches' columns.
 
         Returns:
             Deduplicated predictions ordered by probability (descending), the
@@ -514,7 +521,7 @@ class PredictiveFeatureIndex:
 
     def _predict_rows(self, observations: Iterable[ScanObservation],
                       asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
-                      known_pairs: Optional[Set[Tuple[int, int]]]) -> Predictions:
+                      known_pairs: KnownPairs) -> Predictions:
         """:meth:`predict` over row objects: one match per row.
 
         Each address derives its network values through the index's memo;
@@ -524,7 +531,10 @@ class PredictiveFeatureIndex:
         matchers = self._matchers
         net_values_of = self._net_values_of(
             asn_db, feature_config.network_feature_kinds)
-        known = known_pairs or ()
+        if isinstance(known_pairs, np.ndarray):
+            known = set(known_pairs.tolist())
+        else:
+            known = {ip << 16 | port for ip, port in known_pairs or ()}
         slots: Dict[int, int] = {}  # ip << 16 | port -> row, or -1 when known
         keys: List[int] = []
         probabilities: List[float] = []
@@ -541,7 +551,7 @@ class PredictiveFeatureIndex:
                 key = ip_key | target_port
                 slot = slots.get(key)
                 if slot is None:
-                    if (ip, target_port) in known:
+                    if key in known:
                         slots[key] = -1
                         continue
                     slots[key] = len(keys)
@@ -564,7 +574,7 @@ class PredictiveFeatureIndex:
 
     def _predict_batch(self, batch: ObservationBatch,
                        asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
-                       known_pairs: Optional[Set[Tuple[int, int]]]) -> Predictions:
+                       known_pairs: KnownPairs) -> Predictions:
         """:meth:`predict` over a batch's columns, in numpy array passes.
 
         1. Every distinct address of a row with a matcher gets a
@@ -577,9 +587,10 @@ class PredictiveFeatureIndex:
         3. The keys' targets expand in row order (``np.repeat``); a stable
            ``lexsort`` on (pair key, -probability) keeps per
            ``ip << 16 | port`` the first most probable candidate -- the
-           reference's strict ``>`` -- and known pairs drop through a sorted
-           packed-key test.  A second ``lexsort`` on (-probability, pair
-           key) gives the probing order.
+           reference's strict ``>`` -- and known pairs drop through a
+           ``searchsorted`` test against their sorted packed keys (packed
+           here only when they come as a set).  A second ``lexsort`` on
+           (-probability, pair key) gives the probing order.
         """
         ips = as_numpy(batch.ips)
         ports = as_numpy(batch.ports)
@@ -627,9 +638,12 @@ class PredictiveFeatureIndex:
         first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         kept = order[first]
         kept_keys = pair_keys[kept]
-        if known_pairs:
-            pairs = np.fromiter(known_pairs, dtype=_PAIR_DTYPE, count=len(known_pairs))
+        if isinstance(known_pairs, np.ndarray):
+            known = known_pairs
+        else:
+            pairs = np.fromiter(known_pairs or (), dtype=_PAIR_DTYPE)
             known = np.sort(pairs["ip"] << 16 | pairs["port"])
+        if len(known):
             at = np.searchsorted(known, kept_keys).clip(max=len(known) - 1)
             unknown = known[at] != kept_keys
             kept, kept_keys = kept[unknown], kept_keys[unknown]

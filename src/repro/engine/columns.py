@@ -70,6 +70,13 @@ class IntColumn(array):
     def __new__(cls, values: Iterable[int] = ()) -> "IntColumn":
         return super().__new__(cls, "q", values)
 
+    @classmethod
+    def from_numpy(cls, values) -> "IntColumn":
+        """A column holding an ndarray's values, copied in one pass."""
+        column = cls()
+        column.frombytes(_np.ascontiguousarray(values, dtype=_np.int64).tobytes())
+        return column
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, tuple)):
             return len(self) == len(other) and all(

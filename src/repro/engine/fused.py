@@ -342,13 +342,6 @@ def _run_length(np, sorted_values):
     return uniq, counts
 
 
-def _int_column_of(np, values) -> IntColumn:
-    """An :class:`IntColumn` holding an int64 ndarray's values (one memcpy)."""
-    column = IntColumn()
-    column.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
-    return column
-
-
 def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
                             pack_base: int) -> Tuple[IntColumn, IntColumn]:
     """The model-build join fold as bulk array passes (numpy backend).
@@ -411,7 +404,7 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
     self_uniq, self_counts = _run_length(np, self_keys)
     counts[np.searchsorted(uniq, self_uniq)] -= self_counts
     keep = counts > 0
-    return _int_column_of(np, uniq[keep]), _int_column_of(np, counts[keep])
+    return IntColumn.from_numpy(uniq[keep]), IntColumn.from_numpy(counts[keep])
 
 
 def fold_value_counts_arrays(value_ids) -> Tuple[IntColumn, IntColumn]:
@@ -427,4 +420,4 @@ def fold_value_counts_arrays(value_ids) -> Tuple[IntColumn, IntColumn]:
         return IntColumn(), IntColumn()
     ordered = np.sort(vids)
     uniq, counts = _run_length(np, ordered)
-    return _int_column_of(np, uniq), _int_column_of(np, counts)
+    return IntColumn.from_numpy(uniq), IntColumn.from_numpy(counts)

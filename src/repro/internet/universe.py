@@ -33,6 +33,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 from bisect import bisect_left, bisect_right
 from itertools import chain
 
+import numpy as np
+
 from repro.engine.columns import IntColumn
 from repro.internet.banners import BannerFactory, BannerInterner
 from repro.internet.profiles import DeviceProfile, default_profiles
@@ -122,6 +124,102 @@ class PortServices:
 
     def __len__(self) -> int:
         return len(self.ips)
+
+
+def _rows_in(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's row in the sorted ``table``, or ``-1`` where it is absent."""
+    if not len(table):
+        return np.full(len(values), -1, dtype=np.int64)
+    rows = np.searchsorted(table, values).clip(max=len(table) - 1)
+    return np.where(table[rows] == values, rows, -1)
+
+
+@dataclass(frozen=True)
+class ResolvedTargets:
+    """Probe targets and what answers each one, as parallel int64 arrays.
+
+    ``service_rows[i]`` is target ``i``'s row in the
+    :class:`ServiceIndex` service columns, ``-1`` when no real service
+    listens there.  ``pseudo_rows[i]`` is its host's row in the index's
+    pseudo-host arrays when that host's pseudo range covers the port and no
+    real service does, else ``-1``.  ``middlebox[i]`` says whether the host
+    SYN-ACKs every port.  This is the precedence the per-target layers
+    apply: a real service speaks its protocol, a pseudo page speaks HTTP, a
+    middlebox answers the SYN and then stays silent, and anything else
+    (dark space, a closed port) does not answer at all.
+    """
+
+    ips: np.ndarray
+    ports: np.ndarray
+    service_rows: np.ndarray
+    pseudo_rows: np.ndarray
+    middlebox: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ips)
+
+    def speaking(self) -> np.ndarray:
+        """Mask of targets that complete a handshake (services, pseudo pages)."""
+        return (self.service_rows >= 0) | (self.pseudo_rows >= 0)
+
+    def answering(self) -> np.ndarray:
+        """Mask of targets that SYN-ACK: the speaking ones and middleboxes."""
+        return self.speaking() | self.middlebox
+
+    def take(self, rows: np.ndarray) -> "ResolvedTargets":
+        """The targets at ``rows`` (a mask or indices), in that order."""
+        return ResolvedTargets(self.ips[rows], self.ports[rows],
+                               self.service_rows[rows], self.pseudo_rows[rows],
+                               self.middlebox[rows])
+
+
+@dataclass(frozen=True)
+class ServiceIndex:
+    """Every real service of a universe in one sorted table.
+
+    The service columns are parallel int64 arrays in ascending order of
+    their ``ip << 16 | port`` key (ports are 16-bit): the protocol code
+    (an index into ``protocols``), the interned banner id and the TTL.
+    Beside them sit the sorted addresses of the pseudo-service hosts, with
+    each one's port range, incident style and TTL, of the middleboxes, and
+    of both together (``special_ips``).
+    :meth:`resolve` answers a whole column of targets with ``searchsorted``
+    passes -- one over the packed keys, one over ``special_ips``, and two
+    small ones for the few targets on a special host -- so a prediction
+    scan never looks a host up.
+    """
+
+    keys: np.ndarray
+    protocol_codes: np.ndarray
+    protocols: Tuple[str, ...]
+    banner_ids: np.ndarray
+    ttls: np.ndarray
+    pseudo_ips: np.ndarray
+    pseudo_lo: np.ndarray
+    pseudo_hi: np.ndarray
+    pseudo_incident: np.ndarray
+    pseudo_ttls: np.ndarray
+    middlebox_ips: np.ndarray
+    special_ips: np.ndarray
+
+    def resolve(self, ips: np.ndarray, ports: np.ndarray) -> ResolvedTargets:
+        """What answers each ``(ips[i], ports[i])`` target (int64 arrays)."""
+        service_rows = _rows_in(self.keys, ips << 16 | ports)
+        pseudo_rows = np.full(len(ips), -1, dtype=np.int64)
+        middlebox = np.zeros(len(ips), dtype=bool)
+        # Few hosts are pseudo hosts or middleboxes: find the targets on
+        # any of them first, then look only those up in each table.
+        special = np.flatnonzero(_rows_in(self.special_ips, ips) >= 0)
+        if len(special):
+            on = ips[special]
+            if len(self.pseudo_ips):
+                rows = _rows_in(self.pseudo_ips, on)
+                covered = ((rows >= 0) & (service_rows[special] < 0)
+                           & (self.pseudo_lo[rows] <= ports[special])
+                           & (ports[special] <= self.pseudo_hi[rows]))
+                pseudo_rows[special] = np.where(covered, rows, -1)
+            middlebox[special] = _rows_in(self.middlebox_ips, on) >= 0
+        return ResolvedTargets(ips, ports, service_rows, pseudo_rows, middlebox)
 
 
 _NO_SERVICES = PortServices(ips=IntColumn(), protocols=[],
@@ -270,37 +368,75 @@ class Universe:
     # -- index maintenance ---------------------------------------------------------
 
     def _rebuild_indices(self) -> None:
-        columns: Dict[int, Tuple[List[int], List[str], List[int], List[int]]] = {}
-        pseudo: List[int] = []
+        ips: List[int] = []
+        ports: List[int] = []
+        codes: List[int] = []
+        banner_ids: List[int] = []
+        ttls: List[int] = []
+        protocol_codes: Dict[str, int] = {}
+        pseudo: List[Host] = []
         middlebox: List[int] = []
         intern_banner = self.banners.intern
         for ip, host in self.hosts.items():
             for port, record in host.services.items():
-                port_columns = columns.get(port)
-                if port_columns is None:
-                    port_columns = columns[port] = ([], [], [], [])
-                ips, protocols, banner_ids, ttls = port_columns
                 ips.append(ip)
-                protocols.append(record.protocol)
+                ports.append(port)
+                codes.append(protocol_codes.setdefault(record.protocol,
+                                                       len(protocol_codes)))
                 # Pre-intern every ground-truth banner so a scan hit resolves
                 # its banner id with one identity-cache lookup.
                 banner_ids.append(intern_banner(record.app_features))
                 ttls.append(record.ttl)
             if host.is_pseudo_host():
-                pseudo.append(ip)
+                pseudo.append(host)
             if host.is_middlebox:
                 middlebox.append(ip)
+        ip_column = np.array(ips, dtype=np.int64)
+        port_column = np.array(ports, dtype=np.int64)
+        code_column = np.array(codes, dtype=np.int64)
+        banner_column = np.array(banner_ids, dtype=np.int64)
+        ttl_column = np.array(ttls, dtype=np.int64)
+        protocols = tuple(protocol_codes)
+
+        # Per port, the services in address order.
+        by_port = np.lexsort((ip_column, port_column))
+        sorted_ports = port_column[by_port]
+        edges = np.flatnonzero(sorted_ports[1:] != sorted_ports[:-1]) + 1
+        starts = np.concatenate(([0], edges)).tolist() if len(by_port) else []
+        stops = np.concatenate((edges, [len(by_port)])).tolist() if len(by_port) else []
         port_services: Dict[int, PortServices] = {}
-        for port, (ips, protocols, banner_ids, ttls) in columns.items():
-            order = sorted(range(len(ips)), key=ips.__getitem__)
-            port_services[port] = PortServices(
-                ips=IntColumn([ips[row] for row in order]),
-                protocols=[protocols[row] for row in order],
-                banner_ids=IntColumn([banner_ids[row] for row in order]),
-                ttls=IntColumn([ttls[row] for row in order]))
+        for start, stop in zip(starts, stops):
+            rows = by_port[start:stop]
+            port_services[int(sorted_ports[start])] = PortServices(
+                ips=IntColumn.from_numpy(ip_column[rows]),
+                protocols=[protocols[code] for code in code_column[rows].tolist()],
+                banner_ids=IntColumn.from_numpy(banner_column[rows]),
+                ttls=IntColumn.from_numpy(ttl_column[rows]))
         self._port_services = port_services
-        self._pseudo_ips = sorted(pseudo)
+
+        # Every service in packed-key order, and the hosts that answer
+        # without one.
+        keys = ip_column << 16 | port_column
+        order = np.argsort(keys, kind="stable")
+        pseudo.sort(key=lambda host: host.ip)
+        self._pseudo_ips = [host.ip for host in pseudo]
         self._middlebox_ips = sorted(middlebox)
+        self.service_index = ServiceIndex(
+            keys=keys[order], protocol_codes=code_column[order],
+            protocols=protocols, banner_ids=banner_column[order],
+            ttls=ttl_column[order],
+            pseudo_ips=np.array(self._pseudo_ips, dtype=np.int64),
+            pseudo_lo=np.array([host.pseudo_port_range[0] for host in pseudo],
+                               dtype=np.int64),
+            pseudo_hi=np.array([host.pseudo_port_range[1] for host in pseudo],
+                               dtype=np.int64),
+            pseudo_incident=np.array([host.pseudo_incident_style
+                                      for host in pseudo], dtype=bool),
+            pseudo_ttls=np.array([host.base_ttl for host in pseudo],
+                                 dtype=np.int64),
+            middlebox_ips=np.array(self._middlebox_ips, dtype=np.int64),
+            special_ips=np.union1d(np.array(self._pseudo_ips, dtype=np.int64),
+                                   np.array(self._middlebox_ips, dtype=np.int64)))
 
     # -- basic lookups ---------------------------------------------------------------
 
@@ -478,41 +614,6 @@ class Universe:
         if not self.syn_ack(ip, port):
             return False
         return loss is None or not loss.lost("zmap", ip, port, attempt)
-
-    def syn_ack_many(self, ips: Sequence[int], port: int) -> List[int]:
-        """Batched :meth:`syn_ack`: the subset of ``ips`` answering on ``port``.
-
-        Returns responders in input order (duplicates included, like repeated
-        point probes).  Instead of one host-table lookup per address, the
-        sorted per-port, middlebox and pseudo-host indices are bisected once
-        to the batch's address range and misses -- the overwhelming majority
-        of targets in a prediction scan -- cost three membership tests in
-        those small windows.  Batches too small to amortize the bisects fall
-        back to point probes, so callers can batch unconditionally.  The
-        caller still pays bandwidth for every probe sent; this method only
-        amortizes the ground-truth lookups, which is what makes
-        per-(prefix, port) batching worthwhile for the scanners.
-        """
-        if not ips:
-            return []
-        if len(ips) < 8:
-            syn_ack = self.syn_ack
-            return [ip for ip in ips if syn_ack(ip, port)]
-        lo, hi = min(ips), max(ips)
-
-        def window(pool: List[int]) -> Set[int]:
-            return set(pool[bisect_left(pool, lo):bisect_right(pool, hi)])
-
-        open_ips = window(self.port_services(port).ips)
-        middleboxes = window(self._middlebox_ips)
-        pseudo = window(self._pseudo_ips)
-        out: List[int] = []
-        for ip in ips:
-            if ip in open_ips or ip in middleboxes:
-                out.append(ip)
-            elif ip in pseudo and self.hosts[ip].is_pseudo_responsive_on(port):
-                out.append(ip)
-        return out
 
     def describe(self) -> Dict[str, int]:
         """Summary statistics used in docs, logs and tests."""

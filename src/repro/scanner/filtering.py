@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.engine.columns import to_numpy
 from repro.internet.banners import BannerInterner
 from repro.scanner.records import (
     ObservationBatch,
@@ -145,83 +148,69 @@ class PseudoServiceFilter:
             self._content_keys_interner = banners
         return self._content_keys
 
-    def _kept_rows(self, batch: ObservationBatch) -> List[int]:
+    def _kept_rows(self, batch: ObservationBatch) -> np.ndarray:
         """The row indices of a batch that survive both rules.
 
-        The grouping is one sort-based pass over the flat columns: every ip
-        is assigned its first-seen rank, all row indices sort once by
-        ``(rank, port)`` (stable, so equal ports keep probe order), and
-        hosts are the runs of equal ips in that order -- no per-host
-        list-of-lists is ever built.  The rows therefore come back in host
-        first-seen order with ports ascending within each host, exactly the
-        order :meth:`apply` emits.
+        The grouping is array passes over the flat columns: every ip gets
+        its first-seen rank, one stable ``lexsort`` orders the rows by
+        ``(rank, port)`` (equal ports keep probe order), and hosts are the
+        runs of equal ranks in that order -- no per-host list is built.  The
+        rows therefore come back in host first-seen order with ports
+        ascending within each host, exactly the order :meth:`apply` emits.
+        Dense hosts drop and hosts below the duplicate threshold stay
+        without a look at their banners; only the hosts in between group
+        their rows by stripped content, in a Python loop.
         """
-        ips, ports = batch.ips, batch.ports
-        banner_ids = batch.banner_ids
-        rank: Dict[int, int] = {}
-        for ip in ips:
-            if ip not in rank:
-                rank[ip] = len(rank)
-        order = sorted(range(len(ips)),
-                       key=lambda i: (rank[ips[i]], ports[i]))
+        ips, ports = to_numpy(batch.ips), to_numpy(batch.ports)
+        hosts, first, host_of_row = np.unique(ips, return_index=True,
+                                              return_inverse=True)
+        rank = np.empty(len(hosts), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(hosts))
+        order = np.lexsort((ports, rank[host_of_row]))
+        sizes = np.bincount(host_of_row, minlength=len(hosts))[host_of_row[order]]
+        dense = self.drops_host(sizes)
+        keep = ~dense & (sizes < self.min_duplicate_services)
+        grouped = np.flatnonzero(~dense & ~keep)
+        if len(grouped):
+            # Whole hosts come through, so a run starts where the host does.
+            hosts_grouped = host_of_row[order][grouped]
+            bounds = np.append(np.flatnonzero(np.diff(hosts_grouped, prepend=-1)),
+                               len(grouped)).tolist()
+            banner_ids = to_numpy(batch.banner_ids)
+            for lo, hi in zip(bounds, bounds[1:]):
+                positions = grouped[lo:hi]
+                removed = self._duplicate_content(
+                    batch, banner_ids[order[positions]].tolist())
+                keep[positions] = ~removed
+        return order[keep]
 
+    def _duplicate_content(self, batch: ObservationBatch,
+                           banner_ids: List[int]) -> np.ndarray:
+        """Rule 1 over one host's rows: which rows share stripped content
+        with at least ``min_duplicate_services - 1`` others.  Keys resolve
+        through the per-banner-id memo."""
         content_keys = self._banner_content_keys(batch.banners)
-        content_keys_get = content_keys.get
         dynamic_fields = self.dynamic_fields
-        banner_features = batch.banners.features
-        local_banners = batch.local_banners
-        kept: List[int] = []
-        total = len(order)
-        lo = 0
-        while lo < total:
-            # One run of equal ips == one host's rows, ports ascending.
-            ip = ips[order[lo]]
-            hi = lo + 1
-            while hi < total and ips[order[hi]] == ip:
-                hi += 1
-            indices = order[lo:hi]
-            lo = hi
-            # Rule 2 first: dense hosts are dropped wholesale.
-            if self.drops_host(len(indices)):
-                continue
-            # A host with fewer rows than the duplicate threshold cannot
-            # form a removable content group; keep it without resolving any
-            # content keys (the overwhelmingly common case in a prediction
-            # scan, where most hosts contribute one or two targets).
-            if len(indices) < self.min_duplicate_services:
-                kept.extend(indices)
-                continue
-            # Rule 1: identical stripped content across many of the host's
-            # services; keys resolve through the per-banner-id memo.
-            groups: Dict[Tuple, List[int]] = {}
-            for index in indices:
-                banner_id = banner_ids[index]
-                if banner_id >= 0:
-                    key = content_keys_get(banner_id)
-                    if key is None:
-                        key = tuple(sorted(
-                            item for item in banner_features(banner_id).items()
-                            if item[0] not in dynamic_fields
-                        ))
-                        content_keys[banner_id] = key
-                else:
-                    # Batch-local banner (unique to one target): compute the
-                    # key directly; memoizing it would outlive the batch.
-                    key = tuple(sorted(
-                        item
-                        for item in local_banners[-banner_id - 1].items()
-                        if item[0] not in dynamic_fields
-                    ))
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = []
-                group.append(index)
-            removed: Set[int] = set()
-            for group in groups.values():
-                if len(group) >= self.min_duplicate_services:
-                    removed.update(group)
-            kept.extend(i for i in indices if i not in removed)
-        return kept
+        groups: Dict[Tuple, List[int]] = {}
+        for row, banner_id in enumerate(banner_ids):
+            if banner_id >= 0:
+                key = content_keys.get(banner_id)
+                if key is None:
+                    key = content_keys[banner_id] = tuple(sorted(
+                        item for item in batch.banners.features(banner_id).items()
+                        if item[0] not in dynamic_fields))
+            else:
+                # Batch-local banner (unique to one target): compute the
+                # key directly; memoizing it would outlive the batch.
+                key = tuple(sorted(
+                    item for item in batch.local_banners[-banner_id - 1].items()
+                    if item[0] not in dynamic_fields))
+            groups.setdefault(key, []).append(row)
+        removed = np.zeros(len(banner_ids), dtype=bool)
+        for group in groups.values():
+            if len(group) >= self.min_duplicate_services:
+                removed[group] = True
+        return removed
 
     def filter_batch(self, batch: ObservationBatch) -> ObservationBatch:
         """Columnar :meth:`filter`: apply both rules to an observation batch.

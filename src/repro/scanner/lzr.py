@@ -27,9 +27,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.faults import ProbeLossModel
-from repro.internet.universe import PrefixResponders, Universe
+from repro.internet.universe import PrefixResponders, ResolvedTargets, Universe
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
 
 #: Extra packets LZR exchanges per responsive target (ACK + data / RST).
@@ -140,6 +142,24 @@ class PrefixFingerprints(FingerprintBatch):
             status=take(self.status), ttls=take(self.ttls),
             banner_ids=take(self.banner_ids),
             pending=[new_index[i] for i in self.pending if i not in dropped])
+
+
+@dataclass(frozen=True)
+class ResolvedFingerprints:
+    """The speaking targets of a resolved sweep and their protocol-status ids.
+
+    ``status[i]`` is row ``i`` of ``targets`` fingerprinted, encoded
+    through ``statuses``: a real service's protocol, ``"http"`` for a
+    pseudo page.  The columnar ZGrab step reads banners and TTLs from the
+    rows' universe index entries.
+    """
+
+    targets: ResolvedTargets
+    status: np.ndarray
+    statuses: DictionaryEncoder
+
+    def __len__(self) -> int:
+        return len(self.targets)
 
 
 class LZRSimulator:
@@ -276,6 +296,49 @@ class LZRSimulator:
                            responses=PROBES_PER_FINGERPRINT * responded,
                            retransmits=PROBES_PER_FINGERPRINT * retried)
         return batch
+
+    def fingerprint_resolved(self, targets: ResolvedTargets,
+                             category: ScanCategory = ScanCategory.OTHER,
+                             statuses: Optional[DictionaryEncoder] = None,
+                             ) -> ResolvedFingerprints:
+        """:meth:`fingerprint_batch_columns` over resolved SYN-ACKing targets.
+
+        Same rows kept in the same order and identical ledger totals, with
+        no host lookup: the targets already say what answers.  Middlebox
+        rows stay silent; the others speak, and under a loss model each of
+        them draws its handshake attempts (one Python loop over the
+        speaking rows).  Status ids are handed out as the per-target layer
+        hands them out: ``"http"`` first, then each kept real service's
+        protocol in row order.
+        """
+        statuses = statuses if statuses is not None else DictionaryEncoder()
+        pseudo_status = statuses.encode("http")
+        rows = np.flatnonzero(targets.speaking())
+        retried = 0
+        if self.loss is not None:
+            kept: List[int] = []
+            for row, ip, port in zip(rows.tolist(), targets.ips[rows].tolist(),
+                                     targets.ports[rows].tolist()):
+                attempts, observed = self._handshake_attempts(ip, port)
+                retried += attempts - 1
+                if observed:
+                    kept.append(row)
+            rows = np.array(kept, dtype=np.int64)
+        found = targets.take(rows)
+        self.ledger.record(category,
+                           probes=PROBES_PER_FINGERPRINT * (len(targets) + retried),
+                           responses=PROBES_PER_FINGERPRINT * len(found),
+                           retransmits=PROBES_PER_FINGERPRINT * retried)
+        index = self.universe.service_index
+        real = found.service_rows >= 0
+        codes = index.protocol_codes[found.service_rows[real]]
+        present, first = np.unique(codes, return_index=True)
+        status_of_code = np.zeros(len(index.protocols), dtype=np.int64)
+        for code in present[np.argsort(first)].tolist():
+            status_of_code[code] = statuses.encode(index.protocols[code])
+        status = np.full(len(found), pseudo_status, dtype=np.int64)
+        status[real] = status_of_code[codes]
+        return ResolvedFingerprints(found, status, statuses)
 
     def charge_fingerprints(self, targets: int, speaking: int,
                             category: ScanCategory = ScanCategory.OTHER) -> None:

@@ -11,23 +11,28 @@ scan shapes the paper's system needs:
   subnetwork: the building block of the priors scan (Section 5.3);
 * :meth:`ScanPipeline.scan_pairs` -- targeted probes of predicted (ip, port)
   pairs: the prediction scan (Section 5.4).  Passing ``batch_prefix_len``
-  (or calling :meth:`ScanPipeline.scan_pair_batches` with pre-grouped
-  :class:`~repro.scanner.records.ProbeBatch` objects) amortizes ground-truth
-  lookups and ledger charges across each per-(prefix, port) batch instead of
-  paying them per pair.
+  probes them in per-(prefix, port) batch order in one array pass, charging
+  each layer once instead of once per pair.
 
 Every shape runs the *columnar* layers, which fold hits into flat int
-columns.  The seed sweep and the batched prediction scan chain
-``fingerprint_batch_columns`` -> ``grab_batch_columns`` -> the columnar
-pseudo-service filter, resolving every target's host; the seed sweep first
-charges dark addresses, and the hosts the filter's dense-host rule would
-drop, by count, so only rows the filter can keep are built.
-``scan_prefix`` keeps ZMap's sweep but takes the prefix's real services as
-one slice of the universe's per-port columns
+columns.  The seed sweep chains ``fingerprint_batch_columns`` ->
+``grab_batch_columns`` -> the columnar pseudo-service filter, resolving
+every target's host; it first charges dark addresses, and the hosts the
+filter's dense-host rule would drop, by count, so only rows the filter can
+keep are built.  ``scan_prefix`` keeps ZMap's sweep but takes the prefix's
+real services as one slice of the universe's per-port columns
 (:meth:`~repro.internet.universe.Universe.prefix_responders`), so only the
 pseudo pages and middleboxes among its responders resolve per target
 (``fingerprint_prefix_columns`` -> ``grab_prefix_columns``); a single-port
 sweep has one row per address, which the filter passes through untouched.
+The batched prediction scan reads its targets as columns (a
+:class:`~repro.core.predictions.Predictions` slice hands its own), puts
+them in :func:`~repro.scanner.records.group_order` and resolves them all
+against the universe's packed
+:class:`~repro.internet.universe.ServiceIndex` with ``searchsorted``
+(``zmap.scan_pair_columns`` -> ``lzr.fingerprint_resolved`` ->
+``zgrab.grab_resolved``): Python loops run only over pseudo rows and, under
+a loss model, over the responders.
 ``scan_prefix`` and the batched prediction scan return the
 :class:`~repro.scanner.records.ObservationBatch` itself, whose
 :class:`~repro.scanner.records.ScanObservation` rows materialize only when a
@@ -50,8 +55,20 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+    runtime_checkable,
+)
 
+import numpy as np
+
+from repro.engine.columns import to_numpy
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.faults import FaultPlan
 from repro.internet.banners import BannerFactory
@@ -60,12 +77,7 @@ from repro.net.ipv4 import prefix_size, subnet_key_parts
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
 from repro.scanner.filtering import PseudoServiceFilter
 from repro.scanner.lzr import LZRSimulator
-from repro.scanner.records import (
-    ObservationBatch,
-    ProbeBatch,
-    ScanObservation,
-    group_pairs,
-)
+from repro.scanner.records import ObservationBatch, ScanObservation, group_order
 from repro.scanner.zgrab import ZGrabSimulator
 from repro.scanner.zmap import SweptPorts, ZMapSimulator
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -75,6 +87,23 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 #: of fingerprinting every port individually.
 MIDDLEBOX_SUSPECT_PORT_COUNT = 30000
 MIDDLEBOX_SAMPLE_PORTS = 10
+
+
+@runtime_checkable
+class PairColumns(Protocol):
+    """Probe targets as parallel ``ips`` and ``ports`` int columns."""
+
+    ips: Sequence[int]
+    ports: Sequence[int]
+
+
+def _target_columns(pairs: Union[Iterable[Tuple[int, int]], PairColumns],
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The targets as two int64 arrays, read straight from columns if given."""
+    if isinstance(pairs, PairColumns):
+        return to_numpy(pairs.ips), to_numpy(pairs.ports)
+    flat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return flat[:, 0], flat[:, 1]
 
 
 @dataclass
@@ -296,7 +325,7 @@ class ScanPipeline:
             self._observe_sweep("prefix", time.perf_counter() - sweep_t0)
         return batch
 
-    def scan_pairs(self, pairs: Iterable[Tuple[int, int]],
+    def scan_pairs(self, pairs: Union[Iterable[Tuple[int, int]], PairColumns],
                    category: ScanCategory = ScanCategory.PREDICTION,
                    apply_filter: bool = True,
                    batch_prefix_len: Optional[int] = None,
@@ -304,17 +333,25 @@ class ScanPipeline:
         """Probe specific (ip, port) targets and banner-grab the responders.
 
         Args:
-            pairs: the (ip, port) targets, probed in order.
+            pairs: the (ip, port) targets, probed in order: an iterable of
+                pairs, or columns -- any object with parallel ``ips`` and
+                ``ports`` int columns, such as a
+                :class:`~repro.core.predictions.Predictions` slice.
             category: ledger category the probes are charged to.
             apply_filter: run the Appendix B pseudo-service filter.
-            batch_prefix_len: when set, group the pairs into per-(subnetwork,
-                port) batches of that prefix length and run them through the
-                batched scanner layers (Section 5.4's prediction scan is
-                GPS's default use of this).  The same probes are sent, the
+            batch_prefix_len: when set, probe the targets batched per
+                (subnetwork, port) at that prefix length -- Section 5.4's
+                prediction scan, GPS's default use of this -- in one array
+                pass: the targets go in
+                :func:`~repro.scanner.records.group_pairs` order, resolve
+                against the universe's
+                :class:`~repro.internet.universe.ServiceIndex`
+                (``zmap.scan_pair_columns``), and fingerprint and grab as
+                columns (``lzr.fingerprint_resolved`` ->
+                ``zgrab.grab_resolved``).  The same probes are sent, the
                 same services are observed and the ledger totals are
-                identical; only the per-pair bookkeeping is amortized, and
-                results come back in batch order rather than strict pair
-                order.
+                identical; results come back in batch order rather than
+                strict pair order.
 
         Returns:
             With ``batch_prefix_len`` the observations as an
@@ -322,13 +359,22 @@ class ScanPipeline:
             materialize when read); without it a list from the per-pair
             reference layers.
         """
-        if batch_prefix_len is not None:
-            # Delegates to scan_pair_batches, which times itself -- no
-            # double-counted sweep.
-            return self.scan_pair_batches(group_pairs(pairs, batch_prefix_len),
-                                          category=category,
-                                          apply_filter=apply_filter)
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
+        if batch_prefix_len is not None:
+            ips, ports = _target_columns(pairs)
+            order = group_order(ips, ports, batch_prefix_len)
+            hits = self.zmap.scan_pair_columns(ips[order], ports[order],
+                                               category=category)
+            fingerprints = self.lzr.fingerprint_resolved(
+                hits, category=category, statuses=self._status_encoder)
+            batch = self.zgrab.grab_resolved(fingerprints, category=category)
+            if apply_filter:
+                batch = self.pseudo_filter.filter_batch(batch)
+            if sweep_t0 is not None:
+                self._observe_sweep("pair_batches", time.perf_counter() - sweep_t0)
+            return batch
+        if isinstance(pairs, PairColumns):
+            pairs = zip(pairs.ips, pairs.ports)
         hits = self.zmap.scan_pairs(pairs, category=category)
         fingerprints = self.lzr.fingerprint_many(hits, category=category)
         observations = self.zgrab.grab_many(fingerprints, category=category)
@@ -337,34 +383,6 @@ class ScanPipeline:
         if sweep_t0 is not None:
             self._observe_sweep("pairs", time.perf_counter() - sweep_t0)
         return observations
-
-    def scan_pair_batches(self, batches: Sequence[ProbeBatch],
-                          category: ScanCategory = ScanCategory.PREDICTION,
-                          apply_filter: bool = True) -> ObservationBatch:
-        """Probe pre-grouped per-(prefix, port) batches (Section 5.4, batched).
-
-        Equivalent to :meth:`scan_pairs` over the flattened batches -- same
-        observations (in batch order) and identical ledger charges -- but the
-        whole pass is *columnar*: ZMap resolves responders into flat
-        (ip, port) columns with ranged universe queries, LZR and ZGrab fold
-        outcomes into parallel int columns (protocol-status ids, interned
-        banner ids) instead of allocating per-hit objects: per hit the three
-        layers together perform two host-table lookups and a handful of list
-        appends, with no banner-dict copies.  The result is the (filtered)
-        :class:`~repro.scanner.records.ObservationBatch`, whose
-        :class:`~repro.scanner.records.ScanObservation` rows materialize only
-        when a consumer reads them.
-        """
-        sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
-        hit_ips, hit_ports = self.zmap.scan_pair_batch_columns(batches,
-                                                               category=category)
-        batch = self._grab_columns(hit_ips, hit_ports, category)
-        if apply_filter:
-            # The columnar filter memoizes content keys per interned banner id.
-            batch = self.pseudo_filter.filter_batch(batch)
-        if sweep_t0 is not None:
-            self._observe_sweep("pair_batches", time.perf_counter() - sweep_t0)
-        return batch
 
     # -- internals ---------------------------------------------------------------------
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.engine.columns import IntColumn
+import numpy as np
+
+from repro.engine.columns import IntColumn, to_numpy
 from repro.engine.encoding import DictionaryEncoder
 from repro.internet.banners import BannerInterner
 from repro.net.ipv4 import subnet_key
@@ -167,7 +169,7 @@ class ObservationBatch:
     def select(self, indices: Iterable[int]) -> "ObservationBatch":
         """A new batch holding the given rows, in the given order.
 
-        A pure column slice: the interner, the status encoder and the
+        A pure column gather: the interner, the status encoder and the
         batch-local banner table are *shared* with this batch (banner and
         status ids stay valid verbatim, no status re-encoding happens), so
         selecting rows never touches a banner mapping.  This is what the
@@ -177,16 +179,16 @@ class ObservationBatch:
         """
         out = ObservationBatch(banners=self.banners, statuses=self.statuses,
                                local_banners=self.local_banners)
-        rows = indices if isinstance(indices, (list, tuple)) else list(indices)
-        if not rows:
+        rows = indices if isinstance(indices, (list, tuple, np.ndarray)) \
+            else list(indices)
+        if not len(rows):
             return out
-        ips, ports, status = self.ips, self.ports, self.status
-        banner_ids, ttls = self.banner_ids, self.ttls
-        out.ips.extend(ips[i] for i in rows)
-        out.ports.extend(ports[i] for i in rows)
-        out.status.extend(status[i] for i in rows)
-        out.banner_ids.extend(banner_ids[i] for i in rows)
-        out.ttls.extend(ttls[i] for i in rows)
+        rows = np.asarray(rows, dtype=np.int64)
+        out.ips = IntColumn.from_numpy(to_numpy(self.ips)[rows])
+        out.ports = IntColumn.from_numpy(to_numpy(self.ports)[rows])
+        out.status = IntColumn.from_numpy(to_numpy(self.status)[rows])
+        out.banner_ids = IntColumn.from_numpy(to_numpy(self.banner_ids)[rows])
+        out.ttls = IntColumn.from_numpy(to_numpy(self.ttls)[rows])
         return out
 
     @classmethod
@@ -306,6 +308,52 @@ def group_pairs(pairs: Iterable[Tuple[int, int]],
     return [ProbeBatch(port=port, subnet=subnet_key(ips[0], prefix_len),
                        ips=tuple(ips))
             for (port, _), ips in grouped.items()]
+
+
+def group_order(ips: np.ndarray, ports: np.ndarray,
+                prefix_len: int = 16) -> np.ndarray:
+    """The permutation that lays target columns out in :func:`group_pairs` order.
+
+    Taking ``ips`` and ``ports`` (int64 columns) at the returned rows lists
+    the targets batch by batch, batches in first-seen order and addresses
+    in submitted order inside each, exactly as flattening
+    ``group_pairs(zip(ips, ports), prefix_len)`` would -- without building
+    a pair or a batch.
+    """
+    if not 0 <= prefix_len <= 32:
+        raise ValueError(f"prefix_len must be 0-32: {prefix_len}")
+    if not len(ips):
+        return np.zeros(0, dtype=np.int64)
+    subnets = ips >> (32 - prefix_len)
+    if subnets.min() >= 0 and subnets.max() < 1 << 32 \
+            and -(1 << 30) < ports.min() and ports.max() < 1 << 30:
+        # One int64 key per batch: (port, subnet) packs without overlap.
+        batches = ports << 32 | subnets
+    else:
+        batches = _dense_pairs(ports, subnets)
+    # Number the batches, find each one's first-seen target, and rank the
+    # batches by it; a stable sort by rank keeps submitted order inside.
+    order = np.argsort(batches)
+    ordered = batches[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    batch_of = np.empty(len(order), dtype=np.int64)
+    batch_of[order] = np.cumsum(starts) - 1
+    first_seen = np.minimum.reduceat(order, np.flatnonzero(starts))
+    rank = np.empty(len(first_seen), dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(len(first_seen))
+    # Few batches rank in 16 bits, which numpy sorts stably by radix.
+    ranks = rank[batch_of]
+    if len(first_seen) <= 1 << 16:
+        ranks = ranks.astype(np.uint16)
+    return np.argsort(ranks, kind="stable")
+
+
+def _dense_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One int64 id per distinct ``(first, second)`` row, whatever the widths."""
+    _, inverse = np.unique(np.stack([first, second], axis=1), axis=0,
+                           return_inverse=True)
+    return inverse.reshape(-1)
 
 
 def observations_by_host(observations: Iterable[ScanObservation]) -> Dict[int, List[ScanObservation]]:

@@ -15,11 +15,19 @@ import time
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.engine.columns import IntColumn
 from repro.engine.faults import ProbeLossModel
 from repro.internet.banners import BannerFactory
 from repro.internet.universe import Universe
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
-from repro.scanner.lzr import FingerprintBatch, FingerprintResult, PrefixFingerprints
+from repro.scanner.lzr import (
+    FingerprintBatch,
+    FingerprintResult,
+    PrefixFingerprints,
+    ResolvedFingerprints,
+)
 from repro.scanner.records import ObservationBatch, ScanObservation
 
 #: Packets exchanged to complete a typical application handshake and banner grab.
@@ -172,6 +180,67 @@ class ZGrabSimulator:
         self.ledger.record(
             category, probes=PROBES_PER_HANDSHAKE * (handshakes + retried),
             responses=PROBES_PER_HANDSHAKE * (answered if lossy else handshakes),
+            retransmits=PROBES_PER_HANDSHAKE * retried)
+        return batch
+
+    def grab_resolved(self, fingerprints: ResolvedFingerprints,
+                      category: ScanCategory = ScanCategory.OTHER,
+                      ) -> ObservationBatch:
+        """:meth:`grab_batch_columns` over resolved fingerprints.
+
+        Same rows, order and ledger totals, but the real services' banner
+        ids and TTLs are gathered from the universe's
+        :class:`~repro.internet.universe.ServiceIndex` rows in one array
+        pass and the columns fill in bulk.  Only the pseudo rows loop in
+        Python, in row order, to build their pages: the static page interns
+        by content, an incident-style page rides batch-locally.  Under a
+        loss model every row draws its handshake attempts first and rows
+        whose banner was lost drop out.
+        """
+        universe = self.universe
+        index = universe.service_index
+        found, status = fingerprints.targets, fingerprints.status
+        handshakes = len(found)
+        retried = 0
+        if self.loss is not None:
+            kept: List[int] = []
+            for row, (ip, port) in enumerate(zip(found.ips.tolist(),
+                                                 found.ports.tolist())):
+                attempts, observed = self._handshake_attempts(ip, port)
+                retried += attempts - 1
+                if observed:
+                    kept.append(row)
+            rows = np.array(kept, dtype=np.int64)
+            found, status = found.take(rows), status[rows]
+        batch = ObservationBatch(banners=universe.banners,
+                                 statuses=fingerprints.statuses)
+        service_rows = found.service_rows
+        real = service_rows >= 0
+        banner_ids = np.zeros(len(found), dtype=np.int64)
+        ttls = np.zeros(len(found), dtype=np.int64)
+        banner_ids[real] = index.banner_ids[service_rows[real]]
+        ttls[real] = index.ttls[service_rows[real]]
+        pseudo = np.flatnonzero(~real)
+        if len(pseudo):
+            pseudo_rows = found.pseudo_rows[pseudo]
+            ttls[pseudo] = index.pseudo_ttls[pseudo_rows]
+            pseudo_features = self.banner_factory.pseudo_service_features
+            for row, ip, port, incident in zip(
+                    pseudo.tolist(), found.ips[pseudo].tolist(),
+                    found.ports[pseudo].tolist(),
+                    index.pseudo_incident[pseudo_rows].tolist()):
+                features = pseudo_features(ip, incident, port=port)
+                banner_ids[row] = (
+                    batch.add_local_banner(MappingProxyType(features))
+                    if incident else universe.banners.intern_value(features))
+        batch.ips = IntColumn.from_numpy(found.ips)
+        batch.ports = IntColumn.from_numpy(found.ports)
+        batch.status = IntColumn.from_numpy(status)
+        batch.banner_ids = IntColumn.from_numpy(banner_ids)
+        batch.ttls = IntColumn.from_numpy(ttls)
+        self.ledger.record(
+            category, probes=PROBES_PER_HANDSHAKE * (handshakes + retried),
+            responses=PROBES_PER_HANDSHAKE * len(found),
             retransmits=PROBES_PER_HANDSHAKE * retried)
         return batch
 

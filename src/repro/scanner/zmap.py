@@ -19,14 +19,14 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.faults import ProbeLossModel
-from repro.internet.universe import Host, PrefixResponders, Universe
+from repro.internet.universe import Host, PrefixResponders, ResolvedTargets, Universe
 from repro.net.ports import MAX_PORT, is_valid_port
 from repro.scanner.bandwidth import BandwidthLedger, ScanCategory
-from repro.scanner.records import ProbeBatch
 
 #: The IP-ID value ZMap stamps on every probe, allowing operators to filter it.
 ZMAP_IP_ID_FINGERPRINT = 54321
@@ -285,64 +285,44 @@ class ZMapSimulator:
                            retransmits=retransmits)
         return hits
 
-    def scan_pair_batch_columns(self, batches: Iterable[ProbeBatch],
-                                category: ScanCategory = ScanCategory.PREDICTION,
-                                ) -> Tuple[List[int], List[int]]:
-        """Batched :meth:`scan_pairs`: hits as parallel (ips, ports) columns.
+    def scan_pair_columns(self, ips: np.ndarray, ports: np.ndarray,
+                          category: ScanCategory = ScanCategory.PREDICTION,
+                          ) -> ResolvedTargets:
+        """Columnar :meth:`scan_pairs`: the SYN-ACKing targets, resolved.
 
-        Sends exactly the probes :meth:`scan_pairs` would send for the
-        flattened batches and returns the same SYN-ACKing targets (in batch
-        order), but resolves each batch with one ranged ground-truth query
-        (:meth:`~repro.internet.universe.Universe.syn_ack_many`), validates
-        the port once per batch, charges the ledger once for the whole call,
-        and folds the hits into two flat int columns -- the shape the
-        columnar LZR/ZGrab layers consume
-        (:class:`~repro.scanner.records.ObservationBatch` downstream).
+        ``ips`` and ``ports`` are int64 target columns.  Sends exactly the
+        probes :meth:`scan_pairs` sends for the same targets in the same
+        order, keeps the same responders in that order and charges the
+        ledger the same totals in one record -- but every target resolves
+        against the universe's
+        :class:`~repro.internet.universe.ServiceIndex` in one array pass,
+        and the result carries what answered (service row, pseudo row,
+        middlebox) for the LZR and ZGrab steps.  An invalid port raises
+        ``ValueError`` before anything is charged.  Under a loss model only
+        the responders retry, one Python loop over them.
         """
-        sent = 0
+        invalid = (ports < 1) | (ports > MAX_PORT)
+        if invalid.any():
+            raise ValueError(f"invalid port: {int(ports[invalid][0])}")
+        targets = self.universe.service_index.resolve(ips, ports)
+        rows = np.flatnonzero(targets.answering())
         retransmits = 0
-        hit_ips: List[int] = []
-        hit_ports: List[int] = []
-        syn_ack_many = self.universe.syn_ack_many
-        for batch in batches:
-            port = batch.port
-            if not is_valid_port(port):
-                raise ValueError(f"invalid port: {port}")
-            sent += len(batch.ips)
-            responders = syn_ack_many(batch.ips, port)
-            if self.loss is not None:
-                responders, extra = self._retry_responders(responders, port)
-                sent += extra
-                retransmits += extra
-            if responders:
-                hit_ips.extend(responders)
-                hit_ports.extend(repeat(port, len(responders)))
-        self.ledger.record(category, probes=sent, responses=len(hit_ips),
-                           retransmits=retransmits)
-        return hit_ips, hit_ports
-
-    def _retry_responders(self, responders: Sequence[int], port: int,
-                          ) -> Tuple[List[int], int]:
-        """Per-responder retry loop for the batched shapes.
-
-        Each true responder whose SYN-ACK the loss model drops is re-probed
-        (up to the budget); the return value is the observed responders in
-        input order plus the number of retransmitted probes.  With the loss
-        model's bounded consecutive losses and an adequate budget the
-        observed list always equals ``responders``.
-        """
-        loss = self.loss
-        kept: List[int] = []
-        extra = 0
-        for ip in responders:
-            for attempt in range(self.max_retries + 1):
-                if not loss.lost(LOSS_LAYER, ip, port, attempt):
-                    kept.append(ip)
-                    break
-                if attempt < self.max_retries:
-                    extra += 1
-                    self._backoff()
-        return kept, extra
+        if self.loss is not None:
+            lost = self.loss.lost
+            kept: List[int] = []
+            for row, ip, port in zip(rows.tolist(), ips[rows].tolist(),
+                                     ports[rows].tolist()):
+                for attempt in range(self.max_retries + 1):
+                    if not lost(LOSS_LAYER, ip, port, attempt):
+                        kept.append(row)
+                        break
+                    if attempt < self.max_retries:
+                        retransmits += 1
+                        self._backoff()
+            rows = np.array(kept, dtype=np.int64)
+        self.ledger.record(category, probes=len(targets) + retransmits,
+                           responses=len(rows), retransmits=retransmits)
+        return targets.take(rows)
 
     # -- helpers ----------------------------------------------------------------------
 

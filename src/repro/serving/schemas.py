@@ -136,8 +136,9 @@ class BulkPredict:
     """Predict remaining services for many hosts in one request.
 
     The reply's probe batches are grouped per ``(subnet/prefix_len, port)``
-    exactly like the Section 5.4 prediction-scan path, ready for
-    :meth:`repro.scanner.pipeline.ScanPipeline.scan_pair_batches`.
+    in the order the Section 5.4 prediction scan probes them
+    (:meth:`repro.scanner.pipeline.ScanPipeline.scan_pairs` with
+    ``batch_prefix_len``).
     """
 
     model: str

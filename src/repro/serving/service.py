@@ -561,7 +561,7 @@ class GPSService:
                 for start in range(0, total, request.batch_size):
                     chunk = predictions[start:start + request.batch_size]
                     found = prepared.pipeline.scan_pairs(
-                        chunk.pairs(),
+                        chunk,
                         category=ScanCategory.PREDICTION,
                         batch_prefix_len=request.prefix_len)
                     push(ScanUpdate(job_id=job.job_id, seq=seq,

@@ -47,7 +47,7 @@ RECORDED_FLOORS = (
      "priors_fused_serial_speedup", "priors_fused_serial_floor"),
     ("BENCH_priors.json", "batched scan pipeline end to end",
      "scan.end_to_end_speedup", "scan.end_to_end_floor"),
-    ("BENCH_priors.json", "batched zmap layer vs per-pair probing",
+    ("BENCH_priors.json", "batched pass zmap step vs per-pair probing",
      "scan.zmap_layer_speedup", "scan.zmap_layer_floor"),
     ("BENCH_runtime.json", "surgical heal vs full rebuild",
      "recovery.rebuild_vs_heal", "recovery.floor"),

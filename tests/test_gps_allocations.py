@@ -270,3 +270,76 @@ def test_batch_predict_matches_once_per_key_without_per_address_features(
     assert predictions == expected and len(expected) > 0
     assert len(calls) == len(set(calls)) == len(expected_keys)
     assert derived == []
+
+
+class _SpyHosts(dict):
+    """The universe's host table, recording every address read while on."""
+
+    def __init__(self, hosts, reads):
+        super().__init__(hosts)
+        self.reads = reads
+        self.on = False
+
+    def get(self, ip, default=None):
+        if self.on:
+            self.reads.append(ip)
+        return super().get(ip, default)
+
+    def __getitem__(self, ip):
+        if self.on:
+            self.reads.append(ip)
+        return super().__getitem__(ip)
+
+    def __contains__(self, ip):
+        if self.on:
+            self.reads.append(ip)
+        return super().__contains__(ip)
+
+
+def test_prediction_scan_resolves_real_services_without_per_target_calls(
+        small_universe, lzr_split, monkeypatch):
+    """The prediction scan takes its real services from the universe's
+    packed service index.
+
+    While an engine run's ``scan_pairs`` calls run, every (ip, port) handed
+    to ``Universe.lookup`` or ``banner_id_of`` and every address read from
+    the host table is recorded; none of them may be a real service the scan
+    returned.
+    """
+    dataset, seed = lzr_split
+    targets, reads = [], []
+    hosts = _SpyHosts(small_universe.hosts, reads)
+    monkeypatch.setattr(small_universe, "hosts", hosts)
+    scan_pairs = ScanPipeline.scan_pairs
+
+    def flagged_scan_pairs(self, *args, **kwargs):
+        hosts.on = True
+        try:
+            return scan_pairs(self, *args, **kwargs)
+        finally:
+            hosts.on = False
+
+    def spy(name, pairs_of):
+        original = getattr(Universe, name)
+
+        def recording(self, *args):
+            if hosts.on:
+                targets.extend(pairs_of(*args))
+            return original(self, *args)
+
+        monkeypatch.setattr(Universe, name, recording)
+
+    monkeypatch.setattr(ScanPipeline, "scan_pairs", flagged_scan_pairs)
+    spy("lookup", lambda ip, port: [(ip, port)])
+    spy("banner_id_of", lambda record: [(record.ip, record.port)])
+
+    config = GPSConfig(seed_fraction=dataset.sample_fraction / 2,
+                       port_domain=dataset.port_domain, use_engine=True)
+    with GPS(ScanPipeline(small_universe), config) as gps:
+        result = gps.run(seed=seed, seed_cost_probes=0)
+    found = result.prediction_observations
+    real = {(ip, port) for ip, port in zip(found.ips, found.ports)
+            if port in dict.__getitem__(hosts, ip).services}
+    assert real
+    assert not real & set(targets)
+    assert not {ip for ip, _ in real} & set(reads)

@@ -1,9 +1,12 @@
 """Equivalence tests for the columnar scan path.
 
 Every production scan shape (``ScanPipeline.seed_scan``, ``scan_prefix`` and
-the batched ``scan_pairs`` / ``scan_pair_batches``) runs the columnar layers:
-``Universe.syn_ack_many``, ``ZMapSimulator.scan_pair_batch_columns``,
-``LZRSimulator.fingerprint_batch_columns``, ``ZGrabSimulator.grab_batch_columns``,
+the batched ``scan_pairs``) runs the columnar layers.  The batched
+``scan_pairs`` resolves its targets against the universe's packed
+``ServiceIndex`` (``ZMapSimulator.scan_pair_columns`` ->
+``LZRSimulator.fingerprint_resolved`` -> ``ZGrabSimulator.grab_resolved``);
+the seed sweep runs ``LZRSimulator.fingerprint_batch_columns`` ->
+``ZGrabSimulator.grab_batch_columns``; every shape ends in
 ``ObservationBatch`` and the columnar pseudo filter.  They are *defined* as
 equivalent to the per-pair layer chain (``zmap.scan_pairs`` /
 ``zmap.scan_prefix`` -> ``fingerprint_many`` -> ``grab_many`` -> ``filter``):
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import GPSConfig
@@ -32,7 +36,7 @@ from repro.scanner.pipeline import (
     MIDDLEBOX_SUSPECT_PORT_COUNT,
     ScanPipeline,
 )
-from repro.scanner.records import ProbeBatch, group_pairs
+from repro.scanner.records import group_order, group_pairs
 from repro.telemetry import Telemetry
 
 #: Seeded probe loss with a retry budget that covers it: results must stay
@@ -76,32 +80,73 @@ def _observation_key(observations):
                   for obs in observations)
 
 
-class TestSynAckMany:
-    def test_matches_point_probes(self, universe):
+def _hand_built_universe():
+    """One /24 of hosts the generator never makes: middleboxes with
+    services, services inside a pseudo range, a pseudo range wider than
+    the middlebox threshold."""
+    base = 10 << 24
+
+    def host(offset, service_ports=(), protocol="ssh", **kwargs):
+        ip = base + offset
+        services = {port: ServiceRecord(
+            ip=ip, port=port, protocol=protocol,
+            app_features={"banner": f"{ip}:{port}"})
+            for port in service_ports}
+        return Host(ip=ip, asn=1, profile_name="hand", services=services,
+                    **kwargs)
+
+    hosts = [
+        host(1, [22, 80, 443]),
+        # A middlebox whose sampled ports speak, sparse and dense.
+        host(2, [1, 2, 3], protocol="ftp", is_middlebox=True),
+        host(3, range(1, 15), protocol="smtp", is_middlebox=True),
+        # A middlebox whose sample stays silent: dropped before LZR.
+        host(4, range(100, 120), protocol="imap", is_middlebox=True),
+        # Real services inside (and beside) a pseudo range.
+        host(5, [21, 25, 40], protocol="pop3",
+             pseudo_port_range=(20, 30)),
+        host(6, [5], protocol="telnet", pseudo_port_range=(1, 40000),
+             pseudo_incident_style=True),
+        host(7, [8080], protocol="rdp", pseudo_port_range=(8000, 8003)),
+    ]
+    system = AutonomousSystem(asn=1, name="hand", category="isp",
+                              prefixes=((base, 24),))
+    return Universe({h.ip: h for h in hosts}, Topology([system]),
+                    UniverseConfig(host_count=len(hosts)))
+
+
+class TestServiceIndex:
+    def test_resolve_matches_point_queries(self, universe):
         pairs = _mixed_targets(universe, count=400)
-        by_port: dict = {}
-        for ip, port in pairs:
-            by_port.setdefault(port, []).append(ip)
-        for port, ips in by_port.items():
-            expected = [ip for ip in ips if universe.syn_ack(ip, port)]
-            assert universe.syn_ack_many(ips, port) == expected
+        ips = np.array([ip for ip, _ in pairs], dtype=np.int64)
+        ports = np.array([port for _, port in pairs], dtype=np.int64)
+        resolved = universe.service_index.resolve(ips, ports)
+        index = universe.service_index
+        answering = resolved.answering().tolist()
+        for i, (ip, port) in enumerate(pairs):
+            record = universe.lookup(ip, port)
+            row = int(resolved.service_rows[i])
+            assert (row >= 0) == (record is not None)
+            if record is not None:
+                assert index.protocols[index.protocol_codes[row]] == record.protocol
+                assert index.banner_ids[row] == universe.banner_id_of(record)
+                assert index.ttls[row] == record.ttl
+            pseudo = record is None and universe.is_pseudo_responsive(ip, port)
+            assert (resolved.pseudo_rows[i] >= 0) == pseudo
+            if pseudo:
+                assert index.pseudo_ips[resolved.pseudo_rows[i]] == ip
+            assert resolved.middlebox[i] == universe.is_middlebox(ip)
+            assert answering[i] == universe.syn_ack(ip, port)
 
-    def test_small_batches_match(self, universe):
-        # Below the bisect threshold the fallback path must agree too.
-        ip = next(iter(universe.hosts))
-        port = universe.hosts[ip].open_ports()[0] if universe.hosts[ip].services \
-            else 80
-        assert universe.syn_ack_many([ip], port) == \
-            ([ip] if universe.syn_ack(ip, port) else [])
-
-    def test_duplicates_and_order_preserved(self, universe):
-        port = universe.ports_in_use()[0]
-        responders = universe.ips_on_port(port)[:5]
-        ips = responders + responders + [0, 1]
-        assert universe.syn_ack_many(ips, port) == responders + responders
-
-    def test_empty_batch(self, universe):
-        assert universe.syn_ack_many([], 80) == []
+    def test_per_port_columns_match_hosts(self, universe):
+        for port in universe.ports_in_use()[:50]:
+            services = universe.port_services(port)
+            assert list(services.ips) == sorted(
+                ip for ip, host in universe.hosts.items() if port in host.services)
+            for ip, protocol, ttl in zip(services.ips, services.protocols,
+                                         services.ttls):
+                record = universe.lookup(ip, port)
+                assert (protocol, ttl) == (record.protocol, record.ttl)
 
 
 class TestGroupPairs:
@@ -133,6 +178,29 @@ class TestGroupPairs:
     def test_invalid_prefix_rejected(self):
         with pytest.raises(ValueError):
             group_pairs([(1, 80)], 33)
+        with pytest.raises(ValueError):
+            group_order(np.array([1]), np.array([80]), 33)
+
+    @pytest.mark.parametrize("prefix_len", [0, 8, 16, 24, 32])
+    def test_group_order_flattens_group_pairs(self, universe, prefix_len):
+        pairs = _mixed_targets(universe, count=300)
+        pairs += pairs[:40]  # duplicate targets
+        ips = np.array([ip for ip, _ in pairs], dtype=np.int64)
+        ports = np.array([port for _, port in pairs], dtype=np.int64)
+        order = group_order(ips, ports, prefix_len)
+        assert list(zip(ips[order].tolist(), ports[order].tolist())) == [
+            pair for batch in group_pairs(pairs, prefix_len)
+            for pair in batch.pairs()]
+
+    def test_group_order_beyond_packable_values(self):
+        # Addresses past 32 bits and ports past 30 do not pack into one key.
+        pairs = [(2**40 + 5, 80), (7, 2**31), (2**40 + 5, 80), (7, 80),
+                 (2**40 + 6, 2**31), (7, 2**31)]
+        ips = np.array([ip for ip, _ in pairs], dtype=np.int64)
+        ports = np.array([port for _, port in pairs], dtype=np.int64)
+        order = group_order(ips, ports, 32)
+        assert list(zip(ips[order].tolist(), ports[order].tolist())) == [
+            pair for batch in group_pairs(pairs, 32) for pair in batch.pairs()]
 
 
 class TestBatchedPipeline:
@@ -146,13 +214,21 @@ class TestBatchedPipeline:
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
         assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
 
-    def test_scan_pair_batches_accepts_pregrouped_batches(self, universe):
+    def test_scan_pairs_reads_target_columns(self, universe):
         pairs = _mixed_targets(universe, count=200)
+
+        class Columns:
+            ips = np.array([ip for ip, _ in pairs], dtype=np.int64)
+            ports = np.array([port for _, port in pairs], dtype=np.int64)
+
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        pairwise = pipeline_a.scan_pairs(pairs)
-        batched = pipeline_b.scan_pair_batches(group_pairs(pairs, 16))
-        assert _observation_key(pairwise) == _observation_key(batched)
-        assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
+        from_pairs = pipeline_a.scan_pairs(pairs, batch_prefix_len=16)
+        from_columns = pipeline_b.scan_pairs(Columns(), batch_prefix_len=16)
+        assert from_columns.materialize() == from_pairs.materialize()
+        assert pipeline_a.ledger.snapshot() == pipeline_b.ledger.snapshot()
+        # The per-pair route reads columns too.
+        assert _observation_key(ScanPipeline(universe).scan_pairs(Columns())) == \
+            _observation_key(from_pairs)
 
     def test_filter_toggle_respected(self, universe):
         pairs = _mixed_targets(universe)
@@ -162,28 +238,166 @@ class TestBatchedPipeline:
         assert len(filtered) <= len(unfiltered)
 
 
+def _edge_targets(universe):
+    """Targets at every edge of the batched pass: dark addresses, middleboxes,
+    static and incident-style pseudo hosts inside and outside their range,
+    ports 1 and 65535, and duplicate targets."""
+    hosts = list(universe.hosts.values())
+    pairs = []
+    for host in hosts:
+        pairs += [(host.ip, 1), (host.ip, 65535)]
+        pairs += [(host.ip, port) for port in sorted(host.services)[:3]]
+        if host.pseudo_port_range is not None:
+            lo, hi = host.pseudo_port_range
+            pairs += [(host.ip, lo), (host.ip, hi), (host.ip, lo + 1),
+                      (host.ip, hi + 1 if hi < 65535 else lo - 1)]
+    dark = max(universe.hosts) + 1
+    while dark in universe.hosts:
+        dark += 1
+    pairs += [(dark, 80), (dark, 1), (0, 65535)]
+    pairs += pairs[::7]  # duplicates
+    return pairs
+
+
+def _batched_targets(universe):
+    if len(universe.hosts) < 20:  # the hand-built /24
+        return _edge_targets(universe)
+    hosts = universe.hosts.values()
+    chosen = [next(host for host in hosts if host.is_middlebox)]
+    chosen += [next(host for host in hosts
+                    if host.pseudo_port_range is not None
+                    and host.pseudo_incident_style is incident)
+               for incident in (True, False)]
+    chosen += [host for host in hosts if host.services][:30]
+    edge = _edge_targets(Universe({host.ip: host for host in chosen},
+                                  universe.topology, universe.config))
+    return _mixed_targets(universe, count=400) + edge
+
+
+#: Retry budgets above the loss bound (results match the lossless scan) and
+#: below it (responders and rows drop, identically on both routes).
+BUDGETS = pytest.mark.parametrize("fault_plan, retries", [
+    (None, None), (LOSS, None), (LOSS, 1)],
+    ids=["lossless", "lossy", "lossy-short"])
+
+
+def _pipeline(universe, fault_plan, retries):
+    pipeline = ScanPipeline(universe, fault_plan=fault_plan)
+    if retries is not None:
+        for layer in (pipeline.zmap, pipeline.lzr, pipeline.zgrab):
+            layer.max_retries = retries
+    return pipeline
+
+
+class TestBatchedScanPairs:
+    """The batched ``scan_pairs`` pass vs the per-pair oracle, column by column.
+
+    The oracle probes the flattened :func:`group_pairs` batches pair by
+    pair (``zmap.scan_pairs`` -> ``fingerprint_many`` -> ``grab_many``) for
+    rows and ledger, and runs the per-target columnar layers
+    (``fingerprint_batch_columns`` -> ``grab_batch_columns``) over the same
+    hits for the status and banner ids the rows carry.
+    """
+
+    @pytest.fixture(params=["generated", "hand-built"])
+    def world(self, request, universe):
+        if request.param == "generated":
+            return universe
+        return _hand_built_universe()
+
+    @BUDGETS
+    @pytest.mark.parametrize("prefix_len", [0, 16, 24, 32])
+    def test_rows_ids_and_ledger_match_per_pair_oracle(self, world, fault_plan,
+                                                       retries, prefix_len):
+        pairs = _batched_targets(world)
+        category = ScanCategory.PREDICTION
+        batched = _pipeline(world, fault_plan, retries)
+        oracle = _pipeline(world, fault_plan, retries)
+        ids = _pipeline(world, fault_plan, retries)
+        flat = [pair for batch in group_pairs(pairs, prefix_len)
+                for pair in batch.pairs()]
+
+        observed = batched.scan_pairs(pairs, category=category,
+                                      batch_prefix_len=prefix_len,
+                                      apply_filter=False)
+        hits = oracle.zmap.scan_pairs(flat, category=category)
+        expected = oracle.zgrab.grab_many(
+            oracle.lzr.fingerprint_many(hits, category=category),
+            category=category)
+        columns = ids.zgrab.grab_batch_columns(
+            ids.lzr.fingerprint_batch_columns(
+                [ip for ip, _ in hits], [port for _, port in hits],
+                category=category, statuses=ids.status_encoder),
+            category=category)
+
+        assert observed.materialize() == expected
+        assert list(observed.status) == list(columns.status)
+        assert batched.status_encoder.values() == ids.status_encoder.values()
+        assert list(observed.banner_ids) == list(columns.banner_ids)
+        assert observed.local_banners == columns.local_banners
+        assert batched.ledger.snapshot() == oracle.ledger.snapshot()
+        assert batched.ledger.retransmits == oracle.ledger.retransmits
+        assert {pipeline.ledger.total_retransmits() > 0
+                for pipeline in (batched, oracle)} == {fault_plan is not None}
+        kinds = {("real" if world.lookup(obs.ip, obs.port) else
+                  "incident" if world.hosts[obs.ip].pseudo_incident_style
+                  else "static") for obs in expected}
+        assert kinds == {"real", "incident", "static"}
+
+    @BUDGETS
+    def test_filtered_rows_match_per_pair_oracle(self, world, fault_plan, retries):
+        pairs = _batched_targets(world)
+        batched = _pipeline(world, fault_plan, retries)
+        oracle = _pipeline(world, fault_plan, retries)
+        flat = [pair for batch in group_pairs(pairs, 16) for pair in batch.pairs()]
+        observed = batched.scan_pairs(pairs, batch_prefix_len=16)
+        assert observed.materialize() == oracle.scan_pairs(flat)
+        assert batched.ledger.snapshot() == oracle.ledger.snapshot()
+
+    def test_short_budget_drops_rows(self, universe):
+        pairs = _batched_targets(universe)
+        lossless = ScanPipeline(universe).scan_pairs(pairs, batch_prefix_len=16,
+                                                     apply_filter=False)
+        short = _pipeline(universe, LOSS, 1).scan_pairs(
+            pairs, batch_prefix_len=16, apply_filter=False)
+        assert len(short) < len(lossless)
+
+    @pytest.mark.parametrize("port", [0, 65536, -1])
+    def test_invalid_port_raises_and_charges_nothing(self, universe, port):
+        pipeline = ScanPipeline(universe)
+        pairs = list(universe.real_service_pairs())[:5] + [(1, port)]
+        with pytest.raises(ValueError):
+            pipeline.scan_pairs(pairs, batch_prefix_len=16)
+        assert pipeline.ledger.snapshot() == ScanPipeline(universe).ledger.snapshot()
+        assert pipeline.ledger.total_probes() == 0
+
+    def test_empty_targets(self, universe):
+        pipeline = ScanPipeline(universe)
+        assert len(pipeline.scan_pairs([], batch_prefix_len=16)) == 0
+        assert pipeline.ledger.total_probes() == 0
+
+
 class TestColumnarLayers:
     """Columnar scanner stages vs their per-pair oracles."""
 
-    def test_zmap_columns_match_pair_batches(self, universe):
+    def test_zmap_columns_match_per_pair_scan(self, universe):
         pairs = _mixed_targets(universe)
-        batches = group_pairs(pairs, 16)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        # Probed in batch order, the per-pair scan yields the same hits in
-        # the same order as the batched columns.
-        hits = pipeline_a.zmap.scan_pairs(
-            [pair for batch in batches for pair in batch.pairs()])
-        ips, ports = pipeline_b.zmap.scan_pair_batch_columns(batches)
-        assert list(zip(ips, ports)) == hits
+        hits = pipeline_a.zmap.scan_pairs(pairs)
+        resolved = pipeline_b.zmap.scan_pair_columns(
+            np.array([ip for ip, _ in pairs], dtype=np.int64),
+            np.array([port for _, port in pairs], dtype=np.int64))
+        assert list(zip(resolved.ips.tolist(), resolved.ports.tolist())) == hits
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
         assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
 
     def test_zmap_columns_reject_invalid_port(self, universe):
         pipeline = ScanPipeline(universe)
         for port in (0, 70000):
-            batch = ProbeBatch(port=port, subnet=subnet_key(1, 16), ips=(1, 2))
             with pytest.raises(ValueError):
-                pipeline.zmap.scan_pair_batch_columns([batch])
+                pipeline.zmap.scan_pair_columns(np.array([1, 2]),
+                                                np.array([80, port]))
+        assert pipeline.ledger.total_probes() == 0
 
     def test_lzr_columns_match_fingerprint_batch(self, universe):
         pairs = _mixed_targets(universe)
@@ -223,7 +437,8 @@ class TestColumnarLayers:
         pairs = _mixed_targets(universe)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
         pairwise = pipeline_a.scan_pairs(pairs, apply_filter=False)
-        batch = pipeline_b.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
+        batch = pipeline_b.scan_pairs(pairs, batch_prefix_len=16,
+                                      apply_filter=False)
         assert _observation_key(batch.materialize()) == _observation_key(pairwise)
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
         assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
@@ -404,41 +619,6 @@ class TestSeedSweep:
         assert probes[0] == probes[1] == columnar.ledger.total_probes()
 
 
-    @staticmethod
-    def _hand_built_universe():
-        """One /24 of hosts the generator never makes: middleboxes with
-        services, services inside a pseudo range, a pseudo range wider than
-        the middlebox threshold."""
-        base = 10 << 24
-
-        def host(offset, service_ports=(), protocol="ssh", **kwargs):
-            ip = base + offset
-            services = {port: ServiceRecord(
-                ip=ip, port=port, protocol=protocol,
-                app_features={"banner": f"{ip}:{port}"})
-                for port in service_ports}
-            return Host(ip=ip, asn=1, profile_name="hand", services=services,
-                        **kwargs)
-
-        hosts = [
-            host(1, [22, 80, 443]),
-            # A middlebox whose sampled ports speak, sparse and dense.
-            host(2, [1, 2, 3], protocol="ftp", is_middlebox=True),
-            host(3, range(1, 15), protocol="smtp", is_middlebox=True),
-            # A middlebox whose sample stays silent: dropped before LZR.
-            host(4, range(100, 120), protocol="imap", is_middlebox=True),
-            # Real services inside (and beside) a pseudo range.
-            host(5, [21, 25, 40], protocol="pop3",
-                 pseudo_port_range=(20, 30)),
-            host(6, [5], protocol="telnet", pseudo_port_range=(1, 40000),
-                 pseudo_incident_style=True),
-            host(7, [8080], protocol="rdp", pseudo_port_range=(8000, 8003)),
-        ]
-        system = AutonomousSystem(asn=1, name="hand", category="isp",
-                                  prefixes=((base, 24),))
-        return Universe({h.ip: h for h in hosts}, Topology([system]),
-                        UniverseConfig(host_count=len(hosts)))
-
     # A port list with repeats, and one long enough (past
     # MIDDLEBOX_SUSPECT_PORT_COUNT) to sample middleboxes, in reverse order.
     REPEATS = [80, 22, 80, 8001, 5, 25, 21, 1, 2, 3]
@@ -451,7 +631,7 @@ class TestSeedSweep:
              "lossy-all-ports", "lossy-repeats"])
     def test_seed_sweep_on_hand_built_hosts_matches_per_host_chain(
             self, fault_plan, ports):
-        universe = self._hand_built_universe()
+        universe = _hand_built_universe()
         columnar = ScanPipeline(universe, fault_plan=fault_plan)
         oracle = ScanPipeline(universe, fault_plan=fault_plan)
         result = columnar.seed_scan(1.0, ports=ports)
@@ -472,8 +652,8 @@ class TestObservationBatch:
     @pytest.fixture()
     def batch(self, universe):
         pairs = _mixed_targets(universe, count=400)
-        return ScanPipeline(universe).scan_pair_batches(
-            group_pairs(pairs, 16), apply_filter=False)
+        return ScanPipeline(universe).scan_pairs(pairs, batch_prefix_len=16,
+                                                 apply_filter=False)
 
     def test_lazy_rows_match_materialize(self, batch):
         assert len(batch) > 0
@@ -504,7 +684,7 @@ class TestObservationBatch:
         interned_before = len(universe.banners)
         pairs = list(universe.real_service_pairs())[:50]
         pipeline = ScanPipeline(universe)
-        pipeline.scan_pair_batches(group_pairs(pairs * 2, 16), apply_filter=False)
+        pipeline.scan_pairs(pairs * 2, batch_prefix_len=16, apply_filter=False)
         assert len(universe.banners) == interned_before
 
     def test_incident_pseudo_pages_never_grow_the_interner(self, universe):
@@ -520,7 +700,8 @@ class TestObservationBatch:
         for round_index in range(3):
             pairs = [(host.ip, host.pseudo_port_range[0] + round_index * 20 + k)
                      for host in incident_hosts for k in range(20)]
-            batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
+            batch = pipeline.scan_pairs(pairs, batch_prefix_len=16,
+                                        apply_filter=False)
             assert len(batch.local_banners) == len(batch) > 0
             assert all(banner_id < 0 for banner_id in batch.banner_ids)
             sizes.append(len(universe.banners))
@@ -529,8 +710,10 @@ class TestObservationBatch:
     def test_status_ids_stable_across_batches(self, universe):
         pairs = list(universe.real_service_pairs())[:40]
         pipeline = ScanPipeline(universe)
-        first = pipeline.scan_pair_batches(group_pairs(pairs[:20], 16), apply_filter=False)
-        second = pipeline.scan_pair_batches(group_pairs(pairs[20:], 16), apply_filter=False)
+        first = pipeline.scan_pairs(pairs[:20], batch_prefix_len=16,
+                                    apply_filter=False)
+        second = pipeline.scan_pairs(pairs[20:], batch_prefix_len=16,
+                                     apply_filter=False)
         assert first.statuses is second.statuses
 
 
@@ -543,7 +726,8 @@ class TestColumnarFilter:
                 lo, _ = host.pseudo_port_range
                 pairs.extend((host.ip, lo + offset) for offset in range(12))
         pipeline = ScanPipeline(universe)
-        batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
+        batch = pipeline.scan_pairs(pairs, batch_prefix_len=16,
+                                    apply_filter=False)
         # A one-port prefix sweep: every address distinct, pseudo pages and
         # middleboxes among its responders.
         port, subnet = _prefix_targets(universe)[0]
@@ -561,7 +745,8 @@ class TestColumnarFilter:
         lo, _ = host.pseudo_port_range
         pairs = [(host.ip, lo + offset) for offset in range(12)]
         pipeline = ScanPipeline(universe)
-        batch = pipeline.scan_pair_batches(group_pairs(pairs, 16), apply_filter=False)
+        batch = pipeline.scan_pairs(pairs, batch_prefix_len=16,
+                                    apply_filter=False)
         assert len(batch) == 12
         assert pipeline.pseudo_filter.filter_batch(batch).materialize() == []
 
@@ -569,7 +754,7 @@ class TestColumnarFilter:
         pairs = _mixed_targets(universe)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
         pairwise = pipeline_a.scan_pairs(pairs)
-        batched = pipeline_b.scan_pair_batches(group_pairs(pairs, 16))
+        batched = pipeline_b.scan_pairs(pairs, batch_prefix_len=16)
         assert _observation_key(pairwise) == _observation_key(batched)
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
 
