@@ -123,7 +123,6 @@ class _DiscoveryLog:
         """
         keys = self._keys()
         sizes = [size for _, _, size in self._batches]
-        assert sum(sizes) == len(keys), "logged batches do not cover the sources"
         batch_of = np.repeat(np.arange(len(sizes)), sizes)
         # Stable: equal keys stay in batch order, so each run's head sits
         # in the first batch that found the pair.

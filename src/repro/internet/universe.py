@@ -177,9 +177,10 @@ class ResolvedTargets:
 class ServiceIndex:
     """Every real service of a universe in one sorted table.
 
-    The service columns are parallel int64 arrays in ascending order of
-    their ``ip << 16 | port`` key (ports are 16-bit): the protocol code
-    (an index into ``protocols``), the interned banner id and the TTL.
+    The service columns are parallel arrays in ascending order of their
+    int64 ``ip << 16 | port`` key (ports are 16-bit): the protocol code (an
+    int16 index into ``protocols``), the interned banner id (int64) and the
+    TTL (int16; narrow columns keep a universe's resident size down).
     Beside them sit the sorted addresses of the pseudo-service hosts, with
     each one's port range, incident style and TTL, of the middleboxes, and
     of both together (``special_ips``).
@@ -393,9 +394,10 @@ class Universe:
                 middlebox.append(ip)
         ip_column = np.array(ips, dtype=np.int64)
         port_column = np.array(ports, dtype=np.int64)
-        code_column = np.array(codes, dtype=np.int64)
+        code_column = np.array(codes, dtype=np.int16)
         banner_column = np.array(banner_ids, dtype=np.int64)
-        ttl_column = np.array(ttls, dtype=np.int64)
+        ttl_column = np.array(ttls, dtype=np.int16)
+        del ips, ports, codes, banner_ids, ttls
         protocols = tuple(protocol_codes)
 
         # Per port, the services in address order.

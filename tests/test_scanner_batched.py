@@ -116,8 +116,14 @@ def _hand_built_universe():
 
 
 class TestServiceIndex:
-    def test_resolve_matches_point_queries(self, universe):
-        pairs = _mixed_targets(universe, count=400)
+    @pytest.mark.parametrize("hand_built", [False, True],
+                             ids=["generated", "hand-built"])
+    def test_resolve_matches_point_queries(self, universe, hand_built):
+        if hand_built:
+            universe = _hand_built_universe()
+            pairs = _edge_targets(universe)
+        else:
+            pairs = _mixed_targets(universe, count=400)
         ips = np.array([ip for ip, _ in pairs], dtype=np.int64)
         ports = np.array([port for _, port in pairs], dtype=np.int64)
         resolved = universe.service_index.resolve(ips, ports)
