@@ -124,15 +124,15 @@ class _DiscoveryLog:
         keys = self._keys()
         sizes = [size for _, _, size in self._batches]
         batch_of = np.repeat(np.arange(len(sizes)), sizes)
-        # Stable: equal keys stay in batch order, so each run's head sits
-        # in the first batch that found the pair.
-        order = np.argsort(keys, kind="stable")
+        # Equal keys sort into runs; a pair's first batch is its run's least.
+        order = np.argsort(keys)
         ordered = keys[order]
         starts = np.ones(len(keys), dtype=bool)
         starts[1:] = ordered[1:] != ordered[:-1]
         ordered_batch = batch_of[order]
+        first_batch = np.minimum.reduceat(ordered_batch, np.flatnonzero(starts))
         new = np.empty(len(keys), dtype=bool)
-        new[order] = ordered_batch == ordered_batch[starts][np.cumsum(starts) - 1]
+        new[order] = ordered_batch == first_batch[np.cumsum(starts) - 1]
         found = keys[new]
         ips, ports = found >> 16, found & 0xFFFF
         bounds = np.concatenate(([0], np.cumsum(np.bincount(

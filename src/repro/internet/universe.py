@@ -134,7 +134,7 @@ def _rows_in(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(table[rows] == values, rows, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvedTargets:
     """Probe targets and what answers each one, as parallel int64 arrays.
 
@@ -173,7 +173,7 @@ class ResolvedTargets:
                                self.middlebox[rows])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServiceIndex:
     """Every real service of a universe in one sorted table.
 
@@ -419,7 +419,7 @@ class Universe:
         # Every service in packed-key order, and the hosts that answer
         # without one.
         keys = ip_column << 16 | port_column
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         pseudo.sort(key=lambda host: host.ip)
         self._pseudo_ips = [host.ip for host in pseudo]
         self._middlebox_ips = sorted(middlebox)

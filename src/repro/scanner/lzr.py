@@ -144,7 +144,7 @@ class PrefixFingerprints(FingerprintBatch):
             pending=[new_index[i] for i in self.pending if i not in dropped])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvedFingerprints:
     """The speaking targets of a resolved sweep and their protocol-status ids.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import GPSConfig
-from repro.core.gps import GPS
+from repro.core.gps import GPS, _Columns, _DiscoveryLog
 from repro.core.metrics import fraction_of_services
 from repro.datasets.split import seed_scan_cost_probes
 from repro.scanner.bandwidth import ScanCategory
@@ -32,6 +32,26 @@ class TestDatasetSplitMode:
             assert not (set(batch.pairs) & seen)
             seen.update(batch.pairs)
         assert seen == result.discovered_pairs()
+
+    def test_discovery_log_keeps_first_batch_repeats(self):
+        # A pair is new in the first batch that found it, repeats in that
+        # batch included, as a batch logged pair by pair would keep them.
+        log = _DiscoveryLog()
+        log.follow(_Columns([5, 5, 6, 9], [80, 80, 22, 1]))
+        log.add("seed", 10, 3)
+        log.add("priors", 20, 1)
+        log.follow(_Columns([6, 7, 7, 5, 9], [22, 1, 1, 80, 1]))
+        log.add("prediction", 30, 5)
+        assert [(batch.phase, batch.cumulative_probes, batch.pairs)
+                for batch in log.resolve()] == [
+            ("seed", 10, ((5, 80), (5, 80), (6, 22))),
+            ("priors", 20, ((9, 1),)),
+            ("prediction", 30, ((7, 1), (7, 1))),
+        ]
+        assert log.known_keys().tolist() == sorted(
+            ip << 16 | port for ip, port in [(5, 80), (5, 80), (6, 22), (9, 1),
+                                             (6, 22), (7, 1), (7, 1), (5, 80),
+                                             (9, 1)])
 
     def test_phases_appear_in_order(self, gps_run):
         result, _ = gps_run
