@@ -182,12 +182,9 @@ class ServiceIndex:
     int16 index into ``protocols``), the interned banner id (int64) and the
     TTL (int16; narrow columns keep a universe's resident size down).
     Beside them sit the sorted addresses of the pseudo-service hosts, with
-    each one's port range, incident style and TTL, of the middleboxes, and
-    of both together (``special_ips``).
-    :meth:`resolve` answers a whole column of targets with ``searchsorted``
-    passes -- one over the packed keys, one over ``special_ips``, and two
-    small ones for the few targets on a special host -- so a prediction
-    scan never looks a host up.
+    each one's port range, incident style and TTL, and of the middleboxes.
+    :meth:`resolve` answers a whole column of targets with three
+    ``searchsorted`` passes, so a prediction scan never looks a host up.
     """
 
     keys: np.ndarray
@@ -201,26 +198,18 @@ class ServiceIndex:
     pseudo_incident: np.ndarray
     pseudo_ttls: np.ndarray
     middlebox_ips: np.ndarray
-    special_ips: np.ndarray
 
     def resolve(self, ips: np.ndarray, ports: np.ndarray) -> ResolvedTargets:
         """What answers each ``(ips[i], ports[i])`` target (int64 arrays)."""
         service_rows = _rows_in(self.keys, ips << 16 | ports)
-        pseudo_rows = np.full(len(ips), -1, dtype=np.int64)
-        middlebox = np.zeros(len(ips), dtype=bool)
-        # Few hosts are pseudo hosts or middleboxes: find the targets on
-        # any of them first, then look only those up in each table.
-        special = np.flatnonzero(_rows_in(self.special_ips, ips) >= 0)
-        if len(special):
-            on = ips[special]
-            if len(self.pseudo_ips):
-                rows = _rows_in(self.pseudo_ips, on)
-                covered = ((rows >= 0) & (service_rows[special] < 0)
-                           & (self.pseudo_lo[rows] <= ports[special])
-                           & (ports[special] <= self.pseudo_hi[rows]))
-                pseudo_rows[special] = np.where(covered, rows, -1)
-            middlebox[special] = _rows_in(self.middlebox_ips, on) >= 0
-        return ResolvedTargets(ips, ports, service_rows, pseudo_rows, middlebox)
+        pseudo_rows = _rows_in(self.pseudo_ips, ips)
+        if len(self.pseudo_ips):
+            covered = ((pseudo_rows >= 0) & (service_rows < 0)
+                       & (self.pseudo_lo[pseudo_rows] <= ports)
+                       & (ports <= self.pseudo_hi[pseudo_rows]))
+            pseudo_rows = np.where(covered, pseudo_rows, -1)
+        return ResolvedTargets(ips, ports, service_rows, pseudo_rows,
+                               _rows_in(self.middlebox_ips, ips) >= 0)
 
 
 _NO_SERVICES = PortServices(ips=IntColumn(), protocols=[],
@@ -436,9 +425,7 @@ class Universe:
                                       for host in pseudo], dtype=bool),
             pseudo_ttls=np.array([host.base_ttl for host in pseudo],
                                  dtype=np.int64),
-            middlebox_ips=np.array(self._middlebox_ips, dtype=np.int64),
-            special_ips=np.union1d(np.array(self._pseudo_ips, dtype=np.int64),
-                                   np.array(self._middlebox_ips, dtype=np.int64)))
+            middlebox_ips=np.array(self._middlebox_ips, dtype=np.int64))
 
     # -- basic lookups ---------------------------------------------------------------
 
