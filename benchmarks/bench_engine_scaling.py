@@ -9,7 +9,11 @@ both model-fold kernels (forced at their one selection point; a GPS run
 gets numpy whenever it imports).  Each engine row pays what a GPS run pays
 for its model: loading the seed's encoded columns into the runtime
 (:class:`~repro.core.runtime_plans.ResidentHostGroups`) and folding the
-self-join.  The ratios are recorded without a floor: at this scale the
+self-join into packed counts.  The engine model decodes its
+predictor-keyed dicts only when they are first read, which a GPS run never
+does (its priors and index builds score the packed counts), so the timed
+rows hold no decode; the equivalence checks read the dicts outside the
+timed region.  The ratios are recorded without a floor: at this scale the
 stdlib fold is slower than the reference, and that is the number.
 
 A further test covers the machine-native column kernels:

@@ -4,10 +4,13 @@ This benchmark covers the two hot paths after the model build:
 
 * **priors planning** (Section 5.3): the reference planner's per-host dict
   loops versus :func:`repro.core.priors.build_priors_plan_with_engine`,
-  which folds coverage counts over dictionary-encoded columns resident in
-  an engine runtime, swept over the serial and pool executors (the
-  seed's columns load once per runtime, as in a GPS run; the model's side
-  tables ship on every timed call);
+  which selects partners by numpy segment reductions over each shard's
+  candidate table (every service against its host's other predictor ids)
+  and folds coverage counts, on dictionary-encoded columns resident in an
+  engine runtime, swept over the serial and pool executors (the seed's
+  columns load once per runtime, as in a GPS run; every timed call takes a
+  fresh dict model, so its counts are packed from the dicts, broadcast and
+  reduced anew);
 * **prediction scanning** (Section 5.4): pair-by-pair
   :meth:`~repro.scanner.pipeline.ScanPipeline.scan_pairs` versus the batched
   pass, which resolves every target against the universe's packed service
@@ -93,8 +96,10 @@ def _seed_inputs(universe, dataset):
 
 
 def _fresh(model):
-    """A new model object over the same counts, so the resident dataset
-    re-broadcasts its side tables -- once per GPS run, once per timed call."""
+    """A new model object over the same counts, so the resident dataset packs
+    its score tables from the dicts and re-broadcasts them on every timed
+    call.  A GPS run broadcasts once per run, and its engine-built model
+    hands over the model fold's packed counts without this packing."""
     return CooccurrenceModel(cooccurrence=model.cooccurrence,
                              denominators=model.denominators)
 

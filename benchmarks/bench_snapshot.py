@@ -9,8 +9,10 @@ wants the Table 2 artifacts back.  Two comparisons:
   model, priors plan and prediction index + a first lookup, against the full
   cold path (encode the seed observations, extract host features, run all
   three engine builds, first lookup).  The snapshot pays one sequential crc32
-  pass plus dict reconstruction from mapped int64 columns; the rebuild pays
-  the flatten and three folds.  Headline floor: >= 5x.
+  pass plus the plan and index rebuilt from mapped int64 columns; the
+  rebuild pays the flatten and three folds.  Neither path decodes the
+  model's dicts: both models build them on first read.  Headline floor:
+  >= 5x.
 * **mmap shard load vs queue-ship** -- making the host-group relation
   resident in a warm pool from snapshot file references
   (:meth:`~repro.core.runtime_plans.ResidentHostGroups.from_snapshot`,
@@ -68,11 +70,10 @@ REPEATS = 3
 #: The headline floor: restoring the Table 2 artifacts from a snapshot
 #: (including the crc32 verification pass and a first lookup) must beat
 #: rebuilding them from the raw seed observations by at least this factor.
-#: On a quiet shared 2-vCPU VM the ratio reads 5.1-5.5x with the numpy
-#: model kernel, and a loaded host can read below the floor: the rebuild's
-#: folds are vectorized, so what separates the two paths is mostly the
-#: restart's own work -- decoding the manifest's predictor tables and
-#: rebuilding the model's nested dicts.
+#: On a shared 2-vCPU VM the ratio reads 5.1-8x, and a loaded host can read
+#: below the floor: the rebuild's folds are vectorized, so what separates
+#: the two paths is mostly the restart's own work -- parsing the manifest
+#: and rebuilding the prediction index.
 WARM_RESTART_FLOOR = 5.0
 
 

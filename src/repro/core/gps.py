@@ -499,7 +499,7 @@ class GPS:
                     model = build_model_with_engine(host_features, dataset)
                 else:
                     model = build_model(host_features)
-                span.set("pairs", len(model.cooccurrence))
+                span.set("pairs", model.cooccurrence_rows())
             result.model = model
             if priors:
                 with tel.span("priors.build") as span:

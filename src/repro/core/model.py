@@ -19,10 +19,13 @@ suite asserts the two implementations produce identical probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.features import HostFeatureColumns, HostFeatures, PredictorTuple
-from repro.core.runtime_plans import ResidentHostGroups
+from repro.core.runtime_plans import PackedCounts, ResidentHostGroups
+from repro.engine.fused import segment_starts
+from repro.engine.runtime import MODEL_PACK_BASE
 
 
 @dataclass
@@ -32,10 +35,66 @@ class CooccurrenceModel:
     Attributes:
         cooccurrence: ``predictor -> {target_port -> co-occurrence count}``.
         denominators: ``predictor -> number of hosts exhibiting the predictor``.
+
+    A model built on the engine (:meth:`from_packed`) holds the model fold's
+    packed columns instead, and builds both dicts from them the first time
+    either is read; until then the priors and index folds read the columns
+    directly (:meth:`packed_counts`).  A snapshot's model (:meth:`lazy`)
+    likewise builds its dicts on first read.
     """
 
     cooccurrence: Dict[PredictorTuple, Dict[int, int]] = field(default_factory=dict)
     denominators: Dict[PredictorTuple, int] = field(default_factory=dict)
+
+    # -- deferred construction ------------------------------------------------------
+
+    @classmethod
+    def lazy(cls, load: Callable[[], Tuple[dict, dict]]) -> "CooccurrenceModel":
+        """A model whose ``(cooccurrence, denominators)`` dicts ``load()``
+        builds the first time either is read."""
+        model = cls.__new__(cls)
+        model._load = load
+        return model
+
+    @classmethod
+    def from_packed(cls, packed: PackedCounts) -> "CooccurrenceModel":
+        """A model over the model fold's packed columns; dicts built on
+        first read."""
+        model = cls.lazy(partial(_decode_packed, packed))
+        model._packed = packed
+        return model
+
+    def packed_counts(self) -> Optional[PackedCounts]:
+        """The packed columns the model was built from, while neither dict
+        has been read or assigned; ``None`` otherwise."""
+        state = self.__dict__
+        if "cooccurrence" in state or "denominators" in state:
+            return None
+        return state.get("_packed")
+
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not set on the instance: the dicts of
+        # a deferred model, on first read.  Reading them retires the packed
+        # columns, so later changes to the dicts are what the engine folds
+        # see.
+        state = self.__dict__
+        load = state.get("_load")
+        if load is None or name not in ("cooccurrence", "denominators"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        cooccurrence, denominators = load()
+        state.setdefault("cooccurrence", cooccurrence)
+        state.setdefault("denominators", denominators)
+        state["_load"] = state["_packed"] = None
+        return state[name]
+
+    def cooccurrence_rows(self) -> int:
+        """``len(self.cooccurrence)``, counted from the packed columns while
+        the dicts are unread."""
+        packed = self.packed_counts()
+        if packed is not None:
+            return packed.scored_count()
+        return len(self.cooccurrence)
 
     # -- queries -----------------------------------------------------------------
 
@@ -135,6 +194,28 @@ def build_model(host_features: Mapping[int, HostFeatures]) -> CooccurrenceModel:
 # -- engine-backed implementation --------------------------------------------------------
 
 
+def _decode_packed(packed: PackedCounts):
+    """``(cooccurrence, denominators)`` dicts of packed model columns.
+
+    Predictors come in ascending id order and ports ascending within a
+    row, the order the one-shard merge has always produced.
+    """
+    pids = packed.pair_keys // MODEL_PACK_BASE
+    ports = (packed.pair_keys % MODEL_PACK_BASE).tolist()
+    counts = packed.pair_counts.tolist()
+    starts = segment_starts(pids)
+    lows = starts.tolist()
+    highs = lows[1:] + [len(ports)]
+    decode = packed.encoder.decode
+    cooccurrence = {
+        decode(pid): dict(zip(ports[lo:hi], counts[lo:hi]))
+        for pid, lo, hi in zip(pids[starts].tolist(), lows, highs)
+    }
+    denominators = dict(zip(map(decode, packed.ids.tolist()),
+                            packed.supports.tolist()))
+    return cooccurrence, denominators
+
+
 def build_model_with_engine(host_features: HostFeatureColumns,
                             dataset: ResidentHostGroups) -> CooccurrenceModel:
     """Model building expressed as engine operations (the BigQuery analogue).
@@ -146,12 +227,16 @@ def build_model_with_engine(host_features: HostFeatureColumns,
     ``host_features``' encoded columns resident in an engine runtime's
     workers; each worker folds the join over its shard of hosts (hosts never
     span shards, so the join is shard-local) and the driver merges the
-    per-shard counters and decodes the predictor ids once.
+    per-shard packed counts.
+
+    The model keeps the merged packed columns: the priors and index builds
+    on the same dataset read them as their score tables, and the
+    predictor-keyed dicts are decoded only when first read (a GPS run never
+    reads them; a snapshot save does).
 
     The workers fold with the numpy kernels when numpy imports and the
     stdlib fold otherwise (see :meth:`ResidentHostGroups.model_counts`).
     The result is identical to :func:`build_model` (the oracle) on every
     executor and kernel; the test suite asserts this on randomized inputs.
     """
-    cooccurrence, denominators = dataset.model_counts()
-    return CooccurrenceModel(cooccurrence=cooccurrence, denominators=denominators)
+    return CooccurrenceModel.from_packed(dataset.model_counts())

@@ -769,13 +769,13 @@ def build_prediction_index_with_engine(
 
     Produces a :class:`PredictiveFeatureIndex` identical to
     :meth:`PredictiveFeatureIndex.from_seed` (the oracle; the test suite
-    asserts entry-for-entry equality, tie cases included), but executes as a
-    streaming argmax over dictionary-encoded columns
-    (:func:`repro.engine.fused.select_argmax_chunk`) against ``dataset`` --
-    ``host_features``' columns, resident in the runtime's workers: count
-    rows bind once per distinct predictor id, only the whitelist and
-    thresholds ship per call, and the per-shard winners merge back into
-    exact host order before decoding.
+    asserts entry-for-entry equality, tie cases included), but executes as
+    staged numpy segment reductions over dictionary-encoded columns
+    (:func:`repro.engine.fused.fold_argmax_winners`) against ``dataset`` --
+    ``host_features``' columns, resident in the runtime's workers: the
+    model's packed counts broadcast once per model, only the whitelist and
+    thresholds ship per call, and the per-shard rows merge back into exact
+    host order, where the last ties break on the decoded predictor tuples.
 
     Args:
         host_features: the seed's encoded host features.

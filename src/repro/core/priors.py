@@ -28,12 +28,12 @@ Two implementations produce that list:
   ordered port pair), kept as the oracle the equivalence tests compare
   against;
 * :func:`build_priors_plan_with_engine` -- the same query on the engine
-  runtime: the model's count rows are bound once per *distinct* predictor
-  id, and per-host partner selection
-  (:func:`repro.engine.fused.count_partner_chunk`) folds coverage counts
-  inline over each worker's resident shard of hosts.  This is the Table 2
-  "computation" story applied to the Section 5.3 planning pass;
-  ``GPSConfig.use_engine`` selects the path.
+  runtime: the model's packed counts broadcast once, and each worker
+  selects every service's partner over its resident shard of hosts with
+  numpy segment reductions
+  (:func:`repro.engine.fused.fold_partner_counts`), folding coverage counts.
+  This is the Table 2 "computation" story applied to the Section 5.3
+  planning pass; ``GPSConfig.use_engine`` selects the path.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def build_priors_plan_with_engine(
     :func:`build_priors_plan` (the oracle; the test suite asserts equality
     on every executor), but folds the partner selection against
     ``dataset`` -- ``host_features``' encoded columns, resident in the
-    runtime's workers: the model's score tables broadcast once per model,
+    runtime's workers: the model's packed counts broadcast once per model,
     each worker folds coverage counts over its shard of hosts, and only the
     port whitelist ships per call.
 

@@ -10,10 +10,13 @@ that relation as pre-encoded columns, hash-shards it once
 resident.  Each subsequent build then ships only its plan parameters:
 
 * :meth:`model_counts` -- the co-occurrence fold runs as a shard-local
-  self-join over the resident columns (ships only the kernel name);
+  self-join over the resident columns (ships only the kernel name) and
+  returns the merged packed counts (:class:`PackedCounts`);
 * :meth:`priors_coverage` / :meth:`argmax_winners` -- the model's score
-  tables broadcast once (:meth:`ensure_sides`), after which each call ships
-  only the port whitelist and thresholds.
+  tables, those packed counts, broadcast once (:meth:`ensure_sides`), after
+  which each call ships only the port whitelist and thresholds.  Each shard
+  builds one candidate table per model, which both folds reduce with
+  numpy segment reductions.
 
 Every result is bit-identical to the single-core reference builds on every
 executor and shard count: counter merges are order-independent, and the
@@ -30,15 +33,22 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.columns import resolve_column_backend
+from repro.engine.columns import (
+    IntColumn,
+    require_numpy,
+    resolve_column_backend,
+    to_numpy,
+)
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
-from repro.engine.shard import merge_ordered, shard_group_columns
-from repro.net.ipv4 import subnet_key
+from repro.engine.fused import keep_segment_max, segment_starts
+from repro.engine.shard import shard_group_columns
+from repro.net.ipv4 import prefix_mask
 
-__all__ = ["ResidentHostGroups"]
+__all__ = ["PackedCounts", "ResidentHostGroups"]
 
 #: Distinct runtime keys per process, so two live datasets never collide in
 #: the workers' resident stores.
@@ -57,22 +67,96 @@ def merge_counters(counters: Iterable[Counter]) -> Counter:
     return merged
 
 
-def _merge_packed(per_shard: Sequence[Tuple[Any, Any]]) -> Dict[int, int]:
-    """Merge per-shard packed ``(keys, counts)`` column pairs into one dict.
+def _merge_packed(per_shard: Sequence[Tuple[Any, Any]]):
+    """Merge per-shard packed ``(keys, counts)`` column pairs into one pair.
 
-    Both model-fold kernels return parallel int64 columns instead of dicts;
-    the merge builds the combined mapping exactly once, coordinator-side
-    (``.tolist()`` unboxes each buffer in a single C pass).
+    Both model-fold kernels reply with parallel int64 columns sorted by key;
+    the merge sums the counts of equal keys across shards and returns
+    ``(keys, counts)`` ndarrays sorted by key.
     """
-    merged: Dict[int, int] = {}
-    for keys, counts in per_shard:
-        if not merged:
-            merged = dict(zip(keys.tolist(), counts.tolist()))
-            continue
-        get = merged.get
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            merged[key] = get(key, 0) + count
-    return merged
+    np = require_numpy()
+    keys = np.concatenate([to_numpy(keys) for keys, _ in per_shard])
+    counts = np.concatenate([to_numpy(counts) for _, counts in per_shard])
+    if len(per_shard) == 1:
+        return keys, counts
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    starts = segment_starts(keys)
+    if not starts.size:
+        return keys, counts
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+@dataclass(frozen=True)
+class PackedCounts:
+    """A co-occurrence model as the model fold's merged packed columns.
+
+    Attributes:
+        encoder: the encoder whose ids the columns carry.
+        pair_keys: sorted ``predictor id * MODEL_PACK_BASE + target port``
+            keys with a positive co-occurrence count.
+        pair_counts: the count of each key.
+        ids: sorted predictor ids with a positive support.
+        supports: the support (denominator) of each id.
+    """
+
+    encoder: DictionaryEncoder
+    pair_keys: Any
+    pair_counts: Any
+    ids: Any
+    supports: Any
+
+    def scored_count(self) -> int:
+        """How many predictors have a co-occurrence row (the length of the
+        decoded model's ``cooccurrence``)."""
+        return segment_starts(self.pair_keys // MODEL_PACK_BASE).size
+
+
+def _pack_model(model: Any, values: Sequence[Any]):
+    """``(pair_keys, pair_counts, supports)`` of a model read from its dicts.
+
+    Only the encoder's ``values`` are packed, ids in encoder order; a
+    predictor without positive support packs no pair and support 0, and
+    only positive counts pack, so every packed pair scores exactly as the
+    reference's ``best_predictor`` considers it.
+    """
+    np = require_numpy()
+    support_of = model.denominators.get
+    row_of = model.cooccurrence.get
+    supports = [0] * len(values)
+    row_ids: List[int] = []
+    row_lengths: List[int] = []
+    ports: List[int] = []
+    counts: List[int] = []
+    for pid, predictor in enumerate(values):
+        support = support_of(predictor, 0)
+        if support > 0:
+            supports[pid] = support
+            row = row_of(predictor)
+            if row:
+                row_ids.append(pid)
+                row_lengths.append(len(row))
+                ports.extend(row)
+                counts.extend(row.values())
+    port_array = np.array(ports, dtype=np.int64)
+    if port_array.size and (port_array.min() < 0
+                            or port_array.max() >= MODEL_PACK_BASE):
+        raise ValueError("model target ports must lie in 0-65535")
+    keys = (np.repeat(np.array(row_ids, dtype=np.int64), row_lengths)
+            * MODEL_PACK_BASE + port_array)
+    count_array = np.array(counts, dtype=np.int64)
+    positive = count_array > 0
+    keys, count_array = keys[positive], count_array[positive]
+    order = np.argsort(keys)
+    return keys[order], count_array[order], np.array(supports, dtype=np.int64)
+
+
+def _label_array(port_domain: Optional[Sequence[int]]):
+    """A port whitelist as the sorted int64 array the folds test against."""
+    if port_domain is None:
+        return None
+    np = require_numpy()
+    return np.array(sorted(set(port_domain)), dtype=np.int64)
 
 
 class ResidentHostGroups:
@@ -95,7 +179,7 @@ class ResidentHostGroups:
     ``runtime.load_shards`` / ``load_broadcast``, so a worker that dies
     mid-build is respawned with exactly its shards re-loaded and the
     interrupted folds re-dispatched -- results stay bit-identical (pure
-    tasks, order-independent counter merges, ``merge_ordered`` re-ordering).
+    tasks, order-independent counter merges, re-ordering by host index).
     :attr:`recovery_stats` exposes what the supervisor had to do.
     """
 
@@ -121,11 +205,14 @@ class ResidentHostGroups:
         self.step_size = step_size
         self.key = key if key is not None else f"host-groups-{next(_KEY_COUNTER)}"
         self._sides_model: Optional[Any] = None
+        self._sides_packed: Optional[PackedCounts] = None
         self._released = False
 
         self.encoder = host_features.encoder
         assign_keys = host_features.ips
-        group_keys = [subnet_key(ip, step_size) for ip in assign_keys]
+        # ``subnet_key`` of every host at once.
+        group_keys = ((to_numpy(assign_keys) & prefix_mask(step_size)) << 6
+                      | step_size)
         member_starts = host_features.member_starts
         labels = host_features.ports
         value_starts = host_features.value_starts
@@ -179,6 +266,7 @@ class ResidentHostGroups:
         self.step_size = layout["step_size"]
         self.key = key if key is not None else f"host-groups-{next(_KEY_COUNTER)}"
         self._sides_model = None
+        self._sides_packed = None
         self._released = False
         self.encoder = DictionaryEncoder()
         for predictor in snapshot.section_meta("host_features")["encoder"]:
@@ -212,11 +300,11 @@ class ResidentHostGroups:
 
     # -- model build (Section 5.2) -------------------------------------------------
 
-    def model_counts(self) -> Tuple[Dict[Any, Dict[int, int]], Dict[Any, int]]:
+    def model_counts(self) -> PackedCounts:
         """Run the co-occurrence query against the resident shards.
 
-        Returns ``(cooccurrence, denominators)`` with decoded predictor-tuple
-        keys, exactly the contents of the
+        Returns the merged packed columns (:class:`PackedCounts`, ids in
+        this dataset's encoder) that decode into exactly the contents of the
         :class:`~repro.core.model.CooccurrenceModel` the oracle builds.
 
         The fold kernel is resolved here, once per build, and ships to every
@@ -228,67 +316,48 @@ class ResidentHostGroups:
         """
         self._check_usable()
         kernel_args = [(resolve_column_backend(),)] * self.runtime.shard_count
-        pair_counts = _merge_packed(
+        pair_keys, pair_counts = _merge_packed(
             self.runtime.execute("model_pairs", self.key, kernel_args))
-        denominators = _merge_packed(
+        ids, supports = _merge_packed(
             self.runtime.execute("model_denominators", self.key, kernel_args))
-        cooccurrence_by_id: Dict[int, Dict[int, int]] = {}
-        for packed, count in pair_counts.items():
-            predictor_id, port = divmod(packed, MODEL_PACK_BASE)
-            targets = cooccurrence_by_id.get(predictor_id)
-            if targets is None:
-                targets = cooccurrence_by_id[predictor_id] = {}
-            targets[port] = count
-        decode = self.encoder.decode
-        return (
-            {decode(predictor_id): targets
-             for predictor_id, targets in cooccurrence_by_id.items()},
-            {decode(predictor_id): count
-             for predictor_id, count in denominators.items()},
-        )
+        return PackedCounts(self.encoder, pair_keys, pair_counts, ids, supports)
 
     # -- model side tables (shared by priors + prediction index) ---------------------
 
     def ensure_sides(self, model: Any) -> None:
         """Broadcast the model's score tables to every worker, once per model.
 
-        Per interned predictor id the workers receive the model's count row
-        (a reference to the model's own dict -- probabilities divide the
-        exact integers the oracle divides), its support, and its rank in
-        ascending decoded-tuple order (the argmax tie-break).  A repeated
-        call with the same model object ships nothing.
+        The workers receive int64 columns: the sorted packed
+        ``(predictor id, port)`` keys with their co-occurrence counts and
+        each id's support.  A model built over this dataset's encoder whose
+        dicts were never read broadcasts its packed columns as they are;
+        any other model is packed from its dicts.  A repeated call with the
+        same model object in the same state ships nothing.
+
+        Every broadcast also carries an empty ``candidates`` cache for the
+        shards' candidate tables (built by the first fold that needs them),
+        so a new broadcast drops the previous model's tables.
         """
         self._check_usable()
-        if self._sides_model is model:
+        packed = model.packed_counts()
+        if self._sides_model is model and self._sides_packed is packed:
             return
+        np = require_numpy()
         values = self.encoder.values()
-        no_targets: Dict[int, int] = {}
-        target_counts: List[Dict[int, int]] = []
-        denominators: List[int] = []
-        model_denominators = model.denominators
-        model_cooccurrence = model.cooccurrence
-        for predictor in values:
-            denom = model_denominators.get(predictor, 0)
-            targets = model_cooccurrence.get(predictor) if denom else None
-            if targets:
-                target_counts.append(targets)
-                denominators.append(denom)
-            else:
-                # Unknown predictor or zero support: probability 0 for every
-                # port; both folds skip empty rows before touching the
-                # denominator, so its value is immaterial.
-                target_counts.append(no_targets)
-                denominators.append(0)
-        tie_ranks = [0] * len(values)
-        for rank, value_index in enumerate(sorted(range(len(values)),
-                                                  key=values.__getitem__)):
-            tie_ranks[value_index] = rank
+        if packed is not None and packed.encoder is self.encoder:
+            pair_keys, pair_counts = packed.pair_keys, packed.pair_counts
+            supports = np.zeros(len(values), dtype=np.int64)
+            supports[packed.ids] = packed.supports
+        else:
+            pair_keys, pair_counts, supports = _pack_model(model, values)
         self.runtime.load_broadcast(self.key, {
-            "target_counts": tuple(target_counts),
-            "denominators": tuple(denominators),
-            "tie_ranks": tuple(tie_ranks),
+            "pair_keys": IntColumn.from_numpy(pair_keys),
+            "pair_counts": IntColumn.from_numpy(pair_counts),
+            "supports": IntColumn.from_numpy(supports),
+            "candidates": {},
         })
         self._sides_model = model
+        self._sides_packed = packed
 
     # -- priors planning (Section 5.3) ----------------------------------------------
 
@@ -303,11 +372,9 @@ class ResidentHostGroups:
         """
         self._check_usable()
         self.ensure_sides(model)
-        allowed: Optional[FrozenSet[int]] = (
-            frozenset(port_domain) if port_domain is not None else None)
         counters = self.runtime.execute(
             "priors_partner", self.key,
-            [(allowed,)] * self.runtime.shard_count)
+            [(_label_array(port_domain),)] * self.runtime.shard_count)
         return merge_counters(counters)
 
     # -- prediction-index build (Section 5.4) ----------------------------------------
@@ -327,14 +394,43 @@ class ResidentHostGroups:
         """
         self._check_usable()
         self.ensure_sides(model)
-        allowed: Optional[FrozenSet[int]] = (
-            frozenset(port_domain) if port_domain is not None else None)
-        args = (allowed, min_pattern_support, probability_cutoff)
-        tagged = self.runtime.execute("index_argmax", self.key,
-                                      [args] * self.runtime.shard_count)
+        args = (_label_array(port_domain), min_pattern_support,
+                probability_cutoff)
+        parts = self.runtime.execute("index_argmax", self.key,
+                                     [args] * self.runtime.shard_count)
+        np = require_numpy()
+        groups, ports, pids, probs = (
+            np.concatenate([part[column] for part in parts])
+            for column in range(4))
+        # Every host lives in one shard and each shard replies in member
+        # order, so a stable sort on the host index restores serial order.
+        order = np.argsort(groups, kind="stable")
+        targets = groups[order] * MODEL_PACK_BASE + ports[order]
+        pids, probs = pids[order], probs[order]
+        keep = keep_segment_max(targets, -self._tie_ranks(targets, pids))
+        targets, pids, probs = targets[keep], pids[keep], probs[keep]
+        # Rows still tied carry one id twice: the first one wins.
+        first = segment_starts(targets)
         decode = self.encoder.decode
-        return [
-            (label, decode(value_id), probability)
-            for winners in merge_ordered(tagged)
-            for label, value_id, probability in winners
-        ]
+        return [(port, decode(pid), prob) for port, pid, prob in zip(
+            (targets[first] % MODEL_PACK_BASE).tolist(),
+            pids[first].tolist(), probs[first].tolist())]
+
+    def _tie_ranks(self, targets, pids):
+        """Each row's rank among the tied rows' ids in ascending
+        decoded-tuple order (the argmax's last tie-break); 0 for rows whose
+        target has a single row.  Only the ids that tie are decoded and
+        sorted."""
+        np = require_numpy()
+        ranks = np.zeros(pids.size, dtype=np.int64)
+        starts = segment_starts(targets)
+        lengths = np.diff(np.append(starts, targets.size))
+        tied = np.repeat(lengths > 1, lengths)
+        if not tied.any():
+            return ranks
+        ids = np.unique(pids[tied])
+        ordered = sorted(ids.tolist(), key=self.encoder.decode)
+        rank_of = np.empty(ids.size, dtype=np.int64)
+        rank_of[np.searchsorted(ids, ordered)] = np.arange(ids.size)
+        ranks[tied] = rank_of[np.searchsorted(ids, pids[tied])]
+        return ranks

@@ -1,4 +1,4 @@
-"""Fused streaming folds: the engine's three Table 2 query shapes.
+"""Fused folds: the engine's three Table 2 query shapes.
 
 Each of GPS's builds is one fold over the host/service/predictor relation,
 flattened into offset-indexed integer columns (hosts own runs of services,
@@ -7,33 +7,39 @@ services own runs of dictionary-encoded predictor ids):
 * :func:`fold_model_pairs` / :func:`fold_value_counts` -- the Section 5.2
   model build's self-join + group-by + count, streamed: every (predictor,
   other port) combination folds straight into a counter, so the quadratic
-  joined relation never exists;
-* :func:`count_partner_chunk` -- the Section 5.3 priors planner's
-  per-host partner selection, folding ``(port, subnet)`` coverage counts;
-* :func:`select_argmax_chunk` -- the Section 5.4 index build's per-service
+  joined relation never exists.  Their numpy twins
+  (:func:`fold_model_pairs_arrays` / :func:`fold_value_counts_arrays`) run
+  whenever :func:`repro.engine.columns.resolve_column_backend` picks numpy;
+* :func:`candidate_table` -- every service paired with the predictor ids of
+  its host's other services that score against its port, looked up in the
+  model's packed counts: the relation both later builds reduce;
+* :func:`fold_partner_counts` -- the Section 5.3 priors planner's per-host
+  partner selection, folding ``(port, subnet)`` coverage counts;
+* :func:`fold_argmax_winners` -- the Section 5.4 index build's per-service
   argmax over the host's other services' predictors.
 
-Inputs are plain picklable columns and tuples, so the same functions run
-in-process and inside :mod:`repro.engine.runtime` workers against their
-resident shards.  The numpy kernels at the bottom are the vectorized twins
-of the model-build fold; :func:`repro.engine.columns.resolve_column_backend`
-picks them whenever numpy imports.
+Inputs are plain picklable columns, so the same functions run in-process
+and inside :mod:`repro.engine.runtime` workers against their resident
+shards.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from repro.engine.columns import IntColumn, require_numpy, to_numpy
 
 __all__ = [
-    "count_partner_chunk",
+    "candidate_table",
+    "fold_argmax_winners",
     "fold_model_pairs",
     "fold_model_pairs_arrays",
+    "fold_partner_counts",
     "fold_value_counts",
     "fold_value_counts_arrays",
-    "select_argmax_chunk",
+    "keep_segment_max",
+    "segment_starts",
 ]
 
 
@@ -90,236 +96,6 @@ def fold_value_counts(value_ids) -> Tuple[IntColumn, IntColumn]:
     """``Counter(value_ids)`` as sorted ``(ids, counts)`` columns (stdlib
     kernel; the twin of :func:`fold_value_counts_arrays`)."""
     return _packed_columns(Counter(value_ids))
-
-
-# -- fused partner selection (the priors-planning query shape) --------------------------
-
-
-def count_partner_chunk(payload: Tuple[Any, ...]) -> Counter:
-    """Fold one chunk of groups into ``(partner_label, group_key)`` counts.
-
-    The Section 5.3 priors-planning query shape.  Rows are *members*
-    (services) grouped into *groups* (hosts), flattened into offset-indexed
-    columns: ``payload`` is ``(group_keys, member_starts, labels,
-    value_starts, value_ids, target_counts, denominators, allowed)``, plain
-    data, so the same function runs in-process and in a runtime worker.
-
-    * ``group_keys``: one key per group (the host's subnet key);
-    * ``member_starts``: group ``g`` owns members
-      ``member_starts[g]:member_starts[g + 1]`` (offsets index ``labels``
-      and ``value_starts`` directly, and ``value_starts`` indexes
-      ``value_ids`` directly);
-    * ``labels``: per-member label (the service's port), ascending within
-      each group -- the tie-break relies on this;
-    * ``value_starts`` / ``value_ids``: each member's run of encoded values
-      (predictor-tuple ids);
-    * ``target_counts`` / ``denominators``: per encoded id, its
-      ``label -> co-occurrence count`` row and its support.  Precondition: a
-      value's row never contains its own member's label (true by
-      construction for co-occurrence counts); the saturation early-exit
-      relies on it;
-    * ``allowed``: optional label whitelist applied to the *selected*
-      partner (and to single-member groups) before counting.
-
-    For every member of a multi-member group the fold selects the partner
-    member whose values score highest against the member's label, ties
-    going to the smallest partner label, and counts ``(partner_label,
-    group_key)``; single-member groups count their only member.  Scores are
-    ``count / denominator`` divisions with the very operands the reference
-    planner divides, so the selections are bit-identical.  Per group of
-    ``k`` members the scratch is three ``k``-length lists; the selected
-    partner folds straight into the counter and the scratch dies with the
-    group.
-    """
-    (group_keys, member_starts, labels, value_starts, value_ids,
-     target_counts, denominators, allowed) = payload
-    counts: Counter = Counter()
-    if not group_keys:
-        return counts
-    for g in range(len(group_keys)):
-        lo = member_starts[g]
-        hi = member_starts[g + 1]
-        k = hi - lo
-        if k == 0:
-            continue
-        group_key = group_keys[g]
-        if k == 1:
-            label = labels[lo]
-            if allowed is None or label in allowed:
-                counts[(label, group_key)] += 1
-            continue
-        if k == 2:
-            # A two-member group forces the choice: each member's only
-            # candidate partner is the other member, whatever its score.
-            first, second = labels[lo], labels[lo + 1]
-            if allowed is None or second in allowed:
-                counts[(second, group_key)] += 1
-            if allowed is None or first in allowed:
-                counts[(first, group_key)] += 1
-            continue
-        members = labels[lo:hi]
-        # For every target member i, the running best (score, partner label)
-        # over source members j != i.  Scores are folded source-major so each
-        # count row is fetched once per source value, and the strict > keeps
-        # the first (smallest-label) source on ties -- the documented
-        # deterministic tie-break.  A value never scores against its own
-        # member (its count row cannot contain its own label), so col[j]
-        # stays 0.0 and needs no exclusion test in the inner loop.
-        best_score = [-1.0] * k
-        best_partner = [0] * k
-        full = k - 1
-        for j in range(k):
-            v_lo = value_starts[lo + j]
-            v_hi = value_starts[lo + j + 1]
-            col = [0.0] * k
-            saturated = 0
-            for v in range(v_lo, v_hi):
-                pid = value_ids[v]
-                row = target_counts[pid]
-                if not row:
-                    continue
-                denom = denominators[pid]
-                row_get = row.get
-                i = 0
-                for member in members:
-                    count = row_get(member)
-                    if count:
-                        if count == denom:
-                            # Exactly 1.0, the maximum a score can reach;
-                            # once every other member is saturated no later
-                            # value of this member can improve anything.
-                            if col[i] != 1.0:
-                                col[i] = 1.0
-                                saturated += 1
-                        else:
-                            score = count / denom
-                            if score > col[i]:
-                                col[i] = score
-                    i += 1
-                if saturated == full:
-                    break
-            partner = members[j]
-            for i in range(k):
-                if i != j and col[i] > best_score[i]:
-                    best_score[i] = col[i]
-                    best_partner[i] = partner
-        for i in range(k):
-            partner = best_partner[i]
-            if allowed is None or partner in allowed:
-                counts[(partner, group_key)] += 1
-    return counts
-
-
-# -- fused argmax partner selection (the prediction-index query shape) --------------------
-
-
-def select_argmax_chunk(payload: Tuple[Any, ...]) -> List[Tuple[int, int, float]]:
-    """Select one chunk's ``(label, value_id, score)`` winners, in member order.
-
-    The Section 5.4 most-predictive-feature query shape, over the same
-    group/member/value layout as :func:`count_partner_chunk`: ``payload`` is
-    ``(member_starts, labels, value_starts, value_ids, target_counts,
-    denominators, tie_ranks, allowed, min_support, cutoff)``.  For every
-    member of a group with at least two members, the fold selects the single
-    value, drawn from the group's *other* members, that wins under
-    :meth:`repro.core.model.CooccurrenceModel.best_predictor`'s ordering --
-    maximum ``count / support``, then larger support, then the smallest
-    predictor tuple (``tie_ranks`` gives each id its rank in ascending
-    decoded-tuple order, since ids are first-seen-ordered) -- and emits it
-    unless it scores below ``cutoff``.  Selection is two-tier: values with
-    support below ``min_support`` win only when no supported value scores.
-    ``allowed`` whitelists the *target* member (a disallowed member's values
-    still score for its siblings).
-
-    Per group of ``k`` members the scratch is eight ``k``-length lists (the
-    running best per target for the supported and fallback tiers); winners
-    append straight to the output and the scratch dies with the group.
-    """
-    (member_starts, labels, value_starts, value_ids, target_counts,
-     denominators, tie_ranks, allowed, min_support, cutoff) = payload
-    out: List[Tuple[int, int, float]] = []
-    groups = len(member_starts) - 1
-    if groups <= 0:
-        return out
-    for g in range(groups):
-        lo = member_starts[g]
-        hi = member_starts[g + 1]
-        k = hi - lo
-        if k < 2:
-            continue
-        members = labels[lo:hi]
-        # Two running bests per target member i: one over values with
-        # support >= min_support, one over the rest; the fallback tier only
-        # wins when the supported tier stays empty (mirroring the reference's
-        # best_predictor(min_support) call followed by the unrestricted one).
-        # Scores are folded source-major so each count row is fetched once
-        # per value.  A member's own values are excluded explicitly (i != j):
-        # the reference draws candidates only from the group's *other*
-        # members, and although a predictor tuple produced by the feature
-        # extractor embeds its own port (so its count row can never contain
-        # it), the operator must match the oracle for any caller-supplied
-        # model, not just well-formed co-occurrence counts.
-        sup_prob = [0.0] * k
-        sup_support = [0] * k
-        sup_rank = [0] * k
-        sup_id = [-1] * k
-        uns_prob = [0.0] * k
-        uns_support = [0] * k
-        uns_rank = [0] * k
-        uns_id = [-1] * k
-        for j in range(k):
-            v_lo = value_starts[lo + j]
-            v_hi = value_starts[lo + j + 1]
-            for v in range(v_lo, v_hi):
-                pid = value_ids[v]
-                row = target_counts[pid]
-                if not row:
-                    continue
-                denom = denominators[pid]
-                rank = tie_ranks[pid]
-                row_get = row.get
-                if denom >= min_support:
-                    b_prob, b_support = sup_prob, sup_support
-                    b_rank, b_id = sup_rank, sup_id
-                else:
-                    b_prob, b_support = uns_prob, uns_support
-                    b_rank, b_id = uns_rank, uns_id
-                i = 0
-                for member in members:
-                    if i != j:
-                        count = row_get(member)
-                        if count:
-                            # prob > 0 always holds here, so the initial
-                            # (0.0, 0, _) sentinel can never tie a real score
-                            # and the rank comparison only fires between two
-                            # genuine candidates -- exactly the reference's
-                            # "best is not None" guard.
-                            prob = count / denom
-                            cur = b_prob[i]
-                            if (prob > cur
-                                    or (prob == cur
-                                        and (denom > b_support[i]
-                                             or (denom == b_support[i]
-                                                 and rank < b_rank[i])))):
-                                b_prob[i] = prob
-                                b_support[i] = denom
-                                b_rank[i] = rank
-                                b_id[i] = pid
-                    i += 1
-        for i in range(k):
-            label = members[i]
-            if allowed is not None and label not in allowed:
-                continue
-            if sup_id[i] >= 0:
-                pid, prob = sup_id[i], sup_prob[i]
-            elif uns_id[i] >= 0:
-                pid, prob = uns_id[i], uns_prob[i]
-            else:
-                continue
-            if prob < cutoff:
-                continue
-            out.append((label, pid, prob))
-    return out
 
 
 # -- bulk array kernels (the numpy column backend) ---------------------------------------
@@ -421,3 +197,166 @@ def fold_value_counts_arrays(value_ids) -> Tuple[IntColumn, IntColumn]:
     ordered = np.sort(vids)
     uniq, counts = _run_length(np, ordered)
     return IntColumn.from_numpy(uniq), IntColumn.from_numpy(counts)
+
+
+# -- partner selection and argmax over one candidate table -------------------------------
+#
+# The Section 5.3 priors planner and the Section 5.4 index build score the
+# same relation: every service (the *target*) against the predictor ids of
+# its host's other services.  One candidate table per shard and model holds
+# the pairs that score; each build is then a few segment reductions over it.
+
+
+def segment_starts(segments):
+    """Start rows of the runs of equal values in ``segments`` (equal values
+    adjacent, as in any sorted array)."""
+    np = require_numpy()
+    change = np.empty(segments.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(segments[1:], segments[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def candidate_table(member_starts, labels, value_starts, value_ids,
+                    pair_keys, pair_counts, supports, pack_base: int) -> dict:
+    """Every (target service, other service's predictor id) pair that scores.
+
+    The input is the group structure of the model fold (groups = hosts,
+    members = services labelled by port ascending, values = encoded
+    predictor ids) and the model's score tables: ``pair_keys``, sorted
+    ``predictor id * pack_base + port`` keys, their positive co-occurrence
+    ``pair_counts``, and ``supports`` indexed by predictor id (positive for
+    every id in ``pair_keys``).  For each member of a group of two or more,
+    the values of the group's *other* members are listed in member, then
+    value order; a value is kept when its count against the member's label
+    is found by ``searchsorted``.  The table's parallel columns:
+
+    * ``target``: the scored member, ascending;
+    * ``source``: the member carrying the value;
+    * ``pid``: the predictor id;
+    * ``prob``: ``count / support``, the float division the reference
+      model's ``probability`` performs on the same two integers.
+
+    A value never scores against its own member, whatever the model holds.
+    """
+    np = require_numpy()
+    ms = to_numpy(member_starts)
+    ports = to_numpy(labels)
+    vs = to_numpy(value_starts)
+    vids = to_numpy(value_ids)
+    keys = to_numpy(pair_keys)
+    sizes = np.diff(ms)
+    group_of_member = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    targets = np.flatnonzero(sizes[group_of_member] >= 2)
+    groups = group_of_member[targets]
+    group_lo = vs[ms[groups]]
+    own_lo = vs[targets]
+    own_len = vs[targets + 1] - own_lo
+    lengths = vs[ms[groups + 1]] - group_lo - own_len
+    total = int(lengths.sum()) if lengths.size else 0
+    empty = np.zeros(0, dtype=np.int64)
+    if total == 0 or keys.size == 0:
+        return {"target": empty, "source": empty, "pid": empty,
+                "prob": np.zeros(0, dtype=np.float64)}
+    # Row r of target t reads the group's value run with t's own run cut
+    # out: offsets at or past the cut shift by t's run length.
+    run_start = np.cumsum(lengths) - lengths
+    pos = (np.arange(total, dtype=np.int64)
+           + np.repeat(group_lo - run_start, lengths))
+    pos += (pos >= np.repeat(own_lo, lengths)) * np.repeat(own_len, lengths)
+    target = np.repeat(targets, lengths)
+    pid = vids[pos]
+    wanted = pid * pack_base + ports[target]
+    slot = np.searchsorted(keys, wanted)
+    np.minimum(slot, keys.size - 1, out=slot)
+    hit = np.flatnonzero(keys[slot] == wanted)
+    pid = pid[hit]
+    member_of_value = np.repeat(np.arange(ports.size, dtype=np.int64),
+                                np.diff(vs))
+    return {
+        "target": target[hit],
+        "source": member_of_value[pos[hit]],
+        "pid": pid,
+        "prob": to_numpy(pair_counts)[slot[hit]] / to_numpy(supports)[pid],
+    }
+
+
+def fold_partner_counts(group_keys, member_starts, labels, table: dict,
+                        allowed, pack_base: int) -> Counter:
+    """The Section 5.3 partner selection: ``(partner label, group key)`` counts.
+
+    Over :func:`candidate_table`'s rows, every member of a multi-member
+    group picks the partner member whose values score highest against its
+    label: each target's maximum (``maximum.reduceat``), then the first
+    row reaching it -- rows run in member order, so ties go to the smallest
+    partner label.  A target without a scoring row scores 0 against every
+    partner and takes the smallest other label; a one-member group counts
+    its only member.  ``allowed`` (a label array or ``None``) whitelists the
+    selected partner.  Scores are the reference planner's own divisions, so
+    the counts are bit-identical to it.
+    """
+    np = require_numpy()
+    ms = to_numpy(member_starts)
+    ports = to_numpy(labels)
+    sizes = np.diff(ms)
+    group_of_member = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    members = np.arange(ports.size, dtype=np.int64)
+    first = ms[group_of_member]
+    partner = np.where(sizes[group_of_member] == 1, members,
+                       np.where(members == first, first + 1, first))
+    target = table["target"]
+    hits = keep_segment_max(target, table["prob"])
+    firsts = hits[segment_starts(target[hits])]
+    partner[target[firsts]] = table["source"][firsts]
+    chosen = ports[partner]
+    keys = to_numpy(group_keys)[group_of_member]
+    if allowed is not None:
+        keep = np.isin(chosen, allowed)
+        chosen, keys = chosen[keep], keys[keep]
+    packed, counts = np.unique(keys * pack_base + chosen, return_counts=True)
+    return Counter(dict(zip(zip((packed % pack_base).tolist(),
+                                (packed // pack_base).tolist()),
+                            counts.tolist())))
+
+
+def keep_segment_max(segments, key):
+    """Indices of the rows whose ``key`` reaches their segment's maximum.
+
+    ``segments`` labels each row's segment, equal labels adjacent.
+    """
+    np = require_numpy()
+    starts = segment_starts(segments)
+    best = np.maximum.reduceat(key, starts)
+    return np.flatnonzero(
+        key == np.repeat(best, np.diff(np.append(starts, key.size))))
+
+
+def fold_argmax_winners(labels, table: dict, supports, allowed,
+                        min_support: int, cutoff: float):
+    """The Section 5.4 argmax: each target member's best-scoring rows.
+
+    Over :func:`candidate_table`'s rows, each target keeps the rows that
+    lead under :meth:`repro.core.model.CooccurrenceModel.best_predictor`'s
+    order, by staged segment reductions: the supported tier first
+    (support >= ``min_support``; the rest win only when no supported value
+    scores), then the maximum probability, then the larger support.  The
+    order's last key, the smallest predictor tuple, needs the decoded
+    tuples, so a target still tied keeps every tied row for the caller to
+    break.  ``allowed`` (a label array or ``None``) whitelists the target;
+    targets scoring below ``cutoff`` are dropped.
+
+    Returns ``(target, pid, prob)`` arrays, grouped by ascending target.
+    """
+    np = require_numpy()
+    target, pid, prob = table["target"], table["pid"], table["prob"]
+    if allowed is not None:
+        keep = np.isin(to_numpy(labels)[target], allowed)
+        target, pid, prob = target[keep], pid[keep], prob[keep]
+    support = to_numpy(supports)[pid]
+    columns = (target, pid, prob, support, support >= min_support)
+    for stage in (4, 2, 3):  # tier, then probability, then support
+        keep = keep_segment_max(columns[0], columns[stage])
+        columns = tuple(column[keep] for column in columns)
+    target, pid, prob = columns[:3]
+    keep = prob >= cutoff
+    return target[keep], pid[keep], prob[keep]

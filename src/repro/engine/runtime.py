@@ -62,15 +62,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.columns import ColumnView
+from repro.engine.columns import ColumnView, require_numpy, to_numpy
 from repro.engine.faults import FaultPlan, WorkerFaultState
 from repro.engine.fused import (
-    count_partner_chunk,
+    candidate_table,
+    fold_argmax_winners,
     fold_model_pairs,
     fold_model_pairs_arrays,
+    fold_partner_counts,
     fold_value_counts,
     fold_value_counts_arrays,
-    select_argmax_chunk,
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -123,8 +124,8 @@ def lpt_placement(sizes: Sequence[int], workers: int) -> List[int]:
 
     Placement only decides *where* a shard lives; results never depend on
     it -- counter folds merge order-independently and order-sensitive
-    outputs are reassembled by original index
-    (:func:`repro.engine.shard.merge_ordered`).
+    outputs are reassembled by the original index the shards' ``group_order``
+    columns tag them with.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -279,10 +280,9 @@ def _task_count_rows(shard: Optional[dict], broadcast: Optional[dict],
     return Counter(args)
 
 
-#: Shard columns the row-by-row tasks hydrate into boxed lists (see
+#: Shard columns the stdlib model fold hydrates into boxed lists (see
 #: :func:`_shard_lists`).
-_HYDRATED_COLUMNS = ("group_keys", "member_starts", "labels", "value_starts",
-                     "value_ids")
+_HYDRATED_COLUMNS = ("member_starts", "labels", "value_starts", "value_ids")
 
 
 def _shard_lists(shard: dict) -> dict:
@@ -292,9 +292,9 @@ def _shard_lists(shard: dict) -> dict:
     (:class:`~repro.engine.columns.IntColumn`) -- ideal for shipping and for
     the bulk kernels, but indexing one element-by-element boxes a fresh
     Python int per access, where a list hands back the already-boxed object.
-    The stdlib row-by-row folds therefore read these cached ``tolist()``
-    copies, hydrated lazily worker-side on first use; the numpy kernels
-    read the buffers directly.
+    The stdlib model fold therefore reads these cached ``tolist()`` copies,
+    hydrated lazily worker-side on first use; the numpy kernels read the
+    buffers directly.
     """
     lists = shard.get("_lists")
     if lists is None:
@@ -335,50 +335,58 @@ def _task_model_denominators(shard: dict, broadcast: Optional[dict],
     return fold_value_counts(_shard_lists(shard)["value_ids"])
 
 
-def _task_priors_partner(shard: dict, broadcast: dict, args: Any) -> Counter:
-    """Resident priors fold: partner counts over the shard's host groups.
+def _candidates(shard: dict, broadcast: dict) -> dict:
+    """The shard's candidate table for the broadcast model, built once.
 
-    ``args`` is ``(allowed_labels,)``; the score tables come from the
-    broadcast model sides, everything else is already resident.
+    Both the priors and the index fold read it
+    (:func:`~repro.engine.fused.candidate_table`).  It is cached in the
+    broadcast's ``candidates`` dict, which every broadcast replaces, so a
+    table lives no longer than its model's broadcast or the resident key.
+    """
+    cache = broadcast["candidates"]
+    cached = cache.get(id(shard))
+    if cached is None or cached[0] is not shard:
+        table = candidate_table(
+            shard["member_starts"], shard["labels"], shard["value_starts"],
+            shard["value_ids"], broadcast["pair_keys"],
+            broadcast["pair_counts"], broadcast["supports"], MODEL_PACK_BASE)
+        cached = cache[id(shard)] = (shard, table)
+    return cached[1]
+
+
+def _task_priors_partner(shard: dict, broadcast: dict, args: Any) -> Counter:
+    """Resident priors fold: ``(partner port, subnet key)`` counts.
+
+    ``args`` is ``(allowed_labels,)``, a sorted label array or ``None``;
+    the score tables come from the broadcast model sides, everything else
+    is already resident.
     """
     (allowed,) = args
-    lists = _shard_lists(shard)
-    payload = (lists["group_keys"], lists["member_starts"], lists["labels"],
-               lists["value_starts"], lists["value_ids"],
-               broadcast["target_counts"], broadcast["denominators"], allowed)
-    return count_partner_chunk(payload)
+    return fold_partner_counts(shard["group_keys"], shard["member_starts"],
+                               shard["labels"], _candidates(shard, broadcast),
+                               allowed, MODEL_PACK_BASE)
 
 
-def _task_index_argmax(shard: dict, broadcast: dict,
-                       args: Any) -> List[Tuple[int, List[Tuple[int, int, float]]]]:
-    """Resident argmax fold, one selection per group, tagged for re-ordering.
+def _task_index_argmax(shard: dict, broadcast: dict, args: Any) -> Tuple[Any, ...]:
+    """Resident argmax fold: each target's leading rows, tagged for re-ordering.
 
-    Hash-sharding permutes group order, but the prediction-index build is
-    order-sensitive (the serial winner list is the oracle), so each group's
-    winners come back tagged with the group's original index and the driver
-    merges via :func:`repro.engine.shard.merge_ordered`.
+    Replies ``(groups, ports, pids, probs)`` arrays
+    (:func:`~repro.engine.fused.fold_argmax_winners`), ``groups`` holding
+    each row's original host index: hash-sharding permutes host order, but
+    the prediction-index build is order-sensitive (the serial winner list
+    is the oracle), so the driver merges rows back into host order and
+    breaks the remaining ties on the decoded predictor tuples.
     """
     allowed, min_support, cutoff = args
-    target_counts = broadcast["target_counts"]
-    denominators = broadcast["denominators"]
-    tie_ranks = broadcast["tie_ranks"]
-    lists = _shard_lists(shard)
-    member_starts = lists["member_starts"]
-    labels = lists["labels"]
-    value_starts = lists["value_starts"]
-    value_ids = lists["value_ids"]
-    out: List[Tuple[int, List[Tuple[int, int, float]]]] = []
-    for local, original in enumerate(shard["group_order"]):
-        m_lo, m_hi = member_starts[local], member_starts[local + 1]
-        if m_hi - m_lo < 2:
-            continue
-        winners = select_argmax_chunk((
-            (m_lo, m_hi), labels, value_starts, value_ids, target_counts,
-            denominators, tie_ranks, allowed, min_support, cutoff,
-        ))
-        if winners:
-            out.append((original, winners))
-    return out
+    target, pid, prob = fold_argmax_winners(
+        shard["labels"], _candidates(shard, broadcast), broadcast["supports"],
+        allowed, min_support, cutoff)
+    np = require_numpy()
+    group_of_member = np.repeat(
+        np.arange(len(shard["group_order"]), dtype=np.int64),
+        np.diff(to_numpy(shard["member_starts"])))
+    return (to_numpy(shard["group_order"])[group_of_member[target]],
+            to_numpy(shard["labels"])[target], pid, prob)
 
 
 def _task_probe(shard: Optional[dict], broadcast: Optional[dict],
@@ -1186,8 +1194,7 @@ class EngineRuntime:
 
     Results are bit-identical across backends and shard counts: counter
     tasks merge order-independently, and order-sensitive tasks come back
-    tagged for exact re-ordering (see
-    :func:`repro.engine.shard.merge_ordered`).
+    tagged with each group's original index for exact re-ordering.
 
     Lifecycle: :meth:`close` is explicit and idempotent; the runtime is a
     context manager; using a closed (or crashed) runtime raises instead of
@@ -1383,8 +1390,8 @@ class EngineRuntime:
     def load_broadcast(self, key: Any, payload: dict) -> None:
         """Make one payload dict resident on *every* worker under ``key``.
 
-        Broadcast payloads are the shared side tables of a query (score rows,
-        supports, tie ranks): any shard may reference any entry, so each
+        Broadcast payloads are the shared side tables of a query (the packed
+        model counts and supports): any shard may reference any entry, so each
         worker needs the whole thing -- shipped once, not per call.
         """
         backend = self._ensure_backend()

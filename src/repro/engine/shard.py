@@ -35,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.engine.columns import IntColumn
+from repro.engine.columns import IntColumn, require_numpy, to_numpy
 from repro.engine.encoding import stable_hash
 
 __all__ = [
     "ShardedColumns",
-    "merge_ordered",
     "shard_assignments",
     "shard_columns",
     "shard_group_columns",
@@ -144,9 +143,10 @@ def shard_group_columns(
     ascending, so order-sensitive results can be merged back into the exact
     serial order.
 
-    Payload columns are returned as :class:`~repro.engine.columns.IntColumn`
-    buffers: a resident shard is one machine-native allocation per column
-    (not a list of boxed ints), the numpy kernels read the buffers
+    The scatter is a few numpy passes per shard.  Payload columns are
+    returned as :class:`~repro.engine.columns.IntColumn` buffers: a resident
+    shard is one machine-native allocation per column (not a list of boxed
+    ints), the numpy kernels read the buffers
     zero-copy, and shipping a shard to a pool worker pickles each column as
     a single contiguous ``tobytes()`` blob instead of one object per
     element.
@@ -156,51 +156,29 @@ def shard_group_columns(
         raise ValueError("assign_keys must have one entry per group")
     if len(member_starts) != group_count + 1:
         raise ValueError("member_starts must have len(group_keys) + 1 entries")
-    assignments = shard_assignments(assign_keys, shard_count)
-    shards: List[Dict[str, Any]] = [
-        {"group_order": [], "group_keys": [], "member_starts": [0],
-         "labels": [], "value_starts": [0], "value_ids": []}
-        for _ in range(shard_count)
-    ]
-    for g in range(group_count):
-        shard = shards[assignments[g]]
-        shard["group_order"].append(g)
-        shard["group_keys"].append(group_keys[g])
-        m_lo, m_hi = member_starts[g], member_starts[g + 1]
-        shard_labels = shard["labels"]
-        shard_value_starts = shard["value_starts"]
-        shard_value_ids = shard["value_ids"]
-        for m in range(m_lo, m_hi):
-            shard_labels.append(labels[m])
-            shard_value_ids.extend(value_ids[value_starts[m]:value_starts[m + 1]])
-            shard_value_starts.append(len(shard_value_ids))
-        shard["member_starts"].append(len(shard_labels))
-    # Scatter into plain lists above (cheapest append path), then freeze each
-    # shard's columns into machine-native buffers exactly once.
-    frozen = tuple(
-        {name: IntColumn(column) for name, column in shard.items()}
-        for shard in shards
-    )
-    return ShardedColumns(shard_count=shard_count, shards=frozen)
-
-
-def merge_ordered(per_shard_results: Sequence[Sequence[Tuple[int, Any]]]) -> List[Any]:
-    """Merge per-shard ``(original_index, item)`` pairs back into global order.
-
-    The inverse of hash-sharding for order-sensitive outputs: each shard
-    reports its items tagged with the original index recorded in
-    ``group_order``, and the merged list is identical to what a serial pass
-    over the unsharded data would have produced.
-
-    This is also what makes crash recovery invisible to results: when the
-    pool respawns a dead worker and re-runs its shard's fold, the re-run
-    reports the same ``(original_index, item)`` pairs the first attempt
-    would have (tasks are pure functions of the resident shard), so the
-    merged order -- and therefore every downstream artifact -- is
-    bit-identical whether or not a crash happened mid-build.
-    """
-    tagged: List[Tuple[int, Any]] = []
-    for results in per_shard_results:
-        tagged.extend(results)
-    tagged.sort(key=lambda pair: pair[0])
-    return [item for _, item in tagged]
+    np = require_numpy()
+    assignments = np.array(shard_assignments(assign_keys, shard_count),
+                           dtype=np.int64)
+    member_counts = np.diff(to_numpy(member_starts))
+    value_counts = np.diff(to_numpy(value_starts))
+    member_shard = np.repeat(assignments, member_counts)
+    value_shard = np.repeat(member_shard, value_counts)
+    columns = (to_numpy(group_keys), to_numpy(labels), to_numpy(value_ids))
+    shards = []
+    for shard_idx in range(shard_count):
+        groups = np.flatnonzero(assignments == shard_idx)
+        members = np.flatnonzero(member_shard == shard_idx)
+        values = np.flatnonzero(value_shard == shard_idx)
+        # Groups keep ascending original order, and their member and value
+        # runs stay contiguous, so the local offsets are running sums.
+        shards.append({
+            "group_order": IntColumn.from_numpy(groups),
+            "group_keys": IntColumn.from_numpy(columns[0][groups]),
+            "member_starts": IntColumn.from_numpy(
+                np.append(0, np.cumsum(member_counts[groups]))),
+            "labels": IntColumn.from_numpy(columns[1][members]),
+            "value_starts": IntColumn.from_numpy(
+                np.append(0, np.cumsum(value_counts[members]))),
+            "value_ids": IntColumn.from_numpy(columns[2][values]),
+        })
+    return ShardedColumns(shard_count=shard_count, shards=tuple(shards))

@@ -47,6 +47,7 @@ import mmap
 import os
 import zlib
 from array import array
+from functools import partial
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -58,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.columns import ColumnView, IntColumn
+from repro.engine.columns import ColumnView, IntColumn, to_numpy
 from repro.engine.encoding import DictionaryEncoder
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -277,8 +278,9 @@ class SnapshotWriter:
         # token instead of materializing every encoder/interner row, so
         # readers that never touch a section's meta (the warm-restart path
         # skips the host-features encoder and the banner interner entirely)
-        # never pay for decoding it.  Sections every warm restart decodes
-        # (the model and the index) embed a plain object instead, parsed
+        # never pay for decoding it; the model's predictor table decodes
+        # only when its dicts are first read.  The section every warm
+        # restart decodes (the index) embeds a plain object instead, parsed
         # once with the manifest rather than scanned as an escaped string
         # and then parsed again.
         self._sections[name] = {"columns": recorded}
@@ -466,21 +468,31 @@ class Snapshot:
     def model(self):
         """Rebuild the co-occurrence model, bit-identical to the built one.
 
-        Rows were saved in the model dicts' iteration order, so the rebuilt
-        dicts match the originals in content *and* insertion order --
-        downstream consumers that iterate (priors, index) see exactly what
-        they would have seen pre-restart.
+        The section's columns are read here; the predictor table and the
+        model's dicts are decoded the first time either dict is read (a
+        restarted server that only serves the saved priors plan and index
+        never reads them; a malformed table raises :class:`SnapshotError`
+        there).  Rows were saved in the model dicts' iteration
+        order, so the rebuilt dicts match the originals in content *and*
+        insertion order -- downstream consumers that iterate (priors,
+        index) see exactly what they would have seen pre-restart.
         """
         from repro.core.model import CooccurrenceModel
 
+        # Copied out of the mapped files, so a later save over this
+        # directory cannot change what the dicts decode to.
+        columns = {name: to_numpy(column).copy() for name, column in
+                   self.columns(_MODEL_SECTION).items()}
+        return CooccurrenceModel.lazy(partial(self._model_dicts, columns))
+
+    def _model_dicts(self, columns: Dict[str, Any]):
+        """The model's ``(cooccurrence, denominators)`` from its columns."""
         meta = self.section_meta(_MODEL_SECTION)
         predictors = list(map(tuple, meta["predictors"]))
-        columns = self.columns(_MODEL_SECTION)
         cooccurrence: Dict[Any, Dict[int, int]] = {}
-        # ``tolist()`` unboxes each mapped column in one C pass (element-wise
-        # iteration over a memoryview is ~5x slower), and pairs were saved
-        # grouped by predictor, so one dict lookup per run -- not per pair --
-        # suffices to rebuild the nested dicts in original insertion order.
+        # ``tolist()`` unboxes each column in one C pass, and pairs were
+        # saved grouped by predictor, so one dict lookup per run -- not per
+        # pair -- rebuilds the nested dicts in original insertion order.
         last_pid = -1
         targets: Dict[int, int] = {}
         for pid, port, count in zip(columns["pair_pids"].tolist(),
@@ -493,8 +505,7 @@ class Snapshot:
         denominators = dict(zip(
             map(predictors.__getitem__, columns["denominator_pids"].tolist()),
             columns["denominator_counts"].tolist()))
-        return CooccurrenceModel(cooccurrence=cooccurrence,
-                                 denominators=denominators)
+        return cooccurrence, denominators
 
     def priors_plan(self):
         """Rebuild the ordered priors scan list."""
@@ -743,8 +754,7 @@ def _add_model(writer: SnapshotWriter, model: Any) -> None:
          "pair_counts": pair_counts, "denominator_pids": denominator_pids,
          "denominator_counts": denominator_counts},
         meta={"predictors": [_predictor_to_json(p)
-                             for p in encoder.values()]},
-        lazy_meta=False)
+                             for p in encoder.values()]})
 
 
 def _add_priors(writer: SnapshotWriter, priors_plan: Sequence[Any]) -> None:

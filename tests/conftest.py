@@ -40,15 +40,16 @@ TEST_SCALE = ExperimentScale(
 )
 
 
-def host_feature_columns(host_features):
+def host_feature_columns(host_features, encoder=None):
     """Flatten a per-host ``HostFeatures`` mapping into encoded columns.
 
     Hosts keep the mapping's order, services their ascending ports and
     predictor tuples their order -- the relation the reference builds
     iterate -- so hand-built host features (whose predictor tuples no
-    observation would produce) can feed the engine.
+    observation would produce) can feed the engine.  A given ``encoder``
+    (say, one pre-filled so ids start high) is extended in place.
     """
-    encoder = DictionaryEncoder()
+    encoder = DictionaryEncoder() if encoder is None else encoder
     ips, member_starts, ports, value_starts, value_ids = [], [0], [], [0], []
     for host in host_features.values():
         ips.append(host.ip)

@@ -6,8 +6,8 @@ by :class:`~repro.engine.columns.IntColumn` -- fixed-width int64
 ``array('q')`` buffers -- instead of lists of boxed ints.  The storage must
 be *invisible*: object rows round-trip through the columns bit-identically,
 int64 boundary values survive, overflow is loud, empty batches behave, and
-hash-sharded group columns reassemble through ``merge_ordered`` into exactly
-the original serial order.  Hypothesis drives the shapes; the encoder-sharing
+hash-sharded group columns reassemble by their ``group_order`` tags into
+exactly the original serial order.  Hypothesis drives the shapes; the encoder-sharing
 regression tests at the bottom pin the "one status-id space per pipeline"
 contract the columnar scan path relies on.
 """
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.columns import IntColumn, numpy_available, resolve_column_backend
 from repro.engine.encoding import DictionaryEncoder
-from repro.engine.shard import merge_ordered, shard_group_columns
+from repro.engine.shard import shard_group_columns
 from repro.internet.banners import BannerInterner
 from repro.scanner.records import ObservationBatch, ScanObservation
 
@@ -175,7 +175,9 @@ class TestShardReassembly:
                 decoded.append((original, (shard["group_keys"][g], members)))
             per_shard.append(decoded)
 
-        reassembled = merge_ordered(per_shard)
+        reassembled = [item for _, item in sorted(
+            (pair for decoded in per_shard for pair in decoded),
+            key=lambda pair: pair[0])]
         assert reassembled == [(key, [(label, list(values))
                                       for label, values in members])
                                for key, members in groups]

@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
+from repro.core.predictions import (
+    PredictiveFeatureIndex,
+    build_prediction_index_with_engine,
+)
+from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.scanner.records import ScanObservation
 from tests.conftest import (ENGINE_LAYOUTS, forced_model_kernel, host_feature_columns,
                             resident_dataset)
@@ -206,3 +211,103 @@ class TestProperties:
             port = predictor[1]
             expected = sum(1 for ports in host_ports if port in ports)
             assert denominator == expected
+
+
+class TestModelLifecycle:
+    """Models fed to one resident dataset: packed, dict-built and foreign."""
+
+    @pytest.fixture()
+    def seed_hosts(self, universe, censys_split):
+        return extract_host_features(censys_split.seed_observations,
+                                     universe.topology.asn_db, FeatureConfig())
+
+    @staticmethod
+    def _assert_builds_match(hosts, columns, dataset, model, oracle):
+        assert build_priors_plan_with_engine(columns, model, 16, dataset=dataset) \
+            == build_priors_plan(hosts, oracle, 16)
+        assert build_prediction_index_with_engine(
+            columns, model, dataset=dataset).entries() \
+            == PredictiveFeatureIndex.from_seed(hosts, oracle).entries()
+
+    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
+    def test_models_a_b_a_and_a_foreign_engine_model(self, seed_hosts, executor,
+                                                     shard_count):
+        half = dict(list(seed_hosts.items())[::2])
+        model_a, model_b = build_model(seed_hosts), build_model(half)
+        with resident_dataset(seed_hosts, executor, num_workers=2,
+                              shard_count=shard_count) as (columns, dataset), \
+                resident_dataset(half) as (half_columns, half_dataset):
+            own = build_model_with_engine(columns, dataset)
+            foreign = build_model_with_engine(half_columns, half_dataset)
+            # Fresh dict models, as a benchmark's timed calls make them.
+            fresh_a = CooccurrenceModel(cooccurrence=model_a.cooccurrence,
+                                        denominators=model_a.denominators)
+            for model, oracle in ((model_a, model_a), (model_b, model_b),
+                                  (model_a, model_a), (own, model_a),
+                                  (foreign, model_b), (own, model_a),
+                                  (fresh_a, model_a)):
+                self._assert_builds_match(seed_hosts, columns, dataset, model,
+                                          oracle)
+            # The foreign model was packed from its dicts; the own one never
+            # decoded them.
+            assert foreign.packed_counts() is None
+            assert own.packed_counts() is not None
+
+    @pytest.mark.parametrize("read_before_broadcast", [True, False])
+    def test_changed_dicts_feed_the_changed_counts(self, seed_hosts,
+                                                   read_before_broadcast):
+        with resident_dataset(seed_hosts) as (columns, dataset):
+            model = build_model_with_engine(columns, dataset)
+            if not read_before_broadcast:
+                self._assert_builds_match(seed_hosts, columns, dataset, model,
+                                          build_model(seed_hosts))
+            before = build_prediction_index_with_engine(columns, model,
+                                                        dataset=dataset)
+            for predictor in list(model.cooccurrence)[::2]:
+                del model.cooccurrence[predictor]
+            for predictor in list(model.denominators)[1::3]:
+                model.denominators[predictor] += 1
+            self._assert_builds_match(seed_hosts, columns, dataset, model, model)
+            after = build_prediction_index_with_engine(columns, model,
+                                                       dataset=dataset)
+            assert after.entries() != before.entries()
+
+    def test_dicts_on_first_read_equal_the_reference_in_fold_order(self,
+                                                                   seed_hosts):
+        expected = build_model(seed_hosts)
+        with resident_dataset(seed_hosts) as (columns, dataset):
+            model = build_model_with_engine(columns, dataset)
+        assert model.packed_counts() is not None
+        assert model.cooccurrence_rows() == len(expected.cooccurrence)
+        assert model.cooccurrence == expected.cooccurrence
+        assert model.denominators == expected.denominators
+        assert model.packed_counts() is None
+        assert model == expected
+        # One shard: predictors in id order, each row's ports ascending.
+        ids = {value: pid for pid, value in enumerate(columns.encoder.values())}
+        assert list(model.cooccurrence) == sorted(model.cooccurrence,
+                                                  key=ids.__getitem__)
+        assert list(model.denominators) == sorted(model.denominators,
+                                                  key=ids.__getitem__)
+        assert all(list(row) == sorted(row) for row in model.cooccurrence.values())
+
+    def test_candidate_table_lives_with_its_broadcast(self, seed_hosts):
+        with resident_dataset(seed_hosts) as (columns, dataset):
+            store = dataset.runtime._backend._store
+
+            def tables():
+                return [table for _, table in
+                        store[(dataset.key, None)]["candidates"].values()]
+
+            model = build_model_with_engine(columns, dataset)
+            build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
+            (table,) = tables()
+            # The index build reads the table the priors build made.
+            build_prediction_index_with_engine(columns, model, dataset=dataset)
+            assert tables()[0] is table
+            dataset.ensure_sides(build_model(seed_hosts))
+            assert tables() == []
+            build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
+            assert len(tables()) == 1 and tables()[0] is not table
+            dataset.release()
+            assert not any(key == dataset.key for key, _ in store)

@@ -16,9 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FeatureConfig
 from repro.core.features import HostFeatures, extract_host_features
-from repro.core.model import CooccurrenceModel, build_model
+from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
+from repro.core.predictions import (
+    PredictiveFeatureIndex,
+    build_prediction_index_with_engine,
+)
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
+from repro.engine.encoding import DictionaryEncoder
 from repro.engine.runtime import EngineRuntime
 from repro.net.ipv4 import parse_ip
 from repro.scanner.records import ScanObservation
@@ -170,3 +175,140 @@ class TestRandomizedEquivalence:
         expected = build_priors_plan(hosts, model, 16)
         assert _engine_plan(hosts, model, num_workers=2,
                             shard_count=shard_count) == expected
+
+
+def _hosts(*hosts):
+    """Hand-built host features: ``(ip, {port: [predictor, ...]})`` pairs."""
+    return {ip: HostFeatures(ip=ip, ports={port: list(predictors)
+                                           for port, predictors in ports.items()})
+            for ip, ports in hosts}
+
+
+POOL_AND_SERIAL = [pytest.param("serial", id="serial"),
+                   pytest.param("pool", id="pool")]
+
+
+@pytest.mark.parametrize("executor", POOL_AND_SERIAL)
+class TestPartnerTieBreaks:
+    """Handcrafted partner selections, each checked against the oracle and
+    against the partner the Section 5.3 rule names."""
+
+    @staticmethod
+    def _check(hosts, model, expected, port_domain=None, executor="serial"):
+        plan = _engine_plan(hosts, model, 16, port_domain, executor=executor,
+                            num_workers=2)
+        assert plan == build_priors_plan(hosts, model, 16, port_domain)
+        assert {(entry.port, entry.coverage) for entry in plan} == expected
+
+    def test_all_zero_scores_take_the_smallest_other_port(self, executor):
+        hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
+        model = CooccurrenceModel(cooccurrence={},
+                                  denominators={("a",): 1, ("b",): 1, ("c",): 1})
+        # 22 -> 80, 80 -> 22, 443 -> 22.
+        self._check(hosts, model, {(22, 2), (80, 1)}, executor=executor)
+
+    def test_equal_scores_go_to_the_smallest_partner_port(self, executor):
+        hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
+        model = CooccurrenceModel(
+            cooccurrence={("a",): {443: 1}, ("b",): {443: 2}, ("c",): {22: 1}},
+            denominators={("a",): 2, ("b",): 4, ("c",): 2})
+        # 443: ("a") and ("b") both score 0.5 -> 22; 22: only ("c") scores
+        # -> 443; 80: nothing scores -> 22.
+        self._check(hosts, model, {(22, 2), (443, 1)}, executor=executor)
+
+    def test_two_service_host_counts_the_other_port(self, executor):
+        hosts = _hosts((1, {22: [("a",)], 80: [("b",)]}))
+        model = CooccurrenceModel(cooccurrence={("a",): {80: 1}},
+                                  denominators={("a",): 1, ("b",): 1})
+        # 22 scores 0 from 80's values and still takes 80; 80 takes 22.
+        self._check(hosts, model, {(22, 1), (80, 1)}, executor=executor)
+
+    def test_whitelist_applies_to_partner_and_single_service_hosts(self, executor):
+        hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}),
+                       (2, {8080: [("d",)]}),
+                       (3, {443: [("c",)]}))
+        model = CooccurrenceModel(
+            cooccurrence={("a",): {80: 1, 443: 1}, ("b",): {22: 1, 443: 1},
+                          ("c",): {22: 1, 80: 1}},
+            denominators={("a",): 1, ("b",): 1, ("c",): 2, ("d",): 1})
+        # Unfiltered: 22 -> 80, 80 -> 22, 443 -> 22 (tie), 8080 and 443 alone.
+        self._check(hosts, model, {(22, 2), (80, 1), (8080, 1), (443, 1)},
+                    executor=executor)
+        # The whitelist drops selected partners (80) and lone services (8080)
+        # outside it; it never redirects a selection.
+        self._check(hosts, model, {(22, 2), (443, 1)}, port_domain=(22, 443),
+                    executor=executor)
+
+    def test_own_port_in_a_row_never_scores_for_its_own_service(self, executor):
+        hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
+        # ("c",) claims to predict its own port 443 perfectly; 443's partner
+        # must still come from 22's and 80's values.
+        model = CooccurrenceModel(
+            cooccurrence={("a",): {443: 1}, ("b",): {443: 1}, ("c",): {443: 2}},
+            denominators={("a",): 4, ("b",): 2, ("c",): 2})
+        # 443 -> 80 (0.5 beats 0.25; its own 1.0 does not count); 22 and 80
+        # score 0 -> the smallest other port.
+        self._check(hosts, model, {(80, 2), (22, 1)}, executor=executor)
+
+
+class TestPackingBounds:
+    """Both folds at the edges of their packed keys, against the oracles."""
+
+    @staticmethod
+    def _check(hosts, step_size=16, shard_count=0, encoder=None, model=None):
+        model = build_model(hosts) if model is None else model
+        columns = host_feature_columns(hosts, encoder)
+        with resident_dataset(columns, "serial", step_size,
+                              shard_count=shard_count) as (_, dataset):
+            plan = build_priors_plan_with_engine(columns, model, step_size,
+                                                 dataset=dataset)
+            index = build_prediction_index_with_engine(columns, model,
+                                                       dataset=dataset)
+            engine_model = build_model_with_engine(columns, dataset)
+            engine_plan = build_priors_plan_with_engine(
+                columns, engine_model, step_size, dataset=dataset)
+            engine_index = build_prediction_index_with_engine(
+                columns, engine_model, dataset=dataset)
+        expected_plan = build_priors_plan(hosts, model, step_size)
+        expected_index = PredictiveFeatureIndex.from_seed(hosts, model).entries()
+        assert plan == engine_plan == expected_plan
+        assert index.entries() == engine_index.entries() == expected_index
+        return expected_plan, expected_index
+
+    @staticmethod
+    def _edge_hosts():
+        top = parse_ip("255.255.255.254")
+        return _hosts(
+            (top, {1: [("P", 1), ("x",)], 65535: [("P", 65535), ("x", 2)]}),
+            (top + 1, {1: [("P", 1), ("x",)], 65535: [("P", 65535), ("x", 2)],
+                       80: [("P", 80)]}),
+            (5, {1: [("P", 1)]}))
+
+    def test_top_addresses_and_extreme_ports(self):
+        plan, index = self._check(self._edge_hosts())
+        assert {entry.port for entry in plan} >= {1, 65535}
+        assert {feature.target_port for feature in index} >= {1, 65535}
+
+    @pytest.mark.parametrize("step_size", [0, 32])
+    def test_extreme_step_sizes(self, step_size):
+        plan, _ = self._check(self._edge_hosts(), step_size=step_size)
+        if step_size == 32:
+            # The /32 subnet key of 255.255.255.255 needs 38 bits.
+            assert max(entry.subnet for entry in plan) >= 1 << 37
+
+    def test_predictor_ids_past_the_port_base(self):
+        encoder = DictionaryEncoder()
+        for filler in range(70_000):
+            encoder.encode(("filler", filler))
+        self._check(self._edge_hosts(), encoder=encoder)
+
+    def test_shard_holding_only_one_service_hosts(self):
+        # Two shards split hosts by address parity: every one-service host
+        # is even, every multi-service host odd.
+        hosts = _hosts((2, {80: [("P", 80)]}), (4, {22: [("P", 22)]}),
+                       (3, {22: [("P", 22)], 80: [("P", 80)]}),
+                       (5, {22: [("P", 22)], 80: [("P", 80)], 443: [("P", 443)]}))
+        self._check(hosts, shard_count=2)
+
+    def test_shard_count_above_host_count_leaves_shards_empty(self):
+        self._check(self._edge_hosts(), shard_count=7)

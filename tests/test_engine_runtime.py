@@ -39,7 +39,6 @@ from repro.engine.runtime import (
 )
 from repro.engine.shard import (
     ShardedColumns,
-    merge_ordered,
     shard_assignments,
     shard_columns,
     shard_group_columns,
@@ -279,6 +278,36 @@ class TestSelfHealing:
                 assert (after[shard_idx] == before[shard_idx]) == (worker != 1)
             dataset.release()
 
+    def test_crash_between_priors_and_index_folds(self, seed_inputs,
+                                                   monkeypatch):
+        """A worker dies after the priors fold built its candidate tables
+        and before the index fold reads them: the respawned worker gets the
+        broadcast back, rebuilds its tables, and the index equals the
+        serial one."""
+        monkeypatch.setenv("REPRO_RUNTIME_CRASH_TEST", "1")
+        host_features, model, priors, index = seed_inputs
+        with EngineRuntime(executor="serial") as runtime:
+            dataset = ResidentHostGroups(runtime, host_features, 16)
+            serial_model = build_model_with_engine(host_features, dataset)
+            serial_index = build_prediction_index_with_engine(
+                host_features, serial_model, dataset=dataset)
+            dataset.release()
+        assert serial_index.entries() == index.entries()
+        plan = FaultPlan(crash_task="index_argmax", crash_workers=(1,))
+        with EngineRuntime(executor="pool", num_workers=2, shard_count=3,
+                           fault_plan=plan) as runtime:
+            dataset = ResidentHostGroups(runtime, host_features, 16)
+            built = build_model_with_engine(host_features, dataset)
+            assert build_priors_plan_with_engine(host_features, built, 16,
+                                                 dataset=dataset) == priors
+            rebuilt = build_prediction_index_with_engine(host_features, built,
+                                                         dataset=dataset)
+            assert rebuilt.entries() == serial_index.entries()
+            stats = dataset.recovery_stats
+            assert stats.crashes_detected == 1 and stats.respawns == 1
+            assert stats.reloaded_broadcasts == 1
+            dataset.release()
+
     def test_exit_after_crash_is_idempotent(self, monkeypatch):
         """__exit__ after an unrecovered crash closes cleanly, repeatedly."""
         monkeypatch.setenv("REPRO_RUNTIME_CRASH_TEST", "1")
@@ -430,10 +459,6 @@ class TestShardingLayer:
             1: (7, ((22, (7,)),)),
             2: (8, ((25, (6,)), (53, (5,)))),
         }
-
-    def test_merge_ordered_restores_global_order(self):
-        assert merge_ordered([[(3, "d"), (0, "a")], [(2, "c")], [(1, "b")]]) == \
-            ["a", "b", "c", "d"]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError):

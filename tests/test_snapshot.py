@@ -134,14 +134,14 @@ class TestRoundTrip:
         assert loaded.encoder.values() == host_features.encoder.values()
 
     def test_warm_restart_metas_are_plain_objects(self, saved):
-        """The model and index metas parse with the manifest; the bulky
-        encoder and interner tables stay embedded strings decoded lazily."""
+        """The index meta parses with the manifest; the bulky encoder,
+        interner and model predictor tables stay embedded strings decoded
+        lazily (the model's on the first read of its dicts)."""
         manifest = json.loads((Path(saved) / MANIFEST_NAME).read_text())
         sections = manifest["sections"]
-        for name in ("model", "index"):
-            assert "meta_json" not in sections[name]
-            assert isinstance(sections[name]["meta"]["predictors"], list)
-        for name in ("observations", "host_features"):
+        assert "meta_json" not in sections["index"]
+        assert isinstance(sections["index"]["meta"]["predictors"], list)
+        for name in ("observations", "host_features", "model"):
             assert "meta" not in sections[name]
             assert isinstance(sections[name]["meta_json"], str)
 
