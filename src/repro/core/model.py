@@ -93,7 +93,7 @@ class CooccurrenceModel:
         the dicts are unread."""
         packed = self.packed_counts()
         if packed is not None:
-            return packed.scored_count()
+            return segment_starts(packed.pair_keys // MODEL_PACK_BASE).size
         return len(self.cooccurrence)
 
     # -- queries -----------------------------------------------------------------
@@ -198,7 +198,7 @@ def _decode_packed(packed: PackedCounts):
     """``(cooccurrence, denominators)`` dicts of packed model columns.
 
     Predictors come in ascending id order and ports ascending within a
-    row, the order the one-shard merge has always produced.
+    row, the packed keys' order.
     """
     pids = packed.pair_keys // MODEL_PACK_BASE
     ports = (packed.pair_keys % MODEL_PACK_BASE).tolist()

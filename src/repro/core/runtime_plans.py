@@ -106,11 +106,6 @@ class PackedCounts:
     ids: Any
     supports: Any
 
-    def scored_count(self) -> int:
-        """How many predictors have a co-occurrence row (the length of the
-        decoded model's ``cooccurrence``)."""
-        return segment_starts(self.pair_keys // MODEL_PACK_BASE).size
-
 
 def _pack_model(model: Any, values: Sequence[Any]):
     """``(pair_keys, pair_counts, supports)`` of a model read from its dicts.
