@@ -113,37 +113,26 @@ def _pack_model(model: Any, values: Sequence[Any]):
     Only the encoder's ``values`` are packed, ids in encoder order; a
     predictor without positive support packs no pair and support 0, and
     only positive counts pack, so every packed pair scores exactly as the
-    reference's ``best_predictor`` considers it.
+    reference's ``best_predictor`` considers it.  Each dict is read through
+    ``map``/``chain`` in C, so no Python statement runs per predictor.
     """
     np = require_numpy()
-    support_of = model.denominators.get
-    row_of = model.cooccurrence.get
-    supports = [0] * len(values)
-    row_ids: List[int] = []
-    row_lengths: List[int] = []
-    ports: List[int] = []
-    counts: List[int] = []
-    for pid, predictor in enumerate(values):
-        support = support_of(predictor, 0)
-        if support > 0:
-            supports[pid] = support
-            row = row_of(predictor)
-            if row:
-                row_ids.append(pid)
-                row_lengths.append(len(row))
-                ports.extend(row)
-                counts.extend(row.values())
-    port_array = np.array(ports, dtype=np.int64)
-    if port_array.size and (port_array.min() < 0
-                            or port_array.max() >= MODEL_PACK_BASE):
+    supports = np.fromiter(map(model.denominators.get, values, itertools.repeat(0)),
+                           dtype=np.int64, count=len(values))
+    rows = list(map(model.cooccurrence.get, values, itertools.repeat({})))
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    total = int(lengths.sum())
+    ports = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=total)
+    counts = np.fromiter(itertools.chain.from_iterable(map(dict.values, rows)),
+                         dtype=np.int64, count=total)
+    if total and (ports.min() < 0 or ports.max() >= MODEL_PACK_BASE):
         raise ValueError("model target ports must lie in 0-65535")
-    keys = (np.repeat(np.array(row_ids, dtype=np.int64), row_lengths)
-            * MODEL_PACK_BASE + port_array)
-    count_array = np.array(counts, dtype=np.int64)
-    positive = count_array > 0
-    keys, count_array = keys[positive], count_array[positive]
+    np.maximum(supports, 0, out=supports)
+    pids = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
+    keep = (counts > 0) & (supports[pids] > 0)
+    keys = pids[keep] * MODEL_PACK_BASE + ports[keep]
     order = np.argsort(keys)
-    return keys[order], count_array[order], np.array(supports, dtype=np.int64)
+    return keys[order], counts[keep][order], supports
 
 
 def _label_array(port_domain: Optional[Sequence[int]]):

@@ -312,3 +312,11 @@ class TestPackingBounds:
 
     def test_shard_count_above_host_count_leaves_shards_empty(self):
         self._check(self._edge_hosts(), shard_count=7)
+
+    def test_model_port_outside_the_packing_base_is_rejected(self):
+        hosts = self._edge_hosts()
+        model = build_model(hosts)
+        model.cooccurrence[("P", 1)][65536] = 1
+        with resident_dataset(hosts) as (columns, dataset):
+            with pytest.raises(ValueError, match="0-65535"):
+                build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
