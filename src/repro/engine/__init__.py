@@ -14,9 +14,10 @@ all three of GPS's Table 2 builds:
   sharding, compact cross-process payloads);
 * :mod:`~repro.engine.columns` -- machine-native int64 column buffers and
   the stdlib/numpy kernel-backend switch;
-* :mod:`~repro.engine.fused` -- the streaming folds for the model build's
-  self-join, the priors planner's partner selection and the index build's
-  argmax, plus the vectorized numpy twin of the model fold;
+* :mod:`~repro.engine.fused` -- the model build's self-join fold (stdlib
+  and numpy kernels), and the numpy segment reductions of the priors
+  planner's partner selection and the index build's argmax over one
+  candidate table per shard and model;
 * :mod:`~repro.engine.shard` -- ``PYTHONHASHSEED``-independent hash
   partitioning of encoded columns into shards with a stable identity;
 * :mod:`~repro.engine.runtime` -- the persistent execution runtime: the
