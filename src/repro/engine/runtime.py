@@ -374,7 +374,7 @@ def _task_index_argmax(shard: dict, broadcast: dict, args: Any) -> Tuple[Any, ..
     (:func:`~repro.engine.fused.fold_argmax_winners`), ``groups`` holding
     each row's original host index: hash-sharding permutes host order, but
     the prediction-index build is order-sensitive (the serial winner list
-    is the oracle), so the driver merges rows back into host order and
+    is the oracle), so the coordinator merges rows back into host order and
     breaks the remaining ties on the decoded predictor tuples.
     """
     allowed, min_support, cutoff = args
