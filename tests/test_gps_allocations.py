@@ -13,21 +13,26 @@ class's ``__init__``.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from collections.abc import Mapping
+
 import pytest
 
 from repro.analysis.scenarios import SMALL_SCALE, make_lzr_dataset, make_universe
-from repro.core.config import GPSConfig
-from repro.core.gps import GPS
+from repro.core import features as features_module
 from repro.core import predictions as predictions_module
+from repro.core.config import FeatureConfig, GPSConfig
+from repro.core.gps import GPS
 from repro.engine import runtime as runtime_module
-from repro.core.features import network_feature_values
-from repro.core.predictions import (
-    PredictedService,
-    PredictiveFeatureIndex,
-    _PortMatcher,
+from repro.core.features import (
+    extract_host_features,
+    extract_host_features_columns,
+    network_feature_values,
 )
+from repro.core.predictions import PredictedService
 from repro.datasets.split import split_seed_test
-from repro.internet.banners import BannerFactory
+from repro.engine.encoding import DictionaryEncoder
+from repro.internet.banners import BannerFactory, BannerInterner
 from repro.internet.universe import Universe
 from repro.scanner.lzr import LZRSimulator
 from repro.scanner.pipeline import ScanPipeline
@@ -248,52 +253,128 @@ def test_priors_scan_resolves_real_services_without_per_target_calls(
     assert not real & set(targets)
 
 
-def test_batch_predict_matches_once_per_key_without_per_address_features(
-        small_universe, lzr_split, monkeypatch):
-    """A batch predict runs ``match`` once per distinct (banner, port, network
-    values) key and derives no address's network values one at a time.
+class _SpyBanner(Mapping):
+    """A banner mapping that records every key read from it."""
 
-    An engine run's priors batch is predicted again, on a fresh index
-    holding the run's entries (as each run builds its own), with
-    ``_PortMatcher.match`` and ``network_feature_values`` counted; the keys
-    expected are computed here from the batch's columns.
+    def __init__(self, banner_id, features, reads):
+        self._banner_id = banner_id
+        self._features = features
+        self._reads = reads
+
+    def __getitem__(self, key):
+        self._reads.append((self._banner_id, key))
+        return self._features[key]
+
+    def get(self, key, default=None):
+        self._reads.append((self._banner_id, key))
+        return self._features.get(key, default)
+
+    def __iter__(self):
+        for key in self._features:
+            self._reads.append((self._banner_id, key))
+            yield key
+
+    def __len__(self):
+        return len(self._features)
+
+
+def test_batch_predict_reads_each_banner_key_once_per_port_and_no_address(
+        small_universe, lzr_split, monkeypatch):
+    """A batch predict reads each distinct (banner id, port, app key) at most
+    once and derives no address's network values one at a time.
+
+    An engine run's priors batch is predicted again on the run's index with
+    every banner mapping replaced by one that records its reads, and
+    ``network_feature_values`` counted.  A (banner, port) pair that appears
+    under several networks is read once, not once per network: the batch
+    holds such pairs, so reading per (banner, port, network values) key
+    would break the bound.
     """
     dataset, seed = lzr_split
     config = GPSConfig(seed_fraction=dataset.sample_fraction / 2,
                        port_domain=dataset.port_domain, use_engine=True)
     with GPS(ScanPipeline(small_universe), config) as gps:
         result = gps.run(seed=seed, seed_cost_probes=0)
-    batch = result.priors_observations
-    index = PredictiveFeatureIndex(result.feature_index.entries())
+    priors = result.priors_observations
+    index = result.feature_index
     asn_db = small_universe.topology.asn_db
-    kinds = config.feature_config.network_feature_kinds
-    expected_keys = {
-        (banner_id, port, tuple(network_feature_values(ip, asn_db, kinds)))
-        for ip, port, banner_id in zip(batch.ips, batch.ports, batch.banner_ids)
-        if port in index._matchers}
-    expected = result.feature_index.predict_reference(
-        batch.materialize(), asn_db, config.feature_config)
+    feature_config = config.feature_config
+    expected = index.predict_reference(priors.materialize(), asn_db,
+                                       feature_config)
+    kinds = feature_config.network_feature_kinds
+    networks = defaultdict(set)
+    ports_of_banner = defaultdict(set)
+    for ip, port, banner_id in zip(priors.ips, priors.ports, priors.banner_ids):
+        networks[banner_id, port].add(
+            tuple(network_feature_values(ip, asn_db, kinds)))
+        ports_of_banner[banner_id].add(port)
+    assert any(len(values) > 1 for values in networks.values())
 
-    calls = []
+    reads = []
+    batch = ObservationBatch(
+        banners=priors.banners, statuses=priors.statuses, ips=priors.ips,
+        ports=priors.ports, status=priors.status, banner_ids=priors.banner_ids,
+        ttls=priors.ttls,
+        local_banners=[_SpyBanner(-i - 1, features, reads)
+                       for i, features in enumerate(priors.local_banners)])
+    interned = BannerInterner.features
+    monkeypatch.setattr(
+        BannerInterner, "features",
+        lambda self, banner_id: _SpyBanner(banner_id, interned(self, banner_id),
+                                           reads))
     derived = []
-    match = _PortMatcher.match
-
-    def counting_match(self, features, net_values, feature_config):
-        calls.append((id(self), id(features), tuple(net_values)))
-        return match(self, features, net_values, feature_config)
 
     def counting_network_values(*args, **kwargs):
         derived.append(args)
         return network_feature_values(*args, **kwargs)
 
-    monkeypatch.setattr(_PortMatcher, "match", counting_match)
-    monkeypatch.setattr(predictions_module, "network_feature_values",
+    monkeypatch.setattr(features_module, "network_feature_values",
                         counting_network_values)
-    predictions = index.predict(batch, asn_db, config.feature_config)
+    monkeypatch.setattr(predictions_module, "network_feature_values",
+                        counting_network_values, raising=False)
+    predictions = index.predict(batch, asn_db, feature_config)
 
     assert predictions == expected and len(expected) > 0
-    assert len(calls) == len(set(calls)) == len(expected_keys)
+    assert reads
+    for (banner_id, key), count in Counter(reads).items():
+        assert count <= len(ports_of_banner[banner_id]), (banner_id, key)
     assert derived == []
+
+
+def test_seed_extraction_encodes_each_distinct_predictor_tuple_once(
+        small_universe, lzr_split, monkeypatch):
+    """Seed extraction hands every distinct predictor tuple to the encoder
+    once, and the relation still equals the object oracle's.
+
+    Services that share a port derive the same ``("P", port)`` tuple, and
+    co-located services the same network tuples; each is built and encoded
+    once, not once per service or per (port, banner, network values) key.
+    """
+    dataset, seed = lzr_split
+    config = FeatureConfig()
+    asn_db = small_universe.topology.asn_db
+    passed = []
+    encode, encode_column = DictionaryEncoder.encode, DictionaryEncoder.encode_column
+
+    def counting_encode(self, value):
+        passed.append(value)
+        return encode(self, value)
+
+    def counting_encode_column(self, values):
+        values = list(values)
+        passed.extend(values)
+        return encode_column(self, values)
+
+    monkeypatch.setattr(DictionaryEncoder, "encode", counting_encode)
+    monkeypatch.setattr(DictionaryEncoder, "encode_column", counting_encode_column)
+    columns = extract_host_features_columns(seed.batch, asn_db, config)
+    monkeypatch.undo()
+
+    assert len(passed) == len(set(passed)) == len(columns.encoder) > 0
+    assert passed == columns.encoder.values()
+    reference = extract_host_features(seed.observations, asn_db, config)
+    assert [columns.predictors_for(g) for g in range(len(columns))] == \
+        [host.ports for host in reference.values()]
 
 
 class _SpyHosts(dict):
