@@ -35,9 +35,10 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from typing import (
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -56,15 +57,18 @@ from repro.core.config import FeatureConfig
 from repro.core.features import (
     HostFeatureColumns,
     HostFeatures,
+    PredictorCodebook,
     PredictorTuple,
+    derive_predictor_codes,
     network_feature_values,
+    predictor_tuples,
     predictor_tuples_for_observation,
 )
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.columns import as_numpy
+from repro.engine.columns import INT64_MAX, INT64_MIN, as_numpy
+from repro.engine.fused import expand_ranges, segment_starts
 from repro.net.asn import AsnDatabase
-from repro.net.ipv4 import prefix_mask
 from repro.scanner.records import ObservationBatch, ScanObservation
 
 #: Prefix length prediction probes are grouped by before they reach the scan
@@ -181,163 +185,114 @@ class Predictions(Sequence[PredictedService]):
         return list(self)
 
 
-#: One predictor's targets as compiled for :meth:`PredictiveFeatureIndex.predict`:
-#: ``(target port, probability, predictor id)`` triples in index order.
-_Targets = Tuple[Tuple[int, float, int], ...]
-
-#: One :data:`_Targets` triple as a numpy record, for the batch route's expansion.
-_TARGET_DTYPE = np.dtype([("port", np.int64), ("probability", np.float64),
-                          ("predictor", np.int64)])
-
-#: An ``(ip, port)`` pair as a numpy record, for packing known pairs.
-_PAIR_DTYPE = np.dtype([("ip", np.int64), ("port", np.int64)])
-
 #: Pairs :meth:`PredictiveFeatureIndex.predict` suppresses: a set of
 #: ``(ip, port)`` pairs, or a sorted int64 array of ``ip << 16 | port`` keys.
 KnownPairs = Union[Set[Tuple[int, int]], np.ndarray, None]
 
+#: An ``(ip, port)`` pair as a numpy record, for packing known pairs.
+_PAIR_DTYPE = np.dtype([("ip", np.int64), ("port", np.int64)])
 
-class _PortMatcher:
-    """The index entries whose predictor sits on one port, keyed by value.
-
-    A service on this port derives exactly the predictor tuples the
-    Section 5.2 families allow; the matcher answers, for each family, which
-    of them the index holds without building the tuples: ``transport`` is
-    ``("P", port)``'s targets, ``app`` maps an app key then its value to a
-    ``("PA", ...)`` entry, ``network`` maps a ``(kind, value)`` network
-    feature to a ``("PN", ...)`` entry, and ``app_network`` maps an app key
-    then its value to the ``(kind, value)`` table of the ``("PAN", ...)``
-    entries.  Targets on the port itself are dropped when compiling: a
-    service never predicts its own port.
-    """
-
-    __slots__ = ("transport", "app", "network", "app_network", "_app_keys")
-
-    def __init__(self) -> None:
-        self.transport: _Targets = ()
-        self.app: Dict[str, Dict[str, _Targets]] = {}
-        self.network: Dict[Tuple[str, int], _Targets] = {}
-        self.app_network: Dict[str, Dict[str, Dict[Tuple[str, int], _Targets]]] = {}
-        # (a config's app keys, the ones this matcher files, in that order)
-        self._app_keys: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
-
-    def add(self, predictor: PredictorTuple, targets: _Targets) -> None:
-        """File one predictor's targets under its family and values."""
-        family = predictor[0]
-        if family == "P" and len(predictor) == 2:
-            self.transport = targets
-        elif family == "PA" and len(predictor) == 4:
-            self.app.setdefault(predictor[2], {})[predictor[3]] = targets
-        elif family == "PN" and len(predictor) == 4:
-            self.network[predictor[2:4]] = targets
-        elif family == "PAN" and len(predictor) == 6:
-            by_value = self.app_network.setdefault(predictor[2], {})
-            by_value.setdefault(predictor[3], {})[predictor[4:6]] = targets
-        # Any other shape is never derived from an observation, so it never
-        # matches (the reference predict agrees by construction).
-        self._app_keys = ((), ())
-
-    def app_keys(self, config_keys: Tuple[str, ...]) -> Tuple[str, ...]:
-        """The keys of ``config_keys`` this matcher files, in config order.
-
-        Compiled once per config: the last config's keys are kept, and a
-        call with the same tuple reuses them.
-        """
-        compiled = self._app_keys
-        if compiled[0] is not config_keys:
-            filed = self.app.keys() | self.app_network.keys()
-            compiled = self._app_keys = (
-                config_keys, tuple(key for key in config_keys if key in filed))
-        return compiled[1]
-
-    def match(self, features: Mapping[str, str],
-              net_values: Sequence[Tuple[str, int]],
-              config: FeatureConfig) -> _Targets:
-        """One service's best ``(target port, probability, predictor id)`` per target.
-
-        Visits the predictors the service derives that the index holds, in
-        the reference order -- P, then PA (app keys in ``config`` order),
-        then PN (network kinds in order), then PAN (app-major) -- and keeps
-        per target port the first of the most probable: exactly the
-        candidate the reference's strict ``>`` keeps from this service, so
-        folding these instead of every candidate changes no tie.
-        """
-        matched: List[_Targets] = []
-        if config.include_transport_only and self.transport:
-            matched.append(self.transport)
-        crossed_nets: List[Dict[Tuple[str, int], _Targets]] = []
-        app = self.app if config.include_app else {}
-        crossed = self.app_network if config.include_app_network else {}
-        if app or crossed:
-            get = features.get
-            for key in self.app_keys(config.app_feature_keys):
-                by_value = app.get(key)
-                crossed_by_value = crossed.get(key)
-                if by_value is None and crossed_by_value is None:
-                    continue
-                value = get(key)
-                if not value:
-                    continue
-                if by_value is not None:
-                    targets = by_value.get(value)
-                    if targets:
-                        matched.append(targets)
-                if crossed_by_value is not None:
-                    nets = crossed_by_value.get(value)
-                    if nets:
-                        crossed_nets.append(nets)
-        if config.include_network and self.network:
-            for net_value in net_values:
-                targets = self.network.get(net_value)
-                if targets:
-                    matched.append(targets)
-        for nets in crossed_nets:
-            for net_value in net_values:
-                targets = nets.get(net_value)
-                if targets:
-                    matched.append(targets)
-        if len(matched) == 1:
-            return matched[0]
-        best: Dict[int, Tuple[int, float, int]] = {}
-        for targets in matched:
-            for candidate in targets:
-                current = best.get(candidate[0])
-                if current is None or candidate[1] > current[1]:
-                    best[candidate[0]] = candidate
-        return tuple(best.values())
+#: Bits of a packed ``ip << 16 | port`` pair key (IPv4 addresses, 16-bit ports).
+_PAIR_BITS = 48
 
 
 class PredictiveFeatureIndex:
     """The "most predictive feature values" list, indexed for fast lookup.
 
-    Construction also compiles the list into one :class:`_PortMatcher` per
-    predictor port, which :meth:`predict` matches services against;
+    The entries live as columns -- predictor id, target port, probability,
+    grouped by predictor in the order predictors first appear -- and
+    construction derives a CSR over predictor ids from them: each
+    predictor's targets without its own port (a service never predicts its
+    own port), their probabilities and each probability's rank among the
+    index's distinct values.  :class:`_IndexCodebook` holds the family
+    lookup tables the batch route of :meth:`predict` joins against;
     :meth:`predict_reference` is the dictionary oracle it must equal.
     """
 
     def __init__(self, features: Iterable[PredictiveFeature]) -> None:
-        self._by_predictor: Dict[PredictorTuple, Dict[int, float]] = {}
+        by_predictor: Dict[PredictorTuple, Dict[int, float]] = {}
         for feature in features:
-            targets = self._by_predictor.setdefault(feature.predictor, {})
+            targets = by_predictor.setdefault(feature.predictor, {})
             existing = targets.get(feature.target_port)
             if existing is None or feature.probability > existing:
                 targets[feature.target_port] = feature.probability
-        self._entry_count = sum(len(t) for t in self._by_predictor.values())
-        self._predictor_table: Tuple[PredictorTuple, ...] = tuple(self._by_predictor)
-        self._matchers: Dict[int, _PortMatcher] = {}
-        for predictor_id, (predictor, targets) in enumerate(self._by_predictor.items()):
-            if len(predictor) < 2:
-                continue
-            port = predictor[1]
-            compiled = tuple([(target, probability, predictor_id)
-                              for target, probability in targets.items()
-                              if target != port])
-            if compiled:
-                matcher = self._matchers.get(port)
-                if matcher is None:
-                    matcher = self._matchers[port] = _PortMatcher()
-                matcher.add(predictor, compiled)
-        self._matcher_ports = np.array(sorted(self._matchers), dtype=np.int64)
+        pids = [pid for pid, targets in enumerate(by_predictor.values())
+                for _ in targets]
+        ports = [port for targets in by_predictor.values() for port in targets]
+        probabilities = [probability for targets in by_predictor.values()
+                         for probability in targets.values()]
+        self._load(tuple(by_predictor), np.array(pids, dtype=np.int64),
+                   np.array(ports, dtype=np.int64),
+                   np.array(probabilities, dtype=np.float64))
+        self._by_predictor = by_predictor
+
+    @classmethod
+    def from_columns(cls, predictor_of: Callable[[int], PredictorTuple],
+                     pids, ports, probabilities) -> "PredictiveFeatureIndex":
+        """The index over entry columns: ``(pids[i], ports[i],
+        probabilities[i])`` is one (predictor, target port, probability)
+        entry, and ``predictor_of`` decodes a predictor id.
+
+        Equals the index built from the same entries as features, in the
+        same order: predictors in the order they first appear, each one's
+        targets in the order they first appear, a repeated (predictor,
+        target) keeping its first maximum.  Only the distinct ids are
+        decoded.  The engine build passes the argmax winners and a snapshot
+        its saved columns.
+        """
+        pids = np.asarray(pids, dtype=np.int64)
+        ports = np.asarray(ports, dtype=np.int64)
+        probabilities = np.asarray(probabilities, dtype=np.float64)
+        pair_keys = pids << 16 | ports
+        # Per (predictor, target): the first most probable entry, and the
+        # first entry at all (which places the pair).
+        order = np.lexsort((-probabilities, pair_keys))
+        starts = segment_starts(pair_keys[order])
+        best = order[starts]
+        first = np.minimum.reduceat(order, starts) if order.size else starts
+        # Per predictor (pairs sorted by key run grouped by predictor): the
+        # first entry of any of its pairs.
+        pair_pids = pids[best]
+        pid_starts = segment_starts(pair_pids)
+        pid_first = (np.minimum.reduceat(first, pid_starts) if pid_starts.size
+                     else pid_starts)
+        pid_rank = np.empty_like(pid_first)
+        pid_rank[np.argsort(pid_first)] = np.arange(pid_first.size)
+        rank_of_pair = np.repeat(pid_rank, np.diff(np.append(pid_starts,
+                                                             pair_pids.size)))
+        entries = np.lexsort((first, rank_of_pair))
+        distinct = pair_pids[pid_starts][np.argsort(pid_first)]
+        index = cls.__new__(cls)
+        index._load(tuple(map(predictor_of, distinct.tolist())),
+                    rank_of_pair[entries], ports[best][entries],
+                    probabilities[best][entries])
+        index._by_predictor = None
+        return index
+
+    def _load(self, predictors: Tuple[PredictorTuple, ...], pids: np.ndarray,
+              ports: np.ndarray, probabilities: np.ndarray) -> None:
+        """Keep the entry columns; derive the CSR and the family tables."""
+        self._predictor_table = predictors
+        self._pids, self._ports, self._probabilities = pids, ports, probabilities
+        parts = list(map(_family_parts, predictors))
+        own = np.array([part[1] if part else -1 for part in parts], dtype=np.int64)
+        targeted = ports != own[pids]
+        lengths = np.bincount(pids[targeted], minlength=len(predictors))
+        self._offsets = np.zeros(len(predictors) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self._offsets[1:])
+        self._target_ports = ports[targeted]
+        self._target_probabilities = probabilities[targeted]
+        distinct, inverse = np.unique(self._target_probabilities,
+                                      return_inverse=True)
+        # 0 for the most probable value, so ascending rank is descending
+        # probability.
+        self._probability_ranks = distinct.size - 1 - inverse.reshape(-1)
+        self._rank_bits = max(int(distinct.size - 1).bit_length(), 1)
+        self._codebook = _IndexCodebook([
+            (pid,) + parts[pid] for pid in np.flatnonzero(lengths).tolist()
+            if parts[pid] is not None])
+        self._row_route: Optional[Dict[PredictorTuple, Tuple[
+            int, Tuple[Tuple[int, float], ...]]]] = None
         # Bounded LRU memo for network_feature_values, shared across predict
         # calls; keyed per (asn_db, feature kinds) identity so an index
         # reused against a different universe never serves stale features.
@@ -403,21 +358,41 @@ class PredictiveFeatureIndex:
     # -- queries -----------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._entry_count
+        return len(self._pids)
+
+    def entry_columns(self) -> Tuple[Tuple[PredictorTuple, ...], np.ndarray,
+                                     np.ndarray, np.ndarray]:
+        """The predictor table and the ``(pid, target port, probability)``
+        entry columns, grouped by predictor in table order: the input of
+        :meth:`from_columns`."""
+        return self._predictor_table, self._pids, self._ports, self._probabilities
+
+    def _targets(self) -> Dict[PredictorTuple, Dict[int, float]]:
+        """``predictor -> {target port: probability}``, decoded on first use."""
+        by_predictor = self._by_predictor
+        if by_predictor is None:
+            by_predictor = {}
+            table = self._predictor_table
+            for pid, port, probability in zip(self._pids.tolist(),
+                                              self._ports.tolist(),
+                                              self._probabilities.tolist()):
+                by_predictor.setdefault(table[pid], {})[port] = probability
+            self._by_predictor = by_predictor
+        return by_predictor
 
     def predictors(self) -> List[PredictorTuple]:
         """All predictor tuples present in the index."""
-        return list(self._by_predictor)
+        return list(self._predictor_table)
 
     def targets_for(self, predictor: PredictorTuple) -> Dict[int, float]:
         """Ports predicted by one predictor tuple (with probabilities)."""
-        return dict(self._by_predictor.get(predictor, {}))
+        return dict(self._targets().get(predictor, {}))
 
     def entries(self) -> List[PredictiveFeature]:
         """All (predictor, target port, probability) entries, most probable first."""
         out = [
             PredictiveFeature(predictor=predictor, target_port=port, probability=prob)
-            for predictor, targets in self._by_predictor.items()
+            for predictor, targets in self._targets().items()
             for port, prob in targets.items()
         ]
         out.sort(key=lambda f: (-f.probability, f.target_port))
@@ -502,16 +477,16 @@ class PredictiveFeatureIndex:
             order in which GPS probes them: equal to
             :meth:`predict_reference` row for row.
 
-        Each service is matched against its port's compiled
-        :class:`_PortMatcher` (a port without one is skipped before any
-        feature is derived), which visits the matching predictors in the
-        reference order P -> PA -> PN -> PAN, so an equal-probability tie
-        keeps the predictor the reference keeps.  The input's type picks the
-        route: a batch (GPS's priors scan) folds in numpy array passes
-        (:meth:`_predict_batch`), and row objects (served lookups, bulk
-        predictions, known hosts) in a row loop (:meth:`_predict_rows`),
-        whose cost stays proportional to the handful of rows a lookup
-        carries.
+        Both routes read the CSR: each row's predictor ids, in derivation
+        order (P -> PA -> PN -> PAN), expand into their targets, and per
+        target pair the first most probable candidate is kept, so an
+        equal-probability tie keeps the predictor the reference keeps.  The
+        input's type picks how the ids are found: a batch (GPS's priors
+        scan) joins its columns against the index's family tables in numpy
+        array passes (:meth:`_predict_batch`), and row objects (served
+        lookups, bulk predictions, known hosts) derive each row's tuples and
+        look them up in one tuple -> id dict (:meth:`_predict_rows`), whose
+        cost stays proportional to the handful of rows a lookup carries.
         """
         if isinstance(observations, ObservationBatch):
             return self._predict_batch(observations, asn_db, feature_config,
@@ -519,16 +494,41 @@ class PredictiveFeatureIndex:
         return self._predict_rows(observations, asn_db, feature_config,
                                   known_pairs)
 
+    def _row_targets(self) -> Dict[PredictorTuple, Tuple[int, Tuple[Tuple[int, float], ...]]]:
+        """``predictor -> (id, its CSR run as (target port, probability)
+        pairs)`` over the predictors with targets: the row route's one
+        lookup per tuple (built on its first call)."""
+        targets = self._row_route
+        if targets is None:
+            table = self._predictor_table
+            offsets = self._offsets.tolist()
+            pairs = list(zip(self._target_ports.tolist(),
+                             self._target_probabilities.tolist()))
+            targets = self._row_route = {
+                table[pid]: (pid, tuple(pairs[offsets[pid]:offsets[pid + 1]]))
+                for pid in np.flatnonzero(np.diff(self._offsets)).tolist()}
+        return targets
+
     def _predict_rows(self, observations: Iterable[ScanObservation],
                       asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
                       known_pairs: KnownPairs) -> Predictions:
-        """:meth:`predict` over row objects: one match per row.
+        """:meth:`predict` over row objects: one tuple derivation per row.
 
-        Each address derives its network values through the index's memo;
-        the candidates fold into flat columns keyed by ``ip << 16 | port``
-        (ports are 16-bit) and sort once.
+        A row on a port without targets is skipped before anything is
+        derived; the rest read their network values through the index's
+        memo and derive their tuples as the reference does, but only from
+        the app keys their port files, and with network values only on
+        ports that file network predictors.  The candidates fold into flat
+        columns keyed by ``ip << 16 | port`` (ports are 16-bit) and sort
+        once.
         """
-        matchers = self._matchers
+        targets_of = self._row_targets()
+        ports, net_ports = self._codebook.ports, self._codebook.net_ports
+        keys_on = self._codebook.keys_on
+        app_keys = (feature_config.app_feature_keys
+                    if feature_config.include_app
+                    or feature_config.include_app_network else ())
+        keys_by_port: Dict[int, List[str]] = {}
         net_values_of = self._net_values_of(
             asn_db, feature_config.network_feature_kinds)
         if isinstance(known_pairs, np.ndarray):
@@ -541,26 +541,40 @@ class PredictiveFeatureIndex:
         predictor_ids: List[int] = []
         for observation in observations:
             ip, port = observation.ip, observation.port
-            matcher = matchers.get(port)
-            if matcher is None:
+            if port not in ports:
                 continue
-            targets = matcher.match(observation.app_features, net_values_of(ip),
-                                    feature_config)
+            filed = keys_by_port.get(port)
+            if filed is None:
+                on_port = keys_on(port)
+                filed = keys_by_port[port] = [key for key in app_keys
+                                              if key in on_port]
+            get = observation.app_features.get
+            # Keys the port files no entry with derive nothing that matches.
+            app_items = [(key, value) for key in filed if (value := get(key))]
             ip_key = ip << 16
-            for target_port, probability, predictor_id in targets:
-                key = ip_key | target_port
-                slot = slots.get(key)
-                if slot is None:
-                    if key in known:
-                        slots[key] = -1
-                        continue
-                    slots[key] = len(keys)
-                    keys.append(key)
-                    probabilities.append(probability)
-                    predictor_ids.append(predictor_id)
-                elif slot >= 0 and probability > probabilities[slot]:
-                    probabilities[slot] = probability
-                    predictor_ids[slot] = predictor_id
+            net_values = net_values_of(ip)
+            if port not in net_ports:
+                net_values = ()
+            for predictor in predictor_tuples(port, app_items, net_values,
+                                              feature_config):
+                matched = targets_of.get(predictor)
+                if matched is None:
+                    continue
+                pid, targets = matched
+                for target_port, probability in targets:
+                    key = ip_key | target_port
+                    slot = slots.get(key)
+                    if slot is None:
+                        if key in known:
+                            slots[key] = -1
+                            continue
+                        slots[key] = len(keys)
+                        keys.append(key)
+                        probabilities.append(probability)
+                        predictor_ids.append(pid)
+                    elif slot >= 0 and probability > probabilities[slot]:
+                        probabilities[slot] = probability
+                        predictor_ids[slot] = pid
         # Probability descending, then (ip, port) ascending: one sort by the
         # packed pair key, then a stable sort by negated probability.
         order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -575,67 +589,44 @@ class PredictiveFeatureIndex:
     def _predict_batch(self, batch: ObservationBatch,
                        asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
                        known_pairs: KnownPairs) -> Predictions:
-        """:meth:`predict` over a batch's columns, in numpy array passes.
+        """:meth:`predict` over a batch's columns, as one join.
 
-        1. Every distinct address of a row with a matcher gets a
-           network-values id: subnet keys come from arithmetic, the ASN from
-           :meth:`~repro.net.asn.AsnDatabase.asn_of_many`.
-        2. ``match`` runs once per distinct (banner id, port, network-values
-           id) key.  Each id is the inverse of an ``np.unique`` over the
-           previous id times the next column's width, so no id assumes a
-           bit width.
-        3. The keys' targets expand in row order (``np.repeat``); a stable
-           ``lexsort`` on (pair key, -probability) keeps per
-           ``ip << 16 | port`` the first most probable candidate -- the
+        1. The rows on ports with targets derive their predictor ids, in
+           (row, derivation rank) order, through the family-wise
+           derivation (:func:`~repro.core.features.derive_predictor_codes`)
+           against the index's tables: each distinct (banner, port) pair's
+           app values are read once, network values come as arrays per
+           distinct address.
+        2. Each id expands into its CSR targets, in that order.  One stable
+           sort on ``(ip << 16 | port) << rank bits | probability rank``
+           puts per pair the first most probable candidate first -- the
            reference's strict ``>`` -- and known pairs drop through a
            ``searchsorted`` test against their sorted packed keys (packed
-           here only when they come as a set).  A second ``lexsort`` on
-           (-probability, pair key) gives the probing order.
+           here only when they come as a set).  A second sort on
+           ``probability rank << 48 | pair key`` gives the probing order.
         """
         ips = as_numpy(batch.ips)
         ports = as_numpy(batch.ports)
-        rows = np.flatnonzero(np.isin(ports, self._matcher_ports))
-        row_ips, row_ports = ips[rows], ports[rows]
-        row_banners = as_numpy(batch.banner_ids)[rows]
+        rows = np.flatnonzero(np.isin(ports, self._codebook.port_array))
+        row_ips = ips[rows]
+        entry_rows, pids = derive_predictor_codes(
+            batch, ports[rows], as_numpy(batch.banner_ids)[rows], row_ips, None,
+            asn_db, feature_config, self._codebook)
 
-        hosts, host_of_row = np.unique(row_ips, return_inverse=True)
-        net_columns = _network_columns(hosts, asn_db,
-                                       feature_config.network_feature_kinds)
-        net_of_host, net_first = _dense_ids([values for _, values in net_columns],
-                                            len(hosts))
-        net_table = _network_values_table(net_columns, net_first)
-        net_of_row = net_of_host[host_of_row]
-
-        key_of_row, key_first = _dense_ids([row_banners, row_ports, net_of_row],
-                                           len(rows))
-        interned, local_banners = batch.banners.features, batch.local_banners
-        matchers = self._matchers
-        matched: List[_Targets] = []
-        for banner, port, net in zip(row_banners[key_first].tolist(),
-                                     row_ports[key_first].tolist(),
-                                     net_of_row[key_first].tolist()):
-            features = (interned(banner) if banner >= 0
-                        else local_banners[-banner - 1])
-            matched.append(matchers[port].match(features, net_table[net],
-                                                feature_config))
-
-        # Expand every row's targets, in row order.
-        lengths = np.fromiter(map(len, matched), dtype=np.int64, count=len(matched))
-        flat = np.fromiter(chain.from_iterable(matched), dtype=_TARGET_DTYPE,
-                           count=int(lengths.sum()))
-        counts = lengths[key_of_row]
-        row_starts = np.cumsum(counts) - counts
-        key_starts = np.cumsum(lengths) - lengths
-        candidates = (np.arange(int(counts.sum()))
-                      + np.repeat(key_starts[key_of_row] - row_starts, counts))
-        pair_keys = (np.repeat(row_ips, counts) << 16) | flat["port"][candidates]
-        probabilities = flat["probability"][candidates]
+        # Expand every entry's targets, in entry order.
+        offsets = self._offsets
+        counts = offsets[pids + 1] - offsets[pids]
+        ends = np.cumsum(counts)
+        candidates = expand_ranges(offsets[pids], counts)
+        pair_keys = (np.repeat(row_ips[entry_rows] << 16, counts)
+                     | self._target_ports[candidates])
+        ranks = self._probability_ranks[candidates]
 
         # The first most probable candidate per pair, unless it is known.
-        order = np.lexsort((-probabilities, pair_keys))
+        order = _stable_order(pair_keys, ranks, self._rank_bits)
         sorted_keys = pair_keys[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        first = np.ones(order.size, dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
         kept = order[first]
         kept_keys = pair_keys[kept]
         if isinstance(known_pairs, np.ndarray):
@@ -648,12 +639,14 @@ class PredictiveFeatureIndex:
             unknown = known[at] != kept_keys
             kept, kept_keys = kept[unknown], kept_keys[unknown]
 
-        final = kept[np.lexsort((kept_keys, -probabilities[kept]))]
+        final = kept[_stable_order(ranks[kept], kept_keys, _PAIR_BITS)]
         final_keys = pair_keys[final]
+        entries = np.searchsorted(ends, final, side="right")
         return Predictions(array("q", (final_keys >> 16).tobytes()),
                            array("q", (final_keys & 0xFFFF).tobytes()),
-                           array("d", probabilities[final].tobytes()),
-                           array("q", flat["predictor"][candidates[final]].tobytes()),
+                           array("d", self._target_probabilities[
+                               candidates[final]].tobytes()),
+                           array("q", pids[entries].tobytes()),
                            self._predictor_table)
 
     def predict_reference(
@@ -673,6 +666,7 @@ class PredictiveFeatureIndex:
         """
         known = known_pairs or set()
         best: Dict[Tuple[int, int], PredictedService] = {}
+        by_predictor = self._targets()
         net_values_of = self._net_values_of(
             asn_db, feature_config.network_feature_kinds)
         for observation in observations:
@@ -680,7 +674,7 @@ class PredictiveFeatureIndex:
             predictors = predictor_tuples_for_observation(observation, net_values,
                                                           feature_config)
             for predictor in predictors:
-                targets = self._by_predictor.get(predictor)
+                targets = by_predictor.get(predictor)
                 if not targets:
                     continue
                 for target_port, probability in targets.items():
@@ -698,59 +692,176 @@ class PredictiveFeatureIndex:
         return predictions
 
 
-def _network_columns(hosts: np.ndarray, asn_db: Optional[AsnDatabase],
-                     kinds: Sequence[str]) -> List[Tuple[str, np.ndarray]]:
-    """Each network feature kind's value per address, as ``(kind, values)``.
+def _stable_order(major: np.ndarray, minor: np.ndarray, minor_bits: int) -> np.ndarray:
+    """The stable order of rows by ``(major, minor)``, both non-negative.
 
-    The array twin of :func:`~repro.core.features.network_feature_values`:
-    subnet keys by arithmetic, ASNs through
-    :meth:`~repro.net.asn.AsnDatabase.asn_of_many` (0 where unannounced,
-    which :func:`_network_values_table` skips) and no ASN column without a
-    database.
+    One sort on ``major << minor_bits | minor`` when that fits in int64
+    (a 48-bit pair key leaves room for 15 bits of probability rank), else a
+    two-key ``lexsort``.
     """
-    columns: List[Tuple[str, np.ndarray]] = []
-    for kind in kinds:
-        if kind == "asn":
-            if asn_db is not None:
-                columns.append((kind, asn_db.asn_of_many(hosts)))
-        elif kind.startswith("subnet"):
-            prefix_len = int(kind[len("subnet"):])
-            columns.append((kind, (hosts & prefix_mask(prefix_len)) << 6 | prefix_len))
-        else:
-            raise ValueError(f"unknown network feature kind: {kind}")
-    return columns
+    major_bits = int(major.max()).bit_length() if major.size else 0
+    if major_bits + minor_bits <= 63:
+        return np.argsort(major << minor_bits | minor, kind="stable")
+    return np.lexsort((minor, major))
 
 
-def _network_values_table(columns: Sequence[Tuple[str, np.ndarray]],
-                          first: np.ndarray) -> List[Tuple[Tuple[str, int], ...]]:
-    """The network-values tuple of each id, read from the id's first address."""
-    picked = [(kind, values[first].tolist()) for kind, values in columns]
-    return [tuple((kind, values[i]) for kind, values in picked
-                  if values[i] or kind != "asn")
-            for i in range(len(first))]
+def _family_parts(predictor: PredictorTuple):
+    """``(family, port, app key, app value, network kind, network value)``
+    of a predictor tuple an observation can derive, else ``None``.
 
-
-def _dense_ids(columns: Sequence[np.ndarray], size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the distinct rows of ``columns``, and each id's first row.
-
-    Ids number the distinct rows in lexicographic order of the columns (the
-    first column most significant).  One stable ``lexsort`` puts equal rows
-    next to each other in row order; a row whose values differ from its
-    predecessor's starts a new id, and that row is the id's first.  No
-    arithmetic combines the columns, so no value width is assumed.  Without
-    columns every row is the same row: one id.
+    A tuple of another shape, a port outside 16 bits, a falsy app value or
+    a non-integer network value is never derived (the reference predict
+    agrees by construction), so it has no place in the family tables.
     """
-    if not columns or size == 0:
-        return np.zeros(size, dtype=np.int64), np.zeros(min(size, 1), dtype=np.int64)
-    order = np.lexsort(columns[::-1])
-    starts = np.zeros(size, dtype=bool)
-    starts[0] = True
-    for column in columns:
-        ordered = column[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    ids = np.empty(size, dtype=np.int64)
-    ids[order] = np.cumsum(starts) - 1
-    return ids, order[starts]
+    family = predictor[0] if predictor else None
+    if _FAMILY_LENGTHS.get(family) != len(predictor):
+        return None
+    port = predictor[1]
+    if not isinstance(port, int) or not 0 <= port <= 0xFFFF:
+        return None
+    key = value = kind = net = None
+    if family == "PA":
+        key, value = predictor[2:]
+    elif family == "PN":
+        kind, net = predictor[2:]
+    elif family == "PAN":
+        key, value, kind, net = predictor[2:]
+    if (key is not None and not value) or (
+            kind is not None and not (isinstance(net, int)
+                                      and INT64_MIN <= net <= INT64_MAX)):
+        return None
+    return family, port, key, value, kind, net
+
+
+_FAMILY_LENGTHS = {"P": 2, "PA": 4, "PN": 4, "PAN": 6}
+
+
+def _join(keys: np.ndarray, ids: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The id of each probe in the sorted ``keys``, -1 where it is missing."""
+    if not keys.size:
+        return np.full(probes.size, -1, dtype=np.int64)
+    at = np.searchsorted(keys, probes).clip(max=keys.size - 1)
+    return np.where(keys[at] == probes, ids[at], -1)
+
+
+def _scatter(size: int, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """An id per slot from ``(slot, id)`` pairs, -1 for the slots without one."""
+    out = np.full(size, -1, dtype=np.int64)
+    if pairs:
+        slots, ids = zip(*pairs)
+        out[list(slots)] = ids
+    return out
+
+
+def _sorted_table(keys: Sequence[int], ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, ids)`` as arrays sorted by key, for :func:`_join`."""
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys)
+    return keys[order], np.array(ids, dtype=np.int64)[order]
+
+
+class _IndexCodebook(PredictorCodebook):
+    """An index's family lookup tables: predictor parts -> predictor ids.
+
+    The :class:`~repro.core.features.PredictorCodebook` the batch route
+    derives against.  It files the predictors that have targets, coding
+    their parts as the derivation does -- app keys, app values and
+    (network kind, value) pairs numbered here, items packed with the port
+    -- and answers each family with a join on sorted keys (-1 where the
+    index holds no such predictor).  App keys are read only on the ports
+    that file them.
+    """
+
+    def __init__(self, filed: Sequence[tuple]) -> None:
+        """``filed`` holds ``(pid,) + _family_parts(predictor)`` of each
+        predictor with targets."""
+        self.key_code: Dict[str, int] = {}
+        self.values: Dict[object, int] = {}
+        net_code: Dict[Tuple[str, int], int] = {}
+        for _, _, _, key, value, kind, net in filed:
+            if key is not None:
+                self.key_code.setdefault(key, len(self.key_code))
+                self.values.setdefault(value, len(self.values))
+            if kind is not None:
+                net_code.setdefault((kind, net), len(net_code))
+        self.key_count = len(self.key_code)
+        self.kinds = tuple(dict.fromkeys(kind for kind, _ in net_code))
+        self._net_values = {kind: _sorted_table(
+            [net for of, net in net_code if of == kind],
+            [code for (of, _), code in net_code.items() if of == kind])
+            for kind in self.kinds}
+        self._port_keys: Dict[Optional[int], Set[str]] = {None: set()}
+        transport: Dict[int, int] = {}
+        app_items: Dict[int, int] = {}
+        net_items: Dict[int, int] = {}
+        pa: List[Tuple[int, int]] = []
+        pn: List[Tuple[int, int]] = []
+        pan: List[Tuple[int, int, int]] = []
+        for pid, family, port, key, value, kind, net in filed:
+            if key is not None:
+                app_item = app_items.setdefault(self.app_item_keys(
+                    self.values[value], self.key_code[key], port), len(app_items))
+                self._port_keys.setdefault(port, set()).add(key)
+            if kind is not None:
+                net_item = net_items.setdefault(net_code[kind, net] << 16 | port,
+                                                len(net_items))
+            if family == "P":
+                transport[port] = pid
+            elif family == "PA":
+                pa.append((app_item, pid))
+            elif family == "PN":
+                pn.append((net_item, pid))
+            else:
+                pan.append((app_item, net_item, pid))
+        self.ports = frozenset(parts[2] for parts in filed)
+        self.net_ports = frozenset(parts[2] for parts in filed
+                                   if parts[5] is not None)
+        self.port_array = np.array(sorted(self.ports), dtype=np.int64)
+        self._transport = _sorted_table(list(transport), list(transport.values()))
+        self._app_items = _sorted_table(list(app_items), list(app_items.values()))
+        self._net_items = _sorted_table(list(net_items), list(net_items.values()))
+        self.net_item_count = len(net_items)
+        self._app = _scatter(len(app_items), pa)
+        self._network = _scatter(len(net_items), pn)
+        self._crossed = np.zeros(len(app_items), dtype=bool)
+        self._crossed[[item for item, _, _ in pan]] = True
+        self._app_network = _sorted_table(
+            [item * self.net_item_count + net_item for item, net_item, _ in pan],
+            [pid for _, _, pid in pan])
+
+    # -- PredictorCodebook -------------------------------------------------------------
+
+    def keys_on(self, port: Optional[int]) -> Collection[str]:
+        return self._port_keys.get(port, ())
+
+    def value_codes(self, values: Iterable) -> Iterator[int]:
+        return map(self.values.get, values, repeat(-1))
+
+    def net_codes(self, kind: str, values: np.ndarray,
+                  present: np.ndarray) -> np.ndarray:
+        return np.where(present, _join(*self._net_values[kind], values), -1)
+
+    def transport(self, ports: np.ndarray) -> np.ndarray:
+        return _join(*self._transport, ports)
+
+    def app_items(self, keys: np.ndarray) -> np.ndarray:
+        return _join(*self._app_items, keys)
+
+    def app(self, items: np.ndarray) -> np.ndarray:
+        return self._app[items]
+
+    def crossed(self, items: np.ndarray) -> np.ndarray:
+        return self._crossed[items]
+
+    def network_items(self, keys: np.ndarray) -> np.ndarray:
+        return _join(*self._net_items, keys)
+
+    def network(self, items: np.ndarray) -> np.ndarray:
+        return self._network[items]
+
+    def app_network(self, app_items: np.ndarray, net_items: np.ndarray) -> np.ndarray:
+        return _join(*self._app_network,
+                     app_items * self.net_item_count + net_items)
 
 
 # -- engine-backed index construction ----------------------------------------------------
@@ -785,11 +896,8 @@ def build_prediction_index_with_engine(
         min_pattern_support: preferred-tier support floor (see ``from_seed``).
         dataset: the resident dataset loaded from ``host_features``.
     """
-    return PredictiveFeatureIndex(
-        PredictiveFeature(predictor=predictor, target_port=label,
-                          probability=probability)
-        for label, predictor, probability in dataset.argmax_winners(
-            model, port_domain=port_domain,
-            min_pattern_support=min_pattern_support,
-            probability_cutoff=probability_cutoff)
-    )
+    ports, pids, probabilities = dataset.argmax_winners(
+        model, port_domain=port_domain, min_pattern_support=min_pattern_support,
+        probability_cutoff=probability_cutoff)
+    return PredictiveFeatureIndex.from_columns(dataset.encoder.decode, pids, ports,
+                                               probabilities)

@@ -367,14 +367,15 @@ class ResidentHostGroups:
                        port_domain: Optional[Sequence[int]] = None,
                        min_pattern_support: int = 2,
                        probability_cutoff: float = 1e-5,
-                       ) -> List[Tuple[int, Any, float]]:
+                       ) -> Tuple[Any, Any, Any]:
         """Run the argmax partner-selection query against the resident shards.
 
-        Returns decoded ``(target port, predictor tuple, probability)``
-        winners in exact host order -- hash-sharding permutes hosts, so each
+        Returns the winners as ``(target port, predictor id, probability)``
+        arrays in exact host order -- hash-sharding permutes hosts, so each
         shard's winners come back tagged with their host's original index
-        and are merged back before decoding.  Only the whitelist and
-        thresholds ship per call.
+        and are merged back.  Ids are the dataset encoder's; only the ids
+        that tie are decoded, for the last tie-break.  Only the whitelist
+        and thresholds ship per call.
         """
         self._check_usable()
         self.ensure_sides(model)
@@ -395,10 +396,7 @@ class ResidentHostGroups:
         targets, pids, probs = targets[keep], pids[keep], probs[keep]
         # Rows still tied carry one id twice: the first one wins.
         first = segment_starts(targets)
-        decode = self.encoder.decode
-        return [(port, decode(pid), prob) for port, pid, prob in zip(
-            (targets[first] % MODEL_PACK_BASE).tolist(),
-            pids[first].tolist(), probs[first].tolist())]
+        return targets[first] % MODEL_PACK_BASE, pids[first], probs[first]
 
     def _tie_ranks(self, targets, pids):
         """Each row's rank among the tied rows' ids in ascending
@@ -412,9 +410,19 @@ class ResidentHostGroups:
         tied = np.repeat(lengths > 1, lengths)
         if not tied.any():
             return ranks
+        values = self.encoder.values()
+        seen = np.zeros(len(values), dtype=bool)
+        seen[pids[tied]] = True
+        ids = np.flatnonzero(seen)
+        tuples = list(map(values.__getitem__, ids.tolist()))
+        rank_of = np.zeros(len(values), dtype=np.int64)
+        rank_of[ids[sorted(range(ids.size), key=tuples.__getitem__)]] = \
+            np.arange(ids.size)
+        ranks[tied] = rank_of[pids[tied]]
+        return ranks
         ids = np.unique(pids[tied])
-        ordered = sorted(ids.tolist(), key=self.encoder.decode)
+        tuples = list(map(self.encoder.values().__getitem__, ids.tolist()))
         rank_of = np.empty(ids.size, dtype=np.int64)
-        rank_of[np.searchsorted(ids, ordered)] = np.arange(ids.size)
+        rank_of[sorted(range(ids.size), key=tuples.__getitem__)] = np.arange(ids.size)
         ranks[tied] = rank_of[np.searchsorted(ids, pids[tied])]
         return ranks

@@ -62,7 +62,8 @@ class DictionaryEncoder:
         """Encode a whole column, returning the parallel list of ids.
 
         A list or tuple whose values all have ids already is read in one
-        C-level pass; otherwise values are assigned ids in order.
+        C-level pass, and one of distinct values none of which has an id
+        is numbered in another; otherwise values are assigned ids in order.
         """
         ids = self._ids
         if isinstance(values, (list, tuple)):
@@ -70,6 +71,12 @@ class DictionaryEncoder:
                 return list(map(ids.__getitem__, values))
             except KeyError:
                 pass
+            start = len(self._values)
+            fresh = dict(zip(values, range(start, start + len(values))))
+            if len(fresh) == len(values) and ids.keys().isdisjoint(fresh):
+                ids.update(fresh)
+                self._values.extend(values)
+                return list(fresh.values())
         out: List[int] = []
         append = out.append
         for value in values:

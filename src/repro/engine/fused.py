@@ -32,6 +32,7 @@ from repro.engine.columns import IntColumn, require_numpy, to_numpy
 
 __all__ = [
     "candidate_table",
+    "expand_ranges",
     "fold_argmax_winners",
     "fold_model_pairs",
     "fold_model_pairs_arrays",
@@ -215,6 +216,15 @@ def segment_starts(segments):
     change[:1] = True
     np.not_equal(segments[1:], segments[:-1], out=change[1:])
     return np.flatnonzero(change)
+
+
+def expand_ranges(starts, counts):
+    """``starts[i] .. starts[i] + counts[i] - 1`` for each ``i``, concatenated:
+    the positions of the runs of a CSR that rows ``i`` select."""
+    np = require_numpy()
+    ends = np.cumsum(counts)
+    return (np.arange(int(ends[-1]) if ends.size else 0)
+            + np.repeat(starts - (ends - counts), counts))
 
 
 def candidate_table(member_starts, labels, value_starts, value_ids,

@@ -59,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.columns import ColumnView, IntColumn, to_numpy
+from repro.engine.columns import ColumnView, IntColumn, require_numpy, to_numpy
 from repro.engine.encoding import DictionaryEncoder
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -520,22 +520,16 @@ class Snapshot:
         ]
 
     def prediction_index(self):
-        """Rebuild the most-predictive-feature-values index."""
-        from repro.core.predictions import (
-            PredictiveFeature,
-            PredictiveFeatureIndex,
-        )
+        """Rebuild the most-predictive-feature-values index from its columns."""
+        from repro.core.predictions import PredictiveFeatureIndex
 
-        meta = self.section_meta(_INDEX_SECTION)
-        predictors = list(map(tuple, meta["predictors"]))
+        np = require_numpy()
+        predictors = list(map(tuple, self.section_meta(_INDEX_SECTION)["predictors"]))
         columns = self.columns(_INDEX_SECTION)
-        return PredictiveFeatureIndex(
-            PredictiveFeature(predictor=predictors[pid], target_port=port,
-                              probability=probability)
-            for pid, port, probability in zip(
-                columns["pids"].tolist(), columns["ports"].tolist(),
-                columns["probabilities"].tolist())
-        )
+        return PredictiveFeatureIndex.from_columns(
+            predictors.__getitem__, to_numpy(columns["pids"]),
+            to_numpy(columns["ports"]),
+            np.frombuffer(columns["probabilities"].raw, dtype=np.float64))
 
 
 def _predictor_to_json(predictor: Any) -> list:
@@ -766,22 +760,14 @@ def _add_priors(writer: SnapshotWriter, priors_plan: Sequence[Any]) -> None:
 
 
 def _add_index(writer: SnapshotWriter, index: Any) -> None:
-    encoder = DictionaryEncoder()
-    pids, ports = IntColumn(), IntColumn()
-    probabilities = array("d")
-    # Save in the index's own iteration order (not the sorted entries()
-    # view) so the rebuilt _by_predictor matches insertion order exactly.
-    for predictor, targets in index._by_predictor.items():
-        pid = encoder.encode(predictor)
-        for port, probability in targets.items():
-            pids.append(pid)
-            ports.append(port)
-            probabilities.append(probability)
+    # The index's own entry order (not the sorted entries() view), so the
+    # reloaded index files its predictors and targets in the same order.
+    predictors, pids, ports, probabilities = index.entry_columns()
     writer.add_section(
         _INDEX_SECTION,
-        {"pids": pids, "ports": ports, "probabilities": probabilities},
-        meta={"predictors": [_predictor_to_json(p)
-                             for p in encoder.values()]},
+        {"pids": IntColumn.from_numpy(pids), "ports": IntColumn.from_numpy(ports),
+         "probabilities": array("d", probabilities.tobytes())},
+        meta={"predictors": [_predictor_to_json(p) for p in predictors]},
         dtypes={"probabilities": "float64"}, lazy_meta=False)
 
 

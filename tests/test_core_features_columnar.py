@@ -3,7 +3,8 @@
 ``extract_host_features_columns`` folds predictor tuples straight from
 ``ObservationBatch`` columns into encoded ``HostFeatureColumns``; these tests
 pin it to ``extract_host_features`` (same hosts in the same order, same
-ports, same decoded predictor tuples in the same order) and pin the GPS
+ports, same decoded predictor tuples in the same order), pin the encoder's
+ids to the order the oracle's tuples first appear in, and pin the GPS
 orchestrator's columnar engine ingest to the reference object-ingest path
 across every runtime executor.
 """
@@ -11,8 +12,9 @@ across every runtime executor.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.config import FeatureConfig, GPSConfig
+from repro.core.config import NETWORK_FEATURE_KINDS, FeatureConfig, GPSConfig
 from repro.core.features import (
     extract_host_features,
     extract_host_features_columns,
@@ -21,6 +23,8 @@ from repro.core.gps import GPS
 from repro.core.model import build_model
 from repro.core.predictions import PredictiveFeatureIndex
 from repro.core.priors import build_priors_plan
+from repro.internet.banners import BannerInterner
+from repro.net.asn import AsnDatabase, AsnRecord
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ObservationBatch, ScanObservation
 from tests.conftest import ENGINE_LAYOUTS, engine_builds
@@ -109,6 +113,59 @@ class TestColumnarExtractionEquivalence:
         assert priors == build_priors_plan(oracle, model, 16)
         assert index.entries() == \
             PredictiveFeatureIndex.from_seed(oracle, model).entries()
+
+
+#: Hosts in two announced prefixes and one unannounced address.
+IPS = (0x0A000001, 0x0A000002, 0x0A00F001, 0x0A018001, 0xC0A80001)
+ASN_DB = AsnDatabase([AsnRecord(0x0A000000, 16, 100),
+                      AsnRecord(0x0A010000, 17, 200)])
+APP_KEYS = ("protocol", "http_server", "ssh_banner")
+banners = st.dictionaries(st.sampled_from(APP_KEYS),
+                          st.sampled_from(("a", "b", "")), max_size=3)
+# (ip, port, banner, carried as a batch-local banner?); few hosts and ports,
+# so (host, port) rows repeat.
+rows = st.lists(st.tuples(st.sampled_from(IPS), st.sampled_from((22, 80, 443)),
+                          banners, st.booleans()), max_size=24)
+configs = st.builds(
+    lambda keys, kinds, flags: FeatureConfig(
+        app_feature_keys=tuple(keys), network_feature_kinds=tuple(kinds),
+        include_transport_only=flags[0], include_app=flags[1],
+        include_network=flags[2], include_app_network=flags[3]),
+    st.lists(st.sampled_from(APP_KEYS), max_size=4),
+    st.lists(st.sampled_from(NETWORK_FEATURE_KINDS[:3]), max_size=3),
+    st.tuples(st.booleans(), st.booleans(), st.booleans(),
+              st.booleans()).filter(any))
+
+
+def _drawn_batch(drawn_rows):
+    batch = ObservationBatch(banners=BannerInterner())
+    status = batch.status_id("http")
+    for ip, port, banner, local in drawn_rows:
+        banner_id = (batch.add_local_banner(banner) if local
+                     else batch.banners.intern(banner))
+        batch.append(ip, port, status, banner_id, 64)
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_rows=rows, config=st.one_of(configs, st.just(FeatureConfig())),
+       asn_db=st.sampled_from([ASN_DB, None]))
+def test_encoder_ids_follow_the_oracle_first_appearance_order(drawn_rows, config,
+                                                               asn_db):
+    """``encoder.values()`` is the object oracle's tuples in the order they
+    first appear: hosts in order, ports ascending, tuples in derivation
+    order.  Drawn over ablations (families off, key and kind subsets,
+    repeated keys and kinds), no ASN database, unannounced addresses,
+    batch-local banners and repeated (host, port) rows, where the last
+    wins."""
+    batch = _drawn_batch(drawn_rows)
+    oracle = extract_host_features(batch.materialize(), asn_db, config)
+    columns = extract_host_features_columns(batch, asn_db, config)
+    expected = dict.fromkeys(
+        predictor for host in oracle.values() for port in host.open_ports()
+        for predictor in host.ports[port])
+    assert columns.encoder.values() == list(expected)
+    _assert_columns_match_oracle(columns, oracle)
 
 
 class TestGPSColumnarIngestEquivalence:

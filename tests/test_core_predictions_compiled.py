@@ -29,7 +29,6 @@ from repro.core.predictions import (
     Predictions,
     PredictiveFeature,
     PredictiveFeatureIndex,
-    _dense_ids,
 )
 from repro.engine.encoding import DictionaryEncoder
 from repro.internet.banners import BannerInterner
@@ -287,47 +286,6 @@ def test_ports_without_entries_are_skipped():
     assert index.predict(rows, ASN_DB, FeatureConfig()).pairs() == [(IPS[1], 443)]
     # Only the matched row's host reached the network-feature memo.
     assert list(index._net_cache) == [IPS[1]]
-
-
-def _dense_ids_by_fold(columns, size):
-    """The ``np.unique`` fold ``_dense_ids`` replaced: ids so far times the
-    next column's distinct count plus its inverse, densified again."""
-    ids = np.zeros(size, dtype=np.int64)
-    for column in columns:
-        values, inverse = np.unique(column, return_inverse=True)
-        _, ids = np.unique(ids * len(values) + inverse, return_inverse=True)
-    _, first = np.unique(ids, return_index=True)
-    return ids, first
-
-
-def _assert_dense_ids_match_fold(columns, size):
-    ids, first = _dense_ids(columns, size)
-    expected_ids, expected_first = _dense_ids_by_fold(columns, size)
-    assert ids.tolist() == expected_ids.tolist()
-    assert first.tolist() == expected_first.tolist()
-
-
-@given(data=st.data(), size=st.integers(min_value=0, max_value=40),
-       width=st.integers(min_value=0, max_value=4))
-def test_dense_ids_match_the_unique_fold(data, size, width):
-    values = st.integers(min_value=-3, max_value=3) | st.integers(
-        min_value=-(2**62), max_value=2**62)
-    columns = [np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
-                        dtype=np.int64) for _ in range(width)]
-    _assert_dense_ids_match_fold(columns, size)
-
-
-@pytest.mark.parametrize("columns, size, distinct", [
-    ([], 5, 1),                                         # no network kinds
-    ([], 0, 0),
-    ([np.array([7])], 1, 1),                            # one row
-    ([np.array([4, 4, 4]), np.array([-1, -1, -1])], 3, 1),  # all rows equal
-], ids=["zero-columns", "zero-columns-no-rows", "one-row", "all-rows-equal"])
-def test_dense_ids_edge_cases(columns, size, distinct):
-    _assert_dense_ids_match_fold(columns, size)
-    ids, first = _dense_ids(columns, size)
-    assert ids.tolist() == [0] * size
-    assert first.tolist() == [0] * distinct
 
 
 class TestPredictionsSequence:

@@ -12,12 +12,16 @@ import pytest
 
 from repro.analysis import run_coverage_experiment, run_precision_experiment
 from repro.baselines.exhaustive import optimal_port_order_curve
+from repro.core.config import GPSConfig
+from repro.core.gps import GPS
 from repro.core.metrics import (
     bandwidth_to_reach,
     coverage_curve,
     fraction_of_services,
     normalized_fraction_of_services,
 )
+from repro.datasets.split import seed_scan_cost_probes
+from repro.scanner.pipeline import ScanPipeline
 
 
 class TestHeadlineClaims:
@@ -62,10 +66,23 @@ class TestHeadlineClaims:
         advantage = experiment.precision_advantage_at(0.2)
         assert advantage is not None and advantage > 1.2
 
-    def test_predictions_front_load_the_most_predictable_services(self, gps_run,
+    @pytest.fixture(scope="class")
+    def batched_run(self, universe, censys_dataset, censys_split):
+        """The shared run's set-up on the engine path, probing its ~1.2k
+        predictions 100 at a time, so the discovery log holds several
+        prediction batches."""
+        config = GPSConfig(seed_fraction=0.05, step_size=16,
+                           port_domain=censys_dataset.port_domain,
+                           use_engine=True, prediction_batch_size=100)
+        with GPS(ScanPipeline(universe), config) as gps:
+            return gps.run(seed=censys_split.seed_scan_result(),
+                           seed_cost_probes=seed_scan_cost_probes(censys_dataset,
+                                                                  0.05))
+
+    def test_predictions_front_load_the_most_predictable_services(self, batched_run,
                                                                   censys_dataset):
         """Paper §6.3: precision decreases as GPS exhausts its predictions."""
-        result, _ = gps_run
+        result = batched_run
         prediction_batches = [batch for batch in result.discovery_log
                               if batch.phase == "prediction"]
         if len(prediction_batches) < 2:
