@@ -19,13 +19,21 @@ A *predictor tuple* is the hashable encoding of one conditioning event:
 Tuples embed the port, so a tuple observed on a host identifies exactly one of
 the host's services; the co-occurrence model counts, for each tuple, how often
 each *other* port is open on the same host.
+
+Over observation columns the tuples derive in one place,
+:func:`derive_predictor_codes`: each family runs once over all rows and
+hands out ``(row, code)`` entries in the reference order, with a
+:class:`PredictorCodebook` turning each family's parts into codes.  The
+seed's :func:`extract_host_features_columns` numbers every distinct
+predictor with it (building each tuple once), and a prediction index joins
+the priors scan's columns against the predictors it holds
+(:meth:`repro.core.predictions.PredictiveFeatureIndex.predict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import methodcaller
+from itertools import repeat
 from typing import (
     Collection,
     Dict,
@@ -271,6 +279,7 @@ def extract_host_features_columns(
     service_of, codes = derive_predictor_codes(
         batch, ports, as_numpy(batch.banner_ids)[rows], host_ips,
         host_of_service, asn_db, config, book)
+    # The tuples reach the encoder in the order their codes first appear.
     first_entry = np.full(len(book.tuples), codes.size, dtype=np.int64)
     np.minimum.at(first_entry, codes, np.arange(codes.size))
     order = np.argsort(first_entry)[:np.count_nonzero(first_entry < codes.size)]
@@ -510,13 +519,15 @@ def read_app_items(batch: ObservationBatch, banner_ids: np.ndarray,
     pair and, per pair, the items ``book`` files --
     ``cell_items[cell_starts[p]:cell_starts[p + 1]]`` -- in position order.
     """
-    pairs, pair_of_row = np.unique(banner_ids << 16 | ports, return_inverse=True)
-    by_port = np.argsort(pairs & 0xFFFF, kind="stable")
-    pairs = pairs[by_port]
+    # Pairs packed port-major (ports are 16-bit, banner ids within 2**47
+    # either side of 0), so the distinct pairs come out grouped by port.
+    pairs, pair_of_row = np.unique((ports - _PORT_MIDDLE) << 48
+                                   | (banner_ids + _BANNER_MIDDLE),
+                                   return_inverse=True)
+    pair_ports = (pairs >> 48) + _PORT_MIDDLE
     interned, local = batch.banners.features, batch.local_banners
     mappings = [interned(banner) if banner >= 0 else local[-banner - 1]
-                for banner in (pairs >> 16).tolist()]
-    pair_ports = pairs & 0xFFFF
+                for banner in ((pairs & _BANNER_MASK) - _BANNER_MIDDLE).tolist()]
     starts = segment_starts(pair_ports)
     keys = list(dict.fromkeys(positions))
     read: List[object] = []
@@ -566,9 +577,12 @@ def read_app_items(batch: ObservationBatch, banner_ids: np.ndarray,
         order = np.lexsort((position, cell_pairs[taken]))
         cell_pairs, items = cell_pairs[taken][order], items[taken][order]
     cell_starts = np.searchsorted(cell_pairs, np.arange(pairs.size + 1))
-    rank = np.empty_like(by_port)
-    rank[by_port] = np.arange(by_port.size)
-    return rank[pair_of_row.reshape(-1)], cell_starts, items
+    return pair_of_row.reshape(-1), cell_starts, items
+
+
+_PORT_MIDDLE = 1 << 15
+_BANNER_MIDDLE = 1 << 47
+_BANNER_MASK = (1 << 48) - 1
 
 
 class _SeedCodebook(PredictorCodebook):
@@ -599,7 +613,8 @@ class _SeedCodebook(PredictorCodebook):
         self.tuples.extend(tuples(distinct))
         return inverse.reshape(-1) + offset
 
-    def _app_parts(self, items: np.ndarray):
+    def _app_parts(self, items=slice(None)):
+        """(ports, keys, values) of app items: all of them by default."""
         keys = self._app_items[items]
         codes = keys >> 16
         return ((keys & 0xFFFF).tolist(),
@@ -607,7 +622,8 @@ class _SeedCodebook(PredictorCodebook):
                 map(self.values.values.__getitem__,
                     (codes // self.key_count).tolist()))
 
-    def _net_parts(self, items: np.ndarray):
+    def _net_parts(self, items=slice(None)):
+        """(kinds, values) of network items: all of them by default."""
         codes = (self._net_items[items] >> 16).tolist()
         return (map(self._net_kinds.__getitem__, codes),
                 map(self._net_values.__getitem__, codes))
@@ -637,8 +653,7 @@ class _SeedCodebook(PredictorCodebook):
     def app(self, items: np.ndarray) -> np.ndarray:
         # An app item is a PA predictor: the items number them already.
         offset = len(self.tuples)
-        self.tuples.extend(zip(repeat("PA"), *self._app_parts(
-            np.arange(self._app_items.size))))
+        self.tuples.extend(zip(repeat("PA"), *self._app_parts()))
         return items + offset
 
     def crossed(self, items: np.ndarray) -> np.ndarray:
@@ -652,9 +667,8 @@ class _SeedCodebook(PredictorCodebook):
     def network(self, items: np.ndarray) -> np.ndarray:
         # A network item is a PN predictor: the items number them already.
         offset = len(self.tuples)
-        everything = np.arange(self._net_items.size)
         self.tuples.extend(zip(repeat("PN"), (self._net_items & 0xFFFF).tolist(),
-                               *self._net_parts(everything)))
+                               *self._net_parts()))
         return items + offset
 
     def app_network(self, app_items: np.ndarray,

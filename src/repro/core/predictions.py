@@ -15,18 +15,21 @@ GPS uses the features of those services to predict every remaining service:
    most predictable services are scanned first (this ordering is what gives
    GPS its precision profile in Figure 3).
 
-:meth:`PredictiveFeatureIndex.predict` runs step 2 on per-port match tables
-compiled once from the list and returns the ordered list as columns
-(:class:`Predictions`).  It takes one of two routes, picked by the input's
-type.  The priors scan's :class:`~repro.scanner.records.ObservationBatch`
-folds in numpy array passes over its columns: one match per distinct
-(banner, port, network values) key, then one expansion, deduplication and
-sort over every candidate.  An iterable of
+The index keeps the list as columns and a CSR over predictor ids, and
+:meth:`PredictiveFeatureIndex.predict` runs step 2 as one join, returning
+the ordered list as columns (:class:`Predictions`).  It takes one of two
+routes, picked by the input's type.  The priors scan's
+:class:`~repro.scanner.records.ObservationBatch` derives its predictor ids
+family by family (:func:`~repro.core.features.derive_predictor_codes`, the
+derivation the seed's feature extraction runs too) against the index's
+lookup tables, expands them through the CSR and keeps each pair's first
+most probable candidate with one sort.  An iterable of
 :class:`~repro.scanner.records.ScanObservation` -- served lookups, bulk
-predictions, known hosts, usually a handful of rows -- runs a row loop,
-whose network values come from a per-index memo, because the array passes
-carry a fixed cost per call.  :meth:`PredictiveFeatureIndex.predict_reference`
-is the dictionary oracle both routes equal row for row.
+predictions, known hosts, usually a handful of rows -- runs a row loop over
+the same CSR through one tuple -> id dict, with network values from a
+per-index memo, because the array passes carry a fixed cost per call.
+:meth:`PredictiveFeatureIndex.predict_reference` is the dictionary oracle
+both routes equal row for row.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ PREDICTION_BATCH_PREFIX_LEN = 16
 
 #: Upper bound on the per-index network-feature memo that the row route of
 #: :meth:`PredictiveFeatureIndex.predict` (served lookups) and
-#: :meth:`~PredictiveFeatureIndex.predict_reference` read.  A served index
+#: :meth:`~PredictiveFeatureIndex.predict_reference` read; the batch route
+#: derives network values as columns and never reads it.  A served index
 #: lives across many calls, so without a bound the memo would grow with
 #: every distinct address ever looked up; at the bound the least-recently-used
 #: entry is evicted, so hosts that keep reappearing stay memoized under
@@ -192,9 +196,6 @@ KnownPairs = Union[Set[Tuple[int, int]], np.ndarray, None]
 #: An ``(ip, port)`` pair as a numpy record, for packing known pairs.
 _PAIR_DTYPE = np.dtype([("ip", np.int64), ("port", np.int64)])
 
-#: Bits of a packed ``ip << 16 | port`` pair key (IPv4 addresses, 16-bit ports).
-_PAIR_BITS = 48
-
 
 class PredictiveFeatureIndex:
     """The "most predictive feature values" list, indexed for fast lookup.
@@ -287,7 +288,7 @@ class PredictiveFeatureIndex:
         # 0 for the most probable value, so ascending rank is descending
         # probability.
         self._probability_ranks = distinct.size - 1 - inverse.reshape(-1)
-        self._rank_bits = max(int(distinct.size - 1).bit_length(), 1)
+        self._rank_bits = _bits(distinct.size - 1)
         self._codebook = _IndexCodebook([
             (pid,) + parts[pid] for pid in np.flatnonzero(lengths).tolist()
             if parts[pid] is not None])
@@ -598,16 +599,17 @@ class PredictiveFeatureIndex:
            app values are read once, network values come as arrays per
            distinct address.
         2. Each id expands into its CSR targets, in that order.  One stable
-           sort on ``(ip << 16 | port) << rank bits | probability rank``
-           puts per pair the first most probable candidate first -- the
-           reference's strict ``>`` -- and known pairs drop through a
-           ``searchsorted`` test against their sorted packed keys (packed
-           here only when they come as a set).  A second sort on
-           ``probability rank << 48 | pair key`` gives the probing order.
+           sort by (``ip << 16 | port`` pair key, probability rank) -- a
+           single sort of packed int64 keys when they fit -- puts per pair
+           the first most probable candidate first, the reference's strict
+           ``>``, and known pairs drop through a ``searchsorted`` test
+           against their sorted packed keys (packed here only when they
+           come as a set).  A second sort by (probability rank, pair key)
+           gives the probing order.
         """
         ips = as_numpy(batch.ips)
         ports = as_numpy(batch.ports)
-        rows = np.flatnonzero(np.isin(ports, self._codebook.port_array))
+        rows = np.flatnonzero(self._codebook.filed_ports[ports])
         row_ips = ips[rows]
         entry_rows, pids = derive_predictor_codes(
             batch, ports[rows], as_numpy(batch.banner_ids)[rows], row_ips, None,
@@ -616,14 +618,16 @@ class PredictiveFeatureIndex:
         # Expand every entry's targets, in entry order.
         offsets = self._offsets
         counts = offsets[pids + 1] - offsets[pids]
-        ends = np.cumsum(counts)
         candidates = expand_ranges(offsets[pids], counts)
         pair_keys = (np.repeat(row_ips[entry_rows] << 16, counts)
                      | self._target_ports[candidates])
         ranks = self._probability_ranks[candidates]
 
         # The first most probable candidate per pair, unless it is known.
-        order = _stable_order(pair_keys, ranks, self._rank_bits)
+        # Pair keys as offsets from the smallest: fewer bits to pack.
+        relative = pair_keys - (pair_keys.min() if pair_keys.size else 0)
+        span = _bits(relative.max() if relative.size else 0)
+        order = _order(relative, span, ranks, self._rank_bits)
         sorted_keys = pair_keys[order]
         first = np.ones(order.size, dtype=bool)
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
@@ -639,14 +643,12 @@ class PredictiveFeatureIndex:
             unknown = known[at] != kept_keys
             kept, kept_keys = kept[unknown], kept_keys[unknown]
 
-        final = kept[_stable_order(ranks[kept], kept_keys, _PAIR_BITS)]
+        final = kept[_order(ranks[kept], self._rank_bits, relative[kept], span)]
         final_keys = pair_keys[final]
-        entries = np.searchsorted(ends, final, side="right")
-        return Predictions(array("q", (final_keys >> 16).tobytes()),
-                           array("q", (final_keys & 0xFFFF).tobytes()),
-                           array("d", self._target_probabilities[
-                               candidates[final]].tobytes()),
-                           array("q", pids[entries].tobytes()),
+        return Predictions(_array("q", final_keys >> 16),
+                           _array("q", final_keys & 0xFFFF),
+                           _array("d", self._target_probabilities[candidates[final]]),
+                           _array("q", np.repeat(pids, counts)[final]),
                            self._predictor_table)
 
     def predict_reference(
@@ -692,16 +694,32 @@ class PredictiveFeatureIndex:
         return predictions
 
 
-def _stable_order(major: np.ndarray, minor: np.ndarray, minor_bits: int) -> np.ndarray:
-    """The stable order of rows by ``(major, minor)``, both non-negative.
+def _array(typecode: str, values: np.ndarray) -> array:
+    """An ``array`` column holding an ndarray's values (one copy)."""
+    column = array(typecode)
+    column.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
+    return column
 
-    One sort on ``major << minor_bits | minor`` when that fits in int64
-    (a 48-bit pair key leaves room for 15 bits of probability rank), else a
-    two-key ``lexsort``.
+
+def _bits(value) -> int:
+    """The bits a non-negative value takes (at least one)."""
+    return max(int(value).bit_length(), 1)
+
+
+def _order(major: np.ndarray, major_bits: int, minor: np.ndarray,
+           minor_bits: int) -> np.ndarray:
+    """Row positions stably sorted by ``(major, minor)``, non-negative
+    values below ``2**major_bits`` and ``2**minor_bits``.
+
+    When the two values and the row's position fit in 63 bits together,
+    one ``np.sort`` of them packed does it (the position breaks ties and
+    reads back out); otherwise a two-key ``lexsort``.
     """
-    major_bits = int(major.max()).bit_length() if major.size else 0
-    if major_bits + minor_bits <= 63:
-        return np.argsort(major << minor_bits | minor, kind="stable")
+    position_bits = (major.size - 1).bit_length() if major.size else 0
+    if major_bits + minor_bits + position_bits <= 63:
+        packed = np.sort((major << minor_bits | minor) << position_bits
+                         | np.arange(major.size))
+        return packed & ((1 << position_bits) - 1)
     return np.lexsort((minor, major))
 
 
@@ -816,8 +834,11 @@ class _IndexCodebook(PredictorCodebook):
         self.ports = frozenset(parts[2] for parts in filed)
         self.net_ports = frozenset(parts[2] for parts in filed
                                    if parts[5] is not None)
-        self.port_array = np.array(sorted(self.ports), dtype=np.int64)
-        self._transport = _sorted_table(list(transport), list(transport.values()))
+        # Port-indexed tables: which ports file a predictor, and each
+        # port's P predictor.
+        self.filed_ports = np.zeros(1 << 16, dtype=bool)
+        self.filed_ports[list(self.ports)] = True
+        self._transport = _scatter(1 << 16, list(transport.items()))
         self._app_items = _sorted_table(list(app_items), list(app_items.values()))
         self._net_items = _sorted_table(list(net_items), list(net_items.values()))
         self.net_item_count = len(net_items)
@@ -842,7 +863,7 @@ class _IndexCodebook(PredictorCodebook):
         return np.where(present, _join(*self._net_values[kind], values), -1)
 
     def transport(self, ports: np.ndarray) -> np.ndarray:
-        return _join(*self._transport, ports)
+        return self._transport[ports]
 
     def app_items(self, keys: np.ndarray) -> np.ndarray:
         return _join(*self._app_items, keys)

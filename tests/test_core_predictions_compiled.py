@@ -29,6 +29,7 @@ from repro.core.predictions import (
     Predictions,
     PredictiveFeature,
     PredictiveFeatureIndex,
+    _order,
 )
 from repro.engine.encoding import DictionaryEncoder
 from repro.internet.banners import BannerInterner
@@ -286,6 +287,25 @@ def test_ports_without_entries_are_skipped():
     assert index.predict(rows, ASN_DB, FeatureConfig()).pairs() == [(IPS[1], 443)]
     # Only the matched row's host reached the network-feature memo.
     assert list(index._net_cache) == [IPS[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), major_bits=st.sampled_from([1, 3, 20, 48]),
+       minor_bits=st.sampled_from([1, 4, 15]),
+       size=st.integers(min_value=0, max_value=60))
+def test_packed_order_is_a_stable_sort_on_both_keys(data, major_bits, minor_bits,
+                                                    size):
+    """``_order`` packs (major, minor, position) into one int64 sort when
+    they fit and falls back to ``lexsort`` when they do not (48 + 15 bits
+    and any position); both give the stable (major, minor) order."""
+    values = st.lists(st.integers(min_value=0, max_value=2 ** major_bits - 1),
+                      min_size=size, max_size=size)
+    major = np.array(data.draw(values), dtype=np.int64)
+    minor = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2 ** minor_bits - 1),
+        min_size=size, max_size=size)), dtype=np.int64)
+    expected = sorted(range(size), key=lambda i: (major[i], minor[i]))
+    assert _order(major, major_bits, minor, minor_bits).tolist() == expected
 
 
 class TestPredictionsSequence:
