@@ -272,7 +272,8 @@ class PredictiveFeatureIndex:
 
     def _load(self, predictors: Tuple[PredictorTuple, ...], pids: np.ndarray,
               ports: np.ndarray, probabilities: np.ndarray) -> None:
-        """Keep the entry columns; derive the CSR and the family tables."""
+        """Keep the entry columns and derive the CSR; each route's lookup
+        tables build on its first call."""
         self._predictor_table = predictors
         self._pids, self._ports, self._probabilities = pids, ports, probabilities
         parts = list(map(_family_parts, predictors))
@@ -289,11 +290,13 @@ class PredictiveFeatureIndex:
         # probability.
         self._probability_ranks = distinct.size - 1 - inverse.reshape(-1)
         self._rank_bits = _bits(distinct.size - 1)
-        self._codebook = _IndexCodebook([
-            (pid,) + parts[pid] for pid in np.flatnonzero(lengths).tolist()
-            if parts[pid] is not None])
-        self._row_route: Optional[Dict[PredictorTuple, Tuple[
-            int, Tuple[Tuple[int, float], ...]]]] = None
+        # (pid,) + family parts of every derivable predictor with targets:
+        # what both routes' lookup tables file, each built on first use.
+        self._filed = [(pid,) + parts[pid]
+                       for pid in np.flatnonzero(lengths).tolist()
+                       if parts[pid] is not None]
+        self._codebook: Optional[_IndexCodebook] = None
+        self._row_route = None
         # Bounded LRU memo for network_feature_values, shared across predict
         # calls; keyed per (asn_db, feature kinds) identity so an index
         # reused against a different universe never serves stale features.
@@ -495,20 +498,36 @@ class PredictiveFeatureIndex:
         return self._predict_rows(observations, asn_db, feature_config,
                                   known_pairs)
 
-    def _row_targets(self) -> Dict[PredictorTuple, Tuple[int, Tuple[Tuple[int, float], ...]]]:
-        """``predictor -> (id, its CSR run as (target port, probability)
-        pairs)`` over the predictors with targets: the row route's one
-        lookup per tuple (built on its first call)."""
-        targets = self._row_route
-        if targets is None:
+    def _row_tables(self):
+        """The row route's lookups, built on its first call: ``predictor ->
+        (id, its CSR run as (target port, probability) pairs)`` over the
+        derivable predictors with targets, the ports filing any, the ports
+        filing network predictors, and each port's app keys."""
+        tables = self._row_route
+        if tables is None:
             table = self._predictor_table
             offsets = self._offsets.tolist()
             pairs = list(zip(self._target_ports.tolist(),
                              self._target_probabilities.tolist()))
-            targets = self._row_route = {
-                table[pid]: (pid, tuple(pairs[offsets[pid]:offsets[pid + 1]]))
-                for pid in np.flatnonzero(np.diff(self._offsets)).tolist()}
-        return targets
+            keys_on: Dict[int, Set[str]] = {}
+            for _, _, port, key, _, _, _ in self._filed:
+                if key is not None:
+                    keys_on.setdefault(port, set()).add(key)
+            tables = self._row_route = (
+                {table[pid]: (pid, tuple(pairs[offsets[pid]:offsets[pid + 1]]))
+                 for pid, *_ in self._filed},
+                frozenset(filed[2] for filed in self._filed),
+                frozenset(filed[2] for filed in self._filed
+                          if filed[5] is not None),
+                keys_on)
+        return tables
+
+    def _tables(self) -> "_IndexCodebook":
+        """The batch route's family lookup tables, built on its first call."""
+        codebook = self._codebook
+        if codebook is None:
+            codebook = self._codebook = _IndexCodebook(self._filed)
+        return codebook
 
     def _predict_rows(self, observations: Iterable[ScanObservation],
                       asn_db: Optional[AsnDatabase], feature_config: FeatureConfig,
@@ -523,9 +542,7 @@ class PredictiveFeatureIndex:
         columns keyed by ``ip << 16 | port`` (ports are 16-bit) and sort
         once.
         """
-        targets_of = self._row_targets()
-        ports, net_ports = self._codebook.ports, self._codebook.net_ports
-        keys_on = self._codebook.keys_on
+        targets_of, ports, net_ports, keys_on = self._row_tables()
         app_keys = (feature_config.app_feature_keys
                     if feature_config.include_app
                     or feature_config.include_app_network else ())
@@ -546,7 +563,7 @@ class PredictiveFeatureIndex:
                 continue
             filed = keys_by_port.get(port)
             if filed is None:
-                on_port = keys_on(port)
+                on_port = keys_on.get(port, ())
                 filed = keys_by_port[port] = [key for key in app_keys
                                               if key in on_port]
             get = observation.app_features.get
@@ -609,11 +626,12 @@ class PredictiveFeatureIndex:
         """
         ips = as_numpy(batch.ips)
         ports = as_numpy(batch.ports)
-        rows = np.flatnonzero(self._codebook.filed_ports[ports])
+        codebook = self._tables()
+        rows = np.flatnonzero(codebook.filed_ports[ports])
         row_ips = ips[rows]
         entry_rows, pids = derive_predictor_codes(
             batch, ports[rows], as_numpy(batch.banner_ids)[rows], row_ips, None,
-            asn_db, feature_config, self._codebook)
+            asn_db, feature_config, codebook)
 
         # Expand every entry's targets, in entry order.
         offsets = self._offsets
@@ -815,11 +833,15 @@ class _IndexCodebook(PredictorCodebook):
         pa: List[Tuple[int, int]] = []
         pn: List[Tuple[int, int]] = []
         pan: List[Tuple[int, int, int]] = []
+        values, key_code, key_count = self.values, self.key_code, self.key_count
         for pid, family, port, key, value, kind, net in filed:
             if key is not None:
-                app_item = app_items.setdefault(self.app_item_keys(
-                    self.values[value], self.key_code[key], port), len(app_items))
-                self._port_keys.setdefault(port, set()).add(key)
+                app_item = app_items.setdefault(
+                    (values[value] * key_count + key_code[key]) << 16 | port,
+                    len(app_items))
+                if port not in self._port_keys:
+                    self._port_keys[port] = set()
+                self._port_keys[port].add(key)
             if kind is not None:
                 net_item = net_items.setdefault(net_code[kind, net] << 16 | port,
                                                 len(net_items))
@@ -831,13 +853,10 @@ class _IndexCodebook(PredictorCodebook):
                 pn.append((net_item, pid))
             else:
                 pan.append((app_item, net_item, pid))
-        self.ports = frozenset(parts[2] for parts in filed)
-        self.net_ports = frozenset(parts[2] for parts in filed
-                                   if parts[5] is not None)
         # Port-indexed tables: which ports file a predictor, and each
         # port's P predictor.
         self.filed_ports = np.zeros(1 << 16, dtype=bool)
-        self.filed_ports[list(self.ports)] = True
+        self.filed_ports[[parts[2] for parts in filed]] = True
         self._transport = _scatter(1 << 16, list(transport.items()))
         self._app_items = _sorted_table(list(app_items), list(app_items.values()))
         self._net_items = _sorted_table(list(net_items), list(net_items.values()))
