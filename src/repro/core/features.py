@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (
-    Collection,
     Dict,
     Iterable,
     List,
@@ -370,69 +369,37 @@ class AppValueCodes(dict):
 class PredictorCodebook:
     """How :func:`derive_predictor_codes` turns predictor parts into codes.
 
-    The derivation computes each family's parts as integers -- app values
-    coded through :meth:`value_codes`, network values through
-    :meth:`net_codes`, both packed with the port into *items* -- and asks
-    the codebook for each family's codes.  Two codebooks exist: the seed
-    extraction's numbers every distinct predictor it meets and builds its
-    tuple once; an index's joins against the predictors it holds and
-    answers -1 for any other.  A family is P by port, PA by app item, PN
-    by network item and PAN by (app item, network item).
+    The derivation computes each family's parts as integers and asks the
+    codebook for codes, -1 meaning no predictor.  App values code through
+    ``value_codes(values)`` and network values through ``net_codes(kind,
+    values, present)``; each is packed with the port into an *item*, which
+    ``app_items(keys)`` and ``network_items(keys)`` number.  The families
+    then code as ``transport(ports)``, ``app(app items)``,
+    ``network(network items)`` and ``app_network(app items, network
+    items)``, the last only for the app items ``crossed(app items)``
+    marks.  ``keys_on(port)`` names the app keys read on a port, unless
+    ``every_key`` says every key is read everywhere.  Two codebooks exist:
+    the seed extraction's numbers every distinct predictor it meets and
+    builds its tuple once; an index's joins against the predictors it
+    holds.
 
     Attributes:
         key_code: app key -> code for the keys the codebook files.
         key_count: the number of key codes.
         kinds: the network kinds the codebook files.
         net_item_count: the number of network item codes, once
-            :meth:`network_items` ran.
+            ``network_items`` ran.
     """
 
     key_code: Mapping[str, int]
     key_count: int
     kinds: Sequence[str]
     net_item_count: int = 0
+    every_key: bool = False
 
-    def app_item_keys(self, values: np.ndarray, keys: np.ndarray,
-                      ports: np.ndarray) -> np.ndarray:
+    def app_item_keys(self, values, keys, ports):
         """Packed (value code, key code, port) app items."""
         return (values * self.key_count + keys) << 16 | ports
-
-    def keys_on(self, port: Optional[int]) -> Optional[Collection[str]]:
-        """The app keys read on ``port``; ``None`` when every key is read on
-        every port."""
-        raise NotImplementedError
-
-    def value_codes(self, values: Iterable) -> Iterable[int]:
-        """Each app value's code, -1 for a value that derives nothing."""
-        raise NotImplementedError
-
-    def net_codes(self, kind: str, values: np.ndarray,
-                  present: np.ndarray) -> np.ndarray:
-        """Each network value's code, -1 where absent or not filed."""
-        raise NotImplementedError
-
-    def transport(self, ports: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def app_items(self, keys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def app(self, items: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def crossed(self, items: np.ndarray) -> np.ndarray:
-        """Which app items can carry a PAN predictor."""
-        raise NotImplementedError
-
-    def network_items(self, keys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def network(self, items: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def app_network(self, app_items: np.ndarray,
-                    net_items: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 def derive_predictor_codes(batch: ObservationBatch, ports: np.ndarray,
@@ -514,7 +481,8 @@ def read_app_items(batch: ObservationBatch, banner_ids: np.ndarray,
     Each pair's banner mapping is read once for each distinct key of
     ``positions`` that its port files (``book.keys_on``), so each (banner
     id, port, key) is read at most once: the pairs are grouped by port and
-    one pass per port group reads its keys.  ``book`` codes the values in
+    one pass per port group reads its keys (with ``book.every_key``, one
+    walk over each banner's own items).  ``book`` codes the values in
     one more pass, then the (value, key, port) items.  Returns each row's
     pair and, per pair, the items ``book`` files --
     ``cell_items[cell_starts[p]:cell_starts[p + 1]]`` -- in position order.
@@ -531,9 +499,9 @@ def read_app_items(batch: ObservationBatch, banner_ids: np.ndarray,
     starts = segment_starts(pair_ports)
     keys = list(dict.fromkeys(positions))
     read: List[object] = []
-    if book.keys_on(None) is None:
-        # Every key on every port: walk each banner's own items, which are
-        # fewer than the keys, and put the cells back in key order.
+    if book.every_key:
+        # Walk each banner's own items, which are fewer than the keys, and
+        # put the cells back in key order.
         column_of = {key: column for column, key in enumerate(keys)}
         found = [(pair * len(keys) + column_of[key], value)
                  for pair, mapping in enumerate(mappings)
@@ -598,6 +566,7 @@ class _SeedCodebook(PredictorCodebook):
         for key in config.app_feature_keys:
             self.key_code.setdefault(key, len(self.key_code))
         self.key_count = len(self.key_code)
+        self.every_key = True
         self._keys = list(self.key_code)
         self.kinds = config.network_feature_kinds
         self.values = AppValueCodes()
@@ -627,9 +596,6 @@ class _SeedCodebook(PredictorCodebook):
         codes = (self._net_items[items] >> 16).tolist()
         return (map(self._net_kinds.__getitem__, codes),
                 map(self._net_values.__getitem__, codes))
-
-    def keys_on(self, port: Optional[int]) -> None:
-        return None
 
     def value_codes(self, values: Iterable) -> Iterable[int]:
         return map(self.values.__getitem__, values)

@@ -826,19 +826,17 @@ class _IndexCodebook(PredictorCodebook):
             [net for of, net in net_code if of == kind],
             [code for (of, _), code in net_code.items() if of == kind])
             for kind in self.kinds}
-        self._port_keys: Dict[Optional[int], Set[str]] = {None: set()}
+        self._port_keys: Dict[int, Set[str]] = {}
         transport: Dict[int, int] = {}
         app_items: Dict[int, int] = {}
         net_items: Dict[int, int] = {}
         pa: List[Tuple[int, int]] = []
         pn: List[Tuple[int, int]] = []
         pan: List[Tuple[int, int, int]] = []
-        values, key_code, key_count = self.values, self.key_code, self.key_count
         for pid, family, port, key, value, kind, net in filed:
             if key is not None:
-                app_item = app_items.setdefault(
-                    (values[value] * key_count + key_code[key]) << 16 | port,
-                    len(app_items))
+                app_item = app_items.setdefault(self.app_item_keys(
+                    self.values[value], self.key_code[key], port), len(app_items))
                 if port not in self._port_keys:
                     self._port_keys[port] = set()
                 self._port_keys[port].add(key)
@@ -869,9 +867,7 @@ class _IndexCodebook(PredictorCodebook):
             [item * self.net_item_count + net_item for item, net_item, _ in pan],
             [pid for _, _, pid in pan])
 
-    # -- PredictorCodebook -------------------------------------------------------------
-
-    def keys_on(self, port: Optional[int]) -> Collection[str]:
+    def keys_on(self, port: int) -> Collection[str]:
         return self._port_keys.get(port, ())
 
     def value_codes(self, values: Iterable) -> Iterator[int]:
