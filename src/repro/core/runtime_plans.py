@@ -420,9 +420,3 @@ class ResidentHostGroups:
             np.arange(ids.size)
         ranks[tied] = rank_of[pids[tied]]
         return ranks
-        ids = np.unique(pids[tied])
-        tuples = list(map(self.encoder.values().__getitem__, ids.tolist()))
-        rank_of = np.empty(ids.size, dtype=np.int64)
-        rank_of[sorted(range(ids.size), key=tuples.__getitem__)] = np.arange(ids.size)
-        ranks[tied] = rank_of[np.searchsorted(ids, pids[tied])]
-        return ranks
