@@ -308,6 +308,20 @@ def test_packed_order_is_a_stable_sort_on_both_keys(data, major_bits, minor_bits
     assert _order(major, major_bits, minor, minor_bits).tolist() == expected
 
 
+@pytest.mark.parametrize("major, major_bits, minor, minor_bits", [
+    ([], 1, [], 1),                                     # no rows
+    ([5], 3, [2], 4),                                   # one row: no position bits
+    ([4, 4, 4], 3, [1, 1, 1], 4),                       # all rows equal
+    ([2 ** 48 - 1], 48, [2 ** 15 - 1], 15),             # packs exactly 63 bits
+    ([2 ** 48 - 1, 0], 48, [0, 2 ** 15 - 1], 15),       # one bit over: lexsort
+], ids=["no-rows", "one-row", "all-rows-equal", "fills-63-bits", "lexsort-fallback"])
+def test_packed_order_edge_cases(major, major_bits, minor, minor_bits):
+    major = np.array(major, dtype=np.int64)
+    minor = np.array(minor, dtype=np.int64)
+    expected = sorted(range(major.size), key=lambda i: (major[i], minor[i]))
+    assert _order(major, major_bits, minor, minor_bits).tolist() == expected
+
+
 class TestPredictionsSequence:
     ROWS = [PredictedService(1, 443, 0.5, ("P", 80)),
             PredictedService(2, 22, 0.5, ("PA", 80, "server", "a")),
