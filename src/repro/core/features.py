@@ -378,7 +378,9 @@ class PredictorCodebook:
     ``network(network items)`` and ``app_network(app items, network
     items)``, the last only for the app items ``crossed(app items)``
     marks.  ``keys_on(port)`` names the app keys read on a port, unless
-    ``every_key`` says every key is read everywhere.  Two codebooks exist:
+    ``every_key`` says every key is read everywhere, as the seed's are: a
+    banner holds a few of the config's keys, so walking its items reads
+    less than asking for each key.  Two codebooks exist:
     the seed extraction's numbers every distinct predictor it meets and
     builds its tuple once; an index's joins against the predictors it
     holds.

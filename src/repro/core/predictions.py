@@ -211,21 +211,15 @@ class PredictiveFeatureIndex:
     """
 
     def __init__(self, features: Iterable[PredictiveFeature]) -> None:
-        by_predictor: Dict[PredictorTuple, Dict[int, float]] = {}
+        ids: Dict[PredictorTuple, int] = {}
+        pids: List[int] = []
+        ports: List[int] = []
+        probabilities: List[float] = []
         for feature in features:
-            targets = by_predictor.setdefault(feature.predictor, {})
-            existing = targets.get(feature.target_port)
-            if existing is None or feature.probability > existing:
-                targets[feature.target_port] = feature.probability
-        pids = [pid for pid, targets in enumerate(by_predictor.values())
-                for _ in targets]
-        ports = [port for targets in by_predictor.values() for port in targets]
-        probabilities = [probability for targets in by_predictor.values()
-                         for probability in targets.values()]
-        self._load(tuple(by_predictor), np.array(pids, dtype=np.int64),
-                   np.array(ports, dtype=np.int64),
-                   np.array(probabilities, dtype=np.float64))
-        self._by_predictor = by_predictor
+            pids.append(ids.setdefault(feature.predictor, len(ids)))
+            ports.append(feature.target_port)
+            probabilities.append(feature.probability)
+        self._load(tuple(ids).__getitem__, pids, ports, probabilities)
 
     @classmethod
     def from_columns(cls, predictor_of: Callable[[int], PredictorTuple],
@@ -235,12 +229,19 @@ class PredictiveFeatureIndex:
         entry, and ``predictor_of`` decodes a predictor id.
 
         Equals the index built from the same entries as features, in the
-        same order: predictors in the order they first appear, each one's
-        targets in the order they first appear, a repeated (predictor,
-        target) keeping its first maximum.  Only the distinct ids are
-        decoded.  The engine build passes the argmax winners and a snapshot
-        its saved columns.
+        same order.  Only the distinct ids are decoded.  The engine build
+        passes the argmax winners and a snapshot its saved columns.
         """
+        index = cls.__new__(cls)
+        index._load(predictor_of, pids, ports, probabilities)
+        return index
+
+    def _load(self, predictor_of: Callable[[int], PredictorTuple],
+              pids, ports, probabilities) -> None:
+        """Fold entry columns into the index -- predictors in the order they
+        first appear, each one's targets in the order they first appear, a
+        repeated (predictor, target) keeping its first maximum -- and derive
+        the CSR; each route's lookup tables build on its first call."""
         pids = np.asarray(pids, dtype=np.int64)
         ports = np.asarray(ports, dtype=np.int64)
         probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -263,17 +264,9 @@ class PredictiveFeatureIndex:
                                                              pair_pids.size)))
         entries = np.lexsort((first, rank_of_pair))
         distinct = pair_pids[pid_starts][np.argsort(pid_first)]
-        index = cls.__new__(cls)
-        index._load(tuple(map(predictor_of, distinct.tolist())),
-                    rank_of_pair[entries], ports[best][entries],
-                    probabilities[best][entries])
-        index._by_predictor = None
-        return index
-
-    def _load(self, predictors: Tuple[PredictorTuple, ...], pids: np.ndarray,
-              ports: np.ndarray, probabilities: np.ndarray) -> None:
-        """Keep the entry columns and derive the CSR; each route's lookup
-        tables build on its first call."""
+        predictors = tuple(map(predictor_of, distinct.tolist()))
+        pids = rank_of_pair[entries]
+        ports, probabilities = ports[best][entries], probabilities[best][entries]
         self._predictor_table = predictors
         self._pids, self._ports, self._probabilities = pids, ports, probabilities
         parts = list(map(_family_parts, predictors))
@@ -295,6 +288,14 @@ class PredictiveFeatureIndex:
         self._filed = [(pid,) + parts[pid]
                        for pid in np.flatnonzero(lengths).tolist()
                        if parts[pid] is not None]
+        # Each port filing one -> the app keys its predictors name: the
+        # ports and keys both routes read.
+        self._keys_on: Dict[int, Set[str]] = {}
+        for _, _, port, key, _, _, _ in self._filed:
+            keys = self._keys_on.setdefault(port, set())
+            if key is not None:
+                keys.add(key)
+        self._by_predictor: Optional[Dict[PredictorTuple, Dict[int, float]]] = None
         self._codebook: Optional[_IndexCodebook] = None
         self._row_route = None
         # Bounded LRU memo for network_feature_values, shared across predict
@@ -501,32 +502,27 @@ class PredictiveFeatureIndex:
     def _row_tables(self):
         """The row route's lookups, built on its first call: ``predictor ->
         (id, its CSR run as (target port, probability) pairs)`` over the
-        derivable predictors with targets, the ports filing any, the ports
-        filing network predictors, and each port's app keys."""
+        derivable predictors with targets, and the ports filing network
+        predictors."""
         tables = self._row_route
         if tables is None:
             table = self._predictor_table
             offsets = self._offsets.tolist()
             pairs = list(zip(self._target_ports.tolist(),
                              self._target_probabilities.tolist()))
-            keys_on: Dict[int, Set[str]] = {}
-            for _, _, port, key, _, _, _ in self._filed:
-                if key is not None:
-                    keys_on.setdefault(port, set()).add(key)
             tables = self._row_route = (
                 {table[pid]: (pid, tuple(pairs[offsets[pid]:offsets[pid + 1]]))
                  for pid, *_ in self._filed},
-                frozenset(filed[2] for filed in self._filed),
                 frozenset(filed[2] for filed in self._filed
-                          if filed[5] is not None),
-                keys_on)
+                          if filed[5] is not None))
         return tables
 
     def _tables(self) -> "_IndexCodebook":
         """The batch route's family lookup tables, built on its first call."""
         codebook = self._codebook
         if codebook is None:
-            codebook = self._codebook = _IndexCodebook(self._filed)
+            codebook = self._codebook = _IndexCodebook(self._filed,
+                                                       self._keys_on)
         return codebook
 
     def _predict_rows(self, observations: Iterable[ScanObservation],
@@ -542,7 +538,8 @@ class PredictiveFeatureIndex:
         columns keyed by ``ip << 16 | port`` (ports are 16-bit) and sort
         once.
         """
-        targets_of, ports, net_ports, keys_on = self._row_tables()
+        targets_of, net_ports = self._row_tables()
+        keys_on = self._keys_on
         app_keys = (feature_config.app_feature_keys
                     if feature_config.include_app
                     or feature_config.include_app_network else ())
@@ -559,11 +556,11 @@ class PredictiveFeatureIndex:
         predictor_ids: List[int] = []
         for observation in observations:
             ip, port = observation.ip, observation.port
-            if port not in ports:
+            if port not in keys_on:
                 continue
             filed = keys_by_port.get(port)
             if filed is None:
-                on_port = keys_on.get(port, ())
+                on_port = keys_on[port]
                 filed = keys_by_port[port] = [key for key in app_keys
                                               if key in on_port]
             get = observation.app_features.get
@@ -613,8 +610,9 @@ class PredictiveFeatureIndex:
            (row, derivation rank) order, through the family-wise
            derivation (:func:`~repro.core.features.derive_predictor_codes`)
            against the index's tables: each distinct (banner, port) pair's
-           app values are read once, network values come as arrays per
-           distinct address.
+           app values are read once, and network values come as arrays,
+           one entry per row (deduplicating the addresses first costs more
+           than the repeated ASN searches it saves).
         2. Each id expands into its CSR targets, in that order.  One stable
            sort by (``ip << 16 | port`` pair key, probability rank) -- a
            single sort of packed int64 keys when they fit -- puts per pair
@@ -808,9 +806,12 @@ class _IndexCodebook(PredictorCodebook):
     that file them.
     """
 
-    def __init__(self, filed: Sequence[tuple]) -> None:
+    def __init__(self, filed: Sequence[tuple],
+                 keys_on: Mapping[int, Collection[str]]) -> None:
         """``filed`` holds ``(pid,) + _family_parts(predictor)`` of each
-        predictor with targets."""
+        predictor with targets, and ``keys_on`` each port filing one -> the
+        app keys its predictors name."""
+        self._keys_on = keys_on
         self.key_code: Dict[str, int] = {}
         self.values: Dict[object, int] = {}
         net_code: Dict[Tuple[str, int], int] = {}
@@ -826,7 +827,6 @@ class _IndexCodebook(PredictorCodebook):
             [net for of, net in net_code if of == kind],
             [code for (of, _), code in net_code.items() if of == kind])
             for kind in self.kinds}
-        self._port_keys: Dict[int, Set[str]] = {}
         transport: Dict[int, int] = {}
         app_items: Dict[int, int] = {}
         net_items: Dict[int, int] = {}
@@ -837,9 +837,6 @@ class _IndexCodebook(PredictorCodebook):
             if key is not None:
                 app_item = app_items.setdefault(self.app_item_keys(
                     self.values[value], self.key_code[key], port), len(app_items))
-                if port not in self._port_keys:
-                    self._port_keys[port] = set()
-                self._port_keys[port].add(key)
             if kind is not None:
                 net_item = net_items.setdefault(net_code[kind, net] << 16 | port,
                                                 len(net_items))
@@ -854,7 +851,7 @@ class _IndexCodebook(PredictorCodebook):
         # Port-indexed tables: which ports file a predictor, and each
         # port's P predictor.
         self.filed_ports = np.zeros(1 << 16, dtype=bool)
-        self.filed_ports[[parts[2] for parts in filed]] = True
+        self.filed_ports[list(keys_on)] = True
         self._transport = _scatter(1 << 16, list(transport.items()))
         self._app_items = _sorted_table(list(app_items), list(app_items.values()))
         self._net_items = _sorted_table(list(net_items), list(net_items.values()))
@@ -868,7 +865,7 @@ class _IndexCodebook(PredictorCodebook):
             [pid for _, _, pid in pan])
 
     def keys_on(self, port: int) -> Collection[str]:
-        return self._port_keys.get(port, ())
+        return self._keys_on[port]
 
     def value_codes(self, values: Iterable) -> Iterator[int]:
         return map(self.values.get, values, repeat(-1))
