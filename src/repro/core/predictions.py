@@ -288,8 +288,8 @@ class PredictiveFeatureIndex:
         self._filed = [(pid,) + parts[pid]
                        for pid in np.flatnonzero(lengths).tolist()
                        if parts[pid] is not None]
-        # Each port filing one -> the app keys its predictors name: the
-        # ports and keys both routes read.
+        # Each port that files one of them -> the app keys they name there
+        # (empty when none): the ports and keys both routes read.
         self._keys_on: Dict[int, Set[str]] = {}
         for _, _, port, key, _, _, _ in self._filed:
             keys = self._keys_on.setdefault(port, set())
