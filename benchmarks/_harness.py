@@ -35,8 +35,10 @@ def record(path: Path, sections: Dict[str, Any]) -> Dict[str, Any]:
 
     Each named section replaces its old value whole; sections the file holds
     but ``sections`` does not name are kept, so two benches can share one
-    file (``bench_runtime_recovery.py`` owns the ``recovery`` section of
-    ``BENCH_runtime.json``).  Returns the merged document as written.
+    file or one bench can write a file from two tests
+    (``bench_engine_scaling.py``'s kernel test owns the ``model_fold_kernel``
+    section of ``BENCH_engine.json``).  Returns the merged document as
+    written.
     """
     document = json.loads(path.read_text()) if path.exists() else {}
     document.update(sections)

@@ -146,7 +146,7 @@ def _full_scale_columns(universe):
 def run_model_fold_kernel(universe):
     """Time the packed model-pairs fold: per-row stdlib vs the numpy kernel.
 
-    Both variants run against the same worker-resident column buffers
+    Both variants run against the same resident column buffers
     through ``EngineRuntime.execute`` on the serial executor (one shard),
     with the kernel name as the task argument, so the measured region is
     exactly the fold: per-row ``fold_model_pairs`` over the hydrated shard

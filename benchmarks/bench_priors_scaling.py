@@ -7,7 +7,7 @@ This benchmark covers the two hot paths after the model build:
   which selects partners by numpy segment reductions over each shard's
   candidate table (every service against its host's other predictor ids)
   and folds coverage counts, on dictionary-encoded columns resident in an
-  engine runtime, swept over the serial and pool executors (the seed's
+  engine runtime (the seed's
   columns load once per runtime, as in a GPS run; every timed call takes a
   fresh dict model, so its counts are packed from the dicts, broadcast and
   reduced anew);
@@ -60,11 +60,8 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_priors.json"
 #: paper's seeds are millions of hosts; bigger is more faithful, not less).
 PRIORS_SEED_FRACTION = 0.1
 
-#: (executor, workers) sweep over the runtime executors.
-SWEEP = (
-    ("serial", 1),
-    ("pool", 2),
-)
+#: The runtime executors the engine priors build is timed on.
+SWEEP = ("serial",)
 
 REPEATS = 3
 
@@ -114,21 +111,21 @@ def run_priors_scaling(universe, dataset):
     reference_seconds = best_seconds(
         lambda: build_priors_plan(host_features, model, 16, port_domain),
         REPEATS)
-    rows.append({"mode": "reference", "backend": "serial", "workers": 1,
+    rows.append({"mode": "reference", "backend": "serial",
                  "seconds": reference_seconds})
-    for executor, workers in SWEEP:
-        with EngineRuntime(executor=executor, num_workers=workers) as runtime:
+    for executor in SWEEP:
+        with EngineRuntime(executor=executor) as runtime:
             resident = ResidentHostGroups(runtime, columns, 16)
             plan = build_priors_plan_with_engine(columns, model, 16, port_domain,
                                                  dataset=resident)
             assert plan == reference, \
-                f"engine/{executor}x{workers} priors plan diverged from the oracle"
+                f"engine/{executor} priors plan diverged from the oracle"
             seconds = best_seconds(
                 lambda: build_priors_plan_with_engine(columns, _fresh(model), 16,
                                                       port_domain,
                                                       dataset=resident),
                 REPEATS)
-        rows.append({"mode": "engine", "backend": executor, "workers": workers,
+        rows.append({"mode": "engine", "backend": executor,
                      "seconds": seconds})
     return {
         "seed_hosts": len(host_features),
@@ -246,10 +243,10 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
     results = run_once(run_priors_and_scan_benchmark, universe, censys_dataset)
 
     priors = results["priors"]
-    by_config = {(r["mode"], r["backend"], r["workers"]): r["seconds"]
+    by_config = {(r["mode"], r["backend"]): r["seconds"]
                  for r in priors["rows"]}
-    reference_seconds = by_config[("reference", "serial", 1)]
-    speedup = reference_seconds / by_config[("engine", "serial", 1)]
+    reference_seconds = by_config[("reference", "serial")]
+    speedup = reference_seconds / by_config[("engine", "serial")]
     priors_floor, zmap_floor, pipeline_floor = SPEEDUP_FLOORS
     scan = results["scan"]
     results["priors_fused_serial_speedup"] = round(speedup, 2)
@@ -260,12 +257,12 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
 
     print()
     print(format_table(
-        ("executor", "workers", "seconds", "vs reference"),
+        ("executor", "seconds", "vs reference"),
         [
-            (backend, workers,
-             f"{by_config[('engine', backend, workers)]:.4f}",
-             f"{reference_seconds / by_config[('engine', backend, workers)]:.2f}x")
-            for backend, workers in SWEEP
+            (backend,
+             f"{by_config[('engine', backend)]:.4f}",
+             f"{reference_seconds / by_config[('engine', backend)]:.2f}x")
+            for backend in SWEEP
         ],
         title=(f"Priors planning: reference {reference_seconds:.4f}s vs engine "
                f"({priors['seed_hosts']} seed hosts, {priors['predictors']} predictors)"),

@@ -24,8 +24,7 @@ the measurement.  So the report keeps no copy of any floor and has no
 ``--smoke`` switch: a smoke run records its relaxed floors itself.  An asserted metric whose value is present but whose floor is
 not fails ``--check``: deleting the line that records a floor cannot quietly
 remove its gate.  Ratios registered without a floor path
-(``engine_vs_reference``, ``warm_vs_serial``, ``mmap_vs_queue_ship``) are
-recorded for the trend only and always report "not asserted".  Sections
+(``engine_vs_reference``) are recorded for the trend only and always report "not asserted".  Sections
 that are absent from a results file (numpy-gated benchmarks skip where no
 wheel exists) are reported as missing rather than failed.
 
@@ -89,16 +88,10 @@ METRICS: Tuple[Metric, ...] = (
            "scan.end_to_end_speedup", floor_path="scan.end_to_end_floor"),
     Metric("BENCH_priors.json", "batched pass zmap step vs per-pair probing",
            "scan.zmap_layer_speedup", floor_path="scan.zmap_layer_floor"),
-    Metric("BENCH_runtime.json", "warm resident pool vs serial (model build)",
-           "warm_vs_serial"),
-    Metric("BENCH_runtime.json", "surgical heal vs full rebuild",
-           "recovery.rebuild_vs_heal", floor_path="recovery.floor"),
     Metric("BENCH_serving.json", "warm served lookup vs cold one-shot",
            "warm_vs_cold_speedup", floor_path="warm_vs_cold_floor"),
     Metric("BENCH_snapshot.json", "warm restart from snapshot vs full rebuild",
            "warm_restart_speedup", floor_path="warm_restart_floor"),
-    Metric("BENCH_snapshot.json", "mmap shard load vs queue-ship (pool)",
-           "mmap_vs_queue_ship"),
     Metric("BENCH_telemetry.json", "warm model build, telemetry off vs on",
            "model_build.off_vs_on", floor_path="model_build.floor"),
     Metric("BENCH_telemetry.json", "warm serving lookup, telemetry off vs on",

@@ -1,27 +1,15 @@
 """Warm restart from a snapshot vs full rebuild -- the persistence story.
 
-``BENCH_runtime.json`` showed that keeping a pool and its shards warm beats
-re-spawning per call; this benchmark measures the other half of Section 6.5's
-"reuse an existing seed scan" deployment mode: a process that *restarts* and
-wants the Table 2 artifacts back.  Two comparisons:
-
-* **warm restart vs full build** -- ``open_snapshot`` + materializing the
-  model, priors plan and prediction index + a first lookup, against the full
-  cold path (encode the seed observations, extract host features, run all
-  three engine builds, first lookup).  The snapshot pays one sequential crc32
-  pass plus the plan and index rebuilt from mapped int64 columns; the
-  rebuild pays the flatten and three folds.  Neither path decodes the
-  model's dicts: both models build them on first read.  Headline floor:
-  >= 5x.
-* **mmap shard load vs queue-ship** -- making the host-group relation
-  resident in a warm pool from snapshot file references
-  (:meth:`~repro.core.runtime_plans.ResidentHostGroups.from_snapshot`,
-  workers ``mmap`` their own files, zero column bytes through the inbox
-  queues) against the constructor path (flatten + pickle every shard through
-  a queue).  The ``RecoveryStats.shard_bytes_queued`` ledger proves the
-  zero-copy claim before anything is timed; the latency ratio is recorded
-  without a floor (at this scale the shards are small and the two paths
-  run at parity).
+This benchmark measures Section 6.5's "reuse an existing seed scan"
+deployment mode from the side of a process that *restarts* and wants the
+Table 2 artifacts back: **warm restart vs full build** -- ``open_snapshot``
++ materializing the model, priors plan and prediction index + a first
+lookup, against the full cold path (encode the seed observations, extract
+host features, run all three engine builds, first lookup).  The snapshot
+pays one sequential crc32 pass plus the plan and index rebuilt from mapped
+int64 columns; the rebuild pays the flatten and three folds.  Neither path
+decodes the model's dicts: both models build them on first read.  Headline
+floor: >= 5x.
 
 Results are printed as a table and written to ``BENCH_snapshot.json`` at the
 repository root.  Equivalence is asserted before any timing -- everything
@@ -52,17 +40,13 @@ from repro.scanner.records import ObservationBatch
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_snapshot.json"
 
-#: Seed fraction matching bench_runtime.py's workload, so the "full build"
-#: baseline here is the same work the runtime benchmark times.
+#: Seed fraction of the snapshot's workload (the priors bench's, too).
 SEED_FRACTION = 0.1
 
 STEP_SIZE = 16
 
-#: Pool size for the shard-loading comparison.
-WORKERS = 2
-
-#: Shard count for the saved layout; more shards than workers so the load
-#: has placement decisions to make.
+#: Shard count for the saved layout: the warm restart verifies these
+#: sections' checksums too.
 SHARDS = 4
 
 REPEATS = 3
@@ -78,7 +62,7 @@ WARM_RESTART_FLOOR = 5.0
 
 
 def run_snapshot_benchmark(universe, dataset):
-    """Time warm restart and mmap shard loading."""
+    """Time warm restart against a full build."""
     split = split_seed_test(dataset, SEED_FRACTION, seed=0)
     observations = split.seed_observations
     asn_db = universe.topology.asn_db
@@ -134,36 +118,6 @@ def run_snapshot_benchmark(universe, dataset):
         warm_seconds = best_seconds(warm_restart, REPEATS)
         warm_noverify_seconds = best_seconds(
             lambda: open_snapshot(snapshot_dir, verify=False).model(), REPEATS)
-
-        # -- shard loading: mmap references vs queue-shipped payloads ------
-        runtime = EngineRuntime(executor="pool", num_workers=WORKERS,
-                                shard_count=SHARDS)
-        try:
-            snapshot = open_snapshot(snapshot_dir)
-            resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            mmap_model = build_model_with_engine(host_features, resident)
-            assert mmap_model == model, \
-                "model from mmap-resident shards diverged from the oracle"
-            resident.release()
-
-            def mmap_load():
-                ResidentHostGroups.from_snapshot(runtime, snapshot).release()
-
-            def queue_load():
-                ResidentHostGroups(runtime, host_features,
-                                   STEP_SIZE).release()
-
-            mmap_seconds = best_seconds(mmap_load, REPEATS)
-            # The zero-copy ledger: every mmap load so far shipped only file
-            # descriptors, never column bytes, through the worker queues.
-            assert runtime.recovery_stats.shard_bytes_queued == 0, \
-                "snapshot shard loads queued column bytes"
-            queue_seconds = best_seconds(queue_load, REPEATS)
-            queued_bytes = runtime.recovery_stats.shard_bytes_queued
-            assert queued_bytes > 0, \
-                "queue-ship baseline unexpectedly shipped nothing"
-        finally:
-            runtime.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -171,11 +125,10 @@ def run_snapshot_benchmark(universe, dataset):
         "scale": MEDIUM_SCALE.name,
         "seed_fraction": SEED_FRACTION,
         "seed_hosts": len(host_features.ips),
-        "workers": WORKERS,
         "shards": SHARDS,
         "snapshot_bytes": snapshot_bytes,
-        "equivalence": ("loaded == built for model, priors plan, prediction "
-                        "index, and mmap-resident shard builds"),
+        "equivalence": ("loaded == built for model, priors plan and "
+                        "prediction index"),
         "rows": [
             {"path": "full build from seed observations",
              "seconds": build_seconds},
@@ -183,11 +136,7 @@ def run_snapshot_benchmark(universe, dataset):
              "seconds": warm_seconds},
             {"path": "warm restart model only (verify=False)",
              "seconds": warm_noverify_seconds},
-            {"path": "shard load mmap refs (pool)", "seconds": mmap_seconds},
-            {"path": "shard load queue-ship (pool)",
-             "seconds": queue_seconds},
         ],
-        "queue_ship_bytes": queued_bytes,
     }
 
 
@@ -198,12 +147,9 @@ def test_snapshot_warm_restart_vs_full_build(run_once, universe,
     seconds = {row["path"]: row["seconds"] for row in results["rows"]}
     build = seconds["full build from seed observations"]
     warm = seconds["warm restart (open + artifacts + first lookup)"]
-    mmap_load = seconds["shard load mmap refs (pool)"]
-    queue_load = seconds["shard load queue-ship (pool)"]
     warm_restart_speedup = build / warm
     results["warm_restart_speedup"] = round(warm_restart_speedup, 2)
     results["warm_restart_floor"] = WARM_RESTART_FLOOR
-    results["mmap_vs_queue_ship"] = round(queue_load / mmap_load, 2)
     record(RESULT_PATH, results)
 
     print()
@@ -213,11 +159,10 @@ def test_snapshot_warm_restart_vs_full_build(run_once, universe,
           f"{build / row['seconds']:.2f}x")
          for row in results["rows"]],
         title=(f"Snapshot persistence ({results['seed_hosts']} seed hosts, "
-               f"{results['shards']} shards, {WORKERS} workers, "
+               f"{results['shards']} shards, "
                f"{results['snapshot_bytes'] / 1e6:.1f} MB on disk)"),
     ))
-    print(f"Warm restart vs full build: {warm_restart_speedup:.2f}x; "
-          f"mmap vs queue-ship: {results['mmap_vs_queue_ship']:.2f}x "
+    print(f"Warm restart vs full build: {warm_restart_speedup:.2f}x "
           f"(written to {RESULT_PATH.name})")
 
     # Headline acceptance: restarting from disk must beat rebuilding from

@@ -76,15 +76,14 @@ def run_coverage_experiment(
     max_full_scans: Optional[float] = None,
     seed_cost_mode: str = "scan",
     executor: Optional[str] = None,
-    num_workers: int = 0,
     shard_count: int = 0,
     telemetry=None,
     seed_override=None,
 ) -> CoverageExperiment:
     """Run GPS against a dataset and compute the Figure 2 curves.
 
-    ``executor`` / ``num_workers`` / ``shard_count`` route the run's engine
-    builds through a persistent execution runtime (see
+    ``executor`` / ``shard_count`` route the run's engine builds through
+    the engine runtime (see
     :func:`repro.analysis.scenarios.run_gps_on_dataset`); the curves are
     identical on every backend and shard layout.  ``telemetry`` instruments
     the run (phase spans, scan counters) without changing the curves.
@@ -96,7 +95,7 @@ def run_coverage_experiment(
         universe, dataset, seed_fraction, step_size=step_size,
         split_seed=split_seed, feature_config=feature_config,
         max_full_scans=max_full_scans, seed_cost_mode=seed_cost_mode,
-        executor=executor, num_workers=num_workers, shard_count=shard_count,
+        executor=executor, shard_count=shard_count,
         telemetry=telemetry, seed_override=seed_override,
     )
     ground_truth = dataset.pairs()

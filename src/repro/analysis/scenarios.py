@@ -114,7 +114,6 @@ def run_gps_on_dataset(
     use_engine: bool = False,
     seed_cost_mode: str = "scan",
     executor: Optional[str] = None,
-    num_workers: int = 0,
     shard_count: int = 0,
     telemetry=None,
     seed_override=None,
@@ -139,10 +138,9 @@ def run_gps_on_dataset(
     trains on the supplied seed and the ``seed_cost_mode`` charge applies to
     it unchanged.
 
-    ``executor`` selects a persistent engine-runtime backend (``"serial"``
-    or ``"pool"``; implies ``use_engine``) with ``num_workers``
-    workers over ``shard_count`` resident shards (0 = one per worker); the
-    runtime lives for this one run and is closed before returning.
+    ``executor`` selects the engine-runtime backend (``"serial"``; implies
+    ``use_engine``) over ``shard_count`` resident shards (0 = one shard);
+    the runtime lives for this one run and is closed before returning.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) instruments the
     run's pipeline and orchestrator -- phase spans, scan counters, engine
@@ -157,8 +155,7 @@ def run_gps_on_dataset(
     pipeline = ScanPipeline(universe, telemetry=telemetry)
     engine_kwargs = {}
     if executor is not None:
-        engine_kwargs = {"executor": executor, "num_workers": num_workers,
-                         "shard_count": shard_count}
+        engine_kwargs = {"executor": executor, "shard_count": shard_count}
     config = GPSConfig(
         seed_fraction=seed_fraction,
         step_size=step_size,

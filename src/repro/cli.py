@@ -28,7 +28,6 @@ rebuilding anything.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from typing import Optional, Sequence
 
@@ -69,51 +68,12 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", choices=RUNTIME_EXECUTORS,
                         default=None,
                         help="run model/priors/prediction-index builds on the "
-                             "persistent engine runtime with this backend "
-                             "(results are identical; 'pool' keeps a warm "
-                             "worker pool for the whole run)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="engine runtime worker count (0 = machine default; "
-                             "only meaningful with --executor)")
+                             "in-process engine runtime (results are "
+                             "identical to the reference builds)")
     parser.add_argument("--shard-count", type=int, default=0,
                         help="shards the resident seed columns are partitioned "
-                             "into (0 = one per worker; more shards than "
-                             "workers lets the least-loaded placement balance "
-                             "skewed universes; only meaningful with "
+                             "into (0 = one shard; only meaningful with "
                              "--executor)")
-    parser.add_argument("--verbose-runtime", action="store_true",
-                        help="print the engine runtime's structured "
-                             "supervision events (task errors with worker "
-                             "tracebacks, worker crashes with exit codes, "
-                             "respawn/reload/redispatch recovery steps) to "
-                             "stderr")
-
-
-#: Name of the stderr handler ``--verbose-runtime`` attaches.
-_VERBOSE_RUNTIME_HANDLER = "verbose-runtime"
-
-
-def _configure_runtime_events(args: argparse.Namespace) -> None:
-    """Print the runtime's supervision events to stderr on opt-in.
-
-    Every supervision event (task errors with worker tracebacks, worker
-    crashes with exit codes, respawn/reload/redispatch recovery steps) is
-    logged at INFO on the ``repro.engine.runtime`` logger;
-    ``--verbose-runtime`` sets that logger to INFO and attaches one stderr
-    handler printing ``[repro.engine.runtime] RuntimeEvent(...)`` lines.
-    Idempotent: repeated CLI invocations in one process reuse the handler.
-    """
-    if not getattr(args, "verbose_runtime", False):
-        return
-    logger = logging.getLogger("repro.engine.runtime")
-    logger.setLevel(logging.INFO)
-    if any(handler.get_name() == _VERBOSE_RUNTIME_HANDLER
-           for handler in logger.handlers):
-        return
-    handler = logging.StreamHandler(sys.stderr)
-    handler.set_name(_VERBOSE_RUNTIME_HANDLER)
-    handler.setFormatter(logging.Formatter("[%(name)s] %(message)s"))
-    logger.addHandler(handler)
 
 
 def _trace_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
@@ -142,8 +102,8 @@ def _save_run_snapshot(directory, result, universe, status_encoder=None,
     ids match live batches) and the host-feature relation is re-extracted so
     the snapshot carries everything a warm restart needs.  With a live
     ``runtime`` the host groups are additionally pre-sharded into the
-    runtime's layout, making the saved shards mmap-loadable by an equally
-    shaped pool.
+    runtime's layout, making the saved shards mmap-loadable by a runtime
+    with the same shard count.
     """
     from repro.core.features import extract_host_features_columns
     from repro.engine.snapshot import save_snapshot
@@ -201,11 +161,9 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     universe = make_universe(_scale(args.scale), seed=args.seed)
     telemetry = _trace_telemetry(args)
     pipeline = ScanPipeline(universe, telemetry=telemetry)
-    _configure_runtime_events(args)
     engine_kwargs = {}
     if args.executor is not None:
         engine_kwargs = {"use_engine": True, "executor": args.executor,
-                         "num_workers": args.workers,
                          "shard_count": args.shard_count}
     config = GPSConfig(seed_fraction=args.seed_fraction,
                        step_size=args.step_size, **engine_kwargs)
@@ -249,7 +207,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     scale = _scale(args.scale)
     universe = make_universe(scale, seed=args.seed)
     telemetry = _trace_telemetry(args)
-    _configure_runtime_events(args)
     if args.dataset == "censys":
         dataset = make_censys_dataset(universe, scale)
         seed_fraction = args.seed_fraction or scale.default_seed_fraction
@@ -268,7 +225,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                                          step_size=args.step_size,
                                          seed_cost_mode=seed_cost_mode,
                                          executor=args.executor,
-                                         num_workers=args.workers,
                                          shard_count=args.shard_count,
                                          telemetry=telemetry,
                                          seed_override=seed_override)
@@ -342,18 +298,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving.http import ServiceHost, serve_forever
     from repro.serving.service import ServingConfig
 
-    _configure_runtime_events(args)
     universe = make_universe(_scale(args.scale), seed=args.seed)
     pipeline = ScanPipeline(universe)
 
     executor = args.executor or "serial"
-    config = ServingConfig(executor=executor, num_workers=args.workers,
-                           shard_count=args.shard_count,
+    config = ServingConfig(executor=executor, shard_count=args.shard_count,
                            telemetry_enabled=not args.no_telemetry)
     host = ServiceHost(config)
     gps_config = GPSConfig(seed_fraction=args.seed_fraction,
                            use_engine=True, executor=executor,
-                           num_workers=args.workers,
                            shard_count=args.shard_count)
     if args.snapshot_dir:
         info = host.call(host.service.load_model_from_snapshot(
@@ -389,11 +342,9 @@ def cmd_snapshot_save(args: argparse.Namespace) -> int:
     """
     universe = make_universe(_scale(args.scale), seed=args.seed)
     pipeline = ScanPipeline(universe)
-    _configure_runtime_events(args)
     engine_kwargs = {}
     if args.executor is not None:
         engine_kwargs = {"use_engine": True, "executor": args.executor,
-                         "num_workers": args.workers,
                          "shard_count": args.shard_count}
     config = GPSConfig(seed_fraction=args.seed_fraction,
                        step_size=args.step_size, **engine_kwargs)
@@ -526,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--snapshot-dir", default=None, metavar="DIR",
                        help="warm-restart the default model from this "
                             "snapshot directory instead of building it (the "
-                            "pool mmaps saved shards when --executor/--shard-"
-                            "count match the snapshot's layout)")
+                            "saved shards load mmap-backed when "
+                            "--executor/--shard-count match the snapshot's "
+                            "layout)")
     serve.set_defaults(func=cmd_serve)
 
     snapshot = subparsers.add_parser(

@@ -12,8 +12,7 @@ GPS exposes exactly the knobs the paper describes as user parameters:
 * the **probability cut-off** below which a pattern is considered random noise
   (Section 5.4 uses 1e-5, roughly the hit rate of random probing);
 * the **compute backend** used for the three Table 2 builds (the single-core
-  reference, or the engine runtime on its in-process serial executor or its
-  pool of worker processes, Section 5.5 / Table 2).
+  reference, or the in-process engine runtime, Section 5.5 / Table 2).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.engine.faults import FaultPlan
 from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.internet.banners import APP_FEATURE_KEYS
 
@@ -128,37 +126,16 @@ class GPSConfig:
             (Section 5.3) and the prediction-index build (Section 5.4) on
             the engine runtime rather than the single-core dictionary
             implementations (the reference oracle).  The engine ingests the
-            seed columnar, loads the encoded columns into the runtime's
-            workers once per run
-            (:class:`~repro.core.runtime_plans.ResidentHostGroups`) and
-            folds all three builds against the resident shards; every
-            result is bit-identical to the reference.
-        executor: the runtime executor the engine runs on -- ``"serial"``
-            (the default) or ``"pool"``.  The :class:`GPS`
+            seed columnar, loads the encoded columns into the runtime once
+            per run (:class:`~repro.core.runtime_plans.ResidentHostGroups`)
+            and folds all three builds against the resident shards; every
+            result is bit-identical to the reference.  The :class:`GPS`
             orchestrator owns one
-            :class:`~repro.engine.runtime.EngineRuntime` for its lifetime:
-            workers start once and every run reuses them.  Only consulted
-            when ``use_engine`` is set; naming a non-default executor
-            without it is an error.
-        num_workers: worker count for the runtime (``0`` selects the
-            machine default).
+            :class:`~repro.engine.runtime.EngineRuntime` for its lifetime.
+        executor: the runtime executor the engine runs on; ``"serial"``
+            is the only one.
         shard_count: how many shards resident datasets are partitioned into
-            (``0`` means one per worker).
-        max_task_retries: recovery rounds the persistent pool may spend
-            respawning dead workers (and re-loading their shards) per
-            dispatch before a crash surfaces as
-            :class:`~repro.engine.runtime.WorkerCrashError`; ``0`` restores
-            the old fail-fast behaviour.
-        task_deadline_s: seconds the runtime waits without *any* worker
-            reply before raising
-            :class:`~repro.engine.runtime.WorkerTimeoutError` with a process
-            dump (``None`` disables; a wedged worker then blocks forever).
-        execution_deadline_s: wall-clock budget for one whole runtime
-            dispatch (``None`` disables).
-        fault_plan: deterministic chaos plan
-            (:class:`~repro.engine.faults.FaultPlan`) injected into the
-            runtime's workers and the scan pipeline; testing and drills
-            only -- leave ``None`` in production.
+            (``0`` means one shard).
         telemetry_enabled: create a :class:`~repro.telemetry.Telemetry`
             instance for the run -- per-phase spans, engine/scan metrics.
             Off by default: telemetry must never tax a run that did not
@@ -175,13 +152,9 @@ class GPSConfig:
     seed_scan_seed: int = 0
     prediction_batch_size: int = 2000
     use_engine: bool = False
+    # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
     executor: str = "serial"
-    num_workers: int = 0
     shard_count: int = 0
-    max_task_retries: int = 2
-    task_deadline_s: Optional[float] = None
-    execution_deadline_s: Optional[float] = None
-    fault_plan: Optional[FaultPlan] = None
     telemetry_enabled: bool = False
 
     def __post_init__(self) -> None:
@@ -201,25 +174,8 @@ class GPSConfig:
             raise ValueError(
                 f"unknown executor: {self.executor!r} "
                 f"(expected one of {RUNTIME_EXECUTORS})")
-        # A non-default executor that cannot run is a misconfiguration, not a
-        # preference: fail loudly instead of silently measuring the
-        # single-core reference path.
-        if self.executor != "serial" and not self.use_engine:
-            raise ValueError(
-                f"executor={self.executor!r} requires use_engine=True "
-                "(without the engine there is nothing for the runtime to run)")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0 (0 selects the default)")
         if self.shard_count < 0:
-            raise ValueError("shard_count must be >= 0 (0 selects one per worker)")
-        if self.max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
-        for name, deadline in (("task_deadline_s", self.task_deadline_s),
-                               ("execution_deadline_s", self.execution_deadline_s)):
-            if deadline is not None and deadline <= 0:
-                raise ValueError(f"{name} must be positive when set")
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            raise TypeError("fault_plan must be a FaultPlan or None")
+            raise ValueError("shard_count must be >= 0 (0 selects one shard)")
         if self.port_domain is not None:
             for port in self.port_domain:
                 if not 1 <= port <= 65535:

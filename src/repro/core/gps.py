@@ -211,11 +211,10 @@ class GPS:
     """The GPS system bound to one scan pipeline and one configuration.
 
     With ``GPSConfig.use_engine`` set, the instance owns one
-    :class:`~repro.engine.runtime.EngineRuntime` on ``GPSConfig.executor``
-    (``"serial"`` or ``"pool"``) for its whole life: the pool
-    starts lazily on the first engine build, every run reuses it, and
-    :meth:`close` (or using the GPS as a context manager) tears it down.
-    Within a run the seed's encoded columns load into the workers once and
+    :class:`~repro.engine.runtime.EngineRuntime` for its whole life: it is
+    created on the first engine build, every run reuses it, and
+    :meth:`close` (or using the GPS as a context manager) frees it.
+    Within a run the seed's encoded columns load into the runtime once and
     the model, priors and prediction-index builds all fold against the
     resident shards.
 
@@ -249,27 +248,19 @@ class GPS:
     def runtime(self) -> Optional[EngineRuntime]:
         """This instance's persistent engine runtime (``None`` without
         ``use_engine``).  Created lazily from ``config.executor`` /
-        ``config.num_workers`` / ``config.shard_count``; recreated if a
-        previous one was closed or broken by a worker crash."""
+        ``config.shard_count``; recreated if a previous one was closed."""
         config = self.config
         if not config.use_engine:
             return None
-        if self._runtime is None or self._runtime.closed or self._runtime.broken:
-            if self._runtime is not None:
-                self._runtime.close()
+        if self._runtime is None or self._runtime.closed:
             self._runtime = EngineRuntime(
                 executor=config.executor,
-                num_workers=config.num_workers,
                 shard_count=config.shard_count,
-                max_task_retries=config.max_task_retries,
-                task_deadline_s=config.task_deadline_s,
-                execution_deadline_s=config.execution_deadline_s,
-                fault_plan=config.fault_plan,
                 telemetry=self.telemetry)
         return self._runtime
 
     def close(self) -> None:
-        """Shut the engine runtime's worker pool down; idempotent."""
+        """Free the engine runtime's resident data; idempotent."""
         if self._runtime is not None:
             self._runtime.close()
 

@@ -224,19 +224,18 @@ def build_model_with_engine(host_features: HostFeatureColumns,
     the host address, drop self-pairs, GROUP BY (predictor, target port) to
     obtain the co-occurrence counts, and GROUP BY predictor over the feature
     relation to obtain the denominators.  ``dataset`` holds
-    ``host_features``' encoded columns resident in an engine runtime's
-    workers; each worker folds the join over its shard of hosts (hosts never
-    span shards, so the join is shard-local) and the driver merges the
-    per-shard packed counts.
+    ``host_features``' encoded columns resident in an engine runtime; the
+    join folds over each shard of hosts (hosts never span shards, so the
+    join is shard-local) and the per-shard packed counts merge.
 
     The model keeps the merged packed columns: the priors and index builds
     on the same dataset read them as their score tables, and the
     predictor-keyed dicts are decoded only when first read (a GPS run never
     reads them; a snapshot save does).
 
-    The workers fold with the numpy kernels when numpy imports and the
+    The shards fold with the numpy kernels when numpy imports and the
     stdlib fold otherwise (see :meth:`ResidentHostGroups.model_counts`).
     The result is identical to :func:`build_model` (the oracle) on every
-    executor and kernel; the test suite asserts this on randomized inputs.
+    shard count and kernel; the test suite asserts this on randomized inputs.
     """
     return CooccurrenceModel.from_packed(dataset.model_counts())

@@ -916,9 +916,9 @@ def build_prediction_index_with_engine(
     asserts entry-for-entry equality, tie cases included), but executes as
     staged numpy segment reductions over dictionary-encoded columns
     (:func:`repro.engine.fused.fold_argmax_winners`) against ``dataset`` --
-    ``host_features``' columns, resident in the runtime's workers: the
+    ``host_features``' columns, resident in the runtime: the
     model's packed counts broadcast once per model, only the whitelist and
-    thresholds ship per call, and the per-shard rows merge back into exact
+    thresholds pass per call, and the per-shard rows merge back into exact
     host order, where the last ties break on the decoded predictor tuples.
 
     Args:

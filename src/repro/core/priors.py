@@ -28,8 +28,8 @@ Two implementations produce that list:
   ordered port pair), kept as the oracle the equivalence tests compare
   against;
 * :func:`build_priors_plan_with_engine` -- the same query on the engine
-  runtime: the model's packed counts broadcast once, and each worker
-  selects every service's partner over its resident shard of hosts with
+  runtime: the model's packed counts broadcast once, and every service's
+  partner is selected over each resident shard of hosts with
   numpy segment reductions
   (:func:`repro.engine.fused.fold_partner_counts`), folding coverage counts.
   This is the Table 2 "computation" story applied to the Section 5.3
@@ -146,11 +146,11 @@ def build_priors_plan_with_engine(
 
     Produces exactly the ordered :class:`PriorsEntry` list of
     :func:`build_priors_plan` (the oracle; the test suite asserts equality
-    on every executor), but folds the partner selection against
+    on every shard count), but folds the partner selection against
     ``dataset`` -- ``host_features``' encoded columns, resident in the
-    runtime's workers: the model's packed counts broadcast once per model,
-    each worker folds coverage counts over its shard of hosts, and only the
-    port whitelist ships per call.
+    runtime: the model's packed counts broadcast once per model, coverage
+    counts fold over each shard of hosts, and only the port whitelist
+    passes per call.
 
     Args:
         host_features: the seed's encoded host features.

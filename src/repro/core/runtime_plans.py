@@ -5,21 +5,21 @@ planning (Section 5.3) and the prediction-index build (Section 5.4) -- all
 fold over the same underlying relation: hosts owning services owning
 dictionary-encoded predictor tuples.  :class:`ResidentHostGroups` takes
 that relation as pre-encoded columns, hash-shards it once
-(:mod:`repro.engine.shard`) and loads each shard into a persistent
-:class:`~repro.engine.runtime.EngineRuntime` worker, where it stays
-resident.  Each subsequent build then ships only its plan parameters:
+(:mod:`repro.engine.shard`) and loads the shards into an
+:class:`~repro.engine.runtime.EngineRuntime`, where they stay resident.
+Each subsequent build then passes only its plan parameters:
 
 * :meth:`model_counts` -- the co-occurrence fold runs as a shard-local
-  self-join over the resident columns (ships only the kernel name) and
+  self-join over the resident columns (passing only the kernel name) and
   returns the merged packed counts (:class:`PackedCounts`);
 * :meth:`priors_coverage` / :meth:`argmax_winners` -- the model's score
   tables, those packed counts, broadcast once (:meth:`ensure_sides`), after
-  which each call ships only the port whitelist and thresholds.  Each shard
+  which each call passes only the port whitelist and thresholds.  Each shard
   builds one candidate table per model, which both folds reduce with
   numpy segment reductions.
 
 Every result is bit-identical to the single-core reference builds on every
-executor and shard count: counter merges are order-independent, and the
+shard count: counter merges are order-independent, and the
 order-sensitive argmax winner list is reassembled into exact host order via
 the shards' ``group_order`` columns.
 
@@ -51,7 +51,7 @@ from repro.net.ipv4 import prefix_mask
 __all__ = ["PackedCounts", "ResidentHostGroups"]
 
 #: Distinct runtime keys per process, so two live datasets never collide in
-#: the workers' resident stores.
+#: a runtime's resident store.
 _KEY_COUNTER = itertools.count()
 
 
@@ -144,27 +144,19 @@ def _label_array(port_domain: Optional[Sequence[int]]):
 
 
 class ResidentHostGroups:
-    """The host/service/predictor relation, resident in a runtime's workers.
+    """The host/service/predictor relation, resident in a runtime.
 
     Constructing the dataset takes ``host_features``' group-structured
     columns (groups = hosts keyed by their ``step_size`` subnet, members =
     services labelled by port in ascending order, values = predictor-tuple
     ids interned through one shared :class:`DictionaryEncoder`), shards them
-    by the stable hash of the host address, and ships each shard to its
-    runtime worker exactly once.  The encoder stays driver-side: workers
-    only ever see dense ids, the driver decodes results.
+    by the stable hash of the host address, and loads the shards into the
+    runtime exactly once.  The encoder stays here: the resident folds only
+    ever see dense ids, and this class decodes results.
 
     The dataset must be :meth:`release`-d when the run is done (the GPS
     orchestrator does this in a ``finally``); the runtime itself stays up
     for the next dataset.
-
-    Worker crashes are transparent at this layer: the pool backend keeps a
-    coordinator-side copy of every payload shipped through
-    ``runtime.load_shards`` / ``load_broadcast``, so a worker that dies
-    mid-build is respawned with exactly its shards re-loaded and the
-    interrupted folds re-dispatched -- results stay bit-identical (pure
-    tasks, order-independent counter merges, re-ordering by host index).
-    :attr:`recovery_stats` exposes what the supervisor had to do.
     """
 
     def __init__(self, runtime: EngineRuntime, host_features: Any,
@@ -172,12 +164,12 @@ class ResidentHostGroups:
         """Shard and load the host features.
 
         Args:
-            runtime: the persistent runtime whose workers hold the shards.
+            runtime: the runtime that holds the shards.
             host_features: the host/service/predictor relation as
                 pre-encoded flat columns
                 (:class:`repro.core.features.HostFeatureColumns`), which
                 shard as-is: the columnar ingest already holds exactly the
-                layout the workers need, and the columns' encoder is shared.
+                layout the folds need, and the columns' encoder is shared.
             step_size: prefix length for the priors planner's subnet group
                 keys (0-32).
             key: resident-store key; auto-generated (unique per process)
@@ -208,9 +200,9 @@ class ResidentHostGroups:
         try:
             runtime.load_shards(self.key, sharded.shards)
         except BaseException:
-            # A partial load must not leak shards into the warm pool for the
-            # runtime's whole life: the caller never sees this dataset, so
-            # nobody else can release the key.
+            # A partial load must not leak shards into the runtime for its
+            # whole life: the caller never sees this dataset, so nobody else
+            # can release the key.
             runtime.unload(self.key)
             raise
 
@@ -221,18 +213,17 @@ class ResidentHostGroups:
 
         The snapshot (:class:`repro.engine.snapshot.Snapshot`, saved with
         sharded host groups) already holds exactly the shard payloads the
-        constructor would shard and ship: workers receive file references
-        and ``mmap`` their shards straight from disk
-        (:meth:`~repro.engine.runtime.EngineRuntime.load_shards_from_snapshot`),
-        so no sharding pass runs and no column bytes cross the worker queues.
+        constructor would shard: each ``shard-NNNN`` section loads through
+        :meth:`~repro.engine.snapshot.Snapshot.columns` as ``mmap``-backed
+        views, so no sharding pass runs and no column is copied.
         The predictor encoder rebuilds from the snapshot's table in exact id
         order, so resident ``value_ids`` decode identically to a
         freshly-built dataset and every downstream query is bit-identical.
 
         The runtime's ``shard_count`` must match the snapshot's saved shard
-        layout (shard files *are* the placement unit).
+        layout.
         """
-        from repro.engine.snapshot import SnapshotError
+        from repro.engine.snapshot import SHARD_SECTION_FMT, SnapshotError
 
         layout = snapshot.shard_layout()
         if layout is None:
@@ -257,7 +248,9 @@ class ResidentHostGroups:
             self.encoder.encode(tuple(predictor))
         self.group_count = layout["group_count"]
         try:
-            runtime.load_shards_from_snapshot(self.key, snapshot.shard_refs())
+            runtime.load_shards(self.key, [
+                snapshot.columns(SHARD_SECTION_FMT.format(idx=idx))
+                for idx in range(runtime.shard_count)])
         except BaseException:
             runtime.unload(self.key)
             raise
@@ -265,14 +258,8 @@ class ResidentHostGroups:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    @property
-    def recovery_stats(self):
-        """The owning runtime's supervision counters (crash-recovery tests
-        read these to prove recovery touched only the dead worker's shards)."""
-        return self.runtime.recovery_stats
-
     def release(self) -> None:
-        """Drop the resident shards from every worker; idempotent."""
+        """Drop the resident shards from the runtime; idempotent."""
         if self._released:
             return
         self._released = True
@@ -291,11 +278,11 @@ class ResidentHostGroups:
         this dataset's encoder) that decode into exactly the contents of the
         :class:`~repro.core.model.CooccurrenceModel` the oracle builds.
 
-        The fold kernel is resolved here, once per build, and ships to every
+        The fold kernel is resolved here, once per build, and passes to every
         shard as the task argument: the numpy kernels
         (:func:`repro.engine.fused.fold_model_pairs_arrays`) when numpy
         imports -- no per-row Python loop -- else the stdlib row-by-row
-        fold.  Both reply with packed ``(keys, counts)`` columns merged
+        fold.  Both return packed ``(keys, counts)`` columns merged
         here.
         """
         self._check_usable()
@@ -309,14 +296,14 @@ class ResidentHostGroups:
     # -- model side tables (shared by priors + prediction index) ---------------------
 
     def ensure_sides(self, model: Any) -> None:
-        """Broadcast the model's score tables to every worker, once per model.
+        """Broadcast the model's score tables to every shard, once per model.
 
-        The workers receive int64 columns: the sorted packed
+        The shards' folds read int64 columns: the sorted packed
         ``(predictor id, port)`` keys with their co-occurrence counts and
         each id's support.  A model built over this dataset's encoder whose
         dicts were never read broadcasts its packed columns as they are;
         any other model is packed from its dicts.  A repeated call with the
-        same model object in the same state ships nothing.
+        same model object in the same state loads nothing.
 
         Every broadcast also carries an empty ``candidates`` cache for the
         shards' candidate tables (built by the first fold that needs them),
@@ -352,7 +339,7 @@ class ResidentHostGroups:
 
         Returns the ``(port, subnet) -> coverage`` counts the priors list is
         built from, identical to the reference planner's counts.  Only the
-        port whitelist ships per call.
+        port whitelist passes per call.
         """
         self._check_usable()
         self.ensure_sides(model)
@@ -375,7 +362,7 @@ class ResidentHostGroups:
         shard's winners come back tagged with their host's original index
         and are merged back.  Ids are the dataset encoder's; only the ids
         that tie are decoded, for the last tie-break.  Only the whitelist
-        and thresholds ship per call.
+        and thresholds pass per call.
         """
         self._check_usable()
         self.ensure_sides(model)

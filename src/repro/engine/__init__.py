@@ -11,7 +11,7 @@ all three of GPS's Table 2 builds:
 
 * :mod:`~repro.engine.encoding` -- dictionary encoding of hashable values to
   dense integer ids (cheap grouping keys, ``PYTHONHASHSEED``-independent
-  sharding, compact cross-process payloads);
+  sharding, compact flat payloads);
 * :mod:`~repro.engine.columns` -- machine-native int64 column buffers and
   the stdlib/numpy kernel-backend switch;
 * :mod:`~repro.engine.fused` -- the model build's self-join fold (stdlib
@@ -20,24 +20,18 @@ all three of GPS's Table 2 builds:
   candidate table per shard and model;
 * :mod:`~repro.engine.shard` -- ``PYTHONHASHSEED``-independent hash
   partitioning of encoded columns into shards with a stable identity;
-* :mod:`~repro.engine.runtime` -- the persistent execution runtime: the
-  in-process ``serial`` executor or the ``pool`` of worker processes, either
-  of which holds sharded columns resident and runs every fold against them.
+* :mod:`~repro.engine.runtime` -- the in-process execution runtime, which
+  holds sharded columns resident and runs every fold against them.
 
 GPS's builds (:mod:`repro.core.model`, :mod:`repro.core.priors`,
 :mod:`repro.core.predictions`) each ship two implementations: a direct
 dictionary-based one (the single-core reference oracle) and one on this
 engine; the test suite asserts they produce identical results on every
-executor and column backend.
+shard layout and column backend.
 """
 
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.runtime import (
-    RUNTIME_EXECUTORS,
-    EngineRuntime,
-    WorkerCrashError,
-    WorkerTaskError,
-)
+from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
 from repro.engine.shard import ShardedColumns, shard_columns, shard_group_columns
 
 __all__ = [
@@ -45,8 +39,6 @@ __all__ = [
     "stable_hash",
     "RUNTIME_EXECUTORS",
     "EngineRuntime",
-    "WorkerCrashError",
-    "WorkerTaskError",
     "ShardedColumns",
     "shard_columns",
     "shard_group_columns",

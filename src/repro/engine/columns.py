@@ -5,9 +5,9 @@ Hot columns (:class:`~repro.scanner.records.ObservationBatch`,
 of :mod:`repro.engine.shard`) are backed by :class:`IntColumn` -- a signed
 64-bit :class:`array.array` subclass -- instead of Python lists.  An
 ``array('q')`` stores one machine word per element (a list stores a pointer
-to a boxed ``int``), pickles as a single contiguous byte buffer (one
-``tobytes()`` per column when a shard ships to a pool worker, instead of one
-object per element), and exports the buffer protocol, so bulk kernels can
+to a boxed ``int``), writes to disk as a single contiguous byte buffer (one
+``tobytes()`` per column when a snapshot saves), and exports the buffer
+protocol, so bulk kernels can
 fold over it without ever materializing Python ints:
 
 * ``numpy.frombuffer(column, dtype=int64)`` is a zero-copy ndarray view
@@ -62,7 +62,7 @@ class IntColumn(array):
     Elements must fit in int64 (:data:`INT64_MIN` .. :data:`INT64_MAX`);
     out-of-range values raise ``OverflowError`` at insert time, which is the
     point: every consumer downstream (the packed fold kernels, numpy views,
-    shard shipping) assumes machine words.
+    snapshot column files) assumes machine words.
     """
 
     __slots__ = ()
@@ -97,8 +97,7 @@ class ColumnView:
     The zero-parse side of the snapshot story
     (:mod:`repro.engine.snapshot`): a column file opened through ``mmap``
     wraps in a view without copying or decoding a single element -- the
-    kernel's page cache *is* the column storage, shared across every process
-    that maps the same file.  The view quacks like the read side of
+    kernel's page cache *is* the column storage.  The view quacks like the read side of
     :class:`IntColumn`: ``len`` / indexing / slicing / iteration /
     ``tolist()`` / element-wise ``==`` against lists and arrays, plus
     ``memoryview(view)`` and :func:`as_numpy` zero-copy access for the bulk
@@ -106,8 +105,7 @@ class ColumnView:
     and the underlying buffer is mapped read-only.
 
     Pickling materializes into a plain :class:`IntColumn` (a process cannot
-    ship its address space); the pool's snapshot path never pickles views --
-    workers receive file references and open their own maps.
+    ship its address space).
 
     Args:
         buffer: any buffer-protocol object (``mmap.mmap``, ``bytes``,

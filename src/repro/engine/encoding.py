@@ -1,17 +1,16 @@
 """Dictionary encoding: interning hashable values as dense integer ids.
 
 The engine's hot values -- predictor tuples especially -- are nested tuples
-mixing strings and ints.  Grouping, sharding and (worst of all) pickling them
-across process boundaries pays the full cost of their structure on every
-touch.  A :class:`DictionaryEncoder` interns each distinct value once and
+mixing strings and ints.  Grouping, sharding and storing them pays the full
+cost of their structure on every touch.  A :class:`DictionaryEncoder` interns each distinct value once and
 hands out a dense integer id, so the rest of a query operates on flat ints:
 
 * grouping keys become ints (or short int tuples), which hash and compare in
   a few nanoseconds;
 * partitioning can shard on the id itself, independent of
   ``PYTHONHASHSEED``;
-* the process backend ships columns of ints instead of lists of nested
-  tuples, which shrinks and speeds up the pickle payloads dramatically.
+* resident shards and snapshot files hold columns of ints instead of lists
+  of nested tuples.
 
 Ids are assigned in first-seen order, so encoding is deterministic for a
 deterministic input stream; :meth:`DictionaryEncoder.decode` reverses the

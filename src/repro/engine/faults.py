@@ -1,18 +1,12 @@
-"""Deterministic fault injection for the runtime and the scanner path.
+"""Deterministic probe loss for the scanner path.
 
 Robustness claims are worthless unless they are testable, and testable means
-*repeatable*: the same seed must produce the same crash at the same point in
-the same build, every run, on every machine.  This module provides the two
-seeded chaos layers the self-healing runtime is exercised with:
+*repeatable*: the same seed must drop the same probes in the same sweep,
+every run, on every machine.  This module provides the seeded loss layer the
+scanner simulators are exercised with:
 
-* :class:`FaultPlan` -- a frozen description of *where* faults fire inside the
-  pool runtime (worker crashes, injected task exceptions, dropped replies,
-  slow replies) and *how lossy* the simulated network is in the scanner path.
-  A plan is plain data: it pickles across the spawn boundary into worker
-  processes and hashes into cache keys.
-* :class:`WorkerFaultState` -- the worker-side interpreter of a plan.  Each
-  worker process owns one; it counts matching task occurrences and applies
-  the planned fault when the occurrence index matches.
+* :class:`FaultPlan` -- a frozen description of *how lossy* the simulated
+  network is.  A plan is plain data: it hashes into cache keys.
 * :class:`ProbeLossModel` -- a seeded, per-(layer, ip, port, attempt) loss
   decision for the scanner simulators.  Losses are *bounded*: after
   ``max_consecutive_losses`` attempts on the same target the probe always
@@ -21,28 +15,15 @@ seeded chaos layers the self-healing runtime is exercised with:
   scan results are bit-identical to the lossless run).
 
 Determinism rests on :func:`repro.engine.encoding.stable_hash`, which is
-``PYTHONHASHSEED``-independent, so fault decisions agree between the
-coordinator and spawned workers without any shared RNG state.
-
-Crash faults (``crash_task``) are gated behind the same environment variable
-as the ``_crash`` drill task (``REPRO_RUNTIME_CRASH_TEST=1``) so a stray plan
-in production config cannot hard-kill worker processes.
+``PYTHONHASHSEED``-independent, so loss decisions need no shared RNG state.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.engine.encoding import stable_hash
-
-#: Environment gate shared with the ``_crash`` drill task in the runtime:
-#: faults that terminate a worker process only fire when this is set to "1".
-CRASH_TEST_ENV = "REPRO_RUNTIME_CRASH_TEST"
-
-#: Exit code used by injected worker crashes (distinct from the drill's 17).
-FAULT_CRASH_EXIT_CODE = 23
 
 _HASH_SPAN = float(2**64)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -66,34 +47,10 @@ def _mix64(value: int) -> int:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, deterministic description of injected faults.
-
-    Runtime fields (interpreted by :class:`WorkerFaultState` inside worker
-    processes):
+    """A seeded, deterministic description of scanner probe loss.
 
     Attributes:
         seed: base seed folded into every loss-model decision.
-        generation: pool spawn generation the runtime faults fire in.  Workers
-            respawned during recovery run at generation ``old + 1``, so the
-            default of ``0`` means "fault the original workers once and let
-            recovery proceed cleanly" -- the shape every deterministic
-            recovery test wants.  ``None`` faults every generation (used to
-            exhaust the retry budget).
-        crash_task: name of the runtime task (or the literal ``"load"``)
-            whose Nth matching occurrence hard-kills the worker via
-            ``os._exit``.  Gated behind ``REPRO_RUNTIME_CRASH_TEST=1``.
-        crash_workers: worker ids the crash applies to (empty tuple = all).
-        crash_at: 0-based occurrence index of the matching task at which the
-            crash fires.
-        error_task / error_at: inject a ``RuntimeError`` (surfaced as a
-            normal task failure) at the Nth occurrence of a task.
-        drop_reply_task / drop_reply_at: compute the task but never reply --
-            the deterministic way to wedge a live worker for deadline tests.
-        slow_task / slow_seconds: sleep before replying to matching tasks.
-
-    Scanner fields (interpreted by :class:`ProbeLossModel`):
-
-    Attributes:
         probe_loss_rate: probability in ``[0, 1)`` that a probe attempt is
             dropped.
         max_consecutive_losses: hard bound on losses for one (layer, ip,
@@ -106,19 +63,6 @@ class FaultPlan:
     """
 
     seed: int = 0
-    generation: Optional[int] = 0
-    crash_task: Optional[str] = None
-    crash_workers: Tuple[int, ...] = ()
-    crash_at: int = 0
-    error_task: Optional[str] = None
-    error_workers: Tuple[int, ...] = ()
-    error_at: int = 0
-    drop_reply_task: Optional[str] = None
-    drop_reply_workers: Tuple[int, ...] = ()
-    drop_reply_at: int = 0
-    slow_task: Optional[str] = None
-    slow_workers: Tuple[int, ...] = ()
-    slow_seconds: float = 0.0
     probe_loss_rate: float = 0.0
     max_consecutive_losses: int = 2
     max_probe_retries: int = 3
@@ -131,20 +75,13 @@ class FaultPlan:
             raise ValueError("max_consecutive_losses must be at least 1")
         if self.max_probe_retries < 0:
             raise ValueError("max_probe_retries must be non-negative")
-        if self.slow_seconds < 0 or self.retry_backoff_s < 0:
-            raise ValueError("durations must be non-negative")
+        if self.retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be non-negative")
         if self.probe_loss_rate > 0 and (
                 self.max_probe_retries < self.max_consecutive_losses):
             raise ValueError(
                 "max_probe_retries must cover max_consecutive_losses so loss "
                 "stays coverage-neutral")
-
-    # -- runtime-side queries ---------------------------------------------------------
-
-    def touches_runtime(self) -> bool:
-        """Whether any runtime (non-scanner) fault is configured."""
-        return any((self.crash_task, self.error_task,
-                    self.drop_reply_task, self.slow_task))
 
     def loss_model(self) -> Optional["ProbeLossModel"]:
         """The scanner loss model, or ``None`` when the plan is lossless."""
@@ -155,87 +92,13 @@ class FaultPlan:
                               max_consecutive_losses=self.max_consecutive_losses)
 
 
-class WorkerFaultState:
-    """Worker-side interpreter of a :class:`FaultPlan`.
-
-    One instance lives inside each worker process; it tracks how many times
-    each planned task name has been seen and fires the planned fault when the
-    occurrence index matches.  All decisions are pure functions of the plan
-    plus local counters, so two runs of the same plan against the same task
-    stream behave identically.
-    """
-
-    def __init__(self, plan: Optional[FaultPlan], worker_id: int,
-                 generation: int = 0) -> None:
-        self.plan = plan
-        self.worker_id = worker_id
-        self.generation = generation
-        self._crash_seen = 0
-        self._error_seen = 0
-        self._drop_seen = 0
-
-    def _active(self, workers: Tuple[int, ...]) -> bool:
-        plan = self.plan
-        if plan is None:
-            return False
-        if plan.generation is not None and plan.generation != self.generation:
-            return False
-        return not workers or self.worker_id in workers
-
-    def on_task(self, task_name: str) -> None:
-        """Apply pre-execution faults (crash / slow) for ``task_name``.
-
-        Raises:
-            SystemExit: never -- crashes use ``os._exit`` to mimic a hard
-                worker death (no cleanup, no queue flush), exactly what the
-                supervisor must recover from.
-        """
-        plan = self.plan
-        if plan is None:
-            return
-        if (plan.crash_task == task_name and self._active(plan.crash_workers)):
-            occurrence = self._crash_seen
-            self._crash_seen += 1
-            if occurrence == plan.crash_at:
-                if os.environ.get(CRASH_TEST_ENV) != "1":
-                    raise RuntimeError(
-                        f"FaultPlan crash requires {CRASH_TEST_ENV}=1")
-                os._exit(FAULT_CRASH_EXIT_CODE)
-        if (plan.slow_task == task_name and self._active(plan.slow_workers)
-                and plan.slow_seconds > 0):
-            import time
-            time.sleep(plan.slow_seconds)
-
-    def should_error(self, task_name: str) -> bool:
-        """Whether to raise an injected exception for this task occurrence."""
-        plan = self.plan
-        if plan is None or plan.error_task != task_name:
-            return False
-        if not self._active(plan.error_workers):
-            return False
-        occurrence = self._error_seen
-        self._error_seen += 1
-        return occurrence == plan.error_at
-
-    def should_drop_reply(self, task_name: str) -> bool:
-        """Whether to compute but swallow the reply for this occurrence."""
-        plan = self.plan
-        if plan is None or plan.drop_reply_task != task_name:
-            return False
-        if not self._active(plan.drop_reply_workers):
-            return False
-        occurrence = self._drop_seen
-        self._drop_seen += 1
-        return occurrence == plan.drop_reply_at
-
-
 @dataclass(frozen=True)
 class ProbeLossModel:
     """Seeded per-probe loss decisions with bounded consecutive losses.
 
     The decision for attempt ``k`` on target ``(layer, ip, port)`` is a pure
     function of ``(seed, layer, ip, port, k)`` via ``stable_hash``, so the
-    coordinator, tests, and any re-run agree on exactly which probes drop.
+    pipeline, tests, and any re-run agree on exactly which probes drop.
     Attempt indices at or beyond ``max_consecutive_losses`` never drop, which
     bounds the worst case and keeps retry loops finite and provably
     coverage-neutral.
@@ -253,10 +116,4 @@ class ProbeLossModel:
         return draw / _HASH_SPAN < self.loss_rate
 
 
-__all__ = [
-    "CRASH_TEST_ENV",
-    "FAULT_CRASH_EXIT_CODE",
-    "FaultPlan",
-    "ProbeLossModel",
-    "WorkerFaultState",
-]
+__all__ = ["FaultPlan", "ProbeLossModel"]

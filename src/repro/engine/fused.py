@@ -18,9 +18,8 @@ services own runs of dictionary-encoded predictor ids):
 * :func:`fold_argmax_winners` -- the Section 5.4 index build's per-service
   argmax over the host's other services' predictors.
 
-Inputs are plain picklable columns, so the same functions run in-process
-and inside :mod:`repro.engine.runtime` workers against their resident
-shards.
+Inputs are plain columns, so the same functions fold a whole relation or
+one of the resident shards :mod:`repro.engine.runtime` holds.
 """
 
 from __future__ import annotations
@@ -138,9 +137,8 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
     carrying member's own, which under uniqueness is exactly one self pair
     per value, subtracted here as a second run-length pass.
 
-    Returns ``(keys, counts)`` sorted by packed key, as picklable
-    :class:`IntColumn` buffers (a pool worker's reply needs no numpy on the
-    receiving side).
+    Returns ``(keys, counts)`` sorted by packed key, as
+    :class:`IntColumn` buffers.
     """
     np = require_numpy()
     ms = to_numpy(member_starts)

@@ -1,18 +1,13 @@
-"""Sharding encoded columns for the persistent execution runtime.
+"""Sharding encoded columns for the resident execution runtime.
 
-Contiguous chunks are cheap to slice but meaningless as an identity: chunk
-boundaries move whenever the worker count does, so a worker could never
-keep "its" chunk around between calls.  The persistent runtime
-(:mod:`repro.engine.runtime`) needs a partitioning that is a stable
-property of the *data*, so each worker can hold its shard resident and
-later plan executions ship nothing but the plan.
+The runtime (:mod:`repro.engine.runtime`) holds shards resident across plan
+executions, so a shard needs an identity that is a stable property of the
+*data*, not of where a chunk boundary happened to fall.
 
 :func:`shard_assignments` provides that identity: rows (or groups) are
 assigned to shards by :func:`repro.engine.encoding.stable_hash`, which does
 not vary with ``PYTHONHASHSEED``, so the shard a row lands in is reproducible
-across interpreter invocations and independent of worker count (workers own
-whole shards -- placed least-loaded by row count at load time -- so changing
-the worker count re-distributes shards, never splits them).
+across interpreter invocations.
 
 Two layouts are sharded:
 
@@ -22,12 +17,12 @@ Two layouts are sharded:
   flattening: groups own contiguous member runs, members own contiguous
   value runs): whole groups scatter by the hash of a per-group assignment
   key, and each shard's offset columns are rebuilt locally (they
-  start at 0, so no rebasing is needed worker-side).  ``group_order`` records
+  start at 0, so no rebasing is needed per shard).  ``group_order`` records
   every group's original index, letting drivers reassemble order-sensitive
   results (the argmax winner list) bit-identically to the serial fold.
 
 Both return a :class:`ShardedColumns`: one dict of plain-data columns per
-shard, ready to ship to (and stay resident in) a runtime worker.
+shard, ready to stay resident in the runtime.
 """
 
 from __future__ import annotations
@@ -53,9 +48,7 @@ class ShardedColumns:
     Attributes:
         shard_count: number of shards (every list below has this length).
         shards: per-shard ``{column name -> list}`` payloads, each held
-            resident by the runtime worker the pool's load-time placement
-            assigns it (least-loaded by row count; see
-            :func:`repro.engine.runtime.lpt_placement`).
+            resident by the :class:`~repro.engine.runtime.EngineRuntime`.
     """
 
     shard_count: int
@@ -75,7 +68,7 @@ def shard_assignments(keys: Sequence[Any], shard_count: int) -> List[int]:
     """Assign each key to a shard by its stable hash.
 
     The assignment is a pure function of the key values and ``shard_count``
-    -- independent of ``PYTHONHASHSEED``, worker count and enumeration order
+    -- independent of ``PYTHONHASHSEED`` and enumeration order
     -- so re-sharding the same data always reproduces the same layout.
     Integer keys (dictionary-encoded ids, IPv4 addresses) hash to themselves
     and spread round-robin with perfect balance.
@@ -146,10 +139,7 @@ def shard_group_columns(
     The scatter is a few numpy passes per shard.  Payload columns are
     returned as :class:`~repro.engine.columns.IntColumn` buffers: a resident
     shard is one machine-native allocation per column (not a list of boxed
-    ints), the numpy kernels read the buffers
-    zero-copy, and shipping a shard to a pool worker pickles each column as
-    a single contiguous ``tobytes()`` blob instead of one object per
-    element.
+    ints), and the numpy kernels read the buffers zero-copy.
     """
     group_count = len(group_keys)
     if len(assign_keys) != group_count:

@@ -1,4 +1,4 @@
-"""Versioned on-disk snapshots: warm restarts and zero-copy shard loading.
+"""Versioned on-disk snapshots: warm restarts and mmap-backed shard loading.
 
 The paper's deployment note (Section 6.5) observes that reusing an existing
 seed scan cuts GPS runtime by 94% -- persistence, not the already-vectorized
@@ -23,11 +23,9 @@ Because every column file *is* the column's memory, opening a snapshot is
 O(map), not O(parse): a :class:`ColumnView` over the mapped file feeds the
 stdlib kernels through ``tolist()`` hydration and the numpy kernels through
 ``np.frombuffer`` without decoding a single element.  Sharded host-group
-sections additionally publish :class:`ShardFileRef` handles -- small
-picklable descriptors a pool worker resolves by mapping its own files --
-which is what makes shard (re)distribution zero-copy: loading and crash
-recovery move file handles, never pickled column bytes
-(see :meth:`repro.engine.runtime.EngineRuntime.load_shards_from_snapshot`).
+sections load the same way: each ``shard-NNNN`` section's mapped columns go
+straight into the runtime as a resident shard
+(:meth:`repro.core.runtime_plans.ResidentHostGroups.from_snapshot`).
 
 Failure handling is typed and loud: a truncated column file, a crc32
 mismatch, a malformed shard layout, or a manifest from a future format
@@ -56,7 +54,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.engine.columns import ColumnView, IntColumn, require_numpy, to_numpy
@@ -68,8 +65,8 @@ __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "MAX_SNAPSHOT_SECTIONS",
+    "SHARD_SECTION_FMT",
     "ColumnFile",
-    "ShardFileRef",
     "Snapshot",
     "SnapshotError",
     "SnapshotIntegrityError",
@@ -107,7 +104,11 @@ _FEATURES_SECTION = "host_features"
 _MODEL_SECTION = "model"
 _PRIORS_SECTION = "priors"
 _INDEX_SECTION = "index"
-_SHARD_SECTION_FMT = "shard-{idx:04d}"
+
+#: Name of saved shard ``idx``'s section; the resident loader
+#: (:meth:`repro.core.runtime_plans.ResidentHostGroups.from_snapshot`) reads
+#: the sections back by this name.
+SHARD_SECTION_FMT = "shard-{idx:04d}"
 
 #: The sharded host-group payload columns, in the order
 #: :func:`repro.engine.shard.shard_group_columns` produces them.
@@ -144,48 +145,6 @@ class ColumnFile:
     @property
     def nbytes(self) -> int:
         return self.rows * self.itemsize
-
-
-@dataclass(frozen=True)
-class ShardFileRef:
-    """A picklable handle to one shard's column files.
-
-    This is what ships over a pool worker's inbox instead of the shard's
-    bytes: the coordinator keeps the ref as its resident record, the worker
-    :meth:`open`\\ s it by mapping the files into its own address space, and
-    crash recovery re-ships the same few hundred bytes of descriptor while
-    the kernel page cache keeps serving the data.
-    """
-
-    directory: str
-    shard_idx: int
-    columns: Tuple[ColumnFile, ...]
-
-    @property
-    def rows(self) -> int:
-        """Total entries across the shard's columns (the placement weight)."""
-        return sum(column.rows for column in self.columns)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the shard maps when opened (resident-gauge estimate)."""
-        return sum(column.nbytes for column in self.columns)
-
-    def open(self) -> Dict[str, ColumnView]:
-        """Map every column file read-only and wrap it in a column view.
-
-        Sizes are re-checked against the manifest rows (a file truncated
-        after the snapshot was verified must not silently load short), but
-        checksums are not re-walked here -- the coordinator verified them
-        when it opened the snapshot, and O(map) loading is the point.
-        """
-        payload: Dict[str, ColumnView] = {}
-        for column in self.columns:
-            path = os.path.join(self.directory, column.file)
-            payload[column.name] = ColumnView(
-                _map_column(path, column),
-                _DTYPE_TO_TYPECODE[column.dtype])
-        return payload
 
 
 def _map_column(path: str, column: ColumnFile):
@@ -405,21 +364,6 @@ class Snapshot:
         """The manifest's shard layout: ``shard_count``, ``step_size`` and
         ``group_count`` (validated by :func:`open_snapshot`), or ``None``."""
         return self.meta.get("shards")
-
-    def shard_refs(self) -> List[ShardFileRef]:
-        """One :class:`ShardFileRef` per saved shard, in shard order."""
-        layout = self.shard_layout()
-        if layout is None:
-            raise SnapshotError(
-                f"snapshot at {self.directory} was saved without sharded "
-                "host groups (save with shard_count/step_size)")
-        return [
-            ShardFileRef(
-                directory=self.directory, shard_idx=idx,
-                columns=tuple(self.column_files(
-                    _SHARD_SECTION_FMT.format(idx=idx))))
-            for idx in range(layout["shard_count"])
-        ]
 
     # -- artifact accessors --------------------------------------------------------
 
@@ -779,8 +723,7 @@ def _add_shards(writer: SnapshotWriter, host_features: Any, shard_count: int,
     :class:`repro.core.runtime_plans.ResidentHostGroups` (subnet group keys
     at ``step_size``, stable-hash assignment over ``shard_count``), so a
     runtime loading these files holds byte-identical shards to one that
-    shipped them through queues.  Placement is not saved: a pool decides
-    it when the shards load.
+    sharded the host features itself.
     """
     from repro.engine.shard import shard_group_columns
     from repro.net.ipv4 import subnet_key
@@ -793,7 +736,7 @@ def _add_shards(writer: SnapshotWriter, host_features: Any, shard_count: int,
         host_features.value_ids, shard_count)
     for shard_idx, payload in enumerate(sharded.shards):
         writer.add_section(
-            _SHARD_SECTION_FMT.format(idx=shard_idx),
+            SHARD_SECTION_FMT.format(idx=shard_idx),
             {name: payload[name] for name in _SHARD_COLUMNS})
     return {
         "shard_count": shard_count,

@@ -43,7 +43,7 @@ class InProcessClient:
         return await self.service.load_model(name, pipeline, seed, gps_config)
 
     async def evict_model(self, name: str) -> None:
-        """Drop a named model and free its worker-resident shards."""
+        """Drop a named model and free its resident shards."""
         await self.service.evict_model(name)
 
     def models(self) -> list:

@@ -5,8 +5,8 @@ it starts probing: the extracted host features, the co-occurrence model
 (Section 5.2), the priors plan (Section 5.3) and the predictive-feature index
 (Section 5.4), bound to the scan pipeline that will execute any scan jobs.
 One-shot consumers rebuild all of it per invocation; the registry builds it
-once on the service's warm :class:`~repro.engine.runtime.EngineRuntime` --
-the encoded seed columns shard into the long-lived workers and *stay*
+once on the service's :class:`~repro.engine.runtime.EngineRuntime` --
+the encoded seed columns shard into the long-lived runtime and *stay*
 resident for the model's whole registry life -- and every subsequent request
 is a pure read against the finished index.
 
@@ -21,7 +21,7 @@ oracle.
 Load/swap/evict semantics: :meth:`ModelRegistry.register` under a name that
 is already taken builds the replacement first and swaps atomically, so
 readers never observe a half-built model; the displaced model's resident
-shards are released from the workers.  :meth:`ModelRegistry.evict` releases
+shards are released from the runtime.  :meth:`ModelRegistry.evict` releases
 and forgets.  Lookups hold no locks beyond one dict read -- the registry is
 read-heavy by design.
 """
@@ -69,8 +69,8 @@ class PreparedModel:
         model: the co-occurrence model.
         priors_plan: the ordered priors scan list.
         index: the predictive-feature index every lookup reads.
-        resident: the seed's encoded columns, resident in the runtime's
-            workers (``None`` for reference builds and private-runtime builds).
+        resident: the seed's encoded columns, resident in the runtime
+            (``None`` for reference builds and private-runtime builds).
         build_seconds: wall-clock cost of acquiring the artifacts -- the
             full build for ``source="built"`` models, the snapshot load for
             ``source="snapshot"`` ones (``BENCH_snapshot.json`` compares the
@@ -150,7 +150,7 @@ class PreparedModel:
     # -- lifecycle -----------------------------------------------------------------
 
     def release(self) -> None:
-        """Free the worker-resident shards; idempotent."""
+        """Free the resident shards; idempotent."""
         if self.resident is not None:
             self.resident.release()
 
@@ -172,9 +172,9 @@ class PreparedModel:
         invariant -- so a restarted ``gps-repro serve`` answers its first
         lookup without re-running a single build fold.  When a ``runtime``
         is supplied and the snapshot carries sharded host groups, the seed
-        relation goes worker-resident zero-copy
-        (:meth:`~repro.core.runtime_plans.ResidentHostGroups.from_snapshot`:
-        workers ``mmap`` shard files, nothing ships through queues), making
+        relation goes resident zero-copy
+        (:meth:`~repro.core.runtime_plans.ResidentHostGroups.from_snapshot`
+        maps the shard files), making
         scan jobs and engine rebuilds as warm as a built model's.
 
         ``build_seconds`` records the load cost; ``source`` /
@@ -227,7 +227,7 @@ def build_prepared_model(
 
     Feature extraction, model build, priors planning and the index build
     follow exactly the :class:`~repro.core.gps.GPS` helper logic: engine
-    configurations ingest columnar and fold against worker-resident shards
+    configurations ingest columnar and fold against resident shards
     loaded once -- on ``runtime`` when one is supplied, else on a private
     serial runtime that lives only for this build; non-engine
     configurations run the single-core reference path (the oracle).  Unlike
@@ -278,8 +278,8 @@ def build_prepared_model(
                 dataset=resident)
             built = True
         finally:
-            # A failed build must not leak its shards into the warm pool for
-            # the runtime's whole life: nobody will ever hold this model to
+            # A failed build must not leak its shards into the runtime for
+            # its whole life: nobody will ever hold this model to
             # release it.  A private runtime has no owner past this build.
             if private or not built:
                 resident.release()

@@ -4,11 +4,9 @@
 :class:`~repro.engine.runtime.EngineRuntime` into a long-lived serving layer.
 One service owns:
 
-* **one engine runtime** (serial or pool) that
-  every model build folds on -- worker processes spawn once and hold each
-  loaded model's seed columns resident until the model is evicted; a worker
-  crash mid-build heals through the runtime's own supervision without
-  corrupting in-flight responses;
+* **one in-process engine runtime** that every model build folds on -- it
+  holds each loaded model's seed columns resident until the model is
+  evicted;
 * **a model registry** (:mod:`repro.serving.registry`) with load/swap/evict
   of named models;
 * **a request router** with per-model natural batching: lookups submitted
@@ -48,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.core.config import GPSConfig
-from repro.engine.faults import FaultPlan
 from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime, RecoveryStats
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline, SeedScanResult
@@ -97,10 +94,8 @@ class ServingConfig:
             :class:`~repro.telemetry.Telemetry` (request counters, latency
             histograms, the ``/metrics`` surface).  Off by default; replies
             are bit-identical either way.
-        executor / num_workers / shard_count / max_task_retries /
-        task_deadline_s / execution_deadline_s / fault_plan: the engine
-            runtime's knobs, passed through verbatim (see
-            :class:`~repro.engine.runtime.EngineRuntime`).
+        executor / shard_count: the engine runtime's knobs, passed through
+            verbatim (see :class:`~repro.engine.runtime.EngineRuntime`).
     """
 
     max_pending: int = 256
@@ -109,24 +104,17 @@ class ServingConfig:
     drain_timeout_s: float = 10.0
     lookup_threads: int = 4
     telemetry_enabled: bool = False
+    # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
     executor: str = "serial"
-    num_workers: int = 0
     shard_count: int = 0
-    max_task_retries: int = 2
-    task_deadline_s: Optional[float] = None
-    execution_deadline_s: Optional[float] = None
-    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        for name, value in (("request_timeout_s", self.request_timeout_s),
-                            ("task_deadline_s", self.task_deadline_s),
-                            ("execution_deadline_s", self.execution_deadline_s)):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when set")
+        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+            raise ValueError("request_timeout_s must be positive when set")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be non-negative")
         if self.lookup_threads < 1:
@@ -134,12 +122,8 @@ class ServingConfig:
         if self.executor not in RUNTIME_EXECUTORS:
             raise ValueError(f"unknown executor: {self.executor!r} "
                              f"(expected one of {RUNTIME_EXECUTORS})")
-        if self.num_workers < 0 or self.shard_count < 0:
-            raise ValueError("num_workers and shard_count must be >= 0")
-        if self.max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            raise TypeError("fault_plan must be a FaultPlan or None")
+        if self.shard_count < 0:
+            raise ValueError("shard_count must be >= 0")
 
 
 class _MicroBatcher:
@@ -225,21 +209,13 @@ class GPSService:
     def runtime(self) -> EngineRuntime:
         """The service's engine runtime, created lazily on first build.
 
-        Recreated transparently if a previous one was closed or broken past
-        recovery, mirroring the orchestrator's own policy.
+        Recreated if a previous one was closed, mirroring the orchestrator's
+        own policy.
         """
-        if self._runtime is None or self._runtime.closed or self._runtime.broken:
-            if self._runtime is not None:
-                self._runtime.close()
-            config = self.config
+        if self._runtime is None or self._runtime.closed:
             self._runtime = EngineRuntime(
-                executor=config.executor,
-                num_workers=config.num_workers,
-                shard_count=config.shard_count,
-                max_task_retries=config.max_task_retries,
-                task_deadline_s=config.task_deadline_s,
-                execution_deadline_s=config.execution_deadline_s,
-                fault_plan=config.fault_plan,
+                executor=self.config.executor,
+                shard_count=self.config.shard_count,
                 telemetry=self.telemetry)
         return self._runtime
 
@@ -316,8 +292,8 @@ class GPSService:
         """Warm-restart a model from an on-disk snapshot directory.
 
         The Table 2 artifacts deserialize instead of rebuilding, and under
-        the engine runtime the host-group shards reach workers as mmap file
-        references -- zero shard bytes cross the inbox queues.  Everything
+        the engine runtime the host-group shards load as mmap-backed column
+        views -- no shard column is copied.  Everything
         else matches :meth:`load_model`: builds serialize on the build lock,
         the name swaps atomically, and the reply is the registered model's
         :class:`ModelInfo` (``source="snapshot"``).
@@ -362,17 +338,15 @@ class GPSService:
 
         Extends :meth:`ServingStats.as_dict` with the live pending-admission
         count, the number of lookups currently waiting in open micro-batches,
-        and the engine runtime's :class:`RecoveryStats` (zeros before the
-        first build creates the runtime).  ``models`` lists every loaded
-        model's provenance: built in-process or snapshot-loaded, and when.
+        and the runtime's :class:`RecoveryStats` (always zeros).  ``models``
+        lists every loaded model's provenance: built in-process or
+        snapshot-loaded, and when.
         """
-        recovery = (self._runtime.recovery_stats if self._runtime is not None
-                    else RecoveryStats())
         snapshot: Dict[str, Any] = self.stats.as_dict()
         snapshot["pending"] = self._pending
         snapshot["batch_queue_depth"] = sum(
             len(batcher._items) for batcher in list(self._batchers.values()))
-        snapshot["recovery"] = dict(vars(recovery))
+        snapshot["recovery"] = vars(RecoveryStats())
         snapshot["models"] = [
             {"name": info.name, "source": info.source,
              "snapshot_version": info.snapshot_version,

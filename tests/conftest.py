@@ -65,7 +65,7 @@ def host_feature_columns(host_features, encoder=None):
 
 @contextlib.contextmanager
 def resident_dataset(host_features, executor="serial", step_size=16,
-                     num_workers=0, shard_count=0):
+                     shard_count=0):
     """Load host features into a fresh runtime; yield ``(columns, dataset)``.
 
     ``host_features`` may be the reference path's per-host mapping (it is
@@ -74,8 +74,7 @@ def resident_dataset(host_features, executor="serial", step_size=16,
     """
     columns = (host_features if isinstance(host_features, HostFeatureColumns)
                else host_feature_columns(host_features))
-    with EngineRuntime(executor=executor, num_workers=num_workers,
-                       shard_count=shard_count) as runtime:
+    with EngineRuntime(executor=executor, shard_count=shard_count) as runtime:
         dataset = ResidentHostGroups(runtime, columns, step_size)
         try:
             yield columns, dataset
@@ -89,8 +88,8 @@ def forced_model_kernel(kernel):
 
     Patches the one coordinator-side selection point,
     :meth:`ResidentHostGroups.model_counts`' call to
-    ``resolve_column_backend``; the kernel name ships to every worker as the
-    task argument, so the patch reaches every executor.  Skips the
+    ``resolve_column_backend``; the kernel name passes to every shard as the
+    task argument, so the patch reaches every shard layout.  Skips the
     test when ``numpy`` is asked for but not installed.
     """
     if kernel == "numpy" and not numpy_available():
@@ -107,21 +106,19 @@ def model_kernel(request):
         yield kernel
 
 
-#: Engine layouts the executor-parametrized equivalence tests run on, as
-#: ``(executor, shard_count)``; a shard count of 0 means one shard per
-#: worker.  ``serial-5-shards`` puts more shards than workers on the
-#: in-process executor, so the shard merge order is checked without a pool.
+#: Engine layouts the layout-parametrized equivalence tests run on, as
+#: ``(executor, shard_count)``; a shard count of 0 means one shard.
+#: ``serial-5-shards`` checks the shard merge order.
 ENGINE_LAYOUTS = (
     pytest.param("serial", 0, id="serial"),
     pytest.param("serial", 5, id="serial-5-shards"),
-    pytest.param("pool", 0, id="pool"),
 )
 
 
 def engine_builds(host_features, executor="serial", step_size=16, port_domain=None,
-                  num_workers=0, shard_count=0, **index_kwargs):
+                  shard_count=0, **index_kwargs):
     """All three Table 2 builds on the engine: ``(model, priors plan, index)``."""
-    with resident_dataset(host_features, executor, step_size, num_workers,
+    with resident_dataset(host_features, executor, step_size,
                           shard_count) as (columns, dataset):
         model = build_model_with_engine(columns, dataset)
         priors = build_priors_plan_with_engine(columns, model, step_size, port_domain,

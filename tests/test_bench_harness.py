@@ -1,8 +1,8 @@
 """The micro-benchmarks' shared harness: ``benchmarks/_harness.py``.
 
-``record`` is the contract two benches rely on when they share a results
-file (``bench_runtime.py`` and ``bench_runtime_recovery.py`` both write
-``BENCH_runtime.json``): each rewrites only its own sections.
+``record`` is the contract two writers rely on when they share a results
+file (both tests of ``bench_engine_scaling.py`` write ``BENCH_engine.json``):
+each rewrites only its own sections.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ _spec.loader.exec_module(harness)
 
 
 def test_record_keeps_sibling_sections_and_replaces_given_ones(tmp_path):
-    path = tmp_path / "BENCH_runtime.json"
-    harness.record(path, {"warm_vs_serial": 0.8, "rows": [1, 2]})
-    merged = harness.record(path, {"recovery": {"rebuild_vs_heal": 1.5,
-                                                "floor": 1.0}})
-    assert merged == {"warm_vs_serial": 0.8, "rows": [1, 2],
-                      "recovery": {"rebuild_vs_heal": 1.5, "floor": 1.0}}
+    path = tmp_path / "BENCH_engine.json"
+    harness.record(path, {"engine_vs_reference": 0.8, "rows": [1, 2]})
+    merged = harness.record(path, {"model_fold_kernel": {"speedup": 1.5,
+                                                         "floor": 1.0}})
+    assert merged == {"engine_vs_reference": 0.8, "rows": [1, 2],
+                      "model_fold_kernel": {"speedup": 1.5, "floor": 1.0}}
     # A rerun replaces its own sections whole and still keeps the sibling.
-    merged = harness.record(path, {"warm_vs_serial": 0.9, "rows": [3]})
-    assert merged == {"warm_vs_serial": 0.9, "rows": [3],
-                      "recovery": {"rebuild_vs_heal": 1.5, "floor": 1.0}}
+    merged = harness.record(path, {"engine_vs_reference": 0.9, "rows": [3]})
+    assert merged == {"engine_vs_reference": 0.9, "rows": [3],
+                      "model_fold_kernel": {"speedup": 1.5, "floor": 1.0}}
     assert json.loads(path.read_text()) == merged
 
 

@@ -49,8 +49,6 @@ RECORDED_FLOORS = (
      "scan.end_to_end_speedup", "scan.end_to_end_floor"),
     ("BENCH_priors.json", "batched pass zmap step vs per-pair probing",
      "scan.zmap_layer_speedup", "scan.zmap_layer_floor"),
-    ("BENCH_runtime.json", "surgical heal vs full rebuild",
-     "recovery.rebuild_vs_heal", "recovery.floor"),
     ("BENCH_serving.json", "warm served lookup vs cold one-shot",
      "warm_vs_cold_speedup", "warm_vs_cold_floor"),
     ("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
@@ -133,27 +131,16 @@ def test_without_check_regressions_warn_but_pass(results_dir):
 
 
 def test_recorded_ratios_without_floor_never_gate(results_dir, capsys):
-    """Ratios recorded without a floor (engine vs reference, warm pool vs
-    serial, mmap vs queue-ship) report "not asserted" however low they
-    read."""
+    """Ratios recorded without a floor (engine vs reference) report "not
+    asserted" however low they read."""
 
     def engine(document):
         document["engine_vs_reference"]["stdlib"] = 0.1
 
-    def runtime(document):
-        document["warm_vs_serial"] = 0.1
-
-    def snapshot(document):
-        document["mmap_vs_queue_ship"] = 0.1
-
     _doctor(results_dir, "BENCH_engine.json", engine)
-    _doctor(results_dir, "BENCH_runtime.json", runtime)
-    _doctor(results_dir, "BENCH_snapshot.json", snapshot)
     assert _run(results_dir, "--check") == 0
     out = capsys.readouterr().out
-    for label in ("engine model build vs reference (serial, stdlib)",
-                  "warm resident pool vs serial (model build)",
-                  "mmap shard load vs queue-ship (pool)"):
+    for label in ("engine model build vs reference (serial, stdlib)",):
         line = next(line for line in out.splitlines() if line.startswith(label))
         assert "not asserted" in line
 

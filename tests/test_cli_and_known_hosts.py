@@ -149,12 +149,22 @@ class TestCLI:
         ["quickstart"], ["coverage"], ["serve"],
         ["snapshot", "save", "--out", "snap"],
     ], ids=("quickstart", "coverage", "serve", "snapshot-save"))
-    @pytest.mark.parametrize("executor", ["thread", "gpu"])
+    @pytest.mark.parametrize("executor", ["thread", "gpu", "pool"])
     def test_parser_rejects_unknown_executor(self, command, executor, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(command + ["--executor", executor])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["quickstart"], ["coverage"], ["serve"],
+        ["snapshot", "save", "--out", "snap"],
+    ], ids=("quickstart", "coverage", "serve", "snapshot-save"))
+    def test_parser_rejects_workers(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_quickstart_command(self, capsys):
         exit_code = main(["quickstart", "--scale", "small", "--seed", "3",

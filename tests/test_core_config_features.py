@@ -58,6 +58,7 @@ class TestConfigs:
         {"use_engine": True, "executor": "legacy"},
         {"use_engine": True, "executor": "thread"},
         {"executor": "pool"},
+        {"use_engine": True, "executor": "pool"},
     ])
     def test_gps_config_validation(self, kwargs):
         with pytest.raises(ValueError):

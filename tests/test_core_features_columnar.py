@@ -105,7 +105,7 @@ class TestColumnarExtractionEquivalence:
         columns = extract_host_features_columns(
             censys_split.seed_scan_result().batch, asn_db, config)
         model = build_model(oracle)
-        built, priors, index = engine_builds(columns, executor, num_workers=2,
+        built, priors, index = engine_builds(columns, executor,
                                              shard_count=shard_count)
         assert built.denominators == model.denominators
         assert {k: v for k, v in built.cooccurrence.items() if v} == \
@@ -183,7 +183,6 @@ class TestGPSColumnarIngestEquivalence:
     @pytest.mark.parametrize("executor,shard_count", [
         pytest.param("serial", 3, id="serial"),
         pytest.param("serial", 7, id="serial-7-shards"),
-        pytest.param("pool", 3, id="pool"),
     ])
     def test_all_executors_match_reference_ingest(self, universe, censys_dataset,
                                                censys_split, reference_run,
@@ -192,7 +191,7 @@ class TestGPSColumnarIngestEquivalence:
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain,
-                           use_engine=True, executor=executor, num_workers=2,
+                           use_engine=True, executor=executor,
                            shard_count=shard_count)
         with GPS(pipeline, config) as gps:
             run = gps.run(seed=censys_split.seed_scan_result(),

@@ -147,8 +147,7 @@ class TestEngineBackedRun:
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain, use_engine=True,
-                           executor=executor, num_workers=2,
-                           shard_count=shard_count)
+                           executor=executor, shard_count=shard_count)
         with GPS(pipeline, config) as gps:
             result = gps.run(seed=censys_split.seed_scan_result(),
                              seed_cost_probes=seed_scan_cost_probes(censys_dataset,
@@ -216,7 +215,7 @@ class TestSerialExecutorDefault:
         base = {"seed_fraction": 0.05, "port_domain": censys_dataset.port_domain}
         reference = build_prepared_model("reference", ScanPipeline(universe), seed,
                                          GPSConfig(**base))
-        with EngineRuntime(executor=executor, num_workers=2,
+        with EngineRuntime(executor=executor,
                            shard_count=shard_count) as runtime:
             engine = build_prepared_model(
                 "engine", ScanPipeline(universe), seed,

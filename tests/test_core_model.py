@@ -113,7 +113,7 @@ class TestEngineEquivalence:
         ]
         hosts = _hosts(observations)
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, num_workers=2,
+                             _model_on_engine(hosts, executor,
                                               shard_count=shard_count))
 
     @pytest.mark.parametrize("shard_count", [1, 3, 7])
@@ -126,7 +126,7 @@ class TestEngineEquivalence:
         ]
         hosts = _hosts(observations)
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, "serial", num_workers=2,
+                             _model_on_engine(hosts, "serial",
                                               shard_count=shard_count))
 
     @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
@@ -136,7 +136,7 @@ class TestEngineEquivalence:
         hosts = extract_host_features(censys_split.seed_observations,
                                       universe.topology.asn_db, FeatureConfig())
         _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor, num_workers=2,
+                             _model_on_engine(hosts, executor,
                                               shard_count=shard_count))
 
     def test_host_feature_columns_shapes(self):
@@ -196,7 +196,7 @@ class TestProperties:
         ]
         hosts = _hosts(observations)
         with forced_model_kernel(kernel):
-            engine = _model_on_engine(hosts, executor, num_workers=2,
+            engine = _model_on_engine(hosts, executor,
                                       shard_count=shard_count)
         _assert_models_equal(build_model(hosts), engine)
 
@@ -234,7 +234,7 @@ class TestModelLifecycle:
                                                      shard_count):
         half = dict(list(seed_hosts.items())[::2])
         model_a, model_b = build_model(seed_hosts), build_model(half)
-        with resident_dataset(seed_hosts, executor, num_workers=2,
+        with resident_dataset(seed_hosts, executor,
                               shard_count=shard_count) as (columns, dataset), \
                 resident_dataset(half) as (half_columns, half_dataset):
             own = build_model_with_engine(columns, dataset)
@@ -293,7 +293,7 @@ class TestModelLifecycle:
 
     def test_candidate_table_lives_with_its_broadcast(self, seed_hosts):
         with resident_dataset(seed_hosts) as (columns, dataset):
-            store = dataset.runtime._backend._store
+            store = dataset.runtime._store
 
             def tables():
                 return [table for _, table in

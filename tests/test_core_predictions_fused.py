@@ -28,12 +28,11 @@ from repro.datasets.split import split_seed_test
 from repro.scanner.records import ScanObservation
 from tests.conftest import ENGINE_LAYOUTS, engine_builds, resident_dataset
 
-#: (executor, workers, shard count) layouts the engine index must agree on.
+#: (executor, shard count) layouts the engine index must agree on.
 EXECUTORS = (
-    ("serial", 1, 0),
-    ("serial", 1, 4),
-    ("serial", 1, 5),
-    ("pool", 2, 0),
+    ("serial", 0),
+    ("serial", 4),
+    ("serial", 5),
 )
 
 
@@ -56,9 +55,8 @@ def _assert_indices_equal(engine, reference):
     assert len(engine) == len(reference)
 
 
-def _engine_index(hosts, model, executor="serial", num_workers=0, shard_count=0,
-                  **kwargs):
-    with resident_dataset(hosts, executor, num_workers=num_workers,
+def _engine_index(hosts, model, executor="serial", shard_count=0, **kwargs):
+    with resident_dataset(hosts, executor,
                           shard_count=shard_count) as (columns, dataset):
         return build_prediction_index_with_engine(columns, model, dataset=dataset,
                                                   **kwargs)
@@ -75,14 +73,13 @@ class TestEngineFromSeedEquivalence:
         return hosts, build_model(hosts), censys_dataset.port_domain
 
     @pytest.mark.parametrize("layout", EXECUTORS,
-                             ids=("serial", "serial-4-shards", "serial-5-shards",
-                                  "pool2"))
+                             ids=("serial", "serial-4-shards", "serial-5-shards"))
     def test_matches_oracle_across_executors(self, seed_inputs, layout):
         hosts, model, port_domain = seed_inputs
-        executor, workers, shard_count = layout
+        executor, shard_count = layout
         reference = PredictiveFeatureIndex.from_seed(hosts, model,
                                                      port_domain=port_domain)
-        engine = _engine_index(hosts, model, executor, workers, shard_count,
+        engine = _engine_index(hosts, model, executor, shard_count,
                                port_domain=port_domain)
         _assert_indices_equal(engine, reference)
 
@@ -93,7 +90,7 @@ class TestEngineFromSeedEquivalence:
         reference = PredictiveFeatureIndex.from_seed(hosts, model,
                                                      port_domain=port_domain)
         _, _, engine = engine_builds(hosts, executor, port_domain=port_domain,
-                                     num_workers=2, shard_count=shard_count)
+                                     shard_count=shard_count)
         _assert_indices_equal(engine, reference)
 
     @pytest.mark.parametrize("min_support", (1, 2, 3))

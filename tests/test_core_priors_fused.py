@@ -5,8 +5,7 @@ is *defined* as producing exactly the ordered
 :class:`~repro.core.priors.PriorsEntry` list of the reference
 :func:`~repro.core.priors.build_priors_plan` oracle -- on handcrafted hosts,
 on randomized observation sets (hypothesis), for every step size / port
-domain, and across the serial and pool runtime executors and shard
-counts.
+domain, and across shard counts.
 """
 
 from __future__ import annotations
@@ -80,22 +79,21 @@ class TestEnginePriorsEquivalence:
         expected = build_priors_plan(hosts, model, 16, port_domain)
         assert _engine_plan(hosts, model, 16, port_domain) == expected
 
-    @pytest.mark.parametrize("executor,workers,shard_count", [
-        ("serial", 1, 0), ("serial", 1, 5), ("serial", 2, 7), ("pool", 2, 0),
+    @pytest.mark.parametrize("executor,shard_count", [
+        ("serial", 0), ("serial", 5), ("serial", 7),
     ])
     def test_matches_reference_across_executors(self, camera_fleet, executor,
-                                                workers, shard_count):
+                                                shard_count):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        assert _engine_plan(hosts, model, executor=executor, num_workers=workers,
+        assert _engine_plan(hosts, model, executor=executor,
                             shard_count=shard_count) == expected
 
     @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
     def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor,
                                                      shard_count, model_kernel):
         model, hosts = _model_and_hosts(camera_fleet)
-        _, plan, _ = engine_builds(hosts, executor, num_workers=2,
-                                   shard_count=shard_count)
+        _, plan, _ = engine_builds(hosts, executor, shard_count=shard_count)
         assert plan == build_priors_plan(hosts, model, 16)
 
     def test_invalid_step_size_rejected(self, camera_fleet):
@@ -173,8 +171,7 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, 16)
-        assert _engine_plan(hosts, model, num_workers=2,
-                            shard_count=shard_count) == expected
+        assert _engine_plan(hosts, model, shard_count=shard_count) == expected
 
 
 def _hosts(*hosts):
@@ -184,11 +181,7 @@ def _hosts(*hosts):
             for ip, ports in hosts}
 
 
-POOL_AND_SERIAL = [pytest.param("serial", id="serial"),
-                   pytest.param("pool", id="pool")]
-
-
-@pytest.mark.parametrize("executor", POOL_AND_SERIAL)
+@pytest.mark.parametrize("executor", [pytest.param("serial", id="serial")])
 class TestPartnerTieBreaks:
     """Handcrafted partner selections, each checked against the oracle and
     against the partner the Section 5.3 rule names."""
@@ -196,7 +189,7 @@ class TestPartnerTieBreaks:
     @staticmethod
     def _check(hosts, model, expected, port_domain=None, executor="serial"):
         plan = _engine_plan(hosts, model, 16, port_domain, executor=executor,
-                            num_workers=2)
+                            shard_count=2)
         assert plan == build_priors_plan(hosts, model, 16, port_domain)
         assert {(entry.port, entry.coverage) for entry in plan} == expected
 

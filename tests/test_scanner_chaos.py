@@ -154,12 +154,6 @@ class TestFaultPlanValidation:
             FaultPlan(max_consecutive_losses=0)
         with pytest.raises(ValueError):
             FaultPlan(retry_backoff_s=-1.0)
-        with pytest.raises(ValueError):
-            FaultPlan(slow_seconds=-0.5)
-
-    def test_scanner_only_plan_does_not_touch_runtime(self):
-        assert not LOSS.touches_runtime()
-        assert FaultPlan(crash_task="model_pairs").touches_runtime()
 
 
 class TestProbeLossModel:

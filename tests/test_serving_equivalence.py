@@ -2,11 +2,11 @@
 
 The whole value proposition of the serving layer is "same answers, no
 per-invocation rebuild": whatever micro-batching, thread hand-offs and
-executor backends are in play, every reply must equal the reference
+shard layouts are in play, every reply must equal the reference
 ``PredictiveFeatureIndex.predict`` fold over the same observations and known
 pairs.  The battery interleaves N concurrent clients issuing point lookups
-and bulk predictions against a service, across every runtime executor and a
-skewed shard count, and compares each reply against an oracle model built on
+and bulk predictions against a service, across one and several resident
+shards, and compares each reply against an oracle model built on
 the single-core non-engine reference path.  A hypothesis sweep varies the
 evidence subsets and known-pair suppression on a shared warm service.
 """
@@ -25,11 +25,10 @@ from repro.scanner.records import group_pairs
 from repro.serving import GPSService, InProcessClient, ServingConfig
 from repro.serving.registry import build_prepared_model
 
-#: (runtime executor, worker count, shard count) grids the battery covers.
+#: (runtime executor, shard count) grids the battery covers.
 BACKENDS = (
-    ("serial", 0, 0),
-    ("serial", 0, 5),   # more shards than workers: merge order
-    ("pool", 2, 0),
+    ("serial", 0),
+    ("serial", 5),   # several shards: merge order
 )
 
 
@@ -75,16 +74,15 @@ def _host_groups(seed, count):
 
 
 class TestConcurrentEquivalence:
-    @pytest.mark.parametrize("executor,workers,shards", BACKENDS,
-                             ids=("serial", "serial-shard5", "pool2"))
+    @pytest.mark.parametrize("executor,shards", BACKENDS,
+                             ids=("serial", "serial-shard5"))
     def test_interleaved_clients_match_oracle(self, universe, seed, oracle,
-                                              executor, workers, shards):
-        """N concurrent clients, interleaved point/bulk, every executor."""
-        config = ServingConfig(executor=executor, num_workers=workers,
-                               shard_count=shards, max_batch=8,
-                               request_timeout_s=60.0)
+                                              executor, shards):
+        """N concurrent clients, interleaved point/bulk, every shard layout."""
+        config = ServingConfig(executor=executor, shard_count=shards,
+                               max_batch=8, request_timeout_s=60.0)
         gps_config = GPSConfig(use_engine=True, executor=executor,
-                               num_workers=workers, shard_count=shards)
+                               shard_count=shards)
         groups = _host_groups(seed, 12)
 
         async def one_client(client, offset):

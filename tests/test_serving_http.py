@@ -236,11 +236,11 @@ class TestErrorMapping:
 class TestServeCli:
     def test_parser_accepts_serve(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9999", "--executor", "pool",
-             "--workers", "2"])
+            ["serve", "--port", "9999", "--executor", "serial",
+             "--shard-count", "2"])
         assert args.command == "serve"
         assert args.port == 9999 and args.address == "127.0.0.1"
-        assert args.executor == "pool" and args.workers == 2
+        assert args.executor == "serial" and args.shard_count == 2
         assert callable(args.func)
 
     def test_parser_defaults(self):

@@ -5,7 +5,7 @@ typed errors, micro-batches flush when the batcher is idle or full, drain is
 graceful and close is idempotent, and the registry's load/swap/evict
 semantics hold.
 Correctness of the *data plane* (served predictions == serial oracle) lives
-in test_serving_equivalence.py; fault injection in test_serving_chaos.py.
+in test_serving_equivalence.py.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+import repro.serving.registry as registry_module
 import repro.serving.service as service_module
 from repro.core.config import GPSConfig
 from repro.scanner.pipeline import ScanPipeline
@@ -156,6 +157,45 @@ class TestRegistry:
                 assert first.resident is not None
                 assert [i.name for i in service.models()] == ["default"]
         run(scenario())
+
+    def test_failed_build_registers_nothing_and_releases_its_shards(
+            self, universe, seed, monkeypatch):
+        """A builder raising mid-build fails that load only: the error
+        reaches the caller, no model registers, the build's resident key is
+        released, and the loaded model keeps serving oracle replies."""
+        oracle = build_prepared_model("oracle", ScanPipeline(universe), seed,
+                                      GPSConfig())
+        failed_keys = []
+
+        def failing_priors(host_features, model, step_size, port_domain=None,
+                           dataset=None):
+            failed_keys.append(dataset.key)
+            raise RuntimeError("priors build failed")
+
+        async def scenario():
+            async with await _loaded_service(universe, seed) as service:
+                client = InProcessClient(service)
+                steady_key = service.model("default").resident.key
+                monkeypatch.setattr(registry_module,
+                                    "build_priors_plan_with_engine",
+                                    failing_priors)
+                with pytest.raises(RuntimeError, match="priors build failed"):
+                    await client.load_model(
+                        "broken", ScanPipeline(universe), seed,
+                        GPSConfig(use_engine=True, executor="serial"))
+                assert [info.name for info in client.models()] == ["default"]
+                (failed_key,) = failed_keys
+                resident_keys = {key for key, _ in service.runtime()._store}
+                assert failed_key not in resident_keys
+                assert resident_keys == {steady_key}
+                groups = _observations_of(seed)
+                return [(rows, await client.lookup("default", rows))
+                        for rows in groups]
+
+        replies = run(scenario())
+        assert replies
+        for rows, reply in replies:
+            assert tuple(oracle.predict(rows)) == reply.predictions
 
     def test_unknown_model_and_job_are_typed(self, universe, seed):
         async def scenario():
@@ -443,6 +483,6 @@ class TestLifecycle:
             ServingConfig(request_timeout_s=0)
         with pytest.raises(ValueError):
             ServingConfig(lookup_threads=0)
-        for executor in ("bigquery", "thread"):
+        for executor in ("bigquery", "thread", "pool"):
             with pytest.raises(ValueError, match="unknown executor"):
                 ServingConfig(executor=executor)

@@ -2,12 +2,11 @@
 
 The persistence layer must be invisible: everything loaded from a snapshot
 is bit-identical to what a fresh build would have produced -- across model
-kernels, across executors, and across crash chaos.  Covers the round-trip
+kernels and across shard layouts.  Covers the round-trip
 property (hypothesis-driven shapes plus the shared-fixture artifacts), the
 typed corrupt-snapshot failure modes (truncation, checksum mismatch, future
 format versions, malformed shard layouts -- never a silent partial load),
-the mmap-backed shard loading path (zero bytes through worker queues,
-disk-backed crash recovery), and the
+the mmap-backed shard loading path, and the
 serving provenance surfaces (``GET /models``, ``/stats``).
 """
 
@@ -29,7 +28,7 @@ from repro.core.model import build_model_with_engine
 from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.faults import FaultPlan
+from repro.engine.columns import ColumnView
 from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
 from repro.engine.snapshot import (
     FORMAT_NAME,
@@ -182,8 +181,7 @@ class TestRoundTrip:
                                                executor, model_kernel):
         """build -> snapshot -> load is bit-identical on every engine path."""
         _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor=executor, num_workers=2,
-                           shard_count=3) as runtime:
+        with EngineRuntime(executor=executor, shard_count=3) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
             built_model = build_model_with_engine(host_features, dataset)
             built_priors = build_priors_plan_with_engine(
@@ -373,15 +371,18 @@ class TestCorruptSnapshots:
 
 
 class TestRuntimeShardLoading:
-    """mmap shard references: zero queue bytes, disk-backed recovery."""
+    """Saved shard sections load mmap-backed into the runtime."""
 
     def test_snapshot_load_ships_zero_shard_bytes(self, saved, artifacts):
         _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor="pool", num_workers=2,
-                           shard_count=3) as runtime:
+        with EngineRuntime(executor="serial", shard_count=3) as runtime:
             snapshot = open_snapshot(saved)
             dataset = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            assert runtime.recovery_stats.shard_bytes_queued == 0
+            # The resident shards are views over the mapped files, not copies.
+            for shard_idx in range(3):
+                shard = runtime._store[(dataset.key, shard_idx)]
+                assert all(isinstance(column, ColumnView)
+                           for column in shard.values())
             built = build_model_with_engine(host_features, dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
@@ -411,8 +412,7 @@ class TestRuntimeShardLoading:
             dataset.release()
 
     def test_from_snapshot_requires_matching_shard_count(self, saved):
-        with EngineRuntime(executor="pool", num_workers=2,
-                           shard_count=5) as runtime:
+        with EngineRuntime(executor="serial", shard_count=5) as runtime:
             with pytest.raises(SnapshotError, match="shard"):
                 ResidentHostGroups.from_snapshot(runtime, open_snapshot(saved))
 
@@ -422,27 +422,6 @@ class TestRuntimeShardLoading:
             with pytest.raises(SnapshotError, match="shard"):
                 ResidentHostGroups.from_snapshot(runtime,
                                                  open_snapshot(directory))
-
-    def test_mid_load_crash_recovers_from_disk(self, saved, artifacts,
-                                               monkeypatch):
-        """A worker dying mid-snapshot-load heals surgically by re-opening
-        shard files -- still zero bytes through the queues."""
-        monkeypatch.setenv("REPRO_RUNTIME_CRASH_TEST", "1")
-        _, host_features, model, _, _ = artifacts
-        plan = FaultPlan(crash_task="load", crash_workers=(0,))
-        with EngineRuntime(executor="pool", num_workers=2, shard_count=3,
-                           fault_plan=plan) as runtime:
-            snapshot = open_snapshot(saved)
-            dataset = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            stats = runtime.recovery_stats
-            assert stats.crashes_detected == 1 and stats.respawns == 1
-            assert stats.reloaded_shards >= 1
-            assert stats.shard_bytes_queued == 0
-            built = build_model_with_engine(host_features, dataset)
-            assert built.cooccurrence == model.cooccurrence
-            assert built.denominators == model.denominators
-            assert not runtime.broken
-            dataset.release()
 
 
 class TestServingProvenance:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import logging
 import sys
 import threading
 import urllib.request
@@ -25,7 +24,6 @@ import pytest
 from repro.cli import main
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
-from repro.engine.runtime import RuntimeEvent, _emit
 from repro.scanner.pipeline import ScanPipeline
 from repro.serving.schemas import PointLookup
 from repro.serving.service import GPSService, ServingConfig
@@ -240,30 +238,6 @@ class TestTelemetryFacade:
         assert telemetry_or_null(live) is live
 
 
-class TestRuntimeEvents:
-    def test_verbose_runtime_prints_logged_events(self, capsys):
-        """``--verbose-runtime`` prints the runtime logger's events to stderr."""
-        import argparse
-
-        from repro.cli import _configure_runtime_events
-
-        logger = logging.getLogger("repro.engine.runtime")
-        level, handlers = logger.level, list(logger.handlers)
-        args = argparse.Namespace(verbose_runtime=True)
-        _configure_runtime_events(args)
-        _configure_runtime_events(args)  # idempotent: one handler
-        try:
-            _emit(RuntimeEvent(kind="worker_crash", worker_id=3,
-                               detail="exit code -9"))
-        finally:
-            for handler in logger.handlers[len(handlers):]:
-                logger.removeHandler(handler)
-            logger.setLevel(level)
-        err = capsys.readouterr().err
-        assert err.count("[repro.engine.runtime] RuntimeEvent(") == 1
-        assert "worker_crash" in err and "exit code -9" in err
-
-
 class TestEquivalence:
     """Telemetry must observe, never perturb."""
 
@@ -403,10 +377,7 @@ class TestHTTPSurface:
         assert payload["admitted"] >= 1
         assert payload["pending"] == 0
         assert payload["batch_queue_depth"] == 0
-        assert set(payload["recovery"]) == {
-            "crashes_detected", "respawns", "reloaded_shards",
-            "reloaded_broadcasts", "redispatched_tasks", "retry_rounds",
-            "shard_bytes_queued"}
+        assert payload["recovery"] == {"respawns": 0, "redispatched_tasks": 0}
 
     def test_batch_flushes_reported_by_reason(self, telemetry_server):
         _, host, _ = telemetry_server
