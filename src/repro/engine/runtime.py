@@ -285,10 +285,17 @@ class EngineRuntime:
     def _load(self, key: Any, entries: Sequence[Tuple[Optional[int], dict]],
               kind: str) -> None:
         """Merge ``(shard_idx, payload)`` entries into the store under ``key``
-        (colliding column names replace)."""
+        (colliding column names replace).
+
+        Each merge stores a new dict without the hydrated lists, so no
+        per-shard cache (:func:`_shard_lists`, :func:`_candidates`) outlives
+        the columns it was derived from.
+        """
         t0 = time.perf_counter()
         for shard_idx, payload in entries:
-            self._store.setdefault((key, shard_idx), {}).update(payload)
+            resident = {**self._store.get((key, shard_idx), {}), **payload}
+            resident.pop("_lists", None)
+            self._store[(key, shard_idx)] = resident
         if self.telemetry.enabled:
             self.telemetry.histogram(
                 "engine_load_seconds",

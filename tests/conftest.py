@@ -108,9 +108,11 @@ def model_kernel(request):
 
 #: Engine layouts the layout-parametrized equivalence tests run on, as
 #: ``(executor, shard_count)``; a shard count of 0 means one shard.
-#: ``serial-5-shards`` checks the shard merge order.
+#: ``serial-2-shards`` splits the hosts in two, as the smallest multi-shard
+#: layout; ``serial-5-shards`` checks the merge order over more shards.
 ENGINE_LAYOUTS = (
     pytest.param("serial", 0, id="serial"),
+    pytest.param("serial", 2, id="serial-2-shards"),
     pytest.param("serial", 5, id="serial-5-shards"),
 )
 

@@ -46,6 +46,21 @@ class TestScenarios:
         assert pipeline.ledger.total_probes() > 0
         assert split.seed_observations
 
+    @pytest.mark.parametrize("shard_count", [0, 3])
+    def test_executor_runs_match_the_reference_run(self, universe,
+                                                   censys_dataset, shard_count):
+        """``executor`` routes the builds through the engine runtime over
+        ``shard_count`` shards without changing the run."""
+        reference, _, _ = run_gps_on_dataset(universe, censys_dataset,
+                                             seed_fraction=0.05)
+        run, _, _ = run_gps_on_dataset(universe, censys_dataset,
+                                       seed_fraction=0.05, executor="serial",
+                                       shard_count=shard_count)
+        assert run.priors_plan == reference.priors_plan
+        assert [p.pair() for p in run.predictions] == \
+            [p.pair() for p in reference.predictions]
+        assert run.discovered_pairs() == reference.discovered_pairs()
+
     def test_small_scale_is_defined_sensibly(self):
         assert SMALL_SCALE.host_count < 10_000
         assert isinstance(SMALL_SCALE, ExperimentScale)
@@ -61,6 +76,16 @@ class TestCoverageExperiments:
         fractions = [point.fraction for point in experiment.gps_points]
         assert fractions == sorted(fractions)
         assert experiment.final_fraction() > 0.3
+
+    @pytest.mark.parametrize("shard_count", [0, 2])
+    def test_curves_identical_on_every_shard_layout(self, universe,
+                                                    censys_dataset, experiment,
+                                                    shard_count):
+        engine = run_coverage_experiment(universe, censys_dataset,
+                                         seed_fraction=0.05, step_size=16,
+                                         executor="serial",
+                                         shard_count=shard_count)
+        assert engine.gps_points == experiment.gps_points
 
     def test_reference_curves_present(self, experiment):
         assert experiment.optimal_points[-1].fraction == pytest.approx(1.0)

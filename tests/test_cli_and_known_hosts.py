@@ -166,6 +166,17 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["quickstart"], ["coverage"], ["serve"],
+        ["snapshot", "save", "--out", "snap"],
+    ], ids=("quickstart", "coverage", "serve", "snapshot-save"))
+    def test_parser_rejects_verbose_runtime(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--verbose-runtime"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --verbose-runtime" in \
+            capsys.readouterr().err
+
     def test_quickstart_command(self, capsys):
         exit_code = main(["quickstart", "--scale", "small", "--seed", "3",
                           "--seed-fraction", "0.05"])

@@ -182,6 +182,7 @@ class TestGPSColumnarIngestEquivalence:
 
     @pytest.mark.parametrize("executor,shard_count", [
         pytest.param("serial", 3, id="serial"),
+        pytest.param("serial", 2, id="serial-2-shards"),
         pytest.param("serial", 7, id="serial-7-shards"),
     ])
     def test_all_executors_match_reference_ingest(self, universe, censys_dataset,

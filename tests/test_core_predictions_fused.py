@@ -31,6 +31,7 @@ from tests.conftest import ENGINE_LAYOUTS, engine_builds, resident_dataset
 #: (executor, shard count) layouts the engine index must agree on.
 EXECUTORS = (
     ("serial", 0),
+    ("serial", 2),
     ("serial", 4),
     ("serial", 5),
 )
@@ -73,7 +74,8 @@ class TestEngineFromSeedEquivalence:
         return hosts, build_model(hosts), censys_dataset.port_domain
 
     @pytest.mark.parametrize("layout", EXECUTORS,
-                             ids=("serial", "serial-4-shards", "serial-5-shards"))
+                             ids=("serial", "serial-2-shards", "serial-4-shards",
+                                  "serial-5-shards"))
     def test_matches_oracle_across_executors(self, seed_inputs, layout):
         hosts, model, port_domain = seed_inputs
         executor, shard_count = layout

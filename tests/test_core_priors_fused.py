@@ -80,7 +80,7 @@ class TestEnginePriorsEquivalence:
         assert _engine_plan(hosts, model, 16, port_domain) == expected
 
     @pytest.mark.parametrize("executor,shard_count", [
-        ("serial", 0), ("serial", 5), ("serial", 7),
+        ("serial", 0), ("serial", 2), ("serial", 5), ("serial", 7),
     ])
     def test_matches_reference_across_executors(self, camera_fleet, executor,
                                                 shard_count):
@@ -181,42 +181,44 @@ def _hosts(*hosts):
             for ip, ports in hosts}
 
 
-@pytest.mark.parametrize("executor", [pytest.param("serial", id="serial")])
+@pytest.mark.parametrize("shard_count", [pytest.param(1, id="one-shard"),
+                                         pytest.param(2, id="two-shards")])
 class TestPartnerTieBreaks:
     """Handcrafted partner selections, each checked against the oracle and
-    against the partner the Section 5.3 rule names."""
+    against the partner the Section 5.3 rule names, on one resident shard
+    and split across two."""
 
     @staticmethod
-    def _check(hosts, model, expected, port_domain=None, executor="serial"):
-        plan = _engine_plan(hosts, model, 16, port_domain, executor=executor,
-                            shard_count=2)
+    def _check(hosts, model, expected, port_domain=None, shard_count=1):
+        plan = _engine_plan(hosts, model, 16, port_domain,
+                            shard_count=shard_count)
         assert plan == build_priors_plan(hosts, model, 16, port_domain)
         assert {(entry.port, entry.coverage) for entry in plan} == expected
 
-    def test_all_zero_scores_take_the_smallest_other_port(self, executor):
+    def test_all_zero_scores_take_the_smallest_other_port(self, shard_count):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
         model = CooccurrenceModel(cooccurrence={},
                                   denominators={("a",): 1, ("b",): 1, ("c",): 1})
         # 22 -> 80, 80 -> 22, 443 -> 22.
-        self._check(hosts, model, {(22, 2), (80, 1)}, executor=executor)
+        self._check(hosts, model, {(22, 2), (80, 1)}, shard_count=shard_count)
 
-    def test_equal_scores_go_to_the_smallest_partner_port(self, executor):
+    def test_equal_scores_go_to_the_smallest_partner_port(self, shard_count):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
         model = CooccurrenceModel(
             cooccurrence={("a",): {443: 1}, ("b",): {443: 2}, ("c",): {22: 1}},
             denominators={("a",): 2, ("b",): 4, ("c",): 2})
         # 443: ("a") and ("b") both score 0.5 -> 22; 22: only ("c") scores
         # -> 443; 80: nothing scores -> 22.
-        self._check(hosts, model, {(22, 2), (443, 1)}, executor=executor)
+        self._check(hosts, model, {(22, 2), (443, 1)}, shard_count=shard_count)
 
-    def test_two_service_host_counts_the_other_port(self, executor):
+    def test_two_service_host_counts_the_other_port(self, shard_count):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)]}))
         model = CooccurrenceModel(cooccurrence={("a",): {80: 1}},
                                   denominators={("a",): 1, ("b",): 1})
         # 22 scores 0 from 80's values and still takes 80; 80 takes 22.
-        self._check(hosts, model, {(22, 1), (80, 1)}, executor=executor)
+        self._check(hosts, model, {(22, 1), (80, 1)}, shard_count=shard_count)
 
-    def test_whitelist_applies_to_partner_and_single_service_hosts(self, executor):
+    def test_whitelist_applies_to_partner_and_single_service_hosts(self, shard_count):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}),
                        (2, {8080: [("d",)]}),
                        (3, {443: [("c",)]}))
@@ -226,13 +228,13 @@ class TestPartnerTieBreaks:
             denominators={("a",): 1, ("b",): 1, ("c",): 2, ("d",): 1})
         # Unfiltered: 22 -> 80, 80 -> 22, 443 -> 22 (tie), 8080 and 443 alone.
         self._check(hosts, model, {(22, 2), (80, 1), (8080, 1), (443, 1)},
-                    executor=executor)
+                    shard_count=shard_count)
         # The whitelist drops selected partners (80) and lone services (8080)
         # outside it; it never redirects a selection.
         self._check(hosts, model, {(22, 2), (443, 1)}, port_domain=(22, 443),
-                    executor=executor)
+                    shard_count=shard_count)
 
-    def test_own_port_in_a_row_never_scores_for_its_own_service(self, executor):
+    def test_own_port_in_a_row_never_scores_for_its_own_service(self, shard_count):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
         # ("c",) claims to predict its own port 443 perfectly; 443's partner
         # must still come from 22's and 80's values.
@@ -241,7 +243,7 @@ class TestPartnerTieBreaks:
             denominators={("a",): 4, ("b",): 2, ("c",): 2})
         # 443 -> 80 (0.5 beats 0.25; its own 1.0 does not count); 22 and 80
         # score 0 -> the smallest other port.
-        self._check(hosts, model, {(80, 2), (22, 1)}, executor=executor)
+        self._check(hosts, model, {(80, 2), (22, 1)}, shard_count=shard_count)
 
 
 class TestPackingBounds:

@@ -31,8 +31,9 @@ from repro.engine.shard import (
     shard_group_columns,
 )
 from repro.scanner.pipeline import ScanPipeline
+from repro.scanner.records import ScanObservation
+from repro.telemetry import Telemetry
 from tests.conftest import host_feature_columns
-
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,72 @@ class TestRuntimeLifecycle:
             runtime.unload("k")
             with pytest.raises(KeyError, match="no resident payload"):
                 runtime.execute("model_denominators", "k")
+
+    def test_task_error_leaves_the_runtime_usable(self):
+        """A fold that raises reaches the caller and leaves the resident
+        data and the runtime as they were."""
+        with EngineRuntime(shard_count=2) as runtime:
+            runtime.load_shards("k", [{"value_ids": [1, 2]}, {"value_ids": [2]}])
+            with pytest.raises(KeyError):
+                # No broadcast model is resident: the fold cannot score.
+                runtime.execute("priors_partner", "k", args_per_shard=[(None,)] * 2)
+            assert not runtime.closed
+            assert _denominator_fold(runtime, "k") == Counter({1: 1, 2: 2})
+
+    def test_reloading_a_key_replaces_colliding_columns(self):
+        with EngineRuntime(shard_count=2) as runtime:
+            runtime.load_shards("k", [{"value_ids": [1]}, {"value_ids": [2]}])
+            runtime.load_shards("k", [{"value_ids": [3, 3]}, {"extra": [9]}])
+            assert _denominator_fold(runtime, "k") == Counter({3: 2, 2: 1})
+            assert runtime._store[("k", 1)]["value_ids"] == [2]
+            assert runtime._store[("k", 1)]["extra"] == [9]
+
+    @pytest.mark.parametrize("kernel", ["stdlib", "numpy"])
+    def test_reload_after_a_fold_reads_the_new_columns(self, kernel):
+        """A fold caches per-shard derived data; reloading the key must not
+        leave a later fold reading the replaced columns."""
+        if kernel == "numpy":
+            pytest.importorskip("numpy")
+        args = [(kernel,)]
+        with EngineRuntime() as runtime:
+            runtime.load_shards("k", [{"value_ids": [1]}])
+            (first,) = runtime.execute("model_denominators", "k", args)
+            assert list(first[0]) == [1]
+            runtime.load_shards("k", [{"value_ids": [3, 3]}])
+            ((ids, counts),) = runtime.execute("model_denominators", "k", args)
+            assert (list(ids), list(counts)) == ([3], [2])
+
+    def test_unload_leaves_other_keys_resident(self):
+        with EngineRuntime() as runtime:
+            runtime.load_shards("a", [{"value_ids": [1]}])
+            runtime.load_shards("b", [{"value_ids": [2]}])
+            runtime.unload("a")
+            runtime.unload("never-loaded")  # no-op
+            assert _denominator_fold(runtime, "b") == Counter({2: 1})
+            with pytest.raises(KeyError, match="no resident payload"):
+                runtime.execute("model_denominators", "a")
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_telemetry_counts_every_shard_of_a_dispatch(self, shard_count):
+        telemetry = Telemetry()
+        with EngineRuntime(shard_count=shard_count,
+                           telemetry=telemetry) as runtime:
+            runtime.load_shards("k", [{"value_ids": [s]}
+                                      for s in range(shard_count)])
+            runtime.load_broadcast("k", {"supports": [1]})
+            assert telemetry.gauge("engine_resident_payloads").value == \
+                shard_count + 1
+            assert _denominator_fold(runtime, "k") == Counter(range(shard_count))
+            task = {"task": "model_denominators"}
+            assert telemetry.counter("engine_tasks_total", **task).value == \
+                shard_count
+            assert telemetry.histogram("engine_task_execute_seconds",
+                                       **task).count == shard_count
+            assert telemetry.histogram("engine_dispatch_seconds",
+                                       **task).count == 1
+            runtime.unload("k")
+            assert telemetry.gauge("engine_resident_payloads").value == 0
+            assert telemetry.gauge("engine_resident_bytes").value == 0
 
     def test_in_process_backends_report_zero_stats(self):
         with EngineRuntime() as runtime:
@@ -227,11 +294,12 @@ class TestShardingLayer:
                                         if a == shard_id]
             assert list(shard["k"]) == [columns["k"][i] for i in shard["i"]]
 
-    def test_sharded_count_rows_matches_direct_count(self):
+    @pytest.mark.parametrize("shard_count", [1, 2, 4, 7])
+    def test_sharded_count_rows_matches_direct_count(self, shard_count):
         """Hash-sharded rows counted per shard and merged equal one direct
         count of every row."""
         rows = [(i % 11, "proto-%d" % (i % 4)) for i in range(300)]
-        sharded = shard_columns({"row": rows}, "row", 4)
+        sharded = shard_columns({"row": rows}, "row", shard_count)
         per_shard = [Counter(shard["row"]) for shard in sharded.shards]
         assert merge_counters(per_shard) == Counter(rows)
 
@@ -253,7 +321,7 @@ class TestMergeCounters:
 class TestRuntimeEquivalence:
     """All three engine builds, bit-identical on every shard count."""
 
-    @pytest.mark.parametrize("shard_count", [1, 3])
+    @pytest.mark.parametrize("shard_count", [1, 2, 3, 5])
     def test_resident_dataset_matches_oracles(self, seed_inputs, shard_count):
         host_features, model, priors, index = seed_inputs
         with EngineRuntime(shard_count=shard_count) as runtime:
@@ -275,6 +343,46 @@ class TestRuntimeEquivalence:
             with pytest.raises(RuntimeError):
                 dataset.model_counts()
 
+    @pytest.mark.parametrize("shard_count", [4, 9])
+    def test_more_shards_than_hosts(self, shard_count):
+        """Empty shards fold to nothing: three hosts over more shards still
+        build the oracle model, priors plan and index."""
+        host_features = _three_hosts()
+        model = build_model(host_features)
+        columns = host_feature_columns(host_features)
+        with EngineRuntime(shard_count=shard_count) as runtime:
+            dataset = ResidentHostGroups(runtime, columns, 16)
+            assert sum(not len(runtime._store[(dataset.key, shard)]["labels"])
+                       for shard in range(shard_count)) >= shard_count - 3
+            built = build_model_with_engine(columns, dataset)
+            assert built.denominators == model.denominators
+            assert {k: v for k, v in built.cooccurrence.items() if v} == \
+                {k: v for k, v in model.cooccurrence.items() if v}
+            assert build_priors_plan_with_engine(columns, built, 16,
+                                                 dataset=dataset) == \
+                build_priors_plan(host_features, model, 16)
+            assert build_prediction_index_with_engine(
+                columns, built, dataset=dataset).entries() == \
+                PredictiveFeatureIndex.from_seed(host_features, model).entries()
+            dataset.release()
+
+    def test_reusing_a_key_builds_from_the_new_hosts(self, seed_inputs,
+                                                     model_kernel):
+        """A second dataset loaded under a key an earlier one folded on
+        builds from its own hosts, on either model kernel."""
+        host_features, model, priors, index = seed_inputs
+        with EngineRuntime(shard_count=3) as runtime:
+            earlier = host_feature_columns(_three_hosts())
+            build_model_with_engine(
+                earlier, ResidentHostGroups(runtime, earlier, 16, key="k"))
+            dataset = ResidentHostGroups(runtime, host_features, 16, key="k")
+            built = build_model_with_engine(host_features, dataset)
+            assert built.denominators == model.denominators
+            assert build_priors_plan_with_engine(host_features, built, 16,
+                                                 dataset=dataset) == priors
+            assert build_prediction_index_with_engine(
+                host_features, built, dataset=dataset).entries() == index.entries()
+
     def test_resident_dataset_step_size_is_checked(self, seed_inputs):
         host_features, model, _, _ = seed_inputs
         with EngineRuntime() as runtime:
@@ -282,6 +390,17 @@ class TestRuntimeEquivalence:
             with pytest.raises(ValueError):
                 build_priors_plan_with_engine(host_features, model, 20,
                                               dataset=dataset)
+
+def _three_hosts():
+    """Reference-path host features of three two-service hosts."""
+    observations = [
+        ScanObservation(ip=ip, port=port, protocol=protocol,
+                        app_features={"protocol": protocol})
+        for ip, ports in ((0x0A000001, (22, 80)), (0x0A000002, (80, 443)),
+                          (0x0A010001, (22, 443)))
+        for port, protocol in ((p, "ssh" if p == 22 else "http") for p in ports)]
+    return extract_host_features(observations, None, FeatureConfig())
+
 
 class TestGPSRuntimeIntegration:
     def test_config_validates_executor_names(self):
@@ -292,12 +411,35 @@ class TestGPSRuntimeIntegration:
         with pytest.raises(ValueError):
             GPSConfig(shard_count=-2)
 
-    def test_config_knobs_reach_the_runtime(self, universe):
-        config = GPSConfig(use_engine=True, shard_count=3)
+    @pytest.mark.parametrize("shard_count,resident_shards", [
+        (0, 1), (1, 1), (3, 3),
+    ])
+    def test_config_knobs_reach_the_runtime(self, universe, shard_count,
+                                            resident_shards):
+        config = GPSConfig(use_engine=True, shard_count=shard_count)
         with GPS(ScanPipeline(universe), config) as gps:
             runtime = gps.runtime()
             assert runtime.executor == "serial"
-            assert runtime.shard_count == 3
+            assert runtime.shard_count == resident_shards
+
+    def test_closed_runtime_is_recreated(self, universe, censys_split):
+        config = GPSConfig(seed_fraction=0.05, step_size=16, use_engine=True,
+                           shard_count=2)
+        with GPS(ScanPipeline(universe), config) as gps:
+            first = gps.run(seed=censys_split.seed_scan_result(),
+                            seed_cost_probes=0)
+            closed = gps.runtime()
+            gps.close()
+            assert closed.closed
+            fresh = gps.runtime()
+            assert fresh is not closed and not fresh.closed
+            assert fresh.shard_count == 2
+            again = gps.run(seed=censys_split.seed_scan_result(),
+                            seed_cost_probes=0)
+            assert gps.runtime() is fresh
+        assert fresh.closed
+        assert again.priors_plan == first.priors_plan
+        assert again.discovered_pairs() == first.discovered_pairs()
 
     def test_no_runtime_without_engine(self, universe):
         gps = GPS(ScanPipeline(universe), GPSConfig())

@@ -12,6 +12,8 @@ to not configuring a fault plan at all.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.engine.faults import FaultPlan, ProbeLossModel
@@ -148,6 +150,11 @@ class TestFaultPlanValidation:
         # Lossless plans may carry any budget: nothing ever retries.
         FaultPlan(probe_loss_rate=0.0, max_consecutive_losses=3,
                   max_probe_retries=0)
+
+    def test_plan_holds_only_scanner_loss_settings(self):
+        assert [field.name for field in dataclasses.fields(FaultPlan)] == [
+            "seed", "probe_loss_rate", "max_consecutive_losses",
+            "max_probe_retries", "retry_backoff_s"]
 
     def test_duration_and_bound_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from repro.serving.registry import build_prepared_model
 #: (runtime executor, shard count) grids the battery covers.
 BACKENDS = (
     ("serial", 0),
+    ("serial", 2),
     ("serial", 5),   # several shards: merge order
 )
 
@@ -75,7 +76,7 @@ def _host_groups(seed, count):
 
 class TestConcurrentEquivalence:
     @pytest.mark.parametrize("executor,shards", BACKENDS,
-                             ids=("serial", "serial-shard5"))
+                             ids=("serial", "serial-shard2", "serial-shard5"))
     def test_interleaved_clients_match_oracle(self, universe, seed, oracle,
                                               executor, shards):
         """N concurrent clients, interleaved point/bulk, every shard layout."""

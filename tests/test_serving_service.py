@@ -197,6 +197,29 @@ class TestRegistry:
         for rows, reply in replies:
             assert tuple(oracle.predict(rows)) == reply.predictions
 
+    @pytest.mark.parametrize("shard_count,resident_shards", [(0, 1), (2, 2)])
+    def test_config_shard_count_reaches_the_runtime(self, universe, seed,
+                                                    shard_count,
+                                                    resident_shards):
+        oracle = build_prepared_model("oracle", ScanPipeline(universe), seed,
+                                      GPSConfig())
+
+        async def scenario():
+            config = ServingConfig(shard_count=shard_count)
+            gps_config = GPSConfig(use_engine=True, executor="serial",
+                                   shard_count=shard_count)
+            async with await _loaded_service(universe, seed, config,
+                                             gps_config) as service:
+                assert service.runtime().shard_count == resident_shards
+                client = InProcessClient(service)
+                return [(rows, await client.lookup("default", rows))
+                        for rows in _observations_of(seed)]
+
+        replies = run(scenario())
+        assert replies
+        for rows, reply in replies:
+            assert tuple(oracle.predict(rows)) == reply.predictions
+
     def test_unknown_model_and_job_are_typed(self, universe, seed):
         async def scenario():
             async with await _loaded_service(universe, seed) as service:

@@ -176,12 +176,17 @@ class TestRoundTrip:
         assert snapshot.version == FORMAT_VERSION
         assert snapshot.has_section("model")
 
-    @pytest.mark.parametrize("executor", tuple(RUNTIME_EXECUTORS))
+    @pytest.mark.parametrize("executor,shard_count", [
+        *(pytest.param(executor, 3, id=executor)
+          for executor in RUNTIME_EXECUTORS),
+        pytest.param("serial", 1, id="serial-1-shard"),
+    ])
     def test_backends_and_executors_round_trip(self, tmp_path, artifacts,
-                                               executor, model_kernel):
+                                               executor, shard_count,
+                                               model_kernel):
         """build -> snapshot -> load is bit-identical on every engine path."""
         _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor=executor, shard_count=3) as runtime:
+        with EngineRuntime(executor=executor, shard_count=shard_count) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
             built_model = build_model_with_engine(host_features, dataset)
             built_priors = build_priors_plan_with_engine(
@@ -189,10 +194,10 @@ class TestRoundTrip:
             built_index = build_prediction_index_with_engine(
                 host_features, built_model, dataset=dataset)
             dataset.release()
-        directory = str(tmp_path / f"{executor}-{model_kernel}")
+        directory = str(tmp_path / f"{executor}-{shard_count}-{model_kernel}")
         save_snapshot(directory, host_features=host_features,
                       model=built_model, priors_plan=built_priors,
-                      index=built_index, shard_count=3, step_size=16)
+                      index=built_index, shard_count=shard_count, step_size=16)
         snapshot = open_snapshot(directory)
         loaded_model = snapshot.model()
         assert loaded_model.cooccurrence == model.cooccurrence
@@ -411,8 +416,47 @@ class TestRuntimeShardLoading:
             assert built.cooccurrence == model.cooccurrence
             dataset.release()
 
-    def test_from_snapshot_requires_matching_shard_count(self, saved):
-        with EngineRuntime(executor="serial", shard_count=5) as runtime:
+    @pytest.mark.parametrize("shard_count", [1, 2, 5])
+    def test_shard_sections_load_at_every_saved_shard_count(
+            self, tmp_path, artifacts, shard_count):
+        """A snapshot saved with N shards loads into an N-shard runtime and
+        folds to the oracle artifacts; release drops every resident view."""
+        batch, host_features, model, priors, index = artifacts
+        directory = str(tmp_path / f"shards-{shard_count}")
+        save_snapshot(directory, host_features=host_features, model=model,
+                      shard_count=shard_count, step_size=16)
+        with EngineRuntime(executor="serial", shard_count=shard_count) as runtime:
+            dataset = ResidentHostGroups.from_snapshot(
+                runtime, open_snapshot(directory))
+            built = build_model_with_engine(host_features, dataset)
+            assert built.cooccurrence == model.cooccurrence
+            assert built.denominators == model.denominators
+            assert build_priors_plan_with_engine(
+                host_features, built, 16, dataset=dataset) == priors
+            assert build_prediction_index_with_engine(
+                host_features, built, dataset=dataset).entries() == index.entries()
+            dataset.release()
+            assert not [key for key in runtime._store if key[0] == dataset.key]
+
+    def test_default_runtime_loads_a_one_shard_snapshot(self, tmp_path,
+                                                        artifacts):
+        """``shard_count=0`` selects one shard, so a default runtime takes a
+        snapshot saved with one shard section."""
+        _, host_features, model, _, _ = artifacts
+        directory = str(tmp_path / "one-shard")
+        save_snapshot(directory, host_features=host_features, model=model,
+                      shard_count=1, step_size=16)
+        with EngineRuntime() as runtime:
+            dataset = ResidentHostGroups.from_snapshot(
+                runtime, open_snapshot(directory))
+            built = build_model_with_engine(host_features, dataset)
+            assert built.cooccurrence == model.cooccurrence
+            dataset.release()
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 5])
+    def test_from_snapshot_requires_matching_shard_count(self, saved,
+                                                         shard_count):
+        with EngineRuntime(executor="serial", shard_count=shard_count) as runtime:
             with pytest.raises(SnapshotError, match="shard"):
                 ResidentHostGroups.from_snapshot(runtime, open_snapshot(saved))
 
