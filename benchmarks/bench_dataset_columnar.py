@@ -19,21 +19,14 @@ columnar ingest that replaced it:
 Results are printed and written to ``BENCH_dataset.json`` at the repository
 root, each asserted floor beside its ratio.  Headline assertion: columnar dataset build + feature extraction is
 >= 1.5x the object path end to end (relaxed to 1.2x under ``BENCH_SMOKE=1``
-for shared-runner jitter).  A second test times the engine's model build on
-the serial runtime (resident load + fold) with the stdlib per-row fold
-against the vectorized numpy kernels over the same column buffers (the
-kernel is forced at its one selection point); floor >= 2x.  The equivalence assertions --
-columnar rows == object rows, decoded predictor runs == the object
-extraction's tuples, engine model off the columns == the oracle model,
-numpy model == stdlib model -- are never relaxed.
+for shared-runner jitter).  The equivalence assertions -- columnar rows ==
+object rows, decoded predictor runs == the object extraction's tuples,
+engine model off the columns == the oracle model -- are never relaxed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from unittest import mock
-
-import pytest
 
 from _harness import SMOKE, best_seconds, record
 
@@ -42,10 +35,8 @@ from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
-from repro.core import runtime_plans
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import _observation_from_record, build_full_dataset
-from repro.engine.columns import numpy_available
 from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataset.json"
@@ -58,17 +49,10 @@ REPEATS = 3
 #: 1.5x is the acceptance floor, relaxed for CI runner jitter only.
 DATASET_FLOOR = 1.2 if SMOKE else 1.5
 
-#: The numpy fold kernels must beat the stdlib per-row fold >= 2x on the
-#: serial engine model build (relaxed under smoke for runner jitter).
-MODEL_FOLD_FLOOR = 1.5 if SMOKE else 2.0
 
-
-def _model_on_engine(columns, kernel: str):
-    """The engine's model build on the serial runtime: resident load + fold,
-    with the model fold forced onto ``kernel`` (``stdlib`` or ``numpy``)."""
-    with mock.patch.object(runtime_plans, "resolve_column_backend",
-                           lambda override=None: kernel), \
-            EngineRuntime(executor="serial") as runtime:
+def _model_on_engine(columns):
+    """The engine's model build on the serial runtime: resident load + fold."""
+    with EngineRuntime(executor="serial") as runtime:
         resident = ResidentHostGroups(runtime, columns, 16)
         return build_model_with_engine(columns, resident)
 
@@ -109,7 +93,7 @@ def run_dataset_benchmark(universe):
         assert decoded == host.ports, \
             "columnar predictor tuples diverged from the object extraction"
     reference = build_model(oracle)
-    engine = _model_on_engine(columns, "stdlib")
+    engine = _model_on_engine(columns)
     assert engine.denominators == reference.denominators, \
         "engine model off the columns diverged from the oracle"
     assert {k: v for k, v in engine.cooccurrence.items() if v} == \
@@ -166,66 +150,3 @@ def test_dataset_columnar_ingest_vs_object_path(run_once, universe):
     assert speedup >= DATASET_FLOOR, \
         (f"columnar ingest only {speedup:.2f}x over the object path "
          f"(floor {DATASET_FLOOR}x)")
-
-
-# -- model fold: stdlib per-row vs numpy kernels ------------------------------------
-
-
-def run_model_fold_benchmark(universe):
-    """Time the serial engine model build, stdlib fold vs numpy kernels.
-
-    Same encoded columns in, same model out; the only difference is the
-    fold: the stdlib kernel streams the shard's self-join row by row
-    through ``fold_model_pairs``, the numpy kernel folds the raw int64
-    buffers through ``fold_model_pairs_arrays`` (no per-row loop).  Model
-    equality is asserted before timing, never relaxed.
-    """
-    config = FeatureConfig()
-    asn_db = universe.topology.asn_db
-    dataset = build_full_dataset(universe)
-    columns = extract_host_features_columns(dataset.columns(), asn_db, config)
-
-    stdlib_model = _model_on_engine(columns, "stdlib")
-    numpy_model = _model_on_engine(columns, "numpy")
-    assert numpy_model.denominators == stdlib_model.denominators, \
-        "numpy model denominators diverged from the stdlib fold"
-    assert numpy_model.cooccurrence == stdlib_model.cooccurrence, \
-        "numpy model co-occurrence diverged from the stdlib fold"
-
-    per_row_seconds = best_seconds(
-        lambda: _model_on_engine(columns, "stdlib"), REPEATS)
-    bulk_seconds = best_seconds(
-        lambda: _model_on_engine(columns, "numpy"), REPEATS)
-    return {
-        "hosts": len(columns),
-        "predictor_refs": len(columns.value_ids),
-        "equivalence": "numpy-backend model == stdlib-backend model",
-        "per_row_seconds": per_row_seconds,
-        "bulk_seconds": bulk_seconds,
-    }
-
-
-def test_model_fold_stdlib_vs_numpy(run_once, universe):
-    if not numpy_available():
-        pytest.skip("numpy backend unavailable; the stdlib path is covered "
-                    "by the ingest test above")
-    results = run_once(run_model_fold_benchmark, universe)
-    speedup = results["per_row_seconds"] / results["bulk_seconds"]
-    results["speedup"] = round(speedup, 2)
-    results["floor"] = MODEL_FOLD_FLOOR
-    record(RESULT_PATH, {"model_fold": results})
-
-    print()
-    print(format_table(
-        ("backend", "seconds", "speedup"),
-        [("stdlib (per-row fold)", f"{results['per_row_seconds']:.4f}", "1.00x"),
-         ("numpy (bulk kernels)", f"{results['bulk_seconds']:.4f}",
-          f"{speedup:.2f}x")],
-        title=(f"Serial engine model build ({results['hosts']} hosts, "
-               f"{results['predictor_refs']} predictor refs)"),
-    ))
-    print(f"numpy fold kernels vs stdlib per-row: {speedup:.2f}x "
-          f"(floor {MODEL_FOLD_FLOOR}x, written to {RESULT_PATH.name})")
-    assert speedup >= MODEL_FOLD_FLOOR, \
-        (f"numpy fold kernels only {speedup:.2f}x over the stdlib fold "
-         f"(floor {MODEL_FOLD_FLOOR}x)")

@@ -1,25 +1,18 @@
-"""Engine model build vs the dictionary reference, plus the fold kernels.
+"""Engine model build vs the dictionary reference.
 
 The paper's Table 2 claims the co-occurrence computation is fast because the
 self-join + group-by is embarrassingly parallel.  This benchmark keeps the
 reproduction's side of that claim honest: at medium scale it times the
 single-core dictionary reference (:func:`repro.core.model.build_model`)
-against the engine's model build on the ``serial`` runtime executor with
-both model-fold kernels (forced at their one selection point; a GPS run
-gets numpy whenever it imports).  Each engine row pays what a GPS run pays
-for its model: loading the seed's encoded columns into the runtime
+against the engine's model build on the ``serial`` runtime executor (the
+numpy fold).  The engine row pays what a GPS run pays for its model:
+loading the seed's encoded columns into the runtime
 (:class:`~repro.core.runtime_plans.ResidentHostGroups`) and folding the
 self-join into packed counts.  The engine model decodes its
 predictor-keyed dicts only when they are first read, which a GPS run never
 does (its priors and index builds score the packed counts), so the timed
 rows hold no decode; the equivalence checks read the dicts outside the
-timed region.  The ratios are recorded without a floor: at this scale the
-stdlib fold is slower than the reference, and that is the number.
-
-A further test covers the machine-native column kernels:
-``test_model_fold_kernel_bulk_vs_per_row`` times the model-pairs fold alone
-(packed counts, no decode), per-row stdlib vs the vectorized numpy kernel
-over the same resident column buffers; floor >= 2x.
+timed region.  The ratio is recorded without a floor, for the trend.
 
 Results are printed as tables and written to ``BENCH_engine.json`` at the
 repository root.  Every timed engine model is first checked identical to the
@@ -29,44 +22,32 @@ repository root.  Every timed engine model is first checked identical to the
 from __future__ import annotations
 
 from pathlib import Path
-from unittest import mock
 
-import pytest
-
-from _harness import SMOKE, best_seconds, record
+from _harness import best_seconds, record
 
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
-from repro.core import runtime_plans
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.datasets.builders import build_full_dataset
 from repro.datasets.split import split_seed_test
-from repro.engine.columns import numpy_available
 from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 REPEATS = 3
 
-#: The vectorized model fold must beat the per-row fold on the same buffers.
-KERNEL_FLOOR = 1.5 if SMOKE else 2.0
 
-
-def _model_on_engine(columns, kernel: str):
-    """One engine model build as a GPS run pays it: resident load + fold,
-    with the model fold forced onto ``kernel`` (``stdlib`` or ``numpy``)."""
-    with mock.patch.object(runtime_plans, "resolve_column_backend",
-                           lambda override=None: kernel), \
-            EngineRuntime(executor="serial") as runtime:
+def _model_on_engine(columns):
+    """One engine model build as a GPS run pays it: resident load + fold."""
+    with EngineRuntime(executor="serial") as runtime:
         dataset = ResidentHostGroups(runtime, columns, step_size=16)
         return build_model_with_engine(columns, dataset)
 
 
 def run_engine_scaling(universe, dataset, seed_fraction: float):
-    """Time the reference model build vs the engine on each fold kernel."""
+    """Time the reference model build vs the engine's."""
     split = split_seed_test(dataset, seed_fraction, seed=0)
     asn_db = universe.topology.asn_db
     host_features = extract_host_features(split.seed_observations, asn_db,
@@ -78,18 +59,16 @@ def run_engine_scaling(universe, dataset, seed_fraction: float):
     rows = [{"path": "reference", "executor": None, "column_backend": None,
              "seconds": best_seconds(lambda: build_model(host_features),
                                      REPEATS)}]
-    backends = ("stdlib", "numpy") if numpy_available() else ("stdlib",)
-    for backend in backends:
-        model = _model_on_engine(columns, backend)
-        assert model.denominators == reference.denominators, \
-            f"engine/{backend} denominators diverged from the oracle"
-        assert {k: v for k, v in model.cooccurrence.items() if v} == \
-            {k: v for k, v in reference.cooccurrence.items() if v}, \
-            f"engine/{backend} co-occurrence diverged from the oracle"
-        rows.append({"path": "engine", "executor": "serial",
-                     "column_backend": backend,
-                     "seconds": best_seconds(
-                         lambda: _model_on_engine(columns, backend), REPEATS)})
+    model = _model_on_engine(columns)
+    assert model.denominators == reference.denominators, \
+        "engine denominators diverged from the oracle"
+    assert {k: v for k, v in model.cooccurrence.items() if v} == \
+        {k: v for k, v in reference.cooccurrence.items() if v}, \
+        "engine co-occurrence diverged from the oracle"
+    rows.append({"path": "engine", "executor": "serial",
+                 "column_backend": "numpy",
+                 "seconds": best_seconds(lambda: _model_on_engine(columns),
+                                         REPEATS)})
     return {
         "scale": MEDIUM_SCALE.name,
         "seed_hosts": len(host_features),
@@ -124,84 +103,3 @@ def test_model_build_engine_vs_reference(run_once, universe, censys_dataset, sca
     ))
     print(f"Seed hosts: {results['seed_hosts']}; distinct predictors: "
           f"{results['predictors']} (written to {RESULT_PATH.name})")
-
-
-# -- machine-native fold kernels ----------------------------------------------------
-
-
-def _full_scale_columns(universe):
-    """Encoded host/service/predictor columns for the full medium universe.
-
-    The fold-kernel measurements use the full dataset (12K hosts, ~630K
-    predictor refs) rather than the seed split: the kernels are the
-    per-element story, so they are timed where the element count is large
-    enough that setup noise disappears.
-    """
-    dataset = build_full_dataset(universe)
-    return extract_host_features_columns(dataset.columns(),
-                                         universe.topology.asn_db,
-                                         FeatureConfig())
-
-
-def run_model_fold_kernel(universe):
-    """Time the packed model-pairs fold: per-row stdlib vs the numpy kernel.
-
-    Both variants run against the same resident column buffers
-    through ``EngineRuntime.execute`` on the serial executor (one shard),
-    with the kernel name as the task argument, so the measured region is
-    exactly the fold: per-row ``fold_model_pairs`` over the hydrated shard
-    lists versus ``fold_model_pairs_arrays`` over the raw buffers.
-    Equivalence of the packed counts is asserted before timing and never
-    relaxed.
-    """
-    columns = _full_scale_columns(universe)
-    runtime = EngineRuntime(executor="serial")
-    resident = ResidentHostGroups(runtime, columns, step_size=16)
-    try:
-        per_row = runtime.execute("model_pairs", resident.key, [("stdlib",)])[0]
-        bulk = runtime.execute("model_pairs", resident.key, [("numpy",)])[0]
-        assert bulk == per_row, \
-            "vectorized model-pairs fold diverged from the per-row fold"
-
-        per_row_seconds = best_seconds(
-            lambda: runtime.execute("model_pairs", resident.key, [("stdlib",)]),
-            REPEATS)
-        bulk_seconds = best_seconds(
-            lambda: runtime.execute("model_pairs", resident.key, [("numpy",)]),
-            REPEATS)
-    finally:
-        resident.release()
-        runtime.close()
-    return {
-        "hosts": len(columns),
-        "predictor_refs": len(columns.value_ids),
-        "packed_pairs": len(bulk[0]),
-        "equivalence": "numpy packed counts == per-row packed counts",
-        "per_row_seconds": per_row_seconds,
-        "bulk_seconds": bulk_seconds,
-    }
-
-
-def test_model_fold_kernel_bulk_vs_per_row(run_once, universe):
-    if not numpy_available():
-        pytest.skip("numpy backend unavailable; the stdlib fold is still "
-                    "covered by the reference comparison above")
-    results = run_once(run_model_fold_kernel, universe)
-    speedup = results["per_row_seconds"] / results["bulk_seconds"]
-    results["speedup"] = round(speedup, 2)
-    results["floor"] = KERNEL_FLOOR
-    record(RESULT_PATH, {"model_fold_kernel": results})
-
-    print()
-    print(format_table(
-        ("kernel", "seconds", "speedup"),
-        [("per-row (fold_model_pairs)", f"{results['per_row_seconds']:.4f}", "1.00x"),
-         ("bulk (fold_model_pairs_arrays)", f"{results['bulk_seconds']:.4f}",
-          f"{speedup:.2f}x")],
-        title=(f"Model-pairs fold kernel ({results['hosts']} hosts, "
-               f"{results['predictor_refs']} predictor refs)"),
-    ))
-    print(f"Bulk fold kernel vs per-row: {speedup:.2f}x "
-          f"(floor {KERNEL_FLOOR}x, written to {RESULT_PATH.name})")
-    assert speedup >= KERNEL_FLOOR, \
-        f"bulk fold kernel only {speedup:.2f}x over per-row (floor {KERNEL_FLOOR}x)"

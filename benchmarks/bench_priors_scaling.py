@@ -4,12 +4,12 @@ This benchmark covers the two hot paths after the model build:
 
 * **priors planning** (Section 5.3): the reference planner's per-host dict
   loops versus :func:`repro.core.priors.build_priors_plan_with_engine`,
-  which selects partners by numpy segment reductions over each shard's
+  which selects partners by numpy segment reductions over one
   candidate table (every service against its host's other predictor ids)
   and folds coverage counts, on dictionary-encoded columns resident in an
   engine runtime (the seed's
   columns load once per runtime, as in a GPS run; every timed call takes a
-  fresh dict model, so its counts are packed from the dicts, broadcast and
+  fresh dict model, so its counts are packed from the dicts, loaded and
   reduced anew);
 * **prediction scanning** (Section 5.4): pair-by-pair
   :meth:`~repro.scanner.pipeline.ScanPipeline.scan_pairs` versus the batched
@@ -94,8 +94,8 @@ def _seed_inputs(universe, dataset):
 
 def _fresh(model):
     """A new model object over the same counts, so the resident dataset packs
-    its score tables from the dicts and re-broadcasts them on every timed
-    call.  A GPS run broadcasts once per run, and its engine-built model
+    its score tables from the dicts and reloads them on every timed
+    call.  A GPS run loads them once per run, and its engine-built model
     hands over the model fold's packed counts without this packing."""
     return CooccurrenceModel(cooccurrence=model.cooccurrence,
                              denominators=model.denominators)

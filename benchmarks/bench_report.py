@@ -18,15 +18,15 @@ judged against.  This tool closes the loop:
 
 Floors come from one place: the results themselves.  Every benchmark
 writes each floor it asserts into its JSON beside the ratio that floor gates
-(``model_fold_kernel.floor``, ``warm_restart_floor``,
+(``columnar_vs_object_floor``, ``warm_restart_floor``,
 ``scan.zmap_layer_floor`` ...), under the same conditions (smoke or full) as
 the measurement.  So the report keeps no copy of any floor and has no
 ``--smoke`` switch: a smoke run records its relaxed floors itself.  An asserted metric whose value is present but whose floor is
 not fails ``--check``: deleting the line that records a floor cannot quietly
 remove its gate.  Ratios registered without a floor path
 (``engine_vs_reference``) are recorded for the trend only and always report "not asserted".  Sections
-that are absent from a results file (numpy-gated benchmarks skip where no
-wheel exists) are reported as missing rather than failed.
+that are absent from a results file are reported as missing rather than
+failed.
 
 Run locally::
 
@@ -72,16 +72,10 @@ class Metric:
 
 #: Every headline ratio the report renders; the floors live in the results.
 METRICS: Tuple[Metric, ...] = (
-    Metric("BENCH_engine.json", "engine model build vs reference (serial, stdlib)",
-           "engine_vs_reference.stdlib"),
     Metric("BENCH_engine.json", "engine model build vs reference (serial, numpy)",
            "engine_vs_reference.numpy"),
-    Metric("BENCH_engine.json", "numpy fold kernel vs per-row fold",
-           "model_fold_kernel.speedup", floor_path="model_fold_kernel.floor"),
     Metric("BENCH_dataset.json", "columnar seed ingest vs object path",
            "columnar_vs_object_speedup", floor_path="columnar_vs_object_floor"),
-    Metric("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
-           "model_fold.speedup", floor_path="model_fold.floor"),
     Metric("BENCH_priors.json", "engine priors plan vs reference (serial)",
            "priors_fused_serial_speedup", floor_path="priors_fused_serial_floor"),
     Metric("BENCH_priors.json", "batched scan pipeline end to end",

@@ -5,7 +5,7 @@ run?" in microseconds once built -- but a one-shot consumer pays the full
 build (feature extraction, co-occurrence model, priors plan, index) on every
 invocation.  The serving layer amortizes that: one
 :class:`~repro.serving.service.GPSService` builds a model once, keeps it
-(and its engine shards) warm, and serves every subsequent request as a pure
+warm, and serves every subsequent request as a pure
 index read, predicted on the event loop behind micro-batching.
 
 This benchmark times:

@@ -45,10 +45,6 @@ SEED_FRACTION = 0.1
 
 STEP_SIZE = 16
 
-#: Shard count for the saved layout: the warm restart verifies these
-#: sections' checksums too.
-SHARDS = 4
-
 REPEATS = 3
 
 #: The headline floor: restoring the Table 2 artifacts from a snapshot
@@ -91,8 +87,7 @@ def run_snapshot_benchmark(universe, dataset):
         snapshot_dir = str(Path(workdir) / "snap")
         save_snapshot(
             snapshot_dir, observations=batch, host_features=host_features,
-            model=model, priors_plan=priors, index=index,
-            shard_count=SHARDS, step_size=STEP_SIZE)
+            model=model, priors_plan=priors, index=index)
         snapshot_bytes = sum(
             path.stat().st_size for path in Path(snapshot_dir).iterdir())
 
@@ -125,7 +120,6 @@ def run_snapshot_benchmark(universe, dataset):
         "scale": MEDIUM_SCALE.name,
         "seed_fraction": SEED_FRACTION,
         "seed_hosts": len(host_features.ips),
-        "shards": SHARDS,
         "snapshot_bytes": snapshot_bytes,
         "equivalence": ("loaded == built for model, priors plan and "
                         "prediction index"),
@@ -159,7 +153,6 @@ def test_snapshot_warm_restart_vs_full_build(run_once, universe,
           f"{build / row['seconds']:.2f}x")
          for row in results["rows"]],
         title=(f"Snapshot persistence ({results['seed_hosts']} seed hosts, "
-               f"{results['shards']} shards, "
                f"{results['snapshot_bytes'] / 1e6:.1f} MB on disk)"),
     ))
     print(f"Warm restart vs full build: {warm_restart_speedup:.2f}x "

@@ -76,16 +76,14 @@ def run_coverage_experiment(
     max_full_scans: Optional[float] = None,
     seed_cost_mode: str = "scan",
     executor: Optional[str] = None,
-    shard_count: int = 0,
     telemetry=None,
     seed_override=None,
 ) -> CoverageExperiment:
     """Run GPS against a dataset and compute the Figure 2 curves.
 
-    ``executor`` / ``shard_count`` route the run's engine builds through
-    the engine runtime (see
-    :func:`repro.analysis.scenarios.run_gps_on_dataset`); the curves are
-    identical on every backend and shard layout.  ``telemetry`` instruments
+    ``executor`` routes the run's engine builds through the engine runtime
+    (see :func:`repro.analysis.scenarios.run_gps_on_dataset`); the curves
+    are identical to the reference run's.  ``telemetry`` instruments
     the run (phase spans, scan counters) without changing the curves.
     ``seed_override`` replaces the dataset-split seed with a pre-collected
     seed scan (a reloaded snapshot -- the Section 6.5 reuse mode); coverage
@@ -95,8 +93,7 @@ def run_coverage_experiment(
         universe, dataset, seed_fraction, step_size=step_size,
         split_seed=split_seed, feature_config=feature_config,
         max_full_scans=max_full_scans, seed_cost_mode=seed_cost_mode,
-        executor=executor, shard_count=shard_count,
-        telemetry=telemetry, seed_override=seed_override,
+        executor=executor, telemetry=telemetry, seed_override=seed_override,
     )
     ground_truth = dataset.pairs()
     gps_points = coverage_curve(run.log_as_tuples(), ground_truth,

@@ -114,7 +114,6 @@ def run_gps_on_dataset(
     use_engine: bool = False,
     seed_cost_mode: str = "scan",
     executor: Optional[str] = None,
-    shard_count: int = 0,
     telemetry=None,
     seed_override=None,
 ) -> Tuple[GPSRunResult, ScanPipeline, SeedTestSplit]:
@@ -139,8 +138,8 @@ def run_gps_on_dataset(
     it unchanged.
 
     ``executor`` selects the engine-runtime backend (``"serial"``; implies
-    ``use_engine``) over ``shard_count`` resident shards (0 = one shard);
-    the runtime lives for this one run and is closed before returning.
+    ``use_engine``); the runtime lives for this one run and is closed
+    before returning.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) instruments the
     run's pipeline and orchestrator -- phase spans, scan counters, engine
@@ -155,7 +154,7 @@ def run_gps_on_dataset(
     pipeline = ScanPipeline(universe, telemetry=telemetry)
     engine_kwargs = {}
     if executor is not None:
-        engine_kwargs = {"executor": executor, "shard_count": shard_count}
+        engine_kwargs = {"executor": executor}
     config = GPSConfig(
         seed_fraction=seed_fraction,
         step_size=step_size,

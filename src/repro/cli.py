@@ -70,10 +70,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
                         help="run model/priors/prediction-index builds on the "
                              "in-process engine runtime (results are "
                              "identical to the reference builds)")
-    parser.add_argument("--shard-count", type=int, default=0,
-                        help="shards the resident seed columns are partitioned "
-                             "into (0 = one shard; only meaningful with "
-                             "--executor)")
 
 
 def _trace_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
@@ -94,16 +90,13 @@ def _write_trace(telemetry: Optional[Telemetry],
 
 
 def _save_run_snapshot(directory, result, universe, status_encoder=None,
-                       runtime=None, telemetry=None) -> dict:
+                       telemetry=None) -> dict:
     """Persist a run's encoded seed columns + Table 2 artifacts to ``directory``.
 
     The seed observations re-encode into columnar form (through
     ``status_encoder`` when the caller's pipeline is available, so status
     ids match live batches) and the host-feature relation is re-extracted so
-    the snapshot carries everything a warm restart needs.  With a live
-    ``runtime`` the host groups are additionally pre-sharded into the
-    runtime's layout, making the saved shards mmap-loadable by a runtime
-    with the same shard count.
+    the snapshot carries everything a warm restart needs.
     """
     from repro.core.features import extract_host_features_columns
     from repro.engine.snapshot import save_snapshot
@@ -117,10 +110,7 @@ def _save_run_snapshot(directory, result, universe, status_encoder=None,
     manifest = save_snapshot(directory, observations=batch,
                              host_features=host_features, model=result.model,
                              priors_plan=result.priors_plan,
-                             index=result.feature_index,
-                             shard_count=(runtime.shard_count
-                                          if runtime is not None else None),
-                             step_size=config.step_size, telemetry=telemetry)
+                             index=result.feature_index, telemetry=telemetry)
     print(f"snapshot saved to {directory} "
           f"({len(manifest['sections'])} sections)", file=sys.stderr)
     return manifest
@@ -163,8 +153,7 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     pipeline = ScanPipeline(universe, telemetry=telemetry)
     engine_kwargs = {}
     if args.executor is not None:
-        engine_kwargs = {"use_engine": True, "executor": args.executor,
-                         "shard_count": args.shard_count}
+        engine_kwargs = {"use_engine": True, "executor": args.executor}
     config = GPSConfig(seed_fraction=args.seed_fraction,
                        step_size=args.step_size, **engine_kwargs)
     seed = None
@@ -178,7 +167,7 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
         if args.save_snapshot:
             _save_run_snapshot(args.save_snapshot, result, universe,
                                status_encoder=pipeline.status_encoder,
-                               runtime=gps.runtime(), telemetry=telemetry)
+                               telemetry=telemetry)
     _write_trace(telemetry, args)
     truth = set(universe.real_service_pairs())
     found = result.discovered_pairs()
@@ -225,7 +214,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                                          step_size=args.step_size,
                                          seed_cost_mode=seed_cost_mode,
                                          executor=args.executor,
-                                         shard_count=args.shard_count,
                                          telemetry=telemetry,
                                          seed_override=seed_override)
     if args.save_snapshot:
@@ -290,8 +278,8 @@ def cmd_churn(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve GPS predictions over HTTP on a warm engine runtime.
 
-    Builds one model named ``default`` from a synthetic universe's seed scan,
-    keeps its shards resident, and answers lookups until interrupted.
+    Builds one model named ``default`` from a synthetic universe's seed scan
+    (or loads it from a snapshot) and answers lookups until interrupted.
     Imports live here so the asyncio serving stack is only paid for by this
     command.
     """
@@ -302,12 +290,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     pipeline = ScanPipeline(universe)
 
     executor = args.executor or "serial"
-    config = ServingConfig(executor=executor, shard_count=args.shard_count,
+    config = ServingConfig(executor=executor,
                            telemetry_enabled=not args.no_telemetry)
     host = ServiceHost(config)
     gps_config = GPSConfig(seed_fraction=args.seed_fraction,
-                           use_engine=True, executor=executor,
-                           shard_count=args.shard_count)
+                           use_engine=True, executor=executor)
     if args.snapshot_dir:
         info = host.call(host.service.load_model_from_snapshot(
             "default", pipeline, args.snapshot_dir, gps_config))
@@ -315,16 +302,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{args.snapshot_dir} (format v{info.snapshot_version}): "
               f"{info.seed_services} seed services, "
               f"{info.index_entries} index entries, "
-              f"loaded in {info.build_seconds:.2f}s "
-              f"(resident shards: {info.resident_shards})")
+              f"loaded in {info.build_seconds:.2f}s")
     else:
         seed = pipeline.seed_scan(args.seed_fraction, seed=args.seed)
         info = host.call(host.service.load_model("default", pipeline, seed,
                                                  gps_config))
         print(f"model 'default' ready: {info.seed_services} seed services, "
               f"{info.index_entries} index entries, "
-              f"built in {info.build_seconds:.2f}s "
-              f"(resident shards: {info.resident_shards})")
+              f"built in {info.build_seconds:.2f}s")
     print(f"serving on http://{args.address}:{args.port} "
           "(GET /healthz /models /stats /metrics /lookup, "
           "POST /predict /scan); Ctrl-C to drain and stop")
@@ -337,22 +322,19 @@ def cmd_snapshot_save(args: argparse.Namespace) -> int:
 
     Equivalent to ``quickstart --save-snapshot`` without the summary table:
     one full run produces the encoded seed columns and the three Table 2
-    artifacts, which are written to ``--out`` (with pre-sharded host groups
-    when ``--executor`` keeps a runtime whose layout to mirror).
+    artifacts, which are written to ``--out``.
     """
     universe = make_universe(_scale(args.scale), seed=args.seed)
     pipeline = ScanPipeline(universe)
     engine_kwargs = {}
     if args.executor is not None:
-        engine_kwargs = {"use_engine": True, "executor": args.executor,
-                         "shard_count": args.shard_count}
+        engine_kwargs = {"use_engine": True, "executor": args.executor}
     config = GPSConfig(seed_fraction=args.seed_fraction,
                        step_size=args.step_size, **engine_kwargs)
     with GPS(pipeline, config) as gps:
         result = gps.run()
-        manifest = _save_run_snapshot(args.out, result, universe,
-                                      status_encoder=pipeline.status_encoder,
-                                      runtime=gps.runtime())
+    manifest = _save_run_snapshot(args.out, result, universe,
+                                  status_encoder=pipeline.status_encoder)
     sections = manifest["sections"]
     print(format_table(
         ("section", "columns", "rows"),
@@ -398,10 +380,6 @@ def cmd_snapshot_load(args: argparse.Namespace) -> int:
     if snapshot.has_section("index"):
         artifacts.append(("prediction index entries",
                           len(snapshot.prediction_index())))
-    layout = snapshot.shard_layout()
-    if layout is not None:
-        artifacts.append(("resident shards (step /"
-                          f"{layout['step_size']})", layout["shard_count"]))
     if artifacts:
         print(format_table(("artifact", "count"), artifacts,
                            title="Rebuilt artifacts"))
@@ -476,10 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "for the serve command")
     serve.add_argument("--snapshot-dir", default=None, metavar="DIR",
                        help="warm-restart the default model from this "
-                            "snapshot directory instead of building it (the "
-                            "saved shards load mmap-backed when "
-                            "--executor/--shard-count match the snapshot's "
-                            "layout)")
+                            "snapshot directory instead of building it")
     serve.set_defaults(func=cmd_serve)
 
     snapshot = subparsers.add_parser(

@@ -128,14 +128,13 @@ class GPSConfig:
             implementations (the reference oracle).  The engine ingests the
             seed columnar, loads the encoded columns into the runtime once
             per run (:class:`~repro.core.runtime_plans.ResidentHostGroups`)
-            and folds all three builds against the resident shards; every
-            result is bit-identical to the reference.  The :class:`GPS`
+            and folds all three builds against the resident columns, which
+            are released when the run's builds end; every result is
+            bit-identical to the reference.  The :class:`GPS`
             orchestrator owns one
             :class:`~repro.engine.runtime.EngineRuntime` for its lifetime.
         executor: the runtime executor the engine runs on; ``"serial"``
             is the only one.
-        shard_count: how many shards resident datasets are partitioned into
-            (``0`` means one shard).
         telemetry_enabled: create a :class:`~repro.telemetry.Telemetry`
             instance for the run -- per-phase spans, engine/scan metrics.
             Off by default: telemetry must never tax a run that did not
@@ -154,7 +153,6 @@ class GPSConfig:
     use_engine: bool = False
     # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
     executor: str = "serial"
-    shard_count: int = 0
     telemetry_enabled: bool = False
 
     def __post_init__(self) -> None:
@@ -174,8 +172,6 @@ class GPSConfig:
             raise ValueError(
                 f"unknown executor: {self.executor!r} "
                 f"(expected one of {RUNTIME_EXECUTORS})")
-        if self.shard_count < 0:
-            raise ValueError("shard_count must be >= 0 (0 selects one shard)")
         if self.port_domain is not None:
             for port in self.port_domain:
                 if not 1 <= port <= 65535:

@@ -194,8 +194,8 @@ class HostFeatureColumns:
     structure every fused engine consumer flattens host features into --
     producing it directly from :class:`~repro.scanner.records.ObservationBatch`
     columns removes the object pre-pass from the model, priors and
-    prediction-index builds (and from
-    :class:`~repro.core.runtime_plans.ResidentHostGroups` shard loading).
+    prediction-index builds (and from the
+    :class:`~repro.core.runtime_plans.ResidentHostGroups` resident load).
 
     Attributes:
         ips: one address per host, in first-seen observation order (the
@@ -212,7 +212,7 @@ class HostFeatureColumns:
             whose ``values()`` view side tables are built from).
 
     All five columns are :class:`~repro.engine.columns.IntColumn` buffers:
-    the fused kernels and the shard loader read them through the buffer
+    the fused kernels and the resident load read them through the buffer
     protocol (memoryview / numpy view) instead of boxing one Python int per
     element, and ``==`` against the object-path oracle lists still compares
     element-wise.

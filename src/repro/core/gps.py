@@ -25,6 +25,7 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.config import GPSConfig
+# The e2e spans patch the four engine build_*/extract_* names here (ROADMAP item 1).
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.core.predictions import (
@@ -214,9 +215,9 @@ class GPS:
     :class:`~repro.engine.runtime.EngineRuntime` for its whole life: it is
     created on the first engine build, every run reuses it, and
     :meth:`close` (or using the GPS as a context manager) frees it.
-    Within a run the seed's encoded columns load into the runtime once and
-    the model, priors and prediction-index builds all fold against the
-    resident shards.
+    Within a run the seed's encoded columns load into the runtime once,
+    the model, priors and prediction-index builds all fold against them,
+    and they are released when the builds end.
 
     With telemetry enabled (``config.telemetry_enabled``, or an explicit
     ``telemetry`` instance -- e.g. one shared with the scan pipeline so scan
@@ -247,16 +248,14 @@ class GPS:
 
     def runtime(self) -> Optional[EngineRuntime]:
         """This instance's persistent engine runtime (``None`` without
-        ``use_engine``).  Created lazily from ``config.executor`` /
-        ``config.shard_count``; recreated if a previous one was closed."""
+        ``use_engine``).  Created lazily from ``config.executor``;
+        recreated if a previous one was closed."""
         config = self.config
         if not config.use_engine:
             return None
         if self._runtime is None or self._runtime.closed:
             self._runtime = EngineRuntime(
-                executor=config.executor,
-                shard_count=config.shard_count,
-                telemetry=self.telemetry)
+                executor=config.executor, telemetry=self.telemetry)
         return self._runtime
 
     def close(self) -> None:
@@ -320,7 +319,7 @@ class GPS:
 
         # Phases 2-4 computation: model, priors plan and index.  The index
         # reads only the seed and the model, so it is built before the priors
-        # scan and the resident shards are freed before any probing.
+        # scan and the resident columns are freed before any probing.
         self._build(seed, result, priors=True)
 
         # Phase 3: priors scan (find the first service of every host).
@@ -447,7 +446,7 @@ class GPS:
         (carried by the seed when it came from a columnar dataset split,
         rebuilt from the object rows otherwise) fold straight into encoded
         :class:`~repro.core.features.HostFeatureColumns`, which the resident
-        dataset shards as-is.  The reference path keeps the object
+        dataset loads as-is.  The reference path keeps the object
         extraction, which remains the equivalence oracle.
         """
         config = self.config
@@ -470,7 +469,7 @@ class GPS:
 
         The one build sequence of both run modes: features -> resident load
         (engine only) -> model -> priors plan -> index -> release of the
-        resident shards (the runtime itself stays warm for the next run).
+        resident columns (the runtime itself stays warm for the next run).
         Each step is a span of the run's trace, and the whole counts toward
         ``result.model_build_seconds``.
         """

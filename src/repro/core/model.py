@@ -12,7 +12,7 @@ contributes at most one occurrence per tuple, so both counts are plain host
 counts.  The numerators for different predictors never interact, which is what
 makes the computation "parallelizable across all 65K ports" in the paper's
 terms; :func:`build_model_with_engine` expresses exactly the same computation
-as a shard-local self-join + group-by on the engine runtime, and the test
+as a self-join + group-by on the engine runtime, and the test
 suite asserts the two implementations produce identical probabilities.
 """
 
@@ -224,18 +224,16 @@ def build_model_with_engine(host_features: HostFeatureColumns,
     the host address, drop self-pairs, GROUP BY (predictor, target port) to
     obtain the co-occurrence counts, and GROUP BY predictor over the feature
     relation to obtain the denominators.  ``dataset`` holds
-    ``host_features``' encoded columns resident in an engine runtime; the
-    join folds over each shard of hosts (hosts never span shards, so the
-    join is shard-local) and the per-shard packed counts merge.
+    ``host_features``' encoded columns resident in an engine runtime, and
+    the join folds over them as numpy passes into packed counts
+    (see :meth:`ResidentHostGroups.model_counts`).
 
-    The model keeps the merged packed columns: the priors and index builds
+    The model keeps the packed columns: the priors and index builds
     on the same dataset read them as their score tables, and the
     predictor-keyed dicts are decoded only when first read (a GPS run never
     reads them; a snapshot save does).
 
-    The shards fold with the numpy kernels when numpy imports and the
-    stdlib fold otherwise (see :meth:`ResidentHostGroups.model_counts`).
-    The result is identical to :func:`build_model` (the oracle) on every
-    shard count and kernel; the test suite asserts this on randomized inputs.
+    The result is identical to :func:`build_model` (the oracle); the test
+    suite asserts this on randomized inputs.
     """
     return CooccurrenceModel.from_packed(dataset.model_counts())

@@ -917,9 +917,9 @@ def build_prediction_index_with_engine(
     staged numpy segment reductions over dictionary-encoded columns
     (:func:`repro.engine.fused.fold_argmax_winners`) against ``dataset`` --
     ``host_features``' columns, resident in the runtime: the
-    model's packed counts broadcast once per model, only the whitelist and
-    thresholds pass per call, and the per-shard rows merge back into exact
-    host order, where the last ties break on the decoded predictor tuples.
+    model's packed counts load once per model, only the whitelist and
+    thresholds pass per call, and the rows come back in host order, where
+    the last ties break on the decoded predictor tuples.
 
     Args:
         host_features: the seed's encoded host features.

@@ -28,9 +28,9 @@ Two implementations produce that list:
   ordered port pair), kept as the oracle the equivalence tests compare
   against;
 * :func:`build_priors_plan_with_engine` -- the same query on the engine
-  runtime: the model's packed counts broadcast once, and every service's
-  partner is selected over each resident shard of hosts with
-  numpy segment reductions
+  runtime: the model's packed counts load once beside the resident
+  columns, and every service's partner is selected with numpy segment
+  reductions
   (:func:`repro.engine.fused.fold_partner_counts`), folding coverage counts.
   This is the Table 2 "computation" story applied to the Section 5.3
   planning pass; ``GPSConfig.use_engine`` selects the path.
@@ -145,11 +145,10 @@ def build_priors_plan_with_engine(
     """Priors planning on the engine runtime (Section 5.3 / Table 2).
 
     Produces exactly the ordered :class:`PriorsEntry` list of
-    :func:`build_priors_plan` (the oracle; the test suite asserts equality
-    on every shard count), but folds the partner selection against
-    ``dataset`` -- ``host_features``' encoded columns, resident in the
-    runtime: the model's packed counts broadcast once per model, coverage
-    counts fold over each shard of hosts, and only the port whitelist
+    :func:`build_priors_plan` (the oracle; the test suite asserts
+    equality), but folds the partner selection against ``dataset`` --
+    ``host_features``' encoded columns, resident in the runtime: the
+    model's packed counts load once per model, and only the port whitelist
     passes per call.
 
     Args:

@@ -4,24 +4,20 @@ The three Table 2 "computation" queries -- model build (Section 5.2), priors
 planning (Section 5.3) and the prediction-index build (Section 5.4) -- all
 fold over the same underlying relation: hosts owning services owning
 dictionary-encoded predictor tuples.  :class:`ResidentHostGroups` takes
-that relation as pre-encoded columns, hash-shards it once
-(:mod:`repro.engine.shard`) and loads the shards into an
-:class:`~repro.engine.runtime.EngineRuntime`, where they stay resident.
-Each subsequent build then passes only its plan parameters:
+that relation as pre-encoded columns and loads them once into an
+:class:`~repro.engine.runtime.EngineRuntime`, where they stay resident until
+the build releases them.  Each build then passes only its plan parameters:
 
-* :meth:`model_counts` -- the co-occurrence fold runs as a shard-local
-  self-join over the resident columns (passing only the kernel name) and
-  returns the merged packed counts (:class:`PackedCounts`);
+* :meth:`model_counts` -- the co-occurrence fold runs as a self-join over
+  the resident columns and returns the packed counts
+  (:class:`PackedCounts`);
 * :meth:`priors_coverage` / :meth:`argmax_winners` -- the model's score
-  tables, those packed counts, broadcast once (:meth:`ensure_sides`), after
-  which each call passes only the port whitelist and thresholds.  Each shard
-  builds one candidate table per model, which both folds reduce with
-  numpy segment reductions.
+  tables, those packed counts, load once beside the columns
+  (:meth:`ensure_sides`), after which each call passes only the port
+  whitelist and thresholds.  One candidate table per model feeds both
+  folds' numpy segment reductions.
 
-Every result is bit-identical to the single-core reference builds on every
-shard count: counter merges are order-independent, and the
-order-sensitive argmax winner list is reassembled into exact host order via
-the shards' ``group_order`` columns.
+Every result is bit-identical to the single-core reference builds.
 
 The module is deliberately blind to concrete core types -- host features and
 models are used through their attribute surface only -- so
@@ -32,20 +28,15 @@ models are used through their attribute surface only -- so
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.engine.columns import (
-    IntColumn,
-    require_numpy,
-    resolve_column_backend,
-    to_numpy,
-)
+import numpy as np
+
+from repro.engine.columns import IntColumn, to_numpy
 from repro.engine.encoding import DictionaryEncoder
 from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
 from repro.engine.fused import keep_segment_max, segment_starts
-from repro.engine.shard import shard_group_columns
 from repro.net.ipv4 import prefix_mask
 
 __all__ = ["PackedCounts", "ResidentHostGroups"]
@@ -55,41 +46,9 @@ __all__ = ["PackedCounts", "ResidentHostGroups"]
 _KEY_COUNTER = itertools.count()
 
 
-def merge_counters(counters: Iterable[Counter]) -> Counter:
-    """Sum per-shard counters into the final result.
-
-    Counter addition is commutative, so the merged result is independent of
-    shard layout and arrival order.
-    """
-    merged: Counter = Counter()
-    for counts in counters:
-        merged.update(counts)
-    return merged
-
-
-def _merge_packed(per_shard: Sequence[Tuple[Any, Any]]):
-    """Merge per-shard packed ``(keys, counts)`` column pairs into one pair.
-
-    Both model-fold kernels reply with parallel int64 columns sorted by key;
-    the merge sums the counts of equal keys across shards and returns
-    ``(keys, counts)`` ndarrays sorted by key.
-    """
-    np = require_numpy()
-    keys = np.concatenate([to_numpy(keys) for keys, _ in per_shard])
-    counts = np.concatenate([to_numpy(counts) for _, counts in per_shard])
-    if len(per_shard) == 1:
-        return keys, counts
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    starts = segment_starts(keys)
-    if not starts.size:
-        return keys, counts
-    return keys[starts], np.add.reduceat(counts, starts)
-
-
 @dataclass(frozen=True)
 class PackedCounts:
-    """A co-occurrence model as the model fold's merged packed columns.
+    """A co-occurrence model as the model fold's packed columns.
 
     Attributes:
         encoder: the encoder whose ids the columns carry.
@@ -116,7 +75,6 @@ def _pack_model(model: Any, values: Sequence[Any]):
     reference's ``best_predictor`` considers it.  Each dict is read through
     ``map``/``chain`` in C, so no Python statement runs per predictor.
     """
-    np = require_numpy()
     supports = np.fromiter(map(model.denominators.get, values, itertools.repeat(0)),
                            dtype=np.int64, count=len(values))
     rows = list(map(model.cooccurrence.get, values, itertools.repeat({})))
@@ -139,36 +97,35 @@ def _label_array(port_domain: Optional[Sequence[int]]):
     """A port whitelist as the sorted int64 array the folds test against."""
     if port_domain is None:
         return None
-    np = require_numpy()
     return np.array(sorted(set(port_domain)), dtype=np.int64)
 
 
 class ResidentHostGroups:
     """The host/service/predictor relation, resident in a runtime.
 
-    Constructing the dataset takes ``host_features``' group-structured
+    Constructing the dataset loads ``host_features``' group-structured
     columns (groups = hosts keyed by their ``step_size`` subnet, members =
     services labelled by port in ascending order, values = predictor-tuple
-    ids interned through one shared :class:`DictionaryEncoder`), shards them
-    by the stable hash of the host address, and loads the shards into the
+    ids interned through one shared :class:`DictionaryEncoder`) into the
     runtime exactly once.  The encoder stays here: the resident folds only
     ever see dense ids, and this class decodes results.
 
-    The dataset must be :meth:`release`-d when the run is done (the GPS
-    orchestrator does this in a ``finally``); the runtime itself stays up
-    for the next dataset.
+    The dataset must be :meth:`release`-d when the build is done (the GPS
+    orchestrator and the serving registry do this in a ``finally``); the
+    runtime itself stays up for the next dataset.
     """
 
+    # The e2e spans wrap ``__init__`` and ``release`` by name (ROADMAP item 1).
     def __init__(self, runtime: EngineRuntime, host_features: Any,
                  step_size: int, key: Optional[str] = None) -> None:
-        """Shard and load the host features.
+        """Load the host features.
 
         Args:
-            runtime: the runtime that holds the shards.
+            runtime: the runtime that holds the columns.
             host_features: the host/service/predictor relation as
                 pre-encoded flat columns
                 (:class:`repro.core.features.HostFeatureColumns`), which
-                shard as-is: the columnar ingest already holds exactly the
+                load as-is: the columnar ingest already holds exactly the
                 layout the folds need, and the columns' encoder is shared.
             step_size: prefix length for the priors planner's subnet group
                 keys (0-32).
@@ -183,83 +140,22 @@ class ResidentHostGroups:
         self._sides_model: Optional[Any] = None
         self._sides_packed: Optional[PackedCounts] = None
         self._released = False
-
         self.encoder = host_features.encoder
-        assign_keys = host_features.ips
         # ``subnet_key`` of every host at once.
-        group_keys = ((to_numpy(assign_keys) & prefix_mask(step_size)) << 6
+        group_keys = ((to_numpy(host_features.ips) & prefix_mask(step_size)) << 6
                       | step_size)
-        member_starts = host_features.member_starts
-        labels = host_features.ports
-        value_starts = host_features.value_starts
-        value_ids = host_features.value_ids
-        self.group_count = len(group_keys)
-        sharded = shard_group_columns(assign_keys, group_keys, member_starts,
-                                      labels, value_starts, value_ids,
-                                      runtime.shard_count)
-        try:
-            runtime.load_shards(self.key, sharded.shards)
-        except BaseException:
-            # A partial load must not leak shards into the runtime for its
-            # whole life: the caller never sees this dataset, so nobody else
-            # can release the key.
-            runtime.unload(self.key)
-            raise
-
-    @classmethod
-    def from_snapshot(cls, runtime: EngineRuntime, snapshot: Any,
-                      key: Optional[str] = None) -> "ResidentHostGroups":
-        """Build the resident dataset from a saved snapshot -- zero-copy.
-
-        The snapshot (:class:`repro.engine.snapshot.Snapshot`, saved with
-        sharded host groups) already holds exactly the shard payloads the
-        constructor would shard: each ``shard-NNNN`` section loads through
-        :meth:`~repro.engine.snapshot.Snapshot.columns` as ``mmap``-backed
-        views, so no sharding pass runs and no column is copied.
-        The predictor encoder rebuilds from the snapshot's table in exact id
-        order, so resident ``value_ids`` decode identically to a
-        freshly-built dataset and every downstream query is bit-identical.
-
-        The runtime's ``shard_count`` must match the snapshot's saved shard
-        layout.
-        """
-        from repro.engine.snapshot import SHARD_SECTION_FMT, SnapshotError
-
-        layout = snapshot.shard_layout()
-        if layout is None:
-            raise SnapshotError(
-                "snapshot has no sharded host groups; save it with "
-                "shard_count/step_size to make it runtime-loadable")
-        if layout["shard_count"] != runtime.shard_count:
-            raise SnapshotError(
-                f"snapshot was sharded for shard_count="
-                f"{layout['shard_count']}, but the runtime uses "
-                f"shard_count={runtime.shard_count}; re-save the snapshot "
-                "or size the runtime to match")
-        self = cls.__new__(cls)
-        self.runtime = runtime
-        self.step_size = layout["step_size"]
-        self.key = key if key is not None else f"host-groups-{next(_KEY_COUNTER)}"
-        self._sides_model = None
-        self._sides_packed = None
-        self._released = False
-        self.encoder = DictionaryEncoder()
-        for predictor in snapshot.section_meta("host_features")["encoder"]:
-            self.encoder.encode(tuple(predictor))
-        self.group_count = layout["group_count"]
-        try:
-            runtime.load_shards(self.key, [
-                snapshot.columns(SHARD_SECTION_FMT.format(idx=idx))
-                for idx in range(runtime.shard_count)])
-        except BaseException:
-            runtime.unload(self.key)
-            raise
-        return self
+        runtime.load(self.key, {
+            "group_keys": IntColumn.from_numpy(group_keys),
+            "member_starts": host_features.member_starts,
+            "labels": host_features.ports,
+            "value_starts": host_features.value_starts,
+            "value_ids": host_features.value_ids,
+        })
 
     # -- lifecycle -----------------------------------------------------------------
 
     def release(self) -> None:
-        """Drop the resident shards from the runtime; idempotent."""
+        """Drop the resident columns from the runtime; idempotent."""
         if self._released:
             return
         self._released = True
@@ -272,48 +168,37 @@ class ResidentHostGroups:
     # -- model build (Section 5.2) -------------------------------------------------
 
     def model_counts(self) -> PackedCounts:
-        """Run the co-occurrence query against the resident shards.
+        """Run the co-occurrence query against the resident columns.
 
-        Returns the merged packed columns (:class:`PackedCounts`, ids in
-        this dataset's encoder) that decode into exactly the contents of the
-        :class:`~repro.core.model.CooccurrenceModel` the oracle builds.
-
-        The fold kernel is resolved here, once per build, and passes to every
-        shard as the task argument: the numpy kernels
-        (:func:`repro.engine.fused.fold_model_pairs_arrays`) when numpy
-        imports -- no per-row Python loop -- else the stdlib row-by-row
-        fold.  Both return packed ``(keys, counts)`` columns merged
-        here.
+        Returns the packed columns (:class:`PackedCounts`, ids in this
+        dataset's encoder) that decode into exactly the contents of the
+        :class:`~repro.core.model.CooccurrenceModel` the oracle builds,
+        folded by the numpy kernels
+        (:func:`repro.engine.fused.fold_model_pairs_arrays`) -- no per-row
+        Python loop.
         """
         self._check_usable()
-        kernel_args = [(resolve_column_backend(),)] * self.runtime.shard_count
-        pair_keys, pair_counts = _merge_packed(
-            self.runtime.execute("model_pairs", self.key, kernel_args))
-        ids, supports = _merge_packed(
-            self.runtime.execute("model_denominators", self.key, kernel_args))
+        pair_keys, pair_counts = self.runtime.execute("model_pairs", self.key)
+        ids, supports = self.runtime.execute("model_denominators", self.key)
         return PackedCounts(self.encoder, pair_keys, pair_counts, ids, supports)
 
     # -- model side tables (shared by priors + prediction index) ---------------------
 
     def ensure_sides(self, model: Any) -> None:
-        """Broadcast the model's score tables to every shard, once per model.
+        """Load the model's score tables beside the columns, once per model.
 
-        The shards' folds read int64 columns: the sorted packed
+        The folds read int64 columns: the sorted packed
         ``(predictor id, port)`` keys with their co-occurrence counts and
         each id's support.  A model built over this dataset's encoder whose
-        dicts were never read broadcasts its packed columns as they are;
-        any other model is packed from its dicts.  A repeated call with the
-        same model object in the same state loads nothing.
-
-        Every broadcast also carries an empty ``candidates`` cache for the
-        shards' candidate tables (built by the first fold that needs them),
-        so a new broadcast drops the previous model's tables.
+        dicts were never read loads its packed columns as they are; any
+        other model is packed from its dicts.  A repeated call with the
+        same model object in the same state loads nothing.  Every load
+        drops the previous model's candidate table.
         """
         self._check_usable()
         packed = model.packed_counts()
         if self._sides_model is model and self._sides_packed is packed:
             return
-        np = require_numpy()
         values = self.encoder.values()
         if packed is not None and packed.encoder is self.encoder:
             pair_keys, pair_counts = packed.pair_keys, packed.pair_counts
@@ -321,11 +206,10 @@ class ResidentHostGroups:
             supports[packed.ids] = packed.supports
         else:
             pair_keys, pair_counts, supports = _pack_model(model, values)
-        self.runtime.load_broadcast(self.key, {
+        self.runtime.load(self.key, {
             "pair_keys": IntColumn.from_numpy(pair_keys),
             "pair_counts": IntColumn.from_numpy(pair_counts),
             "supports": IntColumn.from_numpy(supports),
-            "candidates": {},
         })
         self._sides_model = model
         self._sides_packed = packed
@@ -335,7 +219,7 @@ class ResidentHostGroups:
     def priors_coverage(self, model: Any,
                         port_domain: Optional[Sequence[int]] = None,
                         ) -> Dict[Tuple[int, int], int]:
-        """Run the priors partner-selection query against the resident shards.
+        """Run the priors partner-selection query against the resident columns.
 
         Returns the ``(port, subnet) -> coverage`` counts the priors list is
         built from, identical to the reference planner's counts.  Only the
@@ -343,10 +227,8 @@ class ResidentHostGroups:
         """
         self._check_usable()
         self.ensure_sides(model)
-        counters = self.runtime.execute(
-            "priors_partner", self.key,
-            [(_label_array(port_domain),)] * self.runtime.shard_count)
-        return merge_counters(counters)
+        return self.runtime.execute("priors_partner", self.key,
+                                    (_label_array(port_domain),))
 
     # -- prediction-index build (Section 5.4) ----------------------------------------
 
@@ -355,42 +237,30 @@ class ResidentHostGroups:
                        min_pattern_support: int = 2,
                        probability_cutoff: float = 1e-5,
                        ) -> Tuple[Any, Any, Any]:
-        """Run the argmax partner-selection query against the resident shards.
+        """Run the argmax partner-selection query against the resident columns.
 
         Returns the winners as ``(target port, predictor id, probability)``
-        arrays in exact host order -- hash-sharding permutes hosts, so each
-        shard's winners come back tagged with their host's original index
-        and are merged back.  Ids are the dataset encoder's; only the ids
+        arrays in host order.  Ids are the dataset encoder's; only the ids
         that tie are decoded, for the last tie-break.  Only the whitelist
         and thresholds pass per call.
         """
         self._check_usable()
         self.ensure_sides(model)
-        args = (_label_array(port_domain), min_pattern_support,
-                probability_cutoff)
-        parts = self.runtime.execute("index_argmax", self.key,
-                                     [args] * self.runtime.shard_count)
-        np = require_numpy()
-        groups, ports, pids, probs = (
-            np.concatenate([part[column] for part in parts])
-            for column in range(4))
-        # Every host lives in one shard and each shard replies in member
-        # order, so a stable sort on the host index restores serial order.
-        order = np.argsort(groups, kind="stable")
-        targets = groups[order] * MODEL_PACK_BASE + ports[order]
-        pids, probs = pids[order], probs[order]
+        targets, ports, pids, probs = self.runtime.execute(
+            "index_argmax", self.key,
+            (_label_array(port_domain), min_pattern_support, probability_cutoff))
         keep = keep_segment_max(targets, -self._tie_ranks(targets, pids))
-        targets, pids, probs = targets[keep], pids[keep], probs[keep]
+        targets, ports, pids, probs = (targets[keep], ports[keep], pids[keep],
+                                       probs[keep])
         # Rows still tied carry one id twice: the first one wins.
         first = segment_starts(targets)
-        return targets[first] % MODEL_PACK_BASE, pids[first], probs[first]
+        return ports[first], pids[first], probs[first]
 
     def _tie_ranks(self, targets, pids):
         """Each row's rank among the tied rows' ids in ascending
         decoded-tuple order (the argmax's last tie-break); 0 for rows whose
         target has a single row.  Only the ids that tie are decoded and
         sorted."""
-        np = require_numpy()
         ranks = np.zeros(pids.size, dtype=np.int64)
         starts = segment_starts(targets)
         lengths = np.diff(np.append(starts, targets.size))

@@ -1,8 +1,8 @@
-"""Machine-native column storage and the numpy kernel feature gate.
+"""Machine-native column storage.
 
 Hot columns (:class:`~repro.scanner.records.ObservationBatch`,
-:class:`~repro.core.features.HostFeatureColumns`, the resident shard payloads
-of :mod:`repro.engine.shard`) are backed by :class:`IntColumn` -- a signed
+:class:`~repro.core.features.HostFeatureColumns`, the engine runtime's
+resident payloads) are backed by :class:`IntColumn` -- a signed
 64-bit :class:`array.array` subclass -- instead of Python lists.  An
 ``array('q')`` stores one machine word per element (a list stores a pointer
 to a boxed ``int``), writes to disk as a single contiguous byte buffer (one
@@ -12,14 +12,6 @@ fold over it without ever materializing Python ints:
 
 * ``numpy.frombuffer(column, dtype=int64)`` is a zero-copy ndarray view
   (what the vectorized kernels in :mod:`repro.engine.fused` fold over).
-
-Two kernel backends exist for the engine's model fold, and the platform
-picks between them: :func:`resolve_column_backend` selects ``numpy`` when
-numpy imports (vectorized sort + run-length passes, faster and smaller at
-every measured seed size) and the pure-Python
-``stdlib`` fold otherwise, which is the only kernel on numpy-less
-interpreters.  Both produce identical packed counts; the tests pin each
-against the other and against the dictionary reference.
 """
 
 from __future__ import annotations
@@ -27,14 +19,14 @@ from __future__ import annotations
 from array import array
 from typing import Iterable
 
+import numpy as np
+
 __all__ = [
     "ColumnView",
     "INT64_MAX",
     "INT64_MIN",
     "IntColumn",
     "as_numpy",
-    "numpy_available",
-    "require_numpy",
     "resolve_column_backend",
     "to_numpy",
 ]
@@ -42,12 +34,6 @@ __all__ = [
 #: The value range an :class:`IntColumn` element can hold.
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-try:  # numpy is optional; its absence just disables the numpy backend.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less interpreters
-    _np = None
-
 
 class IntColumn(array):
     """A signed 64-bit integer column: ``array('q')`` with sequence equality.
@@ -74,7 +60,7 @@ class IntColumn(array):
     def from_numpy(cls, values) -> "IntColumn":
         """A column holding an ndarray's values, copied in one pass."""
         column = cls()
-        column.frombytes(_np.ascontiguousarray(values, dtype=_np.int64).tobytes())
+        column.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
         return column
 
     def __eq__(self, other: object) -> bool:
@@ -180,31 +166,14 @@ class ColumnView:
         return f"ColumnView(typecode={self.typecode!r}, len={len(self)})"
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy kernel backend can be used at all."""
-    return _np is not None
-
-
+# The e2e workloads' ``detail:`` line reads it until a ``[benchmark]`` change.
 def resolve_column_backend(override: None = None) -> str:
-    """The model-fold kernel to run: ``numpy`` when it imports, else ``stdlib``.
+    """The model-fold kernel the engine runs: always ``numpy``.
 
-    ``override`` is accepted and ignored, so callers that pass ``None`` for
-    "the platform's pick" keep working; there is no way to name a kernel.
+    ``override`` is accepted and ignored, so callers that pass ``None``
+    keep working.
     """
-    return "numpy" if _np is not None else "stdlib"
-
-
-def require_numpy():
-    """The numpy module itself, for vectorized kernels that resolved the gate.
-
-    Raises:
-        RuntimeError: numpy is not importable (the caller should have gated
-            on :func:`numpy_available` first).
-    """
-    if _np is None:
-        raise RuntimeError(
-            "the numpy column backend is unavailable (numpy is not installed)")
-    return _np
+    return "numpy"
 
 
 def as_numpy(column):
@@ -212,13 +181,11 @@ def as_numpy(column):
 
     The view aliases the column's memory (no element is boxed or copied);
     while it is alive the column cannot be resized -- kernels therefore keep
-    their views function-local.  Only valid when the numpy backend resolved.
+    their views function-local.
     """
-    if _np is None:  # pragma: no cover - only the numpy kernels call this
-        raise RuntimeError("numpy is not available")
     if isinstance(column, ColumnView):
-        return _np.frombuffer(column.raw, dtype=_np.int64)
-    return _np.frombuffer(column, dtype=_np.int64)
+        return np.frombuffer(column.raw, dtype=np.int64)
+    return np.frombuffer(column, dtype=np.int64)
 
 
 def to_numpy(values):
@@ -226,13 +193,11 @@ def to_numpy(values):
 
     Buffer-backed columns (:class:`IntColumn`, ``array('q')``) view
     zero-copy through the buffer protocol; plain lists/tuples copy.  The
-    bulk kernels accept either so resident shard payloads and ad-hoc test
+    bulk kernels accept either so resident payloads and ad-hoc test
     columns fold through the same code.
     """
-    if _np is None:  # pragma: no cover - only the numpy kernels call this
-        raise RuntimeError("numpy is not available")
     if isinstance(values, array):
-        return _np.frombuffer(values, dtype=_np.int64)
+        return np.frombuffer(values, dtype=np.int64)
     if isinstance(values, ColumnView):
-        return _np.frombuffer(values.raw, dtype=_np.int64)
-    return _np.asarray(values, dtype=_np.int64)
+        return np.frombuffer(values.raw, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)

@@ -1,24 +1,24 @@
 """Dictionary encoding: interning hashable values as dense integer ids.
 
 The engine's hot values -- predictor tuples especially -- are nested tuples
-mixing strings and ints.  Grouping, sharding and storing them pays the full
+mixing strings and ints.  Grouping and storing them pays the full
 cost of their structure on every touch.  A :class:`DictionaryEncoder` interns each distinct value once and
 hands out a dense integer id, so the rest of a query operates on flat ints:
 
 * grouping keys become ints (or short int tuples), which hash and compare in
   a few nanoseconds;
-* partitioning can shard on the id itself, independent of
-  ``PYTHONHASHSEED``;
-* resident shards and snapshot files hold columns of ints instead of lists
-  of nested tuples.
+* resident payloads and snapshot files hold columns of ints instead of
+  lists of nested tuples.
 
 Ids are assigned in first-seen order, so encoding is deterministic for a
 deterministic input stream; :meth:`DictionaryEncoder.decode` reverses the
 mapping when the query result is reassembled into model dictionaries.
 
-:func:`stable_hash` is the companion sharding hash: unlike the builtin
-``hash``, it does not vary with ``PYTHONHASHSEED`` for str-bearing values, so
-hash-partitioned runs are bit-reproducible across interpreter invocations.
+:func:`stable_hash` is a companion value hash: unlike the builtin ``hash``,
+it does not vary with ``PYTHONHASHSEED`` for str-bearing values, so seeded
+draws keyed on it (the scanner's probe loss,
+:class:`repro.engine.faults.ProbeLossModel`) repeat across interpreter
+invocations.
 """
 
 from __future__ import annotations
@@ -111,16 +111,17 @@ class DictionaryEncoder:
 
 
 def stable_hash(value: Any) -> int:
-    """A deterministic, ``PYTHONHASHSEED``-independent hash for sharding.
+    """A deterministic, ``PYTHONHASHSEED``-independent value hash.
 
     Like the builtin ``hash`` it is consistent with equality for the value
     kinds the engine stores (ints, bools and integral floats that compare
     equal hash equal; equal tuples hash equal regardless of element repr),
     but unlike the builtin it does not vary with ``PYTHONHASHSEED``, so
-    hash-partitioned runs are bit-reproducible.  Integers hash to themselves
-    (dictionary-encoded ids shard round-robin with perfect balance); tuples
-    combine element hashes recursively; strings and everything else hash via
-    CRC-32.  This is a *partitioning* hash, not a cryptographic one.
+    draws keyed on it are bit-reproducible.  Integers hash to themselves;
+    tuples combine element hashes recursively; strings and everything else
+    hash via CRC-32.  It does not mix its bits (nearby keys hash nearby) and
+    is not cryptographic; callers that need uniform draws finalize it (see
+    :class:`repro.engine.faults.ProbeLossModel`).
     """
     if isinstance(value, bool):
         return int(value)

@@ -32,7 +32,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def _mix64(value: int) -> int:
     """Finalize a 64-bit hash into a uniformly distributed 64-bit value.
 
-    :func:`stable_hash` is a *partitioning* hash: nearby keys (consecutive
+    :func:`stable_hash` does not mix its bits: nearby keys (consecutive
     addresses, small attempt indices) land on nearby outputs, which is
     exactly wrong for a loss draw -- without mixing, one decision would
     effectively cover a whole sweep.  The splitmix64 finalizer avalanches

@@ -4,12 +4,10 @@ Each of GPS's builds is one fold over the host/service/predictor relation,
 flattened into offset-indexed integer columns (hosts own runs of services,
 services own runs of dictionary-encoded predictor ids):
 
-* :func:`fold_model_pairs` / :func:`fold_value_counts` -- the Section 5.2
-  model build's self-join + group-by + count, streamed: every (predictor,
-  other port) combination folds straight into a counter, so the quadratic
-  joined relation never exists.  Their numpy twins
-  (:func:`fold_model_pairs_arrays` / :func:`fold_value_counts_arrays`) run
-  whenever :func:`repro.engine.columns.resolve_column_backend` picks numpy;
+* :func:`fold_model_pairs_arrays` / :func:`fold_value_counts_arrays` -- the
+  Section 5.2 model build's self-join + group-by + count as whole-column
+  numpy passes: the joined relation exists only as one sorted array of
+  packed keys, never as Python rows;
 * :func:`candidate_table` -- every service paired with the predictor ids of
   its host's other services that score against its port, looked up in the
   model's packed counts: the relation both later builds reduce;
@@ -18,25 +16,24 @@ services own runs of dictionary-encoded predictor ids):
 * :func:`fold_argmax_winners` -- the Section 5.4 index build's per-service
   argmax over the host's other services' predictors.
 
-Inputs are plain columns, so the same functions fold a whole relation or
-one of the resident shards :mod:`repro.engine.runtime` holds.
+Inputs are plain columns, so the same functions fold the payload
+:mod:`repro.engine.runtime` holds or an ad-hoc relation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Tuple
 
-from repro.engine.columns import IntColumn, require_numpy, to_numpy
+import numpy as np
+
+from repro.engine.columns import to_numpy
 
 __all__ = [
     "candidate_table",
     "expand_ranges",
     "fold_argmax_winners",
-    "fold_model_pairs",
     "fold_model_pairs_arrays",
     "fold_partner_counts",
-    "fold_value_counts",
     "fold_value_counts_arrays",
     "keep_segment_max",
     "segment_starts",
@@ -44,72 +41,18 @@ __all__ = [
 
 
 # -- fused self-join (the model-build query shape) ----------------------------------------
-
-
-def _packed_columns(counts: Counter) -> Tuple[IntColumn, IntColumn]:
-    """A counter as ``(keys, counts)`` columns sorted by key -- the packed
-    reply shape both kernels of the model fold share."""
-    keys = sorted(counts)
-    return IntColumn(keys), IntColumn([counts[key] for key in keys])
-
-
-def fold_model_pairs(member_starts, labels, value_starts, value_ids,
-                     pack_base: int) -> Tuple[IntColumn, IntColumn]:
-    """The model-build join fold, streamed row by row (stdlib kernel).
-
-    Same input, output and precondition as :func:`fold_model_pairs_arrays`:
-    for every value of every member, one count per *other* member's label in
-    the same group, keyed ``value_id * pack_base + label``.  Every label must
-    be below ``pack_base``; callers unpack with ``divmod``.  Hashing one
-    small int is several times cheaper than hashing a 2-tuple, and the packed
-    keys fold through a bounded buffer so the counting itself runs in C
-    (``Counter.update`` over a list of ints) instead of one interpreted
-    dict-increment per joined pair.  Groups of one member join nothing and
-    are skipped.  Plain lists index fastest; any int sequence works.
-    """
-    counts: Counter = Counter()
-    buffer: List[int] = []
-    append = buffer.append
-    flush = counts.update
-    if len(member_starts):
-        m_lo = member_starts[0]
-        for m_hi in member_starts[1:]:
-            if m_hi - m_lo > 1:
-                group = labels[m_lo:m_hi]
-                for m in range(m_lo, m_hi):
-                    own = labels[m]
-                    for value in value_ids[value_starts[m]:value_starts[m + 1]]:
-                        packed = value * pack_base
-                        for label in group:
-                            if label != own:
-                                append(packed + label)
-                if len(buffer) >= 8192:
-                    flush(buffer)
-                    buffer.clear()
-            m_lo = m_hi
-    if buffer:
-        flush(buffer)
-    return _packed_columns(counts)
-
-
-def fold_value_counts(value_ids) -> Tuple[IntColumn, IntColumn]:
-    """``Counter(value_ids)`` as sorted ``(ids, counts)`` columns (stdlib
-    kernel; the twin of :func:`fold_value_counts_arrays`)."""
-    return _packed_columns(Counter(value_ids))
-
-
-# -- bulk array kernels (the numpy column backend) ---------------------------------------
 #
-# The folds above stream row-by-row through Python loops -- the stdlib
-# backend, the only one on numpy-less interpreters.  When numpy imports (see
-# repro.engine.columns), the model-build fold runs instead as
-# whole-column ufunc passes over the group-structured buffers: expand the
-# join's full multiset of packed keys, sort it, run-length count it, and
-# subtract the excluded self pairs.  Sorting machine words is cheaper than a
-# per-pair dict hop.
+# The model-build fold runs as whole-column ufunc passes over the
+# group-structured buffers: expand the join's full multiset of packed keys,
+# sort it, run-length count it, and subtract the excluded self pairs.
+# Sorting machine words is cheaper than a per-pair dict hop.
 
 
-def _run_length(np, sorted_values):
+#: The reply column of a fold over nothing.
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _run_length(sorted_values):
     """Distinct values and their run lengths of an already-sorted array."""
     boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
     starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries + 1))
@@ -119,35 +62,32 @@ def _run_length(np, sorted_values):
 
 
 def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
-                            pack_base: int) -> Tuple[IntColumn, IntColumn]:
-    """The model-build join fold as bulk array passes (numpy backend).
+                            pack_base: int):
+    """The model-build join fold as bulk array passes.
 
-    Input is the flattened group structure every fused fold uses (and every
-    resident shard stores): group ``g`` owns members
+    Input is the flattened group structure every fused fold uses (and the
+    runtime's resident payload stores): group ``g`` owns members
     ``member_starts[g]:member_starts[g+1]``, member ``m`` carries the label
     ``labels[m]`` and the encoded values
     ``value_ids[value_starts[m]:value_starts[m+1]]``.  The fold counts, for
     every value of every member, one occurrence per *other* member's label in
-    the same group, keyed ``value_id * pack_base + label`` -- exactly the
-    packed counts :func:`fold_model_pairs` streams (the tests pin the
-    equivalence).
+    the same group, keyed ``value_id * pack_base + label``.  Every label
+    must be below ``pack_base``; callers unpack with ``divmod``.
 
     Precondition: labels are unique within each group (host port runs are,
     by construction) -- the join excludes matches whose label equals the
     carrying member's own, which under uniqueness is exactly one self pair
     per value, subtracted here as a second run-length pass.
 
-    Returns ``(keys, counts)`` sorted by packed key, as
-    :class:`IntColumn` buffers.
+    Returns ``(keys, counts)`` int64 arrays sorted by packed key.
     """
-    np = require_numpy()
     ms = to_numpy(member_starts)
     ports = to_numpy(labels)
     vcounts = np.diff(to_numpy(value_starts))
     vids = to_numpy(value_ids)
     n_groups = ms.size - 1
     if n_groups <= 0 or vids.size == 0:
-        return IntColumn(), IntColumn()
+        return _EMPTY, _EMPTY
     sizes = np.diff(ms)
     group_of_member = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
     member_of_value = np.repeat(
@@ -156,7 +96,7 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
     reps = sizes[group_of_value]
     total = int(reps.sum())
     if total == 0:
-        return IntColumn(), IntColumn()
+        return _EMPTY, _EMPTY
     # Expand the full multiset (every value x every label of its group,
     # self included): out_starts[v] is where value v's run begins in the
     # output, so (arange - run start + group's member offset) indexes the
@@ -171,45 +111,40 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
     # argsort of the expansion costs an order of magnitude more than the
     # value sort and nothing here needs original positions.)
     full.sort()
-    uniq, counts = _run_length(np, full)
+    uniq, counts = _run_length(full)
     # Subtract the excluded self pairs: each value once against its own
     # member's label.  Every self key exists in ``uniq`` by construction, so
     # searchsorted hits exact positions.
     self_keys = np.sort(vids * pack_base + ports[member_of_value])
-    self_uniq, self_counts = _run_length(np, self_keys)
+    self_uniq, self_counts = _run_length(self_keys)
     counts[np.searchsorted(uniq, self_uniq)] -= self_counts
     keep = counts > 0
-    return IntColumn.from_numpy(uniq[keep]), IntColumn.from_numpy(counts[keep])
+    return uniq[keep], counts[keep]
 
 
-def fold_value_counts_arrays(value_ids) -> Tuple[IntColumn, IntColumn]:
-    """``Counter(value_ids)`` as a bulk sort + run-length pass (numpy backend).
+def fold_value_counts_arrays(value_ids):
+    """``Counter(value_ids)`` as a bulk sort + run-length pass.
 
     The model build's denominator fold: how many services carry each encoded
-    predictor id.  Returns ``(ids, counts)`` sorted by id, as picklable
-    :class:`IntColumn` buffers.
+    predictor id.  Returns ``(ids, counts)`` int64 arrays sorted by id.
     """
-    np = require_numpy()
     vids = to_numpy(value_ids)
     if vids.size == 0:
-        return IntColumn(), IntColumn()
-    ordered = np.sort(vids)
-    uniq, counts = _run_length(np, ordered)
-    return IntColumn.from_numpy(uniq), IntColumn.from_numpy(counts)
+        return _EMPTY, _EMPTY
+    return _run_length(np.sort(vids))
 
 
 # -- partner selection and argmax over one candidate table -------------------------------
 #
 # The Section 5.3 priors planner and the Section 5.4 index build score the
 # same relation: every service (the *target*) against the predictor ids of
-# its host's other services.  One candidate table per shard and model holds
+# its host's other services.  One candidate table per model holds
 # the pairs that score; each build is then a few segment reductions over it.
 
 
 def segment_starts(segments):
     """Start rows of the runs of equal values in ``segments`` (equal values
     adjacent, as in any sorted array)."""
-    np = require_numpy()
     change = np.empty(segments.size, dtype=bool)
     change[:1] = True
     np.not_equal(segments[1:], segments[:-1], out=change[1:])
@@ -219,7 +154,6 @@ def segment_starts(segments):
 def expand_ranges(starts, counts):
     """``starts[i] .. starts[i] + counts[i] - 1`` for each ``i``, concatenated:
     the positions of the runs of a CSR that rows ``i`` select."""
-    np = require_numpy()
     ends = np.cumsum(counts)
     return (np.arange(int(ends[-1]) if ends.size else 0)
             + np.repeat(starts - (ends - counts), counts))
@@ -247,7 +181,6 @@ def candidate_table(member_starts, labels, value_starts, value_ids,
 
     A value never scores against its own member, whatever the model holds.
     """
-    np = require_numpy()
     ms = to_numpy(member_starts)
     ports = to_numpy(labels)
     vs = to_numpy(value_starts)
@@ -303,7 +236,6 @@ def fold_partner_counts(group_keys, member_starts, labels, table: dict,
     selected partner.  Scores are the reference planner's own divisions, so
     the counts are bit-identical to it.
     """
-    np = require_numpy()
     ms = to_numpy(member_starts)
     ports = to_numpy(labels)
     sizes = np.diff(ms)
@@ -332,7 +264,6 @@ def keep_segment_max(segments, key):
 
     ``segments`` labels each row's segment, equal labels adjacent.
     """
-    np = require_numpy()
     starts = segment_starts(segments)
     best = np.maximum.reduceat(key, starts)
     return np.flatnonzero(
@@ -355,7 +286,6 @@ def fold_argmax_winners(labels, table: dict, supports, allowed,
 
     Returns ``(target, pid, prob)`` arrays, grouped by ascending target.
     """
-    np = require_numpy()
     target, pid, prob = table["target"], table["pid"], table["prob"]
     if allowed is not None:
         keep = np.isin(to_numpy(labels)[target], allowed)

@@ -1,4 +1,4 @@
-"""Versioned on-disk snapshots: warm restarts and mmap-backed shard loading.
+"""Versioned on-disk snapshots: warm restarts from mmap-backed columns.
 
 The paper's deployment note (Section 6.5) observes that reusing an existing
 seed scan cuts GPS runtime by 94% -- persistence, not the already-vectorized
@@ -15,20 +15,21 @@ Format (version 1)::
 
     <dir>/MANIFEST.json            format version, per-section column tables
                                    (file, rows, dtype, crc32), encoder and
-                                   interner tables, shard layout
+                                   interner tables
     <dir>/<section>.<column>.bin   one raw little-endian binary file per
                                    column buffer, written via ``tobytes()``
 
 Because every column file *is* the column's memory, opening a snapshot is
-O(map), not O(parse): a :class:`ColumnView` over the mapped file feeds the
-stdlib kernels through ``tolist()`` hydration and the numpy kernels through
-``np.frombuffer`` without decoding a single element.  Sharded host-group
-sections load the same way: each ``shard-NNNN`` section's mapped columns go
-straight into the runtime as a resident shard
-(:meth:`repro.core.runtime_plans.ResidentHostGroups.from_snapshot`).
+O(map), not O(parse): a :class:`ColumnView` over the mapped file feeds
+``np.frombuffer`` without decoding a single element.
+
+Older snapshots may also hold ``shard-NNNN`` sections (host groups
+pre-partitioned for a sharded runtime) and a ``meta.shards`` entry.  They
+still open: those files are size- and crc-checked like every section's and
+otherwise ignored.
 
 Failure handling is typed and loud: a truncated column file, a crc32
-mismatch, a malformed shard layout, or a manifest from a future format
+mismatch, a malformed manifest, or a manifest from a future format
 version raises :class:`SnapshotError` (:class:`SnapshotIntegrityError` /
 :class:`SnapshotVersionError`) -- a snapshot never partially loads.
 
@@ -56,7 +57,9 @@ from typing import (
     Sequence,
 )
 
-from repro.engine.columns import ColumnView, IntColumn, require_numpy, to_numpy
+import numpy as np
+
+from repro.engine.columns import ColumnView, IntColumn, to_numpy
 from repro.engine.encoding import DictionaryEncoder
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -65,7 +68,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "MAX_SNAPSHOT_SECTIONS",
-    "SHARD_SECTION_FMT",
     "ColumnFile",
     "Snapshot",
     "SnapshotError",
@@ -88,9 +90,9 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 
 #: Most sections a manifest may declare.  A snapshot holds at most five
-#: artifact sections plus one section per shard, so this admits ~1000
-#: shards -- far above any runtime's shard count -- while an untrusted
-#: manifest cannot make a reader walk an unbounded section table.
+#: artifact sections (older ones also one section per shard, so this admits
+#: their ~1000 shards), while an untrusted manifest cannot make a reader
+#: walk an unbounded section table.
 MAX_SNAPSHOT_SECTIONS = 1024
 
 #: dtype name <-> array typecode for column files.  Everything the engine
@@ -104,16 +106,6 @@ _FEATURES_SECTION = "host_features"
 _MODEL_SECTION = "model"
 _PRIORS_SECTION = "priors"
 _INDEX_SECTION = "index"
-
-#: Name of saved shard ``idx``'s section; the resident loader
-#: (:meth:`repro.core.runtime_plans.ResidentHostGroups.from_snapshot`) reads
-#: the sections back by this name.
-SHARD_SECTION_FMT = "shard-{idx:04d}"
-
-#: The sharded host-group payload columns, in the order
-#: :func:`repro.engine.shard.shard_group_columns` produces them.
-_SHARD_COLUMNS = ("group_order", "group_keys", "member_starts", "labels",
-                  "value_starts", "value_ids")
 
 
 class SnapshotError(RuntimeError):
@@ -358,13 +350,6 @@ class Snapshot:
                 out[column.name] = copy
         return out
 
-    # -- sharded host groups -------------------------------------------------------
-
-    def shard_layout(self) -> Optional[dict]:
-        """The manifest's shard layout: ``shard_count``, ``step_size`` and
-        ``group_count`` (validated by :func:`open_snapshot`), or ``None``."""
-        return self.meta.get("shards")
-
     # -- artifact accessors --------------------------------------------------------
 
     def observation_batch(self):
@@ -467,7 +452,6 @@ class Snapshot:
         """Rebuild the most-predictive-feature-values index from its columns."""
         from repro.core.predictions import PredictiveFeatureIndex
 
-        np = require_numpy()
         predictors = list(map(tuple, self.section_meta(_INDEX_SECTION)["predictors"]))
         columns = self.columns(_INDEX_SECTION)
         return PredictiveFeatureIndex.from_columns(
@@ -496,13 +480,10 @@ def _verify_checksum(section: str, path: str, column: ColumnFile,
             f"{column.crc32:#010x}")
 
 
-def _check_shard_layout(manifest_path: str, manifest: dict) -> None:
-    """Reject a malformed ``meta.shards`` entry with :class:`SnapshotError`.
+def _check_meta(manifest_path: str, manifest: dict) -> None:
+    """Reject a non-object top-level ``meta`` with :class:`SnapshotError`.
 
-    The layout sizes the runtime load (``shard_count``), keys the priors
-    subnets (``step_size``, a prefix length 0-32) and counts the saved host
-    groups (``group_count``); each must be a non-negative int in range.
-    Keys a reader does not use (older writers saved a placement hint) are
+    No reader here uses its keys; an older writer's ``shards`` entry is
     ignored.
     """
     meta = manifest.get("meta", {})
@@ -510,22 +491,6 @@ def _check_shard_layout(manifest_path: str, manifest: dict) -> None:
         raise SnapshotError(
             f"snapshot manifest at {manifest_path} declares a non-object "
             f"meta ({type(meta).__name__})")
-    layout = meta.get("shards")
-    if layout is None:
-        return
-    if not isinstance(layout, dict):
-        raise SnapshotError(
-            f"snapshot manifest at {manifest_path} declares a non-object "
-            f"shard layout ({type(layout).__name__})")
-    for name, low, high in (("shard_count", 1, None), ("step_size", 0, 32),
-                            ("group_count", 0, None)):
-        value = layout.get(name)
-        if (not isinstance(value, int) or isinstance(value, bool)
-                or value < low or (high is not None and value > high)):
-            bounds = f"{low}-{high}" if high is not None else f">= {low}"
-            raise SnapshotError(
-                f"snapshot manifest at {manifest_path} has an invalid shard "
-                f"layout: {name}={value!r} (expected an int {bounds})")
 
 
 def _is_column_entry(entry: Any) -> bool:
@@ -586,7 +551,7 @@ def open_snapshot(directory: str, verify: bool = True,
     Raises:
         SnapshotError: missing/unparseable manifest, a manifest that is not
             an object, a malformed section table (or more than
-            ``MAX_SNAPSHOT_SECTIONS`` sections), malformed shard layout or
+            ``MAX_SNAPSHOT_SECTIONS`` sections), a non-object ``meta`` or
             missing files.
         SnapshotVersionError: manifest from a future format version.
         SnapshotIntegrityError: truncated file or checksum mismatch.
@@ -623,7 +588,7 @@ def open_snapshot(directory: str, verify: bool = True,
                 f"this reader understands up to {FORMAT_VERSION} -- "
                 "upgrade before loading it")
         _check_sections(manifest_path, manifest)
-        _check_shard_layout(manifest_path, manifest)
+        _check_meta(manifest_path, manifest)
         snapshot = Snapshot(directory, manifest)
         total_bytes = 0
         for name in snapshot.sections():
@@ -715,42 +680,10 @@ def _add_index(writer: SnapshotWriter, index: Any) -> None:
         dtypes={"probabilities": "float64"}, lazy_meta=False)
 
 
-def _add_shards(writer: SnapshotWriter, host_features: Any, shard_count: int,
-                step_size: int) -> dict:
-    """Shard the host groups exactly like the resident loader and save them.
-
-    Uses the same flatten/shard pipeline as
-    :class:`repro.core.runtime_plans.ResidentHostGroups` (subnet group keys
-    at ``step_size``, stable-hash assignment over ``shard_count``), so a
-    runtime loading these files holds byte-identical shards to one that
-    sharded the host features itself.
-    """
-    from repro.engine.shard import shard_group_columns
-    from repro.net.ipv4 import subnet_key
-
-    assign_keys = host_features.ips
-    group_keys = [subnet_key(ip, step_size) for ip in assign_keys]
-    sharded = shard_group_columns(
-        assign_keys, group_keys, host_features.member_starts,
-        host_features.ports, host_features.value_starts,
-        host_features.value_ids, shard_count)
-    for shard_idx, payload in enumerate(sharded.shards):
-        writer.add_section(
-            SHARD_SECTION_FMT.format(idx=shard_idx),
-            {name: payload[name] for name in _SHARD_COLUMNS})
-    return {
-        "shard_count": shard_count,
-        "step_size": step_size,
-        "group_count": len(group_keys),
-    }
-
-
 def save_snapshot(directory: str, *, observations: Any = None,
                   host_features: Any = None, model: Any = None,
                   priors_plan: Optional[Sequence[Any]] = None,
-                  index: Any = None, shard_count: Optional[int] = None,
-                  step_size: Optional[int] = None,
-                  meta: Optional[dict] = None,
+                  index: Any = None, meta: Optional[dict] = None,
                   telemetry: Optional[Telemetry] = None) -> dict:
     """Save any subset of the engine's artifacts as one snapshot directory.
 
@@ -764,10 +697,6 @@ def save_snapshot(directory: str, *, observations: Any = None,
         priors_plan: the ordered :class:`~repro.core.priors.PriorsEntry`
             list.
         index: a :class:`~repro.core.predictions.PredictiveFeatureIndex`.
-        shard_count: additionally save ``host_features`` pre-sharded into
-            this many mmap-loadable shard sections (requires ``step_size``).
-        step_size: the priors subnet prefix length the shard group keys use
-            -- must match the ``GPSConfig.step_size`` the runtime will use.
         meta: extra JSON-serializable manifest metadata.
         telemetry: optional instrumentation (``snapshot.save`` span + byte
             gauge).
@@ -778,28 +707,17 @@ def save_snapshot(directory: str, *, observations: Any = None,
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     with tel.span("snapshot.save") as span:
         writer = SnapshotWriter(directory)
-        top_meta = dict(meta or {})
         if observations is not None:
             _add_observations(writer, observations)
         if host_features is not None:
             _add_host_features(writer, host_features)
-            if shard_count is not None:
-                if step_size is None:
-                    raise ValueError(
-                        "saving sharded host groups requires step_size")
-                if shard_count < 1:
-                    raise ValueError("shard_count must be >= 1")
-                top_meta["shards"] = _add_shards(
-                    writer, host_features, shard_count, step_size)
-        elif shard_count is not None:
-            raise ValueError("shard_count requires host_features")
         if model is not None:
             _add_model(writer, model)
         if priors_plan is not None:
             _add_priors(writer, priors_plan)
         if index is not None:
             _add_index(writer, index)
-        manifest = writer.finish(top_meta)
+        manifest = writer.finish(meta)
         span.set("sections", len(manifest["sections"]))
         span.set("bytes", writer.bytes_written)
         if tel.enabled:

@@ -14,7 +14,7 @@ per-row :class:`ScanObservation` views: a batch iterates and indexes as a
 sequence of rows, each built only when it is read.  The columns are
 :class:`~repro.engine.columns.IntColumn` buffers -- machine-native
 ``array('q')`` storage, one word per element -- so bulk consumers (the fused
-fold kernels, shard shipping) read them through the buffer protocol instead
+fold kernels, snapshot saves) read them through the buffer protocol instead
 of boxing Python ints.  Keeping per-hit work O(1) appends is what lets the
 scan loop track the batched ZMap layer's throughput (the paper's Section 5.4
 / Table 2 story); observations only materialize where a consumer reads rows.

@@ -2,7 +2,7 @@
 
 The paper's prediction index is a *product*, not an experiment artifact:
 once built, it answers "what services does this host likely run?" for
-pennies.  This package turns the persistent sharded runtime (PRs 4-6) into a
+pennies.  This package turns the persistent engine runtime into a
 long-lived serving layer with three operations -- point lookup, bulk
 prediction and streamed scan jobs -- behind micro-batching, bounded-queue
 backpressure and graceful drain.  Layering follows the classic backend
@@ -10,7 +10,7 @@ split:
 
 * :mod:`repro.serving.schemas` -- typed requests/replies/errors;
 * :mod:`repro.serving.registry` -- named models built once on the warm
-  runtime, shards resident until evicted;
+  runtime;
 * :mod:`repro.serving.service` -- the framework-free asyncio core;
 * :mod:`repro.serving.client` -- the in-process async client;
 * :mod:`repro.serving.http` -- a thin stdlib JSON/HTTP adapter

@@ -124,7 +124,6 @@ def _model_row(info: ModelInfo) -> dict:
         "index_entries": info.index_entries,
         "priors_entries": info.priors_entries,
         "build_seconds": info.build_seconds,
-        "resident_shards": info.resident_shards,
         "source": info.source,
         "snapshot_version": info.snapshot_version,
         "loaded_at": info.loaded_at,

@@ -5,10 +5,10 @@ it starts probing: the extracted host features, the co-occurrence model
 (Section 5.2), the priors plan (Section 5.3) and the predictive-feature index
 (Section 5.4), bound to the scan pipeline that will execute any scan jobs.
 One-shot consumers rebuild all of it per invocation; the registry builds it
-once on the service's :class:`~repro.engine.runtime.EngineRuntime` --
-the encoded seed columns shard into the long-lived runtime and *stay*
-resident for the model's whole registry life -- and every subsequent request
-is a pure read against the finished index.
+once on the service's :class:`~repro.engine.runtime.EngineRuntime` -- the
+encoded seed columns load into the long-lived runtime for the build and are
+released when it ends -- and every subsequent request is a pure read
+against the finished index.
 
 Build results are bit-identical to the one-shot path by construction: the
 registry calls exactly the build functions the :class:`~repro.core.gps.GPS`
@@ -20,10 +20,9 @@ oracle.
 
 Load/swap/evict semantics: :meth:`ModelRegistry.register` under a name that
 is already taken builds the replacement first and swaps atomically, so
-readers never observe a half-built model; the displaced model's resident
-shards are released from the runtime.  :meth:`ModelRegistry.evict` releases
-and forgets.  Lookups hold no locks beyond one dict read -- the registry is
-read-heavy by design.
+readers never observe a half-built model.  :meth:`ModelRegistry.evict`
+forgets a name.  Lookups hold no locks beyond one dict read -- the registry
+is read-heavy by design.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import GPSConfig
+# The e2e spans patch the four engine build_*/extract_* names here (ROADMAP item 1).
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.core.predictions import (
@@ -69,8 +69,6 @@ class PreparedModel:
         model: the co-occurrence model.
         priors_plan: the ordered priors scan list.
         index: the predictive-feature index every lookup reads.
-        resident: the seed's encoded columns, resident in the runtime
-            (``None`` for reference builds and private-runtime builds).
         build_seconds: wall-clock cost of acquiring the artifacts -- the
             full build for ``source="built"`` models, the snapshot load for
             ``source="snapshot"`` ones (``BENCH_snapshot.json`` compares the
@@ -90,7 +88,6 @@ class PreparedModel:
     model: CooccurrenceModel
     priors_plan: List[PriorsEntry]
     index: PredictiveFeatureIndex
-    resident: Optional[ResidentHostGroups]
     build_seconds: float
     source: str = "built"
     snapshot_version: Optional[int] = None
@@ -141,7 +138,6 @@ class PreparedModel:
             index_entries=len(self.index),
             priors_entries=len(self.priors_plan),
             build_seconds=self.build_seconds,
-            resident_shards=self.resident is not None,
             source=self.source,
             snapshot_version=self.snapshot_version,
             loaded_at=self.loaded_at,
@@ -149,10 +145,9 @@ class PreparedModel:
 
     # -- lifecycle -----------------------------------------------------------------
 
+    # The e2e workloads call it until the ``[benchmark]`` change (ROADMAP item 1).
     def release(self) -> None:
-        """Free the resident shards; idempotent."""
-        if self.resident is not None:
-            self.resident.release()
+        """Nothing to free: a built model holds no resident columns."""
 
     @classmethod
     def from_snapshot(
@@ -161,7 +156,6 @@ class PreparedModel:
         pipeline: ScanPipeline,
         snapshot: object,
         config: Optional[GPSConfig] = None,
-        runtime: Optional[EngineRuntime] = None,
     ) -> "PreparedModel":
         """Load a prepared model from a saved snapshot -- the warm restart.
 
@@ -170,12 +164,7 @@ class PreparedModel:
         path would compute rebuilds from the snapshot's columns instead --
         bit-identical to the freshly-built ones by the snapshot round-trip
         invariant -- so a restarted ``gps-repro serve`` answers its first
-        lookup without re-running a single build fold.  When a ``runtime``
-        is supplied and the snapshot carries sharded host groups, the seed
-        relation goes resident zero-copy
-        (:meth:`~repro.core.runtime_plans.ResidentHostGroups.from_snapshot`
-        maps the shard files), making
-        scan jobs and engine rebuilds as warm as a built model's.
+        lookup without re-running a single build fold.
 
         ``build_seconds`` records the load cost; ``source`` /
         ``snapshot_version`` / ``loaded_at`` mark the provenance surfaced
@@ -191,29 +180,19 @@ class PreparedModel:
         model = snapshot.model()
         priors_plan = snapshot.priors_plan()
         index = snapshot.prediction_index()
-        resident: Optional[ResidentHostGroups] = None
-        if (runtime is not None and config.use_engine
-                and snapshot.shard_layout() is not None):
-            resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
-        try:
-            return cls(
-                name=name,
-                pipeline=pipeline,
-                config=config,
-                seed_observations=seed_observations,
-                model=model,
-                priors_plan=priors_plan,
-                index=index,
-                resident=resident,
-                build_seconds=time.perf_counter() - start,
-                source="snapshot",
-                snapshot_version=snapshot.version,
-                loaded_at=time.time(),
-            )
-        except BaseException:
-            if resident is not None:
-                resident.release()
-            raise
+        return cls(
+            name=name,
+            pipeline=pipeline,
+            config=config,
+            seed_observations=seed_observations,
+            model=model,
+            priors_plan=priors_plan,
+            index=index,
+            build_seconds=time.perf_counter() - start,
+            source="snapshot",
+            snapshot_version=snapshot.version,
+            loaded_at=time.time(),
+        )
 
 
 def build_prepared_model(
@@ -227,13 +206,11 @@ def build_prepared_model(
 
     Feature extraction, model build, priors planning and the index build
     follow exactly the :class:`~repro.core.gps.GPS` helper logic: engine
-    configurations ingest columnar and fold against resident shards
+    configurations ingest columnar and fold against resident columns
     loaded once -- on ``runtime`` when one is supplied, else on a private
-    serial runtime that lives only for this build; non-engine
-    configurations run the single-core reference path (the oracle).  Unlike
-    the orchestrator, shards loaded on a supplied runtime are *not*
-    released after the build -- they belong to the registered model and are
-    freed on evict/swap.
+    serial runtime that lives only for this build -- and released when the
+    build ends, as the orchestrator does; non-engine configurations run the
+    single-core reference path (the oracle).
     """
     config = config or GPSConfig()
     asn_db = pipeline.universe.topology.asn_db
@@ -250,7 +227,6 @@ def build_prepared_model(
             probability_cutoff=config.probability_cutoff,
             port_domain=config.port_domain,
             min_pattern_support=config.min_pattern_support)
-        resident: Optional[ResidentHostGroups] = None
     else:
         batch = seed.batch
         if batch is None:
@@ -264,7 +240,6 @@ def build_prepared_model(
         if private:
             runtime = EngineRuntime(executor="serial")
         resident = ResidentHostGroups(runtime, host_features, config.step_size)
-        built = False
         try:
             model = build_model_with_engine(host_features, resident)
             priors_plan = build_priors_plan_with_engine(
@@ -276,16 +251,10 @@ def build_prepared_model(
                 port_domain=config.port_domain,
                 min_pattern_support=config.min_pattern_support,
                 dataset=resident)
-            built = True
         finally:
-            # A failed build must not leak its shards into the runtime for
-            # its whole life: nobody will ever hold this model to
-            # release it.  A private runtime has no owner past this build.
-            if private or not built:
-                resident.release()
+            resident.release()
             if private:
                 runtime.close()
-                resident = None
 
     return PreparedModel(
         name=name,
@@ -295,7 +264,6 @@ def build_prepared_model(
         model=model,
         priors_plan=priors_plan,
         index=index,
-        resident=resident,
         build_seconds=time.perf_counter() - start,
     )
 
@@ -310,15 +278,12 @@ class ModelRegistry:
     def register(self, model: PreparedModel) -> Optional[PreparedModel]:
         """Install a built model under its name; returns the displaced one.
 
-        The displaced model's resident shards are released here -- by the
-        time a reader could fetch the name again it already resolves to the
-        replacement, so the swap is atomic from the reader's side.
+        By the time a reader could fetch the name again it already resolves
+        to the replacement, so the swap is atomic from the reader's side.
         """
         with self._lock:
             displaced = self._models.get(model.name)
             self._models[model.name] = model
-        if displaced is not None:
-            displaced.release()
         return displaced
 
     def get(self, name: str) -> PreparedModel:
@@ -330,12 +295,11 @@ class ModelRegistry:
         return model
 
     def evict(self, name: str) -> None:
-        """Release and forget one model; unknown names raise ModelNotFound."""
+        """Forget one model; unknown names raise ModelNotFound."""
         with self._lock:
             model = self._models.pop(name, None)
         if model is None:
             raise ModelNotFound(f"no model named {name!r} is loaded")
-        model.release()
 
     def names(self) -> List[str]:
         """The loaded model names, sorted."""
@@ -349,12 +313,9 @@ class ModelRegistry:
         return [model.info() for model in models]
 
     def close(self) -> None:
-        """Release every model; idempotent."""
+        """Forget every model; idempotent."""
         with self._lock:
-            models = list(self._models.values())
             self._models.clear()
-        for model in models:
-            model.release()
 
 
 __all__ = [

@@ -258,7 +258,6 @@ class ModelInfo:
     index_entries: int
     priors_entries: int
     build_seconds: float
-    resident_shards: bool
     source: str = "built"
     snapshot_version: Optional[int] = None
     loaded_at: Optional[float] = None

@@ -1,12 +1,12 @@
 """The asyncio serving core: one warm runtime, many concurrent callers.
 
-:class:`GPSService` turns the persistent sharded
+:class:`GPSService` turns the persistent
 :class:`~repro.engine.runtime.EngineRuntime` into a long-lived serving layer.
 One service owns:
 
 * **one in-process engine runtime** that every model build folds on -- it
-  holds each loaded model's seed columns resident until the model is
-  evicted;
+  holds a build's seed columns resident while the build runs, and releases
+  them when it ends;
 * **a model registry** (:mod:`repro.serving.registry`) with load/swap/evict
   of named models;
 * **a request router** with per-model natural batching: lookups submitted
@@ -94,8 +94,8 @@ class ServingConfig:
             :class:`~repro.telemetry.Telemetry` (request counters, latency
             histograms, the ``/metrics`` surface).  Off by default; replies
             are bit-identical either way.
-        executor / shard_count: the engine runtime's knobs, passed through
-            verbatim (see :class:`~repro.engine.runtime.EngineRuntime`).
+        executor: the engine runtime's executor, passed through verbatim
+            (see :class:`~repro.engine.runtime.EngineRuntime`).
     """
 
     max_pending: int = 256
@@ -106,7 +106,6 @@ class ServingConfig:
     telemetry_enabled: bool = False
     # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
     executor: str = "serial"
-    shard_count: int = 0
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -122,8 +121,6 @@ class ServingConfig:
         if self.executor not in RUNTIME_EXECUTORS:
             raise ValueError(f"unknown executor: {self.executor!r} "
                              f"(expected one of {RUNTIME_EXECUTORS})")
-        if self.shard_count < 0:
-            raise ValueError("shard_count must be >= 0")
 
 
 class _MicroBatcher:
@@ -213,10 +210,8 @@ class GPSService:
         own policy.
         """
         if self._runtime is None or self._runtime.closed:
-            self._runtime = EngineRuntime(
-                executor=self.config.executor,
-                shard_count=self.config.shard_count,
-                telemetry=self.telemetry)
+            self._runtime = EngineRuntime(executor=self.config.executor,
+                                          telemetry=self.telemetry)
         return self._runtime
 
     async def close(self, drain: bool = True) -> None:
@@ -261,10 +256,9 @@ class GPSService:
 
         Loading an already-taken name builds the replacement first and swaps
         atomically (readers keep hitting the old model until the new one is
-        complete), then releases the displaced model's resident shards.
-        Builds are serialized -- the engine runtime executes one dispatch at
-        a time -- but lookups against already-loaded models proceed
-        concurrently with a build.
+        complete).  Builds are serialized -- the engine runtime executes one
+        dispatch at a time -- but lookups against already-loaded models
+        proceed concurrently with a build.
         """
         self._ensure_loop_state()
         self._admit()
@@ -291,10 +285,9 @@ class GPSService:
                                        ) -> ModelInfo:
         """Warm-restart a model from an on-disk snapshot directory.
 
-        The Table 2 artifacts deserialize instead of rebuilding, and under
-        the engine runtime the host-group shards load as mmap-backed column
-        views -- no shard column is copied.  Everything
-        else matches :meth:`load_model`: builds serialize on the build lock,
+        The Table 2 artifacts deserialize instead of rebuilding; nothing
+        loads into the engine runtime.  Everything else matches
+        :meth:`load_model`: loads serialize on the build lock,
         the name swaps atomically, and the reply is the registered model's
         :class:`ModelInfo` (``source="snapshot"``).
         """
@@ -305,11 +298,10 @@ class GPSService:
             assert self._build_lock is not None
             async with self._build_lock:
                 config = gps_config or GPSConfig(use_engine=True)
-                runtime = self.runtime() if config.use_engine else None
                 loop = asyncio.get_running_loop()
                 prepared = await loop.run_in_executor(
                     self._threads, PreparedModel.from_snapshot, name, pipeline,
-                    snapshot_dir, config, runtime)
+                    snapshot_dir, config)
             self._registry.register(prepared)
             return prepared.info()
         finally:
@@ -319,7 +311,7 @@ class GPSService:
                                       time.perf_counter() - t0)
 
     async def evict_model(self, name: str) -> None:
-        """Release a model's resident shards and forget its name."""
+        """Forget a model's name."""
         self._ensure_loop_state()
         self._registry.evict(name)
 
@@ -346,6 +338,7 @@ class GPSService:
         snapshot["pending"] = self._pending
         snapshot["batch_queue_depth"] = sum(
             len(batcher._items) for batcher in list(self._batchers.values()))
+        # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
         snapshot["recovery"] = vars(RecoveryStats())
         snapshot["models"] = [
             {"name": info.name, "source": info.source,

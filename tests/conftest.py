@@ -8,20 +8,18 @@ across tests changes nothing about isolation while keeping the suite fast.
 from __future__ import annotations
 
 import contextlib
-from unittest import mock
 
 import pytest
 
 from repro.analysis.scenarios import ExperimentScale, make_censys_dataset, make_lzr_dataset
 from repro.core.config import GPSConfig
 from repro.core.features import HostFeatureColumns
-from repro.engine.columns import IntColumn, numpy_available
+from repro.engine.columns import IntColumn
 from repro.engine.encoding import DictionaryEncoder
 from repro.core.gps import GPS
 from repro.core.model import build_model_with_engine
 from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
-from repro.core import runtime_plans
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import seed_scan_cost_probes, split_seed_test
 from repro.engine.runtime import EngineRuntime
@@ -64,8 +62,7 @@ def host_feature_columns(host_features, encoder=None):
 
 
 @contextlib.contextmanager
-def resident_dataset(host_features, executor="serial", step_size=16,
-                     shard_count=0):
+def resident_dataset(host_features, executor="serial", step_size=16):
     """Load host features into a fresh runtime; yield ``(columns, dataset)``.
 
     ``host_features`` may be the reference path's per-host mapping (it is
@@ -74,7 +71,7 @@ def resident_dataset(host_features, executor="serial", step_size=16,
     """
     columns = (host_features if isinstance(host_features, HostFeatureColumns)
                else host_feature_columns(host_features))
-    with EngineRuntime(executor=executor, shard_count=shard_count) as runtime:
+    with EngineRuntime(executor=executor) as runtime:
         dataset = ResidentHostGroups(runtime, columns, step_size)
         try:
             yield columns, dataset
@@ -82,46 +79,16 @@ def resident_dataset(host_features, executor="serial", step_size=16,
             dataset.release()
 
 
-@contextlib.contextmanager
-def forced_model_kernel(kernel):
-    """Run the engine's model fold on ``kernel`` (``stdlib`` or ``numpy``).
-
-    Patches the one coordinator-side selection point,
-    :meth:`ResidentHostGroups.model_counts`' call to
-    ``resolve_column_backend``; the kernel name passes to every shard as the
-    task argument, so the patch reaches every shard layout.  Skips the
-    test when ``numpy`` is asked for but not installed.
-    """
-    if kernel == "numpy" and not numpy_available():
-        pytest.skip("numpy kernel not installed")
-    with mock.patch.object(runtime_plans, "resolve_column_backend",
-                           lambda override=None: kernel):
-        yield kernel
-
-
-@pytest.fixture(params=["stdlib", "numpy"])
-def model_kernel(request):
-    """Each test using this runs once per model-fold kernel."""
-    with forced_model_kernel(request.param) as kernel:
-        yield kernel
-
-
-#: Engine layouts the layout-parametrized equivalence tests run on, as
-#: ``(executor, shard_count)``; a shard count of 0 means one shard.
-#: ``serial-2-shards`` splits the hosts in two, as the smallest multi-shard
-#: layout; ``serial-5-shards`` checks the merge order over more shards.
+#: Engine executors the executor-parametrized equivalence tests run on.
 ENGINE_LAYOUTS = (
-    pytest.param("serial", 0, id="serial"),
-    pytest.param("serial", 2, id="serial-2-shards"),
-    pytest.param("serial", 5, id="serial-5-shards"),
+    pytest.param("serial", id="serial"),
 )
 
 
 def engine_builds(host_features, executor="serial", step_size=16, port_domain=None,
-                  shard_count=0, **index_kwargs):
+                  **index_kwargs):
     """All three Table 2 builds on the engine: ``(model, priors plan, index)``."""
-    with resident_dataset(host_features, executor, step_size,
-                          shard_count) as (columns, dataset):
+    with resident_dataset(host_features, executor, step_size) as (columns, dataset):
         model = build_model_with_engine(columns, dataset)
         priors = build_priors_plan_with_engine(columns, model, step_size, port_domain,
                                                dataset=dataset)

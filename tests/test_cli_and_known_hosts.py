@@ -160,11 +160,13 @@ class TestCLI:
         ["quickstart"], ["coverage"], ["serve"],
         ["snapshot", "save", "--out", "snap"],
     ], ids=("quickstart", "coverage", "serve", "snapshot-save"))
-    def test_parser_rejects_workers(self, command, capsys):
+    @pytest.mark.parametrize("flag", ["--workers", "--shard-count"],
+                             ids=("workers", "shard-count"))
+    def test_parser_rejects_workers(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(command + ["--workers", "2"])
+            build_parser().parse_args(command + [flag, "2"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["quickstart"], ["coverage"], ["serve"],

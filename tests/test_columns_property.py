@@ -1,13 +1,12 @@
 """Property tests for the array-native column storage.
 
 The hot columns (:class:`~repro.scanner.records.ObservationBatch`,
-:class:`~repro.core.features.HostFeatureColumns`, shard payloads) are backed
+:class:`~repro.core.features.HostFeatureColumns`, resident payloads) are backed
 by :class:`~repro.engine.columns.IntColumn` -- fixed-width int64
 ``array('q')`` buffers -- instead of lists of boxed ints.  The storage must
 be *invisible*: object rows round-trip through the columns bit-identically,
-int64 boundary values survive, overflow is loud, empty batches behave, and
-hash-sharded group columns reassemble by their ``group_order`` tags into
-exactly the original serial order.  Hypothesis drives the shapes; the encoder-sharing
+int64 boundary values survive, overflow is loud, and empty batches behave.
+Hypothesis drives the shapes; the encoder-sharing
 regression tests at the bottom pin the "one status-id space per pipeline"
 contract the columnar scan path relies on.
 """
@@ -19,9 +18,8 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.columns import IntColumn, numpy_available, resolve_column_backend
+from repro.engine.columns import IntColumn, resolve_column_backend
 from repro.engine.encoding import DictionaryEncoder
-from repro.engine.shard import shard_group_columns
 from repro.internet.banners import BannerInterner
 from repro.scanner.records import ObservationBatch, ScanObservation
 
@@ -76,8 +74,6 @@ class TestIntColumn:
 
     @given(st.lists(int64s, max_size=50))
     def test_numpy_view_is_zero_copy_and_exact(self, values):
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
         import numpy as np
 
         from repro.engine.columns import as_numpy
@@ -87,10 +83,9 @@ class TestIntColumn:
         assert ndarray.dtype == np.int64
         assert ndarray.tolist() == values
 
-    def test_platform_picks_the_model_kernel(self):
-        expected = "numpy" if numpy_available() else "stdlib"
-        assert resolve_column_backend() == expected
-        assert resolve_column_backend(None) == expected
+    def test_model_kernel_is_numpy(self):
+        assert resolve_column_backend() == "numpy"
+        assert resolve_column_backend(None) == "numpy"
 
 
 class TestObservationBatchRoundTrip:
@@ -120,67 +115,6 @@ class TestObservationBatchRoundTrip:
             st.integers(min_value=0, max_value=len(rows) - 1), max_size=30))
         selected = batch.select(indices)
         assert selected.materialize() == [rows[i] for i in indices]
-
-
-class TestShardReassembly:
-    groups = st.lists(
-        st.tuples(
-            int64s,  # group key
-            st.lists(  # members: (label, values)
-                st.tuples(st.integers(min_value=0, max_value=65535),
-                          st.lists(int64s, max_size=4)),
-                max_size=4),
-        ),
-        max_size=12)
-
-    @settings(max_examples=50)
-    @given(groups, st.integers(min_value=1, max_value=5))
-    def test_shard_slices_reassemble_in_serial_order(self, groups, shard_count):
-        group_keys = [key for key, _ in groups]
-        member_starts, labels = [0], []
-        value_starts, value_ids = [0], []
-        for _, members in groups:
-            for label, values in members:
-                labels.append(label)
-                value_ids.extend(values)
-                value_starts.append(len(value_ids))
-            member_starts.append(len(labels))
-
-        sharded = shard_group_columns(
-            assign_keys=list(range(len(groups))),
-            group_keys=group_keys,
-            member_starts=member_starts,
-            labels=labels,
-            value_starts=value_starts,
-            value_ids=value_ids,
-            shard_count=shard_count,
-        )
-
-        # Decode every shard's locally re-offset columns back into
-        # (key, [(label, values), ...]) tuples tagged with group_order.
-        per_shard = []
-        for shard in sharded.shards:
-            assert all(isinstance(column, array)
-                       for column in shard.values()), \
-                "shard payload columns must be machine-native buffers"
-            decoded = []
-            for g, original in enumerate(shard["group_order"]):
-                members = []
-                for m in range(shard["member_starts"][g],
-                               shard["member_starts"][g + 1]):
-                    lo = shard["value_starts"][m]
-                    hi = shard["value_starts"][m + 1]
-                    members.append((shard["labels"][m],
-                                    list(shard["value_ids"][lo:hi])))
-                decoded.append((original, (shard["group_keys"][g], members)))
-            per_shard.append(decoded)
-
-        reassembled = [item for _, item in sorted(
-            (pair for decoded in per_shard for pair in decoded),
-            key=lambda pair: pair[0])]
-        assert reassembled == [(key, [(label, list(values))
-                                      for label, values in members])
-                               for key, members in groups]
 
 
 class TestStatusEncoderSharing:

@@ -94,9 +94,8 @@ class TestColumnarExtractionEquivalence:
         _assert_columns_match_oracle(columns, oracle)
         assert ("PA", 80, "http_server", "new") in columns.predictors_for(0)[80]
 
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
-    def test_engine_builds_accept_columns(self, universe, censys_split, executor,
-                                          shard_count, model_kernel):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_engine_builds_accept_columns(self, universe, censys_split, executor):
         """Engine builds ingest the columns and match the oracles."""
         config = FeatureConfig()
         asn_db = universe.topology.asn_db
@@ -105,8 +104,7 @@ class TestColumnarExtractionEquivalence:
         columns = extract_host_features_columns(
             censys_split.seed_scan_result().batch, asn_db, config)
         model = build_model(oracle)
-        built, priors, index = engine_builds(columns, executor,
-                                             shard_count=shard_count)
+        built, priors, index = engine_builds(columns, executor)
         assert built.denominators == model.denominators
         assert {k: v for k, v in built.cooccurrence.items() if v} == \
             {k: v for k, v in model.cooccurrence.items() if v}
@@ -180,20 +178,14 @@ class TestGPSColumnarIngestEquivalence:
             return gps.run(seed=censys_split.seed_scan_result(),
                            seed_cost_probes=0)
 
-    @pytest.mark.parametrize("executor,shard_count", [
-        pytest.param("serial", 3, id="serial"),
-        pytest.param("serial", 2, id="serial-2-shards"),
-        pytest.param("serial", 7, id="serial-7-shards"),
-    ])
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
     def test_all_executors_match_reference_ingest(self, universe, censys_dataset,
                                                censys_split, reference_run,
-                                               executor, shard_count,
-                                               model_kernel):
+                                               executor):
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain,
-                           use_engine=True, executor=executor,
-                           shard_count=shard_count)
+                           use_engine=True, executor=executor)
         with GPS(pipeline, config) as gps:
             run = gps.run(seed=censys_split.seed_scan_result(),
                           seed_cost_probes=0)

@@ -139,15 +139,14 @@ class TestBudgetEnforcement:
 
 
 class TestEngineBackedRun:
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
     def test_engine_builds_produce_same_discoveries(self, universe, censys_dataset,
-                                                    censys_split, gps_run, executor,
-                                                    shard_count):
+                                                    censys_split, gps_run, executor):
         reference_result, reference_pipeline = gps_run
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
                            port_domain=censys_dataset.port_domain, use_engine=True,
-                           executor=executor, shard_count=shard_count)
+                           executor=executor)
         with GPS(pipeline, config) as gps:
             result = gps.run(seed=censys_split.seed_scan_result(),
                              seed_cost_probes=seed_scan_cost_probes(censys_dataset,
@@ -183,7 +182,8 @@ class TestSerialExecutorDefault:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         snapshot = open_snapshot(str(out))
-        assert snapshot.shard_layout() is None
+        assert not any(name.startswith("shard-") for name in snapshot.sections())
+        assert "shards" not in snapshot.meta
         assert snapshot.has_section("model")
 
     def test_prepared_model_without_runtime_matches_reference(self, universe,
@@ -197,17 +197,14 @@ class TestSerialExecutorDefault:
                                          GPSConfig(**base))
         engine = build_prepared_model("engine", ScanPipeline(universe), seed,
                                       GPSConfig(use_engine=True, **base))
-        # The private serial runtime is gone with the build: nothing stays
-        # resident for this model.
-        assert engine.resident is None
         assert engine.priors_plan == reference.priors_plan
         assert engine.index.entries() == reference.index.entries()
         known = censys_split.test_observations[:200]
         assert engine.predict(known) == reference.predict(known)
 
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
     def test_prepared_model_on_supplied_runtime_matches_reference(
-            self, universe, censys_dataset, censys_split, executor, shard_count):
+            self, universe, censys_dataset, censys_split, executor):
         from repro.engine.runtime import EngineRuntime
         from repro.serving.registry import build_prepared_model
 
@@ -215,14 +212,12 @@ class TestSerialExecutorDefault:
         base = {"seed_fraction": 0.05, "port_domain": censys_dataset.port_domain}
         reference = build_prepared_model("reference", ScanPipeline(universe), seed,
                                          GPSConfig(**base))
-        with EngineRuntime(executor=executor,
-                           shard_count=shard_count) as runtime:
+        with EngineRuntime(executor=executor) as runtime:
             engine = build_prepared_model(
                 "engine", ScanPipeline(universe), seed,
                 GPSConfig(use_engine=True, executor=executor, **base), runtime)
-            # Shards loaded on a supplied runtime stay with the model.
-            assert engine.resident is not None
-            engine.resident.release()
+            # The build releases its columns from a supplied runtime too.
+            assert runtime._store == {}
         assert engine.priors_plan == reference.priors_plan
         assert engine.index.entries() == reference.index.entries()
         known = censys_split.test_observations[:200]

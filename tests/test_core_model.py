@@ -14,8 +14,7 @@ from repro.core.predictions import (
 )
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.scanner.records import ScanObservation
-from tests.conftest import (ENGINE_LAYOUTS, forced_model_kernel, host_feature_columns,
-                            resident_dataset)
+from tests.conftest import ENGINE_LAYOUTS, host_feature_columns, resident_dataset
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -90,8 +89,8 @@ class TestBuildModel:
         assert rich.predictor_count() > sparse.predictor_count()
 
 
-def _model_on_engine(hosts, executor="serial", **runtime_kwargs):
-    with resident_dataset(hosts, executor, **runtime_kwargs) as (columns, dataset):
+def _model_on_engine(hosts, executor="serial"):
+    with resident_dataset(hosts, executor) as (columns, dataset):
         return build_model_with_engine(columns, dataset)
 
 
@@ -102,42 +101,31 @@ def _assert_models_equal(a: CooccurrenceModel, b: CooccurrenceModel):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
-    def test_engine_matches_reference_on_handcrafted_hosts(self, executor,
-                                                           shard_count,
-                                                           model_kernel):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_engine_matches_reference_on_handcrafted_hosts(self, executor):
         observations = [
             _obs(1, 80, http_server="a"), _obs(1, 443), _obs(1, 22),
             _obs(2, 80, http_server="b"), _obs(2, 8080),
             _obs(3, 22),
         ]
         hosts = _hosts(observations)
-        _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor,
-                                              shard_count=shard_count))
+        _assert_models_equal(build_model(hosts), _model_on_engine(hosts, executor))
 
-    @pytest.mark.parametrize("shard_count", [1, 3, 7])
-    def test_engine_matches_reference_across_shard_counts(self, shard_count,
-                                                          model_kernel):
+    def test_engine_matches_reference_on_many_hosts(self):
         observations = [
             _obs(ip, port, http_server="srv%d" % (ip % 3))
             for ip in range(1, 30)
             for port in ((80, 443) if ip % 2 else (22, 80, 8080))
         ]
         hosts = _hosts(observations)
-        _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, "serial",
-                                              shard_count=shard_count))
+        _assert_models_equal(build_model(hosts), _model_on_engine(hosts))
 
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
     def test_engine_matches_reference_on_universe_seed(self, universe, censys_split,
-                                                       executor, shard_count,
-                                                       model_kernel):
+                                                       executor):
         hosts = extract_host_features(censys_split.seed_observations,
                                       universe.topology.asn_db, FeatureConfig())
-        _assert_models_equal(build_model(hosts),
-                             _model_on_engine(hosts, executor,
-                                              shard_count=shard_count))
+        _assert_models_equal(build_model(hosts), _model_on_engine(hosts, executor))
 
     def test_host_feature_columns_shapes(self):
         hosts = _hosts([_obs(1, 80), _obs(1, 443), _obs(2, 22)])
@@ -182,23 +170,16 @@ class TestProperties:
                 assert engine.cooccurrence.get(predictor, {}).get(port, 0) == count
 
     @settings(deadline=None, max_examples=20)
-    @given(ports_strategy,
-           st.sampled_from([("serial", 1), ("serial", 3), ("serial", 5)]),
-           st.sampled_from(["stdlib", "numpy"]))
-    def test_engine_and_reference_agree_on_full_features(self, host_ports, layout,
-                                                         kernel):
+    @given(ports_strategy)
+    def test_engine_and_reference_agree_on_full_features(self, host_ports):
         # Full feature set (nested predictor tuples) so dictionary encoding
-        # and the packed fold are exercised, across executor and shard shapes.
-        executor, shard_count = layout
+        # and the packed fold are exercised.
         observations = [
             _obs(ip + 1, port, http_server="srv%d" % (ip % 2))
             for ip, ports in enumerate(host_ports) for port in ports
         ]
         hosts = _hosts(observations)
-        with forced_model_kernel(kernel):
-            engine = _model_on_engine(hosts, executor,
-                                      shard_count=shard_count)
-        _assert_models_equal(build_model(hosts), engine)
+        _assert_models_equal(build_model(hosts), _model_on_engine(hosts))
 
     @settings(deadline=None, max_examples=40)
     @given(ports_strategy)
@@ -229,13 +210,11 @@ class TestModelLifecycle:
             columns, model, dataset=dataset).entries() \
             == PredictiveFeatureIndex.from_seed(hosts, oracle).entries()
 
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
-    def test_models_a_b_a_and_a_foreign_engine_model(self, seed_hosts, executor,
-                                                     shard_count):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_models_a_b_a_and_a_foreign_engine_model(self, seed_hosts, executor):
         half = dict(list(seed_hosts.items())[::2])
         model_a, model_b = build_model(seed_hosts), build_model(half)
-        with resident_dataset(seed_hosts, executor,
-                              shard_count=shard_count) as (columns, dataset), \
+        with resident_dataset(seed_hosts, executor) as (columns, dataset), \
                 resident_dataset(half) as (half_columns, half_dataset):
             own = build_model_with_engine(columns, dataset)
             foreign = build_model_with_engine(half_columns, half_dataset)
@@ -283,7 +262,7 @@ class TestModelLifecycle:
         assert model.denominators == expected.denominators
         assert model.packed_counts() is None
         assert model == expected
-        # One shard: predictors in id order, each row's ports ascending.
+        # Predictors in id order, each row's ports ascending.
         ids = {value: pid for pid, value in enumerate(columns.encoder.values())}
         assert list(model.cooccurrence) == sorted(model.cooccurrence,
                                                   key=ids.__getitem__)
@@ -291,23 +270,23 @@ class TestModelLifecycle:
                                                   key=ids.__getitem__)
         assert all(list(row) == sorted(row) for row in model.cooccurrence.values())
 
-    def test_candidate_table_lives_with_its_broadcast(self, seed_hosts):
+    def test_candidate_table_lives_with_its_model_sides(self, seed_hosts):
         with resident_dataset(seed_hosts) as (columns, dataset):
             store = dataset.runtime._store
 
-            def tables():
-                return [table for _, table in
-                        store[(dataset.key, None)]["candidates"].values()]
+            def table():
+                return store[dataset.key].get("_candidates")
 
             model = build_model_with_engine(columns, dataset)
             build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
-            (table,) = tables()
+            first = table()
+            assert first is not None
             # The index build reads the table the priors build made.
             build_prediction_index_with_engine(columns, model, dataset=dataset)
-            assert tables()[0] is table
+            assert table() is first
             dataset.ensure_sides(build_model(seed_hosts))
-            assert tables() == []
+            assert table() is None
             build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
-            assert len(tables()) == 1 and tables()[0] is not table
+            assert table() is not None and table() is not first
             dataset.release()
-            assert not any(key == dataset.key for key, _ in store)
+            assert dataset.key not in store

@@ -3,8 +3,7 @@
 ``build_prediction_index_with_engine`` is *defined* as producing the same
 :class:`~repro.core.predictions.PredictiveFeatureIndex` as the reference
 ``PredictiveFeatureIndex.from_seed`` -- entry for entry, probabilities
-bit-identical, argmax ties broken identically -- on every runtime executor
-and shard layout.
+bit-identical, argmax ties broken identically -- on every runtime executor.
 The tests pin the tie-break ladder explicitly (probability, then support,
 then smallest predictor tuple), the min-support/fallback tiers and the
 cutoff, plus the bounded network-feature memo that ``predict`` keeps across
@@ -28,15 +27,6 @@ from repro.datasets.split import split_seed_test
 from repro.scanner.records import ScanObservation
 from tests.conftest import ENGINE_LAYOUTS, engine_builds, resident_dataset
 
-#: (executor, shard count) layouts the engine index must agree on.
-EXECUTORS = (
-    ("serial", 0),
-    ("serial", 2),
-    ("serial", 4),
-    ("serial", 5),
-)
-
-
 def _host(ip, ports):
     host = HostFeatures(ip=ip)
     host.ports = {port: list(preds) for port, preds in ports.items()}
@@ -56,9 +46,8 @@ def _assert_indices_equal(engine, reference):
     assert len(engine) == len(reference)
 
 
-def _engine_index(hosts, model, executor="serial", shard_count=0, **kwargs):
-    with resident_dataset(hosts, executor,
-                          shard_count=shard_count) as (columns, dataset):
+def _engine_index(hosts, model, executor="serial", **kwargs):
+    with resident_dataset(hosts, executor) as (columns, dataset):
         return build_prediction_index_with_engine(columns, model, dataset=dataset,
                                                   **kwargs)
 
@@ -73,26 +62,20 @@ class TestEngineFromSeedEquivalence:
                                       universe.topology.asn_db, FeatureConfig())
         return hosts, build_model(hosts), censys_dataset.port_domain
 
-    @pytest.mark.parametrize("layout", EXECUTORS,
-                             ids=("serial", "serial-2-shards", "serial-4-shards",
-                                  "serial-5-shards"))
-    def test_matches_oracle_across_executors(self, seed_inputs, layout):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_matches_oracle_across_executors(self, seed_inputs, executor):
         hosts, model, port_domain = seed_inputs
-        executor, shard_count = layout
         reference = PredictiveFeatureIndex.from_seed(hosts, model,
                                                      port_domain=port_domain)
-        engine = _engine_index(hosts, model, executor, shard_count,
-                               port_domain=port_domain)
+        engine = _engine_index(hosts, model, executor, port_domain=port_domain)
         _assert_indices_equal(engine, reference)
 
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
-    def test_engine_built_model_feeds_identical_index(self, seed_inputs, executor,
-                                                      shard_count, model_kernel):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_engine_built_model_feeds_identical_index(self, seed_inputs, executor):
         hosts, model, port_domain = seed_inputs
         reference = PredictiveFeatureIndex.from_seed(hosts, model,
                                                      port_domain=port_domain)
-        _, _, engine = engine_builds(hosts, executor, port_domain=port_domain,
-                                     shard_count=shard_count)
+        _, _, engine = engine_builds(hosts, executor, port_domain=port_domain)
         _assert_indices_equal(engine, reference)
 
     @pytest.mark.parametrize("min_support", (1, 2, 3))

@@ -4,8 +4,8 @@ The load-bearing property: :func:`repro.core.priors.build_priors_plan_with_engin
 is *defined* as producing exactly the ordered
 :class:`~repro.core.priors.PriorsEntry` list of the reference
 :func:`~repro.core.priors.build_priors_plan` oracle -- on handcrafted hosts,
-on randomized observation sets (hypothesis), for every step size / port
-domain, and across shard counts.
+on randomized observation sets (hypothesis), and for every step size / port
+domain.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ def _model_and_hosts(observations):
     return build_model(hosts), hosts
 
 
-def _engine_plan(hosts, model, step_size=16, port_domain=None, executor="serial",
-                 **runtime_kwargs):
-    with resident_dataset(hosts, executor, step_size,
-                          **runtime_kwargs) as (columns, dataset):
+def _engine_plan(hosts, model, step_size=16, port_domain=None, executor="serial"):
+    with resident_dataset(hosts, executor, step_size) as (columns, dataset):
         return build_priors_plan_with_engine(columns, model, step_size, port_domain,
                                              dataset=dataset)
 
@@ -79,21 +77,16 @@ class TestEnginePriorsEquivalence:
         expected = build_priors_plan(hosts, model, 16, port_domain)
         assert _engine_plan(hosts, model, 16, port_domain) == expected
 
-    @pytest.mark.parametrize("executor,shard_count", [
-        ("serial", 0), ("serial", 2), ("serial", 5), ("serial", 7),
-    ])
-    def test_matches_reference_across_executors(self, camera_fleet, executor,
-                                                shard_count):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_matches_reference_across_executors(self, camera_fleet, executor):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        assert _engine_plan(hosts, model, executor=executor,
-                            shard_count=shard_count) == expected
+        assert _engine_plan(hosts, model, executor=executor) == expected
 
-    @pytest.mark.parametrize("executor,shard_count", ENGINE_LAYOUTS)
-    def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor,
-                                                     shard_count, model_kernel):
+    @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
+    def test_engine_built_model_feeds_identical_plan(self, camera_fleet, executor):
         model, hosts = _model_and_hosts(camera_fleet)
-        _, plan, _ = engine_builds(hosts, executor, shard_count=shard_count)
+        _, plan, _ = engine_builds(hosts, executor)
         assert plan == build_priors_plan(hosts, model, 16)
 
     def test_invalid_step_size_rejected(self, camera_fleet):
@@ -158,8 +151,8 @@ class TestRandomizedEquivalence:
         assert _engine_plan(hosts, model, step_size, port_domain) == expected
 
     @settings(deadline=None, max_examples=20)
-    @given(observation_sets, st.integers(1, 6))
-    def test_sharded_engine_equals_reference(self, rows, shard_count):
+    @given(observation_sets)
+    def test_engine_equals_reference_within_one_subnet(self, rows):
         observations = []
         seen = set()
         for host_index, port, protocol, server in rows:
@@ -171,7 +164,7 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, 16)
-        assert _engine_plan(hosts, model, shard_count=shard_count) == expected
+        assert _engine_plan(hosts, model) == expected
 
 
 def _hosts(*hosts):
@@ -181,44 +174,40 @@ def _hosts(*hosts):
             for ip, ports in hosts}
 
 
-@pytest.mark.parametrize("shard_count", [pytest.param(1, id="one-shard"),
-                                         pytest.param(2, id="two-shards")])
 class TestPartnerTieBreaks:
     """Handcrafted partner selections, each checked against the oracle and
-    against the partner the Section 5.3 rule names, on one resident shard
-    and split across two."""
+    against the partner the Section 5.3 rule names."""
 
     @staticmethod
-    def _check(hosts, model, expected, port_domain=None, shard_count=1):
-        plan = _engine_plan(hosts, model, 16, port_domain,
-                            shard_count=shard_count)
+    def _check(hosts, model, expected, port_domain=None):
+        plan = _engine_plan(hosts, model, 16, port_domain)
         assert plan == build_priors_plan(hosts, model, 16, port_domain)
         assert {(entry.port, entry.coverage) for entry in plan} == expected
 
-    def test_all_zero_scores_take_the_smallest_other_port(self, shard_count):
+    def test_all_zero_scores_take_the_smallest_other_port(self):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
         model = CooccurrenceModel(cooccurrence={},
                                   denominators={("a",): 1, ("b",): 1, ("c",): 1})
         # 22 -> 80, 80 -> 22, 443 -> 22.
-        self._check(hosts, model, {(22, 2), (80, 1)}, shard_count=shard_count)
+        self._check(hosts, model, {(22, 2), (80, 1)})
 
-    def test_equal_scores_go_to_the_smallest_partner_port(self, shard_count):
+    def test_equal_scores_go_to_the_smallest_partner_port(self):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
         model = CooccurrenceModel(
             cooccurrence={("a",): {443: 1}, ("b",): {443: 2}, ("c",): {22: 1}},
             denominators={("a",): 2, ("b",): 4, ("c",): 2})
         # 443: ("a") and ("b") both score 0.5 -> 22; 22: only ("c") scores
         # -> 443; 80: nothing scores -> 22.
-        self._check(hosts, model, {(22, 2), (443, 1)}, shard_count=shard_count)
+        self._check(hosts, model, {(22, 2), (443, 1)})
 
-    def test_two_service_host_counts_the_other_port(self, shard_count):
+    def test_two_service_host_counts_the_other_port(self):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)]}))
         model = CooccurrenceModel(cooccurrence={("a",): {80: 1}},
                                   denominators={("a",): 1, ("b",): 1})
         # 22 scores 0 from 80's values and still takes 80; 80 takes 22.
-        self._check(hosts, model, {(22, 1), (80, 1)}, shard_count=shard_count)
+        self._check(hosts, model, {(22, 1), (80, 1)})
 
-    def test_whitelist_applies_to_partner_and_single_service_hosts(self, shard_count):
+    def test_whitelist_applies_to_partner_and_single_service_hosts(self):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}),
                        (2, {8080: [("d",)]}),
                        (3, {443: [("c",)]}))
@@ -227,14 +216,12 @@ class TestPartnerTieBreaks:
                           ("c",): {22: 1, 80: 1}},
             denominators={("a",): 1, ("b",): 1, ("c",): 2, ("d",): 1})
         # Unfiltered: 22 -> 80, 80 -> 22, 443 -> 22 (tie), 8080 and 443 alone.
-        self._check(hosts, model, {(22, 2), (80, 1), (8080, 1), (443, 1)},
-                    shard_count=shard_count)
+        self._check(hosts, model, {(22, 2), (80, 1), (8080, 1), (443, 1)})
         # The whitelist drops selected partners (80) and lone services (8080)
         # outside it; it never redirects a selection.
-        self._check(hosts, model, {(22, 2), (443, 1)}, port_domain=(22, 443),
-                    shard_count=shard_count)
+        self._check(hosts, model, {(22, 2), (443, 1)}, port_domain=(22, 443))
 
-    def test_own_port_in_a_row_never_scores_for_its_own_service(self, shard_count):
+    def test_own_port_in_a_row_never_scores_for_its_own_service(self):
         hosts = _hosts((1, {22: [("a",)], 80: [("b",)], 443: [("c",)]}))
         # ("c",) claims to predict its own port 443 perfectly; 443's partner
         # must still come from 22's and 80's values.
@@ -243,18 +230,17 @@ class TestPartnerTieBreaks:
             denominators={("a",): 4, ("b",): 2, ("c",): 2})
         # 443 -> 80 (0.5 beats 0.25; its own 1.0 does not count); 22 and 80
         # score 0 -> the smallest other port.
-        self._check(hosts, model, {(80, 2), (22, 1)}, shard_count=shard_count)
+        self._check(hosts, model, {(80, 2), (22, 1)})
 
 
 class TestPackingBounds:
     """Both folds at the edges of their packed keys, against the oracles."""
 
     @staticmethod
-    def _check(hosts, step_size=16, shard_count=0, encoder=None, model=None):
+    def _check(hosts, step_size=16, encoder=None, model=None):
         model = build_model(hosts) if model is None else model
         columns = host_feature_columns(hosts, encoder)
-        with resident_dataset(columns, "serial", step_size,
-                              shard_count=shard_count) as (_, dataset):
+        with resident_dataset(columns, "serial", step_size) as (_, dataset):
             plan = build_priors_plan_with_engine(columns, model, step_size,
                                                  dataset=dataset)
             index = build_prediction_index_with_engine(columns, model,
@@ -296,17 +282,6 @@ class TestPackingBounds:
         for filler in range(70_000):
             encoder.encode(("filler", filler))
         self._check(self._edge_hosts(), encoder=encoder)
-
-    def test_shard_holding_only_one_service_hosts(self):
-        # Two shards split hosts by address parity: every one-service host
-        # is even, every multi-service host odd.
-        hosts = _hosts((2, {80: [("P", 80)]}), (4, {22: [("P", 22)]}),
-                       (3, {22: [("P", 22)], 80: [("P", 80)]}),
-                       (5, {22: [("P", 22)], 80: [("P", 80)], 443: [("P", 443)]}))
-        self._check(hosts, shard_count=2)
-
-    def test_shard_count_above_host_count_leaves_shards_empty(self):
-        self._check(self._edge_hosts(), shard_count=7)
 
     def test_model_port_outside_the_packing_base_is_rejected(self):
         hosts = self._edge_hosts()

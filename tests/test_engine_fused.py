@@ -1,12 +1,11 @@
-"""Tests for the fused self-join fold, dictionary encoding and stable sharding.
+"""Tests for the fused self-join fold, dictionary encoding and the stable hash.
 
-The load-bearing property: the model fold -- both kernels,
-:func:`repro.engine.fused.fold_model_pairs` (stdlib) and
-:func:`repro.engine.fused.fold_model_pairs_arrays` (numpy) -- is *defined*
-as the packed (value, label) counts of a join with the self-pairs dropped,
-so every test here runs each kernel against a brute-force materialization
-of that join, handcrafted and randomized via hypothesis.
-The end-to-end model build over resident shards is pinned against the
+The load-bearing property: the model fold,
+:func:`repro.engine.fused.fold_model_pairs_arrays`, is *defined* as the
+packed (value, label) counts of a join with the self-pairs dropped, so every
+test here runs it against a brute-force materialization of that join,
+handcrafted and randomized via hypothesis.
+The end-to-end model build over the resident columns is pinned against the
 dictionary reference in ``test_core_model.py``.
 """
 
@@ -19,17 +18,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.engine.columns import numpy_available
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.fused import (
-    fold_model_pairs,
-    fold_model_pairs_arrays,
-    fold_value_counts,
-    fold_value_counts_arrays,
-)
-from repro.engine.shard import shard_columns, shard_group_columns
+from repro.engine.fused import fold_model_pairs_arrays, fold_value_counts_arrays
 
 
 class TestDictionaryEncoder:
@@ -74,20 +66,16 @@ class TestStableHash:
     def test_str_bearing_tuples_are_deterministic_across_hash_seeds(self):
         # The builtin hash of a str-bearing tuple changes with
         # PYTHONHASHSEED; stable_hash must not.  Regression test for
-        # bit-reproducible sharding (both layouts the runtime loads): compute
-        # shard assignments in two subprocesses with different hash seeds
-        # and require identical output.
+        # bit-reproducible seeded probe loss, which draws with it: hash the
+        # same keys and draw the same losses in two subprocesses with
+        # different hash seeds and require identical output.
         script = (
             "from repro.engine.encoding import stable_hash\n"
-            "from repro.engine.shard import shard_columns, shard_group_columns\n"
+            "from repro.engine.faults import ProbeLossModel\n"
             "rows = [(p, 'proto-%d' % (p % 3)) for p in range(40)]\n"
-            "flat = shard_columns({'key': rows, 'i': list(range(40))}, 'key', 4)\n"
-            "grouped = shard_group_columns(rows, list(range(40)),\n"
-            "                              list(range(41)), [80] * 40,\n"
-            "                              list(range(41)), list(range(40)), 4)\n"
             "print([stable_hash(r) for r in rows])\n"
-            "print([shard['i'] for shard in flat.shards])\n"
-            "print([list(shard['group_order']) for shard in grouped.shards])\n"
+            "loss = ProbeLossModel(seed=3, loss_rate=0.5)\n"
+            "print([loss.lost('zmap', ip, 80) for ip in range(40)])\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
@@ -99,44 +87,14 @@ class TestStableHash:
         assert outputs[0] == outputs[1]
 
     def test_hash_consistent_with_equality_for_numeric_types(self):
-        # 1 == True == 1.0, so like the builtin hash they must shard alike;
+        # 1 == True == 1.0, so like the builtin hash they must hash alike;
         # equal tuples must hash equal even when element reprs differ.
         assert stable_hash(1) == stable_hash(True) == stable_hash(1.0)
         assert stable_hash((1, "x")) == stable_hash((True, "x")) == \
             stable_hash((1.0, "x"))
-        keys = [(1,), (True,), (1.0,)]
-        flat = shard_columns({"key": keys}, "key", 4)
-        assert sum(1 for shard in flat.shards if shard["key"]) == 1
-        grouped = shard_group_columns(keys, [0, 0, 0], [0, 1, 2, 3], [80, 80, 80],
-                                      [0, 0, 0, 0], [], 4)
-        assert sum(1 for shard in grouped.shards if len(shard["group_order"])) == 1
-
-    def test_shard_columns_covers_and_groups(self):
-        rows = [(i % 7, "s%d" % (i % 3)) for i in range(100)]
-        sharded = shard_columns({"key": rows, "i": list(range(100))}, "key", 4)
-        assert sorted(i for shard in sharded.shards for i in shard["i"]) == \
-            list(range(100))
-        # Same key always lands in the same shard.
-        location = {}
-        for shard_id, shard in enumerate(sharded.shards):
-            for row in shard["key"]:
-                assert location.setdefault(row, shard_id) == shard_id
 
 
 PACK = 1 << 16
-
-KERNELS = {
-    "stdlib": (fold_model_pairs, fold_value_counts),
-    "numpy": (fold_model_pairs_arrays, fold_value_counts_arrays),
-}
-
-
-@pytest.fixture(params=sorted(KERNELS))
-def kernel(request):
-    """``(pair fold, value-count fold)`` of one model-fold kernel."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy kernel not installed")
-    return KERNELS[request.param]
 
 
 def _columns(groups):
@@ -164,61 +122,58 @@ def _reference(groups):
     return counts
 
 
-def _fold(kernel, groups):
+def _fold(groups):
     """Run the pair fold and unpack its sorted ``(keys, counts)`` reply."""
-    keys, counts = kernel[0](*_columns(groups), PACK)
+    keys, counts = fold_model_pairs_arrays(*_columns(groups), PACK)
     assert list(keys) == sorted(keys)
     return {divmod(key, PACK): count for key, count in zip(keys, counts)}
 
 
 class TestFoldModelPairs:
-    def test_model_query_excludes_self_pairs(self, kernel):
+    def test_model_query_excludes_self_pairs(self):
         # Host 1 serves 80 and 443, host 2 serves 80 and 22, host 3 only 8080.
         groups = [[(80, [0, 1]), (443, [2])], [(80, [0]), (22, [3])],
                   [(8080, [4])]]
-        got = _fold(kernel, groups)
+        got = _fold(groups)
         assert got == {(0, 443): 1, (1, 443): 1, (2, 80): 1, (0, 22): 1,
                        (3, 80): 1}
         assert got == _reference(groups)
 
-    def test_empty_inputs(self, kernel):
+    def test_empty_inputs(self):
         for columns in (([], [], [], []), ([0], [], [0], [])):
-            keys, counts = kernel[0](*columns, PACK)
+            keys, counts = fold_model_pairs_arrays(*columns, PACK)
             assert list(keys) == [] and list(counts) == []
 
-    def test_lone_members_and_valueless_members_contribute_nothing(self, kernel):
+    def test_lone_members_and_valueless_members_contribute_nothing(self):
         groups = [[(80, [5])], [(22, [6]), (443, [])]]
-        assert _fold(kernel, groups) == {(6, 443): 1}
+        assert _fold(groups) == {(6, 443): 1}
 
-    def test_buffer_flushes_preserve_counts(self, kernel):
-        # Enough joined pairs across groups to cross the stdlib fold's
-        # internal flush threshold several times.
+    def test_many_joined_pairs_preserve_counts(self):
+        # Tens of thousands of joined pairs over repeated groups.
         group = [(1, list(range(50)))] + [(label, []) for label in range(2, 60)]
-        got = _fold(kernel, [group] * 8)
+        got = _fold([group] * 8)
         assert got == _reference([group] * 8)
         assert sum(got.values()) == 8 * 50 * 58
 
-    def test_labels_up_to_pack_base_unpack_exactly(self, kernel):
+    def test_labels_up_to_pack_base_unpack_exactly(self):
         # The largest label below pack_base must not carry into the value.
         groups = [[(1, [0, 7]), (PACK - 1, [7])]]
-        got = _fold(kernel, groups)
+        got = _fold(groups)
         assert got == {(0, PACK - 1): 1, (7, PACK - 1): 1, (7, 1): 1}
         assert got == _reference(groups)
 
-    @settings(deadline=None, max_examples=50,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(deadline=None, max_examples=50)
     @given(st.lists(st.dictionaries(st.integers(1, 6),
                                     st.lists(st.integers(0, 9), max_size=4),
                                     max_size=5),
                     max_size=8))
-    def test_equals_materialized_join(self, kernel, groups):
+    def test_equals_materialized_join(self, groups):
         groups = [list(members.items()) for members in groups]
-        assert _fold(kernel, groups) == _reference(groups)
+        assert _fold(groups) == _reference(groups)
 
-    @settings(deadline=None, max_examples=30,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(deadline=None, max_examples=30)
     @given(st.lists(st.integers(0, 20), max_size=40))
-    def test_value_counts_equal_counter(self, kernel, value_ids):
-        ids, counts = kernel[1](value_ids)
+    def test_value_counts_equal_counter(self, value_ids):
+        ids, counts = fold_value_counts_arrays(value_ids)
         assert list(ids) == sorted(set(value_ids))
         assert dict(zip(ids, counts)) == Counter(value_ids)

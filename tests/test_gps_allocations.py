@@ -23,7 +23,6 @@ from repro.core import features as features_module
 from repro.core import predictions as predictions_module
 from repro.core.config import FeatureConfig, GPSConfig
 from repro.core.gps import GPS
-from repro.engine import runtime as runtime_module
 from repro.core.features import (
     extract_host_features,
     extract_host_features_columns,
@@ -95,25 +94,13 @@ def test_self_seeded_engine_run_builds_no_row_objects(small_universe,
     _assert_rows_build_on_read(result, constructions)
 
 
-def test_engine_run_reads_the_model_as_packed_columns(small_universe,
-                                                     monkeypatch):
+def test_engine_run_reads_the_model_as_packed_columns(small_universe):
     """The priors and index builds score the model fold's packed columns:
-    the run never decodes the model's dicts and runs no row-by-row fold
-    (nor hydrates shard columns into lists for one)."""
-    calls = []
-    for name in ("fold_model_pairs", "fold_value_counts", "_shard_lists"):
-        original = getattr(runtime_module, name)
-
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(runtime_module, name, spy)
+    the run never decodes the model's dicts."""
     config = GPSConfig(seed_fraction=0.05, use_engine=True)
     with GPS(ScanPipeline(small_universe), config) as gps:
         result = gps.run()
     assert len(result.priors_plan) > 0 and len(result.feature_index) > 0
-    assert calls == []
     assert "cooccurrence" not in vars(result.model)
     assert "denominators" not in vars(result.model)
 

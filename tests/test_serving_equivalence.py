@@ -1,12 +1,12 @@
 """Served predictions are bit-identical to the serial one-shot oracle.
 
 The whole value proposition of the serving layer is "same answers, no
-per-invocation rebuild": whatever micro-batching, thread hand-offs and
-shard layouts are in play, every reply must equal the reference
+per-invocation rebuild": whatever micro-batching and thread hand-offs are
+in play, every reply must equal the reference
 ``PredictiveFeatureIndex.predict`` fold over the same observations and known
 pairs.  The battery interleaves N concurrent clients issuing point lookups
-and bulk predictions against a service, across one and several resident
-shards, and compares each reply against an oracle model built on
+and bulk predictions against a service, and compares each reply against an
+oracle model built on
 the single-core non-engine reference path.  A hypothesis sweep varies the
 evidence subsets and known-pair suppression on a shared warm service.
 """
@@ -25,12 +25,8 @@ from repro.scanner.records import group_pairs
 from repro.serving import GPSService, InProcessClient, ServingConfig
 from repro.serving.registry import build_prepared_model
 
-#: (runtime executor, shard count) grids the battery covers.
-BACKENDS = (
-    ("serial", 0),
-    ("serial", 2),
-    ("serial", 5),   # several shards: merge order
-)
+#: Runtime executors the battery covers.
+BACKENDS = ("serial",)
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +45,8 @@ def seed(universe):
 @pytest.fixture(scope="module")
 def oracle(universe, seed):
     """The serial one-shot reference model (non-engine build path)."""
-    prepared = build_prepared_model("oracle", ScanPipeline(universe), seed,
-                                    GPSConfig())
-    assert prepared.resident is None  # truly the single-core path
-    return prepared
+    return build_prepared_model("oracle", ScanPipeline(universe), seed,
+                                GPSConfig())
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +69,13 @@ def _host_groups(seed, count):
 
 
 class TestConcurrentEquivalence:
-    @pytest.mark.parametrize("executor,shards", BACKENDS,
-                             ids=("serial", "serial-shard2", "serial-shard5"))
+    @pytest.mark.parametrize("executor", BACKENDS)
     def test_interleaved_clients_match_oracle(self, universe, seed, oracle,
-                                              executor, shards):
-        """N concurrent clients, interleaved point/bulk, every shard layout."""
-        config = ServingConfig(executor=executor, shard_count=shards,
-                               max_batch=8, request_timeout_s=60.0)
-        gps_config = GPSConfig(use_engine=True, executor=executor,
-                               shard_count=shards)
+                                              executor):
+        """N concurrent clients, interleaved point/bulk lookups."""
+        config = ServingConfig(executor=executor, max_batch=8,
+                               request_timeout_s=60.0)
+        gps_config = GPSConfig(use_engine=True, executor=executor)
         groups = _host_groups(seed, 12)
 
         async def one_client(client, offset):

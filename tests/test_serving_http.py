@@ -75,7 +75,10 @@ class TestEndpoints:
         assert status == 200
         (row,) = body["models"]
         assert row["name"] == "default"
-        assert row["seed_services"] > 0 and row["resident_shards"] is True
+        assert row["seed_services"] > 0
+        assert set(row) == {"name", "seed_services", "hosts", "index_entries",
+                            "priors_entries", "build_seconds", "source",
+                            "snapshot_version", "loaded_at"}
 
     def test_lookup_matches_in_process_reply(self, server):
         base, host, seed = server
@@ -236,11 +239,10 @@ class TestErrorMapping:
 class TestServeCli:
     def test_parser_accepts_serve(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9999", "--executor", "serial",
-             "--shard-count", "2"])
+            ["serve", "--port", "9999", "--executor", "serial"])
         assert args.command == "serve"
         assert args.port == 9999 and args.address == "127.0.0.1"
-        assert args.executor == "serial" and args.shard_count == 2
+        assert args.executor == "serial"
         assert callable(args.func)
 
     def test_parser_defaults(self):

@@ -134,7 +134,6 @@ class TestRegistry:
                 infos = client.models()
                 assert [info.name for info in infos] == ["default"]
                 assert infos[0].seed_services == len(seed.observations)
-                assert infos[0].resident_shards  # stays warm until evicted
                 reply = await client.lookup_ip("default",
                                                seed.observations[0].ip)
                 assert reply.model == "default"
@@ -153,9 +152,21 @@ class TestRegistry:
                     GPSConfig(use_engine=True, executor="serial"))
                 second = service.model("default")
                 assert second is not first
-                # The displaced model's resident shards were released.
-                assert first.resident is not None
                 assert [i.name for i in service.models()] == ["default"]
+        run(scenario())
+
+    def test_successful_load_leaves_no_resident_payload(self, universe, seed):
+        """A build releases its columns when it ends: the loaded model
+        serves from its index alone."""
+        async def scenario():
+            async with await _loaded_service(universe, seed) as service:
+                assert service.runtime()._store == {}
+                await service.load_model(
+                    "second", ScanPipeline(universe), seed,
+                    GPSConfig(use_engine=True, executor="serial"))
+                assert service.runtime()._store == {}
+                assert [info.name for info in service.models()] == \
+                    ["default", "second"]
         run(scenario())
 
     def test_failed_build_registers_nothing_and_releases_its_shards(
@@ -175,7 +186,6 @@ class TestRegistry:
         async def scenario():
             async with await _loaded_service(universe, seed) as service:
                 client = InProcessClient(service)
-                steady_key = service.model("default").resident.key
                 monkeypatch.setattr(registry_module,
                                     "build_priors_plan_with_engine",
                                     failing_priors)
@@ -185,35 +195,11 @@ class TestRegistry:
                         GPSConfig(use_engine=True, executor="serial"))
                 assert [info.name for info in client.models()] == ["default"]
                 (failed_key,) = failed_keys
-                resident_keys = {key for key, _ in service.runtime()._store}
-                assert failed_key not in resident_keys
-                assert resident_keys == {steady_key}
+                assert failed_key not in service.runtime()._store
+                assert service.runtime()._store == {}
                 groups = _observations_of(seed)
                 return [(rows, await client.lookup("default", rows))
                         for rows in groups]
-
-        replies = run(scenario())
-        assert replies
-        for rows, reply in replies:
-            assert tuple(oracle.predict(rows)) == reply.predictions
-
-    @pytest.mark.parametrize("shard_count,resident_shards", [(0, 1), (2, 2)])
-    def test_config_shard_count_reaches_the_runtime(self, universe, seed,
-                                                    shard_count,
-                                                    resident_shards):
-        oracle = build_prepared_model("oracle", ScanPipeline(universe), seed,
-                                      GPSConfig())
-
-        async def scenario():
-            config = ServingConfig(shard_count=shard_count)
-            gps_config = GPSConfig(use_engine=True, executor="serial",
-                                   shard_count=shard_count)
-            async with await _loaded_service(universe, seed, config,
-                                             gps_config) as service:
-                assert service.runtime().shard_count == resident_shards
-                client = InProcessClient(service)
-                return [(rows, await client.lookup("default", rows))
-                        for rows in _observations_of(seed)]
 
         replies = run(scenario())
         assert replies

@@ -1,13 +1,12 @@
-"""Tests for the versioned snapshot format and its runtime integration.
+"""Tests for the versioned snapshot format and its serving integration.
 
 The persistence layer must be invisible: everything loaded from a snapshot
-is bit-identical to what a fresh build would have produced -- across model
-kernels and across shard layouts.  Covers the round-trip
-property (hypothesis-driven shapes plus the shared-fixture artifacts), the
-typed corrupt-snapshot failure modes (truncation, checksum mismatch, future
-format versions, malformed shard layouts -- never a silent partial load),
-the mmap-backed shard loading path, and the
-serving provenance surfaces (``GET /models``, ``/stats``).
+is bit-identical to what a fresh build would have produced.  Covers the
+round-trip property (hypothesis-driven shapes plus the shared-fixture
+artifacts), the typed corrupt-snapshot failure modes (truncation, checksum
+mismatch, future format versions, malformed manifests -- never a silent
+partial load), snapshots in the older shard-section layout, and the serving
+provenance surfaces (``GET /models``, ``/stats``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.core.model import build_model_with_engine
 from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.columns import ColumnView
+from repro.engine import snapshot as snapshot_module
 from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
 from repro.engine.snapshot import (
     FORMAT_NAME,
@@ -42,6 +41,7 @@ from repro.engine.snapshot import (
     open_snapshot,
     save_snapshot,
 )
+from repro.net.ipv4 import subnet_key
 from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.serving.registry import PreparedModel
 from tests.conftest import engine_builds
@@ -75,12 +75,11 @@ def artifacts(universe, censys_split):
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory, artifacts):
-    """One full snapshot (seed + artifacts + 3 shards) on disk."""
+    """One full snapshot (seed + artifacts) on disk."""
     batch, host_features, model, priors, index = artifacts
     directory = str(tmp_path_factory.mktemp("snapshot"))
     save_snapshot(directory, observations=batch, host_features=host_features,
-                  model=model, priors_plan=priors, index=index,
-                  shard_count=3, step_size=16)
+                  model=model, priors_plan=priors, index=index)
     return directory
 
 
@@ -176,17 +175,12 @@ class TestRoundTrip:
         assert snapshot.version == FORMAT_VERSION
         assert snapshot.has_section("model")
 
-    @pytest.mark.parametrize("executor,shard_count", [
-        *(pytest.param(executor, 3, id=executor)
-          for executor in RUNTIME_EXECUTORS),
-        pytest.param("serial", 1, id="serial-1-shard"),
-    ])
+    @pytest.mark.parametrize("executor", RUNTIME_EXECUTORS)
     def test_backends_and_executors_round_trip(self, tmp_path, artifacts,
-                                               executor, shard_count,
-                                               model_kernel):
+                                               executor):
         """build -> snapshot -> load is bit-identical on every engine path."""
         _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor=executor, shard_count=shard_count) as runtime:
+        with EngineRuntime(executor=executor) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
             built_model = build_model_with_engine(host_features, dataset)
             built_priors = build_priors_plan_with_engine(
@@ -194,10 +188,10 @@ class TestRoundTrip:
             built_index = build_prediction_index_with_engine(
                 host_features, built_model, dataset=dataset)
             dataset.release()
-        directory = str(tmp_path / f"{executor}-{shard_count}-{model_kernel}")
+        directory = str(tmp_path / executor)
         save_snapshot(directory, host_features=host_features,
                       model=built_model, priors_plan=built_priors,
-                      index=built_index, shard_count=shard_count, step_size=16)
+                      index=built_index)
         snapshot = open_snapshot(directory)
         loaded_model = snapshot.model()
         assert loaded_model.cooccurrence == model.cooccurrence
@@ -285,31 +279,16 @@ class TestCorruptSnapshots:
             open_snapshot(directory)
 
     @pytest.mark.parametrize("meta", [
-        pytest.param({"shards": {"step_size": 16, "group_count": 5}},
-                     id="no-shard_count"),
-        pytest.param({"shards": {"shard_count": 3, "step_size": 16}},
-                     id="no-group_count"),
-        pytest.param({"shards": [1]}, id="layout-not-an-object"),
-        pytest.param({"shards": {"shard_count": 3, "step_size": 40,
-                                 "group_count": 5}},
-                     id="step_size-out-of-range"),
-        pytest.param({"shards": {"shard_count": "3", "step_size": 16,
-                                 "group_count": 5}},
-                     id="shard_count-not-an-int"),
-        pytest.param({"shards": {"shard_count": 0, "step_size": 16,
-                                 "group_count": 5}},
-                     id="shard_count-zero"),
         pytest.param([1], id="meta-not-an-object"),
     ])
-    def test_malformed_shard_layout_raises_snapshot_error(self, saved, tmp_path,
-                                                          meta):
+    def test_non_object_meta_raises_snapshot_error(self, saved, tmp_path, meta):
         directory = tmp_path / "snapshot"
         shutil.copytree(saved, directory)
         manifest_path = directory / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         manifest["meta"] = meta
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="non-object|shard layout"):
+        with pytest.raises(SnapshotError, match="non-object"):
             open_snapshot(str(directory), verify=False)
 
     @pytest.mark.parametrize("manifest", [[], "x"], ids=["list", "string"])
@@ -375,97 +354,128 @@ class TestCorruptSnapshots:
         assert issubclass(SnapshotVersionError, SnapshotError)
 
 
-class TestRuntimeShardLoading:
-    """Saved shard sections load mmap-backed into the runtime."""
+def _legacy_shard_sections(host_features, shards, step_size):
+    """The ``shard-NNNN`` sections older writers saved beside the artifacts:
+    hosts split by address modulo ``shards`` (integers hash to
+    themselves), each shard's offsets rebuilt from 0 and ``group_order``
+    holding every host's original index."""
+    ips, member_starts = list(host_features.ips), list(host_features.member_starts)
+    ports, value_starts = list(host_features.ports), list(host_features.value_starts)
+    value_ids = list(host_features.value_ids)
+    for shard in range(shards):
+        columns = {"group_order": [], "group_keys": [], "member_starts": [0],
+                   "labels": [], "value_starts": [0], "value_ids": []}
+        for group, ip in enumerate(ips):
+            if ip % shards != shard:
+                continue
+            columns["group_order"].append(group)
+            columns["group_keys"].append(subnet_key(ip, step_size))
+            for member in range(member_starts[group], member_starts[group + 1]):
+                columns["labels"].append(ports[member])
+                columns["value_ids"].extend(
+                    value_ids[value_starts[member]:value_starts[member + 1]])
+                columns["value_starts"].append(len(columns["value_ids"]))
+            columns["member_starts"].append(len(columns["labels"]))
+        yield f"shard-{shard:04d}", columns
 
-    def test_snapshot_load_ships_zero_shard_bytes(self, saved, artifacts):
-        _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor="serial", shard_count=3) as runtime:
-            snapshot = open_snapshot(saved)
-            dataset = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            # The resident shards are views over the mapped files, not copies.
-            for shard_idx in range(3):
-                shard = runtime._store[(dataset.key, shard_idx)]
-                assert all(isinstance(column, ColumnView)
-                           for column in shard.values())
-            built = build_model_with_engine(host_features, dataset)
-            assert built.cooccurrence == model.cooccurrence
-            assert built.denominators == model.denominators
-            built_priors = build_priors_plan_with_engine(
-                host_features, built, 16, dataset=dataset)
-            assert built_priors == priors
-            built_index = build_prediction_index_with_engine(
-                host_features, built, dataset=dataset)
-            assert built_index.entries() == index.entries()
-            dataset.release()
 
-    def test_layout_keys_a_reader_does_not_use_are_ignored(self, saved,
-                                                           artifacts, tmp_path):
-        """Manifests from writers that saved a placement hint still load."""
-        _, host_features, model, _, _ = artifacts
+def _save_with_legacy_shards(directory, batch, host_features, model, priors,
+                             index, meta=None):
+    """A snapshot in the older writers' layout: the artifact sections, two
+    ``shard-NNNN`` sections and a ``meta.shards`` entry."""
+    writer = SnapshotWriter(directory)
+    snapshot_module._add_observations(writer, batch)
+    snapshot_module._add_host_features(writer, host_features)
+    for name, columns in _legacy_shard_sections(host_features, 2, 16):
+        writer.add_section(name, columns)
+    snapshot_module._add_model(writer, model)
+    snapshot_module._add_priors(writer, priors)
+    snapshot_module._add_index(writer, index)
+    layout = {"shard_count": 2, "step_size": 16,
+              "group_count": len(host_features.ips)}
+    return writer.finish({"shards": layout} if meta is None else meta)
+
+
+class TestOlderSnapshots:
+    """Snapshots with the shard sections of older writers still open, and
+    their artifacts load unchanged; new snapshots hold no shard section."""
+
+    def test_saved_snapshot_has_no_shard_section(self, saved):
+        snapshot = open_snapshot(saved)
+        assert not [name for name in snapshot.sections()
+                    if name.startswith("shard-")]
+        assert "shards" not in snapshot.meta
+
+    def test_shard_layout_snapshot_loads_identical_artifacts(
+            self, tmp_path, artifacts, universe, censys_split):
+        batch, host_features, model, priors, index = artifacts
+        directory = str(tmp_path / "with-shards")
+        _save_with_legacy_shards(directory, batch, host_features, model,
+                                 priors, index)
+        snapshot = open_snapshot(directory)
+        assert {"shard-0000", "shard-0001"} <= set(snapshot.sections())
+        loaded = snapshot.model()
+        assert loaded.cooccurrence == model.cooccurrence
+        assert loaded.denominators == model.denominators
+        assert snapshot.priors_plan() == priors
+        assert snapshot.prediction_index().entries() == index.entries()
+        from repro.scanner.pipeline import ScanPipeline
+        from repro.serving.registry import build_prepared_model
+
+        config = GPSConfig(use_engine=True)
+        warm = PreparedModel.from_snapshot("warm", ScanPipeline(universe),
+                                           snapshot, config)
+        built = build_prepared_model("built", ScanPipeline(universe),
+                                     censys_split.seed_scan_result(), config)
+        known = censys_split.test_observations[:200]
+        assert len(warm.predict(known)) > 0
+        assert warm.predict(known) == built.predict(known)
+
+    def test_shard_sections_are_still_checksummed(self, tmp_path, artifacts):
+        batch, host_features, model, priors, index = artifacts
+        _save_with_legacy_shards(str(tmp_path), batch, host_features, model,
+                                 priors, index)
+        victim = tmp_path / "shard-0001.labels.bin"
+        payload = bytearray(victim.read_bytes())
+        payload[0] ^= 0xFF
+        victim.write_bytes(bytes(payload))
+        with pytest.raises(SnapshotIntegrityError, match="checksum"):
+            open_snapshot(str(tmp_path))
+        victim.write_bytes(bytes(payload[:-1]))
+        with pytest.raises(SnapshotIntegrityError, match="truncated"):
+            open_snapshot(str(tmp_path), verify=False)
+
+    @pytest.mark.parametrize("meta", [
+        pytest.param({"shards": {"step_size": 16, "group_count": 5}},
+                     id="no-shard_count"),
+        pytest.param({"shards": {"shard_count": 3, "step_size": 16}},
+                     id="no-group_count"),
+        pytest.param({"shards": [1]}, id="layout-not-an-object"),
+        pytest.param({"shards": {"shard_count": 3, "step_size": 40,
+                                 "group_count": 5}},
+                     id="step_size-out-of-range"),
+        pytest.param({"shards": {"shard_count": "3", "step_size": 16,
+                                 "group_count": 5}},
+                     id="shard_count-not-an-int"),
+        pytest.param({"shards": {"shard_count": 0, "step_size": 16,
+                                 "group_count": 5}},
+                     id="shard_count-zero"),
+    ])
+    def test_any_shard_layout_entry_opens_unchanged(self, saved, artifacts,
+                                                    tmp_path, meta):
+        """The ``meta.shards`` entry is never read: malformed ones open."""
+        _, _, model, priors, index = artifacts
         directory = tmp_path / "snapshot"
         shutil.copytree(saved, directory)
         manifest_path = directory / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        manifest["meta"]["shards"]["placement"] = {"workers": 3}
+        manifest["meta"] = meta
         manifest_path.write_text(json.dumps(manifest))
-        with EngineRuntime(executor="serial", shard_count=3) as runtime:
-            dataset = ResidentHostGroups.from_snapshot(
-                runtime, open_snapshot(str(directory)))
-            built = build_model_with_engine(host_features, dataset)
-            assert built.cooccurrence == model.cooccurrence
-            dataset.release()
-
-    @pytest.mark.parametrize("shard_count", [1, 2, 5])
-    def test_shard_sections_load_at_every_saved_shard_count(
-            self, tmp_path, artifacts, shard_count):
-        """A snapshot saved with N shards loads into an N-shard runtime and
-        folds to the oracle artifacts; release drops every resident view."""
-        batch, host_features, model, priors, index = artifacts
-        directory = str(tmp_path / f"shards-{shard_count}")
-        save_snapshot(directory, host_features=host_features, model=model,
-                      shard_count=shard_count, step_size=16)
-        with EngineRuntime(executor="serial", shard_count=shard_count) as runtime:
-            dataset = ResidentHostGroups.from_snapshot(
-                runtime, open_snapshot(directory))
-            built = build_model_with_engine(host_features, dataset)
-            assert built.cooccurrence == model.cooccurrence
-            assert built.denominators == model.denominators
-            assert build_priors_plan_with_engine(
-                host_features, built, 16, dataset=dataset) == priors
-            assert build_prediction_index_with_engine(
-                host_features, built, dataset=dataset).entries() == index.entries()
-            dataset.release()
-            assert not [key for key in runtime._store if key[0] == dataset.key]
-
-    def test_default_runtime_loads_a_one_shard_snapshot(self, tmp_path,
-                                                        artifacts):
-        """``shard_count=0`` selects one shard, so a default runtime takes a
-        snapshot saved with one shard section."""
-        _, host_features, model, _, _ = artifacts
-        directory = str(tmp_path / "one-shard")
-        save_snapshot(directory, host_features=host_features, model=model,
-                      shard_count=1, step_size=16)
-        with EngineRuntime() as runtime:
-            dataset = ResidentHostGroups.from_snapshot(
-                runtime, open_snapshot(directory))
-            built = build_model_with_engine(host_features, dataset)
-            assert built.cooccurrence == model.cooccurrence
-            dataset.release()
-
-    @pytest.mark.parametrize("shard_count", [1, 2, 5])
-    def test_from_snapshot_requires_matching_shard_count(self, saved,
-                                                         shard_count):
-        with EngineRuntime(executor="serial", shard_count=shard_count) as runtime:
-            with pytest.raises(SnapshotError, match="shard"):
-                ResidentHostGroups.from_snapshot(runtime, open_snapshot(saved))
-
-    def test_from_snapshot_requires_shard_sections(self, tmp_path):
-        directory = _save_minimal(str(tmp_path))
-        with EngineRuntime(executor="serial", shard_count=1) as runtime:
-            with pytest.raises(SnapshotError, match="shard"):
-                ResidentHostGroups.from_snapshot(runtime,
-                                                 open_snapshot(directory))
+        snapshot = open_snapshot(str(directory))
+        assert snapshot.meta == meta
+        assert snapshot.model().cooccurrence == model.cooccurrence
+        assert snapshot.priors_plan() == priors
+        assert snapshot.prediction_index().entries() == index.entries()
 
 
 class TestServingProvenance:
@@ -473,32 +483,28 @@ class TestServingProvenance:
 
     def test_prepared_model_from_snapshot(self, saved, pipeline, artifacts):
         _, _, model, priors, index = artifacts
-        config = GPSConfig(use_engine=True, executor="serial", shard_count=3)
-        with EngineRuntime(executor="serial", shard_count=3) as runtime:
-            prepared = PreparedModel.from_snapshot(
-                "warm", pipeline, saved, config, runtime)
-            info = prepared.info()
-            assert info.source == "snapshot"
-            assert info.snapshot_version == FORMAT_VERSION
-            assert info.loaded_at is not None
-            assert info.resident_shards
-            assert prepared.model.cooccurrence == model.cooccurrence
-            assert prepared.priors_plan == priors
-            assert prepared.index.entries() == index.entries()
-            prepared.release()
+        config = GPSConfig(use_engine=True, executor="serial")
+        prepared = PreparedModel.from_snapshot("warm", pipeline, saved, config)
+        info = prepared.info()
+        assert info.source == "snapshot"
+        assert info.snapshot_version == FORMAT_VERSION
+        assert info.loaded_at is not None
+        assert prepared.model.cooccurrence == model.cooccurrence
+        assert prepared.priors_plan == priors
+        assert prepared.index.entries() == index.entries()
 
     def test_http_surfaces_expose_provenance(self, saved, universe):
         from repro.scanner.pipeline import ScanPipeline
         from repro.serving.http import ServiceHost, make_http_server
         from repro.serving.service import ServingConfig
 
-        host = ServiceHost(ServingConfig(executor="serial", shard_count=3))
+        host = ServiceHost(ServingConfig(executor="serial"))
         server = None
         try:
             model_pipeline = ScanPipeline(universe)
             info = host.call(host.service.load_model_from_snapshot(
                 "default", model_pipeline, saved,
-                GPSConfig(use_engine=True, executor="serial", shard_count=3)))
+                GPSConfig(use_engine=True, executor="serial")))
             assert info.source == "snapshot"
             server = make_http_server(host, port=0)
             port = server.server_address[1]

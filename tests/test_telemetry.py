@@ -279,8 +279,8 @@ class TestEquivalence:
     def test_resident_load_span_only_on_engine_runs(self, universe,
                                                      censys_dataset,
                                                      censys_split):
-        """Both paths run one build sequence; only the engine loads shards,
-        and the index is built before the priors scan."""
+        """Both paths run one build sequence; only the engine loads resident
+        columns, and the index is built before the priors scan."""
         seed = censys_split.seed_scan_result()
 
         def phases(**engine):
