@@ -22,6 +22,7 @@ from repro.core.predictions import (
 )
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
+from repro.datasets.split import split_seed_test
 from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ScanObservation
@@ -200,10 +201,23 @@ class TestRuntimeEquivalence:
         pytest.param(lambda: {1: HostFeatures(ip=1)}, id="one-host-without-services"),
         pytest.param(lambda: _one_service_hosts(), id="only-one-service-hosts"),
         pytest.param(lambda: _three_hosts(), id="three-hosts"),
+        pytest.param(lambda: _observations(((0, (1, 22)), (0xFFFFFFFF, (22, 65535)))),
+                     id="hosts-at-address-and-port-extremes"),
+        pytest.param(lambda: _observations(
+            ((0x0A000001, (21, 22, 23, 25, 80, 110, 143, 443, 8080, 8443)),)),
+            id="one-host-with-many-services"),
+        pytest.param(lambda: _observations(
+            tuple((0x0A000001 + ip, (22, 80)) for ip in range(5))),
+            id="identical-hosts"),
+        pytest.param(lambda: _observations(
+            tuple(((10 + ip) << 24 | 1, (22, 80, 443)[ip % 3:] + (8080,))
+                  for ip in range(6))),
+            id="every-host-in-its-own-subnet"),
     ])
     def test_edge_host_sets_match_the_reference(self, hosts):
         """Model, priors plan and index match the reference on host sets
-        that join nothing or almost nothing."""
+        that join nothing or almost nothing, sit at the address and port
+        extremes, or put every host in one subnet group or its own."""
         host_features = hosts()
         model = build_model(host_features)
         columns = host_feature_columns(host_features)
@@ -312,19 +326,25 @@ class TestGPSRuntimeIntegration:
             assert gps.runtime() is runtime
         assert runtime.closed
 
-    def test_end_to_end_run_matches_the_reference_run(self, universe,
-                                                      censys_dataset, censys_split):
+    @pytest.mark.parametrize("name, seed_fraction, split_seed", [
+        pytest.param("censys", 0.05, 1, id="censys"),
+        pytest.param("lzr", 0.1, 2, id="lzr"),
+    ])
+    def test_end_to_end_run_matches_the_reference_run(self, universe, censys_dataset,
+                                                      lzr_dataset, name, seed_fraction,
+                                                      split_seed):
+        dataset = {"censys": censys_dataset, "lzr": lzr_dataset}[name]
+        split = split_seed_test(dataset, seed_fraction=seed_fraction, seed=split_seed)
+
         def run(config):
             pipeline = ScanPipeline(universe)
             with GPS(pipeline, config) as gps:
-                return gps.run(seed=censys_split.seed_scan_result(),
-                               seed_cost_probes=0)
+                return gps.run(seed=split.seed_scan_result(), seed_cost_probes=0)
 
-        reference = run(GPSConfig(seed_fraction=0.05, step_size=16,
-                                  port_domain=censys_dataset.port_domain))
-        engine = run(GPSConfig(seed_fraction=0.05, step_size=16,
-                               port_domain=censys_dataset.port_domain,
-                               use_engine=True))
+        reference = run(GPSConfig(seed_fraction=seed_fraction, step_size=16,
+                                  port_domain=dataset.port_domain))
+        engine = run(GPSConfig(seed_fraction=seed_fraction, step_size=16,
+                               port_domain=dataset.port_domain, use_engine=True))
         assert engine.priors_plan == reference.priors_plan
         assert [p.pair() for p in engine.predictions] == \
             [p.pair() for p in reference.predictions]

@@ -380,18 +380,18 @@ def _legacy_shard_sections(host_features, shards, step_size):
 
 
 def _save_with_legacy_shards(directory, batch, host_features, model, priors,
-                             index, meta=None):
-    """A snapshot in the older writers' layout: the artifact sections, two
-    ``shard-NNNN`` sections and a ``meta.shards`` entry."""
+                             index, meta=None, shards=2):
+    """A snapshot in the older writers' layout: the artifact sections,
+    ``shards`` ``shard-NNNN`` sections and a ``meta.shards`` entry."""
     writer = SnapshotWriter(directory)
     snapshot_module._add_observations(writer, batch)
     snapshot_module._add_host_features(writer, host_features)
-    for name, columns in _legacy_shard_sections(host_features, 2, 16):
+    for name, columns in _legacy_shard_sections(host_features, shards, 16):
         writer.add_section(name, columns)
     snapshot_module._add_model(writer, model)
     snapshot_module._add_priors(writer, priors)
     snapshot_module._add_index(writer, index)
-    layout = {"shard_count": 2, "step_size": 16,
+    layout = {"shard_count": shards, "step_size": 16,
               "group_count": len(host_features.ips)}
     return writer.finish({"shards": layout} if meta is None else meta)
 
@@ -406,14 +406,21 @@ class TestOlderSnapshots:
                     if name.startswith("shard-")]
         assert "shards" not in snapshot.meta
 
+    @pytest.mark.parametrize("shards", [
+        pytest.param(1, id="1-shard"),
+        pytest.param(2, id="2-shards"),
+        pytest.param(5, id="5-shards"),
+    ])
     def test_shard_layout_snapshot_loads_identical_artifacts(
-            self, tmp_path, artifacts, universe, censys_split):
+            self, tmp_path, artifacts, universe, censys_split, shards):
         batch, host_features, model, priors, index = artifacts
         directory = str(tmp_path / "with-shards")
         _save_with_legacy_shards(directory, batch, host_features, model,
-                                 priors, index)
+                                 priors, index, shards=shards)
         snapshot = open_snapshot(directory)
-        assert {"shard-0000", "shard-0001"} <= set(snapshot.sections())
+        assert {f"shard-{shard:04d}" for shard in range(shards)} <= \
+            set(snapshot.sections())
+        assert snapshot.meta["shards"]["shard_count"] == shards
         loaded = snapshot.model()
         assert loaded.cooccurrence == model.cooccurrence
         assert loaded.denominators == model.denominators
