@@ -190,9 +190,10 @@ def _columns_from_records(universe: Universe, records: Iterable) -> ObservationB
     """Fold service records straight into observation columns.
 
     Per record: five list appends plus one identity-cached banner-id lookup
-    (ground-truth banners are pre-interned when the universe's indices are
-    built), so building a dataset is O(1) per service with no banner-dict
-    copies -- the same contract the columnar scan path keeps per hit.
+    (ground-truth banners are read-only mappings, shared by every service of
+    a fleet, pre-interned when the universe's indices are built), so building
+    a dataset is O(1) per service with no banner-dict copies -- the same
+    contract the columnar scan path keeps per hit.
     """
     batch = ObservationBatch(banners=universe.banners)
     banner_id_of = universe.banner_id_of

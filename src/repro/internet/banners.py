@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.encoding import DictionaryEncoder
 from repro.internet.profiles import DeviceProfile
@@ -58,7 +58,7 @@ APP_FEATURE_KEYS = (
 
 def _digest(*parts: object) -> str:
     """Stable short hex digest of the given parts (used for hashes/keys)."""
-    joined = "|".join(str(p) for p in parts)
+    joined = "|".join(map(str, parts))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
@@ -66,13 +66,26 @@ def _digest(*parts: object) -> str:
 _PSEUDO_STATIC_BODY_HASH = _digest("pseudo-static")
 
 
-class BannerFactory:
-    """Builds application-layer feature dictionaries for synthetic services.
+#: Protocols whose banner carries a per-host value (a TLS certificate hash or
+#: an SSH host key), so it is built anew for every address.
+_PER_HOST_PROTOCOLS = frozenset(("https", "smtps", "imaps", "pop3s", "ssh"))
 
-    The factory is stateless: feature values are pure functions of the device
-    profile, protocol, banner variant and (for host-unique values) the host
-    address, so regenerating a universe from the same seed yields identical
-    banners.
+#: Protocols answered with an HTTP page, whose body hash is per-host for the
+#: unique-body bucket of addresses.
+_HTTP_PROTOCOLS = frozenset(("http", "http-proxy", "elasticsearch"))
+
+
+class BannerFactory:
+    """Builds application-layer feature mappings for synthetic services.
+
+    Feature values are pure functions of the device profile, protocol, banner
+    variant and (for host-unique values) the host address, so regenerating a
+    universe from the same seed yields identical banners.  Every mapping is
+    read-only.  A banner that does not depend on the address is built once
+    per (profile, protocol, variant) and cached on the factory, so every
+    service of that fleet carries the same mapping object; the cache is keyed
+    by the profile object's identity and pins the profile, so two profiles
+    that share a name keep their own banners.
     """
 
     def __init__(self, unique_body_fraction: float = 0.15) -> None:
@@ -90,16 +103,21 @@ class BannerFactory:
                 f"unique_body_fraction out of range: {unique_body_fraction}"
             )
         self.unique_body_fraction = unique_body_fraction
+        # (id(profile), protocol, variant) -> (profile, shared mapping).
+        self._fleet: Dict[Tuple[int, str, int],
+                          Tuple[DeviceProfile, Mapping[str, str]]] = {}
 
     # -- protocol-specific helpers ------------------------------------------------
+
+    def _unique_body(self, ip: int) -> bool:
+        """Whether the host at ``ip`` embeds host-specific content in its pages."""
+        return (ip * 2654435761) % 1000 / 1000.0 < self.unique_body_fraction
 
     def _http_features(self, profile: DeviceProfile, variant: int, ip: int) -> Dict[str, str]:
         title = f"{profile.vendor} {profile.device_class} v{variant}"
         server = f"{profile.vendor}-httpd/{1 + variant}.{len(profile.name) % 10}"
         header = f"X-Powered-By: {profile.os_name}"
-        # A slice of hosts embeds host-specific content in the page body.
-        host_bucket = (ip * 2654435761) % 1000 / 1000.0
-        if host_bucket < self.unique_body_fraction:
+        if self._unique_body(ip):
             body_hash = _digest("body", profile.name, variant, ip)
         else:
             body_hash = _digest("body", profile.name, variant)
@@ -133,16 +151,30 @@ class BannerFactory:
         protocol: str,
         variant: int,
         ip: int,
-    ) -> Dict[str, str]:
-        """Return the application-layer feature values for one service.
+    ) -> Mapping[str, str]:
+        """Return the read-only application-layer feature values for one service.
 
         Only the keys relevant to ``protocol`` are present (plus ``protocol``
         itself, which LZR fingerprinting always yields); GPS's feature
-        extraction treats missing keys as "feature not available".
+        extraction treats missing keys as "feature not available".  A fleet
+        banner (one without a per-host value) is the same mapping object on
+        every call for the same profile, protocol and variant.
         """
+        if protocol in _PER_HOST_PROTOCOLS or (
+                protocol in _HTTP_PROTOCOLS and self._unique_body(ip)):
+            return MappingProxyType(self._build(profile, protocol, variant, ip))
+        key = (id(profile), protocol, variant)
+        cached = self._fleet.get(key)
+        if cached is None:
+            cached = self._fleet[key] = (profile, MappingProxyType(
+                self._build(profile, protocol, variant, ip)))
+        return cached[1]
+
+    def _build(self, profile: DeviceProfile, protocol: str, variant: int,
+               ip: int) -> Dict[str, str]:
         features: Dict[str, str] = {"protocol": protocol}
 
-        if protocol in ("http", "http-proxy", "elasticsearch"):
+        if protocol in _HTTP_PROTOCOLS:
             features.update(self._http_features(profile, variant, ip))
         elif protocol == "https":
             features.update(self._tls_features(profile, variant, ip))
@@ -238,13 +270,15 @@ class BannerInterner:
     interner is the id space those ints live in.  Two layers of lookup keep
     the per-hit cost O(1):
 
-    * an **identity cache**: a dict object that was interned before maps to
-      its id without being re-canonicalized.  Ground-truth
-      :class:`~repro.internet.universe.ServiceRecord` dicts live for the
-      lifetime of the universe and are pre-interned when its indices are
-      built, so a scan hit resolves its banner id with a single int-keyed
-      dict lookup.  The interner pins a reference to every identity-cached
-      mapping, so ``id()`` keys can never be recycled to a different dict.
+    * an **identity cache**: a mapping object that was interned before maps
+      to its id without being re-canonicalized.  Ground-truth
+      :class:`~repro.internet.universe.ServiceRecord` banners are read-only
+      mappings that live for the lifetime of the universe, and every service
+      of one fleet shares one of them; they are pre-interned when its
+      indices are built, so each distinct mapping is canonicalized once and
+      a scan hit resolves its banner id with a single int-keyed dict lookup.
+      The interner pins a reference to every identity-cached mapping, so
+      ``id()`` keys can never be recycled to a different mapping.
     * a **value table** built on :class:`~repro.engine.encoding.DictionaryEncoder`:
       dicts with equal content (canonicalized as sorted item tuples) share
       one id, whichever object carried them.  Transient dicts -- pseudo-service
@@ -254,8 +288,10 @@ class BannerInterner:
 
     ``features(banner_id)`` returns a read-only :class:`types.MappingProxyType`
     view of the first mapping interned under the id (created once per id, so
-    materializing observation rows allocates nothing per row).  The proxy may
-    alias ground-truth state; read-only access is exactly the contract
+    materializing observation rows allocates nothing per row).  An
+    identity-cached carrier that is already a ``MappingProxyType`` (every
+    ground-truth banner) is that view itself, so the proxy may alias
+    ground-truth state; read-only access is exactly the contract
     :class:`~repro.scanner.records.ScanObservation` already documents for
     ``app_features``.
     """
@@ -272,12 +308,14 @@ class BannerInterner:
         """Return the id for ``features``, interning it if unseen.
 
         The mapping is identity-cached (a reference is pinned), so repeated
-        calls with the same object are a single dict lookup.
+        calls with the same object are a single dict lookup; it must not
+        change afterwards.
         """
         cached = self._by_identity.get(id(features))
         if cached is not None and cached[0] is features:
             return cached[1]
-        banner_id = self.intern_value(features)
+        view = features if type(features) is MappingProxyType else None
+        banner_id = self._encode(features, view)
         self._by_identity[id(features)] = (features, banner_id)
         return banner_id
 
@@ -285,13 +323,19 @@ class BannerInterner:
         """Return the id for ``features`` by content, without identity caching.
 
         Meant for transient dicts (generated pseudo-service pages): equal
-        content maps to one id and the interner keeps only the first carrier.
+        content maps to one id and the interner keeps a copy of the first
+        carrier.
         """
+        return self._encode(features, None)
+
+    def _encode(self, features: Mapping[str, str],
+                view: Optional[Mapping[str, str]]) -> int:
         key = tuple(sorted(features.items()))
         before = len(self._encoder)
         banner_id = self._encoder.encode(key)
         if banner_id == before:
-            self._views.append(MappingProxyType(dict(features)))
+            self._views.append(MappingProxyType(dict(features))
+                               if view is None else view)
         return banner_id
 
     def features(self, banner_id: int) -> Mapping[str, str]:

@@ -28,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -61,7 +63,10 @@ class ServiceRecord:
         ip: host address.
         port: listening port.
         protocol: protocol actually spoken (LZR fingerprint result).
-        app_features: application-layer feature values (Table 1 keys).
+        app_features: application-layer feature values (Table 1 keys), a
+            read-only mapping: every service of one fleet whose banner has no
+            per-host value shares the same object, so writing to it raises
+            ``TypeError`` instead of changing the whole fleet.
         ttl: IP TTL observed from this service; differing TTLs across a host's
             services indicate port forwarding (paper Section 7).
     """
@@ -69,7 +74,7 @@ class ServiceRecord:
     ip: int
     port: int
     protocol: str
-    app_features: Dict[str, str]
+    app_features: Mapping[str, str]
     ttl: int = 64
 
 
@@ -299,12 +304,24 @@ class UniverseConfig:
             raise ValueError("pseudo_host_fraction out of range")
         if not 0.0 <= self.middlebox_fraction <= 1.0:
             raise ValueError("middlebox_fraction out of range")
-        if not 1 <= self.pseudo_port_span <= MAX_PORT:
+        if not 0.0 <= self.pseudo_incident_fraction <= 1.0:
+            raise ValueError("pseudo_incident_fraction out of range")
+        # A pseudo range starts at port 1 or above and must leave room for
+        # at least one start port below MAX_PORT.
+        if not 1 <= self.pseudo_port_span <= MAX_PORT - 2:
             raise ValueError("pseudo_port_span out of range")
         if not 16 <= self.subnet_cluster_len <= 30:
             raise ValueError("subnet_cluster_len must be within /16-/30")
+        if self.cluster_pools_per_profile_as < 1:
+            raise ValueError("cluster_pools_per_profile_as must be >= 1")
         if not 0.0 <= self.cluster_probability <= 1.0:
             raise ValueError("cluster_probability out of range")
+        if not 0.0 <= self.unique_body_fraction <= 1.0:
+            raise ValueError("unique_body_fraction out of range")
+        if self.profiles:
+            names = [profile.name for profile in self.profiles]
+            if len(set(names)) != len(names):
+                raise ValueError("profile names must be unique")
 
 
 def _announced_coverage(prefixes: Iterable[Tuple[int, int]],
@@ -347,9 +364,10 @@ class Universe:
         self._port_services: Dict[int, PortServices] = {}
         self._pseudo_ips: List[int] = []
         self._middlebox_ips: List[int] = []
-        # Banner interner: every ground-truth banner dict is assigned a dense
-        # integer id once, so the columnar scan layers ship ids instead of
-        # copying dicts per hit (see repro.scanner.records.ObservationBatch).
+        # Banner interner: every distinct ground-truth banner mapping is
+        # assigned a dense integer id once, so the columnar scan layers ship
+        # ids instead of copying dicts per hit (see
+        # repro.scanner.records.ObservationBatch).
         self.banners = BannerInterner()
         self._rebuild_indices()
         self._announced = _announced_coverage(
@@ -374,7 +392,8 @@ class Universe:
                 codes.append(protocol_codes.setdefault(record.protocol,
                                                        len(protocol_codes)))
                 # Pre-intern every ground-truth banner so a scan hit resolves
-                # its banner id with one identity-cache lookup.
+                # its banner id with one identity-cache lookup; a fleet's
+                # shared mapping is canonicalized on its first service only.
                 banner_ids.append(intern_banner(record.app_features))
                 ttls.append(record.ttl)
             if host.is_pseudo_host():
@@ -441,7 +460,7 @@ class Universe:
         return host.services.get(port)
 
     def banner_id_of(self, record: ServiceRecord) -> int:
-        """Dense interned id of a service record's banner dict.
+        """Dense interned id of a service record's banner mapping.
 
         Records present at index-build time hit the identity cache (one
         int-keyed dict lookup); records added afterwards (churn) intern
@@ -664,7 +683,8 @@ def _allocate_address(profile: DeviceProfile, system: AutonomousSystem,
     return candidate
 
 
-def _as_specific_port(profile: DeviceProfile, bundle_port: int, asn: int) -> int:
+@lru_cache(maxsize=4096)
+def _as_specific_port(profile_name: str, bundle_port: int, asn: int) -> int:
     """Deterministic non-standard port for a bundle deployed in a given AS.
 
     Models ISP-customised firmware: the same device family listens on a
@@ -672,7 +692,7 @@ def _as_specific_port(profile: DeviceProfile, bundle_port: int, asn: int) -> int
     stays predictable from (banner, network) features while being invisible to
     popularity-ordered port scanning.
     """
-    digest = hashlib.sha256(f"{profile.name}|{bundle_port}|{asn}".encode()).digest()
+    digest = hashlib.sha256(f"{profile_name}|{bundle_port}|{asn}".encode()).digest()
     return 1024 + int.from_bytes(digest[:4], "big") % (MAX_PORT - 1024)
 
 
@@ -690,7 +710,7 @@ def _host_services(profile: DeviceProfile, ip: int, asn: int, base_ttl: int,
             # differs from the host's other services (paper Section 7).
             ttl = max(8, base_ttl - rng.randrange(1, 6))
         elif bundle.as_specific:
-            port = _as_specific_port(profile, bundle.port, asn)
+            port = _as_specific_port(profile.name, bundle.port, asn)
             ttl = base_ttl
         else:
             port = bundle.port
@@ -721,14 +741,15 @@ def generate_universe(config: UniverseConfig) -> Universe:
     banner_factory = BannerFactory(unique_body_fraction=config.unique_body_fraction)
 
     profile_ases = {p.name: _compatible_ases(p, topology, rng) for p in profiles}
-    weights = [p.weight for p in profiles]
+    # The running sums ``rng.choices`` would rebuild from the weights per call.
+    cum_weights = list(accumulate(p.weight for p in profiles))
 
     hosts: Dict[int, Host] = {}
     used: Set[int] = set()
     pools: Dict[Tuple[str, int], List[int]] = {}
 
     for _ in range(config.host_count):
-        profile = rng.choices(profiles, weights=weights, k=1)[0]
+        profile = rng.choices(profiles, cum_weights=cum_weights, k=1)[0]
         if rng.random() < profile.network_concentration:
             system = rng.choice(profile_ases[profile.name])
         else:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.internet.banners import APP_FEATURE_KEYS, BannerFactory
@@ -141,3 +144,87 @@ class TestBannerFactory:
         a = factory.pseudo_service_features(1, incident_style=True, port=80)
         b = factory.pseudo_service_features(1, incident_style=True, port=81)
         assert a["http_body_hash"] != b["http_body_hash"]
+
+
+class TestFleetBannerSharing:
+    """Fleet banners are built once and shared; per-host ones are not."""
+
+    #: Recipes with no per-host value (the HTTP page only when no host
+    #: falls in the unique-body bucket).
+    FLEET = ("http", "http-proxy", "telnet", "cwmp", "vnc", "ftp", "smtp",
+             "imap", "pop3", "pptp", "mysql", "rtsp", "dns", "unknown-proto")
+    PER_HOST = ("https", "smtps", "imaps", "pop3s", "ssh")
+
+    @pytest.fixture()
+    def profile(self):
+        return profiles_by_name()["web_hosting"]
+
+    @pytest.mark.parametrize("protocol", FLEET)
+    def test_fleet_recipe_is_one_object(self, profile, protocol):
+        factory = BannerFactory(unique_body_fraction=0.0)
+        first = factory.features_for(profile, protocol, 1, ip=1)
+        assert factory.features_for(profile, protocol, 1, ip=2) is first
+        assert factory.features_for(profile, protocol, 1, ip=1) is first
+        assert factory.features_for(profile, protocol, 0, ip=1) is not first
+
+    @pytest.mark.parametrize("protocol, key", [
+        ("https", "tls_cert_hash"), ("smtps", "tls_cert_hash"),
+        ("ssh", "ssh_host_key"), ("http", "http_body_hash"),
+        ("elasticsearch", "http_body_hash"),
+    ])
+    def test_per_host_recipes_differ_per_address(self, profile, protocol, key):
+        factory = BannerFactory(unique_body_fraction=1.0)
+        a = factory.features_for(profile, protocol, 0, ip=1)
+        b = factory.features_for(profile, protocol, 0, ip=2)
+        assert a is not b
+        assert a[key] != b[key]
+        assert factory.features_for(profile, protocol, 0, ip=1) == a
+
+    def test_unique_body_bucket_splits_one_factory(self, profile):
+        # With the default fraction a minority of addresses get their own
+        # page; every other address shares the one fleet page.
+        factory = BannerFactory()
+        pages = [factory.features_for(profile, "http", 0, ip=ip)
+                 for ip in range(1, 201)]
+        counts = Counter(id(page) for page in pages)
+        [(fleet, shared)] = [(key, n) for key, n in counts.items() if n > 1]
+        assert 0 < len(pages) - shared < shared
+        unique = {page["http_body_hash"] for page in pages if id(page) != fleet}
+        assert len(unique) == len(pages) - shared
+
+    @pytest.mark.parametrize("protocol", FLEET + PER_HOST)
+    def test_returned_mappings_are_read_only(self, profile, protocol):
+        features = BannerFactory().features_for(profile, protocol, 0, ip=5)
+        with pytest.raises(TypeError):
+            features["protocol"] = "tampered"
+        with pytest.raises(TypeError):
+            del features["protocol"]
+        assert features["protocol"] == protocol
+
+    def test_same_name_profiles_keep_their_own_banners(self, profile):
+        twin = replace(profile, vendor="OtherVendor")
+        factory = BannerFactory(unique_body_fraction=0.0)
+        ours = factory.features_for(profile, "http", 0, ip=1)
+        theirs = factory.features_for(twin, "http", 0, ip=1)
+        assert ours is not theirs
+        assert ours["http_server"].startswith(profile.vendor)
+        assert theirs["http_server"].startswith("OtherVendor")
+        assert factory.features_for(profile, "http", 0, ip=2) is ours
+        assert factory.features_for(twin, "http", 0, ip=2) is theirs
+
+    @pytest.mark.parametrize("protocol", FLEET + PER_HOST)
+    def test_new_factory_returns_equal_content(self, profile, protocol):
+        first = BannerFactory().features_for(profile, protocol, 1, ip=77)
+        second = BannerFactory().features_for(profile, protocol, 1, ip=77)
+        assert first is not second
+        assert dict(first) == dict(second)
+
+    def test_universe_services_share_fleet_mappings(self, universe):
+        records = list(universe.real_services())
+        carriers = {id(record.app_features) for record in records}
+        assert len(carriers) < len(records)
+        # Each carrier is interned once, by identity, under its own content.
+        assert len(universe.banners) <= len(carriers)
+        for record in records[:200]:
+            with pytest.raises(TypeError):
+                record.app_features["protocol"] = "tampered"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.internet.profiles import profiles_by_name
 from repro.internet.topology import TopologyConfig
 from repro.internet.universe import Universe, UniverseConfig, generate_universe
 from repro.net.ipv4 import ip_in_prefix
+from repro.net.ports import MAX_PORT
 
 
 class TestUniverseConfig:
@@ -22,6 +25,47 @@ class TestUniverseConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             UniverseConfig(**kwargs)
+
+    @pytest.mark.parametrize("span", [MAX_PORT - 1, MAX_PORT])
+    def test_pseudo_port_span_leaves_a_start_port(self, span):
+        # A span this wide leaves no start port for the pseudo range; it
+        # used to pass here and fail inside generation with "empty range".
+        with pytest.raises(ValueError, match="pseudo_port_span"):
+            UniverseConfig(pseudo_port_span=span)
+
+    def test_widest_pseudo_port_span_generates(self):
+        universe = generate_universe(UniverseConfig(
+            host_count=50, topology=TopologyConfig(as_count=2),
+            pseudo_host_fraction=0.1, pseudo_port_span=MAX_PORT - 2))
+        spans = [host.pseudo_port_range for host in universe.hosts.values()
+                 if host.is_pseudo_host()]
+        assert spans and all(span == (1, MAX_PORT - 2) for span in spans)
+
+    def test_cluster_pools_per_profile_as_at_least_one(self):
+        with pytest.raises(ValueError, match="cluster_pools_per_profile_as"):
+            UniverseConfig(cluster_pools_per_profile_as=0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 2.0])
+    def test_pseudo_incident_fraction_in_range(self, fraction):
+        with pytest.raises(ValueError, match="pseudo_incident_fraction"):
+            UniverseConfig(pseudo_incident_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_unique_body_fraction_checked_at_construction(self, fraction):
+        with pytest.raises(ValueError, match="unique_body_fraction"):
+            UniverseConfig(unique_body_fraction=fraction)
+
+    def test_duplicate_profile_names_rejected(self):
+        camera = profiles_by_name()["ip_camera"]
+        twin = replace(camera, vendor="OtherVendor")
+        with pytest.raises(ValueError, match="profile names"):
+            UniverseConfig(profiles=(camera, twin))
+
+    def test_valid_edge_values_accepted(self):
+        profiles = profiles_by_name()
+        UniverseConfig(pseudo_port_span=1, cluster_pools_per_profile_as=1,
+                       pseudo_incident_fraction=1.0, unique_body_fraction=0.0,
+                       profiles=(profiles["ip_camera"], profiles["web_hosting"]))
 
 
 class TestGeneration:
