@@ -37,7 +37,6 @@ from repro.core.features import extract_host_features, extract_host_features_col
 from repro.core.model import build_model, build_model_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import _observation_from_record, build_full_dataset
-from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataset.json"
 
@@ -51,10 +50,8 @@ DATASET_FLOOR = 1.2 if SMOKE else 1.5
 
 
 def _model_on_engine(columns):
-    """The engine's model build on the serial runtime: resident load + fold."""
-    with EngineRuntime(executor="serial") as runtime:
-        resident = ResidentHostGroups(runtime, columns, 16)
-        return build_model_with_engine(columns, resident)
+    """The engine's model build: host groups + fold."""
+    return build_model_with_engine(ResidentHostGroups(columns, 16))
 
 
 def _object_path(universe, asn_db, config):

@@ -4,9 +4,9 @@ The paper's Table 2 claims the co-occurrence computation is fast because the
 self-join + group-by is embarrassingly parallel.  This benchmark keeps the
 reproduction's side of that claim honest: at medium scale it times the
 single-core dictionary reference (:func:`repro.core.model.build_model`)
-against the engine's model build on the ``serial`` runtime executor (the
-numpy fold).  The engine row pays what a GPS run pays for its model:
-loading the seed's encoded columns into the runtime
+against the engine's model build (the numpy fold, in process).  The
+engine row pays what a GPS run pays for its model: holding the seed's
+encoded columns as host groups
 (:class:`~repro.core.runtime_plans.ResidentHostGroups`) and folding the
 self-join into packed counts.  The engine model decodes its
 predictor-keyed dicts only when they are first read, which a GPS run never
@@ -32,7 +32,6 @@ from repro.core.features import extract_host_features, extract_host_features_col
 from repro.core.model import build_model, build_model_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
-from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -40,10 +39,8 @@ REPEATS = 3
 
 
 def _model_on_engine(columns):
-    """One engine model build as a GPS run pays it: resident load + fold."""
-    with EngineRuntime(executor="serial") as runtime:
-        dataset = ResidentHostGroups(runtime, columns, step_size=16)
-        return build_model_with_engine(columns, dataset)
+    """One engine model build as a GPS run pays it: host groups + fold."""
+    return build_model_with_engine(ResidentHostGroups(columns, step_size=16))
 
 
 def run_engine_scaling(universe, dataset, seed_fraction: float):

@@ -6,11 +6,10 @@ This benchmark covers the two hot paths after the model build:
   loops versus :func:`repro.core.priors.build_priors_plan_with_engine`,
   which selects partners by numpy segment reductions over one
   candidate table (every service against its host's other predictor ids)
-  and folds coverage counts, on dictionary-encoded columns resident in an
-  engine runtime (the seed's
-  columns load once per runtime, as in a GPS run; every timed call takes a
-  fresh dict model, so its counts are packed from the dicts, loaded and
-  reduced anew);
+  and folds coverage counts, on the seed's dictionary-encoded columns
+  held once as host groups, as in a GPS run (every timed call takes a
+  fresh dict model, so its counts are packed from the dicts and reduced
+  anew);
 * **prediction scanning** (Section 5.4): pair-by-pair
   :meth:`~repro.scanner.pipeline.ScanPipeline.scan_pairs` versus the batched
   pass, which resolves every target against the universe's packed service
@@ -48,7 +47,6 @@ from repro.core.predictions import (
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
-from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import group_order, group_pairs
 
@@ -60,8 +58,6 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_priors.json"
 #: paper's seeds are millions of hosts; bigger is more faithful, not less).
 PRIORS_SEED_FRACTION = 0.1
 
-#: The runtime executors the engine priors build is timed on.
-SWEEP = ("serial",)
 
 REPEATS = 3
 
@@ -93,16 +89,16 @@ def _seed_inputs(universe, dataset):
 
 
 def _fresh(model):
-    """A new model object over the same counts, so the resident dataset packs
-    its score tables from the dicts and reloads them on every timed
-    call.  A GPS run loads them once per run, and its engine-built model
-    hands over the model fold's packed counts without this packing."""
+    """A new model object over the same counts, so the host groups pack
+    its score tables from the dicts anew on every timed call.  A GPS run
+    does this once per run, and its engine-built model hands over the
+    model fold's packed counts without this packing."""
     return CooccurrenceModel(cooccurrence=model.cooccurrence,
                              denominators=model.denominators)
 
 
 def run_priors_scaling(universe, dataset):
-    """Time reference vs engine priors planning across runtime executors."""
+    """Time reference vs engine priors planning."""
     host_features, columns, model = _seed_inputs(universe, dataset)
     port_domain = dataset.port_domain
     reference = build_priors_plan(host_features, model, 16, port_domain)
@@ -113,20 +109,13 @@ def run_priors_scaling(universe, dataset):
         REPEATS)
     rows.append({"mode": "reference", "backend": "serial",
                  "seconds": reference_seconds})
-    for executor in SWEEP:
-        with EngineRuntime(executor=executor) as runtime:
-            resident = ResidentHostGroups(runtime, columns, 16)
-            plan = build_priors_plan_with_engine(columns, model, 16, port_domain,
-                                                 dataset=resident)
-            assert plan == reference, \
-                f"engine/{executor} priors plan diverged from the oracle"
-            seconds = best_seconds(
-                lambda: build_priors_plan_with_engine(columns, _fresh(model), 16,
-                                                      port_domain,
-                                                      dataset=resident),
-                REPEATS)
-        rows.append({"mode": "engine", "backend": executor,
-                     "seconds": seconds})
+    resident = ResidentHostGroups(columns, 16)
+    plan = build_priors_plan_with_engine(resident, model, 16, port_domain)
+    assert plan == reference, "engine priors plan diverged from the oracle"
+    seconds = best_seconds(
+        lambda: build_priors_plan_with_engine(resident, _fresh(model), 16, port_domain),
+        REPEATS)
+    rows.append({"mode": "engine", "backend": "serial", "seconds": seconds})
     return {
         "seed_hosts": len(host_features),
         "predictors": model.predictor_count(),
@@ -139,26 +128,23 @@ def run_prediction_index(universe, dataset):
     """Time the reference vs engine Section 5.4 prediction-index build.
 
     Equality is asserted entry for entry (bit-identical probabilities and
-    tie-breaks); the timing rows record the engine's margin on the serial
-    executor without a speedup floor of their own -- the index build is an
+    tie-breaks); the timing rows record the engine's margin without a
+    speedup floor of their own -- the index build is an
     order of magnitude cheaper than the scans it schedules.
     """
     host_features, columns, model = _seed_inputs(universe, dataset)
     port_domain = dataset.port_domain
     reference = PredictiveFeatureIndex.from_seed(host_features, model,
                                                  port_domain=port_domain)
-    with EngineRuntime(executor="serial") as runtime:
-        resident = ResidentHostGroups(runtime, columns, 16)
-        engine = build_prediction_index_with_engine(columns, model,
-                                                    port_domain=port_domain,
-                                                    dataset=resident)
-        assert engine.entries() == reference.entries(), \
-            "engine prediction index diverged from the from_seed oracle"
-        engine_seconds = best_seconds(
-            lambda: build_prediction_index_with_engine(
-                columns, _fresh(model), port_domain=port_domain,
-                dataset=resident),
-            REPEATS)
+    resident = ResidentHostGroups(columns, 16)
+    engine = build_prediction_index_with_engine(resident, model,
+                                                port_domain=port_domain)
+    assert engine.entries() == reference.entries(), \
+        "engine prediction index diverged from the from_seed oracle"
+    engine_seconds = best_seconds(
+        lambda: build_prediction_index_with_engine(resident, _fresh(model),
+                                                   port_domain=port_domain),
+        REPEATS)
     reference_seconds = best_seconds(
         lambda: PredictiveFeatureIndex.from_seed(host_features, model,
                                                  port_domain=port_domain),
@@ -256,17 +242,9 @@ def test_priors_and_scan_scaling(run_once, universe, censys_dataset):
     record(RESULT_PATH, results)
 
     print()
-    print(format_table(
-        ("executor", "seconds", "vs reference"),
-        [
-            (backend,
-             f"{by_config[('engine', backend)]:.4f}",
-             f"{reference_seconds / by_config[('engine', backend)]:.2f}x")
-            for backend in SWEEP
-        ],
-        title=(f"Priors planning: reference {reference_seconds:.4f}s vs engine "
-               f"({priors['seed_hosts']} seed hosts, {priors['predictors']} predictors)"),
-    ))
+    print(f"Priors planning ({priors['seed_hosts']} seed hosts, "
+          f"{priors['predictors']} predictors): reference {reference_seconds:.4f}s "
+          f"vs engine {by_config[('engine', 'serial')]:.4f}s -- {speedup:.2f}x")
     index = results["prediction_index"]
     print(f"Prediction index ({index['index_entries']} entries): "
           f"reference {index['reference_seconds']:.4f}s vs engine "

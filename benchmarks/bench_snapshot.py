@@ -34,7 +34,6 @@ from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
-from repro.engine.runtime import EngineRuntime
 from repro.engine.snapshot import open_snapshot, save_snapshot
 from repro.scanner.records import ObservationBatch
 
@@ -69,15 +68,13 @@ def run_snapshot_benchmark(universe, dataset):
         batch = ObservationBatch.from_observations(observations)
         host_features = extract_host_features_columns(batch, asn_db,
                                                       feature_config)
-        with EngineRuntime(executor="serial") as runtime:
-            resident = ResidentHostGroups(runtime, host_features, STEP_SIZE)
-            model = build_model_with_engine(host_features, resident)
-            priors = build_priors_plan_with_engine(
-                host_features, model, STEP_SIZE, dataset.port_domain,
-                dataset=resident)
-            index = build_prediction_index_with_engine(
-                host_features, model, port_domain=dataset.port_domain,
-                dataset=resident)
+        resident = ResidentHostGroups(host_features, STEP_SIZE)
+        model = build_model_with_engine(resident)
+        priors = build_priors_plan_with_engine(resident, model, STEP_SIZE,
+                                               dataset.port_domain)
+        index = build_prediction_index_with_engine(resident, model,
+                                                   port_domain=dataset.port_domain)
+        resident.release()
         index.predict(probe, asn_db, feature_config)
         return batch, host_features, model, priors, index
 

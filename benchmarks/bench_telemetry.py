@@ -5,9 +5,9 @@ production: counters under one registry lock, latency histograms, spans
 only at phase granularity.  This benchmark prices that
 promise on the two paths an operator would instrument first:
 
-* **warm model build** -- ``build_prepared_model`` on a persistent serial
-  engine runtime, telemetry on vs off (the build path: per-task timings,
-  resident gauges, phase counters), the two legs' builds alternating;
+* **warm model build** -- ``build_prepared_model`` on the engine,
+  telemetry on vs off (the build path: the build sequence's phase spans
+  and the pipeline's counters), the two legs' builds alternating;
 * **warm serving lookup** -- sequential ``lookup_ip`` requests against a
   warm :class:`~repro.serving.service.GPSService`, telemetry on vs off
   (the serve path: per-request counters, latency histograms, micro-batch
@@ -38,7 +38,6 @@ from _harness import SMOKE, record
 from repro.analysis import format_table
 from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import GPSConfig
-from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
 from repro.serving import GPSService, InProcessClient, ServingConfig
 from repro.serving.registry import build_prepared_model
@@ -67,39 +66,30 @@ def _gps_config() -> GPSConfig:
 
 
 def _build_legs(universe, seed):
-    """Best-of-N warm builds, telemetry off and on, each on its own
-    persistent runtime.
+    """Best-of-N warm builds, telemetry off and on.
 
     The legs alternate build by build, the one that goes first swapping
     every round, so machine noise that drifts over the run lands on both.
     Returns ``{telemetry_enabled: (s, predictions)}``.
     """
-    telemetry = {False: None, True: Telemetry()}
-    runtimes = {enabled: EngineRuntime(executor="serial", telemetry=tel)
-                for enabled, tel in telemetry.items()}
+    telemetry = {False: NULL_TELEMETRY, True: Telemetry()}
     pipelines = {enabled: ScanPipeline(universe, telemetry=tel)
                  for enabled, tel in telemetry.items()}
     best = dict.fromkeys(telemetry, float("inf"))
     predictions = {}
     ip = seed.observations[0].ip
     order = list(telemetry)
-    try:
-        for _ in range(BUILD_REPEATS):
-            for enabled in order:
-                start = time.perf_counter()
-                prepared = build_prepared_model(
-                    "bench", pipelines[enabled], seed, _gps_config(),
-                    runtimes[enabled])
-                best[enabled] = min(best[enabled],
-                                    time.perf_counter() - start)
-                predictions[enabled] = tuple(prepared.predict(
-                    prepared.known_observations(ip),
-                    known_pairs=prepared.known_pairs_for(ip)))
-                prepared.release()
-            order.reverse()  # neither leg always goes first
-    finally:
-        for runtime in runtimes.values():
-            runtime.close()
+    for _ in range(BUILD_REPEATS):
+        for enabled in order:
+            start = time.perf_counter()
+            prepared = build_prepared_model(
+                "bench", pipelines[enabled], seed, _gps_config(),
+                telemetry[enabled])
+            best[enabled] = min(best[enabled], time.perf_counter() - start)
+            predictions[enabled] = tuple(prepared.predict(
+                prepared.known_observations(ip),
+                known_pairs=prepared.known_pairs_for(ip)))
+        order.reverse()  # neither leg always goes first
     return {enabled: (best[enabled], predictions[enabled])
             for enabled in telemetry}
 

@@ -81,7 +81,7 @@ def run_coverage_experiment(
 ) -> CoverageExperiment:
     """Run GPS against a dataset and compute the Figure 2 curves.
 
-    ``executor`` routes the run's engine builds through the engine runtime
+    ``executor`` runs the three builds on the engine
     (see :func:`repro.analysis.scenarios.run_gps_on_dataset`); the curves
     are identical to the reference run's.  ``telemetry`` instruments
     the run (phase spans, scan counters) without changing the curves.

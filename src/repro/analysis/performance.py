@@ -3,10 +3,9 @@
 Table 2 decomposes a full GPS run into scanning, computation and data-transfer
 phases and reports bandwidth, computation time (single core), wall-clock time
 and data volume for each.  The reproduction runs :meth:`GPS.run` once on one
-dataset split, on the engine runtime's in-process ``serial`` executor (one
-core), and reads the computation rows off the run's own phase spans:
+dataset split, on the in-process engine (one core), and reads the computation rows off the run's own phase spans:
 "predicting first service" (PFS) is feature extraction, the
-resident load, the model build and the priors plan; "predicting remaining
+host groups, the model build and the priors plan; "predicting remaining
 services" (PRS) is the index build and the prediction step.  Probe counts come
 from the run's bandwidth ledger and data sizes from its result.  The paper's
 parallel figure (BigQuery) has no offline counterpart that a measurement here
@@ -119,9 +118,8 @@ def run_performance_breakdown(
 ) -> PerformanceBreakdown:
     """Measure/model the Table 2 breakdown for one GPS configuration.
 
-    GPS runs once, on the engine runtime's ``serial`` executor; every row
-    reads that run.  The PFS row includes loading the seed's encoded columns
-    into the runtime.
+    GPS runs once, on the in-process engine; every row reads that run.  The
+    PFS row includes holding the seed's encoded columns as host groups.
     """
     split = split_seed_test(dataset, seed_fraction, seed=split_seed)
     seed = split.seed_scan_result()

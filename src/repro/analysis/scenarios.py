@@ -137,13 +137,12 @@ def run_gps_on_dataset(
     trains on the supplied seed and the ``seed_cost_mode`` charge applies to
     it unchanged.
 
-    ``executor`` selects the engine-runtime backend (``"serial"``; implies
-    ``use_engine``); the runtime lives for this one run and is closed
-    before returning.
+    ``executor`` names the engine's executor (``"serial"``; implies
+    ``use_engine``).
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) instruments the
-    run's pipeline and orchestrator -- phase spans, scan counters, engine
-    timings -- without changing any output.
+    run's pipeline and orchestrator -- phase spans and scan counters --
+    without changing any output.
 
     Returns the run result, the pipeline (whose ledger holds the bandwidth
     accounting) and the split (for evaluating against the test half).

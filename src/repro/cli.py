@@ -68,8 +68,8 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", choices=RUNTIME_EXECUTORS,
                         default=None,
                         help="run model/priors/prediction-index builds on the "
-                             "in-process engine runtime (results are "
-                             "identical to the reference builds)")
+                             "in-process engine (results are identical to "
+                             "the reference builds)")
 
 
 def _trace_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
@@ -276,7 +276,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve GPS predictions over HTTP on a warm engine runtime.
+    """Serve GPS predictions over HTTP from a warm engine-built model.
 
     Builds one model named ``default`` from a synthetic universe's seed scan
     (or loads it from a snapshot) and answers lookups until interrupted.

@@ -12,7 +12,7 @@ GPS exposes exactly the knobs the paper describes as user parameters:
 * the **probability cut-off** below which a pattern is considered random noise
   (Section 5.4 uses 1e-5, roughly the hit rate of random probing);
 * the **compute backend** used for the three Table 2 builds (the single-core
-  reference, or the in-process engine runtime, Section 5.5 / Table 2).
+  reference, or the engine's numpy folds, Section 5.5 / Table 2).
 """
 
 from __future__ import annotations
@@ -124,17 +124,15 @@ class GPSConfig:
             probed or charged.
         use_engine: run model building (Section 5.2), priors planning
             (Section 5.3) and the prediction-index build (Section 5.4) on
-            the engine runtime rather than the single-core dictionary
+            the engine's numpy folds rather than the single-core dictionary
             implementations (the reference oracle).  The engine ingests the
-            seed columnar, loads the encoded columns into the runtime once
-            per run (:class:`~repro.core.runtime_plans.ResidentHostGroups`)
-            and folds all three builds against the resident columns, which
-            are released when the run's builds end; every result is
-            bit-identical to the reference.  The :class:`GPS`
-            orchestrator owns one
-            :class:`~repro.engine.runtime.EngineRuntime` for its lifetime.
-        executor: the runtime executor the engine runs on; ``"serial"``
-            is the only one.
+            seed columnar, holds the encoded columns once per build as host
+            groups (:class:`~repro.core.runtime_plans.ResidentHostGroups`)
+            and folds all three builds over them, in process; they are
+            released when the builds end.  Every result is bit-identical
+            to the reference.
+        executor: the engine's executor name; ``"serial"`` is the only
+            one, since every build runs in process.
         telemetry_enabled: create a :class:`~repro.telemetry.Telemetry`
             instance for the run -- per-phase spans, engine/scan metrics.
             Off by default: telemetry must never tax a run that did not
@@ -151,7 +149,7 @@ class GPSConfig:
     seed_scan_seed: int = 0
     prediction_batch_size: int = 2000
     use_engine: bool = False
-    # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
+    # benchmarks/e2e sets ``executor="serial"``.
     executor: str = "serial"
     telemetry_enabled: bool = False
 

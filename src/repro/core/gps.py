@@ -25,7 +25,8 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.config import GPSConfig
-# The e2e spans patch the four engine build_*/extract_* names here (ROADMAP item 1).
+# benchmarks/e2e wraps the four engine build_*/extract_* names of this module
+# by name; build_artifacts calls them through these module globals.
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.core.predictions import (
@@ -42,7 +43,7 @@ from repro.core.priors import (
 )
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.columns import to_numpy
-from repro.engine.runtime import EngineRuntime
+from repro.engine.runtime import SERIAL_RUNTIME
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import PairColumns, ScanPipeline, SeedScanResult
 from repro.scanner.records import ObservationBatch, ScanObservation
@@ -208,22 +209,100 @@ class GPSRunResult:
         return [(batch.cumulative_probes, batch.pairs) for batch in self.discovery_log]
 
 
+class BuildArtifacts(NamedTuple):
+    """What the Table 2 build sequence produces from one seed."""
+
+    model: CooccurrenceModel
+    priors_plan: List[PriorsEntry]
+    feature_index: PredictiveFeatureIndex
+
+
+def _extract_features(pipeline: ScanPipeline, seed: SeedScanResult,
+                      config: GPSConfig):
+    """Extract the seed's host features on the configured ingest path.
+
+    The engine ingests **columnar**: the seed's observation columns
+    (carried by the seed when it came from a columnar dataset split,
+    rebuilt from the object rows otherwise, in the pipeline's status-id
+    space) fold straight into encoded
+    :class:`~repro.core.features.HostFeatureColumns`.  The reference path
+    keeps the object extraction, which remains the equivalence oracle.
+    """
+    asn_db = pipeline.universe.topology.asn_db
+    if config.use_engine:
+        batch = seed.batch
+        if batch is None:
+            batch = ObservationBatch.from_observations(
+                seed.observations, statuses=pipeline.status_encoder)
+        return extract_host_features_columns(batch, asn_db, config.feature_config)
+    return extract_host_features(seed.observations, asn_db, config.feature_config)
+
+
+def build_artifacts(pipeline: ScanPipeline, seed: SeedScanResult,
+                    config: GPSConfig, telemetry: Telemetry = NULL_TELEMETRY,
+                    priors: bool = True) -> BuildArtifacts:
+    """Build the model, the priors plan (with ``priors``) and the index.
+
+    The one Table 2 build sequence, shared by both :class:`GPS` run modes
+    and the serving registry: features -> host groups (engine only) ->
+    model -> priors plan -> index -> release of the host groups.  Each
+    step is a span of ``telemetry``.  An engine configuration folds all
+    three builds over one :class:`ResidentHostGroups`; the reference runs
+    the single-core dictionary builds, the oracle.  Without ``priors`` the
+    plan is empty.
+    """
+    with telemetry.span("features.extract"):
+        host_features = _extract_features(pipeline, seed, config)
+    dataset = None
+    priors_plan: List[PriorsEntry] = []
+    try:
+        if config.use_engine:
+            with telemetry.span("resident.load"):
+                dataset = ResidentHostGroups(host_features, config.step_size)
+        with telemetry.span("model.build") as span:
+            if dataset is not None:
+                model = build_model_with_engine(dataset)
+            else:
+                model = build_model(host_features)
+            span.set("pairs", model.cooccurrence_rows())
+        if priors:
+            with telemetry.span("priors.build") as span:
+                if dataset is not None:
+                    priors_plan = build_priors_plan_with_engine(
+                        dataset, model, config.step_size, config.port_domain)
+                else:
+                    priors_plan = build_priors_plan(
+                        host_features, model, config.step_size, config.port_domain)
+                span.set("entries", len(priors_plan))
+        index_args = dict(probability_cutoff=config.probability_cutoff,
+                          port_domain=config.port_domain,
+                          min_pattern_support=config.min_pattern_support)
+        with telemetry.span("index.build") as span:
+            if dataset is not None:
+                index = build_prediction_index_with_engine(dataset, model, **index_args)
+            else:
+                index = PredictiveFeatureIndex.from_seed(host_features, model,
+                                                         **index_args)
+            span.set("entries", len(index))
+    finally:
+        if dataset is not None:
+            dataset.release()
+    return BuildArtifacts(model, priors_plan, index)
+
+
 class GPS:
     """The GPS system bound to one scan pipeline and one configuration.
 
-    With ``GPSConfig.use_engine`` set, the instance owns one
-    :class:`~repro.engine.runtime.EngineRuntime` for its whole life: it is
-    created on the first engine build, every run reuses it, and
-    :meth:`close` (or using the GPS as a context manager) frees it.
-    Within a run the seed's encoded columns load into the runtime once,
-    the model, priors and prediction-index builds all fold against them,
-    and they are released when the builds end.
+    Each run builds through :func:`build_artifacts`.  With
+    ``GPSConfig.use_engine`` set, the seed's encoded columns are held once
+    as :class:`ResidentHostGroups`, the model, priors and prediction-index
+    builds all fold over them, and they are released when the builds end.
 
     With telemetry enabled (``config.telemetry_enabled``, or an explicit
     ``telemetry`` instance -- e.g. one shared with the scan pipeline so scan
     counters and phase spans land in the same export) every run emits one
     ``gps.run`` span tree whose children are the paper's phases: dataset
-    build, feature extraction, the resident load (engine only) and the three
+    build, feature extraction, the host groups (engine only) and the three
     Table 2 builds, plus the two scan loops and the prediction step --
     :func:`~repro.analysis.performance.run_performance_breakdown` reads
     Table 2 off these spans.  Instrumentation never alters the run itself --
@@ -242,26 +321,18 @@ class GPS:
         else:
             self.telemetry = NULL_TELEMETRY
         self._asn_db = pipeline.universe.topology.asn_db
-        self._runtime: Optional[EngineRuntime] = None
 
     # -- public API -----------------------------------------------------------------
 
-    def runtime(self) -> Optional[EngineRuntime]:
-        """This instance's persistent engine runtime (``None`` without
-        ``use_engine``).  Created lazily from ``config.executor``;
-        recreated if a previous one was closed."""
-        config = self.config
-        if not config.use_engine:
-            return None
-        if self._runtime is None or self._runtime.closed:
-            self._runtime = EngineRuntime(
-                executor=config.executor, telemetry=self.telemetry)
-        return self._runtime
+    # benchmarks/e2e reads ``runtime().recovery_stats`` after each engine run.
+    def runtime(self):
+        """An object whose ``recovery_stats`` are all zero on an engine
+        configuration; ``None`` on the reference."""
+        return SERIAL_RUNTIME if self.config.use_engine else None
 
+    # benchmarks/e2e runs GPS as a context manager.
     def close(self) -> None:
-        """Free the engine runtime's resident data; idempotent."""
-        if self._runtime is not None:
-            self._runtime.close()
+        """Nothing to free: each build releases its host groups."""
 
     def __enter__(self) -> "GPS":
         return self
@@ -439,70 +510,16 @@ class GPS:
         return ObservationBatch(banners=self.pipeline.universe.banners,
                                 statuses=self.pipeline.status_encoder)
 
-    def _extract_features(self, seed: SeedScanResult):
-        """Extract the seed's host features on the configured ingest path.
-
-        The engine ingests **columnar**: the seed's observation columns
-        (carried by the seed when it came from a columnar dataset split,
-        rebuilt from the object rows otherwise) fold straight into encoded
-        :class:`~repro.core.features.HostFeatureColumns`, which the resident
-        dataset loads as-is.  The reference path keeps the object
-        extraction, which remains the equivalence oracle.
-        """
-        config = self.config
-        if config.use_engine:
-            batch = seed.batch
-            if batch is None:
-                # Rebuild columns in the pipeline's status-id space instead
-                # of re-encoding into a fresh one per call.
-                batch = ObservationBatch.from_observations(
-                    seed.observations,
-                    statuses=self.pipeline.status_encoder)
-            return extract_host_features_columns(batch, self._asn_db,
-                                                 config.feature_config)
-        return extract_host_features(seed.observations, self._asn_db,
-                                     config.feature_config)
-
     def _build(self, seed: SeedScanResult, result: GPSRunResult,
                priors: bool) -> None:
-        """Build the model, the priors plan (with ``priors``) and the index.
-
-        The one build sequence of both run modes: features -> resident load
-        (engine only) -> model -> priors plan -> index -> release of the
-        resident columns (the runtime itself stays warm for the next run).
-        Each step is a span of the run's trace, and the whole counts toward
-        ``result.model_build_seconds``.
-        """
-        config = self.config
-        tel = self.telemetry
+        """Run :func:`build_artifacts` into ``result``; the time counts
+        toward ``result.model_build_seconds``."""
         start = time.perf_counter()
-        with tel.span("features.extract"):
-            host_features = self._extract_features(seed)
-        dataset = None
-        try:
-            if config.use_engine:
-                with tel.span("resident.load"):
-                    dataset = ResidentHostGroups(self.runtime(), host_features,
-                                                 config.step_size)
-            with tel.span("model.build") as span:
-                if config.use_engine:
-                    model = build_model_with_engine(host_features, dataset)
-                else:
-                    model = build_model(host_features)
-                span.set("pairs", model.cooccurrence_rows())
-            result.model = model
-            if priors:
-                with tel.span("priors.build") as span:
-                    result.priors_plan = self._build_priors_plan(
-                        host_features, model, dataset)
-                    span.set("entries", len(result.priors_plan))
-            with tel.span("index.build") as span:
-                result.feature_index = self._build_feature_index(
-                    host_features, model, dataset)
-                span.set("entries", len(result.feature_index))
-        finally:
-            if dataset is not None:
-                dataset.release()
+        artifacts = build_artifacts(self.pipeline, seed, self.config,
+                                    self.telemetry, priors)
+        result.model = artifacts.model
+        result.priors_plan = artifacts.priors_plan
+        result.feature_index = artifacts.feature_index
         result.model_build_seconds += time.perf_counter() - start
 
     def _predict(self, result: GPSRunResult, observations,
@@ -532,35 +549,6 @@ class GPS:
             span.set("predictions", len(predictions))
         result.predictions = predictions
         result.model_build_seconds += time.perf_counter() - start
-
-    def _build_priors_plan(self, host_features, model: CooccurrenceModel, dataset):
-        """Build the Section 5.3 priors plan on the configured execution path."""
-        config = self.config
-        if config.use_engine:
-            return build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                dataset=dataset)
-        return build_priors_plan(host_features, model, config.step_size,
-                                 config.port_domain)
-
-    def _build_feature_index(self, host_features, model: CooccurrenceModel,
-                             dataset) -> PredictiveFeatureIndex:
-        """Build the Section 5.4 most-predictive-feature index on the configured path."""
-        config = self.config
-        if config.use_engine:
-            return build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                dataset=dataset,
-            )
-        return PredictiveFeatureIndex.from_seed(
-            host_features, model,
-            probability_cutoff=config.probability_cutoff,
-            port_domain=config.port_domain,
-            min_pattern_support=config.min_pattern_support,
-        )
 
     def _budget_probes(self) -> Optional[int]:
         if self.config.max_full_scans is None:

@@ -12,7 +12,7 @@ contributes at most one occurrence per tuple, so both counts are plain host
 counts.  The numerators for different predictors never interact, which is what
 makes the computation "parallelizable across all 65K ports" in the paper's
 terms; :func:`build_model_with_engine` expresses exactly the same computation
-as a self-join + group-by on the engine runtime, and the test
+as a self-join + group-by on the engine's numpy folds, and the test
 suite asserts the two implementations produce identical probabilities.
 """
 
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.features import HostFeatureColumns, HostFeatures, PredictorTuple
+from repro.core.features import HostFeatures, PredictorTuple
 from repro.core.runtime_plans import PackedCounts, ResidentHostGroups
-from repro.engine.fused import segment_starts
-from repro.engine.runtime import MODEL_PACK_BASE
+from repro.engine.fused import MODEL_PACK_BASE, segment_starts
 
 
 @dataclass
@@ -216,17 +215,15 @@ def _decode_packed(packed: PackedCounts):
     return cooccurrence, denominators
 
 
-def build_model_with_engine(host_features: HostFeatureColumns,
-                            dataset: ResidentHostGroups) -> CooccurrenceModel:
+def build_model_with_engine(dataset: ResidentHostGroups) -> CooccurrenceModel:
     """Model building expressed as engine operations (the BigQuery analogue).
 
     The computation is: JOIN the feature relation with the port relation on
     the host address, drop self-pairs, GROUP BY (predictor, target port) to
     obtain the co-occurrence counts, and GROUP BY predictor over the feature
-    relation to obtain the denominators.  ``dataset`` holds
-    ``host_features``' encoded columns resident in an engine runtime, and
-    the join folds over them as numpy passes into packed counts
-    (see :meth:`ResidentHostGroups.model_counts`).
+    relation to obtain the denominators.  ``dataset`` holds the seed's
+    encoded host-feature columns, and the join folds over them as numpy
+    passes into packed counts (see :meth:`ResidentHostGroups.model_counts`).
 
     The model keeps the packed columns: the priors and index builds
     on the same dataset read them as their score tables, and the

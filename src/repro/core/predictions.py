@@ -58,7 +58,6 @@ import numpy as np
 
 from repro.core.config import FeatureConfig
 from repro.core.features import (
-    HostFeatureColumns,
     HostFeatures,
     PredictorCodebook,
     PredictorTuple,
@@ -901,33 +900,30 @@ class _IndexCodebook(PredictorCodebook):
 
 
 def build_prediction_index_with_engine(
-    host_features: HostFeatureColumns,
+    dataset: ResidentHostGroups,
     model: CooccurrenceModel,
     probability_cutoff: float = 1e-5,
     port_domain: Optional[Sequence[int]] = None,
     min_pattern_support: int = 2,
-    *,
-    dataset: ResidentHostGroups,
 ) -> PredictiveFeatureIndex:
-    """The Section 5.4 index build on the engine runtime (the Table 2 story).
+    """The Section 5.4 index build on the engine (the Table 2 story).
 
     Produces a :class:`PredictiveFeatureIndex` identical to
     :meth:`PredictiveFeatureIndex.from_seed` (the oracle; the test suite
     asserts entry-for-entry equality, tie cases included), but executes as
     staged numpy segment reductions over dictionary-encoded columns
-    (:func:`repro.engine.fused.fold_argmax_winners`) against ``dataset`` --
-    ``host_features``' columns, resident in the runtime: the
-    model's packed counts load once per model, only the whitelist and
-    thresholds pass per call, and the rows come back in host order, where
-    the last ties break on the decoded predictor tuples.
+    (:func:`repro.engine.fused.fold_argmax_winners`) over ``dataset``, the
+    seed's host-feature columns: the model's packed counts are kept once
+    per model, only the whitelist and thresholds pass per call, and the
+    rows come back in host order, where the last ties break on the decoded
+    predictor tuples.
 
     Args:
-        host_features: the seed's encoded host features.
+        dataset: the seed's host groups.
         model: the co-occurrence model built from the same seed set.
         probability_cutoff: minimum probability for an index entry.
         port_domain: optional target-port whitelist.
         min_pattern_support: preferred-tier support floor (see ``from_seed``).
-        dataset: the resident dataset loaded from ``host_features``.
     """
     ports, pids, probabilities = dataset.argmax_winners(
         model, port_domain=port_domain, min_pattern_support=min_pattern_support,

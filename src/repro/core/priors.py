@@ -27,8 +27,8 @@ Two implementations produce that list:
   one :meth:`~repro.core.model.CooccurrenceModel.best_predictor` call per
   ordered port pair), kept as the oracle the equivalence tests compare
   against;
-* :func:`build_priors_plan_with_engine` -- the same query on the engine
-  runtime: the model's packed counts load once beside the resident
+* :func:`build_priors_plan_with_engine` -- the same query on the engine:
+  the model's packed counts are kept once beside the seed's host-group
   columns, and every service's partner is selected with numpy segment
   reductions
   (:func:`repro.engine.fused.fold_partner_counts`), folding coverage counts.
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.features import HostFeatureColumns, HostFeatures
+from repro.core.features import HostFeatures
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.net.ipv4 import format_subnet, subnet_key
@@ -135,33 +135,29 @@ def build_priors_plan(
 
 
 def build_priors_plan_with_engine(
-    host_features: HostFeatureColumns,
+    dataset: ResidentHostGroups,
     model: CooccurrenceModel,
     step_size: int,
     port_domain: Optional[Sequence[int]] = None,
-    *,
-    dataset: ResidentHostGroups,
 ) -> List[PriorsEntry]:
-    """Priors planning on the engine runtime (Section 5.3 / Table 2).
+    """Priors planning on the engine (Section 5.3 / Table 2).
 
     Produces exactly the ordered :class:`PriorsEntry` list of
     :func:`build_priors_plan` (the oracle; the test suite asserts
-    equality), but folds the partner selection against ``dataset`` --
-    ``host_features``' encoded columns, resident in the runtime: the
-    model's packed counts load once per model, and only the port whitelist
-    passes per call.
+    equality), but folds the partner selection over ``dataset``, the
+    seed's encoded host-feature columns: the model's packed counts are
+    kept once per model, and only the port whitelist passes per call.
 
     Args:
-        host_features: the seed's encoded host features.
+        dataset: the seed's host groups.
         model: the co-occurrence model built from the same seed set.
         step_size: scanning step size as a prefix length; must equal the
             ``step_size`` the dataset grouped hosts by.
         port_domain: optional port whitelist (Censys-style 2K-port runs).
-        dataset: the resident dataset loaded from ``host_features``.
     """
     if dataset.step_size != step_size:
         raise ValueError(
-            f"resident dataset was grouped for step_size {dataset.step_size}, "
+            f"host groups were grouped for step_size {dataset.step_size}, "
             f"not {step_size}")
     coverage = dataset.priors_coverage(model, port_domain)
     entries = [

@@ -1,18 +1,16 @@
-"""Resident host-group datasets: one data load serving all three GPS builds.
+"""Host groups: one build's relation, shared by all three GPS builds.
 
 The three Table 2 "computation" queries -- model build (Section 5.2), priors
 planning (Section 5.3) and the prediction-index build (Section 5.4) -- all
 fold over the same underlying relation: hosts owning services owning
-dictionary-encoded predictor tuples.  :class:`ResidentHostGroups` takes
-that relation as pre-encoded columns and loads them once into an
-:class:`~repro.engine.runtime.EngineRuntime`, where they stay resident until
-the build releases them.  Each build then passes only its plan parameters:
+dictionary-encoded predictor tuples.  :class:`ResidentHostGroups` holds
+that relation as pre-encoded columns for one build and calls the
+:mod:`repro.engine.fused` folds on them directly:
 
 * :meth:`model_counts` -- the co-occurrence fold runs as a self-join over
-  the resident columns and returns the packed counts
-  (:class:`PackedCounts`);
+  the columns and returns the packed counts (:class:`PackedCounts`);
 * :meth:`priors_coverage` / :meth:`argmax_winners` -- the model's score
-  tables, those packed counts, load once beside the columns
+  tables, those packed counts, are kept beside the columns
   (:meth:`ensure_sides`), after which each call passes only the port
   whitelist and thresholds.  One candidate table per model feeds both
   folds' numpy segment reductions.
@@ -33,17 +31,21 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.columns import IntColumn, to_numpy
+from repro.engine.columns import to_numpy
 from repro.engine.encoding import DictionaryEncoder
-from repro.engine.runtime import MODEL_PACK_BASE, EngineRuntime
-from repro.engine.fused import keep_segment_max, segment_starts
+from repro.engine.fused import (
+    MODEL_PACK_BASE,
+    candidate_table,
+    fold_argmax_winners,
+    fold_model_pairs_arrays,
+    fold_partner_counts,
+    fold_value_counts_arrays,
+    keep_segment_max,
+    segment_starts,
+)
 from repro.net.ipv4 import prefix_mask
 
 __all__ = ["PackedCounts", "ResidentHostGroups"]
-
-#: Distinct runtime keys per process, so two live datasets never collide in
-#: a runtime's resident store.
-_KEY_COUNTER = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -101,74 +103,66 @@ def _label_array(port_domain: Optional[Sequence[int]]):
 
 
 class ResidentHostGroups:
-    """The host/service/predictor relation, resident in a runtime.
+    """The host/service/predictor relation of one build.
 
-    Constructing the dataset loads ``host_features``' group-structured
-    columns (groups = hosts keyed by their ``step_size`` subnet, members =
-    services labelled by port in ascending order, values = predictor-tuple
-    ids interned through one shared :class:`DictionaryEncoder`) into the
-    runtime exactly once.  The encoder stays here: the resident folds only
-    ever see dense ids, and this class decodes results.
+    ``host_features``' group-structured columns (groups = hosts keyed by
+    their ``step_size`` subnet, members = services labelled by port in
+    ascending order, values = predictor-tuple ids interned through one
+    shared :class:`DictionaryEncoder`) are held as they are; the folds see
+    only dense ids, and this class decodes results.
 
-    The dataset must be :meth:`release`-d when the build is done (the GPS
-    orchestrator and the serving registry do this in a ``finally``); the
-    runtime itself stays up for the next dataset.
+    :meth:`release` drops the columns when the build is done (the GPS build
+    sequence does this in a ``finally``); a released dataset refuses
+    further folds.
     """
 
-    # The e2e spans wrap ``__init__`` and ``release`` by name (ROADMAP item 1).
-    def __init__(self, runtime: EngineRuntime, host_features: Any,
-                 step_size: int, key: Optional[str] = None) -> None:
-        """Load the host features.
+    # benchmarks/e2e wraps ``__init__`` and ``release`` through ``vars(cls)``.
+    def __init__(self, host_features: Any, step_size: int) -> None:
+        """Hold the host features.
 
         Args:
-            runtime: the runtime that holds the columns.
             host_features: the host/service/predictor relation as
                 pre-encoded flat columns
-                (:class:`repro.core.features.HostFeatureColumns`), which
-                load as-is: the columnar ingest already holds exactly the
-                layout the folds need, and the columns' encoder is shared.
+                (:class:`repro.core.features.HostFeatureColumns`), held
+                as-is: the columnar ingest already has exactly the layout
+                the folds need, and the columns' encoder is shared.
             step_size: prefix length for the priors planner's subnet group
                 keys (0-32).
-            key: resident-store key; auto-generated (unique per process)
-                when omitted.
         """
         if not 0 <= step_size <= 32:
             raise ValueError(f"step_size must be a prefix length 0-32: {step_size}")
-        self.runtime = runtime
         self.step_size = step_size
-        self.key = key if key is not None else f"host-groups-{next(_KEY_COUNTER)}"
+        self.encoder = host_features.encoder
+        self.columns: Optional[Any] = host_features
+        # ``subnet_key`` of every host at once.
+        self.group_keys: Optional[np.ndarray] = (
+            (to_numpy(host_features.ips) & prefix_mask(step_size)) << 6 | step_size)
+        # The loaded model's score tables (:meth:`ensure_sides`) and the
+        # candidate table built from them on first use.
+        self.pair_keys: Optional[np.ndarray] = None
+        self.pair_counts: Optional[np.ndarray] = None
+        self.supports: Optional[np.ndarray] = None
+        self.candidates: Optional[dict] = None
         self._sides_model: Optional[Any] = None
         self._sides_packed: Optional[PackedCounts] = None
         self._released = False
-        self.encoder = host_features.encoder
-        # ``subnet_key`` of every host at once.
-        group_keys = ((to_numpy(host_features.ips) & prefix_mask(step_size)) << 6
-                      | step_size)
-        runtime.load(self.key, {
-            "group_keys": IntColumn.from_numpy(group_keys),
-            "member_starts": host_features.member_starts,
-            "labels": host_features.ports,
-            "value_starts": host_features.value_starts,
-            "value_ids": host_features.value_ids,
-        })
-
-    # -- lifecycle -----------------------------------------------------------------
 
     def release(self) -> None:
-        """Drop the resident columns from the runtime; idempotent."""
-        if self._released:
-            return
+        """Drop the columns, the model sides and the candidate table;
+        idempotent."""
         self._released = True
-        self.runtime.unload(self.key)
+        self.columns = self.group_keys = self.candidates = None
+        self.pair_keys = self.pair_counts = self.supports = None
+        self._sides_model = self._sides_packed = None
 
     def _check_usable(self) -> None:
         if self._released:
-            raise RuntimeError("resident host-group dataset has been released")
+            raise RuntimeError("host-group dataset has been released")
 
     # -- model build (Section 5.2) -------------------------------------------------
 
     def model_counts(self) -> PackedCounts:
-        """Run the co-occurrence query against the resident columns.
+        """Run the co-occurrence query over the columns.
 
         Returns the packed columns (:class:`PackedCounts`, ids in this
         dataset's encoder) that decode into exactly the contents of the
@@ -178,21 +172,24 @@ class ResidentHostGroups:
         Python loop.
         """
         self._check_usable()
-        pair_keys, pair_counts = self.runtime.execute("model_pairs", self.key)
-        ids, supports = self.runtime.execute("model_denominators", self.key)
+        columns = self.columns
+        pair_keys, pair_counts = fold_model_pairs_arrays(
+            columns.member_starts, columns.ports, columns.value_starts,
+            columns.value_ids, MODEL_PACK_BASE)
+        ids, supports = fold_value_counts_arrays(columns.value_ids)
         return PackedCounts(self.encoder, pair_keys, pair_counts, ids, supports)
 
     # -- model side tables (shared by priors + prediction index) ---------------------
 
     def ensure_sides(self, model: Any) -> None:
-        """Load the model's score tables beside the columns, once per model.
+        """Keep the model's score tables beside the columns, once per model.
 
         The folds read int64 columns: the sorted packed
         ``(predictor id, port)`` keys with their co-occurrence counts and
         each id's support.  A model built over this dataset's encoder whose
-        dicts were never read loads its packed columns as they are; any
+        dicts were never read gives its packed columns as they are; any
         other model is packed from its dicts.  A repeated call with the
-        same model object in the same state loads nothing.  Every load
+        same model object in the same state changes nothing.  Every change
         drops the previous model's candidate table.
         """
         self._check_usable()
@@ -206,20 +203,32 @@ class ResidentHostGroups:
             supports[packed.ids] = packed.supports
         else:
             pair_keys, pair_counts, supports = _pack_model(model, values)
-        self.runtime.load(self.key, {
-            "pair_keys": IntColumn.from_numpy(pair_keys),
-            "pair_counts": IntColumn.from_numpy(pair_counts),
-            "supports": IntColumn.from_numpy(supports),
-        })
+        self.pair_keys, self.pair_counts, self.supports = pair_keys, pair_counts, supports
+        self.candidates = None
         self._sides_model = model
         self._sides_packed = packed
+
+    def _candidate_table(self) -> dict:
+        """The loaded model's candidate table, built once per model.
+
+        Both the priors and the index fold read it
+        (:func:`~repro.engine.fused.candidate_table`); :meth:`ensure_sides`
+        drops it with the model it was built from.
+        """
+        if self.candidates is None:
+            columns = self.columns
+            self.candidates = candidate_table(
+                columns.member_starts, columns.ports, columns.value_starts,
+                columns.value_ids, self.pair_keys, self.pair_counts,
+                self.supports, MODEL_PACK_BASE)
+        return self.candidates
 
     # -- priors planning (Section 5.3) ----------------------------------------------
 
     def priors_coverage(self, model: Any,
                         port_domain: Optional[Sequence[int]] = None,
                         ) -> Dict[Tuple[int, int], int]:
-        """Run the priors partner-selection query against the resident columns.
+        """Run the priors partner-selection query over the columns.
 
         Returns the ``(port, subnet) -> coverage`` counts the priors list is
         built from, identical to the reference planner's counts.  Only the
@@ -227,8 +236,10 @@ class ResidentHostGroups:
         """
         self._check_usable()
         self.ensure_sides(model)
-        return self.runtime.execute("priors_partner", self.key,
-                                    (_label_array(port_domain),))
+        columns = self.columns
+        return fold_partner_counts(self.group_keys, columns.member_starts,
+                                   columns.ports, self._candidate_table(),
+                                   _label_array(port_domain), MODEL_PACK_BASE)
 
     # -- prediction-index build (Section 5.4) ----------------------------------------
 
@@ -237,7 +248,7 @@ class ResidentHostGroups:
                        min_pattern_support: int = 2,
                        probability_cutoff: float = 1e-5,
                        ) -> Tuple[Any, Any, Any]:
-        """Run the argmax partner-selection query against the resident columns.
+        """Run the argmax partner-selection query over the columns.
 
         Returns the winners as ``(target port, predictor id, probability)``
         arrays in host order.  Ids are the dataset encoder's; only the ids
@@ -246,9 +257,12 @@ class ResidentHostGroups:
         """
         self._check_usable()
         self.ensure_sides(model)
-        targets, ports, pids, probs = self.runtime.execute(
-            "index_argmax", self.key,
-            (_label_array(port_domain), min_pattern_support, probability_cutoff))
+        # Each target service's leading rows, grouped by ascending target
+        # (host order, then port); the last ties break on decoded tuples.
+        targets, pids, probs = fold_argmax_winners(
+            self.columns.ports, self._candidate_table(), self.supports,
+            _label_array(port_domain), min_pattern_support, probability_cutoff)
+        ports = to_numpy(self.columns.ports)[targets]
         keep = keep_segment_max(targets, -self._tie_ranks(targets, pids))
         targets, ports, pids, probs = (targets[keep], ports[keep], pids[keep],
                                        probs[keep])

@@ -48,21 +48,27 @@ RecordFields = Tuple[int, int, str, Dict[str, str], int]
 def _parse_record(record: object) -> RecordFields:
     """Validate one observation record; the one parser both loaders share.
 
-    Raises ``ValueError`` for a missing or non-integer field, an address
-    outside 0 .. 2**32 - 1, a port outside 1 .. 65535 and a non-mapping
-    ``app_features``.
+    Raises ``ValueError`` for a missing field, an ``ip``, ``port`` or
+    ``ttl`` that is not an integer (a float or a bool is not), an address
+    outside 0 .. 2**32 - 1, a port outside 1 .. 65535, a TTL outside
+    0 .. 255 and a non-mapping ``app_features``.
     """
     try:
-        ip = int(record["ip"])
-        port = int(record["port"])
+        ip, port = record["ip"], record["port"]
         protocol = str(record["protocol"])
-        ttl = int(record.get("ttl", 64))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        ttl = record.get("ttl", 64)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed observation record: {record!r}") from exc
+    for name, value in (("ip", ip), ("port", port), ("ttl", ttl)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"malformed observation record: {name} must be "
+                             f"an integer, not {value!r}")
     if not 0 <= ip <= MAX_IPV4:
         raise ValueError(f"invalid address in record: {ip}")
     if not 1 <= port <= 65535:
         raise ValueError(f"invalid port in record: {port}")
+    if not 0 <= ttl <= 255:
+        raise ValueError(f"invalid TTL in record: {ttl}")
     app_features = record.get("app_features", {})
     if not isinstance(app_features, dict):
         raise ValueError("app_features must be a mapping")

@@ -15,9 +15,8 @@ all three of GPS's Table 2 builds:
 * :mod:`~repro.engine.fused` -- the numpy folds: the model build's
   self-join, and the segment reductions of the priors planner's partner
   selection and the index build's argmax over one candidate table per
-  model;
-* :mod:`~repro.engine.runtime` -- the in-process execution runtime, which
-  holds one build's columns resident and runs every fold against them.
+  model.  :class:`repro.core.runtime_plans.ResidentHostGroups` holds one
+  build's columns and calls them directly, in process.
 
 GPS's builds (:mod:`repro.core.model`, :mod:`repro.core.priors`,
 :mod:`repro.core.predictions`) each ship two implementations: a direct
@@ -26,11 +25,8 @@ engine; the test suite asserts they produce identical results.
 """
 
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
 
 __all__ = [
     "DictionaryEncoder",
     "stable_hash",
-    "RUNTIME_EXECUTORS",
-    "EngineRuntime",
 ]

@@ -1,8 +1,8 @@
 """Machine-native column storage.
 
 Hot columns (:class:`~repro.scanner.records.ObservationBatch`,
-:class:`~repro.core.features.HostFeatureColumns`, the engine runtime's
-resident payloads) are backed by :class:`IntColumn` -- a signed
+:class:`~repro.core.features.HostFeatureColumns`, which the engine's
+folds read) are backed by :class:`IntColumn` -- a signed
 64-bit :class:`array.array` subclass -- instead of Python lists.  An
 ``array('q')`` stores one machine word per element (a list stores a pointer
 to a boxed ``int``), writes to disk as a single contiguous byte buffer (one

@@ -16,8 +16,9 @@ services own runs of dictionary-encoded predictor ids):
 * :func:`fold_argmax_winners` -- the Section 5.4 index build's per-service
   argmax over the host's other services' predictors.
 
-Inputs are plain columns, so the same functions fold the payload
-:mod:`repro.engine.runtime` holds or an ad-hoc relation.
+Inputs are plain columns, so the same functions fold one build's host
+groups (:class:`repro.core.runtime_plans.ResidentHostGroups`) or an ad-hoc
+relation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from repro.engine.columns import to_numpy
 
 __all__ = [
+    "MODEL_PACK_BASE",
     "candidate_table",
     "expand_ranges",
     "fold_argmax_winners",
@@ -38,6 +40,12 @@ __all__ = [
     "keep_segment_max",
     "segment_starts",
 ]
+
+
+#: Packing base for the model fold: group keys are ``(predictor id, target
+#: port)`` pairs and ports are < 65536, so ``pid * 65536 + port`` is
+#: bijective and the packed counts unpack losslessly with ``divmod``.
+MODEL_PACK_BASE = 65536
 
 
 # -- fused self-join (the model-build query shape) ----------------------------------------
@@ -65,8 +73,7 @@ def fold_model_pairs_arrays(member_starts, labels, value_starts, value_ids,
                             pack_base: int):
     """The model-build join fold as bulk array passes.
 
-    Input is the flattened group structure every fused fold uses (and the
-    runtime's resident payload stores): group ``g`` owns members
+    Input is the flattened group structure every fused fold uses: group ``g`` owns members
     ``member_starts[g]:member_starts[g+1]``, member ``m`` carries the label
     ``labels[m]`` and the encoded values
     ``value_ids[value_starts[m]:value_starts[m+1]]``.  The fold counts, for

@@ -39,7 +39,7 @@ def parse_ip(text: str) -> int:
         raise IPv4Error(f"malformed IPv4 address: {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise IPv4Error(f"malformed IPv4 address: {text!r}")
         octet = int(part)
         if octet > 255:

@@ -1,16 +1,15 @@
-"""GPS-as-a-service: the async serving layer on the warm engine runtime.
+"""GPS-as-a-service: the async serving layer over warm GPS models.
 
 The paper's prediction index is a *product*, not an experiment artifact:
 once built, it answers "what services does this host likely run?" for
-pennies.  This package turns the persistent engine runtime into a
+pennies.  This package turns GPS's build sequence into a
 long-lived serving layer with three operations -- point lookup, bulk
 prediction and streamed scan jobs -- behind micro-batching, bounded-queue
 backpressure and graceful drain.  Layering follows the classic backend
 split:
 
 * :mod:`repro.serving.schemas` -- typed requests/replies/errors;
-* :mod:`repro.serving.registry` -- named models built once on the warm
-  runtime;
+* :mod:`repro.serving.registry` -- named models, each built once;
 * :mod:`repro.serving.service` -- the framework-free asyncio core;
 * :mod:`repro.serving.client` -- the in-process async client;
 * :mod:`repro.serving.http` -- a thin stdlib JSON/HTTP adapter

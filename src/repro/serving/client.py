@@ -39,7 +39,7 @@ class InProcessClient:
     async def load_model(self, name: str, pipeline: ScanPipeline,
                          seed: SeedScanResult,
                          gps_config: Optional[GPSConfig] = None) -> ModelInfo:
-        """Build and register a named model on the service's warm runtime."""
+        """Build and register a named model on the service."""
         return await self.service.load_model(name, pipeline, seed, gps_config)
 
     async def evict_model(self, name: str) -> None:

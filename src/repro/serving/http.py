@@ -13,7 +13,7 @@ Endpoints::
     GET  /healthz                      liveness + loaded model names
     GET  /models                       model summaries
     GET  /stats                        service counters, queue depths,
-                                       runtime recovery counters
+                                       recovery counters (always zero)
     GET  /metrics                      Prometheus text exposition (0.0.4)
     GET  /lookup?model=NAME&ip=A.B.C.D point lookup by known address
     POST /predict   {"model": ..., "ips": [...]}          bulk prediction
@@ -97,7 +97,8 @@ class ServiceHost:
 
 def _parse_address(raw: str) -> int:
     try:
-        if raw.isdigit():
+        # ASCII digits only: ``str.isdigit`` also holds for "²" and "١٢".
+        if raw.isascii() and raw.isdigit():
             ip = int(raw)
             if not 0 <= ip <= 0xFFFFFFFF:
                 raise InvalidRequest(f"address out of range: {raw}")

@@ -5,18 +5,14 @@ it starts probing: the extracted host features, the co-occurrence model
 (Section 5.2), the priors plan (Section 5.3) and the predictive-feature index
 (Section 5.4), bound to the scan pipeline that will execute any scan jobs.
 One-shot consumers rebuild all of it per invocation; the registry builds it
-once on the service's :class:`~repro.engine.runtime.EngineRuntime` -- the
-encoded seed columns load into the long-lived runtime for the build and are
+once -- the encoded seed columns are held as host groups for the build and
 released when it ends -- and every subsequent request is a pure read
 against the finished index.
 
 Build results are bit-identical to the one-shot path by construction: the
-registry calls exactly the build functions the :class:`~repro.core.gps.GPS`
-orchestrator calls (``build_model_with_engine`` /
-``build_priors_plan_with_engine`` / ``build_prediction_index_with_engine``
-against a :class:`~repro.core.runtime_plans.ResidentHostGroups`), and the
-equivalence battery pins served predictions against the serial one-shot
-oracle.
+registry runs the :class:`~repro.core.gps.GPS` orchestrator's own build
+sequence (:func:`repro.core.gps.build_artifacts`), and the equivalence
+battery pins served predictions against the serial one-shot oracle.
 
 Load/swap/evict semantics: :meth:`ModelRegistry.register` under a name that
 is already taken builds the replacement first and swaps atomically, so
@@ -33,25 +29,22 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import GPSConfig
-# The e2e spans patch the four engine build_*/extract_* names here (ROADMAP item 1).
-from repro.core.features import extract_host_features, extract_host_features_columns
-from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
-from repro.core.predictions import (
-    Predictions,
-    PredictiveFeatureIndex,
-    build_prediction_index_with_engine,
-)
-from repro.core.priors import (
-    PriorsEntry,
-    build_priors_plan,
-    build_priors_plan_with_engine,
-)
-from repro.core.runtime_plans import ResidentHostGroups
-from repro.engine.runtime import EngineRuntime
+from repro.core.gps import build_artifacts
+from repro.core.model import CooccurrenceModel
+from repro.core.predictions import Predictions, PredictiveFeatureIndex
+from repro.core.priors import PriorsEntry
 from repro.net.asn import AsnDatabase
 from repro.scanner.pipeline import ScanPipeline, SeedScanResult
-from repro.scanner.records import ObservationBatch, ScanObservation
+from repro.scanner.records import ScanObservation
 from repro.serving.schemas import ModelInfo, ModelNotFound
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+# benchmarks/e2e wraps these four names here by name; this module calls none
+# of them (build_artifacts calls repro.core.gps's own).
+from repro.core.features import extract_host_features_columns  # noqa: F401
+from repro.core.model import build_model_with_engine  # noqa: F401
+from repro.core.predictions import build_prediction_index_with_engine  # noqa: F401
+from repro.core.priors import build_priors_plan_with_engine  # noqa: F401
 
 Pair = Tuple[int, int]
 
@@ -145,7 +138,7 @@ class PreparedModel:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    # The e2e workloads call it until the ``[benchmark]`` change (ROADMAP item 1).
+    # benchmarks/e2e calls it on its oracle model.
     def release(self) -> None:
         """Nothing to free: a built model holds no resident columns."""
 
@@ -200,70 +193,27 @@ def build_prepared_model(
     pipeline: ScanPipeline,
     seed: SeedScanResult,
     config: Optional[GPSConfig] = None,
-    runtime: Optional[EngineRuntime] = None,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> PreparedModel:
     """Build one model's artifacts the way the one-shot orchestrator would.
 
-    Feature extraction, model build, priors planning and the index build
-    follow exactly the :class:`~repro.core.gps.GPS` helper logic: engine
-    configurations ingest columnar and fold against resident columns
-    loaded once -- on ``runtime`` when one is supplied, else on a private
-    serial runtime that lives only for this build -- and released when the
-    build ends, as the orchestrator does; non-engine configurations run the
-    single-core reference path (the oracle).
+    Runs :func:`repro.core.gps.build_artifacts`, the orchestrator's own
+    build sequence, with its spans on ``telemetry``: engine configurations
+    ingest columnar and fold over host groups held for this build only;
+    non-engine configurations run the single-core reference path (the
+    oracle).
     """
     config = config or GPSConfig()
-    asn_db = pipeline.universe.topology.asn_db
     start = time.perf_counter()
-
-    if not config.use_engine:
-        host_features = extract_host_features(seed.observations, asn_db,
-                                              config.feature_config)
-        model = build_model(host_features)
-        priors_plan = build_priors_plan(host_features, model,
-                                        config.step_size, config.port_domain)
-        index = PredictiveFeatureIndex.from_seed(
-            host_features, model,
-            probability_cutoff=config.probability_cutoff,
-            port_domain=config.port_domain,
-            min_pattern_support=config.min_pattern_support)
-    else:
-        batch = seed.batch
-        if batch is None:
-            # Rebuild columns in the pipeline's status-id space instead of
-            # re-encoding into a fresh one per prepared model.
-            batch = ObservationBatch.from_observations(
-                seed.observations, statuses=pipeline.status_encoder)
-        host_features = extract_host_features_columns(batch, asn_db,
-                                                      config.feature_config)
-        private = runtime is None
-        if private:
-            runtime = EngineRuntime(executor="serial")
-        resident = ResidentHostGroups(runtime, host_features, config.step_size)
-        try:
-            model = build_model_with_engine(host_features, resident)
-            priors_plan = build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                dataset=resident)
-            index = build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                dataset=resident)
-        finally:
-            resident.release()
-            if private:
-                runtime.close()
-
+    artifacts = build_artifacts(pipeline, seed, config, telemetry)
     return PreparedModel(
         name=name,
         pipeline=pipeline,
         config=config,
         seed_observations=list(seed.observations),
-        model=model,
-        priors_plan=priors_plan,
-        index=index,
+        model=artifacts.model,
+        priors_plan=artifacts.priors_plan,
+        index=artifacts.feature_index,
         build_seconds=time.perf_counter() - start,
     )
 

@@ -1,12 +1,12 @@
-"""The asyncio serving core: one warm runtime, many concurrent callers.
+"""The asyncio serving core: warm models, many concurrent callers.
 
-:class:`GPSService` turns the persistent
-:class:`~repro.engine.runtime.EngineRuntime` into a long-lived serving layer.
-One service owns:
+:class:`GPSService` turns GPS's build sequence into a long-lived serving
+layer.  One service owns:
 
-* **one in-process engine runtime** that every model build folds on -- it
-  holds a build's seed columns resident while the build runs, and releases
-  them when it ends;
+* **model builds** through :func:`repro.core.gps.build_artifacts`, the
+  one-shot orchestrator's own sequence: a build holds its seed columns as
+  host groups while it runs and releases them when it ends, and its spans
+  land on the service's telemetry;
 * **a model registry** (:mod:`repro.serving.registry`) with load/swap/evict
   of named models;
 * **a request router** with per-model natural batching: lookups submitted
@@ -25,7 +25,7 @@ One service owns:
   :class:`~repro.serving.schemas.ServiceClosed` for late arrivals), waits
   for outstanding requests to complete (bounded by ``drain_timeout_s``;
   parked lookups leave with the next loop turn's flush), then tears down
-  the thread pool, the registry and the engine runtime.  Idempotent;
+  the thread pool and the registry.  Idempotent;
   double-close is a no-op.
 
 Everything is framework-free: plain asyncio plus a small
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.core.config import GPSConfig
-from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime, RecoveryStats
+from repro.engine.runtime import RUNTIME_EXECUTORS, RecoveryStats
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline, SeedScanResult
 from repro.scanner.records import group_pairs
@@ -94,8 +94,8 @@ class ServingConfig:
             :class:`~repro.telemetry.Telemetry` (request counters, latency
             histograms, the ``/metrics`` surface).  Off by default; replies
             are bit-identical either way.
-        executor: the engine runtime's executor, passed through verbatim
-            (see :class:`~repro.engine.runtime.EngineRuntime`).
+        executor: the engine's executor name; ``"serial"`` is the only
+            one, since every build runs in process.
     """
 
     max_pending: int = 256
@@ -104,7 +104,7 @@ class ServingConfig:
     drain_timeout_s: float = 10.0
     lookup_threads: int = 4
     telemetry_enabled: bool = False
-    # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
+    # benchmarks/e2e sets ``executor="serial"``.
     executor: str = "serial"
 
     def __post_init__(self) -> None:
@@ -184,7 +184,6 @@ class GPSService:
         self._state = _OPEN
         self._pending = 0
         self._drained: Optional[asyncio.Event] = None
-        self._runtime: Optional[EngineRuntime] = None
         self._build_lock: Optional[asyncio.Lock] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._batchers: Dict[str, _MicroBatcher] = {}
@@ -202,17 +201,6 @@ class GPSService:
     def closed(self) -> bool:
         """Whether the service has stopped admitting requests."""
         return self._state != _OPEN
-
-    def runtime(self) -> EngineRuntime:
-        """The service's engine runtime, created lazily on first build.
-
-        Recreated if a previous one was closed, mirroring the orchestrator's
-        own policy.
-        """
-        if self._runtime is None or self._runtime.closed:
-            self._runtime = EngineRuntime(executor=self.config.executor,
-                                          telemetry=self.telemetry)
-        return self._runtime
 
     async def close(self, drain: bool = True) -> None:
         """Stop admission, drain outstanding requests, tear everything down.
@@ -238,8 +226,6 @@ class GPSService:
         self._state = _CLOSED
         self._threads.shutdown(wait=drain, cancel_futures=not drain)
         self._registry.close()
-        if self._runtime is not None:
-            self._runtime.close()
 
     async def __aenter__(self) -> "GPSService":
         return self
@@ -252,13 +238,16 @@ class GPSService:
     async def load_model(self, name: str, pipeline: ScanPipeline,
                          seed: SeedScanResult,
                          gps_config: Optional[GPSConfig] = None) -> ModelInfo:
-        """Build a model on the warm runtime and register it under ``name``.
+        """Build a model and register it under ``name``.
 
         Loading an already-taken name builds the replacement first and swaps
         atomically (readers keep hitting the old model until the new one is
-        complete).  Builds are serialized -- the engine runtime executes one
-        dispatch at a time -- but lookups against already-loaded models
-        proceed concurrently with a build.
+        complete).  Builds are serialized on the build lock, so loads
+        register in the order they were called (the last load of a name
+        wins the swap) and at most one CPU-bound build competes with the
+        lookups for the interpreter; lookups against already-loaded models
+        proceed concurrently with it.  The build's spans land on the
+        service's telemetry.
         """
         self._ensure_loop_state()
         self._admit()
@@ -267,11 +256,10 @@ class GPSService:
             assert self._build_lock is not None
             async with self._build_lock:
                 config = gps_config or GPSConfig(use_engine=True)
-                runtime = self.runtime() if config.use_engine else None
                 loop = asyncio.get_running_loop()
                 prepared = await loop.run_in_executor(
                     self._threads, build_prepared_model, name, pipeline, seed,
-                    config, runtime)
+                    config, self.telemetry)
             self._registry.register(prepared)
             return prepared.info()
         finally:
@@ -285,8 +273,8 @@ class GPSService:
                                        ) -> ModelInfo:
         """Warm-restart a model from an on-disk snapshot directory.
 
-        The Table 2 artifacts deserialize instead of rebuilding; nothing
-        loads into the engine runtime.  Everything else matches
+        The Table 2 artifacts deserialize instead of rebuilding; no host
+        groups are built.  Everything else matches
         :meth:`load_model`: loads serialize on the build lock,
         the name swaps atomically, and the reply is the registered model's
         :class:`ModelInfo` (``source="snapshot"``).
@@ -326,11 +314,11 @@ class GPSService:
     # -- introspection -----------------------------------------------------------------
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Everything ``/stats`` reports: counters, queues, runtime recovery.
+        """Everything ``/stats`` reports: counters, queues, recovery.
 
         Extends :meth:`ServingStats.as_dict` with the live pending-admission
         count, the number of lookups currently waiting in open micro-batches,
-        and the runtime's :class:`RecoveryStats` (always zeros).  ``models``
+        and :class:`RecoveryStats` (always zeros).  ``models``
         lists every loaded model's provenance: built in-process or
         snapshot-loaded, and when.
         """
@@ -338,7 +326,7 @@ class GPSService:
         snapshot["pending"] = self._pending
         snapshot["batch_queue_depth"] = sum(
             len(batcher._items) for batcher in list(self._batchers.values()))
-        # The ``[benchmark]`` change ahead of step 2 of ROADMAP item 1 removes it.
+        # benchmarks/e2e reads ``recovery``.
         snapshot["recovery"] = vars(RecoveryStats())
         snapshot["models"] = [
             {"name": info.name, "source": info.source,

@@ -12,9 +12,8 @@ for phase span trees -- behind one enabled/disabled switch.  Components take an 
 :data:`NULL_TELEMETRY`, whose instruments are all shared no-ops, so the
 disabled path costs an attribute read and a no-op method call at most.
 
-Everything in this package is standard-library only, so any layer
-(including ``engine.runtime``, which must stay import-light for spawned
-workers) can import it without cycles.
+Everything in this package is standard-library only, so any layer can
+import it without cycles.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import seed_scan_cost_probes, split_seed_test
-from repro.engine.runtime import EngineRuntime
 from repro.internet.universe import generate_universe
 from repro.scanner.pipeline import ScanPipeline
 
@@ -63,20 +62,34 @@ def host_feature_columns(host_features, encoder=None):
 
 @contextlib.contextmanager
 def resident_dataset(host_features, executor="serial", step_size=16):
-    """Load host features into a fresh runtime; yield ``(columns, dataset)``.
+    """Hold host features as host groups; yield ``(columns, dataset)``.
 
     ``host_features`` may be the reference path's per-host mapping (it is
-    flattened to columns first) or pre-encoded columns.  The runtime closes
-    on exit.
+    flattened to columns first) or pre-encoded columns.  The dataset is
+    released on exit.  ``executor`` (one of :data:`ENGINE_LAYOUTS`) selects
+    nothing: every build runs in process.
     """
     columns = (host_features if isinstance(host_features, HostFeatureColumns)
                else host_feature_columns(host_features))
-    with EngineRuntime(executor=executor) as runtime:
-        dataset = ResidentHostGroups(runtime, columns, step_size)
-        try:
-            yield columns, dataset
-        finally:
-            dataset.release()
+    dataset = ResidentHostGroups(columns, step_size)
+    try:
+        yield columns, dataset
+    finally:
+        dataset.release()
+
+
+def spy_on_release(monkeypatch):
+    """Record every :class:`ResidentHostGroups` released from now on; returns
+    the list the released datasets are appended to."""
+    released = []
+    original = ResidentHostGroups.release
+
+    def release(self):
+        released.append(self)
+        original(self)
+
+    monkeypatch.setattr(ResidentHostGroups, "release", release)
+    return released
 
 
 #: Engine executors the executor-parametrized equivalence tests run on.
@@ -89,11 +102,10 @@ def engine_builds(host_features, executor="serial", step_size=16, port_domain=No
                   **index_kwargs):
     """All three Table 2 builds on the engine: ``(model, priors plan, index)``."""
     with resident_dataset(host_features, executor, step_size) as (columns, dataset):
-        model = build_model_with_engine(columns, dataset)
-        priors = build_priors_plan_with_engine(columns, model, step_size, port_domain,
-                                               dataset=dataset)
-        index = build_prediction_index_with_engine(columns, model, port_domain=port_domain,
-                                                   dataset=dataset, **index_kwargs)
+        model = build_model_with_engine(dataset)
+        priors = build_priors_plan_with_engine(dataset, model, step_size, port_domain)
+        index = build_prediction_index_with_engine(dataset, model, port_domain=port_domain,
+                                                   **index_kwargs)
     return model, priors, index
 
 

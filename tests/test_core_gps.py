@@ -10,7 +10,7 @@ from repro.core.metrics import fraction_of_services
 from repro.datasets.split import seed_scan_cost_probes
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline
-from tests.conftest import ENGINE_LAYOUTS
+from tests.conftest import ENGINE_LAYOUTS, spy_on_release
 
 
 class TestDatasetSplitMode:
@@ -165,13 +165,6 @@ class TestSerialExecutorDefault:
         with GPS(ScanPipeline(universe), config) as gps:
             assert gps.runtime() is None
 
-    def test_engine_config_defaults_to_a_serial_runtime(self, universe):
-        with GPS(ScanPipeline(universe), GPSConfig(use_engine=True)) as gps:
-            runtime = gps.runtime()
-            assert runtime is not None and runtime.executor == "serial"
-            assert gps.runtime() is runtime
-        assert runtime.closed
-
     def test_snapshot_save_without_executor_has_no_shard_layout(self, tmp_path,
                                                                 capsys):
         from repro.cli import main
@@ -203,21 +196,26 @@ class TestSerialExecutorDefault:
         assert engine.predict(known) == reference.predict(known)
 
     @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
-    def test_prepared_model_on_supplied_runtime_matches_reference(
-            self, universe, censys_dataset, censys_split, executor):
-        from repro.engine.runtime import EngineRuntime
+    def test_prepared_model_with_telemetry_matches_reference(
+            self, universe, censys_dataset, censys_split, executor, monkeypatch):
         from repro.serving.registry import build_prepared_model
+        from repro.telemetry import Telemetry
 
         seed = censys_split.seed_scan_result()
         base = {"seed_fraction": 0.05, "port_domain": censys_dataset.port_domain}
         reference = build_prepared_model("reference", ScanPipeline(universe), seed,
                                          GPSConfig(**base))
-        with EngineRuntime(executor=executor) as runtime:
-            engine = build_prepared_model(
-                "engine", ScanPipeline(universe), seed,
-                GPSConfig(use_engine=True, executor=executor, **base), runtime)
-            # The build releases its columns from a supplied runtime too.
-            assert runtime._store == {}
+        released = spy_on_release(monkeypatch)
+        telemetry = Telemetry()
+        engine = build_prepared_model(
+            "engine", ScanPipeline(universe), seed,
+            GPSConfig(use_engine=True, executor=executor, **base), telemetry)
+        # The build releases its host groups and traces the GPS build sequence.
+        (dataset,) = released
+        assert dataset.columns is None
+        assert [span.name for span in telemetry.tracer.roots] == [
+            "features.extract", "resident.load", "model.build", "priors.build",
+            "index.build"]
         assert engine.priors_plan == reference.priors_plan
         assert engine.index.entries() == reference.index.entries()
         known = censys_split.test_observations[:200]

@@ -91,7 +91,7 @@ class TestBuildModel:
 
 def _model_on_engine(hosts, executor="serial"):
     with resident_dataset(hosts, executor) as (columns, dataset):
-        return build_model_with_engine(columns, dataset)
+        return build_model_with_engine(dataset)
 
 
 def _assert_models_equal(a: CooccurrenceModel, b: CooccurrenceModel):
@@ -203,11 +203,10 @@ class TestModelLifecycle:
                                      universe.topology.asn_db, FeatureConfig())
 
     @staticmethod
-    def _assert_builds_match(hosts, columns, dataset, model, oracle):
-        assert build_priors_plan_with_engine(columns, model, 16, dataset=dataset) \
+    def _assert_builds_match(hosts, dataset, model, oracle):
+        assert build_priors_plan_with_engine(dataset, model, 16) \
             == build_priors_plan(hosts, oracle, 16)
-        assert build_prediction_index_with_engine(
-            columns, model, dataset=dataset).entries() \
+        assert build_prediction_index_with_engine(dataset, model).entries() \
             == PredictiveFeatureIndex.from_seed(hosts, oracle).entries()
 
     @pytest.mark.parametrize("executor", ENGINE_LAYOUTS)
@@ -216,8 +215,8 @@ class TestModelLifecycle:
         model_a, model_b = build_model(seed_hosts), build_model(half)
         with resident_dataset(seed_hosts, executor) as (columns, dataset), \
                 resident_dataset(half) as (half_columns, half_dataset):
-            own = build_model_with_engine(columns, dataset)
-            foreign = build_model_with_engine(half_columns, half_dataset)
+            own = build_model_with_engine(dataset)
+            foreign = build_model_with_engine(half_dataset)
             # Fresh dict models, as a benchmark's timed calls make them.
             fresh_a = CooccurrenceModel(cooccurrence=model_a.cooccurrence,
                                         denominators=model_a.denominators)
@@ -225,7 +224,7 @@ class TestModelLifecycle:
                                   (model_a, model_a), (own, model_a),
                                   (foreign, model_b), (own, model_a),
                                   (fresh_a, model_a)):
-                self._assert_builds_match(seed_hosts, columns, dataset, model,
+                self._assert_builds_match(seed_hosts, dataset, model,
                                           oracle)
             # The foreign model was packed from its dicts; the own one never
             # decoded them.
@@ -236,26 +235,24 @@ class TestModelLifecycle:
     def test_changed_dicts_feed_the_changed_counts(self, seed_hosts,
                                                    read_before_broadcast):
         with resident_dataset(seed_hosts) as (columns, dataset):
-            model = build_model_with_engine(columns, dataset)
+            model = build_model_with_engine(dataset)
             if not read_before_broadcast:
-                self._assert_builds_match(seed_hosts, columns, dataset, model,
+                self._assert_builds_match(seed_hosts, dataset, model,
                                           build_model(seed_hosts))
-            before = build_prediction_index_with_engine(columns, model,
-                                                        dataset=dataset)
+            before = build_prediction_index_with_engine(dataset, model)
             for predictor in list(model.cooccurrence)[::2]:
                 del model.cooccurrence[predictor]
             for predictor in list(model.denominators)[1::3]:
                 model.denominators[predictor] += 1
-            self._assert_builds_match(seed_hosts, columns, dataset, model, model)
-            after = build_prediction_index_with_engine(columns, model,
-                                                       dataset=dataset)
+            self._assert_builds_match(seed_hosts, dataset, model, model)
+            after = build_prediction_index_with_engine(dataset, model)
             assert after.entries() != before.entries()
 
     def test_dicts_on_first_read_equal_the_reference_in_fold_order(self,
                                                                    seed_hosts):
         expected = build_model(seed_hosts)
         with resident_dataset(seed_hosts) as (columns, dataset):
-            model = build_model_with_engine(columns, dataset)
+            model = build_model_with_engine(dataset)
         assert model.packed_counts() is not None
         assert model.cooccurrence_rows() == len(expected.cooccurrence)
         assert model.cooccurrence == expected.cooccurrence
@@ -272,21 +269,19 @@ class TestModelLifecycle:
 
     def test_candidate_table_lives_with_its_model_sides(self, seed_hosts):
         with resident_dataset(seed_hosts) as (columns, dataset):
-            store = dataset.runtime._store
-
             def table():
-                return store[dataset.key].get("_candidates")
+                return dataset.candidates
 
-            model = build_model_with_engine(columns, dataset)
-            build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
+            model = build_model_with_engine(dataset)
+            build_priors_plan_with_engine(dataset, model, 16)
             first = table()
             assert first is not None
             # The index build reads the table the priors build made.
-            build_prediction_index_with_engine(columns, model, dataset=dataset)
+            build_prediction_index_with_engine(dataset, model)
             assert table() is first
             dataset.ensure_sides(build_model(seed_hosts))
             assert table() is None
-            build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
+            build_priors_plan_with_engine(dataset, model, 16)
             assert table() is not None and table() is not first
             dataset.release()
-            assert dataset.key not in store
+            assert table() is None and dataset.columns is None

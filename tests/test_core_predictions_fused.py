@@ -48,8 +48,7 @@ def _assert_indices_equal(engine, reference):
 
 def _engine_index(hosts, model, executor="serial", **kwargs):
     with resident_dataset(hosts, executor) as (columns, dataset):
-        return build_prediction_index_with_engine(columns, model, dataset=dataset,
-                                                  **kwargs)
+        return build_prediction_index_with_engine(dataset, model, **kwargs)
 
 
 class TestEngineFromSeedEquivalence:

@@ -23,7 +23,6 @@ from repro.core.predictions import (
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.encoding import DictionaryEncoder
-from repro.engine.runtime import EngineRuntime
 from repro.net.ipv4 import parse_ip
 from repro.scanner.records import ScanObservation
 from tests.conftest import (ENGINE_LAYOUTS, engine_builds, host_feature_columns,
@@ -43,8 +42,7 @@ def _model_and_hosts(observations):
 
 def _engine_plan(hosts, model, step_size=16, port_domain=None, executor="serial"):
     with resident_dataset(hosts, executor, step_size) as (columns, dataset):
-        return build_priors_plan_with_engine(columns, model, step_size, port_domain,
-                                             dataset=dataset)
+        return build_priors_plan_with_engine(dataset, model, step_size, port_domain)
 
 
 @pytest.fixture()
@@ -91,15 +89,14 @@ class TestEnginePriorsEquivalence:
 
     def test_invalid_step_size_rejected(self, camera_fleet):
         _, hosts = _model_and_hosts(camera_fleet)
-        with EngineRuntime() as runtime:
-            with pytest.raises(ValueError, match="prefix length"):
-                ResidentHostGroups(runtime, host_feature_columns(hosts), 40)
+        with pytest.raises(ValueError, match="prefix length"):
+            ResidentHostGroups(host_feature_columns(hosts), 40)
 
     def test_step_size_must_match_dataset(self, camera_fleet):
         model, hosts = _model_and_hosts(camera_fleet)
         with resident_dataset(hosts, step_size=16) as (columns, dataset):
             with pytest.raises(ValueError):
-                build_priors_plan_with_engine(columns, model, 24, dataset=dataset)
+                build_priors_plan_with_engine(dataset, model, 24)
 
     def test_empty_hosts(self):
         assert _engine_plan({}, CooccurrenceModel()) == []
@@ -241,15 +238,11 @@ class TestPackingBounds:
         model = build_model(hosts) if model is None else model
         columns = host_feature_columns(hosts, encoder)
         with resident_dataset(columns, "serial", step_size) as (_, dataset):
-            plan = build_priors_plan_with_engine(columns, model, step_size,
-                                                 dataset=dataset)
-            index = build_prediction_index_with_engine(columns, model,
-                                                       dataset=dataset)
-            engine_model = build_model_with_engine(columns, dataset)
-            engine_plan = build_priors_plan_with_engine(
-                columns, engine_model, step_size, dataset=dataset)
-            engine_index = build_prediction_index_with_engine(
-                columns, engine_model, dataset=dataset)
+            plan = build_priors_plan_with_engine(dataset, model, step_size)
+            index = build_prediction_index_with_engine(dataset, model)
+            engine_model = build_model_with_engine(dataset)
+            engine_plan = build_priors_plan_with_engine(dataset, engine_model, step_size)
+            engine_index = build_prediction_index_with_engine(dataset, engine_model)
         expected_plan = build_priors_plan(hosts, model, step_size)
         expected_index = PredictiveFeatureIndex.from_seed(hosts, model).entries()
         assert plan == engine_plan == expected_plan
@@ -289,4 +282,4 @@ class TestPackingBounds:
         model.cooccurrence[("P", 1)][65536] = 1
         with resident_dataset(hosts) as (columns, dataset):
             with pytest.raises(ValueError, match="0-65535"):
-                build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
+                build_priors_plan_with_engine(dataset, model, 16)

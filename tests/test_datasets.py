@@ -156,6 +156,25 @@ class TestIO:
 
     @pytest.mark.parametrize("load", [load_observations_jsonl,
                                       load_observation_batch])
+    @pytest.mark.parametrize("fields, error", [
+        pytest.param('"ip": 1, "port": 80, "ttl": 18446744073709551616',
+                     "invalid TTL", id="ttl-2**64"),
+        pytest.param('"ip": 1, "port": 80, "ttl": -3', "invalid TTL", id="negative-ttl"),
+        pytest.param('"ip": 1, "port": 80, "ttl": 64.0', "ttl must be an integer",
+                     id="float-ttl"),
+        pytest.param('"ip": 2.7, "port": 80', "ip must be an integer", id="float-ip"),
+        pytest.param('"ip": 1, "port": 80.9', "port must be an integer", id="float-port"),
+        pytest.param('"ip": true, "port": 80', "ip must be an integer", id="bool-ip"),
+        pytest.param('"ip": "1", "port": 80', "ip must be an integer", id="string-ip"),
+    ])
+    def test_bad_numbers_rejected(self, tmp_path, load, fields, error):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{%s, "protocol": "http"}\n' % fields)
+        with pytest.raises(ValueError, match=f"bad.jsonl:1: .*{error}"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_observations_jsonl,
+                                      load_observation_batch])
     def test_record_error_names_the_line(self, tmp_path, load):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ip": 1, "port": 80, "protocol": "http"}\n'

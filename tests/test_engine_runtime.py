@@ -1,14 +1,11 @@
-"""Tests for the in-process execution runtime.
+"""Tests for the engine's host groups and the runtime names left around them.
 
-Covers the runtime's explicit lifecycle (idempotent close, resident data
-released on unload, reloads that replace columns and drop derived caches)
-and bit-identical results -- model, priors plan and prediction index -- on
-the resident-dataset path, down to edge host sets.
+Covers bit-identical results -- model, priors plan and prediction index --
+on one build's :class:`ResidentHostGroups`, down to edge host sets; the
+release of its columns; and ``GPS.runtime()``'s all-zero recovery counters.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 
@@ -23,10 +20,8 @@ from repro.core.predictions import (
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.split import split_seed_test
-from repro.engine.runtime import EngineRuntime
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ScanObservation
-from repro.telemetry import Telemetry
 from tests.conftest import host_feature_columns
 
 
@@ -41,134 +36,11 @@ def seed_inputs(universe, censys_split):
     return host_feature_columns(host_features), model, priors, index
 
 
-class TestRuntimeConstruction:
-    @pytest.mark.parametrize("executor", ["gpu", "thread", "pool"])
-    def test_unknown_executor_rejected(self, executor):
-        with pytest.raises(ValueError, match="unknown executor"):
-            EngineRuntime(executor=executor)
-
-    def test_defaults(self):
-        runtime = EngineRuntime()
-        assert runtime.executor == "serial"
-        assert not runtime.closed
-        runtime.close()
-
-
 class TestRuntimeLifecycle:
-    def test_close_is_idempotent_and_final(self):
-        runtime = EngineRuntime()
-        runtime.load("k", {"value_ids": [1, 2]})
-        assert _denominator_fold(runtime, "k") == Counter({1: 1, 2: 1})
-        runtime.close()
-        runtime.close()
-        assert runtime.closed
-        with pytest.raises(RuntimeError):
-            runtime.execute("model_denominators", "k")
-        with pytest.raises(RuntimeError):
-            runtime.load("k", {"value_ids": [1]})
-
-    def test_close_without_start_is_safe(self):
-        runtime = EngineRuntime()
-        runtime.close()
-        assert runtime.closed
-
-    def test_context_manager_closes(self):
-        with EngineRuntime() as runtime:
-            runtime.load("k", {"value_ids": [1]})
-        assert runtime.closed
-
-    def test_unknown_task_rejected_without_dispatch(self):
-        with EngineRuntime() as runtime:
-            with pytest.raises(KeyError):
-                runtime.execute("no_such_task", "k")
-
-    def test_unload_releases_resident_data(self):
-        with EngineRuntime() as runtime:
-            runtime.load("k", {"value_ids": [1]})
-            runtime.execute("model_denominators", "k")
-            runtime.unload("k")
-            with pytest.raises(KeyError, match="no resident payload"):
-                runtime.execute("model_denominators", "k")
-
-    def test_task_error_leaves_the_runtime_usable(self):
-        """A fold that raises reaches the caller and leaves the resident
-        data and the runtime as they were."""
-        with EngineRuntime() as runtime:
-            runtime.load("k", {"value_ids": [1, 2, 2]})
-            with pytest.raises(KeyError):
-                # No model sides are resident: the fold cannot score.
-                runtime.execute("priors_partner", "k", (None,))
-            assert not runtime.closed
-            assert _denominator_fold(runtime, "k") == Counter({1: 1, 2: 2})
-
-    def test_reloading_a_key_replaces_colliding_columns(self):
-        with EngineRuntime() as runtime:
-            runtime.load("k", {"value_ids": [1], "labels": [2]})
-            runtime.load("k", {"value_ids": [3, 3], "extra": [9]})
-            assert _denominator_fold(runtime, "k") == Counter({3: 2})
-            assert runtime._store["k"]["labels"] == [2]
-            assert runtime._store["k"]["extra"] == [9]
-
-    def test_reload_after_a_fold_reads_the_new_columns(self):
-        with EngineRuntime() as runtime:
-            runtime.load("k", {"value_ids": [1]})
-            first = runtime.execute("model_denominators", "k")
-            assert list(first[0]) == [1]
-            runtime.load("k", {"value_ids": [3, 3]})
-            ids, counts = runtime.execute("model_denominators", "k")
-            assert (list(ids), list(counts)) == ([3], [2])
-
-    def test_reload_drops_the_candidate_table(self):
-        """The candidate table the priors and index folds share is cached
-        in the payload; any load under the key drops it."""
-        columns = host_feature_columns(_three_hosts())
-        with EngineRuntime() as runtime:
-            dataset = ResidentHostGroups(runtime, columns, 16)
-            model = build_model_with_engine(columns, dataset)
-            build_priors_plan_with_engine(columns, model, 16, dataset=dataset)
-            assert "_candidates" in runtime._store[dataset.key]
-            runtime.load(dataset.key, {"extra": [1]})
-            assert "_candidates" not in runtime._store[dataset.key]
-
-    def test_unload_leaves_other_keys_resident(self):
-        with EngineRuntime() as runtime:
-            runtime.load("a", {"value_ids": [1]})
-            runtime.load("b", {"value_ids": [2]})
-            runtime.unload("a")
-            runtime.unload("never-loaded")  # no-op
-            assert _denominator_fold(runtime, "b") == Counter({2: 1})
-            with pytest.raises(KeyError, match="no resident payload"):
-                runtime.execute("model_denominators", "a")
-
-    def test_telemetry_counts_each_dispatch(self):
-        telemetry = Telemetry()
-        with EngineRuntime(telemetry=telemetry) as runtime:
-            runtime.load("k", {"value_ids": [0, 1]})
-            runtime.load("k", {"supports": [1]})
-            assert telemetry.gauge("engine_resident_payloads").value == 1
-            assert telemetry.histogram("engine_load_seconds").count == 2
-            assert _denominator_fold(runtime, "k") == Counter(range(2))
-            task = {"task": "model_denominators"}
-            assert telemetry.counter("engine_tasks_total", **task).value == 1
-            assert telemetry.histogram("engine_dispatch_seconds",
-                                       **task).count == 1
-            assert "engine_task_execute_seconds" not in telemetry.metrics.as_dict()
-            runtime.unload("k")
-            assert telemetry.gauge("engine_resident_payloads").value == 0
-            assert telemetry.gauge("engine_resident_bytes").value == 0
-
-    def test_in_process_backends_report_zero_stats(self):
-        with EngineRuntime() as runtime:
-            runtime.load("k", {"value_ids": [1]})
-            runtime.execute("model_denominators", "k")
-            assert vars(runtime.recovery_stats) == {
+    def test_in_process_backends_report_zero_stats(self, universe):
+        with GPS(ScanPipeline(universe), GPSConfig(use_engine=True)) as gps:
+            assert vars(gps.runtime().recovery_stats) == {
                 "respawns": 0, "redispatched_tasks": 0}
-
-
-def _denominator_fold(runtime, key):
-    """The ``(ids, counts)`` reply of the denominator fold as a counter."""
-    ids, counts = runtime.execute("model_denominators", key)
-    return Counter(dict(zip(ids, counts)))
 
 
 class TestRuntimeEquivalence:
@@ -176,25 +48,22 @@ class TestRuntimeEquivalence:
 
     def test_resident_dataset_matches_oracles(self, seed_inputs):
         host_features, model, priors, index = seed_inputs
-        with EngineRuntime() as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
-            built = build_model_with_engine(host_features, dataset)
-            assert built.denominators == model.denominators
-            assert {k: v for k, v in built.cooccurrence.items() if v} == \
-                {k: v for k, v in model.cooccurrence.items() if v}
-            assert build_priors_plan_with_engine(host_features, built, 16,
-                                                 dataset=dataset) == priors
-            rebuilt = build_prediction_index_with_engine(host_features, built,
-                                                         dataset=dataset)
-            assert rebuilt.entries() == index.entries()
-            # Consecutive builds reuse the resident columns.
-            again = build_model_with_engine(host_features, dataset)
-            assert again.denominators == built.denominators
-            dataset.release()
-            dataset.release()  # idempotent
-            assert runtime._store == {}
-            with pytest.raises(RuntimeError):
-                dataset.model_counts()
+        dataset = ResidentHostGroups(host_features, 16)
+        built = build_model_with_engine(dataset)
+        assert built.denominators == model.denominators
+        assert {k: v for k, v in built.cooccurrence.items() if v} == \
+            {k: v for k, v in model.cooccurrence.items() if v}
+        assert build_priors_plan_with_engine(dataset, built, 16) == priors
+        rebuilt = build_prediction_index_with_engine(dataset, built)
+        assert rebuilt.entries() == index.entries()
+        # Consecutive builds reuse the same columns.
+        again = build_model_with_engine(dataset)
+        assert again.denominators == built.denominators
+        dataset.release()
+        dataset.release()  # idempotent
+        assert dataset.columns is None and dataset.candidates is None
+        with pytest.raises(RuntimeError):
+            dataset.model_counts()
 
     @pytest.mark.parametrize("hosts", [
         pytest.param(lambda: {}, id="zero-hosts"),
@@ -221,45 +90,22 @@ class TestRuntimeEquivalence:
         host_features = hosts()
         model = build_model(host_features)
         columns = host_feature_columns(host_features)
-        with EngineRuntime() as runtime:
-            dataset = ResidentHostGroups(runtime, columns, 16)
-            built = build_model_with_engine(columns, dataset)
-            assert built.denominators == model.denominators
-            assert {k: v for k, v in built.cooccurrence.items() if v} == \
-                {k: v for k, v in model.cooccurrence.items() if v}
-            assert build_priors_plan_with_engine(columns, built, 16,
-                                                 dataset=dataset) == \
-                build_priors_plan(host_features, model, 16)
-            assert build_prediction_index_with_engine(
-                columns, built, dataset=dataset).entries() == \
-                PredictiveFeatureIndex.from_seed(host_features, model).entries()
-            dataset.release()
-
-    def test_reusing_a_key_builds_from_the_new_hosts(self, seed_inputs):
-        """A second dataset loaded under a key an earlier one ran all three
-        builds on builds from its own hosts."""
-        host_features, model, priors, index = seed_inputs
-        with EngineRuntime() as runtime:
-            earlier = host_feature_columns(_three_hosts())
-            first = ResidentHostGroups(runtime, earlier, 16, key="k")
-            first_model = build_model_with_engine(earlier, first)
-            build_priors_plan_with_engine(earlier, first_model, 16, dataset=first)
-            build_prediction_index_with_engine(earlier, first_model, dataset=first)
-            dataset = ResidentHostGroups(runtime, host_features, 16, key="k")
-            built = build_model_with_engine(host_features, dataset)
-            assert built.denominators == model.denominators
-            assert build_priors_plan_with_engine(host_features, built, 16,
-                                                 dataset=dataset) == priors
-            assert build_prediction_index_with_engine(
-                host_features, built, dataset=dataset).entries() == index.entries()
+        dataset = ResidentHostGroups(columns, 16)
+        built = build_model_with_engine(dataset)
+        assert built.denominators == model.denominators
+        assert {k: v for k, v in built.cooccurrence.items() if v} == \
+            {k: v for k, v in model.cooccurrence.items() if v}
+        assert build_priors_plan_with_engine(dataset, built, 16) == \
+            build_priors_plan(host_features, model, 16)
+        assert build_prediction_index_with_engine(dataset, built).entries() == \
+            PredictiveFeatureIndex.from_seed(host_features, model).entries()
+        dataset.release()
 
     def test_resident_dataset_step_size_is_checked(self, seed_inputs):
         host_features, model, _, _ = seed_inputs
-        with EngineRuntime() as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
-            with pytest.raises(ValueError):
-                build_priors_plan_with_engine(host_features, model, 20,
-                                              dataset=dataset)
+        dataset = ResidentHostGroups(host_features, 16)
+        with pytest.raises(ValueError):
+            build_priors_plan_with_engine(dataset, model, 20)
 
 
 def _observations(hosts):
@@ -291,25 +137,15 @@ class TestGPSRuntimeIntegration:
         with pytest.raises(ValueError):
             GPSConfig(executor=42)
 
-    def test_config_knobs_reach_the_runtime(self, universe):
-        config = GPSConfig(use_engine=True, executor="serial")
-        with GPS(ScanPipeline(universe), config) as gps:
-            assert gps.runtime().executor == "serial"
-
-    def test_closed_runtime_is_recreated(self, universe, censys_split):
+    def test_repeated_runs_on_one_gps_match(self, universe, censys_split):
+        """Each run builds and releases its own host groups, so a second run
+        on the same GPS finds what the first did."""
         config = GPSConfig(seed_fraction=0.05, step_size=16, use_engine=True)
         with GPS(ScanPipeline(universe), config) as gps:
             first = gps.run(seed=censys_split.seed_scan_result(),
                             seed_cost_probes=0)
-            closed = gps.runtime()
-            gps.close()
-            assert closed.closed
-            fresh = gps.runtime()
-            assert fresh is not closed and not fresh.closed
             again = gps.run(seed=censys_split.seed_scan_result(),
                             seed_cost_probes=0)
-            assert gps.runtime() is fresh
-        assert fresh.closed
         assert again.priors_plan == first.priors_plan
         assert again.discovered_pairs() == first.discovered_pairs()
 
@@ -317,14 +153,6 @@ class TestGPSRuntimeIntegration:
         gps = GPS(ScanPipeline(universe), GPSConfig())
         assert gps.runtime() is None
         gps.close()  # safe no-op
-
-    def test_gps_owns_one_runtime_and_closes_it(self, universe):
-        config = GPSConfig(use_engine=True)
-        with GPS(ScanPipeline(universe), config) as gps:
-            runtime = gps.runtime()
-            assert runtime is not None and not runtime.closed
-            assert gps.runtime() is runtime
-        assert runtime.closed
 
     @pytest.mark.parametrize("name, seed_fraction, split_seed", [
         pytest.param("censys", 0.05, 1, id="censys"),

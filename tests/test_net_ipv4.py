@@ -46,6 +46,11 @@ class TestParseFormat:
         with pytest.raises(IPv4Error):
             parse_ip("10.0.0.x")
 
+    @pytest.mark.parametrize("text", ["\u00b2.0.0.1", "\u0661.\u0662.\u0663.\u0664"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(IPv4Error):
+            parse_ip(text)
+
     def test_format_rejects_out_of_range(self):
         with pytest.raises(IPv4Error):
             format_ip(2**32)

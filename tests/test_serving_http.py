@@ -142,10 +142,16 @@ class TestErrorMapping:
         assert excinfo.value.code == 404
         assert json.load(excinfo.value)["error"] == "model_not_found"
 
-    def test_bad_address_is_400(self, server):
+    @pytest.mark.parametrize("ip", [
+        pytest.param("not-an-ip", id="not-an-ip"),
+        pytest.param("%C2%B2", id="superscript-two"),
+        pytest.param("%D9%A1%D9%A2", id="arabic-indic-digits"),
+        pytest.param("%C2%B2.0.0.1", id="superscript-octet"),
+    ])
+    def test_bad_address_is_400(self, server, ip):
         base, _, _ = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{base}/lookup?model=default&ip=not-an-ip")
+            _get(f"{base}/lookup?model=default&ip={ip}")
         assert excinfo.value.code == 400
         assert json.load(excinfo.value)["error"] == "invalid_request"
 

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-import repro.serving.registry as registry_module
+import repro.core.gps as gps_module
 import repro.serving.service as service_module
 from repro.core.config import GPSConfig
 from repro.scanner.pipeline import ScanPipeline
@@ -32,6 +32,8 @@ from repro.serving import (
     ServingConfig,
 )
 from repro.serving.registry import PreparedModel, build_prepared_model
+from repro.telemetry import Telemetry
+from tests.conftest import spy_on_release
 
 
 def run(coro):
@@ -155,48 +157,65 @@ class TestRegistry:
                 assert [i.name for i in service.models()] == ["default"]
         run(scenario())
 
-    def test_successful_load_leaves_no_resident_payload(self, universe, seed):
+    def test_successful_load_leaves_no_resident_payload(self, universe, seed,
+                                                        monkeypatch):
         """A build releases its columns when it ends: the loaded model
         serves from its index alone."""
+        released = spy_on_release(monkeypatch)
+
         async def scenario():
             async with await _loaded_service(universe, seed) as service:
-                assert service.runtime()._store == {}
+                assert len(released) == 1
                 await service.load_model(
                     "second", ScanPipeline(universe), seed,
                     GPSConfig(use_engine=True, executor="serial"))
-                assert service.runtime()._store == {}
+                assert len(released) == 2
+                assert all(dataset.columns is None for dataset in released)
                 assert [info.name for info in service.models()] == \
                     ["default", "second"]
         run(scenario())
 
+    def test_load_model_traces_the_build_spans(self, universe, seed):
+        """A service with telemetry records the GPS build sequence's spans
+        for each model it builds."""
+        async def scenario():
+            telemetry = Telemetry()
+            async with GPSService(telemetry=telemetry) as service:
+                await service.load_model(
+                    "default", ScanPipeline(universe), seed,
+                    GPSConfig(use_engine=True, executor="serial"))
+            return [span.name for span in telemetry.tracer.roots]
+
+        assert run(scenario()) == ["features.extract", "resident.load",
+                                   "model.build", "priors.build", "index.build"]
+
     def test_failed_build_registers_nothing_and_releases_its_shards(
             self, universe, seed, monkeypatch):
         """A builder raising mid-build fails that load only: the error
-        reaches the caller, no model registers, the build's resident key is
+        reaches the caller, no model registers, the build's host groups are
         released, and the loaded model keeps serving oracle replies."""
         oracle = build_prepared_model("oracle", ScanPipeline(universe), seed,
                                       GPSConfig())
-        failed_keys = []
+        failed = []
 
-        def failing_priors(host_features, model, step_size, port_domain=None,
-                           dataset=None):
-            failed_keys.append(dataset.key)
+        def failing_priors(dataset, model, step_size, port_domain=None):
+            failed.append(dataset)
             raise RuntimeError("priors build failed")
 
         async def scenario():
             async with await _loaded_service(universe, seed) as service:
                 client = InProcessClient(service)
-                monkeypatch.setattr(registry_module,
-                                    "build_priors_plan_with_engine",
+                released = spy_on_release(monkeypatch)
+                monkeypatch.setattr(gps_module, "build_priors_plan_with_engine",
                                     failing_priors)
                 with pytest.raises(RuntimeError, match="priors build failed"):
                     await client.load_model(
                         "broken", ScanPipeline(universe), seed,
                         GPSConfig(use_engine=True, executor="serial"))
                 assert [info.name for info in client.models()] == ["default"]
-                (failed_key,) = failed_keys
-                assert failed_key not in service.runtime()._store
-                assert service.runtime()._store == {}
+                (failed_dataset,) = failed
+                assert released == [failed_dataset]
+                assert failed_dataset.columns is None
                 groups = _observations_of(seed)
                 return [(rows, await client.lookup("default", rows))
                         for rows in groups]

@@ -28,7 +28,7 @@ from repro.core.predictions import build_prediction_index_with_engine
 from repro.core.priors import build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine import snapshot as snapshot_module
-from repro.engine.runtime import RUNTIME_EXECUTORS, EngineRuntime
+from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.engine.snapshot import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -180,14 +180,11 @@ class TestRoundTrip:
                                                executor):
         """build -> snapshot -> load is bit-identical on every engine path."""
         _, host_features, model, priors, index = artifacts
-        with EngineRuntime(executor=executor) as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
-            built_model = build_model_with_engine(host_features, dataset)
-            built_priors = build_priors_plan_with_engine(
-                host_features, built_model, 16, dataset=dataset)
-            built_index = build_prediction_index_with_engine(
-                host_features, built_model, dataset=dataset)
-            dataset.release()
+        dataset = ResidentHostGroups(host_features, 16)
+        built_model = build_model_with_engine(dataset)
+        built_priors = build_priors_plan_with_engine(dataset, built_model, 16)
+        built_index = build_prediction_index_with_engine(dataset, built_model)
+        dataset.release()
         directory = str(tmp_path / executor)
         save_snapshot(directory, host_features=host_features,
                       model=built_model, priors_plan=built_priors,

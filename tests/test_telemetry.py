@@ -271,7 +271,13 @@ class TestEquivalence:
                 "index.build", "predict"} <= names
         metrics = telemetry.metrics.as_dict()
         assert "scan_probes_total" in metrics
-        assert "engine_tasks_total" in metrics
+        (root,) = telemetry.tracer.roots
+        builds = {span.name: span for span in root.children}
+        assert {"features.extract", "resident.load", "model.build",
+                "priors.build", "index.build"} <= set(builds)
+        assert builds["model.build"].attrs["pairs"] == on.model.cooccurrence_rows()
+        assert builds["priors.build"].attrs["entries"] == len(on.priors_plan)
+        assert builds["index.build"].attrs["entries"] == len(on.feature_index)
         probes = sum(sample["value"]
                      for sample in metrics["scan_probes_total"]["samples"])
         assert probes == on_pipeline.ledger.total_probes()
